@@ -162,8 +162,8 @@ def _cmd_content(args):
     tree = _tree_from_args(args)
     real = tree.realize(samples_per_leaf=args.samples_per_leaf)
     gauge = _make_gauge(args.gauge, real, args.side)
-    content = content_Mh_tree(tree, args.side, gauge, realization=real)
-    frost = frostman_tree(tree, args.side, gauge, realization=real)
+    content = content_Mh_tree(tree, args.side, gauge)
+    frost = frostman_tree(tree, args.side, gauge)
     doc = json.dumps({"content": content.value, "gauge": content.gauge,
                       "cover_size": len(content.cover), "frostman": frost.value},
                      sort_keys=True, separators=(",", ":"))

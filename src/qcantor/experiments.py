@@ -319,9 +319,8 @@ def content_distortion_experiment(K, depths, a=0.1, branching=4,
         tree = build_tree(schedules, depth, seed=seed)
         real = tree.realize(seed=seed)
         h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE, gamma=1.0)
-        m_src = content_Mh_tree(tree, SOURCE, h0, realization=real).value
-        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a),
-                                realization=real).value
+        m_src = content_Mh_tree(tree, SOURCE, h0).value
+        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a)).value
         rows.append({"depth": depth, "source_content": m_src,
                      "target_content": m_tgt,
                      "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))})

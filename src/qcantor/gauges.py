@@ -28,11 +28,20 @@ LN2 = math.log(2.0)
 
 
 def psi_a(x, a):
-    """Radial kernel 1/(|x|^(1+a) + 1); accepts radii or (n, 2) points."""
-    if a <= 0:
-        raise ValueError("kernel parameter a must be positive")
+    """Radial kernel 1/(|x|^(1+a) + 1); accepts radii or (n, 2) points.
+
+    A trailing axis of length 2 is read as points; pass distances to
+    psi_radial, which has no such ambiguity.
+    """
     x = np.asarray(x, dtype=float)
     r = np.hypot(x[..., 0], x[..., 1]) if x.ndim >= 1 and x.shape[-1] == 2 else np.abs(x)
+    return psi_radial(r, a)
+
+
+def psi_radial(r, a):
+    """psi_a of nonnegative radii, elementwise for any array shape."""
+    if a <= 0:
+        raise ValueError("kernel parameter a must be positive")
     return 1.0 / (r ** (1.0 + a) + 1.0)
 
 
@@ -41,7 +50,7 @@ def eps_mu_a(measure, x, t, a) -> float:
     if not (t > 0.0):
         raise ValueError("radius t must be positive")
     d = measure.distances(x)
-    return float(np.sum(measure.weights * psi_a(d / t, a)) / t)
+    return float(np.sum(measure.weights * psi_radial(d / t, a)) / t)
 
 
 def h_mu_a(measure, x, t, a) -> float:
@@ -137,12 +146,26 @@ class TreeSmoothedDensityGauge:
         self.gamma = float(gamma)
         self.description = f"tree_eps_mu_a(a={a},side={side})"
 
+    def _eps(self):
+        return self.realization.eps_by_generation(self.side, self.a)
+
     def eps_node(self, path):
-        return self.realization.node_eps(self.side, path, self.a)
+        return float(self._eps()[len(path)][self.realization.node_index(path)])
 
     def h_node(self, path):
         r = math.exp(self.realization.tree.log_radius(self.side, len(path)))
         return r ** self.gamma * self.eps_node(path)
+
+    def h_values(self, depth):
+        """h over every node of generations 0..depth, one array per generation."""
+        tree = self.realization.tree
+        return [math.exp(tree.log_radius(self.side, g)) ** self.gamma * eps
+                for g, eps in enumerate(self._eps()[:depth + 1])]
+
+    def far_field_bound(self, depth):
+        """Relative bound on the h share dropped with the far rings."""
+        rings = self.realization.eps_rings(self.side, self.a)
+        return max(tail for _, tail in rings[:depth + 1])
 
 
 class DistortedTreeGauge:
@@ -162,12 +185,31 @@ class DistortedTreeGauge:
         self.exponent = 2.0 * K / (K + 1.0)
         self.description = f"distorted(a={a},K={K})"
 
+    def _eps(self):
+        return self.realization.eps_by_generation(SOURCE, self.a)
+
     def eps_node(self, path):
-        return self.realization.node_eps(SOURCE, path, self.a) ** self.exponent
+        eps = self._eps()[len(path)][self.realization.node_index(path)]
+        return float(eps) ** self.exponent
 
     def h_node(self, path):
         t = math.exp(self.realization.tree.log_radius(TARGET, len(path)))
         return t ** self.gamma * self.eps_node(path)
+
+    def h_values(self, depth):
+        """h over every node of generations 0..depth, one array per generation."""
+        tree = self.realization.tree
+        return [math.exp(tree.log_radius(TARGET, g)) ** self.gamma * eps ** self.exponent
+                for g, eps in enumerate(self._eps()[:depth + 1])]
+
+    def far_field_bound(self, depth):
+        """Relative bound on the h share dropped with the far rings.
+
+        eps is low by at most a share tail, so eps**p with p >= 1 is low by
+        at most p * tail (Bernoulli).
+        """
+        rings = self.realization.eps_rings(SOURCE, self.a)
+        return self.exponent * max(tail for _, tail in rings[:depth + 1])
 
     def eps(self, x, r):
         raise ValueError(
@@ -353,40 +395,49 @@ def geometric_kernel_sum_constant(a, b, radii=None) -> float:
 
 @dataclass(frozen=True)
 class ContentResult:
-    """Tree-aligned h-content: exact optimum over antichain covers."""
+    """Tree-aligned h-content: exact optimum over antichain covers.
+
+    far_field_bound bounds the relative amount by which value may be low
+    because far rings were dropped from the h values (0 for exact gauges).
+    """
 
     value: float
     cover: tuple
     gauge: str
+    far_field_bound: float = 0.0
 
 
-def _node_h_values(tree, side, gauge, depth, realization):
-    """Per-generation arrays of h over all nodes, for any supported gauge."""
-    values = []
-    for g in range(depth + 1):
-        count = tree.n_nodes(g)
-        if isinstance(gauge, (ConstantGauge, RadialGauge)):
-            r = math.exp(tree.log_radius(side, g))
-            values.append(np.full(count, gauge.h(None, r)))
-        elif hasattr(gauge, "h_node"):
-            vals = np.empty(count)
-            for i, path in enumerate(tree.paths_at(g)):
-                vals[i] = gauge.h_node(path)
-            values.append(vals)
-        elif isinstance(gauge, SmoothedDensityGauge):
-            if realization is None:
-                raise ValueError("ball gauges on trees need realized centers")
-            r = math.exp(tree.log_radius(side, g))
-            vals = np.empty(count)
-            for i, path in enumerate(tree.paths_at(g)):
-                vals[i] = gauge.h(realization.node_center(side, path), r)
-            values.append(vals)
-        else:
-            raise TypeError(f"unsupported gauge {gauge!r}")
-    return values
+def _node_h_values(tree, side, gauge, depth):
+    """Per-generation arrays of h over all nodes, and their far-field bound."""
+    if isinstance(gauge, (ConstantGauge, RadialGauge)):
+        return [np.full(tree.n_nodes(g), gauge.h(None, math.exp(tree.log_radius(side, g))))
+                for g in range(depth + 1)], 0.0
+    if hasattr(gauge, "h_values"):
+        return gauge.h_values(depth), gauge.far_field_bound(depth)
+    if hasattr(gauge, "h_node"):
+        return [np.array([gauge.h_node(path) for path in tree.paths_at(g)], dtype=float)
+                for g in range(depth + 1)], 0.0
+    raise TypeError(f"unsupported gauge {gauge!r}")
 
 
-def content_Mh_tree(tree, side, gauge, depth=None, realization=None) -> ContentResult:
+def _content_dp(tree, h, depth):
+    """Bottom-up min-cut DP over per-generation h arrays.
+
+    cost[g] = min(h[g], sum of the children's cost) per node, and take[g]
+    marks the nodes whose own ball is the cheaper choice.
+    """
+    cost = [None] * (depth + 1)
+    take = [None] * (depth + 1)
+    cost[depth] = h[depth]
+    take[depth] = np.ones(len(h[depth]), dtype=bool)
+    for g in range(depth - 1, -1, -1):
+        child_sum = cost[g + 1].reshape(-1, tree.branching(g + 1)).sum(axis=1)
+        take[g] = h[g] <= child_sum
+        cost[g] = np.where(take[g], h[g], child_sum)
+    return cost, take
+
+
+def content_Mh_tree(tree, side, gauge, depth=None) -> ContentResult:
     """min over antichain covers of sum h(node ball), by bottom-up DP.
 
     cost(node) = min(h(node), sum over children of cost); an upper bound for
@@ -394,17 +445,8 @@ def content_Mh_tree(tree, side, gauge, depth=None, realization=None) -> ContentR
     """
     _check_side(side)
     depth = tree.depth if depth is None else depth
-    if realization is None:
-        realization = tree._realization
-    h = _node_h_values(tree, side, gauge, depth, realization)
-    cost = h[depth].copy()
-    take = [None] * (depth + 1)
-    take[depth] = np.ones(len(cost), dtype=bool)
-    for g in range(depth - 1, -1, -1):
-        m = tree.branching(g + 1)
-        child_sum = cost.reshape(-1, m).sum(axis=1)
-        take[g] = h[g] <= child_sum
-        cost = np.where(take[g], h[g], child_sum)
+    h, bound = _node_h_values(tree, side, gauge, depth)
+    cost, take = _content_dp(tree, h, depth)
     cover = []
 
     def walk(g, i, path):
@@ -416,8 +458,8 @@ def content_Mh_tree(tree, side, gauge, depth=None, realization=None) -> ContentR
             walk(g + 1, i * m + j, path + (j,))
 
     walk(0, 0, ())
-    return ContentResult(float(cost[0]), tuple(cover),
-                         getattr(gauge, "description", repr(gauge)))
+    return ContentResult(float(cost[0][0]), tuple(cover),
+                         getattr(gauge, "description", repr(gauge)), bound)
 
 
 @dataclass(frozen=True)
@@ -427,13 +469,14 @@ class FrostmanResult:
     leaf_weights: np.ndarray
     value: float
     content_value: float
+    far_field_bound: float = 0.0
 
     def as_measure(self, realization, side):
         from .measure import PlanarMeasure
         return PlanarMeasure(realization.leaf_centers(side), self.leaf_weights)
 
 
-def frostman_tree(tree, side, gauge, depth=None, realization=None) -> FrostmanResult:
+def frostman_tree(tree, side, gauge, depth=None) -> FrostmanResult:
     """Leaf masses maximizing the total subject to every node's h-constraint.
 
     On a tree the max flow equals the min cut, i.e. the content DP value,
@@ -441,14 +484,8 @@ def frostman_tree(tree, side, gauge, depth=None, realization=None) -> FrostmanRe
     """
     _check_side(side)
     depth = tree.depth if depth is None else depth
-    if realization is None:
-        realization = tree._realization
-    h = _node_h_values(tree, side, gauge, depth, realization)
-    flow = [None] * (depth + 1)
-    flow[depth] = h[depth].copy()
-    for g in range(depth - 1, -1, -1):
-        m = tree.branching(g + 1)
-        flow[g] = np.minimum(h[g], flow[g + 1].reshape(-1, m).sum(axis=1))
+    h, bound = _node_h_values(tree, side, gauge, depth)
+    flow, _ = _content_dp(tree, h, depth)
     alloc = np.array([flow[0][0]])
     for g in range(1, depth + 1):
         m = tree.branching(g)
@@ -457,10 +494,10 @@ def frostman_tree(tree, side, gauge, depth=None, realization=None) -> FrostmanRe
         share = np.where(denom[:, None] > 0, child / np.where(denom[:, None] > 0,
                                                               denom[:, None], 1.0), 0.0)
         alloc = (alloc[:, None] * share).ravel()
-    content = content_Mh_tree(tree, side, gauge, depth=depth, realization=realization)
-    # the flow value is the min cut, bitwise equal to the DP; the proportional
-    # leaf split re-sums to it only up to rounding
-    return FrostmanResult(alloc, float(flow[0][0]), content.value)
+    # the flow value is the min cut, i.e. the DP value; the proportional leaf
+    # split re-sums to it only up to rounding
+    value = float(flow[0][0])
+    return FrostmanResult(alloc, value, value, bound)
 
 
 def generation_cover_sum(tree, side, gauge, generation) -> float:

@@ -224,9 +224,8 @@ def test_criterion_08_contents():
         tree = build_tree(schedules, depth, seed=5)
         real = tree.realize(seed=5)
         h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE, gamma=1.0)
-        m_src = content_Mh_tree(tree, SOURCE, h0, realization=real).value
-        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a),
-                                realization=real).value
+        m_src = content_Mh_tree(tree, SOURCE, h0).value
+        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a)).value
         ratios.append(m_src / m_tgt ** ((K + 1.0) / (2.0 * K)))
     assert min(ratios) >= 0.1 * max(ratios)
     _report(8, f"DP = enumeration on {checked} random gauges (exact); "

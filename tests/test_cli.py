@@ -80,6 +80,19 @@ def test_content_command(config_path, tmp_path):
     assert doc["frostman"] == pytest.approx(doc["content"], rel=1e-12)
 
 
+def test_content_command_depth7_min_cut_equals_max_flow(tmp_path):
+    cfg = {"K": 2, "depth": 7, "seed": 0, "levels": [{"M": 4, "d": "harmonic"}] * 7}
+    config = tmp_path / "d7.json"
+    config.write_text(json.dumps(cfg))
+    out = str(tmp_path / "content.json")
+    code = main(["content", "--config", str(config), "--side", "source",
+                 "--gauge", "smoothed:a=0.1", "--out", out])
+    assert code == 0
+    doc = json.loads(open(out).read())
+    assert doc["content"] > 0
+    assert doc["frostman"] == doc["content"]
+
+
 def test_check_gauge_command(config_path, tmp_path):
     out = str(tmp_path / "gauge.json")
     code = main(["check-gauge", "--config", config_path, "--depth", "2",

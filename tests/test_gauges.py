@@ -41,6 +41,13 @@ def test_eps_single_atom_at_center():
         assert eps_mu_a(mu, (0.3, -0.2), t, 0.5) == pytest.approx(1.0 / t, rel=1e-12)
 
 
+def test_eps_two_atom_measure_sums_per_atom():
+    # two distances must not be read as one planar point
+    mu = PlanarMeasure(np.array([[1.0, 0.0], [0.0, 3.0]]), np.array([0.25, 0.75]))
+    want = 0.25 / (1.0 ** 1.5 + 1.0) + 0.75 / (3.0 ** 1.5 + 1.0)
+    assert eps_mu_a(mu, (0.0, 0.0), 1.0, 0.5) == pytest.approx(want, rel=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 2.0), st.floats(0.01, 4.0))
 def test_eps_doubling_bound(a, t):
@@ -233,7 +240,7 @@ def test_content_root_optimal_when_subadditive():
 
 def test_cover_is_antichain_partition(tree_k2_d3, real_k2_d3):
     gauge = TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE)
-    res = content_Mh_tree(tree_k2_d3, SOURCE, gauge, realization=real_k2_d3)
+    res = content_Mh_tree(tree_k2_d3, SOURCE, gauge)
     cover = res.cover
     for a in cover:
         for b in cover:
@@ -260,7 +267,7 @@ def test_frostman_feasibility():
     tree.realize(seed=2)
     real = tree.realize(seed=2)
     gauge = TreeSmoothedDensityGauge(real, 0.1, side=SOURCE)
-    fr = frostman_tree(tree, SOURCE, gauge, realization=real)
+    fr = frostman_tree(tree, SOURCE, gauge)
     w = fr.leaf_weights
     for g in range(4):
         for path in tree.paths_at(g):
@@ -315,11 +322,56 @@ def test_main_lemma_ratio_stable_small_depths():
         tree = build_tree(schedules, depth, seed=5)
         real = tree.realize(seed=5)
         h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE, gamma=1.0)
-        m_src = content_Mh_tree(tree, SOURCE, h0, realization=real).value
-        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a),
-                                realization=real).value
+        m_src = content_Mh_tree(tree, SOURCE, h0).value
+        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a)).value
         ratios.append(m_src / m_tgt ** ((K + 1.0) / (2.0 * K)))
     assert min(ratios) >= 0.1 * max(ratios)
+
+
+def test_source_eps_filled_once_across_gauges():
+    tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=6)
+    real = tree.realize(seed=6)
+    fills = []
+    batched = real.eps_by_generation
+
+    def counting(side, a):
+        fills.append((side, a, (side, float(a)) in real._eps_cache))
+        return batched(side, a)
+
+    real.eps_by_generation = counting
+    smoothed = TreeSmoothedDensityGauge(real, 0.1, side=SOURCE, gamma=1.0)
+    distorted = distorted_gauge(real, 0.1)
+    content_Mh_tree(tree, SOURCE, smoothed)
+    frostman_tree(tree, SOURCE, smoothed)
+    content_Mh_tree(tree, TARGET, distorted)
+    distorted.h_node((1, 2))
+    assert len(fills) >= 4
+    assert [cached for *_, cached in fills].count(False) == 1
+    assert list(real._eps_cache) == [(SOURCE, 0.1)]
+
+
+def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):
+    tree = real_k2_d3.tree
+    for gauge in (TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=TARGET),
+                  distorted_gauge(real_k2_d3, 0.1)):
+        h = gauge.h_values(tree.depth)
+        for path in [(), (2,), (3, 1), (0, 3, 2)]:
+            assert gauge.h_node(path) == pytest.approx(
+                h[len(path)][tree.node_index(path)], rel=1e-15)
+
+
+def test_far_field_bound_recorded_on_results(tree_k2_d3, real_k2_d3):
+    smoothed = TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE)
+    res = content_Mh_tree(tree_k2_d3, SOURCE, smoothed)
+    tails = [tail for _, tail in real_k2_d3.eps_rings(SOURCE, 0.1)]
+    assert 0.0 < res.far_field_bound == max(tails) <= 2.0 ** -53
+    fr = frostman_tree(tree_k2_d3, SOURCE, smoothed)
+    assert fr.far_field_bound == res.far_field_bound
+    distorted = distorted_gauge(real_k2_d3, 0.1)
+    res_t = content_Mh_tree(tree_k2_d3, TARGET, distorted)
+    assert res_t.far_field_bound == pytest.approx(distorted.exponent * max(tails), rel=1e-15)
+    table = {path: 1.0 for g in range(4) for path in tree_k2_d3.paths_at(g)}
+    assert content_Mh_tree(tree_k2_d3, SOURCE, TableGauge(table)).far_field_bound == 0.0
 
 
 # -- generation cover sums ----------------------------------------------------
