@@ -8,9 +8,9 @@ verification experiments from a CLI.
 """
 
 from .cantor import (SOURCE, TARGET, CantorTree, ConstructionError, LevelSchedule,
-                     PackingError, TreeNode, build_tree, doubly_exponential_schedule,
-                     harmonic_schedule, pack_disks, realize_measure,
-                     schedules_from_config, sharpness_schedule, shrunk_schedule)
+                     PackingError, build_tree, doubly_exponential_schedule,
+                     harmonic_schedule, pack_disks, schedules_from_config,
+                     sharpness_schedule, shrunk_schedule)
 from .capacity import (CapacityEstimate, CapacityIndices, DistortedIndices,
                        direct_capacity_lower, distorted_index_map, distortion_indices,
                        melnikov_gamma_lower, wolff_capacity_lower)

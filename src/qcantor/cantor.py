@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import PlanarMeasure
 
 SOURCE = "source"
 TARGET = "target"
@@ -135,6 +134,24 @@ class LevelSchedule:
         return self.distortion * self.log_sigma + self.log_protect
 
 
+def _multiplier(j, e=1.0):
+    """d_j = ((j+1)/j)**e; e = 1 gives the harmonic (j+1)/j bit for bit."""
+    return ((j + 1) / j) ** e
+
+
+def _level(index, branching, d, K, eps=None, log_cap=math.inf):
+    """The one radius rule of every schedule.
+
+    With eps=None the level takes the largest admissible radius,
+    R = SMALLNESS / d (so sigma = SMALLNESS), lowered to exp(log_cap) if
+    that binds; an explicit eps fixes M*R^2 = 1 - eps.
+    """
+    if eps is not None:
+        return LevelSchedule.from_eps(index, branching, d, eps, K)
+    log_r = min(math.log(SMALLNESS) - math.log(d), log_cap)
+    return LevelSchedule(index, branching, d, log_r, K)
+
+
 def harmonic_schedule(K, depth, branching=4, eps=None):
     """Levels with multiplier d_j = (j+1)/j (telescoping to prod d_j = N+1).
 
@@ -145,17 +162,7 @@ def harmonic_schedule(K, depth, branching=4, eps=None):
     """
     if K < 1.0:
         raise ConstructionError("distortion K must be >= 1")
-    levels = []
-    for j in range(1, depth + 1):
-        d = (j + 1) / j
-        if d > 2.0:
-            raise ConstructionError(f"level {j}: multiplier {d} outside [1, 2]")
-        if eps is None:
-            log_r = math.log(SMALLNESS) - math.log(d)
-        else:
-            log_r = 0.5 * math.log((1.0 - eps) / branching)
-        levels.append(LevelSchedule(j, branching, d, log_r, K))
-    return levels
+    return [_level(j, branching, _multiplier(j), K, eps) for j in range(1, depth + 1)]
 
 
 def sharpness_exponent(K, q):
@@ -181,15 +188,7 @@ def sharpness_schedule(K, q, depth, branching=4, eps=None):
     multipliers exceed 2 once q > (3K+1)/(K+1); sigma <= 1/100 still holds.
     """
     e = sharpness_exponent(K, q)
-    levels = []
-    for j in range(1, depth + 1):
-        d = ((j + 1) / j) ** e
-        if eps is None:
-            log_r = math.log(SMALLNESS) - math.log(d)
-        else:
-            log_r = 0.5 * math.log((1.0 - eps) / branching)
-        levels.append(LevelSchedule(j, branching, d, log_r, K))
-    return levels
+    return [_level(j, branching, _multiplier(j, e), K, eps) for j in range(1, depth + 1)]
 
 
 def shrunk_schedule(K, depth, source_log_cap, branching=4):
@@ -205,13 +204,12 @@ def shrunk_schedule(K, depth, source_log_cap, branching=4):
     levels = []
     log_s = 0.0
     for j in range(1, depth + 1):
-        d = (j + 1) / j
+        d = _multiplier(j)
         log_d = math.log(d)
-        log_r_wide = math.log(SMALLNESS) - log_d
         log_r_cap = (float(source_log_cap(j)) - log_s - K * log_d) / (K + 1.0)
-        log_r = min(log_r_wide, log_r_cap)
-        levels.append(LevelSchedule(j, branching, d, log_r, K))
-        log_s += (K + 1.0) * log_r + K * log_d
+        lv = _level(j, branching, d, K, log_cap=log_r_cap)
+        levels.append(lv)
+        log_s += (K + 1.0) * lv.log_protect + K * log_d
     return levels
 
 
@@ -257,12 +255,15 @@ class CantorTree:
         self.cum_log_mass = np.zeros(n)       # ideal: 2 * sum log R_k
         self.cum_log_d = np.zeros(n)          # sum log d_k
         self.cum_log_keep = np.zeros(n)       # sum log(1 - eps_k)
+        counts = [1]                          # nodes per generation
         for g, lv in enumerate(self.schedules, start=1):
+            counts.append(counts[-1] * lv.branching)
             self.cum_log_t[g] = self.cum_log_t[g - 1] + lv.log_target_step
             self.cum_log_s[g] = self.cum_log_s[g - 1] + lv.log_source_step
             self.cum_log_mass[g] = self.cum_log_mass[g - 1] + 2.0 * lv.log_protect
             self.cum_log_d[g] = self.cum_log_d[g - 1] + math.log(lv.multiplier)
             self.cum_log_keep[g] = self.cum_log_keep[g - 1] + lv.log_keep
+        self.node_counts = tuple(counts)
 
     @property
     def K(self) -> float:
@@ -275,10 +276,7 @@ class CantorTree:
         return self.schedules[generation - 1].branching
 
     def n_nodes(self, generation) -> int:
-        n = 1
-        for lv in self.schedules[:generation]:
-            n *= lv.branching
-        return n
+        return self.node_counts[generation]
 
     @property
     def n_leaves(self) -> int:
@@ -324,19 +322,6 @@ class CantorTree:
         return CantorTree(self.schedules, self.depth, seed=self.seed, scale=self.scale * lam)
 
     # -- node access ------------------------------------------------------
-
-    def node(self, path=()) -> "TreeNode":
-        path = tuple(int(j) for j in path)
-        if len(path) > self.depth:
-            raise ValueError(f"path {path} deeper than tree depth {self.depth}")
-        for g, j in enumerate(path, start=1):
-            if not (0 <= j < self.branching(g)):
-                raise ValueError(f"path entry {j} out of range at generation {g}")
-        return TreeNode(self, path)
-
-    @property
-    def root(self) -> "TreeNode":
-        return self.node(())
 
     def node_index(self, path) -> int:
         """Mixed-radix rank of a node among its generation."""
@@ -389,66 +374,6 @@ class CantorTree:
         doc = {"K": self.K, "depth": self.depth, "seed": self.seed, "scale": self.scale,
                "nodes": nodes}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """A node identified by its path; all numbers derived from the tree."""
-
-    tree: CantorTree
-    path: tuple
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-    @property
-    def log_source_radius(self) -> float:
-        return self.tree.log_radius(SOURCE, self.depth)
-
-    @property
-    def log_target_radius(self) -> float:
-        return self.tree.log_radius(TARGET, self.depth)
-
-    @property
-    def source_gen_radius(self) -> float:
-        return math.exp(self.log_source_radius)
-
-    @property
-    def target_gen_radius(self) -> float:
-        return math.exp(self.log_target_radius)
-
-    @property
-    def source_protect_radius(self) -> float:
-        return math.exp(self.tree.log_protect_radius(SOURCE, self.depth))
-
-    @property
-    def target_protect_radius(self) -> float:
-        return math.exp(self.tree.log_protect_radius(TARGET, self.depth))
-
-    @property
-    def log_mass(self) -> float:
-        return self.tree.log_mass(self.depth)
-
-    @property
-    def mass(self) -> float:
-        return math.exp(self.log_mass)
-
-    def log_radius(self, side) -> float:
-        return self.tree.log_radius(side, self.depth)
-
-    def children(self):
-        if self.depth == self.tree.depth:
-            return []
-        m = self.tree.branching(self.depth + 1)
-        return [TreeNode(self.tree, self.path + (j,)) for j in range(m)]
-
-    def center(self, side) -> np.ndarray:
-        """Absolute center; requires tree.realize() first."""
-        real = self.tree._realization
-        if real is None:
-            raise ConstructionError("centers not realized; call tree.realize() first")
-        return real.node_center(side, self.path)
 
 
 def build_tree(schedules, depth, seed=0, scale=1.0) -> CantorTree:
@@ -512,16 +437,6 @@ def pack_disks(M, rho, seed=0):
     return np.ascontiguousarray(pts[:M])
 
 
-def realize_measure(tree, side, samples_per_leaf=1, seed=None) -> PlanarMeasure:
-    """Atoms uniformly sampled in each leaf generating disk of one side.
-
-    Each leaf's atoms share equal weights summing to the leaf mass
-    prod(R_k^2), so the total mass is prod(1 - eps_n) exactly.
-    """
-    real = tree.realize(seed=seed, samples_per_leaf=samples_per_leaf)
-    return real.measure(side)
-
-
 # -- JSON schedule schema ---------------------------------------------------
 
 
@@ -533,10 +448,9 @@ def _resolve_multiplier(dspec, index, K):
     if isinstance(dspec, (int, float)) and not isinstance(dspec, bool):
         return float(dspec)
     if dspec in ("harmonic", "example2"):
-        return (index + 1) / index
+        return _multiplier(index)
     if isinstance(dspec, dict) and set(dspec) == {"sharpness_q"}:
-        e = sharpness_exponent(K, float(dspec["sharpness_q"]))
-        return ((index + 1) / index) ** e
+        return _multiplier(index, sharpness_exponent(K, float(dspec["sharpness_q"])))
     raise ConfigError(
         f"level {index}: d must be a number, \"harmonic\"/\"example2\", "
         f"or {{\"sharpness_q\": q}}, got {dspec!r}")
@@ -571,11 +485,9 @@ def schedules_from_config(cfg):
             m = int(lv["M"])
         except (TypeError, ValueError):
             raise ConfigError(f"level {i}: M must be an integer") from None
+        eps = lv.get("eps")
         try:
-            if "eps" in lv and lv["eps"] is not None:
-                sched = LevelSchedule.from_eps(i, m, d, float(lv["eps"]), K)
-            else:
-                sched = LevelSchedule(i, m, d, math.log(SMALLNESS) - math.log(d), K)
+            sched = _level(i, m, d, K, None if eps is None else float(eps))
         except ConstructionError as exc:
             raise ConfigError(str(exc)) from None
         schedules.append(sched)

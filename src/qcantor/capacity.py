@@ -20,7 +20,6 @@ from .potentials import (IndexDomainError, check_indices, conjugate_minus_one,
                          wolff_dyadic, wolff_tree)
 
 LOWER_BOUND = "lower_bound"
-COMPARABILITY = "comparability_proxy"
 WOLFF_SUP = "wolff_sup"
 DEFINITION = "definition"
 
@@ -240,9 +239,10 @@ def direct_capacity_lower(measure, indices, cells=64, farfield_factor=4.0) -> Ca
     return CapacityEstimate(value, LOWER_BOUND, DEFINITION, indices, record)
 
 
-def melnikov_gamma_lower(measure, curvature, growth) -> CapacityEstimate:
-    """Analytic-capacity lower proxy: rescale mu until linear growth and
-    pointwise curvature are both admissible, then report the mass.
+def melnikov_gamma_lower(mass, curvature, growth) -> CapacityEstimate:
+    """Analytic-capacity lower proxy: rescale a measure of the given total
+    mass until linear growth and pointwise curvature are both admissible,
+    then report the rescaled mass.
 
     Growth scales linearly and curvature quadratically in the mass, so the
     admissible rescale is c = min(1/growth, sup_curvature^(-1/2)) and the
@@ -258,5 +258,5 @@ def melnikov_gamma_lower(measure, curvature, growth) -> CapacityEstimate:
     c = 1.0 / growth if sup_c2 == 0.0 else min(1.0 / growth, sup_c2 ** -0.5)
     record = {"growth": growth, "sup_curvature": sup_c2, "rescale": c,
               "curvature_method": getattr(curvature, "method", "")}
-    return CapacityEstimate(c * measure.total_mass, LOWER_BOUND, WOLFF_SUP,
+    return CapacityEstimate(c * mass, LOWER_BOUND, WOLFF_SUP,
                             None, record, kind="analytic_capacity")

@@ -202,7 +202,7 @@ def _cmd_verify(args):
     depths = _parse_depths(args.depths) if args.depths else None
     seed = args.seed if args.seed is not None else 0
     if args.target == "thm1":
-        report = exp.verify_gamma_distortion(args.K, depths or range(2, 7), a=args.a, seed=seed)
+        report = exp.verify_gamma_distortion(args.K, depths or range(2, 7), seed=seed)
     elif args.target == "thm2a":
         report = exp.verify_riesz_distortion(args.K, args.p, depths or range(2, 6), seed=seed)
     elif args.target == "sharpness":
@@ -297,7 +297,7 @@ def build_parser():
     p.add_argument("--depths", default=None, help="e.g. 2..6 or 2,4,6")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--a", type=float, default=0.1)
+    p.add_argument("--a", type=float, default=0.1, help="kernel parameter (content-ratio only)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)

@@ -21,9 +21,7 @@ from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_ma
                        distortion_indices, wolff_capacity_lower)
 from .gauges import (TreeSmoothedDensityGauge, content_Mh_tree, distorted_gauge,
                      generation_cover_sum, qc_radial_gauge)
-from .potentials import CurvatureEstimate, wolff_tree
-
-LN2 = math.log(2.0)
+from .potentials import LN2, CurvatureEstimate, wolff_tree
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
 RATIO_STABILITY = 0.1
@@ -184,16 +182,16 @@ def _tree_growth(tree, side, depth) -> float:
                for n in range(depth + 1))
 
 
-def verify_gamma_distortion(K, depths, a=0.1, branching=4, seed=0) -> ExperimentReport:
+def verify_gamma_distortion(K, depths, branching=4, seed=0) -> ExperimentReport:
     """Source capacity at the distortion indices vs the analytic-capacity
     proxy of the rearranged side, normalized by ball diameters.
 
     Per depth N: LHS = wolff lower estimate on the source tree at
     (2K/(2K+1), (2K+1)/(K+1)) over diam(B)^(2/(K+1)); RHS = Melnikov proxy
     (growth sup and pointwise-curvature proxy taken from ideal-convention
-    tree data; the realization supplies the support and diameter record)
-    over diam of the image ball; ratio = LHS / RHS^(2K/(K+1)).  Passes when
-    the ratio spans less than one decade.
+    tree data, ideal total mass 1) over diam of the image ball, 2 * scale;
+    ratio = LHS / RHS^(2K/(K+1)).  Passes when the ratio spans less than
+    one decade.
     """
     depths = list(depths)
     idx = distortion_indices(K)
@@ -204,25 +202,22 @@ def verify_gamma_distortion(K, depths, a=0.1, branching=4, seed=0) -> Experiment
         lhs_est = wolff_capacity_lower(tree, idx, side=SOURCE, seed=seed)
         diam_b = 2.0 * tree.scale
         lhs = lhs_est.value / diam_b ** (2.0 / (K + 1.0))
-
-        real = tree.realize(seed=seed)
-        mu = real.measure(TARGET)
-        mu_hat = mu.weighted(1.0 / mu.total_mass)  # ideal total mass 1
         curv_proxy = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth,
                                 homogeneity=1.0).total
         growth = _tree_growth(tree, TARGET, depth)
         curv = CurvatureEstimate(curv_proxy, 0.0, curv_proxy, 0, seed,
                                  method="tree_dyadic_proxy")
-        rhs_est = melnikov_gamma_lower(mu_hat, curv, growth)
-        rhs = rhs_est.value / (2.0 * tree.scale)
+        rhs_est = melnikov_gamma_lower(1.0, curv, growth)
+        rhs = rhs_est.value / diam_b
         ratio = lhs / rhs ** (2.0 * K / (K + 1.0))
         rows.append({"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": ratio,
                      "wolff_sup": lhs_est.normalization["sup"],
                      "growth": growth, "curvature_proxy": curv_proxy,
-                     "realized_mass": mu.total_mass, "n_leaves": tree.n_leaves})
+                     "realized_mass": math.exp(tree.log_total_mass()),
+                     "n_leaves": tree.n_leaves})
     report = ExperimentReport(
         "thm1",
-        {"K": K, "a": a, "branching": branching, "seed": seed, "depths": depths,
+        {"K": K, "branching": branching, "seed": seed, "depths": depths,
          "alpha": idx.alpha, "p": idx.p,
          "rhs_inputs": "growth and curvature proxy from ideal tree data"},
         ["depth", "lhs", "rhs", "ratio", "wolff_sup", "growth", "curvature_proxy",

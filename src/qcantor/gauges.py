@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import SOURCE, TARGET, _check_side
-from .potentials import _diagnose, conjugate_minus_one, wolff_dyadic
-
-LN2 = math.log(2.0)
+from .potentials import conjugate_minus_one, diagnose_divergence, wolff_dyadic
 
 
 def psi_a(x, a):
@@ -150,7 +148,7 @@ class TreeSmoothedDensityGauge:
         return self.realization.eps_by_generation(self.side, self.a)
 
     def eps_node(self, path):
-        return float(self._eps()[len(path)][self.realization.node_index(path)])
+        return float(self._eps()[len(path)][self.realization.tree.node_index(path)])
 
     def h_node(self, path):
         r = math.exp(self.realization.tree.log_radius(self.side, len(path)))
@@ -189,7 +187,7 @@ class DistortedTreeGauge:
         return self.realization.eps_by_generation(SOURCE, self.a)
 
     def eps_node(self, path):
-        eps = self._eps()[len(path)][self.realization.node_index(path)]
+        eps = self._eps()[len(path)][self.realization.tree.node_index(path)]
         return float(eps) ** self.exponent
 
     def h_node(self, path):
@@ -364,7 +362,7 @@ def eps_integral_check(measure, x, a, p, k_min, k_max) -> EpsIntegralResult:
     eta = conjugate_minus_one(p)
     ks = np.arange(k_max, k_min - 1, -1)
     terms = np.array([eps_mu_a(measure, x, 2.0 ** float(k), a) ** eta for k in ks])
-    div_eps, _ = _diagnose(list(ks), terms, "dyadic")
+    div_eps, _ = diagnose_divergence(list(ks), terms, "dyadic")
     wolff = wolff_dyadic(measure, x, 1.0 / p, p, k_min, k_max, sub_scale_tail=False)
     total = float(np.sum(terms))
     ratio = total / wolff.total if wolff.total > 0 else math.inf

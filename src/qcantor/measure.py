@@ -77,10 +77,10 @@ class PlanarMeasure:
 
     def ball_mass_profile(self, center, radii) -> np.ndarray:
         """Closed-ball masses for an increasing array of radii."""
-        d = np.sort(self.distances(center))
-        w = self.weights[np.argsort(self.distances(center), kind="stable")]
-        cw = np.concatenate([[0.0], np.cumsum(w)])
-        idx = np.searchsorted(d, np.asarray(radii, dtype=float), side="right")
+        d = self.distances(center)
+        order = np.argsort(d, kind="stable")
+        cw = np.concatenate([[0.0], np.cumsum(self.weights[order])])
+        idx = np.searchsorted(d[order], np.asarray(radii, dtype=float), side="right")
         return cw[idx]
 
     def scaled(self, lam) -> "PlanarMeasure":

@@ -88,7 +88,7 @@ def _scale_x(labels, kind):
     return np.log(np.array(labels, dtype=float))
 
 
-def _diagnose(labels, contributions, kind):
+def diagnose_divergence(labels, contributions, kind):
     """Divergence heuristic plus a fitted rate over the finest scales."""
     n = len(contributions)
     if n < DIVERGENCE_RUN + 2:
@@ -161,7 +161,7 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal",
         entries.append((n, math.exp(x) if x < 709.0 else math.inf))
     labels = [n for n, _ in entries]
     contribs = np.array([c for _, c in entries])
-    divergent, rate = _diagnose(labels, contribs, "generation")
+    divergent, rate = diagnose_divergence(labels, contribs, "generation")
     return PotentialProfile(alpha, p, f"tree:{side}:{mass_convention}", tuple(entries),
                             divergent=divergent, divergence_rate=rate)
 
@@ -202,7 +202,7 @@ def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
         # literal atomic measure: an atom at x makes the potential infinite,
         # and runaway growth of the finest terms is flagged heuristically
         atom_at_x = measure.ball_mass(x, 0.0) > 0.0
-        divergent, rate = _diagnose(list(ks), terms, "dyadic")
+        divergent, rate = diagnose_divergence(list(ks), terms, "dyadic")
         if atom_at_x:
             divergent = True
             if rate is None:

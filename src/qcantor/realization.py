@@ -61,11 +61,8 @@ class CantorRealization:
         self.n_leaves = n_leaves
         self.n_atoms = n_leaves * samples_per_leaf
 
-        m = [tree.branching(g) for g in range(1, depth + 1)]
-        self._counts = [1]
-        for mg in m:
-            self._counts.append(self._counts[-1] * mg)          # nodes per generation
-        self._leaf_stride = [n_leaves // c for c in self._counts]  # leaves per node
+        counts = tree.node_counts
+        self._leaf_stride = [n_leaves // c for c in counts]  # leaves per node
 
         rng = np.random.default_rng(np.random.SeedSequence([self.seed & (2**32 - 1), 0xC0]))
 
@@ -76,11 +73,11 @@ class CantorRealization:
             lv = tree.level(g)
             layout = cantor.pack_disks(lv.branching, lv.protect,
                                        seed=int(rng.integers(2**32)))
-            phis = rng.uniform(0.0, 2.0 * np.pi, size=self._counts[g - 1])
+            phis = rng.uniform(0.0, 2.0 * np.pi, size=counts[g - 1])
             cos, sin = np.cos(phis), np.sin(phis)
             rot = np.stack([np.stack([cos, -sin], axis=-1),
                             np.stack([sin, cos], axis=-1)], axis=-2)
-            units = np.einsum("pij,cj->pci", rot, layout).reshape(self._counts[g], 2)
+            units = np.einsum("pij,cj->pci", rot, layout).reshape(counts[g], 2)
             for side in cantor.SIDES:
                 parent_radius = math.exp(tree.log_radius(side, g - 1))
                 self._offsets[side].append(units * parent_radius)
@@ -113,12 +110,9 @@ class CantorRealization:
 
     # -- indexing ----------------------------------------------------------
 
-    def node_index(self, path) -> int:
-        return self.tree.node_index(path)
-
     def leaf_range(self, path):
         """Half-open range of leaf indices below a node."""
-        idx = self.node_index(path)
+        idx = self.tree.node_index(path)
         stride = self._leaf_stride[len(path)]
         return idx * stride, (idx + 1) * stride
 
@@ -129,7 +123,7 @@ class CantorRealization:
         cantor._check_side(side)
         c = np.zeros(2)
         for g in range(1, len(path) + 1):
-            c = c + self._offsets[side][g][self.node_index(path[:g])]
+            c = c + self._offsets[side][g][self.tree.node_index(path[:g])]
         return c
 
     def node_ball(self, side, path):
@@ -168,7 +162,7 @@ class CantorRealization:
         nrel = np.zeros(2)
         prev_lo, prev_hi = lo, hi
         for g in range(d - 1, -1, -1):
-            nrel = nrel + self._offsets[side][g + 1][self.node_index(path[:g + 1])]
+            nrel = nrel + self._offsets[side][g + 1][self.tree.node_index(path[:g + 1])]
             blo_leaf, bhi_leaf = self.leaf_range(path[:g])
             blo, bhi = blo_leaf * s, bhi_leaf * s
             for a, b in ((blo, prev_lo), (prev_hi, bhi)):
@@ -220,8 +214,8 @@ class CantorRealization:
                            + math.log1p(-math.exp(tree.log_radius(side, k) - log_p)))
                 t = (1.0 + a) * log_gap                 # log |u|^(1+a)
                 log_psi = -(max(t, 0.0) + math.log1p(math.exp(-abs(t))))
-                bound[j] = math.exp(math.log(2.0 * (m - 1) * self._counts[g]
-                                             / self._counts[k]) + log_psi)
+                bound[j] = math.exp(math.log(2.0 * (m - 1) * tree.node_counts[g]
+                                             / tree.node_counts[k]) + log_psi)
             rings, tail = g, 0.0
             while rings > 0 and tail + bound[rings] <= _TAIL:
                 tail += bound[rings]
@@ -242,7 +236,7 @@ class CantorRealization:
             weight = float(self.weights[0])  # atoms carry equal weights
             eps = []
             for g, (rings, _) in enumerate(self.eps_rings(side, a)):
-                n = self._counts[g]
+                n = self.tree.node_counts[g]
                 r = math.exp(self.tree.log_radius(side, g))
                 center = np.zeros((n, 2))  # node center in its gen-(g - j) frame
                 total = self._ring_psi_sums(side, g, g, center, r, a)
@@ -266,11 +260,12 @@ class CantorRealization:
         one node's ring where that is larger.
         """
         from .gauges import psi_radial
-        n_anc = self._counts[k]
-        per_anc = self._counts[g] // n_anc
+        counts = self.tree.node_counts
+        n_anc = counts[k]
+        per_anc = counts[g] // n_anc
         atoms = self._atom_rel[side][k].reshape(n_anc, -1, 2)
         block = atoms.shape[1]
-        children = self._counts[k + 1] // n_anc if k < g else 1
+        children = counts[k + 1] // n_anc if k < g else 1
         own = np.arange(per_anc) // (per_anc // children)
         center = center.reshape(n_anc, per_anc, 2)
         out = np.empty((n_anc, per_anc))

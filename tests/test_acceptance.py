@@ -191,7 +191,7 @@ def test_criterion_07_curvature_units():
     assert menger_curvature(tri).value == 12.0
     assert circumradius((0, 0), (1, 0), (2, 0)) == math.inf
     seg = PlanarMeasure.uniform_segment(1001)
-    est = melnikov_gamma_lower(seg, CurvatureEstimate(0.0, 0.0, 0.0, 0), growth=1.0)
+    est = melnikov_gamma_lower(seg.total_mass, CurvatureEstimate(0.0, 0.0, 0.0, 0), growth=1.0)
     assert est.value == pytest.approx(1.0, abs=1e-9)
     _report(7, "collinear 0 exact, triangle value 12 exact, segment proxy 1±1e-9")
 

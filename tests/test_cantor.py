@@ -10,8 +10,7 @@ from qcantor import cantor
 from qcantor.cantor import (SOURCE, TARGET, ConfigError, ConstructionError,
                             LevelSchedule, PackingError, build_tree,
                             doubly_exponential_schedule, harmonic_schedule,
-                            pack_disks, realize_measure, schedules_from_config,
-                            sharpness_schedule)
+                            pack_disks, schedules_from_config, sharpness_schedule)
 
 
 def test_harmonic_multipliers():
@@ -51,20 +50,18 @@ def test_multiplier_below_one_rejected():
 
 def test_depth_zero_tree():
     tree = build_tree(harmonic_schedule(2.0, 4), 0)
-    node = tree.root
-    assert node.source_gen_radius == 1.0
-    assert node.target_gen_radius == 1.0
-    assert node.mass == 1.0  # empty products
+    assert math.exp(tree.log_radius(SOURCE, 0)) == 1.0
+    assert math.exp(tree.log_radius(TARGET, 0)) == 1.0
+    assert math.exp(tree.log_mass(0)) == 1.0  # empty products
 
 
 def test_explicit_eps_spec_example():
     # one level with M=4, eps=0.9996, d=1: node radii s = t = sigma*R = 1e-4
     lv = LevelSchedule.from_eps(1, 4, 1.0, 0.9996, 1.0)
     tree = build_tree([lv], 1)
-    node = tree.node((0,))
-    assert node.source_gen_radius == pytest.approx(1e-4, rel=1e-12)
-    assert node.target_gen_radius == pytest.approx(1e-4, rel=1e-12)
-    assert node.mass == pytest.approx(1e-4, rel=1e-12)
+    assert math.exp(tree.log_radius(SOURCE, 1)) == pytest.approx(1e-4, rel=1e-12)
+    assert math.exp(tree.log_radius(TARGET, 1)) == pytest.approx(1e-4, rel=1e-12)
+    assert math.exp(tree.log_mass(1)) == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_source_target_ratio_is_sigma_power():
@@ -133,6 +130,16 @@ def test_sharpness_schedule_boundary_excluded():
         sharpness_schedule(K, q_min - 0.2, 4)
 
 
+@pytest.mark.parametrize("eps", [1.0, 1.5])
+@pytest.mark.parametrize("build", [
+    lambda eps: harmonic_schedule(2.0, 3, eps=eps),
+    lambda eps: sharpness_schedule(2.0, 7.0 / 3.0, 3, eps=eps),
+], ids=["harmonic", "sharpness"])
+def test_schedule_eps_out_of_range_names_level(build, eps):
+    with pytest.raises(ConstructionError, match="level 1: eps must lie in"):
+        build(eps)
+
+
 def test_sharpness_multiplier_formula():
     K, q = 2.0, 7.0 / 3.0
     sch = sharpness_schedule(K, q, 5)
@@ -194,7 +201,7 @@ def test_build_depth_exceeds_schedules():
 
 def test_realization_total_mass(tree_k2_d3):
     for side in (SOURCE, TARGET):
-        mu = realize_measure(tree_k2_d3, side, seed=11)
+        mu = tree_k2_d3.realize(seed=11).measure(side)
         assert mu.total_mass == pytest.approx(math.exp(tree_k2_d3.log_total_mass()),
                                               rel=1e-12)
 
@@ -267,12 +274,6 @@ def test_tree_json_values_match_node_logs():
         assert node["s_log"] == pytest.approx(tree.log_radius(SOURCE, g), rel=1e-15)
         assert node["t_log"] == pytest.approx(tree.log_radius(TARGET, g), rel=1e-15)
         assert node["mass_log"] == pytest.approx(tree.log_mass(g), rel=1e-15)
-
-
-def test_center_requires_realization():
-    tree = build_tree(harmonic_schedule(2.0, 2), 2)
-    with pytest.raises(ConstructionError, match="realize"):
-        tree.node((0,)).center(SOURCE)
 
 
 def test_logspace_schedule_cannot_realize():

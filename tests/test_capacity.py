@@ -223,7 +223,7 @@ def test_direct_atom_in_cell_finite():
 def test_melnikov_admissible_measure_returns_mass():
     mu = PlanarMeasure.uniform_segment(100)
     curv = CurvatureEstimate(0.5, 0.0, 1.0, 0)
-    est = melnikov_gamma_lower(mu, curv, growth=1.0)
+    est = melnikov_gamma_lower(mu.total_mass, curv, growth=1.0)
     assert est.value == pytest.approx(mu.total_mass, rel=1e-12)
     assert est.kind == "analytic_capacity"
 
@@ -232,24 +232,24 @@ def test_melnikov_mass_scaling_invariance():
     mu = PlanarMeasure.uniform_segment(200)
     curv = menger_curvature(mu)  # zero for a line
     g = 1.4
-    a = melnikov_gamma_lower(mu, curv, growth=g)
+    a = melnikov_gamma_lower(mu.total_mass, curv, growth=g)
     doubled = mu.weighted(2.0)
     curv2 = menger_curvature(doubled)
-    b = melnikov_gamma_lower(doubled, curv2, growth=2.0 * g)
+    b = melnikov_gamma_lower(doubled.total_mass, curv2, growth=2.0 * g)
     assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
 def test_melnikov_segment_value_one():
     mu = PlanarMeasure.uniform_segment(1001)
     curv = CurvatureEstimate(0.0, 0.0, 0.0, 0)
-    est = melnikov_gamma_lower(mu, curv, growth=1.0)
+    est = melnikov_gamma_lower(mu.total_mass, curv, growth=1.0)
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_melnikov_curvature_binding():
     mu = PlanarMeasure.uniform_disk(50, seed=6)
     curv = CurvatureEstimate(9.0, 0.0, 9.0, 0)
-    est = melnikov_gamma_lower(mu, curv, growth=0.1)
+    est = melnikov_gamma_lower(mu.total_mass, curv, growth=0.1)
     # curvature bound 9 -> rescale 1/3 beats 1/growth = 10
     assert est.value == pytest.approx(mu.total_mass / 3.0, rel=1e-12)
 
@@ -258,7 +258,7 @@ def test_melnikov_rejects_bad_growth():
     mu = PlanarMeasure.uniform_segment(10)
     curv = CurvatureEstimate(0.0, 0.0, 0.0, 0)
     with pytest.raises(ValueError, match="growth"):
-        melnikov_gamma_lower(mu, curv, growth=math.inf)
+        melnikov_gamma_lower(mu.total_mass, curv, growth=math.inf)
 
 
 # -- homogeneity of the tree estimator ---------------------------------------
