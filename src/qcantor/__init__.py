@@ -22,10 +22,9 @@ from .experiments import (ExperimentReport, content_distortion_experiment,
 from .gauges import (ConstantGauge, ContentResult, DistortedTreeGauge, DoublingReport,
                      FrostmanResult, RadialGauge, SmoothedDensityGauge, TableGauge,
                      TreeSmoothedDensityGauge, check_G1, check_G2, check_G2_tree_gauge,
-                     content_Mh_tree, distorted_gauge, eps_integral_check, eps_mu_a,
-                     frostman_tree, generation_cover_sum,
-                     geometric_kernel_sum_constant, h_mu_a, psi_a, qc_radial_gauge,
-                     sample_ball_pairs)
+                     content_Mh_tree, eps_integral_check, eps_mu_a, frostman_tree,
+                     generation_cover_sum, geometric_kernel_sum_constant, h_mu_a, psi_a,
+                     qc_radial_gauge, sample_ball_pairs)
 from .measure import PlanarMeasure
 from .potentials import (CurvatureEstimate, IndexDomainError, PotentialProfile,
                          circumradius, default_dyadic_range, dyadic_curvature_proxy,

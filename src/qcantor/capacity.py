@@ -19,6 +19,10 @@ from .measure import PlanarMeasure
 from .potentials import (IndexDomainError, check_indices, conjugate_minus_one,
                          wolff_dyadic, wolff_tree)
 
+#: the quadrature grid spans FARFIELD_FACTOR support diameters around the
+#: support centre; beyond it a closed-form tail takes over
+FARFIELD_FACTOR = 4.0
+
 LOWER_BOUND = "lower_bound"
 WOLFF_SUP = "wolff_sup"
 DEFINITION = "definition"
@@ -186,13 +190,13 @@ def wolff_capacity_lower(obj, indices, *, side=None, depth=None,
     return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 
 
-def direct_capacity_lower(measure, indices, cells=64, farfield_factor=4.0) -> CapacityEstimate:
+def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     """(mass / ||I_alpha(mu)||_{p'})^p by planar quadrature.
 
     The L^{p'} norm is a cell sum over a support-relative grid (so geometric
     scaling is exact) plus a closed-form far-field tail using
     I_alpha(mu)(x) <= mass / (|x - c| - diam)^{2 - alpha} beyond
-    farfield_factor * diam.  Cells near an atom use the equal-area disk
+    FARFIELD_FACTOR * diam.  Cells near an atom use the equal-area disk
     average of the kernel, so no infinities propagate.
     """
     alpha, p = indices.alpha, indices.p
@@ -205,7 +209,7 @@ def direct_capacity_lower(measure, indices, cells=64, farfield_factor=4.0) -> Ca
     if diam == 0.0:
         diam = 1e-9  # single atom: pick a nominal support size
     center = measure.support_center()
-    r_far = farfield_factor * diam
+    r_far = FARFIELD_FACTOR * diam
     h = 2.0 * r_far / cells
     ax = center[0] - r_far + h * (np.arange(cells) + 0.5)
     ay = center[1] - r_far + h * (np.arange(cells) + 0.5)
@@ -234,7 +238,7 @@ def direct_capacity_lower(measure, indices, cells=64, farfield_factor=4.0) -> Ca
         u ** (2.0 - a) / (a - 2.0) + diam * u ** (1.0 - a) / (a - 1.0))
     lam = (cell_sum + tail) ** (1.0 / p_prime)
     value = (m / lam) ** p
-    record = {"lambda": lam, "cells": cells, "farfield_factor": farfield_factor,
+    record = {"lambda": lam, "cells": cells, "farfield_factor": FARFIELD_FACTOR,
               "farfield_tail": tail, "diam": diam}
     return CapacityEstimate(value, LOWER_BOUND, DEFINITION, indices, record)
 

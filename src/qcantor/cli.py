@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -16,8 +17,8 @@ from . import experiments as exp
 from .cantor import (SOURCE, TARGET, ConfigError, ConstructionError, build_tree,
                      schedules_from_config)
 from .capacity import CapacityIndices, direct_capacity_lower, wolff_capacity_lower
-from .gauges import (SmoothedDensityGauge, TreeSmoothedDensityGauge, check_G1,
-                     check_G2, check_G2_tree_gauge, content_Mh_tree, distorted_gauge,
+from .gauges import (DistortedTreeGauge, SmoothedDensityGauge, TreeSmoothedDensityGauge,
+                     check_G1, check_G2, check_G2_tree_gauge, content_Mh_tree,
                      frostman_tree, sample_ball_pairs)
 from .potentials import (IndexDomainError, menger_curvature, riesz_potential,
                          wolff_tree)
@@ -51,10 +52,22 @@ def _tree_from_args(args):
 
 
 def _parse_depths(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(d) for d in text.split(",")]
+    lo, sep, hi = text.partition("..")
+    try:
+        depths = list(range(int(lo), int(hi) + 1)) if sep else [int(d) for d in text.split(",")]
+    except ValueError:
+        depths = []
+    if not depths:
+        raise ConfigError(f"--depths {text!r}: need a nonempty range lo..hi or list d1,d2")
+    return depths
+
+
+def _float(text):
+    """float(text), or nan where text is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _write_text(path, text):
@@ -105,10 +118,12 @@ def _cmd_wolff(args):
 
 
 def _cmd_riesz(args):
+    x = tuple(_float(v) for v in args.x.split(","))
+    if len(x) != 2 or not all(map(math.isfinite, x)):
+        raise ConfigError(f"--x {args.x!r}: need two finite numbers 'x,y'")
     tree = _tree_from_args(args)
     real = tree.realize(samples_per_leaf=args.samples_per_leaf)
     mu = real.measure(args.side)
-    x = tuple(float(v) for v in args.x.split(","))
     value = riesz_potential(mu, x, args.alpha)
     doc = json.dumps({"x": list(x), "alpha": args.alpha, "value": value},
                      sort_keys=True, separators=(",", ":"))
@@ -149,12 +164,17 @@ def _cmd_capacity(args):
 
 def _make_gauge(descriptor, real, side):
     kind, _, rest = descriptor.partition(":")
-    params = dict(kv.split("=", 1) for kv in rest.split(",") if kv)
-    a = float(params.get("a", 0.1))
+    a = 0.1
+    for n, item in enumerate(rest.split(",") if rest else ()):
+        key, _, value = item.partition("=")
+        a = _float(value)
+        if n > 0 or key != "a" or not 0.0 < a < math.inf:
+            raise ConfigError(f"gauge {descriptor!r}: bad parameter {item!r} "
+                              "(only a=<positive float> is accepted)")
     if kind == "smoothed":
         return TreeSmoothedDensityGauge(real, a, side=side)
     if kind == "distorted":
-        return distorted_gauge(real, a)
+        return DistortedTreeGauge(real, a)
     raise ConfigError(f"unknown gauge {descriptor!r} (use smoothed:a=… or distorted:a=…)")
 
 
@@ -184,7 +204,7 @@ def _cmd_check_gauge(args):
     balls = [(x, r) for (x, r), _ in pairs[:max(8, args.pairs // 8)]]
     g2 = check_G2(gauge, balls, swallow_radius=4.0)
     doc = {"G1": g1.to_json_dict(), "G2": g2.to_json_dict()}
-    distorted = distorted_gauge(real, args.a)
+    distorted = DistortedTreeGauge(real, args.a)
     paths = [p for p in tree.paths_at(min(2, tree.depth))][:16]
     doc["G2_distorted_chain"] = check_G2_tree_gauge(distorted, paths).to_json_dict()
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -199,7 +219,7 @@ _VERIFY_TARGETS = ("thm1", "thm2a", "sharpness", "gauge-criterion", "thin-conten
 
 
 def _cmd_verify(args):
-    depths = _parse_depths(args.depths) if args.depths else None
+    depths = None if args.depths is None else _parse_depths(args.depths)
     seed = args.seed if args.seed is not None else 0
     if args.target == "thm1":
         report = exp.verify_gamma_distortion(args.K, depths or range(2, 7), seed=seed)
@@ -231,10 +251,9 @@ def build_parser():
                                  description="Cantor-pair potential laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="schedule JSON")
-            p.add_argument("--depth", type=int, default=None)
+    def add_common(p):
+        p.add_argument("--config", required=True, help="schedule JSON")
+        p.add_argument("--depth", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
 

@@ -19,12 +19,16 @@ from .cantor import SOURCE, TARGET, build_tree, harmonic_schedule, shrunk_schedu
     doubly_exponential_schedule, sharpness_schedule
 from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_map,
                        distortion_indices, wolff_capacity_lower)
-from .gauges import (TreeSmoothedDensityGauge, content_Mh_tree, distorted_gauge,
+from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
                      generation_cover_sum, qc_radial_gauge)
 from .potentials import LN2, CurvatureEstimate, wolff_tree
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
 RATIO_STABILITY = 0.1
+#: the experiments' fixed construction: children per node at every level,
+#: dyadic scales k = 2..N_SCALES of the gauge-criterion sums, thinned radii
+#: log s_N <= -(N+1)^SHRINK_EXPONENT, and a in the doubly-exponential gauge
+BRANCHING, N_SCALES, SHRINK_EXPONENT, CRITERION_A = 4, 4096, 3.0, 1.0
 
 
 def _fmt(v) -> str:
@@ -39,12 +43,16 @@ def _fmt(v) -> str:
 class ExperimentReport:
     experiment: str
     params: dict
-    columns: list
     rows: list
     thresholds: dict
     verdict: str = ""
     passed: bool = False
     notes: str = field(default="")
+
+    @property
+    def columns(self) -> list:
+        """Row keys in insertion order; every row carries the same keys."""
+        return list(self.rows[0]) if self.rows else []
 
     def finalize(self):
         self.verdict, self.passed = recompute_verdict(self.experiment, self.rows,
@@ -64,12 +72,11 @@ class ExperimentReport:
             lines.append(",".join(_fmt(row[c]) for c in self.columns))
         return "\n".join(lines) + "\n"
 
-    def write(self, out_dir, stem=None):
+    def write(self, out_dir):
         import os
-        stem = stem or self.experiment
         os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, f"{stem}.csv")
-        json_path = os.path.join(out_dir, f"{stem}.json")
+        csv_path = os.path.join(out_dir, f"{self.experiment}.csv")
+        json_path = os.path.join(out_dir, f"{self.experiment}.json")
         with open(csv_path, "w", newline="") as f:
             f.write(self.to_csv())
         with open(json_path, "w", newline="") as f:
@@ -182,7 +189,7 @@ def _tree_growth(tree, side, depth) -> float:
                for n in range(depth + 1))
 
 
-def verify_gamma_distortion(K, depths, branching=4, seed=0) -> ExperimentReport:
+def verify_gamma_distortion(K, depths, seed=0) -> ExperimentReport:
     """Source capacity at the distortion indices vs the analytic-capacity
     proxy of the rearranged side, normalized by ball diameters.
 
@@ -195,7 +202,7 @@ def verify_gamma_distortion(K, depths, branching=4, seed=0) -> ExperimentReport:
     """
     depths = list(depths)
     idx = distortion_indices(K)
-    schedules = harmonic_schedule(K, max(depths), branching=branching)
+    schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
@@ -217,22 +224,20 @@ def verify_gamma_distortion(K, depths, branching=4, seed=0) -> ExperimentReport:
                      "n_leaves": tree.n_leaves})
     report = ExperimentReport(
         "thm1",
-        {"K": K, "branching": branching, "seed": seed, "depths": depths,
+        {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
          "alpha": idx.alpha, "p": idx.p,
          "rhs_inputs": "growth and curvature proxy from ideal tree data"},
-        ["depth", "lhs", "rhs", "ratio", "wolff_sup", "growth", "curvature_proxy",
-         "realized_mass", "n_leaves"],
         rows, {"ratio_stability": RATIO_STABILITY})
     return report.finalize()
 
 
-def verify_riesz_distortion(K, p, depths, branching=4, seed=0) -> ExperimentReport:
+def verify_riesz_distortion(K, p, depths, seed=0) -> ExperimentReport:
     """Same pipeline with the Wolff estimator at (1/p, p) on the target side
     and the mapped indices (beta, q) on the source side."""
     depths = list(depths)
     di = distorted_index_map(1.0 / p, p, K)
     target_idx = CapacityIndices(1.0 / p, p)
-    schedules = harmonic_schedule(K, max(depths), branching=branching)
+    schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
@@ -247,14 +252,13 @@ def verify_riesz_distortion(K, p, depths, branching=4, seed=0) -> ExperimentRepo
                      "target_sup": rhs_est.normalization["sup"]})
     report = ExperimentReport(
         "thm2a",
-        {"K": K, "p": p, "branching": branching, "seed": seed, "depths": depths,
+        {"K": K, "p": p, "branching": BRANCHING, "seed": seed, "depths": depths,
          "beta": di.beta, "q": di.q, "t": di.t, "t_prime": di.t_prime},
-        ["depth", "lhs", "rhs", "ratio", "beta", "q", "source_sup", "target_sup"],
         rows, {"ratio_stability": RATIO_STABILITY})
     return report.finalize()
 
 
-def sharpness_experiment(K, q, depths=None, branching=4, seed=0) -> ExperimentReport:
+def sharpness_experiment(K, q, depths=None, seed=0) -> ExperimentReport:
     """Harmonic source divergence at the sharpness indices.
 
     The source Wolff partial sums must fit c * ln(N) (c in [1/2, 2],
@@ -268,7 +272,7 @@ def sharpness_experiment(K, q, depths=None, branching=4, seed=0) -> ExperimentRe
     beta = 2.0 * K / ((K + 1.0) * q)
     src_idx = CapacityIndices(beta, q, K=K)
     thm1_idx = distortion_indices(K)
-    schedules = sharpness_schedule(K, q, max(depths), branching=branching)
+    schedules = sharpness_schedule(K, q, max(depths), branching=BRANCHING)
     # convergence exponent of the target terms (n+1)^(-s)
     s = (K + 1.0) / (K * q_conj_minus_1)
     rows = []
@@ -286,10 +290,8 @@ def sharpness_experiment(K, q, depths=None, branching=4, seed=0) -> ExperimentRe
                      "bounded_source_capacity": bounded.value})
     report = ExperimentReport(
         "sharpness",
-        {"K": K, "q": q, "beta": beta, "branching": branching, "seed": seed,
+        {"K": K, "q": q, "beta": beta, "branching": BRANCHING, "seed": seed,
          "depths": depths, "target_exponent": s},
-        ["depth", "source_sum", "target_total", "target_tail_fraction", "capacity",
-         "bounded_source_capacity"],
         rows,
         {"slope_lo": 0.5, "slope_hi": 2.0, "r2_min": 0.99, "target_tail_max": 0.05,
          "capacity_exponent": 1.0 / q_conj_minus_1,
@@ -297,8 +299,7 @@ def sharpness_experiment(K, q, depths=None, branching=4, seed=0) -> ExperimentRe
     return report.finalize()
 
 
-def content_distortion_experiment(K, depths, a=0.1, branching=4,
-                                  seed=0) -> ExperimentReport:
+def content_distortion_experiment(K, depths, a=0.1, seed=0) -> ExperimentReport:
     """Distortion of h-contents on the realized pair.
 
     Per depth: the source content with h0 = s * eps_{nu,a} against the target
@@ -308,21 +309,20 @@ def content_distortion_experiment(K, depths, a=0.1, branching=4,
     global mass scaling, so the truncation renormalization cancels.
     """
     depths = list(depths)
-    schedules = harmonic_schedule(K, max(depths), branching=branching)
+    schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
         real = tree.realize(seed=seed)
-        h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE, gamma=1.0)
+        h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE)
         m_src = content_Mh_tree(tree, SOURCE, h0).value
-        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a)).value
+        m_tgt = content_Mh_tree(tree, TARGET, DistortedTreeGauge(real, a)).value
         rows.append({"depth": depth, "source_content": m_src,
                      "target_content": m_tgt,
                      "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))})
     report = ExperimentReport(
         "content_ratio",
-        {"K": K, "a": a, "branching": branching, "seed": seed, "depths": depths},
-        ["depth", "source_content", "target_content", "ratio"],
+        {"K": K, "a": a, "branching": BRANCHING, "seed": seed, "depths": depths},
         rows, {"ratio_stability": RATIO_STABILITY})
     return report.finalize()
 
@@ -330,7 +330,7 @@ def content_distortion_experiment(K, depths, a=0.1, branching=4,
 # -- gauge experiments --------------------------------------------------------
 
 
-def gauge_criterion_experiment(K, betas=None, n_scales=4096) -> ExperimentReport:
+def gauge_criterion_experiment(K, betas=None) -> ExperimentReport:
     """Classify log-power gauges by the divergence of the criterion sum.
 
     For eps(r) = log(1/r)^(-beta) the dyadic terms of the criterion integral
@@ -342,7 +342,7 @@ def gauge_criterion_experiment(K, betas=None, n_scales=4096) -> ExperimentReport
         grid = np.concatenate([np.linspace(0.1, 1.0, 10), np.linspace(1.05, 2.0, 10)])
         betas = [float(e / (1.0 + 1.0 / K)) for e in grid]
     power = 1.0 + 1.0 / K
-    ks = np.arange(2, n_scales + 1, dtype=float)
+    ks = np.arange(2, N_SCALES + 1, dtype=float)
     rows = []
     for beta in betas:
         e = beta * power
@@ -365,31 +365,26 @@ def gauge_criterion_experiment(K, betas=None, n_scales=4096) -> ExperimentReport
                      "partial_sum": partial, "tail_fraction_1000": tail_1000})
     report = ExperimentReport(
         "gauge_criterion",
-        {"K": K, "n_scales": n_scales, "betas": [float(b) for b in betas]},
-        ["beta", "exponent", "fitted_exponent", "classified", "rate", "partial_sum",
-         "tail_fraction_1000"],
+        {"K": K, "n_scales": N_SCALES, "betas": [float(b) for b in betas]},
         rows, {"boundary": 1.0})
     return report.finalize()
 
 
-def vanishing_content_experiment(K, depths, eps_log_fn=None, shrink_exponent=3.0,
-                                 branching=4, seed=0) -> ExperimentReport:
+def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
     """Generation gauge sums vanish under thinning while the target potential
     stays bounded.
 
     With the unit gauge the generation sum is (N+1)^(2K/(K+1)) exactly.  With
-    eps(r) -> 0 (default 1/log(1/r)) and radii thinned so that
-    log s_N <= -(N+1)^shrink_exponent, the sums tend to 0 monotonically;
+    eps(r) = 1/log(1/r) -> 0 and radii thinned so that
+    log s_N <= -(N+1)^SHRINK_EXPONENT, the sums tend to 0 monotonically;
     thinning leaves the multipliers untouched, so the target-side (2/3, 3/2)
     sum is unchanged and bounded by pi^2/6 - 1.
     """
     depths = list(depths)
-    if eps_log_fn is None:
-        eps_log_fn = lambda log_r: 1.0 / (-log_r)  # noqa: E731
-    gauge = qc_radial_gauge(K, eps_log_fn, description="eps=1/log(1/r)")
+    gauge = qc_radial_gauge(K, lambda log_r: 1.0 / (-log_r), description="eps=1/log(1/r)")
     unit = qc_radial_gauge(K, lambda log_r: 1.0, description="eps=1")
-    cap = lambda n: -float((n + 1) ** shrink_exponent)  # noqa: E731
-    schedules = shrunk_schedule(K, max(depths), cap, branching=branching)
+    cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
+    schedules = shrunk_schedule(K, max(depths), cap, branching=BRANCHING)
     rows = []
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
@@ -405,31 +400,27 @@ def vanishing_content_experiment(K, depths, eps_log_fn=None, shrink_exponent=3.0
         })
     report = ExperimentReport(
         "vanishing_content",
-        {"K": K, "branching": branching, "seed": seed, "depths": depths,
-         "shrink_exponent": shrink_exponent, "gauge": gauge.description},
-        ["depth", "unit_gauge_sum", "closed_form", "shrunk_gauge_sum",
-         "source_log_radius", "target_total"],
+        {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
+         "shrink_exponent": SHRINK_EXPONENT, "gauge": gauge.description},
         rows,
         {"closed_form_rtol": 1e-12, "vanish_factor": 1.0,
          "target_bound": math.pi ** 2 / 6.0 - 1.0 + 1e-12})
     return report.finalize()
 
 
-def doubly_exponential_experiment(K, depths, criterion_a=1.0, branching=4,
-                                  seed=0) -> ExperimentReport:
+def doubly_exponential_experiment(K, depths, seed=0) -> ExperimentReport:
     """Radii at log s_N <= -e^N kill every gauge with a convergent criterion
     integral, while the target side matches the plain harmonic schedule.
 
-    Uses eps(s) = log(1/s)^(-2/a): its a-th power integrates like
-    log(1/s)^(-2) ds/s, which converges.  Generation sums are computed in
-    log space throughout.
+    Uses eps(s) = log(1/s)^(-2/a), a = CRITERION_A: its a-th power integrates
+    like log(1/s)^(-2) ds/s, which converges.  Generation sums are computed
+    in log space throughout.
     """
     depths = list(depths)
-    a = criterion_a
-    gauge = qc_radial_gauge(K, lambda log_r: (-log_r) ** (-2.0 / a),
-                            description=f"eps=log(1/s)^(-2/{a})")
-    schedules = doubly_exponential_schedule(K, max(depths), branching=branching)
-    harmonic = harmonic_schedule(K, max(depths), branching=branching)
+    gauge = qc_radial_gauge(K, lambda log_r: (-log_r) ** (-2.0 / CRITERION_A),
+                            description=f"eps=log(1/s)^(-2/{CRITERION_A})")
+    schedules = doubly_exponential_schedule(K, max(depths), branching=BRANCHING)
+    harmonic = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
@@ -446,9 +437,7 @@ def doubly_exponential_experiment(K, depths, criterion_a=1.0, branching=4,
         })
     report = ExperimentReport(
         "doubly_exponential",
-        {"K": K, "branching": branching, "seed": seed, "depths": depths,
-         "criterion_a": a, "gauge": gauge.description},
-        ["depth", "source_log_radius", "cap_log", "gauge_sum", "target_total",
-         "harmonic_target_total"],
+        {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
+         "criterion_a": CRITERION_A, "gauge": gauge.description},
         rows, {"schedule_equality_rtol": 1e-12})
     return report.finalize()

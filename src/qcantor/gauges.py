@@ -3,8 +3,8 @@
 A gauge assigns every ball B(x, t) a density eps(B) >= 0 and the set
 function h(B) = t^gamma * eps(B).  The smoothed density of a measure,
 
-    eps_mu_a(x, t) = (1/t) * sum_i w_i * psi_a((y_i - x) / t),
-    psi_a(u) = 1 / (|u|^(1+a) + 1),
+    eps_mu_a(x, t) = (1/t) * sum_i w_i * psi_a(|y_i - x| / t),
+    psi_a(r) = 1 / (r^(1+a) + 1),
 
 is the mollified version of mu(B)/t: it keeps the doubling bound
 eps(x, 2t) <= 2^a * eps(x, t) pointwise, which plain ball densities lack.
@@ -25,19 +25,8 @@ from .cantor import SOURCE, TARGET, _check_side
 from .potentials import conjugate_minus_one, diagnose_divergence, wolff_dyadic
 
 
-def psi_a(x, a):
-    """Radial kernel 1/(|x|^(1+a) + 1); accepts radii or (n, 2) points.
-
-    A trailing axis of length 2 is read as points; pass distances to
-    psi_radial, which has no such ambiguity.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.hypot(x[..., 0], x[..., 1]) if x.ndim >= 1 and x.shape[-1] == 2 else np.abs(x)
-    return psi_radial(r, a)
-
-
-def psi_radial(r, a):
-    """psi_a of nonnegative radii, elementwise for any array shape."""
+def psi_a(r, a):
+    """Radial kernel 1/(r^(1+a) + 1) of nonnegative radii, elementwise."""
     if a <= 0:
         raise ValueError("kernel parameter a must be positive")
     return 1.0 / (r ** (1.0 + a) + 1.0)
@@ -48,7 +37,7 @@ def eps_mu_a(measure, x, t, a) -> float:
     if not (t > 0.0):
         raise ValueError("radius t must be positive")
     d = measure.distances(x)
-    return float(np.sum(measure.weights * psi_radial(d / t, a)) / t)
+    return float(np.sum(measure.weights * psi_a(d / t, a)) / t)
 
 
 def h_mu_a(measure, x, t, a) -> float:
@@ -61,16 +50,12 @@ def h_mu_a(measure, x, t, a) -> float:
 class ConstantGauge:
     """eps identically equal to a constant."""
 
-    def __init__(self, value=1.0, gamma=1.0):
+    def __init__(self, value=1.0):
         self.value = float(value)
-        self.gamma = float(gamma)
         self.description = f"constant({value})"
 
     def eps(self, x, r):
         return self.value
-
-    def h(self, x, r):
-        return r ** self.gamma * self.eps(x, r)
 
 
 class RadialGauge:
@@ -92,9 +77,6 @@ class RadialGauge:
     def eps_log(self, log_r):
         return float(self.eps_log_fn(log_r))
 
-    def h(self, x, r):
-        return r ** self.gamma * self.eps(x, r)
-
 
 def qc_radial_gauge(K, eps_log_fn, description="radial"):
     """Radial gauge with the distortion exponent gamma = 2/(K+1)."""
@@ -102,31 +84,16 @@ def qc_radial_gauge(K, eps_log_fn, description="radial"):
                        description=description)
 
 
-def log_power_eps(beta):
-    """eps(r) = log(1/r)^(-beta), defined for r < 1."""
-
-    def fn(log_r):
-        if log_r >= 0:
-            raise ValueError("log-power gauge needs r < 1")
-        return (-log_r) ** (-beta) if beta != 0.0 else 1.0
-
-    return fn
-
-
 class SmoothedDensityGauge:
     """eps = eps_mu_a of a fixed measure; the canonical member of G1."""
 
-    def __init__(self, measure, a, gamma=1.0):
+    def __init__(self, measure, a):
         self.measure = measure
         self.a = float(a)
-        self.gamma = float(gamma)
         self.description = f"eps_mu_a(a={a})"
 
     def eps(self, x, r):
         return eps_mu_a(self.measure, x, r, self.a)
-
-    def h(self, x, r):
-        return r ** self.gamma * self.eps(x, r)
 
 
 class TreeSmoothedDensityGauge:
@@ -136,12 +103,11 @@ class TreeSmoothedDensityGauge:
     depths where absolute coordinates would have collapsed.
     """
 
-    def __init__(self, realization, a, side=SOURCE, gamma=1.0):
+    def __init__(self, realization, a, side=SOURCE):
         _check_side(side)
         self.realization = realization
         self.a = float(a)
         self.side = side
-        self.gamma = float(gamma)
         self.description = f"tree_eps_mu_a(a={a},side={side})"
 
     def _eps(self):
@@ -152,12 +118,12 @@ class TreeSmoothedDensityGauge:
 
     def h_node(self, path):
         r = math.exp(self.realization.tree.log_radius(self.side, len(path)))
-        return r ** self.gamma * self.eps_node(path)
+        return r * self.eps_node(path)
 
     def h_values(self, depth):
         """h over every node of generations 0..depth, one array per generation."""
         tree = self.realization.tree
-        return [math.exp(tree.log_radius(self.side, g)) ** self.gamma * eps
+        return [math.exp(tree.log_radius(self.side, g)) * eps
                 for g, eps in enumerate(self._eps()[:depth + 1])]
 
     def far_field_bound(self, depth):
@@ -213,10 +179,6 @@ class DistortedTreeGauge:
         raise ValueError(
             "the inverse correspondence is known only on tree balls; "
             "use eps_node(path)")
-
-
-def distorted_gauge(realization, a) -> DistortedTreeGauge:
-    return DistortedTreeGauge(realization, a)
 
 
 class TableGauge:
@@ -284,7 +246,7 @@ def check_G1(gauge, pairs, threshold=None) -> DoublingReport:
     return DoublingReport(worst, None, len(pairs), threshold=threshold, passed=passed)
 
 
-def check_G2(gauge, balls, swallow_radius, threshold=None) -> DoublingReport:
+def check_G2(gauge, balls, swallow_radius) -> DoublingReport:
     """Empirical C0' with sum_k 2^-k eps(x, 2^k r) <= C0' eps(x, r).
 
     The sum is truncated two scales past the radius that swallows the
@@ -305,24 +267,19 @@ def check_G2(gauge, balls, swallow_radius, threshold=None) -> DoublingReport:
         base = gauge.eps(x, r)
         if base <= 0.0:
             return DoublingReport(None, math.inf, len(balls), truncation_k=k_used,
-                                  threshold=threshold,
-                                  passed=False if threshold else None,
                                   notes="vanishing density at base scale")
         worst = max(worst, total / base)
-    passed = None if threshold is None else worst <= threshold
-    return DoublingReport(None, worst, len(balls), truncation_k=k_used,
-                          threshold=threshold, passed=passed)
+    return DoublingReport(None, worst, len(balls), truncation_k=k_used)
 
 
-def check_G2_tree_gauge(gauge, paths, threshold=None) -> DoublingReport:
+def check_G2_tree_gauge(gauge, paths) -> DoublingReport:
     """G2 proxy for node-keyed gauges along ancestor chains.
 
     Tree balls admit no true dilations; the ancestor ball of radius ratio
     rho_g stands in for the dilate 2^k r with 2^k ~ rho_g, weighted
     accordingly.  Only this chain is checkable for the distorted gauge.
     """
-    real = gauge.realization
-    tree = real.tree
+    tree = gauge.realization.tree
     side = TARGET if isinstance(gauge, DistortedTreeGauge) else gauge.side
     worst = 0.0
     for path in paths:
@@ -336,9 +293,7 @@ def check_G2_tree_gauge(gauge, paths, threshold=None) -> DoublingReport:
             ratio = math.exp(tree.log_radius(side, g) - log_r)  # ~ 2^k
             total += gauge.eps_node(path[:g]) / ratio
         worst = max(worst, total / base)
-    passed = None if threshold is None else worst <= threshold
-    return DoublingReport(None, worst, len(paths), truncation_k=None,
-                          threshold=threshold, passed=passed,
+    return DoublingReport(None, worst, len(paths),
                           notes="ancestor-chain proxy for tree-aligned balls")
 
 
@@ -407,9 +362,6 @@ class ContentResult:
 
 def _node_h_values(tree, side, gauge, depth):
     """Per-generation arrays of h over all nodes, and their far-field bound."""
-    if isinstance(gauge, (ConstantGauge, RadialGauge)):
-        return [np.full(tree.n_nodes(g), gauge.h(None, math.exp(tree.log_radius(side, g))))
-                for g in range(depth + 1)], 0.0
     if hasattr(gauge, "h_values"):
         return gauge.h_values(depth), gauge.far_field_bound(depth)
     if hasattr(gauge, "h_node"):
@@ -466,12 +418,7 @@ class FrostmanResult:
 
     leaf_weights: np.ndarray
     value: float
-    content_value: float
     far_field_bound: float = 0.0
-
-    def as_measure(self, realization, side):
-        from .measure import PlanarMeasure
-        return PlanarMeasure(realization.leaf_centers(side), self.leaf_weights)
 
 
 def frostman_tree(tree, side, gauge, depth=None) -> FrostmanResult:
@@ -495,7 +442,7 @@ def frostman_tree(tree, side, gauge, depth=None) -> FrostmanResult:
     # the flow value is the min cut, i.e. the DP value; the proportional leaf
     # split re-sums to it only up to rounding
     value = float(flow[0][0])
-    return FrostmanResult(alloc, value, value, bound)
+    return FrostmanResult(alloc, value, bound)
 
 
 def generation_cover_sum(tree, side, gauge, generation) -> float:
@@ -510,14 +457,13 @@ def generation_cover_sum(tree, side, gauge, generation) -> float:
     the direct formula.
     """
     _check_side(side)
-    if not isinstance(gauge, (RadialGauge, ConstantGauge)):
+    if not isinstance(gauge, RadialGauge):
         raise TypeError("generation sums are defined for radial gauges")
     log_r = tree.log_radius(side, generation)
-    eps = gauge.eps_log(log_r) if isinstance(gauge, RadialGauge) else gauge.value
+    eps = gauge.eps_log(log_r)
     K = tree.K
     log_d = float(tree.cum_log_d[generation])
-    tag = getattr(gauge, "gamma_tag", None)
-    if side == SOURCE and tag == "qc":
+    if side == SOURCE and gauge.gamma_tag == "qc":
         return eps * math.exp((2.0 * K / (K + 1.0)) * log_d)
     if side == TARGET and gauge.gamma == 1.0:
         return eps * math.exp(log_d)

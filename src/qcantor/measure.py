@@ -36,13 +36,6 @@ class PlanarMeasure:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def from_atoms(cls, atoms, label="") -> "PlanarMeasure":
-        """Build from an iterable of ((x, y), weight) pairs."""
-        pts = np.array([a[0] for a in atoms], dtype=float).reshape(-1, 2)
-        w = np.array([a[1] for a in atoms], dtype=float)
-        return cls(pts, w, label=label)
-
-    @classmethod
     def uniform_disk(cls, n, seed=0, center=(0.0, 0.0), radius=1.0, mass=1.0):
         """n equal atoms sampled uniformly (by area) in a disk."""
         rng = np.random.default_rng(seed)

@@ -351,9 +351,9 @@ def dyadic_curvature_proxy(measure, x, k_min, k_max) -> float:
     return float(np.sum((masses / radii) ** 2))
 
 
-def standard_query_points(realization, side, n_random=16, seed=0):
-    """Documented, reproducible stand-in for 'for all x': leaf centers plus
-    a seeded sample of atoms.  Returns (points, query_set_id)."""
+def standard_query_points(realization, side, seed=0):
+    """Documented, reproducible stand-in for 'for all x': up to 64 leaf
+    centers plus 16 seeded atoms.  Returns (points, query_set_id)."""
     _check_side(side)
     centers = realization.leaf_centers(side)
     if centers.shape[0] > 64:
@@ -362,7 +362,7 @@ def standard_query_points(realization, side, n_random=16, seed=0):
         centers = centers[np.sort(pick)]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     atoms = realization.measure(side).points
-    extra = atoms[rng.choice(atoms.shape[0], size=min(n_random, atoms.shape[0]),
+    extra = atoms[rng.choice(atoms.shape[0], size=min(16, atoms.shape[0]),
                              replace=False)]
     pts = np.vstack([centers, extra])
     qid = f"leaf_centers[{centers.shape[0]}]+atoms[{extra.shape[0]}]:seed={seed}"

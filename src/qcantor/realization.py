@@ -174,10 +174,10 @@ class CantorRealization:
 
     def node_eps(self, side, path, a) -> float:
         """Smoothed density of the realized measure on a node's generating ball."""
-        from .gauges import psi_radial
+        from .gauges import psi_a
         r = math.exp(self.tree.log_radius(side, len(path)))
         dist = self.node_atom_distances(side, path)
-        return float(np.sum(self.weights * psi_radial(dist / r, a)) / r)
+        return float(np.sum(self.weights * psi_a(dist / r, a)) / r)
 
     def eps_rings(self, side, a):
         """Per generation g: (L, tail), the rings kept and the dropped share.
@@ -259,7 +259,7 @@ class CantorRealization:
         ancestor.  Work is split into blocks of about _CHUNK distances, or
         one node's ring where that is larger.
         """
-        from .gauges import psi_radial
+        from .gauges import psi_a
         counts = self.tree.node_counts
         n_anc = counts[k]
         per_anc = counts[g] // n_anc
@@ -278,7 +278,7 @@ class CantorRealization:
                 dist = y[..., 0] - c[..., 0]
                 dist = np.hypot(dist, y[..., 1] - c[..., 1], out=dist)
                 dist /= r
-                psi = psi_radial(dist, a)
+                psi = psi_a(dist, a)
                 sums = psi.reshape(psi.shape[:2] + (children, -1)).sum(axis=3)
                 if k < g:
                     nodes = np.arange(sums.shape[1])

@@ -20,8 +20,8 @@ from qcantor.capacity import (CapacityIndices, direct_capacity_lower,
                               melnikov_gamma_lower, distorted_index_map,
                               distortion_indices, wolff_capacity_lower)
 from qcantor.cli import main
-from qcantor.gauges import (TableGauge, TreeSmoothedDensityGauge, content_Mh_tree,
-                            distorted_gauge, frostman_tree)
+from qcantor.gauges import (DistortedTreeGauge, TableGauge, TreeSmoothedDensityGauge,
+                            content_Mh_tree, frostman_tree)
 from qcantor.measure import PlanarMeasure
 from qcantor.potentials import (CurvatureEstimate, circumradius, default_dyadic_range,
                                 menger_curvature, wolff_dyadic, wolff_tree)
@@ -201,6 +201,7 @@ def test_criterion_08_contents():
     checked = 0
     for branching, depth in ((2, 2), (2, 3), (3, 2)):
         tree = build_tree(harmonic_schedule(2.0, depth, branching=branching), depth)
+        real = tree.realize()
         nodes = [p for g in range(depth + 1) for p in tree.paths_at(g)]
         leaves = list(tree.paths_at(depth))
         for _ in range(7):
@@ -212,8 +213,14 @@ def test_criterion_08_contents():
                 if all(any(leaf[:len(c)] == c for c in chosen) for leaf in leaves):
                     best = min(best, sum(table[c] for c in chosen))
             assert got == best  # integer-valued gauges: exact equality
+            # max flow = min cut: the flow value is the DP value bitwise, the
+            # leaf split re-sums to it and respects every node's capacity
             fr = frostman_tree(tree, SOURCE, TableGauge(table))
-            assert fr.value == fr.content_value
+            assert fr.value == got
+            assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
+            for p in nodes:
+                lo, hi = real.leaf_range(p)
+                assert fr.leaf_weights[lo:hi].sum() <= table[p] * (1 + 1e-12)
             checked += 1
     assert checked >= 20
 
@@ -223,9 +230,9 @@ def test_criterion_08_contents():
     for depth in range(2, 7):
         tree = build_tree(schedules, depth, seed=5)
         real = tree.realize(seed=5)
-        h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE, gamma=1.0)
+        h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE)
         m_src = content_Mh_tree(tree, SOURCE, h0).value
-        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a)).value
+        m_tgt = content_Mh_tree(tree, TARGET, DistortedTreeGauge(real, a)).value
         ratios.append(m_src / m_tgt ** ((K + 1.0) / (2.0 * K)))
     assert min(ratios) >= 0.1 * max(ratios)
     _report(8, f"DP = enumeration on {checked} random gauges (exact); "

@@ -7,9 +7,14 @@ loaded read-only (no bytecode written next to it).
 """
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from qcantor.capacity import CapacityIndices, direct_capacity_lower
+from qcantor.measure import PlanarMeasure
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -26,7 +31,8 @@ def _load_tracer():
     return module
 
 
-TARGETS = _load_tracer().TARGETS
+TRACER_MODULE = _load_tracer()
+TARGETS = TRACER_MODULE.TARGETS
 
 
 def test_tracer_targets_table_is_nonempty():
@@ -41,3 +47,13 @@ def test_tracer_target_resolves(name, owner, attr):
         assert attr in owner.__dict__, f"{name}: {owner.__name__} defines no {attr}"
     else:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_direct_capacity_record_feeds_quadrature_counter():
+    # the tracer rebuilds the quadrature grid from these record keys
+    mu = PlanarMeasure.uniform_disk(32, seed=1)
+    est = direct_capacity_lower(mu, CapacityIndices(0.8, 1.6), cells=16)
+    assert {"cells", "farfield_factor", "diam"} <= set(est.normalization)
+    tr = SimpleNamespace(counters=Counter())
+    TRACER_MODULE._count_quadrature(tr, est, (mu,), {})
+    assert 0 < tr.counters["capacity.quadrature_evals"] <= 16 * 16 * mu.n_atoms

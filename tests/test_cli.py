@@ -52,6 +52,14 @@ def test_riesz_far_point(config_path, capsys):
     assert "riesz:" in out
 
 
+@pytest.mark.parametrize("x", ["2", "nan,0", "0,inf", "1,2,3", "a,b"])
+def test_riesz_rejects_bad_point(config_path, capsys, x):
+    code = main(["riesz", "--config", config_path, "--side", "target",
+                 "--alpha", "1.0", "--x", x])
+    assert code == 2
+    assert "--x" in capsys.readouterr().err
+
+
 def test_capacity_command(config_path, tmp_path):
     out = str(tmp_path / "cap.json")
     code = main(["capacity", "--config", config_path, "--side", "source",
@@ -93,6 +101,26 @@ def test_content_command_depth7_min_cut_equals_max_flow(tmp_path):
     assert doc["frostman"] == doc["content"]
 
 
+@pytest.mark.parametrize("gauge,item", [
+    ("smoothed:a=0.1,b=3", "'b=3'"), ("smoothed:b", "'b'"), ("smoothed:a=", "'a='"),
+    ("distorted:a=-1", "'a=-1'"), ("distorted:a=nan", "'a=nan'")])
+def test_content_rejects_bad_gauge_parameters(config_path, capsys, gauge, item):
+    code = main(["content", "--config", config_path, "--side", "source",
+                 "--gauge", gauge, "--depth", "2"])
+    assert code == 2
+    assert f"bad parameter {item}" in capsys.readouterr().err
+
+
+def test_content_gauge_default_parameter(config_path, tmp_path):
+    docs = []
+    for gauge in ("distorted", "distorted:a=0.1"):
+        out = str(tmp_path / "content.json")
+        assert main(["content", "--config", config_path, "--side", "target",
+                     "--gauge", gauge, "--depth", "2", "--out", out]) == 0
+        docs.append(open(out).read())
+    assert docs[0] == docs[1]
+
+
 def test_check_gauge_command(config_path, tmp_path):
     out = str(tmp_path / "gauge.json")
     code = main(["check-gauge", "--config", config_path, "--depth", "2",
@@ -108,6 +136,15 @@ def test_verify_thm1_exit_zero(tmp_path):
     assert code == 0
     assert (tmp_path / "thm1.csv").exists()
     assert (tmp_path / "thm1.json").exists()
+
+
+@pytest.mark.parametrize("depths", ["5..2", "2..x", "", "2,,4"])
+def test_verify_rejects_bad_depths(tmp_path, capsys, depths):
+    code = main(["verify", "thm1", "--K", "2", "--depths", depths,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "--depths" in capsys.readouterr().err
+    assert not (tmp_path / "thm1.json").exists()
 
 
 def test_verify_failure_exit_one(tmp_path):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcantor.cantor import SOURCE, TARGET, build_tree, harmonic_schedule
-from qcantor.gauges import (ConstantGauge, RadialGauge,
+from qcantor.gauges import (ConstantGauge, DistortedTreeGauge, RadialGauge,
                             SmoothedDensityGauge, TableGauge,
                             TreeSmoothedDensityGauge, check_G1, check_G2,
-                            check_G2_tree_gauge, content_Mh_tree, distorted_gauge,
+                            check_G2_tree_gauge, content_Mh_tree,
                             eps_integral_check, eps_mu_a, frostman_tree,
                             generation_cover_sum, geometric_kernel_sum_constant,
                             h_mu_a, psi_a, qc_radial_gauge, sample_ball_pairs)
@@ -21,18 +21,18 @@ from qcantor.potentials import default_dyadic_range, standard_query_points
 
 
 def test_psi_at_origin():
-    assert psi_a(np.zeros(2), 0.7) == pytest.approx(1.0)
+    assert psi_a(0.0, 0.7) == pytest.approx(1.0)
 
 
 def test_psi_at_unit_point():
-    assert psi_a(np.array([1.0, 0.0]), 1.0) == pytest.approx(0.5)
+    assert psi_a(1.0, 1.0) == pytest.approx(0.5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.05, 3.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_psi_radially_decreasing(a, r1, r2):
     lo, hi = sorted((r1, r2))
-    assert psi_a(np.array([hi, 0.0]), a) <= psi_a(np.array([lo, 0.0]), a) + 1e-15
+    assert psi_a(hi, a) <= psi_a(lo, a) + 1e-15
 
 
 def test_eps_single_atom_at_center():
@@ -126,7 +126,7 @@ def test_inverse_radius_gauge_summable():
 
 
 def test_distorted_gauge_chain_summability(real_k2_d3):
-    gauge = distorted_gauge(real_k2_d3, a=0.1)
+    gauge = DistortedTreeGauge(real_k2_d3, a=0.1)
     paths = list(real_k2_d3.tree.paths_at(3))[:8]
     report = check_G2_tree_gauge(gauge, paths)
     assert math.isfinite(report.c0_prime)
@@ -255,11 +255,18 @@ def test_cover_is_antichain_partition(tree_k2_d3, real_k2_d3):
 
 def test_frostman_equals_content_on_random_gauges():
     tree = build_tree(harmonic_schedule(2.0, 3, branching=2), 3)
+    real = tree.realize()
     rng = np.random.default_rng(77)
     for trial in range(20):
         table = _random_integer_gauge(tree, rng)
         fr = frostman_tree(tree, SOURCE, TableGauge(table))
-        assert fr.value == fr.content_value  # max flow = min cut, bitwise
+        # max flow = min cut: the flow value is the DP value bitwise, the
+        # leaf split re-sums to it and respects every node's capacity
+        assert fr.value == content_Mh_tree(tree, SOURCE, TableGauge(table)).value
+        assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
+        for path, h in table.items():
+            lo, hi = real.leaf_range(path)
+            assert fr.leaf_weights[lo:hi].sum() <= h * (1 + 1e-12)
 
 
 def test_frostman_feasibility():
@@ -291,8 +298,8 @@ def test_frostman_mass_gauge_proportional():
 def test_distorted_gauge_k1_reduces_to_smoothed():
     tree = build_tree(harmonic_schedule(1.0, 2), 2, seed=3)
     real = tree.realize(seed=3)
-    dist = distorted_gauge(real, a=0.2)
-    plain = TreeSmoothedDensityGauge(real, 0.2, side=SOURCE, gamma=1.0)
+    dist = DistortedTreeGauge(real, a=0.2)
+    plain = TreeSmoothedDensityGauge(real, 0.2, side=SOURCE)
     assert dist.gamma == pytest.approx(1.0)
     for path in [(), (0,), (0, 1)]:
         # K = 1: exponent collapses and source radii equal target radii
@@ -303,7 +310,7 @@ def test_distorted_gauge_k1_reduces_to_smoothed():
 def test_distorted_gauge_root_ball_closed_form(real_k2_d3):
     real = real_k2_d3
     K = real.tree.K
-    dist = distorted_gauge(real, a=0.3)
+    dist = DistortedTreeGauge(real, a=0.3)
     eps0 = real.node_eps(SOURCE, (), 0.3)
     assert dist.eps_node(()) == pytest.approx(eps0 ** (2 * K / (K + 1)), rel=1e-12)
     assert dist.h_node(()) == pytest.approx(dist.eps_node(()), rel=1e-12)  # t = 1
@@ -311,7 +318,7 @@ def test_distorted_gauge_root_ball_closed_form(real_k2_d3):
 
 def test_distorted_gauge_rejects_off_tree_balls(real_k2_d3):
     with pytest.raises(ValueError, match="tree balls"):
-        distorted_gauge(real_k2_d3, 0.1).eps((0.0, 0.0), 0.123)
+        DistortedTreeGauge(real_k2_d3, 0.1).eps((0.0, 0.0), 0.123)
 
 
 def test_main_lemma_ratio_stable_small_depths():
@@ -321,9 +328,9 @@ def test_main_lemma_ratio_stable_small_depths():
     for depth in range(2, 6):
         tree = build_tree(schedules, depth, seed=5)
         real = tree.realize(seed=5)
-        h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE, gamma=1.0)
+        h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE)
         m_src = content_Mh_tree(tree, SOURCE, h0).value
-        m_tgt = content_Mh_tree(tree, TARGET, distorted_gauge(real, a)).value
+        m_tgt = content_Mh_tree(tree, TARGET, DistortedTreeGauge(real, a)).value
         ratios.append(m_src / m_tgt ** ((K + 1.0) / (2.0 * K)))
     assert min(ratios) >= 0.1 * max(ratios)
 
@@ -339,8 +346,8 @@ def test_source_eps_filled_once_across_gauges():
         return batched(side, a)
 
     real.eps_by_generation = counting
-    smoothed = TreeSmoothedDensityGauge(real, 0.1, side=SOURCE, gamma=1.0)
-    distorted = distorted_gauge(real, 0.1)
+    smoothed = TreeSmoothedDensityGauge(real, 0.1, side=SOURCE)
+    distorted = DistortedTreeGauge(real, 0.1)
     content_Mh_tree(tree, SOURCE, smoothed)
     frostman_tree(tree, SOURCE, smoothed)
     content_Mh_tree(tree, TARGET, distorted)
@@ -353,7 +360,7 @@ def test_source_eps_filled_once_across_gauges():
 def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):
     tree = real_k2_d3.tree
     for gauge in (TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=TARGET),
-                  distorted_gauge(real_k2_d3, 0.1)):
+                  DistortedTreeGauge(real_k2_d3, 0.1)):
         h = gauge.h_values(tree.depth)
         for path in [(), (2,), (3, 1), (0, 3, 2)]:
             assert gauge.h_node(path) == pytest.approx(
@@ -367,7 +374,7 @@ def test_far_field_bound_recorded_on_results(tree_k2_d3, real_k2_d3):
     assert 0.0 < res.far_field_bound == max(tails) <= 2.0 ** -53
     fr = frostman_tree(tree_k2_d3, SOURCE, smoothed)
     assert fr.far_field_bound == res.far_field_bound
-    distorted = distorted_gauge(real_k2_d3, 0.1)
+    distorted = DistortedTreeGauge(real_k2_d3, 0.1)
     res_t = content_Mh_tree(tree_k2_d3, TARGET, distorted)
     assert res_t.far_field_bound == pytest.approx(distorted.exponent * max(tails), rel=1e-15)
     table = {path: 1.0 for g in range(4) for path in tree_k2_d3.paths_at(g)}

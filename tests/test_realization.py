@@ -7,7 +7,7 @@ import pytest
 
 from qcantor.cantor import (SOURCE, SIDES, build_tree, harmonic_schedule,
                             schedules_from_config)
-from qcantor.gauges import psi_radial
+from qcantor.gauges import psi_a
 
 A = 0.1
 ROUNDOFF = 2.0 ** -53
@@ -62,7 +62,7 @@ def test_dropped_ring_share_within_recorded_bound(realized, side):
         g = len(path)
         kept, tail = rings[g]
         r = np.exp(tree.log_radius(side, g))
-        terms = realized.weights * psi_radial(realized.node_atom_distances(side, path) / r, A)
+        terms = realized.weights * psi_a(realized.node_atom_distances(side, path) / r, A)
         # rings 0..kept are the atoms below the generation-(g - kept) ancestor
         lo, hi = realized.leaf_range(path[:g - kept])
         near = np.zeros(realized.n_atoms, dtype=bool)
