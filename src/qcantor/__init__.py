@@ -19,8 +19,8 @@ from .experiments import (ExperimentReport, content_distortion_experiment,
                           recompute_verdict, sharpness_experiment,
                           vanishing_content_experiment, verify_gamma_distortion,
                           verify_riesz_distortion)
-from .gauges import (ConstantGauge, ContentResult, DistortedTreeGauge, DoublingReport,
-                     FrostmanResult, RadialGauge, SmoothedDensityGauge, TableGauge,
+from .gauges import (ContentResult, DistortedTreeGauge, DoublingReport, FrostmanResult,
+                     RadialGauge, SmoothedDensityGauge, TableGauge,
                      TreeSmoothedDensityGauge, check_G1, check_G2, check_G2_tree_gauge,
                      content_Mh_tree, eps_integral_check, eps_mu_a, frostman_tree,
                      generation_cover_sum, geometric_kernel_sum_constant, h_mu_a, psi_a,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,8 +244,6 @@ class CantorTree:
         self.depth = depth
         self.seed = int(seed)
         self.scale = float(scale)
-        # weak, so a realization (which holds the tree) dies with its last user
-        self._realization_ref = None
 
         # cumulative per-generation logs, entry n = generation n (entry 0 = root)
         n = depth + 1
@@ -342,21 +339,11 @@ class CantorTree:
 
         yield from rec((), 0)
 
-    @property
-    def _realization(self):
-        """The last realization, while anything else still holds it."""
-        return None if self._realization_ref is None else self._realization_ref()
-
     def realize(self, seed=None, samples_per_leaf=1):
-        """Materialize centers and leaf atoms; cached on the tree while in use."""
+        """Materialize centers and leaf atoms as a new CantorRealization."""
         from .realization import CantorRealization  # local import, avoids cycle
         seed = self.seed if seed is None else int(seed)
-        real = self._realization
-        if (real is None or real.seed != seed
-                or real.samples_per_leaf != samples_per_leaf):
-            real = CantorRealization(self, seed, samples_per_leaf)
-            self._realization_ref = weakref.ref(real)
-        return real
+        return CantorRealization(self, seed, samples_per_leaf)
 
     def to_json(self, max_nodes=100_000) -> str:
         """Export per-node logs: {"path", "s_log", "t_log", "mass_log"}."""

@@ -147,6 +147,8 @@ def _cmd_curvature(args):
 
 
 def _cmd_capacity(args):
+    if args.cells < 1:
+        raise ConfigError(f"--cells {args.cells}: need a positive integer")
     tree = _tree_from_args(args)
     indices = CapacityIndices(args.alpha, args.p)
     if args.estimator == "wolff":
@@ -174,6 +176,9 @@ def _make_gauge(descriptor, real, side):
     if kind == "smoothed":
         return TreeSmoothedDensityGauge(real, a, side=side)
     if kind == "distorted":
+        if side != TARGET:
+            raise ConfigError(f"gauge {descriptor!r} measures target balls; "
+                              f"use --side {TARGET}, not --side {side}")
         return DistortedTreeGauge(real, a)
     raise ConfigError(f"unknown gauge {descriptor!r} (use smoothed:a=… or distorted:a=…)")
 
@@ -182,8 +187,8 @@ def _cmd_content(args):
     tree = _tree_from_args(args)
     real = tree.realize(samples_per_leaf=args.samples_per_leaf)
     gauge = _make_gauge(args.gauge, real, args.side)
-    content = content_Mh_tree(tree, args.side, gauge)
-    frost = frostman_tree(tree, args.side, gauge)
+    content = content_Mh_tree(gauge)
+    frost = frostman_tree(gauge)
     doc = json.dumps({"content": content.value, "gauge": content.gauge,
                       "cover_size": len(content.cover), "frostman": frost.value},
                      sort_keys=True, separators=(",", ":"))

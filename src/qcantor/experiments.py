@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import SOURCE, TARGET, build_tree, harmonic_schedule, shrunk_schedule, \
-    doubly_exponential_schedule, sharpness_schedule
+from .cantor import SOURCE, TARGET, ConfigError, build_tree, harmonic_schedule, \
+    shrunk_schedule, doubly_exponential_schedule, sharpness_schedule
 from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_map,
                        distortion_indices, wolff_capacity_lower)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
@@ -180,6 +180,16 @@ def recompute_verdict(experiment, rows, thresholds):
     return _VERDICTS[experiment](rows, thresholds)
 
 
+def _depths_from(depths, minimum, experiment, why):
+    """depths as a list; a depth below the experiment's minimum is refused."""
+    depths = list(depths)
+    for depth in depths:
+        if depth < minimum:
+            raise ConfigError(f"{experiment}: depth {depth} is below the minimum "
+                              f"{minimum} ({why})")
+    return depths
+
+
 # -- distortion inequality experiments ---------------------------------------
 
 
@@ -209,8 +219,7 @@ def verify_gamma_distortion(K, depths, seed=0) -> ExperimentReport:
         lhs_est = wolff_capacity_lower(tree, idx, side=SOURCE, seed=seed)
         diam_b = 2.0 * tree.scale
         lhs = lhs_est.value / diam_b ** (2.0 / (K + 1.0))
-        curv_proxy = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth,
-                                homogeneity=1.0).total
+        curv_proxy = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total
         growth = _tree_growth(tree, TARGET, depth)
         curv = CurvatureEstimate(curv_proxy, 0.0, curv_proxy, 0, seed,
                                  method="tree_dyadic_proxy")
@@ -267,7 +276,8 @@ def sharpness_experiment(K, q, depths=None, seed=0) -> ExperimentReport:
     decay like (ln N)^(-1/(q'-1)) (fitted exponent within 10%), and the
     source capacity at the distortion indices must stay decade-stable.
     """
-    depths = list(depths) if depths is not None else list(range(8, 65))
+    depths = _depths_from(range(8, 65) if depths is None else depths, 2, "sharpness",
+                          "the capacity decay is fitted against log(log N)")
     q_conj_minus_1 = 1.0 / (q - 1.0)
     beta = 2.0 * K / ((K + 1.0) * q)
     src_idx = CapacityIndices(beta, q, K=K)
@@ -279,7 +289,7 @@ def sharpness_experiment(K, q, depths=None, seed=0) -> ExperimentReport:
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
         src = wolff_tree(tree, SOURCE, beta, q, depth=depth)
-        tgt = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth, homogeneity=1.0)
+        tgt = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth)
         cap = wolff_capacity_lower(tree, src_idx, side=SOURCE, seed=seed)
         bounded = wolff_capacity_lower(tree, thm1_idx, side=SOURCE, seed=seed)
         last_term = tgt.entries[-1][1]
@@ -314,9 +324,8 @@ def content_distortion_experiment(K, depths, a=0.1, seed=0) -> ExperimentReport:
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
         real = tree.realize(seed=seed)
-        h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE)
-        m_src = content_Mh_tree(tree, SOURCE, h0).value
-        m_tgt = content_Mh_tree(tree, TARGET, DistortedTreeGauge(real, a)).value
+        m_src = content_Mh_tree(TreeSmoothedDensityGauge(real, a, side=SOURCE)).value
+        m_tgt = content_Mh_tree(DistortedTreeGauge(real, a)).value
         rows.append({"depth": depth, "source_content": m_src,
                      "target_content": m_tgt,
                      "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))})
@@ -380,7 +389,8 @@ def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
     thinning leaves the multipliers untouched, so the target-side (2/3, 3/2)
     sum is unchanged and bounded by pi^2/6 - 1.
     """
-    depths = list(depths)
+    depths = _depths_from(depths, 1, "vanishing_content",
+                          "eps = 1/log(1/r) is undefined at the unit root radius")
     gauge = qc_radial_gauge(K, lambda log_r: 1.0 / (-log_r), description="eps=1/log(1/r)")
     unit = qc_radial_gauge(K, lambda log_r: 1.0, description="eps=1")
     cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
@@ -395,8 +405,7 @@ def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
             "closed_form": closed,
             "shrunk_gauge_sum": generation_cover_sum(tree, SOURCE, gauge, depth),
             "source_log_radius": tree.log_radius(SOURCE, depth),
-            "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth,
-                                       homogeneity=1.0).total,
+            "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total,
         })
     report = ExperimentReport(
         "vanishing_content",
@@ -416,7 +425,8 @@ def doubly_exponential_experiment(K, depths, seed=0) -> ExperimentReport:
     like log(1/s)^(-2) ds/s, which converges.  Generation sums are computed
     in log space throughout.
     """
-    depths = list(depths)
+    depths = _depths_from(depths, 1, "doubly_exponential",
+                          "eps = log(1/s)^(-2/a) is undefined at the unit root radius")
     gauge = qc_radial_gauge(K, lambda log_r: (-log_r) ** (-2.0 / CRITERION_A),
                             description=f"eps=log(1/s)^(-2/{CRITERION_A})")
     schedules = doubly_exponential_schedule(K, max(depths), branching=BRANCHING)
@@ -430,10 +440,9 @@ def doubly_exponential_experiment(K, depths, seed=0) -> ExperimentReport:
             "source_log_radius": tree.log_radius(SOURCE, depth),
             "cap_log": -math.exp(depth),
             "gauge_sum": generation_cover_sum(tree, SOURCE, gauge, depth),
-            "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth,
-                                       homogeneity=1.0).total,
+            "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total,
             "harmonic_target_total": wolff_tree(htree, TARGET, 2.0 / 3.0, 1.5,
-                                                depth=depth, homogeneity=1.0).total,
+                                                depth=depth).total,
         })
     report = ExperimentReport(
         "doubly_exponential",

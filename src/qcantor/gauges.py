@@ -47,28 +47,12 @@ def h_mu_a(measure, x, t, a) -> float:
 # -- gauge objects -----------------------------------------------------------
 
 
-class ConstantGauge:
-    """eps identically equal to a constant."""
-
-    def __init__(self, value=1.0):
-        self.value = float(value)
-        self.description = f"constant({value})"
-
-    def eps(self, x, r):
-        return self.value
-
-
 class RadialGauge:
-    """eps depending on the radius only, supplied as a function of log r.
+    """eps depending on the radius only, supplied as a function of log r."""
 
-    gamma_tag "qc" marks the exponent gamma = 2/(K+1) symbolically so that
-    generation sums can cancel the radius products exactly in log space.
-    """
-
-    def __init__(self, eps_log_fn, gamma=1.0, gamma_tag=None, description="radial"):
+    def __init__(self, eps_log_fn, gamma=1.0, description="radial"):
         self.eps_log_fn = eps_log_fn
         self.gamma = float(gamma)
-        self.gamma_tag = gamma_tag
         self.description = description
 
     def eps(self, x, r):
@@ -80,8 +64,7 @@ class RadialGauge:
 
 def qc_radial_gauge(K, eps_log_fn, description="radial"):
     """Radial gauge with the distortion exponent gamma = 2/(K+1)."""
-    return RadialGauge(eps_log_fn, gamma=2.0 / (K + 1.0), gamma_tag="qc",
-                       description=description)
+    return RadialGauge(eps_log_fn, gamma=2.0 / (K + 1.0), description=description)
 
 
 class SmoothedDensityGauge:
@@ -106,6 +89,7 @@ class TreeSmoothedDensityGauge:
     def __init__(self, realization, a, side=SOURCE):
         _check_side(side)
         self.realization = realization
+        self.tree = realization.tree
         self.a = float(a)
         self.side = side
         self.description = f"tree_eps_mu_a(a={a},side={side})"
@@ -114,16 +98,15 @@ class TreeSmoothedDensityGauge:
         return self.realization.eps_by_generation(self.side, self.a)
 
     def eps_node(self, path):
-        return float(self._eps()[len(path)][self.realization.tree.node_index(path)])
+        return float(self._eps()[len(path)][self.tree.node_index(path)])
 
     def h_node(self, path):
-        r = math.exp(self.realization.tree.log_radius(self.side, len(path)))
+        r = math.exp(self.tree.log_radius(self.side, len(path)))
         return r * self.eps_node(path)
 
     def h_values(self, depth):
         """h over every node of generations 0..depth, one array per generation."""
-        tree = self.realization.tree
-        return [math.exp(tree.log_radius(self.side, g)) * eps
+        return [math.exp(self.tree.log_radius(self.side, g)) * eps
                 for g, eps in enumerate(self._eps()[:depth + 1])]
 
     def far_field_bound(self, depth):
@@ -140,10 +123,13 @@ class DistortedTreeGauge:
     balls; any other ball query raises.
     """
 
+    side = TARGET
+
     def __init__(self, realization, a):
         self.realization = realization
+        self.tree = realization.tree
         self.a = float(a)
-        K = realization.tree.K
+        K = self.tree.K
         self.K = K
         self.gamma = 2.0 / (K + 1.0)
         self.exponent = 2.0 * K / (K + 1.0)
@@ -153,17 +139,17 @@ class DistortedTreeGauge:
         return self.realization.eps_by_generation(SOURCE, self.a)
 
     def eps_node(self, path):
-        eps = self._eps()[len(path)][self.realization.tree.node_index(path)]
+        eps = self._eps()[len(path)][self.tree.node_index(path)]
         return float(eps) ** self.exponent
 
     def h_node(self, path):
-        t = math.exp(self.realization.tree.log_radius(TARGET, len(path)))
+        t = math.exp(self.tree.log_radius(self.side, len(path)))
         return t ** self.gamma * self.eps_node(path)
 
     def h_values(self, depth):
         """h over every node of generations 0..depth, one array per generation."""
-        tree = self.realization.tree
-        return [math.exp(tree.log_radius(TARGET, g)) ** self.gamma * eps ** self.exponent
+        return [math.exp(self.tree.log_radius(self.side, g)) ** self.gamma
+                * eps ** self.exponent
                 for g, eps in enumerate(self._eps()[:depth + 1])]
 
     def far_field_bound(self, depth):
@@ -182,14 +168,22 @@ class DistortedTreeGauge:
 
 
 class TableGauge:
-    """Explicit per-node h values keyed by path; for hand-set gauges."""
+    """Explicit per-node h values of a tree, keyed by path; for hand-set gauges."""
 
-    def __init__(self, table, description="table"):
+    description = "table"
+
+    def __init__(self, tree, table):
+        self.tree = tree
         self.table = {tuple(k): float(v) for k, v in table.items()}
-        self.description = description
 
-    def h_node(self, path):
-        return self.table[tuple(path)]
+    def h_values(self, depth):
+        """h over every node of generations 0..depth, one array per generation."""
+        return [np.array([self.table[path] for path in self.tree.paths_at(g)], dtype=float)
+                for g in range(depth + 1)]
+
+    def far_field_bound(self, depth):
+        """0: the table values are exact."""
+        return 0.0
 
 
 # -- regularity classes ------------------------------------------------------
@@ -279,8 +273,7 @@ def check_G2_tree_gauge(gauge, paths) -> DoublingReport:
     rho_g stands in for the dilate 2^k r with 2^k ~ rho_g, weighted
     accordingly.  Only this chain is checkable for the distorted gauge.
     """
-    tree = gauge.realization.tree
-    side = TARGET if isinstance(gauge, DistortedTreeGauge) else gauge.side
+    tree, side = gauge.tree, gauge.side
     worst = 0.0
     for path in paths:
         d = len(path)
@@ -360,16 +353,6 @@ class ContentResult:
     far_field_bound: float = 0.0
 
 
-def _node_h_values(tree, side, gauge, depth):
-    """Per-generation arrays of h over all nodes, and their far-field bound."""
-    if hasattr(gauge, "h_values"):
-        return gauge.h_values(depth), gauge.far_field_bound(depth)
-    if hasattr(gauge, "h_node"):
-        return [np.array([gauge.h_node(path) for path in tree.paths_at(g)], dtype=float)
-                for g in range(depth + 1)], 0.0
-    raise TypeError(f"unsupported gauge {gauge!r}")
-
-
 def _content_dp(tree, h, depth):
     """Bottom-up min-cut DP over per-generation h arrays.
 
@@ -387,16 +370,17 @@ def _content_dp(tree, h, depth):
     return cost, take
 
 
-def content_Mh_tree(tree, side, gauge, depth=None) -> ContentResult:
+def content_Mh_tree(gauge, depth=None) -> ContentResult:
     """min over antichain covers of sum h(node ball), by bottom-up DP.
 
     cost(node) = min(h(node), sum over children of cost); an upper bound for
-    the unrestricted content and exact among tree-aligned covers.
+    the unrestricted content and exact among tree-aligned covers.  The gauge
+    supplies everything: its tree, its h arrays (h_values), their far-field
+    bound and a description; which side's balls it measures is its own.
     """
-    _check_side(side)
+    tree = gauge.tree
     depth = tree.depth if depth is None else depth
-    h, bound = _node_h_values(tree, side, gauge, depth)
-    cost, take = _content_dp(tree, h, depth)
+    cost, take = _content_dp(tree, gauge.h_values(depth), depth)
     cover = []
 
     def walk(g, i, path):
@@ -408,8 +392,8 @@ def content_Mh_tree(tree, side, gauge, depth=None) -> ContentResult:
             walk(g + 1, i * m + j, path + (j,))
 
     walk(0, 0, ())
-    return ContentResult(float(cost[0][0]), tuple(cover),
-                         getattr(gauge, "description", repr(gauge)), bound)
+    return ContentResult(float(cost[0][0]), tuple(cover), gauge.description,
+                         gauge.far_field_bound(depth))
 
 
 @dataclass(frozen=True)
@@ -421,16 +405,15 @@ class FrostmanResult:
     far_field_bound: float = 0.0
 
 
-def frostman_tree(tree, side, gauge, depth=None) -> FrostmanResult:
+def frostman_tree(gauge, depth=None) -> FrostmanResult:
     """Leaf masses maximizing the total subject to every node's h-constraint.
 
     On a tree the max flow equals the min cut, i.e. the content DP value,
     so nu(F) matches M^h exactly within the tree-aligned class.
     """
-    _check_side(side)
+    tree = gauge.tree
     depth = tree.depth if depth is None else depth
-    h, bound = _node_h_values(tree, side, gauge, depth)
-    flow, _ = _content_dp(tree, h, depth)
+    flow, _ = _content_dp(tree, gauge.h_values(depth), depth)
     alloc = np.array([flow[0][0]])
     for g in range(1, depth + 1):
         m = tree.branching(g)
@@ -442,14 +425,14 @@ def frostman_tree(tree, side, gauge, depth=None) -> FrostmanResult:
     # the flow value is the min cut, i.e. the DP value; the proportional leaf
     # split re-sums to it only up to rounding
     value = float(flow[0][0])
-    return FrostmanResult(alloc, value, bound)
+    return FrostmanResult(alloc, value, gauge.far_field_bound(depth))
 
 
 def generation_cover_sum(tree, side, gauge, generation) -> float:
     """Ideal-convention sum of h over one generation's balls.
 
     In the fully filled construction the level masses sum to 1, so for the
-    distortion exponent gamma = 2/(K+1) on the source side the radius
+    tree's distortion exponent gamma = 2/(K+1) on the source side the radius
     products cancel exactly and the sum telescopes to
     eps(r_N) * prod(d_k)^(2K/(K+1)); the gamma = 1 target analogue
     telescopes to eps(r_N) * prod(d_k).  Those two cancellations are done
@@ -463,7 +446,7 @@ def generation_cover_sum(tree, side, gauge, generation) -> float:
     eps = gauge.eps_log(log_r)
     K = tree.K
     log_d = float(tree.cum_log_d[generation])
-    if side == SOURCE and gauge.gamma_tag == "qc":
+    if side == SOURCE and gauge.gamma == 2.0 / (K + 1.0):
         return eps * math.exp((2.0 * K / (K + 1.0)) * log_d)
     if side == TARGET and gauge.gamma == 1.0:
         return eps * math.exp(log_d)

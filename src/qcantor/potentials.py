@@ -114,8 +114,7 @@ def diagnose_divergence(labels, contributions, kind):
     return True, float(slope)
 
 
-def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal",
-               homogeneity=None):
+def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
     """Generation terms (mass_N / r_N^(2-alpha*p))^(p'-1) of a Cantor tree.
 
     With level-uniform schedules every root-to-leaf path sees the same
@@ -126,11 +125,10 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal",
     1..depth; the root term is excluded.
 
     The log-ratio is assembled per level as coefficients on sum(log R) and
-    sum(log d), so when the caller states homogeneity = 2 - alpha*p exactly
-    (e.g. 1.0 for the alpha = 1/p family) the radius products cancel
-    symbolically; otherwise a residual ~|sum log R| * 1e-16 remains, which is
-    harmless for smallness-sized radii but matters for doubly-exponential
-    schedules.
+    sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at
+    (2/3, 3/2)) the target radius products cancel symbolically; otherwise a
+    residual ~|sum log R| * 1e-16 remains, which is harmless for
+    smallness-sized radii but matters for doubly-exponential schedules.
     """
     _check_side(side)
     check_indices(alpha, p)
@@ -139,7 +137,7 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal",
     if depth > tree.depth:
         raise ValueError(f"requested depth {depth} exceeds tree depth {tree.depth}")
     eta = conjugate_minus_one(p)
-    homog = 2.0 - alpha * p if homogeneity is None else float(homogeneity)
+    homog = 2.0 - alpha * p
     K = tree.K
     if side == TARGET:
         coef_log_r = 2.0 - 2.0 * homog        # on sum(log R_k); 0 exactly at homog=1

@@ -206,7 +206,7 @@ def test_criterion_08_contents():
         leaves = list(tree.paths_at(depth))
         for _ in range(7):
             table = {p: float(rng.integers(1, 1000)) for p in nodes}
-            got = content_Mh_tree(tree, SOURCE, TableGauge(table)).value
+            got = content_Mh_tree(TableGauge(tree, table)).value
             best = math.inf
             for mask in range(1, 1 << len(nodes)):
                 chosen = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
@@ -215,7 +215,7 @@ def test_criterion_08_contents():
             assert got == best  # integer-valued gauges: exact equality
             # max flow = min cut: the flow value is the DP value bitwise, the
             # leaf split re-sums to it and respects every node's capacity
-            fr = frostman_tree(tree, SOURCE, TableGauge(table))
+            fr = frostman_tree(TableGauge(tree, table))
             assert fr.value == got
             assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
             for p in nodes:
@@ -231,8 +231,8 @@ def test_criterion_08_contents():
         tree = build_tree(schedules, depth, seed=5)
         real = tree.realize(seed=5)
         h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE)
-        m_src = content_Mh_tree(tree, SOURCE, h0).value
-        m_tgt = content_Mh_tree(tree, TARGET, DistortedTreeGauge(real, a)).value
+        m_src = content_Mh_tree(h0).value
+        m_tgt = content_Mh_tree(DistortedTreeGauge(real, a)).value
         ratios.append(m_src / m_tgt ** ((K + 1.0) / (2.0 * K)))
     assert min(ratios) >= 0.1 * max(ratios)
     _report(8, f"DP = enumeration on {checked} random gauges (exact); "

@@ -69,6 +69,15 @@ def test_capacity_command(config_path, tmp_path):
     assert doc["value"] > 0 and doc["convention"] == "wolff_sup"
 
 
+@pytest.mark.parametrize("cells", ["0", "-3"])
+def test_capacity_rejects_nonpositive_cells(config_path, capsys, cells):
+    code = main(["capacity", "--config", config_path, "--side", "source",
+                 "--alpha", "0.8", "--p", "1.6666666666666667",
+                 "--estimator", "direct", "--cells", cells])
+    assert code == 2
+    assert f"--cells {cells}" in capsys.readouterr().err
+
+
 def test_curvature_command(config_path, tmp_path):
     out = str(tmp_path / "curv.json")
     code = main(["curvature", "--config", config_path, "--side", "target",
@@ -111,6 +120,15 @@ def test_content_rejects_bad_gauge_parameters(config_path, capsys, gauge, item):
     assert f"bad parameter {item}" in capsys.readouterr().err
 
 
+def test_content_distorted_gauge_is_target_only(config_path, tmp_path, capsys):
+    out = tmp_path / "content.json"
+    code = main(["content", "--config", config_path, "--side", "source",
+                 "--gauge", "distorted:a=0.1", "--depth", "2", "--out", str(out)])
+    assert code == 2
+    assert "--side target" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_content_gauge_default_parameter(config_path, tmp_path):
     docs = []
     for gauge in ("distorted", "distorted:a=0.1"):
@@ -145,6 +163,20 @@ def test_verify_rejects_bad_depths(tmp_path, capsys, depths):
     assert code == 2
     assert "--depths" in capsys.readouterr().err
     assert not (tmp_path / "thm1.json").exists()
+
+
+@pytest.mark.parametrize("target,depths,stem,bad,minimum", [
+    ("thin-content", "0..3", "vanishing_content", 0, 1),
+    ("doubly-exp", "0..3", "doubly_exponential", 0, 1),
+    ("sharpness", "1..10", "sharpness", 1, 2),
+    ("sharpness", "0..12", "sharpness", 0, 2)])
+def test_verify_rejects_depths_below_minimum(tmp_path, capsys, target, depths, stem,
+                                             bad, minimum):
+    code = main(["verify", target, "--K", "2", "--depths", depths,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert f"depth {bad} is below the minimum {minimum}" in capsys.readouterr().err
+    assert not (tmp_path / f"{stem}.json").exists()
 
 
 def test_verify_failure_exit_one(tmp_path):

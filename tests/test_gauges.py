@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcantor.cantor import SOURCE, TARGET, build_tree, harmonic_schedule
-from qcantor.gauges import (ConstantGauge, DistortedTreeGauge, RadialGauge,
+from qcantor.cantor import (SOURCE, TARGET, build_tree, doubly_exponential_schedule,
+                            harmonic_schedule)
+from qcantor.gauges import (DistortedTreeGauge, RadialGauge,
                             SmoothedDensityGauge, TableGauge,
                             TreeSmoothedDensityGauge, check_G1, check_G2,
                             check_G2_tree_gauge, content_Mh_tree,
@@ -99,7 +100,7 @@ def test_eps_integral_ratio_bounded(tree_k2_d3, real_k2_d3):
 
 
 def test_constant_gauge_doubling_constants():
-    gauge = ConstantGauge(1.0)
+    gauge = RadialGauge(lambda log_r: 1.0)
     pairs = sample_ball_pairs((0.0, 0.0), 1.0, 64, seed=3)
     g1 = check_G1(gauge, pairs)
     assert g1.c0 == pytest.approx(1.0)
@@ -201,7 +202,7 @@ def test_content_dp_equals_enumeration(branching, depth):
     rng = np.random.default_rng(100 * branching + depth)
     for trial in range(20):
         table = _random_integer_gauge(tree, rng)
-        got = content_Mh_tree(tree, SOURCE, TableGauge(table)).value
+        got = content_Mh_tree(TableGauge(tree, table)).value
         assert got == _bruteforce_content(tree, table)  # integer sums: exact
 
 
@@ -215,7 +216,7 @@ def test_content_dp_equals_cut_enumeration_wider(branching, depth):
     rng = np.random.default_rng(7 * branching + depth)
     for trial in range(5):
         table = _random_integer_gauge(tree, rng)
-        got = content_Mh_tree(tree, SOURCE, TableGauge(table)).value
+        got = content_Mh_tree(TableGauge(tree, table)).value
         assert got == min(sum(table[p] for p in cut) for cut in cuts)
 
 
@@ -223,7 +224,7 @@ def test_content_mass_gauge_returns_total_mass():
     tree = build_tree(harmonic_schedule(2.0, 3), 3)
     table = {path: math.exp(tree.log_mass(g))
              for g in range(4) for path in tree.paths_at(g)}
-    got = content_Mh_tree(tree, SOURCE, TableGauge(table)).value
+    got = content_Mh_tree(TableGauge(tree, table)).value
     assert got == pytest.approx(math.exp(tree.log_total_mass()), rel=1e-12)
 
 
@@ -233,14 +234,14 @@ def test_content_root_optimal_when_subadditive():
     for g in (1, 2):
         for path in tree.paths_at(g):
             table[path] = 2.0  # children always cost more
-    res = content_Mh_tree(tree, SOURCE, TableGauge(table))
+    res = content_Mh_tree(TableGauge(tree, table))
     assert res.value == 1.0
     assert res.cover == ((),)
 
 
 def test_cover_is_antichain_partition(tree_k2_d3, real_k2_d3):
     gauge = TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE)
-    res = content_Mh_tree(tree_k2_d3, SOURCE, gauge)
+    res = content_Mh_tree(gauge)
     cover = res.cover
     for a in cover:
         for b in cover:
@@ -259,10 +260,10 @@ def test_frostman_equals_content_on_random_gauges():
     rng = np.random.default_rng(77)
     for trial in range(20):
         table = _random_integer_gauge(tree, rng)
-        fr = frostman_tree(tree, SOURCE, TableGauge(table))
+        fr = frostman_tree(TableGauge(tree, table))
         # max flow = min cut: the flow value is the DP value bitwise, the
         # leaf split re-sums to it and respects every node's capacity
-        assert fr.value == content_Mh_tree(tree, SOURCE, TableGauge(table)).value
+        assert fr.value == content_Mh_tree(TableGauge(tree, table)).value
         assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
         for path, h in table.items():
             lo, hi = real.leaf_range(path)
@@ -274,7 +275,7 @@ def test_frostman_feasibility():
     tree.realize(seed=2)
     real = tree.realize(seed=2)
     gauge = TreeSmoothedDensityGauge(real, 0.1, side=SOURCE)
-    fr = frostman_tree(tree, SOURCE, gauge)
+    fr = frostman_tree(gauge)
     w = fr.leaf_weights
     for g in range(4):
         for path in tree.paths_at(g):
@@ -286,7 +287,7 @@ def test_frostman_mass_gauge_proportional():
     tree = build_tree(harmonic_schedule(2.0, 2), 2)
     table = {path: math.exp(tree.log_mass(g))
              for g in range(3) for path in tree.paths_at(g)}
-    fr = frostman_tree(tree, SOURCE, TableGauge(table))
+    fr = frostman_tree(TableGauge(tree, table))
     assert fr.value == pytest.approx(math.exp(tree.log_total_mass()), rel=1e-12)
     leaf_mass = math.exp(tree.log_mass(2))
     assert np.allclose(fr.leaf_weights, leaf_mass, rtol=1e-12)
@@ -329,8 +330,8 @@ def test_main_lemma_ratio_stable_small_depths():
         tree = build_tree(schedules, depth, seed=5)
         real = tree.realize(seed=5)
         h0 = TreeSmoothedDensityGauge(real, a, side=SOURCE)
-        m_src = content_Mh_tree(tree, SOURCE, h0).value
-        m_tgt = content_Mh_tree(tree, TARGET, DistortedTreeGauge(real, a)).value
+        m_src = content_Mh_tree(h0).value
+        m_tgt = content_Mh_tree(DistortedTreeGauge(real, a)).value
         ratios.append(m_src / m_tgt ** ((K + 1.0) / (2.0 * K)))
     assert min(ratios) >= 0.1 * max(ratios)
 
@@ -348,9 +349,9 @@ def test_source_eps_filled_once_across_gauges():
     real.eps_by_generation = counting
     smoothed = TreeSmoothedDensityGauge(real, 0.1, side=SOURCE)
     distorted = DistortedTreeGauge(real, 0.1)
-    content_Mh_tree(tree, SOURCE, smoothed)
-    frostman_tree(tree, SOURCE, smoothed)
-    content_Mh_tree(tree, TARGET, distorted)
+    content_Mh_tree(smoothed)
+    frostman_tree(smoothed)
+    content_Mh_tree(distorted)
     distorted.h_node((1, 2))
     assert len(fills) >= 4
     assert [cached for *_, cached in fills].count(False) == 1
@@ -369,16 +370,16 @@ def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):
 
 def test_far_field_bound_recorded_on_results(tree_k2_d3, real_k2_d3):
     smoothed = TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE)
-    res = content_Mh_tree(tree_k2_d3, SOURCE, smoothed)
+    res = content_Mh_tree(smoothed)
     tails = [tail for _, tail in real_k2_d3.eps_rings(SOURCE, 0.1)]
     assert 0.0 < res.far_field_bound == max(tails) <= 2.0 ** -53
-    fr = frostman_tree(tree_k2_d3, SOURCE, smoothed)
+    fr = frostman_tree(smoothed)
     assert fr.far_field_bound == res.far_field_bound
     distorted = DistortedTreeGauge(real_k2_d3, 0.1)
-    res_t = content_Mh_tree(tree_k2_d3, TARGET, distorted)
+    res_t = content_Mh_tree(distorted)
     assert res_t.far_field_bound == pytest.approx(distorted.exponent * max(tails), rel=1e-15)
     table = {path: 1.0 for g in range(4) for path in tree_k2_d3.paths_at(g)}
-    assert content_Mh_tree(tree_k2_d3, SOURCE, TableGauge(table)).far_field_bound == 0.0
+    assert content_Mh_tree(TableGauge(tree_k2_d3, table)).far_field_bound == 0.0
 
 
 # -- generation cover sums ----------------------------------------------------
@@ -391,6 +392,17 @@ def test_generation_sum_unit_gauge_closed_form():
         for n in (1, 4, 8):
             got = generation_cover_sum(tree, SOURCE, unit, n)
             assert got == pytest.approx((n + 1) ** (2 * K / (K + 1)), rel=1e-13)
+
+
+def test_generation_sum_exact_branch_follows_gamma_not_constructor():
+    # a plain RadialGauge at gamma = 2/(K+1) takes the telescoped branch too;
+    # the log-space formula would cancel log radii of size e^20 here
+    K = 2.0
+    tree = build_tree(doubly_exponential_schedule(K, 20), 20)
+    unit = RadialGauge(lambda lr: 1.0, gamma=2 / (K + 1))
+    for n in (5, 12, 20):
+        got = generation_cover_sum(tree, SOURCE, unit, n)
+        assert got == pytest.approx((n + 1) ** (2 * K / (K + 1)), rel=1e-12)
 
 
 def test_generation_sum_k1_is_linear():

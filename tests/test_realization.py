@@ -103,11 +103,9 @@ def test_realization_cache_does_not_keep_realizations_alive():
     try:
         real = tree.realize(seed=4)
         real.eps_by_generation(SOURCE, A)
-        assert tree.realize(seed=4) is real
         ref = weakref.ref(real)
         del real
         assert ref() is None  # freed by refcount alone: no tree <-> realization cycle
-        assert tree._realization is None
     finally:
         if was_enabled:
             gc.enable()
