@@ -222,14 +222,23 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     live = measure.weights > 0
     pts, w = measure.points[live], measure.weights[live]
     vals = np.empty(cc.shape[0])
-    block = 1 << 22
+    # per cell: sum_j w_j min(|c - x_j|^(alpha-2), cap), in two reused
+    # (step, n) buffers; an atom on a cell centre gives 0^(alpha-2) = inf
+    block = 1 << 18
     step = max(1, block // max(1, pts.shape[0]))
-    for i in range(0, cc.shape[0], step):
-        d = np.hypot(cc[i:i + step, None, 0] - pts[None, :, 0],
-                     cc[i:i + step, None, 1] - pts[None, :, 1])
-        with np.errstate(divide="ignore"):
-            kern = np.where(d > 0, d ** (alpha - 2.0), np.inf)
-        vals[i:i + step] = np.sum(w[None, :] * np.minimum(kern, cap), axis=1)
+    dx = np.empty((step, pts.shape[0]))
+    dy = np.empty_like(dx)
+    with np.errstate(divide="ignore"):
+        for i in range(0, cc.shape[0], step):
+            k = min(step, cc.shape[0] - i)
+            kx, ky = dx[:k], dy[:k]
+            np.subtract(cc[i:i + k, None, 0], pts[None, :, 0], out=kx)
+            np.subtract(cc[i:i + k, None, 1], pts[None, :, 1], out=ky)
+            np.hypot(kx, ky, out=kx)
+            np.power(kx, alpha - 2.0, out=kx)
+            np.minimum(kx, cap, out=kx)
+            np.multiply(kx, w, out=kx)
+            np.sum(kx, axis=1, out=vals[i:i + k])
     cell_sum = float(np.sum(vals ** p_prime)) * h * h
 
     a = (2.0 - alpha) * p_prime  # > 2 whenever 0 < alpha*p < 2

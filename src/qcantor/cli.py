@@ -134,6 +134,8 @@ def _cmd_riesz(args):
 
 
 def _cmd_curvature(args):
+    if args.triples < 1:
+        raise ConfigError(f"--triples {args.triples}: need a positive integer")
     tree = _tree_from_args(args)
     real = tree.realize(samples_per_leaf=args.samples_per_leaf)
     mu = real.measure(args.side)
@@ -200,6 +202,8 @@ def _cmd_content(args):
 
 
 def _cmd_check_gauge(args):
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs {args.pairs}: need a positive integer")
     tree = _tree_from_args(args)
     real = tree.realize(samples_per_leaf=args.samples_per_leaf)
     mu = real.measure(args.side)

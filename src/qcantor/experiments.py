@@ -347,6 +347,8 @@ def gauge_criterion_experiment(K, betas=None) -> ExperimentReport:
     classifier fits the power-law exponent of the terms, which reproduces the
     boundary exactly; partial sums and tail fractions are reported alongside.
     """
+    if not K >= 1.0:
+        raise ConfigError(f"gauge-criterion: distortion K must be >= 1, got {K}")
     if betas is None:
         grid = np.concatenate([np.linspace(0.1, 1.0, 10), np.linspace(1.05, 2.0, 10)])
         betas = [float(e / (1.0 + 1.0 / K)) for e in grid]

@@ -5,8 +5,8 @@ import pytest
 
 from qcantor.cantor import SOURCE, build_tree, harmonic_schedule, \
     sharpness_schedule
-from qcantor.capacity import (DEFINITION, LOWER_BOUND, WOLFF_SUP, CapacityEstimate,
-                              CapacityIndices, direct_capacity_lower,
+from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, WOLFF_SUP,
+                              CapacityEstimate, CapacityIndices, direct_capacity_lower,
                               melnikov_gamma_lower, distorted_index_map, distortion_indices,
                               wolff_capacity_lower)
 from qcantor.measure import PlanarMeasure
@@ -215,6 +215,75 @@ def test_direct_atom_in_cell_finite():
     mu = PlanarMeasure(np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([0.5, 0.5]))
     est = direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=32)
     assert math.isfinite(est.value) and est.value > 0
+
+
+def _grid(measure, cells):
+    diam = measure.diameter() or 1e-9
+    center = measure.support_center()
+    r_far = FARFIELD_FACTOR * diam
+    h = 2.0 * r_far / cells
+    ax = center[0] - r_far + h * (np.arange(cells) + 0.5)
+    ay = center[1] - r_far + h * (np.arange(cells) + 0.5)
+    return diam, center, r_far, h, ax, ay
+
+
+def _lambda_blocked(measure, indices, cells):
+    """Reference copy of the quadrature's first implementation: a fresh
+    array per operation over blocks of 2^22 kernel evaluations."""
+    alpha, p_prime = indices.alpha, indices.p_prime
+    diam, center, r_far, h, ax, ay = _grid(measure, cells)
+    gx, gy = np.meshgrid(ax, ay)
+    cc = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    cc = cc[np.hypot(cc[:, 0] - center[0], cc[:, 1] - center[1]) <= r_far]
+    cap = 2.0 / alpha * (h / math.sqrt(math.pi)) ** (alpha - 2.0)
+    live = measure.weights > 0
+    pts, w = measure.points[live], measure.weights[live]
+    vals = np.empty(cc.shape[0])
+    step = max(1, (1 << 22) // max(1, pts.shape[0]))
+    for i in range(0, cc.shape[0], step):
+        d = np.hypot(cc[i:i + step, None, 0] - pts[None, :, 0],
+                     cc[i:i + step, None, 1] - pts[None, :, 1])
+        with np.errstate(divide="ignore"):
+            kern = np.where(d > 0, d ** (alpha - 2.0), np.inf)
+        vals[i:i + step] = np.sum(w[None, :] * np.minimum(kern, cap), axis=1)
+    cell_sum = float(np.sum(vals ** p_prime)) * h * h
+    a = (2.0 - alpha) * p_prime
+    u = r_far - diam
+    tail = 2.0 * math.pi * measure.total_mass ** p_prime * (
+        u ** (2.0 - a) / (a - 2.0) + diam * u ** (1.0 - a) / (a - 1.0))
+    return (cell_sum + tail) ** (1.0 / p_prime)
+
+
+def _square_with_centre_atom(cells):
+    """Corner atoms, one zero-weight atom, and an atom placed exactly on the
+    cell centre nearest the middle (inside the square, so the grid is the
+    same with or without it)."""
+    corners = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
+    _, _, _, _, ax, ay = _grid(PlanarMeasure(corners, np.ones(4)), cells)
+    x, y = ax[np.argmin(np.abs(ax))], ay[np.argmin(np.abs(ay))]
+    assert abs(x) < 1.0 and abs(y) < 1.0
+    pts = np.vstack([corners, [[0.3, -0.2], [x, y]]])
+    return PlanarMeasure(pts, np.array([0.1, 0.2, 0.3, 0.15, 0.0, 0.25]))
+
+
+@pytest.mark.parametrize("cells", [1, 16, 64])
+@pytest.mark.parametrize("case", ["square", "single", "disk", "tree"])
+def test_direct_lambda_equals_blocked_reference(cells, case):
+    idx = CapacityIndices(2.0 / 3.0, 1.5)
+    if case == "square":
+        mu = _square_with_centre_atom(cells)
+    elif case == "single":
+        # diameter 0: the nominal support still centres a cell on the atom
+        mu = PlanarMeasure(np.array([[0.25, -3.0]]), np.array([2.0]))
+    elif case == "disk":
+        w = np.random.default_rng(3).uniform(size=700)
+        w[::7] = 0.0
+        mu = PlanarMeasure(PlanarMeasure.uniform_disk(700, seed=3).points, w)
+    else:
+        tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=5)
+        mu = tree.realize(seed=5, samples_per_leaf=3).measure(SOURCE)
+    est = direct_capacity_lower(mu, idx, cells=cells)
+    assert est.normalization["lambda"] == _lambda_blocked(mu, idx, cells)
 
 
 # -- Melnikov gamma proxy -----------------------------------------------------

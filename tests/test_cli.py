@@ -87,6 +87,16 @@ def test_curvature_command(config_path, tmp_path):
     assert set(doc) == {"value", "stderr", "sup_pointwise", "triples", "seed"}
 
 
+@pytest.mark.parametrize("triples", ["0", "-5"])
+@pytest.mark.parametrize("spl", ["1", "2"])
+def test_curvature_rejects_nonpositive_triples(config_path, capsys, triples, spl):
+    # 64 atoms are enumerated exactly, 128 are sampled
+    code = main(["curvature", "--config", config_path, "--side", "target",
+                 "--samples-per-leaf", spl, "--triples", triples])
+    assert code == 2
+    assert f"--triples {triples}" in capsys.readouterr().err
+
+
 def test_content_command(config_path, tmp_path):
     out = str(tmp_path / "content.json")
     code = main(["content", "--config", config_path, "--side", "source",
@@ -148,6 +158,16 @@ def test_check_gauge_command(config_path, tmp_path):
     assert doc["G1"]["C0"] >= 1.0
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_check_gauge_rejects_nonpositive_pairs(config_path, tmp_path, capsys, pairs):
+    out = str(tmp_path / "gauge.json")
+    code = main(["check-gauge", "--config", config_path, "--depth", "2",
+                 "--pairs", pairs, "--out", out])
+    assert code == 2
+    assert f"--pairs {pairs}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_verify_thm1_exit_zero(tmp_path):
     code = main(["verify", "thm1", "--K", "2", "--depths", "2..5",
                  "--out", str(tmp_path)])
@@ -177,6 +197,14 @@ def test_verify_rejects_depths_below_minimum(tmp_path, capsys, target, depths, s
     assert code == 2
     assert f"depth {bad} is below the minimum {minimum}" in capsys.readouterr().err
     assert not (tmp_path / f"{stem}.json").exists()
+
+
+@pytest.mark.parametrize("K", ["0", "0.5", "nan"])
+def test_verify_gauge_criterion_rejects_k_below_one(tmp_path, capsys, K):
+    code = main(["verify", "gauge-criterion", "--K", K, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"distortion K must be >= 1, got {float(K)}" in capsys.readouterr().err
+    assert not (tmp_path / "gauge_criterion.json").exists()
 
 
 def test_verify_failure_exit_one(tmp_path):

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcantor.measure import PlanarMeasure
@@ -25,3 +25,42 @@ def test_ball_mass_profile_equals_ball_mass(atoms, center, picks):
     got = mu.ball_mass_profile(center, radii)
     want = [mu.ball_mass(center, r) for r in radii]
     assert got.tolist() == want
+
+
+def _diameter_oracle(pts):
+    """Largest hypot of coordinate differences over all n^2 ordered pairs."""
+    d = pts[:, None, :] - pts[None, :, :]
+    return float(np.max(np.hypot(d[..., 0], d[..., 1]), initial=0.0))
+
+
+_grid = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=40)
+
+
+@st.composite
+def _clouds(draw):
+    """Grid points (duplicates, collinear runs), lines, and tight clusters,
+    scaled and offset, then moved by a few ulps per coordinate."""
+    kind = draw(st.sampled_from(["grid", "line", "clusters"]))
+    base = np.array(draw(_grid), dtype=float).reshape(-1, 2)
+    if kind == "line":
+        base = base[:, :1] * np.array([[1.0, draw(st.sampled_from([0.0, 0.5, 3.0]))]])
+    elif kind == "clusters":
+        base = np.repeat(base, 3, axis=0) + draw(st.sampled_from([1e-12, 1e-9])) * \
+            np.tile([[0.0, 0.0], [1.0, 0.3], [-0.4, 1.0]], (len(base), 1))
+    pts = base * draw(st.sampled_from([1.0, 0.1, 1e-7, 3e5])) + \
+        draw(st.sampled_from([0.0, 0.7, -1e4]))
+    ulps = np.array(draw(st.lists(st.integers(-3, 3), min_size=pts.size,
+                                  max_size=pts.size)), dtype=float).reshape(pts.shape)
+    return pts + ulps * np.spacing(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds())
+@example(np.zeros((0, 2)))
+@example(np.array([[0.5, -2.0]]))
+@example(np.array([[0.5, -2.0], [0.5, -2.0]]))
+@example(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+@example(np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 1e-300]]))
+def test_diameter_equals_pairwise_oracle(pts):
+    mu = PlanarMeasure(pts, np.ones(len(pts)))
+    assert mu.diameter() == _diameter_oracle(mu.points)
