@@ -20,11 +20,9 @@ from .experiments import (ExperimentReport, content_distortion_experiment,
                           vanishing_content_experiment, verify_gamma_distortion,
                           verify_riesz_distortion)
 from .gauges import (ContentResult, DistortedTreeGauge, DoublingReport, FrostmanResult,
-                     RadialGauge, SmoothedDensityGauge, TableGauge,
-                     TreeSmoothedDensityGauge, check_G1, check_G2, check_G2_tree_gauge,
-                     content_Mh_tree, eps_integral_check, eps_mu_a, frostman_tree,
-                     generation_cover_sum, geometric_kernel_sum_constant, h_mu_a, psi_a,
-                     qc_radial_gauge, sample_ball_pairs)
+                     TableGauge, TreeSmoothedDensityGauge, check_G1, check_G2,
+                     check_G2_tree_gauge, content_Mh_tree, eps_mu_a, frostman_tree,
+                     generation_cover_sum, psi_a, sample_ball_pairs)
 from .measure import PlanarMeasure
 from .potentials import (CurvatureEstimate, IndexDomainError, PotentialProfile,
                          circumradius, default_dyadic_range, dyadic_curvature_proxy,

@@ -74,8 +74,9 @@ class LevelSchedule:
             raise ConstructionError(f"level {self.index}: branching must be a positive integer")
         if not (self.multiplier >= 1.0):
             raise ConstructionError(f"level {self.index}: multiplier d must be >= 1")
-        if not (self.distortion >= 1.0):
-            raise ConstructionError(f"level {self.index}: distortion K must be >= 1")
+        if not 1.0 <= self.distortion < math.inf:
+            raise ConstructionError(f"level {self.index}: distortion K must be >= 1, "
+                                    f"got {self.distortion} (K must also be finite)")
         if not (self.log_protect < 0.0):
             raise ConstructionError(f"level {self.index}: protecting radius must be < 1")
         if self.log_protect > math.log(SMALLNESS) + _SMALL_TOL:

@@ -17,9 +17,9 @@ from . import experiments as exp
 from .cantor import (SOURCE, TARGET, ConfigError, ConstructionError, build_tree,
                      schedules_from_config)
 from .capacity import CapacityIndices, direct_capacity_lower, wolff_capacity_lower
-from .gauges import (DistortedTreeGauge, SmoothedDensityGauge, TreeSmoothedDensityGauge,
-                     check_G1, check_G2, check_G2_tree_gauge, content_Mh_tree,
-                     frostman_tree, sample_ball_pairs)
+from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1, check_G2,
+                     check_G2_tree_gauge, content_Mh_tree, eps_mu_a, frostman_tree,
+                     sample_ball_pairs)
 from .potentials import (IndexDomainError, menger_curvature, riesz_potential,
                          wolff_tree)
 
@@ -201,17 +201,23 @@ def _cmd_content(args):
     return 0
 
 
+def _check_kernel_a(a):
+    if not 0.0 < a < math.inf:
+        raise ConfigError(f"--a {a}: need a positive finite kernel parameter")
+
+
 def _cmd_check_gauge(args):
     if args.pairs < 1:
         raise ConfigError(f"--pairs {args.pairs}: need a positive integer")
+    _check_kernel_a(args.a)
     tree = _tree_from_args(args)
     real = tree.realize(samples_per_leaf=args.samples_per_leaf)
     mu = real.measure(args.side)
-    gauge = SmoothedDensityGauge(mu, args.a)
+    eps = lambda x, r: eps_mu_a(mu, x, r, args.a)  # noqa: E731
     pairs = sample_ball_pairs((0.0, 0.0), 1.0, args.pairs, tree.seed)
-    g1 = check_G1(gauge, pairs)
+    g1 = check_G1(eps, pairs)
     balls = [(x, r) for (x, r), _ in pairs[:max(8, args.pairs // 8)]]
-    g2 = check_G2(gauge, balls, swallow_radius=4.0)
+    g2 = check_G2(eps, balls, swallow_radius=4.0)
     doc = {"G1": g1.to_json_dict(), "G2": g2.to_json_dict()}
     distorted = DistortedTreeGauge(real, args.a)
     paths = [p for p in tree.paths_at(min(2, tree.depth))][:16]
@@ -245,6 +251,7 @@ def _cmd_verify(args):
         report = exp.doubly_exponential_experiment(args.K, depths or range(1, 33),
                                                    seed=seed)
     elif args.target == "content-ratio":
+        _check_kernel_a(args.a)
         report = exp.content_distortion_experiment(args.K, depths or range(2, 7),
                                                    a=args.a, seed=seed)
     else:

@@ -20,7 +20,7 @@ from .cantor import SOURCE, TARGET, ConfigError, build_tree, harmonic_schedule, 
 from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_map,
                        distortion_indices, wolff_capacity_lower)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
-                     generation_cover_sum, qc_radial_gauge)
+                     generation_cover_sum)
 from .potentials import LN2, CurvatureEstimate, wolff_tree
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
@@ -347,8 +347,9 @@ def gauge_criterion_experiment(K, betas=None) -> ExperimentReport:
     classifier fits the power-law exponent of the terms, which reproduces the
     boundary exactly; partial sums and tail fractions are reported alongside.
     """
-    if not K >= 1.0:
-        raise ConfigError(f"gauge-criterion: distortion K must be >= 1, got {K}")
+    if not 1.0 <= K < math.inf:
+        raise ConfigError(f"gauge-criterion: distortion K must be >= 1, got {K} "
+                          "(K must also be finite)")
     if betas is None:
         grid = np.concatenate([np.linspace(0.1, 1.0, 10), np.linspace(1.05, 2.0, 10)])
         betas = [float(e / (1.0 + 1.0 / K)) for e in grid]
@@ -393,8 +394,8 @@ def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
     """
     depths = _depths_from(depths, 1, "vanishing_content",
                           "eps = 1/log(1/r) is undefined at the unit root radius")
-    gauge = qc_radial_gauge(K, lambda log_r: 1.0 / (-log_r), description="eps=1/log(1/r)")
-    unit = qc_radial_gauge(K, lambda log_r: 1.0, description="eps=1")
+    eps = lambda log_r: 1.0 / (-log_r)  # noqa: E731
+    unit = lambda log_r: 1.0  # noqa: E731
     cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
     schedules = shrunk_schedule(K, max(depths), cap, branching=BRANCHING)
     rows = []
@@ -403,16 +404,16 @@ def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
         closed = (depth + 1) ** (2.0 * K / (K + 1.0))
         rows.append({
             "depth": depth,
-            "unit_gauge_sum": generation_cover_sum(tree, SOURCE, unit, depth),
+            "unit_gauge_sum": generation_cover_sum(tree, unit, depth),
             "closed_form": closed,
-            "shrunk_gauge_sum": generation_cover_sum(tree, SOURCE, gauge, depth),
+            "shrunk_gauge_sum": generation_cover_sum(tree, eps, depth),
             "source_log_radius": tree.log_radius(SOURCE, depth),
             "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total,
         })
     report = ExperimentReport(
         "vanishing_content",
         {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
-         "shrink_exponent": SHRINK_EXPONENT, "gauge": gauge.description},
+         "shrink_exponent": SHRINK_EXPONENT, "gauge": "eps=1/log(1/r)"},
         rows,
         {"closed_form_rtol": 1e-12, "vanish_factor": 1.0,
          "target_bound": math.pi ** 2 / 6.0 - 1.0 + 1e-12})
@@ -424,13 +425,12 @@ def doubly_exponential_experiment(K, depths, seed=0) -> ExperimentReport:
     integral, while the target side matches the plain harmonic schedule.
 
     Uses eps(s) = log(1/s)^(-2/a), a = CRITERION_A: its a-th power integrates
-    like log(1/s)^(-2) ds/s, which converges.  Generation sums are computed
-    in log space throughout.
+    like log(1/s)^(-2) ds/s, which converges.  Generation sums use the
+    telescoped closed form, so log radii of size e^N never cancel.
     """
     depths = _depths_from(depths, 1, "doubly_exponential",
                           "eps = log(1/s)^(-2/a) is undefined at the unit root radius")
-    gauge = qc_radial_gauge(K, lambda log_r: (-log_r) ** (-2.0 / CRITERION_A),
-                            description=f"eps=log(1/s)^(-2/{CRITERION_A})")
+    eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
     schedules = doubly_exponential_schedule(K, max(depths), branching=BRANCHING)
     harmonic = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
@@ -441,7 +441,7 @@ def doubly_exponential_experiment(K, depths, seed=0) -> ExperimentReport:
             "depth": depth,
             "source_log_radius": tree.log_radius(SOURCE, depth),
             "cap_log": -math.exp(depth),
-            "gauge_sum": generation_cover_sum(tree, SOURCE, gauge, depth),
+            "gauge_sum": generation_cover_sum(tree, eps, depth),
             "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total,
             "harmonic_target_total": wolff_tree(htree, TARGET, 2.0 / 3.0, 1.5,
                                                 depth=depth).total,
@@ -449,6 +449,6 @@ def doubly_exponential_experiment(K, depths, seed=0) -> ExperimentReport:
     report = ExperimentReport(
         "doubly_exponential",
         {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
-         "criterion_a": CRITERION_A, "gauge": gauge.description},
+         "criterion_a": CRITERION_A, "gauge": f"eps=log(1/s)^(-2/{CRITERION_A})"},
         rows, {"schedule_equality_rtol": 1e-12})
     return report.finalize()

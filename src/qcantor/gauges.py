@@ -1,7 +1,12 @@
 """Ball gauges, regularity classes, h-contents and Frostman measures.
 
 A gauge assigns every ball B(x, t) a density eps(B) >= 0 and the set
-function h(B) = t^gamma * eps(B).  The smoothed density of a measure,
+function h(B) = t^gamma * eps(B).  It plays two roles.  As a ball density,
+any callable eps(x, r) feeds the regularity checks check_G1/check_G2, and
+any callable eps_log(log r) of the radius alone feeds generation_cover_sum.
+As a node gauge, an object carrying its tree and side supplies h on every
+node ball (h_values, far_field_bound) to contents and Frostman flows.  The
+smoothed density of a measure,
 
     eps_mu_a(x, t) = (1/t) * sum_i w_i * psi_a(|y_i - x| / t),
     psi_a(r) = 1 / (r^(1+a) + 1),
@@ -22,13 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import SOURCE, TARGET, _check_side
-from .potentials import conjugate_minus_one, diagnose_divergence, wolff_dyadic
 
 
 def psi_a(r, a):
     """Radial kernel 1/(r^(1+a) + 1) of nonnegative radii, elementwise."""
-    if a <= 0:
-        raise ValueError("kernel parameter a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"kernel parameter a must be positive and finite, got {a}")
     return 1.0 / (r ** (1.0 + a) + 1.0)
 
 
@@ -40,43 +44,7 @@ def eps_mu_a(measure, x, t, a) -> float:
     return float(np.sum(measure.weights * psi_a(d / t, a)) / t)
 
 
-def h_mu_a(measure, x, t, a) -> float:
-    return t * eps_mu_a(measure, x, t, a)
-
-
-# -- gauge objects -----------------------------------------------------------
-
-
-class RadialGauge:
-    """eps depending on the radius only, supplied as a function of log r."""
-
-    def __init__(self, eps_log_fn, gamma=1.0, description="radial"):
-        self.eps_log_fn = eps_log_fn
-        self.gamma = float(gamma)
-        self.description = description
-
-    def eps(self, x, r):
-        return float(self.eps_log_fn(math.log(r)))
-
-    def eps_log(self, log_r):
-        return float(self.eps_log_fn(log_r))
-
-
-def qc_radial_gauge(K, eps_log_fn, description="radial"):
-    """Radial gauge with the distortion exponent gamma = 2/(K+1)."""
-    return RadialGauge(eps_log_fn, gamma=2.0 / (K + 1.0), description=description)
-
-
-class SmoothedDensityGauge:
-    """eps = eps_mu_a of a fixed measure; the canonical member of G1."""
-
-    def __init__(self, measure, a):
-        self.measure = measure
-        self.a = float(a)
-        self.description = f"eps_mu_a(a={a})"
-
-    def eps(self, x, r):
-        return eps_mu_a(self.measure, x, r, self.a)
+# -- node gauges -------------------------------------------------------------
 
 
 class TreeSmoothedDensityGauge:
@@ -120,7 +88,7 @@ class DistortedTreeGauge:
 
     eps(target ball of node) = eps_mu_a(source ball of the same node)^(2K/(K+1)),
     h = t^(2/(K+1)) * eps.  The correspondence is known exactly only on tree
-    balls; any other ball query raises.
+    balls, so this gauge has node values only.
     """
 
     side = TARGET
@@ -161,11 +129,6 @@ class DistortedTreeGauge:
         rings = self.realization.eps_rings(SOURCE, self.a)
         return self.exponent * max(tail for _, tail in rings[:depth + 1])
 
-    def eps(self, x, r):
-        raise ValueError(
-            "the inverse correspondence is known only on tree balls; "
-            "use eps_node(path)")
-
 
 class TableGauge:
     """Explicit per-node h values of a tree, keyed by path; for hand-set gauges."""
@@ -197,14 +160,13 @@ class DoublingReport:
     c0_prime: float | None
     pairs: int
     truncation_k: int | None = None
-    threshold: float | None = None
-    passed: bool | None = None
     notes: str = field(default="", compare=False)
 
     def to_json_dict(self):
+        # the report sets no threshold; the null keys keep the JSON layout
         return {"C0": self.c0, "C0_prime": self.c0_prime, "pairs": self.pairs,
-                "truncation_k": self.truncation_k, "threshold": self.threshold,
-                "passed": self.passed}
+                "truncation_k": self.truncation_k, "threshold": None,
+                "passed": None}
 
 
 def sample_ball_pairs(center, spread, n, seed, log_r_range=(-8.0, 0.0)):
@@ -223,24 +185,25 @@ def sample_ball_pairs(center, spread, n, seed, log_r_range=(-8.0, 0.0)):
     return pairs
 
 
-def check_G1(gauge, pairs, threshold=None) -> DoublingReport:
-    """Empirical C0 with C0^-1 eps(x,r) <= eps(y,s) <= C0 eps(x,r)."""
+def check_G1(eps, pairs) -> DoublingReport:
+    """Empirical C0 with C0^-1 eps(x,r) <= eps(y,s) <= C0 eps(x,r).
+
+    eps(x, r) is the ball density under test.
+    """
     worst = 1.0
     for (x, r), (y, s) in pairs:
-        e1 = gauge.eps(x, r)
-        e2 = gauge.eps(y, s)
+        e1 = eps(x, r)
+        e2 = eps(y, s)
         if e1 <= 0.0 or e2 <= 0.0:
             if e1 != e2:
-                return DoublingReport(math.inf, None, len(pairs), threshold=threshold,
-                                      passed=False if threshold else None,
+                return DoublingReport(math.inf, None, len(pairs),
                                       notes="vanishing density on one ball only")
             continue
         worst = max(worst, e1 / e2, e2 / e1)
-    passed = None if threshold is None else worst <= threshold
-    return DoublingReport(worst, None, len(pairs), threshold=threshold, passed=passed)
+    return DoublingReport(worst, None, len(pairs))
 
 
-def check_G2(gauge, balls, swallow_radius) -> DoublingReport:
+def check_G2(eps, balls, swallow_radius) -> DoublingReport:
     """Empirical C0' with sum_k 2^-k eps(x, 2^k r) <= C0' eps(x, r).
 
     The sum is truncated two scales past the radius that swallows the
@@ -255,10 +218,10 @@ def check_G2(gauge, balls, swallow_radius) -> DoublingReport:
         total = 0.0
         last = 0.0
         for k in range(k_trunc + 1):
-            last = 2.0 ** (-k) * gauge.eps(x, (2.0 ** k) * r)
+            last = 2.0 ** (-k) * eps(x, (2.0 ** k) * r)
             total += last
         total += last  # geometric remainder bound: sum_{j>k} <= last
-        base = gauge.eps(x, r)
+        base = eps(x, r)
         if base <= 0.0:
             return DoublingReport(None, math.inf, len(balls), truncation_k=k_used,
                                   notes="vanishing density at base scale")
@@ -288,52 +251,6 @@ def check_G2_tree_gauge(gauge, paths) -> DoublingReport:
         worst = max(worst, total / base)
     return DoublingReport(None, worst, len(paths),
                           notes="ancestor-chain proxy for tree-aligned balls")
-
-
-@dataclass(frozen=True)
-class EpsIntegralResult:
-    dyadic_sum: float
-    wolff_total: float
-    ratio: float
-    divergent_eps: bool
-    divergent_wolff: bool
-
-
-def eps_integral_check(measure, x, a, p, k_min, k_max) -> EpsIntegralResult:
-    """Dyadic sum of eps_mu_a(x, 2^k)^(p'-1) against the Wolff sum at (1/p, p).
-
-    The smoothed-density integral is dominated by the Wolff potential; the
-    ratio and both divergence flags are returned for inspection.
-    """
-    if measure.n_atoms == 0:
-        return EpsIntegralResult(0.0, 0.0, 0.0, False, False)
-    eta = conjugate_minus_one(p)
-    ks = np.arange(k_max, k_min - 1, -1)
-    terms = np.array([eps_mu_a(measure, x, 2.0 ** float(k), a) ** eta for k in ks])
-    div_eps, _ = diagnose_divergence(list(ks), terms, "dyadic")
-    wolff = wolff_dyadic(measure, x, 1.0 / p, p, k_min, k_max, sub_scale_tail=False)
-    total = float(np.sum(terms))
-    ratio = total / wolff.total if wolff.total > 0 else math.inf
-    return EpsIntegralResult(total, wolff.total, ratio, div_eps, wolff.divergent)
-
-
-def geometric_kernel_sum_constant(a, b, radii=None) -> float:
-    """Empirical constant C with sum_k 2^(-bk) psi-type term <= C/(|z|^m + 1),
-    m = min(a, b).  The constant blows up as a -> b, which is excluded."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if a == b:
-        raise ValueError("a == b is excluded")
-    m = min(a, b)
-    if radii is None:
-        radii = np.concatenate([[0.0], np.power(2.0, np.arange(-12.0, 24.0, 0.25))])
-    worst = 0.0
-    for z in np.asarray(radii, dtype=float):
-        k_top = int(math.ceil((64.0 + a * math.log2(1.0 + z)) / b)) + 4
-        k = np.arange(k_top + 1, dtype=float)
-        lhs = float(np.sum(2.0 ** (-b * k) / ((2.0 ** (-k) * z) ** a + 1.0)))
-        worst = max(worst, lhs * (z ** m + 1.0))
-    return worst
 
 
 # -- h-contents on trees -----------------------------------------------------
@@ -428,27 +345,15 @@ def frostman_tree(gauge, depth=None) -> FrostmanResult:
     return FrostmanResult(alloc, value, gauge.far_field_bound(depth))
 
 
-def generation_cover_sum(tree, side, gauge, generation) -> float:
-    """Ideal-convention sum of h over one generation's balls.
+def generation_cover_sum(tree, eps_log, generation) -> float:
+    """Ideal-convention sum of h over one source generation's balls.
 
-    In the fully filled construction the level masses sum to 1, so for the
-    tree's distortion exponent gamma = 2/(K+1) on the source side the radius
-    products cancel exactly and the sum telescopes to
-    eps(r_N) * prod(d_k)^(2K/(K+1)); the gamma = 1 target analogue
-    telescopes to eps(r_N) * prod(d_k).  Those two cancellations are done
-    symbolically (no catastrophic log-space subtraction), anything else by
-    the direct formula.
+    eps_log(log r) is a radial density and h = r^gamma * eps with the tree's
+    distortion exponent gamma = 2/(K+1).  In the fully filled construction
+    the level masses sum to 1, so the radius products cancel exactly and the
+    sum telescopes to eps(s_N) * prod(d_k)^(2K/(K+1)); the cancellation is
+    done symbolically, with no catastrophic log-space subtraction.
     """
-    _check_side(side)
-    if not isinstance(gauge, RadialGauge):
-        raise TypeError("generation sums are defined for radial gauges")
-    log_r = tree.log_radius(side, generation)
-    eps = gauge.eps_log(log_r)
+    eps = float(eps_log(tree.log_radius(SOURCE, generation)))
     K = tree.K
-    log_d = float(tree.cum_log_d[generation])
-    if side == SOURCE and gauge.gamma == 2.0 / (K + 1.0):
-        return eps * math.exp((2.0 * K / (K + 1.0)) * log_d)
-    if side == TARGET and gauge.gamma == 1.0:
-        return eps * math.exp(log_d)
-    log_sum = gauge.gamma * log_r - float(tree.cum_log_mass[generation])
-    return eps * math.exp(log_sum)
+    return eps * math.exp((2.0 * K / (K + 1.0)) * float(tree.cum_log_d[generation]))

@@ -77,7 +77,7 @@ class PlanarMeasure:
         r = radius * np.sqrt(rng.uniform(size=n))
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1) + np.asarray(center, float)
-        return cls(pts, np.full(n, mass / n), label=f"uniform_disk(n={n},seed={seed})")
+        return cls(pts, np.full(n, mass) / n, label=f"uniform_disk(n={n},seed={seed})")
 
     @classmethod
     def uniform_segment(cls, n, start=(0.0, 0.0), end=(1.0, 0.0), mass=1.0):
@@ -85,7 +85,7 @@ class PlanarMeasure:
         t = (np.arange(n) + 0.5) / n
         a, b = np.asarray(start, float), np.asarray(end, float)
         pts = a[None, :] + t[:, None] * (b - a)[None, :]
-        return cls(pts, np.full(n, mass / n), label=f"uniform_segment(n={n})")
+        return cls(pts, np.full(n, mass) / n, label=f"uniform_segment(n={n})")
 
     @property
     def n_atoms(self) -> int:

@@ -197,8 +197,8 @@ class CantorRealization:
         that sum: the batched eps is low by at most tail * eps.
         """
         cantor._check_side(side)
-        if a <= 0:
-            raise ValueError("kernel parameter a must be positive")
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"kernel parameter a must be positive and finite, got {a}")
         tree = self.tree
         out = []
         for g in range(self.depth + 1):

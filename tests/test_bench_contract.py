@@ -1,11 +1,14 @@
-"""The benchmark tracer patches library names by attribute; keep them resolvable.
+"""The benchmark's contract with the library: names it patches, numbers it pins.
 
 ``bench/tracer.py`` wraps every entry of its ``TARGETS`` table on install and
 fails on a missing attribute, so an API change that drops or moves one of
-those names would break ``bench/run.py --trace 1``.  The tracer module is
-loaded read-only (no bytecode written next to it).
+those names would break ``bench/run.py --trace 1``.  ``bench/workloads.py``
+defines the jobs whose checked values ``bench/golden.json`` pins at the
+golden seed; one untimed pass over every workload must reproduce them.  Both
+modules are loaded read-only (no bytecode written next to them).
 """
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,12 +19,14 @@ import pytest
 from qcantor.capacity import CapacityIndices, direct_capacity_lower
 from qcantor.measure import PlanarMeasure
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("qcantor_bench_tracer", TRACER)
+def _load(stem):
+    spec = importlib.util.spec_from_file_location(f"qcantor_bench_{stem}",
+                                                  BENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
@@ -31,8 +36,10 @@ def _load_tracer():
     return module
 
 
-TRACER_MODULE = _load_tracer()
+TRACER_MODULE = _load("tracer")
 TARGETS = TRACER_MODULE.TARGETS
+WORKLOADS = _load("workloads")
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
 
 def test_tracer_targets_table_is_nonempty():
@@ -57,3 +64,16 @@ def test_direct_capacity_record_feeds_quadrature_counter():
     tr = SimpleNamespace(counters=Counter())
     TRACER_MODULE._count_quadrature(tr, est, (mu,), {})
     assert 0 < tr.counters["capacity.quadrature_evals"] <= 16 * 16 * mu.n_atoms
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_workload_pass_matches_golden(workload, tmp_path):
+    seed, golden = GOLDEN["seed"], GOLDEN[workload]
+    workdir, out_dir = tmp_path / "work", str(tmp_path / "out")
+    workdir.mkdir()
+    WORKLOADS.generate(workload, seed, str(workdir))
+    jobs = WORKLOADS.jobs(workload, seed, str(workdir), out_dir)
+    assert sorted(job.name for job in jobs) == sorted(golden)
+    for job in jobs:
+        assert job.run() == 0, job.name
+        WORKLOADS.compare_golden(job.name, job.check(), golden[job.name])

@@ -43,6 +43,12 @@ def test_sigma_smallness_enforced():
         LevelSchedule(1, 4, 1.9, math.log(0.0099), 1.0)
 
 
+@pytest.mark.parametrize("K", [0.5, math.inf, math.nan])
+def test_level_distortion_outside_one_to_infinity_rejected(K):
+    with pytest.raises(ConstructionError, match=f"distortion K must be >= 1, got {K}"):
+        LevelSchedule(1, 4, 1.0, math.log(0.005), K)
+
+
 def test_multiplier_below_one_rejected():
     with pytest.raises(ConstructionError):
         LevelSchedule(1, 4, 0.9, math.log(0.005), 1.0)

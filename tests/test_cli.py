@@ -158,6 +158,25 @@ def test_check_gauge_command(config_path, tmp_path):
     assert doc["G1"]["C0"] >= 1.0
 
 
+@pytest.mark.parametrize("a", ["nan", "inf", "-0.5"])
+def test_check_gauge_rejects_bad_kernel_parameter(config_path, tmp_path, capsys, a):
+    out = str(tmp_path / "gauge.json")
+    code = main(["check-gauge", "--config", config_path, "--depth", "2",
+                 "--a", a, "--out", out])
+    assert code == 2
+    assert f"--a {float(a)}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("a", ["nan", "inf"])
+def test_verify_content_ratio_rejects_bad_kernel_parameter(tmp_path, capsys, a):
+    code = main(["verify", "content-ratio", "--K", "2", "--depths", "2..3",
+                 "--a", a, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"--a {float(a)}" in capsys.readouterr().err
+    assert not (tmp_path / "content_ratio.json").exists()
+
+
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_check_gauge_rejects_nonpositive_pairs(config_path, tmp_path, capsys, pairs):
     out = str(tmp_path / "gauge.json")
@@ -199,12 +218,21 @@ def test_verify_rejects_depths_below_minimum(tmp_path, capsys, target, depths, s
     assert not (tmp_path / f"{stem}.json").exists()
 
 
-@pytest.mark.parametrize("K", ["0", "0.5", "nan"])
+@pytest.mark.parametrize("K", ["0", "0.5", "nan", "inf"])
 def test_verify_gauge_criterion_rejects_k_below_one(tmp_path, capsys, K):
     code = main(["verify", "gauge-criterion", "--K", K, "--out", str(tmp_path)])
     assert code == 2
     assert f"distortion K must be >= 1, got {float(K)}" in capsys.readouterr().err
     assert not (tmp_path / "gauge_criterion.json").exists()
+
+
+@pytest.mark.parametrize("target,stem", [("thin-content", "vanishing_content"),
+                                         ("doubly-exp", "doubly_exponential")])
+def test_verify_rejects_infinite_k(tmp_path, capsys, target, stem):
+    code = main(["verify", target, "--K", "inf", "--out", str(tmp_path)])
+    assert code == 2
+    assert "distortion K must be >= 1, got inf" in capsys.readouterr().err
+    assert not (tmp_path / f"{stem}.json").exists()
 
 
 def test_verify_failure_exit_one(tmp_path):

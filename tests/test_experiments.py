@@ -101,6 +101,13 @@ def test_vanishing_content_k1_sum_linear():
         assert row["unit_gauge_sum"] == pytest.approx(row["depth"] + 1.0, rel=1e-12)
 
 
+def test_radial_gauges_recorded_in_params():
+    thin = ex.vanishing_content_experiment(2.0, range(2, 5))
+    assert thin.params["gauge"] == "eps=1/log(1/r)"
+    doubly = ex.doubly_exponential_experiment(2.0, range(1, 5))
+    assert doubly.params["gauge"] == "eps=log(1/s)^(-2/1.0)"
+
+
 def test_doubly_exponential_schedule_equality():
     report = ex.doubly_exponential_experiment(2.0, range(1, 33))
     assert report.passed

@@ -64,3 +64,11 @@ def _clouds(draw):
 def test_diameter_equals_pairwise_oracle(pts):
     mu = PlanarMeasure(pts, np.ones(len(pts)))
     assert mu.diameter() == _diameter_oracle(mu.points)
+
+
+def test_zero_atom_constructors_give_empty_measures():
+    for mu in (PlanarMeasure.uniform_disk(0), PlanarMeasure.uniform_segment(0)):
+        assert mu.n_atoms == 0
+        assert mu.points.shape == (0, 2)
+        assert mu.total_mass == 0.0
+        assert mu.diameter() == 0.0

@@ -89,6 +89,12 @@ def test_nonpositive_kernel_parameter_rejected(real_k2_d3):
         real_k2_d3.eps_by_generation(SOURCE, 0.0)
 
 
+@pytest.mark.parametrize("a", [float("nan"), float("inf")])
+def test_non_finite_kernel_parameter_rejected_by_ring_bounds(real_k2_d3, a):
+    with pytest.raises(ValueError, match="positive and finite"):
+        real_k2_d3.eps_rings(SOURCE, a)
+
+
 def test_eps_cache_is_read_only_and_shared(real_k2_d3):
     eps = real_k2_d3.eps_by_generation(SOURCE, A)
     assert real_k2_d3.eps_by_generation(SOURCE, A) is eps
