@@ -45,6 +45,12 @@ class PackingError(ConstructionError):
     """Requested disk packing is infeasible."""
 
 
+def check_distortion(K):
+    """The one rule for a distortion: 1 <= K < inf (NaN fails it too)."""
+    if not 1.0 <= K < math.inf:
+        raise ConstructionError(f"distortion K must be >= 1, got {K} (K must also be finite)")
+
+
 def _check_side(side):
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -74,9 +80,7 @@ class LevelSchedule:
             raise ConstructionError(f"level {self.index}: branching must be a positive integer")
         if not (self.multiplier >= 1.0):
             raise ConstructionError(f"level {self.index}: multiplier d must be >= 1")
-        if not 1.0 <= self.distortion < math.inf:
-            raise ConstructionError(f"level {self.index}: distortion K must be >= 1, "
-                                    f"got {self.distortion} (K must also be finite)")
+        check_distortion(self.distortion)
         if not (self.log_protect < 0.0):
             raise ConstructionError(f"level {self.index}: protecting radius must be < 1")
         if self.log_protect > math.log(SMALLNESS) + _SMALL_TOL:
@@ -160,22 +164,21 @@ def harmonic_schedule(K, depth, branching=4, eps=None):
     fixes R = sqrt((1-eps)/M) at every level and fails if sigma = R*d_1
     breaks smallness.
     """
-    if K < 1.0:
-        raise ConstructionError("distortion K must be >= 1")
+    check_distortion(K)
     return [_level(j, branching, _multiplier(j), K, eps) for j in range(1, depth + 1)]
 
 
 def sharpness_exponent(K, q):
     """Exponent e with d_j = ((j+1)/j)**e making the source sum harmonic.
 
-    Valid only in the regime beta*q = 2K/(K+1) with q > (2K+1)/(K+1).
+    Valid only in the regime beta*q = 2K/(K+1) with finite q > (2K+1)/(K+1).
     """
-    if K < 1.0:
-        raise ConstructionError("distortion K must be >= 1")
+    check_distortion(K)
     q_min = (2.0 * K + 1.0) / (K + 1.0)
-    if not (q > q_min):
+    if not q_min < q < math.inf:
         raise ConstructionError(
-            f"indices not in sharpness regime: need q > (2K+1)/(K+1) = {q_min}, got q = {q}")
+            f"indices not in sharpness regime: need q > (2K+1)/(K+1) = {q_min}, got q = {q} "
+            "(q must also be finite)")
     q_conj_minus_1 = 1.0 / (q - 1.0)
     return (K + 1.0) / (2.0 * K * q_conj_minus_1)
 
@@ -199,8 +202,7 @@ def shrunk_schedule(K, depth, source_log_cap, branching=4):
     log s_N equals the cap exactly.  Thinning never touches the multipliers,
     so target-side potentials are unchanged.
     """
-    if K < 1.0:
-        raise ConstructionError("distortion K must be >= 1")
+    check_distortion(K)
     levels = []
     log_s = 0.0
     for j in range(1, depth + 1):
@@ -237,7 +239,7 @@ class CantorTree:
             raise ConstructionError("scale must be positive and finite")
         ks = {s.distortion for s in schedules[:depth]}
         if len(ks) > 1:
-            raise ConstructionError(f"distortion K must be shared across levels, got {sorted(ks)}")
+            raise ConstructionError(f"levels must share one distortion K, got {sorted(ks)}")
         for i, s in enumerate(schedules[:depth], start=1):
             if s.index != i:
                 raise ConstructionError(f"level {i}: schedule index {s.index} out of order")
@@ -461,6 +463,10 @@ def schedules_from_config(cfg):
         seed = int(cfg.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scalar field: {exc}") from None
+    try:
+        check_distortion(K)  # also when no level is built
+    except ConstructionError as exc:
+        raise ConfigError(str(exc)) from None
     levels_cfg = cfg["levels"]
     if not isinstance(levels_cfg, list) or len(levels_cfg) < depth:
         raise ConfigError(f"levels must list at least depth={depth} entries")

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorTree
+from .cantor import CantorTree, check_distortion
 from .measure import PlanarMeasure
-from .potentials import (IndexDomainError, check_indices, conjugate_minus_one,
-                         wolff_dyadic, wolff_tree)
+from .potentials import check_indices, conjugate_minus_one, wolff_dyadic, wolff_tree
 
 #: the quadrature grid spans FARFIELD_FACTOR support diameters around the
 #: support centre; beyond it a closed-form tail takes over
@@ -34,7 +33,6 @@ class CapacityIndices:
 
     alpha: float
     p: float
-    K: float | None = None
 
     def __post_init__(self):
         check_indices(self.alpha, self.p)
@@ -57,9 +55,8 @@ class CapacityIndices:
 def distortion_indices(K) -> CapacityIndices:
     """(2K/(2K+1), (2K+1)/(K+1)): the source-side indices paired with
     analytic capacity on the distorted side; homogeneity 2/(K+1)."""
-    if not (K >= 1.0):
-        raise IndexDomainError(f"distortion K must be >= 1, got {K}")
-    return CapacityIndices(2.0 * K / (2.0 * K + 1.0), (2.0 * K + 1.0) / (K + 1.0), K=K)
+    check_distortion(K)
+    return CapacityIndices(2.0 * K / (2.0 * K + 1.0), (2.0 * K + 1.0) / (K + 1.0))
 
 
 @dataclass(frozen=True)
@@ -80,13 +77,12 @@ class DistortedIndices:
 
     @property
     def image(self) -> CapacityIndices:
-        return CapacityIndices(self.beta, self.q, K=self.K)
+        return CapacityIndices(self.beta, self.q)
 
 
 def distorted_index_map(alpha, p, K) -> DistortedIndices:
     check_indices(alpha, p)
-    if not (K >= 1.0):
-        raise IndexDomainError(f"distortion K must be >= 1, got {K}")
+    check_distortion(K)
     t = 2.0 - alpha * p
     denom = 2.0 * K - K * t + t
     t_prime = 2.0 * t / denom

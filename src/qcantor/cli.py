@@ -14,20 +14,16 @@ import os
 import sys
 
 from . import experiments as exp
-from .cantor import (SOURCE, TARGET, ConfigError, ConstructionError, build_tree,
-                     schedules_from_config)
+from .cantor import SOURCE, TARGET, ConfigError, build_tree, schedules_from_config
 from .capacity import CapacityIndices, direct_capacity_lower, wolff_capacity_lower
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1, check_G2,
                      check_G2_tree_gauge, content_Mh_tree, eps_mu_a, frostman_tree,
                      sample_ball_pairs)
-from .potentials import (IndexDomainError, menger_curvature, riesz_potential,
-                         wolff_tree)
+from .potentials import menger_curvature, riesz_potential, wolff_tree
 
 
 def _out_dir(args):
-    if getattr(args, "out", None):
-        return args.out
-    return os.environ.get("QCANTOR_OUT", ".")
+    return args.out or os.environ.get("QCANTOR_OUT", ".")
 
 
 def _load_config(path):
@@ -41,14 +37,35 @@ def _load_config(path):
     return cfg
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise ConfigError(f"seed {seed}: need a nonnegative integer")
+
+
 def _tree_from_args(args):
     cfg = _load_config(args.config)
     schedules, depth, seed = schedules_from_config(cfg)
-    if getattr(args, "depth", None) is not None:
+    if args.depth is not None:
         depth = args.depth
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seed = args.seed
+    _check_seed(seed)
     return build_tree(schedules, depth, seed=seed)
+
+
+def _realized(args, *counts, realize=True):
+    """(tree, realization) of the config; realization is None unless realize.
+
+    --samples-per-leaf and the command's other count flags (attribute names
+    in counts) must be positive integers; they are checked before the config
+    is read.
+    """
+    for name in ("samples_per_leaf",) + counts:
+        value = getattr(args, name)
+        if value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} {value}: need a positive integer")
+    tree = _tree_from_args(args)
+    return tree, tree.realize(samples_per_leaf=args.samples_per_leaf) if realize else None
 
 
 def _parse_depths(text):
@@ -70,10 +87,22 @@ def _float(text):
         return math.nan
 
 
-def _write_text(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write(text)
+def _emit(args, doc, summary, stream=False):
+    """The one output route of the artifact commands.
+
+    doc (text, or a dict written as canonical JSON) goes to --out.  Without
+    --out it is dropped, or, for a streaming command, written to stdout; the
+    summary line then goes to stderr so that stdout holds the artifact alone.
+    """
+    if not isinstance(doc, str):
+        doc = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        with open(args.out, "w", newline="") as f:
+            f.write(doc)
+    elif stream:
+        sys.stdout.write(doc)
+    print(summary, file=sys.stderr if stream and not args.out else sys.stdout)
 
 
 def _profile_csv(profile):
@@ -84,11 +113,10 @@ def _profile_csv(profile):
 
 
 def _profile_json(profile):
-    doc = {"alpha": profile.alpha, "p": profile.p, "label": profile.label,
-           "entries": [[lab, c] for lab, c in profile.entries],
-           "tail": profile.tail, "total": profile.total,
-           "divergent": profile.divergent, "divergence_rate": profile.divergence_rate}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return {"alpha": profile.alpha, "p": profile.p, "label": profile.label,
+            "entries": [[lab, c] for lab, c in profile.entries],
+            "tail": profile.tail, "total": profile.total,
+            "divergent": profile.divergent, "divergence_rate": profile.divergence_rate}
 
 
 # -- subcommands --------------------------------------------------------------
@@ -96,10 +124,9 @@ def _profile_json(profile):
 
 def _cmd_build(args):
     tree = _tree_from_args(args)
-    text = tree.to_json()
-    out = args.out or os.path.join(_out_dir(args), "tree.json")
-    _write_text(out, text)
-    print(f"build: depth={tree.depth} K={tree.K} leaves={tree.n_leaves} -> {out}")
+    args.out = args.out or os.path.join(_out_dir(args), "tree.json")
+    _emit(args, tree.to_json(),
+          f"build: depth={tree.depth} K={tree.K} leaves={tree.n_leaves} -> {args.out}")
     return 0
 
 
@@ -107,13 +134,9 @@ def _cmd_wolff(args):
     tree = _tree_from_args(args)
     profile = wolff_tree(tree, args.side, args.alpha, args.p,
                          mass_convention=args.convention)
-    text = _profile_csv(profile) if args.format == "csv" else _profile_json(profile)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    print(f"wolff: side={args.side} total={profile.total:.17g} "
-          f"divergent={profile.divergent}")
+    doc = _profile_csv(profile) if args.format == "csv" else _profile_json(profile)
+    _emit(args, doc, f"wolff: side={args.side} total={profile.total:.17g} "
+          f"divergent={profile.divergent}", stream=True)
     return 0
 
 
@@ -121,48 +144,30 @@ def _cmd_riesz(args):
     x = tuple(_float(v) for v in args.x.split(","))
     if len(x) != 2 or not all(map(math.isfinite, x)):
         raise ConfigError(f"--x {args.x!r}: need two finite numbers 'x,y'")
-    tree = _tree_from_args(args)
-    real = tree.realize(samples_per_leaf=args.samples_per_leaf)
-    mu = real.measure(args.side)
-    value = riesz_potential(mu, x, args.alpha)
-    doc = json.dumps({"x": list(x), "alpha": args.alpha, "value": value},
-                     sort_keys=True, separators=(",", ":"))
-    if args.out:
-        _write_text(args.out, doc)
-    print(f"riesz: I_alpha at {x} = {value:.17g}")
+    _, real = _realized(args)
+    value = riesz_potential(real.measure(args.side), x, args.alpha)
+    _emit(args, {"x": list(x), "alpha": args.alpha, "value": value},
+          f"riesz: I_alpha at {x} = {value:.17g}")
     return 0
 
 
 def _cmd_curvature(args):
-    if args.triples < 1:
-        raise ConfigError(f"--triples {args.triples}: need a positive integer")
-    tree = _tree_from_args(args)
-    real = tree.realize(samples_per_leaf=args.samples_per_leaf)
-    mu = real.measure(args.side)
-    est = menger_curvature(mu, triples=args.triples, seed=tree.seed)
-    doc = json.dumps(est.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    if args.out:
-        _write_text(args.out, doc)
-    print(f"curvature: c2={est.value:.17g} stderr={est.stderr:.3g} "
-          f"sup={est.sup_pointwise:.6g}")
+    tree, real = _realized(args, "triples")
+    est = menger_curvature(real.measure(args.side), triples=args.triples, seed=tree.seed)
+    _emit(args, est.to_json_dict(), f"curvature: c2={est.value:.17g} "
+          f"stderr={est.stderr:.3g} sup={est.sup_pointwise:.6g}")
     return 0
 
 
 def _cmd_capacity(args):
-    if args.cells < 1:
-        raise ConfigError(f"--cells {args.cells}: need a positive integer")
-    tree = _tree_from_args(args)
     indices = CapacityIndices(args.alpha, args.p)
+    tree, real = _realized(args, "cells", realize=args.estimator == "direct")
     if args.estimator == "wolff":
         est = wolff_capacity_lower(tree, indices, side=args.side, seed=tree.seed)
     else:
-        real = tree.realize(samples_per_leaf=args.samples_per_leaf)
         est = direct_capacity_lower(real.measure(args.side), indices, cells=args.cells)
-    doc = json.dumps(est.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    if args.out:
-        _write_text(args.out, doc)
-    print(f"capacity[{args.estimator}]: value={est.value:.17g} "
-          f"convention={est.convention}")
+    _emit(args, est.to_json_dict(),
+          f"capacity[{args.estimator}]: value={est.value:.17g} convention={est.convention}")
     return 0
 
 
@@ -186,17 +191,13 @@ def _make_gauge(descriptor, real, side):
 
 
 def _cmd_content(args):
-    tree = _tree_from_args(args)
-    real = tree.realize(samples_per_leaf=args.samples_per_leaf)
+    _, real = _realized(args)
     gauge = _make_gauge(args.gauge, real, args.side)
     content = content_Mh_tree(gauge)
     frost = frostman_tree(gauge)
-    doc = json.dumps({"content": content.value, "gauge": content.gauge,
-                      "cover_size": len(content.cover), "frostman": frost.value},
-                     sort_keys=True, separators=(",", ":"))
-    if args.out:
-        _write_text(args.out, doc)
-    print(f"content: M^h={content.value:.17g} frostman={frost.value:.17g} "
+    _emit(args, {"content": content.value, "gauge": content.gauge,
+                 "cover_size": len(content.cover), "frostman": frost.value},
+          f"content: M^h={content.value:.17g} frostman={frost.value:.17g} "
           f"cover={len(content.cover)} balls")
     return 0
 
@@ -207,11 +208,8 @@ def _check_kernel_a(a):
 
 
 def _cmd_check_gauge(args):
-    if args.pairs < 1:
-        raise ConfigError(f"--pairs {args.pairs}: need a positive integer")
     _check_kernel_a(args.a)
-    tree = _tree_from_args(args)
-    real = tree.realize(samples_per_leaf=args.samples_per_leaf)
+    tree, real = _realized(args, "pairs")
     mu = real.measure(args.side)
     eps = lambda x, r: eps_mu_a(mu, x, r, args.a)  # noqa: E731
     pairs = sample_ball_pairs((0.0, 0.0), 1.0, args.pairs, tree.seed)
@@ -222,10 +220,7 @@ def _cmd_check_gauge(args):
     distorted = DistortedTreeGauge(real, args.a)
     paths = [p for p in tree.paths_at(min(2, tree.depth))][:16]
     doc["G2_distorted_chain"] = check_G2_tree_gauge(distorted, paths).to_json_dict()
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    if args.out:
-        _write_text(args.out, text)
-    print(f"check-gauge: C0={g1.c0:.6g} C0'={g2.c0_prime:.6g}")
+    _emit(args, doc, f"check-gauge: C0={g1.c0:.6g} C0'={g2.c0_prime:.6g}")
     return 0
 
 
@@ -235,28 +230,24 @@ _VERIFY_TARGETS = ("thm1", "thm2a", "sharpness", "gauge-criterion", "thin-conten
 
 def _cmd_verify(args):
     depths = None if args.depths is None else _parse_depths(args.depths)
-    seed = args.seed if args.seed is not None else 0
+    K, seed = args.K, args.seed
+    _check_seed(seed)
     if args.target == "thm1":
-        report = exp.verify_gamma_distortion(args.K, depths or range(2, 7), seed=seed)
+        report = exp.verify_gamma_distortion(K, depths, seed=seed)
     elif args.target == "thm2a":
-        report = exp.verify_riesz_distortion(args.K, args.p, depths or range(2, 6), seed=seed)
+        report = exp.verify_riesz_distortion(K, args.p, depths, seed=seed)
     elif args.target == "sharpness":
-        report = exp.sharpness_experiment(args.K, args.q, depths, seed=seed)
+        report = exp.sharpness_experiment(K, args.q, depths, seed=seed)
     elif args.target == "gauge-criterion":
-        report = exp.gauge_criterion_experiment(args.K)
+        report = exp.gauge_criterion_experiment(K)
     elif args.target == "thin-content":
-        report = exp.vanishing_content_experiment(args.K, depths or range(2, 17),
-                                                  seed=seed)
+        report = exp.vanishing_content_experiment(K, depths, seed=seed)
     elif args.target == "doubly-exp":
-        report = exp.doubly_exponential_experiment(args.K, depths or range(1, 33),
-                                                   seed=seed)
-    elif args.target == "content-ratio":
-        _check_kernel_a(args.a)
-        report = exp.content_distortion_experiment(args.K, depths or range(2, 7),
-                                                   a=args.a, seed=seed)
+        report = exp.doubly_exponential_experiment(K, depths, seed=seed)
     else:
-        raise ConfigError(f"unknown verify target {args.target!r}")
-    csv_path, json_path = report.write(_out_dir(args))
+        _check_kernel_a(args.a)
+        report = exp.content_distortion_experiment(K, depths, a=args.a, seed=seed)
+    _, json_path = report.write(_out_dir(args))
     status = "PASS" if report.passed else "FAIL"
     print(f"verify {args.target}: {status} — {report.verdict} -> {json_path}")
     return 0 if report.passed else 1
@@ -333,7 +324,7 @@ def build_parser():
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--a", type=float, default=0.1, help="kernel parameter (content-ratio only)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
     return ap
@@ -345,12 +336,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if getattr(args, "command", None) == "verify" and args.target == "sharpness" \
-            and args.q is None:
-        args.q = (3.0 * args.K + 1.0) / (args.K + 1.0)
     try:
         return args.fn(args)
-    except (ConfigError, ConstructionError, IndexDomainError, ValueError) as e:
+    except ValueError as e:  # ConfigError, ConstructionError, IndexDomainError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

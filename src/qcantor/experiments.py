@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import SOURCE, TARGET, ConfigError, build_tree, harmonic_schedule, \
-    shrunk_schedule, doubly_exponential_schedule, sharpness_schedule
+from .cantor import SOURCE, TARGET, ConfigError, build_tree, check_distortion, \
+    harmonic_schedule, shrunk_schedule, doubly_exponential_schedule, sharpness_exponent, \
+    sharpness_schedule
 from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_map,
                        distortion_indices, wolff_capacity_lower)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
@@ -199,7 +200,7 @@ def _tree_growth(tree, side, depth) -> float:
                for n in range(depth + 1))
 
 
-def verify_gamma_distortion(K, depths, seed=0) -> ExperimentReport:
+def verify_gamma_distortion(K, depths=None, seed=0) -> ExperimentReport:
     """Source capacity at the distortion indices vs the analytic-capacity
     proxy of the rearranged side, normalized by ball diameters.
 
@@ -208,9 +209,9 @@ def verify_gamma_distortion(K, depths, seed=0) -> ExperimentReport:
     (growth sup and pointwise-curvature proxy taken from ideal-convention
     tree data, ideal total mass 1) over diam of the image ball, 2 * scale;
     ratio = LHS / RHS^(2K/(K+1)).  Passes when the ratio spans less than
-    one decade.
+    one decade.  Default depths 2..6.
     """
-    depths = list(depths)
+    depths = list(range(2, 7) if depths is None else depths)
     idx = distortion_indices(K)
     schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
@@ -240,10 +241,10 @@ def verify_gamma_distortion(K, depths, seed=0) -> ExperimentReport:
     return report.finalize()
 
 
-def verify_riesz_distortion(K, p, depths, seed=0) -> ExperimentReport:
+def verify_riesz_distortion(K, p, depths=None, seed=0) -> ExperimentReport:
     """Same pipeline with the Wolff estimator at (1/p, p) on the target side
-    and the mapped indices (beta, q) on the source side."""
-    depths = list(depths)
+    and the mapped indices (beta, q) on the source side; default depths 2..5."""
+    depths = list(range(2, 6) if depths is None else depths)
     di = distorted_index_map(1.0 / p, p, K)
     target_idx = CapacityIndices(1.0 / p, p)
     schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
@@ -267,7 +268,7 @@ def verify_riesz_distortion(K, p, depths, seed=0) -> ExperimentReport:
     return report.finalize()
 
 
-def sharpness_experiment(K, q, depths=None, seed=0) -> ExperimentReport:
+def sharpness_experiment(K, q=None, depths=None, seed=0) -> ExperimentReport:
     """Harmonic source divergence at the sharpness indices.
 
     The source Wolff partial sums must fit c * ln(N) (c in [1/2, 2],
@@ -275,12 +276,16 @@ def sharpness_experiment(K, q, depths=None, seed=0) -> ExperimentReport:
     beyond the final depth below 5% of the total), the capacity estimate must
     decay like (ln N)^(-1/(q'-1)) (fitted exponent within 10%), and the
     source capacity at the distortion indices must stay decade-stable.
+    q defaults to (3K+1)/(K+1) and depths to 8..64.
     """
     depths = _depths_from(range(8, 65) if depths is None else depths, 2, "sharpness",
                           "the capacity decay is fitted against log(log N)")
+    if q is None:
+        q = (3.0 * K + 1.0) / (K + 1.0)
+    sharpness_exponent(K, q)  # refuses a bad K, then a q outside the sharpness regime
     q_conj_minus_1 = 1.0 / (q - 1.0)
     beta = 2.0 * K / ((K + 1.0) * q)
-    src_idx = CapacityIndices(beta, q, K=K)
+    src_idx = CapacityIndices(beta, q)
     thm1_idx = distortion_indices(K)
     schedules = sharpness_schedule(K, q, max(depths), branching=BRANCHING)
     # convergence exponent of the target terms (n+1)^(-s)
@@ -309,16 +314,17 @@ def sharpness_experiment(K, q, depths=None, seed=0) -> ExperimentReport:
     return report.finalize()
 
 
-def content_distortion_experiment(K, depths, a=0.1, seed=0) -> ExperimentReport:
+def content_distortion_experiment(K, depths=None, a=0.1, seed=0) -> ExperimentReport:
     """Distortion of h-contents on the realized pair.
 
     Per depth: the source content with h0 = s * eps_{nu,a} against the target
     content with the pulled-back gauge h = t^(2/(K+1)) * eps^(2K/(K+1)), both
     by exact tree DP; the ratio M_source / M_target^((K+1)/(2K)) must stay
     within one decade across the depth range.  The ratio is invariant under
-    global mass scaling, so the truncation renormalization cancels.
+    global mass scaling, so the truncation renormalization cancels.  Default
+    depths 2..6.
     """
-    depths = list(depths)
+    depths = list(range(2, 7) if depths is None else depths)
     schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
     for depth in depths:
@@ -347,9 +353,7 @@ def gauge_criterion_experiment(K, betas=None) -> ExperimentReport:
     classifier fits the power-law exponent of the terms, which reproduces the
     boundary exactly; partial sums and tail fractions are reported alongside.
     """
-    if not 1.0 <= K < math.inf:
-        raise ConfigError(f"gauge-criterion: distortion K must be >= 1, got {K} "
-                          "(K must also be finite)")
+    check_distortion(K)
     if betas is None:
         grid = np.concatenate([np.linspace(0.1, 1.0, 10), np.linspace(1.05, 2.0, 10)])
         betas = [float(e / (1.0 + 1.0 / K)) for e in grid]
@@ -382,7 +386,7 @@ def gauge_criterion_experiment(K, betas=None) -> ExperimentReport:
     return report.finalize()
 
 
-def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
+def vanishing_content_experiment(K, depths=None, seed=0) -> ExperimentReport:
     """Generation gauge sums vanish under thinning while the target potential
     stays bounded.
 
@@ -390,9 +394,9 @@ def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
     eps(r) = 1/log(1/r) -> 0 and radii thinned so that
     log s_N <= -(N+1)^SHRINK_EXPONENT, the sums tend to 0 monotonically;
     thinning leaves the multipliers untouched, so the target-side (2/3, 3/2)
-    sum is unchanged and bounded by pi^2/6 - 1.
+    sum is unchanged and bounded by pi^2/6 - 1.  Default depths 2..16.
     """
-    depths = _depths_from(depths, 1, "vanishing_content",
+    depths = _depths_from(range(2, 17) if depths is None else depths, 1, "vanishing_content",
                           "eps = 1/log(1/r) is undefined at the unit root radius")
     eps = lambda log_r: 1.0 / (-log_r)  # noqa: E731
     unit = lambda log_r: 1.0  # noqa: E731
@@ -420,15 +424,16 @@ def vanishing_content_experiment(K, depths, seed=0) -> ExperimentReport:
     return report.finalize()
 
 
-def doubly_exponential_experiment(K, depths, seed=0) -> ExperimentReport:
+def doubly_exponential_experiment(K, depths=None, seed=0) -> ExperimentReport:
     """Radii at log s_N <= -e^N kill every gauge with a convergent criterion
     integral, while the target side matches the plain harmonic schedule.
 
     Uses eps(s) = log(1/s)^(-2/a), a = CRITERION_A: its a-th power integrates
     like log(1/s)^(-2) ds/s, which converges.  Generation sums use the
-    telescoped closed form, so log radii of size e^N never cancel.
+    telescoped closed form, so log radii of size e^N never cancel.  Default
+    depths 1..32.
     """
-    depths = _depths_from(depths, 1, "doubly_exponential",
+    depths = _depths_from(range(1, 33) if depths is None else depths, 1, "doubly_exponential",
                           "eps = log(1/s)^(-2/a) is undefined at the unit root radius")
     eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
     schedules = doubly_exponential_schedule(K, max(depths), branching=BRANCHING)

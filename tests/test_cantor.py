@@ -136,6 +136,11 @@ def test_sharpness_schedule_boundary_excluded():
         sharpness_schedule(K, q_min - 0.2, 4)
 
 
+def test_sharpness_exponent_rejects_infinite_q():
+    with pytest.raises(ConstructionError, match="sharpness regime.*got q = inf"):
+        cantor.sharpness_exponent(2.0, math.inf)
+
+
 @pytest.mark.parametrize("eps", [1.0, 1.5])
 @pytest.mark.parametrize("build", [
     lambda eps: harmonic_schedule(2.0, 3, eps=eps),
@@ -339,3 +344,12 @@ def test_schedule_config_with_explicit_eps():
 def test_schedule_config_errors(cfg, msg):
     with pytest.raises(ConfigError, match=msg):
         schedules_from_config(cfg)
+
+
+@pytest.mark.parametrize("K", [-1.0, 0.5])
+@pytest.mark.parametrize("levels", [[], [{"M": 4, "d": "harmonic"}]])
+def test_schedule_config_rejects_bad_k_at_any_depth(K, levels):
+    cfg = {"K": K, "depth": len(levels), "levels": levels}
+    with pytest.raises(ConfigError) as info:
+        schedules_from_config(cfg)
+    assert str(info.value) == f"distortion K must be >= 1, got {K} (K must also be finite)"

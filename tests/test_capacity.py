@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qcantor.cantor import SOURCE, build_tree, harmonic_schedule, \
-    sharpness_schedule
+from qcantor.cantor import SOURCE, ConstructionError, build_tree, harmonic_schedule, \
+    sharpness_exponent, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, WOLFF_SUP,
                               CapacityEstimate, CapacityIndices, direct_capacity_lower,
                               melnikov_gamma_lower, distorted_index_map, distortion_indices,
                               wolff_capacity_lower)
+from qcantor.experiments import gauge_criterion_experiment
 from qcantor.measure import PlanarMeasure
-from qcantor.potentials import (CurvatureEstimate, IndexDomainError,
-                                menger_curvature)
+from qcantor.potentials import CurvatureEstimate, menger_curvature
 
 
 # -- index algebra ------------------------------------------------------------
@@ -39,8 +39,20 @@ def test_distortion_outer_exponent():
 
 
 def test_distortion_requires_k_at_least_one():
-    with pytest.raises(IndexDomainError):
+    with pytest.raises(ConstructionError):
         distortion_indices(0.5)
+
+
+@pytest.mark.parametrize("K", [0.5, math.inf, math.nan])
+@pytest.mark.parametrize("entry", [
+    lambda K: harmonic_schedule(K, 0), lambda K: sharpness_exponent(K, 3.0),
+    lambda K: shrunk_schedule(K, 0, lambda n: 0.0), distortion_indices,
+    lambda K: distorted_index_map(0.5, 2.0, K), gauge_criterion_experiment],
+    ids=["harmonic", "sharpness", "shrunk", "distortion", "index_map", "criterion"])
+def test_every_distortion_entry_point_gives_one_message(entry, K):
+    with pytest.raises(ConstructionError) as info:
+        entry(K)
+    assert str(info.value) == f"distortion K must be >= 1, got {K} (K must also be finite)"
 
 
 def test_index_map_identity_on_grid():
@@ -136,7 +148,7 @@ def test_depth_zero_tree_estimate_finite():
 def test_sharpness_capacity_decays_to_zero():
     K, q = 2.0, 7.0 / 3.0
     beta = 2 * K / ((K + 1) * q)
-    idx = CapacityIndices(beta, q, K=K)
+    idx = CapacityIndices(beta, q)
     values = []
     schedules = sharpness_schedule(K, q, 64)
     for depth in (8, 16, 32, 64):

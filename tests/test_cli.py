@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -42,6 +44,20 @@ def test_wolff_json_format(config_path, tmp_path):
     assert code == 0
     doc = json.loads(open(out).read())
     assert len(doc["entries"]) == 3 and doc["divergent"] is False
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wolff_streams_artifact_alone(config_path, capsys, fmt):
+    code = main(["wolff", "--config", config_path, "--side", "target",
+                 "--alpha", "0.6666666666666666", "--p", "1.5", "--format", fmt])
+    assert code == 0
+    out, err = capsys.readouterr()
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 4 and all(len(row) == 4 for row in rows)
+    else:
+        assert len(json.loads(out)["entries"]) == 3
+    assert err.startswith("wolff: side=target")
 
 
 def test_riesz_far_point(config_path, capsys):
@@ -227,12 +243,64 @@ def test_verify_gauge_criterion_rejects_k_below_one(tmp_path, capsys, K):
 
 
 @pytest.mark.parametrize("target,stem", [("thin-content", "vanishing_content"),
-                                         ("doubly-exp", "doubly_exponential")])
+                                         ("doubly-exp", "doubly_exponential"),
+                                         ("thm1", "thm1"), ("sharpness", "sharpness")])
 def test_verify_rejects_infinite_k(tmp_path, capsys, target, stem):
     code = main(["verify", target, "--K", "inf", "--out", str(tmp_path)])
     assert code == 2
     assert "distortion K must be >= 1, got inf" in capsys.readouterr().err
     assert not (tmp_path / f"{stem}.json").exists()
+
+
+@pytest.mark.parametrize("q", ["inf", "nan"])
+def test_verify_sharpness_rejects_nonfinite_q(tmp_path, capsys, q):
+    code = main(["verify", "sharpness", "--K", "2", "--q", q, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sharpness regime" in err and f"got q = {float(q)}" in err
+    assert not (tmp_path / "sharpness.json").exists()
+
+
+_SEEDED = {
+    "build": [],
+    "wolff": ["--side", "target", "--alpha", "0.5", "--p", "1.5"],
+    "riesz": ["--side", "target", "--alpha", "1.0"],
+    "curvature": ["--side", "target", "--triples", "100"],
+    "capacity": ["--side", "source", "--alpha", "0.5", "--p", "1.5"],
+    "content": ["--side", "source"],
+    "check-gauge": ["--pairs", "10"],
+}
+
+
+@pytest.mark.parametrize("command,where", [
+    *((command, where) for command in _SEEDED for where in ("flag", "config")),
+    ("verify", "flag")])
+def test_negative_seed_rejected(tmp_path, capsys, command, where):
+    out = str(tmp_path / "out")
+    if command == "verify":
+        argv = ["verify", "gauge-criterion", "--K", "2", "--seed", "-1"]
+    else:
+        cfg = {"K": 2, "depth": 2, "seed": -1 if where == "config" else 7,
+               "levels": [{"M": 4, "d": "harmonic"}] * 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), *_SEEDED[command]]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+    assert main(argv + ["--out", out]) == 2
+    assert "seed -1: need a nonnegative integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["riesz", "curvature", "capacity", "content",
+                                     "check-gauge"])
+def test_nonpositive_samples_per_leaf_rejected(config_path, tmp_path, capsys, command):
+    out = str(tmp_path / "out.json")
+    code = main([command, "--config", config_path, *_SEEDED[command],
+                 "--samples-per-leaf", "0", "--out", out])
+    assert code == 2
+    assert "--samples-per-leaf 0: need a positive integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_verify_failure_exit_one(tmp_path):
