@@ -352,7 +352,8 @@ class CantorTree:
         """Export per-node logs: {"path", "s_log", "t_log", "mass_log"}."""
         total = sum(self.n_nodes(g) for g in range(self.depth + 1))
         if total > max_nodes:
-            raise ValueError(f"{total} nodes exceed the export cap of {max_nodes}")
+            raise ConfigError(f"depth {self.depth}: {total} nodes exceed the export cap "
+                              f"of {max_nodes}")
         nodes = []
         for g in range(self.depth + 1):
             log_s = self.log_radius(SOURCE, g)

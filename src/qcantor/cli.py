@@ -14,12 +14,13 @@ import os
 import sys
 
 from . import experiments as exp
-from .cantor import SOURCE, TARGET, ConfigError, build_tree, schedules_from_config
+from .cantor import (SOURCE, TARGET, ConfigError, ConstructionError, build_tree,
+                     schedules_from_config)
 from .capacity import CapacityIndices, direct_capacity_lower, wolff_capacity_lower
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1, check_G2,
                      check_G2_tree_gauge, content_Mh_tree, eps_mu_a, frostman_tree,
                      sample_ball_pairs)
-from .potentials import menger_curvature, riesz_potential, wolff_tree
+from .potentials import IndexDomainError, menger_curvature, riesz_potential, wolff_tree
 
 
 def _out_dir(args):
@@ -53,19 +54,25 @@ def _tree_from_args(args):
     return build_tree(schedules, depth, seed=seed)
 
 
-def _realized(args, *counts, realize=True):
-    """(tree, realization) of the config; realization is None unless realize.
+def _given(args, names, command, reads=()):
+    """{name: value} of the given flags in names; one that command does not read is refused."""
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    for name in given:
+        if name not in reads:
+            raise ConfigError(f"{command} does not read --{name.replace('_', '-')}")
+    return given
 
-    --samples-per-leaf and the command's other count flags (attribute names
-    in counts) must be positive integers; they are checked before the config
-    is read.
-    """
+
+def _realized(args, *counts, realize=True):
+    """(tree, realization or None unless realize) of the config.  The count flags
+    given (--samples-per-leaf, default 1, and counts) must be positive integers;
+    they are checked before the config is read."""
     for name in ("samples_per_leaf",) + counts:
         value = getattr(args, name)
-        if value < 1:
+        if value is not None and value < 1:
             raise ConfigError(f"--{name.replace('_', '-')} {value}: need a positive integer")
     tree = _tree_from_args(args)
-    return tree, tree.realize(samples_per_leaf=args.samples_per_leaf) if realize else None
+    return tree, tree.realize(samples_per_leaf=args.samples_per_leaf or 1) if realize else None
 
 
 def _parse_depths(text):
@@ -153,6 +160,8 @@ def _cmd_riesz(args):
 
 def _cmd_curvature(args):
     tree, real = _realized(args, "triples")
+    if real.n_atoms < 3:
+        raise ConfigError(f"curvature at depth {tree.depth}: {real.n_atoms} atoms, need >= 3")
     est = menger_curvature(real.measure(args.side), triples=args.triples, seed=tree.seed)
     _emit(args, est.to_json_dict(), f"curvature: c2={est.value:.17g} "
           f"stderr={est.stderr:.3g} sup={est.sup_pointwise:.6g}")
@@ -163,9 +172,10 @@ def _cmd_capacity(args):
     indices = CapacityIndices(args.alpha, args.p)
     tree, real = _realized(args, "cells", realize=args.estimator == "direct")
     if args.estimator == "wolff":
+        _given(args, ("samples_per_leaf", "cells"), "capacity --estimator wolff")
         est = wolff_capacity_lower(tree, indices, side=args.side, seed=tree.seed)
     else:
-        est = direct_capacity_lower(real.measure(args.side), indices, cells=args.cells)
+        est = direct_capacity_lower(real.measure(args.side), indices, cells=args.cells or 64)
     _emit(args, est.to_json_dict(),
           f"capacity[{args.estimator}]: value={est.value:.17g} convention={est.convention}")
     return 0
@@ -224,29 +234,27 @@ def _cmd_check_gauge(args):
     return 0
 
 
-_VERIFY_TARGETS = ("thm1", "thm2a", "sharpness", "gauge-criterion", "thin-content",
-                   "doubly-exp", "content-ratio")
+#: target -> (experiment, the flags it reads besides --K, --seed, --out); it owns their defaults
+_VERIFY = {
+    "thm1": (exp.verify_gamma_distortion, ("depths",)),
+    "thm2a": (exp.verify_riesz_distortion, ("p", "depths")),
+    "sharpness": (exp.sharpness_experiment, ("q", "depths")),
+    "gauge-criterion": (exp.gauge_criterion_experiment, ()),
+    "thin-content": (exp.vanishing_content_experiment, ("depths",)),
+    "doubly-exp": (exp.doubly_exponential_experiment, ("depths",)),
+    "content-ratio": (exp.content_distortion_experiment, ("a", "depths")),
+}
 
 
 def _cmd_verify(args):
-    depths = None if args.depths is None else _parse_depths(args.depths)
-    K, seed = args.K, args.seed
-    _check_seed(seed)
-    if args.target == "thm1":
-        report = exp.verify_gamma_distortion(K, depths, seed=seed)
-    elif args.target == "thm2a":
-        report = exp.verify_riesz_distortion(K, args.p, depths, seed=seed)
-    elif args.target == "sharpness":
-        report = exp.sharpness_experiment(K, args.q, depths, seed=seed)
-    elif args.target == "gauge-criterion":
-        report = exp.gauge_criterion_experiment(K)
-    elif args.target == "thin-content":
-        report = exp.vanishing_content_experiment(K, depths, seed=seed)
-    elif args.target == "doubly-exp":
-        report = exp.doubly_exponential_experiment(K, depths, seed=seed)
-    else:
-        _check_kernel_a(args.a)
-        report = exp.content_distortion_experiment(K, depths, a=args.a, seed=seed)
+    experiment, reads = _VERIFY[args.target]
+    flags = _given(args, ("depths", "p", "q", "a"), f"verify {args.target}", reads)
+    if "depths" in flags:
+        flags["depths"] = _parse_depths(flags["depths"])
+    _check_seed(args.seed)
+    if "a" in flags:
+        _check_kernel_a(flags["a"])
+    report = experiment(args.K, seed=args.seed, **flags)
     _, json_path = report.write(_out_dir(args))
     status = "PASS" if report.passed else "FAIL"
     print(f"verify {args.target}: {status} — {report.verdict} -> {json_path}")
@@ -258,11 +266,13 @@ def build_parser():
                                  description="Cantor-pair potential laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, cloud=False):
         p.add_argument("--config", required=True, help="schedule JSON")
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
+        if cloud:  # the commands that realize the tree as an atom cloud
+            p.add_argument("--samples-per-leaf", type=int, help="atoms per leaf (default 1)")
 
     p = sub.add_parser("build", help="build a tree and export node logs")
     add_common(p)
@@ -278,52 +288,47 @@ def build_parser():
     p.set_defaults(fn=_cmd_wolff)
 
     p = sub.add_parser("riesz", help="Riesz potential of a realization at a point")
-    add_common(p)
+    add_common(p, cloud=True)
     p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--x", default="0,0", help="evaluation point 'x,y'")
-    p.add_argument("--samples-per-leaf", type=int, default=1)
     p.set_defaults(fn=_cmd_riesz)
 
     p = sub.add_parser("curvature", help="Menger curvature of a realization")
-    add_common(p)
+    add_common(p, cloud=True)
     p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--triples", type=int, default=200_000)
-    p.add_argument("--samples-per-leaf", type=int, default=1)
     p.set_defaults(fn=_cmd_curvature)
 
     p = sub.add_parser("capacity", help="capacity lower estimate")
-    add_common(p)
+    add_common(p, cloud=True)
     p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--estimator", choices=("wolff", "direct"), default="wolff")
-    p.add_argument("--cells", type=int, default=64)
-    p.add_argument("--samples-per-leaf", type=int, default=1)
+    p.add_argument("--cells", type=int, help="direct only (default 64)")
     p.set_defaults(fn=_cmd_capacity)
 
     p = sub.add_parser("content", help="tree-aligned h-content and Frostman flow")
-    add_common(p)
+    add_common(p, cloud=True)
     p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--gauge", default="smoothed:a=0.1")
-    p.add_argument("--samples-per-leaf", type=int, default=1)
     p.set_defaults(fn=_cmd_content)
 
     p = sub.add_parser("check-gauge", help="doubling/summability report")
-    add_common(p)
+    add_common(p, cloud=True)
     p.add_argument("--side", choices=(SOURCE, TARGET), default=SOURCE)
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--pairs", type=int, default=200)
-    p.add_argument("--samples-per-leaf", type=int, default=1)
     p.set_defaults(fn=_cmd_check_gauge)
 
     p = sub.add_parser("verify", help="run a verification experiment")
-    p.add_argument("target", choices=_VERIFY_TARGETS)
+    p.add_argument("target", choices=tuple(_VERIFY))
     p.add_argument("--K", type=float, required=True)
-    p.add_argument("--depths", default=None, help="e.g. 2..6 or 2,4,6")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--a", type=float, default=0.1, help="kernel parameter (content-ratio only)")
+    p.add_argument("--depths", help="e.g. 2..6 or 2,4,6")
+    p.add_argument("--p", type=float, help="thm2a only")
+    p.add_argument("--q", type=float, help="sharpness only")
+    p.add_argument("--a", type=float, help="kernel parameter (content-ratio only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
@@ -338,7 +343,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ValueError as e:  # ConfigError, ConstructionError, IndexDomainError
+    except (ConfigError, ConstructionError, IndexDomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -46,25 +46,23 @@ class ExperimentReport:
     params: dict
     rows: list
     thresholds: dict
-    verdict: str = ""
-    passed: bool = False
-    notes: str = field(default="")
+    verdict: str = field(init=False)
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.verdict, self.passed = recompute_verdict(self.experiment, self.rows,
+                                                      self.thresholds)
 
     @property
     def columns(self) -> list:
         """Row keys in insertion order; every row carries the same keys."""
         return list(self.rows[0]) if self.rows else []
 
-    def finalize(self):
-        self.verdict, self.passed = recompute_verdict(self.experiment, self.rows,
-                                                      self.thresholds)
-        return self
-
     def to_json(self) -> str:
         doc = {"experiment": self.experiment, "params": self.params,
                "columns": self.columns, "rows": self.rows,
                "thresholds": self.thresholds, "verdict": self.verdict,
-               "passed": self.passed, "notes": self.notes}
+               "passed": self.passed, "notes": ""}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def to_csv(self) -> str:
@@ -181,13 +179,17 @@ def recompute_verdict(experiment, rows, thresholds):
     return _VERDICTS[experiment](rows, thresholds)
 
 
-def _depths_from(depths, minimum, experiment, why):
-    """depths as a list; a depth below the experiment's minimum is refused."""
+def _depths_from(depths, experiment, minimum=0, why="a tree has no negative depth"):
+    """The one depth rule: depths as a list, none below the minimum, at least two and
+    none repeated (one depth compares nothing; the sharpness fits are singular)."""
     depths = list(depths)
     for depth in depths:
         if depth < minimum:
             raise ConfigError(f"{experiment}: depth {depth} is below the minimum "
                               f"{minimum} ({why})")
+    if len(depths) < 2 or len(set(depths)) < len(depths):
+        raise ConfigError(f"{experiment}: depths {depths}: a sweep needs at least two "
+                          "depths, none repeated")
     return depths
 
 
@@ -200,7 +202,7 @@ def _tree_growth(tree, side, depth) -> float:
                for n in range(depth + 1))
 
 
-def verify_gamma_distortion(K, depths=None, seed=0) -> ExperimentReport:
+def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     """Source capacity at the distortion indices vs the analytic-capacity
     proxy of the rearranged side, normalized by ball diameters.
 
@@ -209,9 +211,9 @@ def verify_gamma_distortion(K, depths=None, seed=0) -> ExperimentReport:
     (growth sup and pointwise-curvature proxy taken from ideal-convention
     tree data, ideal total mass 1) over diam of the image ball, 2 * scale;
     ratio = LHS / RHS^(2K/(K+1)).  Passes when the ratio spans less than
-    one decade.  Default depths 2..6.
+    one decade.
     """
-    depths = list(range(2, 7) if depths is None else depths)
+    depths = _depths_from(depths, "thm1")
     idx = distortion_indices(K)
     schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
@@ -232,19 +234,18 @@ def verify_gamma_distortion(K, depths=None, seed=0) -> ExperimentReport:
                      "growth": growth, "curvature_proxy": curv_proxy,
                      "realized_mass": math.exp(tree.log_total_mass()),
                      "n_leaves": tree.n_leaves})
-    report = ExperimentReport(
+    return ExperimentReport(
         "thm1",
         {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
          "alpha": idx.alpha, "p": idx.p,
          "rhs_inputs": "growth and curvature proxy from ideal tree data"},
         rows, {"ratio_stability": RATIO_STABILITY})
-    return report.finalize()
 
 
-def verify_riesz_distortion(K, p, depths=None, seed=0) -> ExperimentReport:
+def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentReport:
     """Same pipeline with the Wolff estimator at (1/p, p) on the target side
-    and the mapped indices (beta, q) on the source side; default depths 2..5."""
-    depths = list(range(2, 6) if depths is None else depths)
+    and the mapped indices (beta, q) on the source side."""
+    depths = _depths_from(depths, "thm2a")
     di = distorted_index_map(1.0 / p, p, K)
     target_idx = CapacityIndices(1.0 / p, p)
     schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
@@ -260,15 +261,14 @@ def verify_riesz_distortion(K, p, depths=None, seed=0) -> ExperimentReport:
                      "beta": di.beta, "q": di.q,
                      "source_sup": lhs_est.normalization["sup"],
                      "target_sup": rhs_est.normalization["sup"]})
-    report = ExperimentReport(
+    return ExperimentReport(
         "thm2a",
         {"K": K, "p": p, "branching": BRANCHING, "seed": seed, "depths": depths,
          "beta": di.beta, "q": di.q, "t": di.t, "t_prime": di.t_prime},
         rows, {"ratio_stability": RATIO_STABILITY})
-    return report.finalize()
 
 
-def sharpness_experiment(K, q=None, depths=None, seed=0) -> ExperimentReport:
+def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentReport:
     """Harmonic source divergence at the sharpness indices.
 
     The source Wolff partial sums must fit c * ln(N) (c in [1/2, 2],
@@ -276,9 +276,9 @@ def sharpness_experiment(K, q=None, depths=None, seed=0) -> ExperimentReport:
     beyond the final depth below 5% of the total), the capacity estimate must
     decay like (ln N)^(-1/(q'-1)) (fitted exponent within 10%), and the
     source capacity at the distortion indices must stay decade-stable.
-    q defaults to (3K+1)/(K+1) and depths to 8..64.
+    q defaults to (3K+1)/(K+1).
     """
-    depths = _depths_from(range(8, 65) if depths is None else depths, 2, "sharpness",
+    depths = _depths_from(depths, "sharpness", 2,
                           "the capacity decay is fitted against log(log N)")
     if q is None:
         q = (3.0 * K + 1.0) / (K + 1.0)
@@ -303,7 +303,7 @@ def sharpness_experiment(K, q=None, depths=None, seed=0) -> ExperimentReport:
                      "target_tail_fraction": tail / (tgt.total + tail),
                      "capacity": cap.value,
                      "bounded_source_capacity": bounded.value})
-    report = ExperimentReport(
+    return ExperimentReport(
         "sharpness",
         {"K": K, "q": q, "beta": beta, "branching": BRANCHING, "seed": seed,
          "depths": depths, "target_exponent": s},
@@ -311,20 +311,18 @@ def sharpness_experiment(K, q=None, depths=None, seed=0) -> ExperimentReport:
         {"slope_lo": 0.5, "slope_hi": 2.0, "r2_min": 0.99, "target_tail_max": 0.05,
          "capacity_exponent": 1.0 / q_conj_minus_1,
          "capacity_exponent_tol": 0.10, "ratio_stability": RATIO_STABILITY})
-    return report.finalize()
 
 
-def content_distortion_experiment(K, depths=None, a=0.1, seed=0) -> ExperimentReport:
+def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> ExperimentReport:
     """Distortion of h-contents on the realized pair.
 
     Per depth: the source content with h0 = s * eps_{nu,a} against the target
     content with the pulled-back gauge h = t^(2/(K+1)) * eps^(2K/(K+1)), both
     by exact tree DP; the ratio M_source / M_target^((K+1)/(2K)) must stay
     within one decade across the depth range.  The ratio is invariant under
-    global mass scaling, so the truncation renormalization cancels.  Default
-    depths 2..6.
+    global mass scaling, so the truncation renormalization cancels.
     """
-    depths = list(range(2, 7) if depths is None else depths)
+    depths = _depths_from(depths, "content_ratio")
     schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
     for depth in depths:
@@ -335,17 +333,16 @@ def content_distortion_experiment(K, depths=None, a=0.1, seed=0) -> ExperimentRe
         rows.append({"depth": depth, "source_content": m_src,
                      "target_content": m_tgt,
                      "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))})
-    report = ExperimentReport(
+    return ExperimentReport(
         "content_ratio",
         {"K": K, "a": a, "branching": BRANCHING, "seed": seed, "depths": depths},
         rows, {"ratio_stability": RATIO_STABILITY})
-    return report.finalize()
 
 
 # -- gauge experiments --------------------------------------------------------
 
 
-def gauge_criterion_experiment(K, betas=None) -> ExperimentReport:
+def gauge_criterion_experiment(K, betas=None, seed=0) -> ExperimentReport:
     """Classify log-power gauges by the divergence of the criterion sum.
 
     For eps(r) = log(1/r)^(-beta) the dyadic terms of the criterion integral
@@ -379,14 +376,13 @@ def gauge_criterion_experiment(K, betas=None) -> ExperimentReport:
         rows.append({"beta": beta, "exponent": e, "fitted_exponent": fitted_e,
                      "classified": classified, "rate": rate,
                      "partial_sum": partial, "tail_fraction_1000": tail_1000})
-    report = ExperimentReport(
+    return ExperimentReport(
         "gauge_criterion",
-        {"K": K, "n_scales": N_SCALES, "betas": [float(b) for b in betas]},
+        {"K": K, "n_scales": N_SCALES, "seed": seed, "betas": [float(b) for b in betas]},
         rows, {"boundary": 1.0})
-    return report.finalize()
 
 
-def vanishing_content_experiment(K, depths=None, seed=0) -> ExperimentReport:
+def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentReport:
     """Generation gauge sums vanish under thinning while the target potential
     stays bounded.
 
@@ -394,9 +390,9 @@ def vanishing_content_experiment(K, depths=None, seed=0) -> ExperimentReport:
     eps(r) = 1/log(1/r) -> 0 and radii thinned so that
     log s_N <= -(N+1)^SHRINK_EXPONENT, the sums tend to 0 monotonically;
     thinning leaves the multipliers untouched, so the target-side (2/3, 3/2)
-    sum is unchanged and bounded by pi^2/6 - 1.  Default depths 2..16.
+    sum is unchanged and bounded by pi^2/6 - 1.
     """
-    depths = _depths_from(range(2, 17) if depths is None else depths, 1, "vanishing_content",
+    depths = _depths_from(depths, "vanishing_content", 1,
                           "eps = 1/log(1/r) is undefined at the unit root radius")
     eps = lambda log_r: 1.0 / (-log_r)  # noqa: E731
     unit = lambda log_r: 1.0  # noqa: E731
@@ -414,26 +410,24 @@ def vanishing_content_experiment(K, depths=None, seed=0) -> ExperimentReport:
             "source_log_radius": tree.log_radius(SOURCE, depth),
             "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total,
         })
-    report = ExperimentReport(
+    return ExperimentReport(
         "vanishing_content",
         {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
          "shrink_exponent": SHRINK_EXPONENT, "gauge": "eps=1/log(1/r)"},
         rows,
         {"closed_form_rtol": 1e-12, "vanish_factor": 1.0,
          "target_bound": math.pi ** 2 / 6.0 - 1.0 + 1e-12})
-    return report.finalize()
 
 
-def doubly_exponential_experiment(K, depths=None, seed=0) -> ExperimentReport:
+def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentReport:
     """Radii at log s_N <= -e^N kill every gauge with a convergent criterion
     integral, while the target side matches the plain harmonic schedule.
 
     Uses eps(s) = log(1/s)^(-2/a), a = CRITERION_A: its a-th power integrates
     like log(1/s)^(-2) ds/s, which converges.  Generation sums use the
-    telescoped closed form, so log radii of size e^N never cancel.  Default
-    depths 1..32.
+    telescoped closed form, so log radii of size e^N never cancel.
     """
-    depths = _depths_from(range(1, 33) if depths is None else depths, 1, "doubly_exponential",
+    depths = _depths_from(depths, "doubly_exponential", 1,
                           "eps = log(1/s)^(-2/a) is undefined at the unit root radius")
     eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
     schedules = doubly_exponential_schedule(K, max(depths), branching=BRANCHING)
@@ -451,9 +445,8 @@ def doubly_exponential_experiment(K, depths=None, seed=0) -> ExperimentReport:
             "harmonic_target_total": wolff_tree(htree, TARGET, 2.0 / 3.0, 1.5,
                                                 depth=depth).total,
         })
-    report = ExperimentReport(
+    return ExperimentReport(
         "doubly_exponential",
         {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
          "criterion_a": CRITERION_A, "gauge": f"eps=log(1/s)^(-2/{CRITERION_A})"},
         rows, {"schedule_equality_rtol": 1e-12})
-    return report.finalize()

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import os
+import shlex
 
 import pytest
 
+from qcantor import cli
 from qcantor.cli import main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture()
@@ -76,6 +80,19 @@ def test_riesz_rejects_bad_point(config_path, capsys, x):
     assert "--x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,flag", [
+    (["--cells", "5"], "--cells"), (["--samples-per-leaf", "3"], "--samples-per-leaf"),
+    (["--cells", "5", "--samples-per-leaf", "3"], "--samples-per-leaf")])
+def test_capacity_wolff_refuses_direct_flags(config_path, tmp_path, capsys, flags, flag):
+    out = tmp_path / "cap.json"
+    code = main(["capacity", "--config", config_path, "--side", "source",
+                 "--alpha", "0.8", "--p", "1.6666666666666667", "--estimator", "wolff",
+                 *flags, "--out", str(out)])
+    assert code == 2
+    assert f"capacity --estimator wolff does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_capacity_command(config_path, tmp_path):
     out = str(tmp_path / "cap.json")
     code = main(["capacity", "--config", config_path, "--side", "source",
@@ -111,6 +128,16 @@ def test_curvature_rejects_nonpositive_triples(config_path, capsys, triples, spl
                  "--samples-per-leaf", spl, "--triples", triples])
     assert code == 2
     assert f"--triples {triples}" in capsys.readouterr().err
+
+
+def test_curvature_refuses_fewer_than_three_atoms(config_path, tmp_path, capsys):
+    out = tmp_path / "curv.json"
+    code = main(["curvature", "--config", config_path, "--side", "target",
+                 "--depth", "0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "curvature at depth 0: 1 atoms, need >= 3" in err
+    assert not out.exists()
 
 
 def test_content_command(config_path, tmp_path):
@@ -234,6 +261,57 @@ def test_verify_rejects_depths_below_minimum(tmp_path, capsys, target, depths, s
     assert not (tmp_path / f"{stem}.json").exists()
 
 
+@pytest.mark.parametrize("target,depths,listed", [
+    ("thm1", "5", "[5]"), ("thm2a", "3,3", "[3, 3]"), ("sharpness", "8,8", "[8, 8]"),
+    ("thin-content", "3", "[3]"), ("doubly-exp", "2,4,2", "[2, 4, 2]"),
+    ("content-ratio", "2", "[2]")])
+def test_verify_rejects_sweeps_without_two_distinct_depths(tmp_path, capsys, target,
+                                                           depths, listed):
+    out = tmp_path / "v"
+    code = main(["verify", target, "--K", "2", "--depths", depths, "--out", str(out)])
+    assert code == 2
+    assert f"depths {listed}: a sweep needs at least two depths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_VERIFY_FLAGS = {"depths": "2..3", "p": "2", "q": "2.5", "a": "0.1"}
+_UNREAD = [(target, flag) for target, reads in (
+    ("thm1", "depths"), ("thm2a", "p depths"), ("sharpness", "q depths"),
+    ("gauge-criterion", ""), ("thin-content", "depths"), ("doubly-exp", "depths"),
+    ("content-ratio", "a depths")) for flag in _VERIFY_FLAGS if flag not in reads.split()]
+
+
+@pytest.mark.parametrize("target,flag", _UNREAD)
+def test_verify_refuses_flags_its_target_does_not_read(tmp_path, capsys, target, flag):
+    out = tmp_path / "v"
+    code = main(["verify", target, "--K", "2", f"--{flag}", _VERIFY_FLAGS[flag],
+                 "--out", str(out)])
+    assert code == 2
+    assert f"verify {target} does not read --{flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gauge_criterion_records_seed(tmp_path):
+    assert main(["verify", "gauge-criterion", "--K", "2", "--seed", "4",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "gauge_criterion.json").read_text())
+    assert doc["params"]["seed"] == 4
+
+
+def _readme_verify_lines():
+    with open(README) as f:
+        return [line.strip() for line in f if line.startswith("qcantor verify ")]
+
+
+def test_readme_lists_every_verify_target():
+    assert {shlex.split(line)[2] for line in _readme_verify_lines()} == set(cli._VERIFY)
+
+
+@pytest.mark.parametrize("line", _readme_verify_lines())
+def test_readme_verify_examples_pass(tmp_path, line):
+    assert main(shlex.split(line)[1:] + ["--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("K", ["0", "0.5", "nan", "inf"])
 def test_verify_gauge_criterion_rejects_k_below_one(tmp_path, capsys, K):
     code = main(["verify", "gauge-criterion", "--K", K, "--out", str(tmp_path)])
@@ -319,6 +397,25 @@ def test_verify_byte_identical_reruns(tmp_path):
         with open(os.path.join(out1, name), "rb") as f1, \
                 open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def test_build_export_cap_names_the_depth(tmp_path, capsys):
+    cfg = {"K": 2, "depth": 9, "seed": 0, "levels": [{"M": 4, "d": "harmonic"}] * 9}
+    path = tmp_path / "d9.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "tree.json"
+    assert main(["build", "--config", str(path), "--out", str(out)]) == 2
+    assert "depth 9: 349525 nodes exceed the export cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plain_value_error_is_not_a_configuration_exit(config_path, monkeypatch):
+    # exit 2 is reserved for the validation errors; any other ValueError is a bug
+    def broken(args):
+        raise ValueError("internal bug")
+    monkeypatch.setattr(cli, "_cmd_build", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["build", "--config", config_path])
 
 
 def test_missing_config_exits_two(tmp_path):

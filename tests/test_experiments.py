@@ -4,6 +4,7 @@ import math
 import pytest
 
 from qcantor import experiments as ex
+from qcantor.cantor import ConfigError
 
 
 def test_gamma_distortion_ratio_stable_and_rows_complete():
@@ -160,3 +161,38 @@ def test_report_write_roundtrip(tmp_path):
     doc = json.loads(open(json_path).read())
     assert doc["passed"] is True
     assert open(csv_path).read() == report.to_csv()
+
+
+def test_report_judges_itself_on_construction():
+    rows = ex.gauge_criterion_experiment(2.0, betas=[0.5, 1.0]).rows
+    report = ex.ExperimentReport("gauge_criterion", {}, rows, {"boundary": 1.0})
+    assert report.passed
+    assert report.verdict == "boundary-consistent: 1 divergent / 1 convergent"
+    with pytest.raises(TypeError):
+        ex.ExperimentReport("gauge_criterion", {}, rows, {"boundary": 1.0},
+                            verdict="forged", passed=True)
+
+
+def test_report_json_keeps_empty_notes_without_a_field():
+    report = ex.gauge_criterion_experiment(2.0)
+    assert not hasattr(report, "notes")
+    assert json.loads(report.to_json())["notes"] == ""
+
+
+@pytest.mark.parametrize("run", [
+    lambda d: ex.verify_gamma_distortion(2.0, d),
+    lambda d: ex.verify_riesz_distortion(2.0, 2.0, d),
+    lambda d: ex.sharpness_experiment(2.0, depths=[x + 6 for x in d]),
+    lambda d: ex.vanishing_content_experiment(2.0, d),
+    lambda d: ex.doubly_exponential_experiment(2.0, d),
+    lambda d: ex.content_distortion_experiment(2.0, d)])
+@pytest.mark.parametrize("depths", [[], [2], [2, 2], [2, 3, 2]])
+def test_sweeps_need_two_distinct_depths(run, depths):
+    with pytest.raises(ConfigError, match="a sweep needs at least two depths"):
+        run(depths)
+
+
+def test_experiment_defaults_are_plain_arguments():
+    report = ex.verify_riesz_distortion(2.0)
+    assert report.params["p"] == 2.0 and report.params["depths"] == [2, 3, 4, 5]
+    assert ex.gauge_criterion_experiment(2.0, seed=3).params["seed"] == 3
