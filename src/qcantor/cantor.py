@@ -56,6 +56,16 @@ def _check_side(side):
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def _check_level_shape(index, branching, d):
+    """The index, M and d rules of a level, checked before a radius is derived from M or d."""
+    if index < 1:
+        raise ConstructionError(f"level {index}: index must be >= 1")
+    if branching < 1 or int(branching) != branching:
+        raise ConstructionError(f"level {index}: branching must be a positive integer")
+    if not (d >= 1.0):
+        raise ConstructionError(f"level {index}: multiplier d must be >= 1")
+
+
 @dataclass(frozen=True)
 class LevelSchedule:
     """Parameters of one construction level.
@@ -74,12 +84,7 @@ class LevelSchedule:
     distortion: float
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ConstructionError(f"level {self.index}: index must be >= 1")
-        if self.branching < 1 or int(self.branching) != self.branching:
-            raise ConstructionError(f"level {self.index}: branching must be a positive integer")
-        if not (self.multiplier >= 1.0):
-            raise ConstructionError(f"level {self.index}: multiplier d must be >= 1")
+        _check_level_shape(self.index, self.branching, self.multiplier)
         check_distortion(self.distortion)
         if not (self.log_protect < 0.0):
             raise ConstructionError(f"level {self.index}: protecting radius must be < 1")
@@ -140,7 +145,10 @@ class LevelSchedule:
 
 def _multiplier(j, e=1.0):
     """d_j = ((j+1)/j)**e; e = 1 gives the harmonic (j+1)/j bit for bit."""
-    return ((j + 1) / j) ** e
+    try:
+        return ((j + 1) / j) ** e
+    except OverflowError:
+        raise ConstructionError(f"level {j}: d = ({j + 1}/{j})**{e:.6g} overflows") from None
 
 
 def _level(index, branching, d, K, eps=None, log_cap=math.inf):
@@ -150,6 +158,7 @@ def _level(index, branching, d, K, eps=None, log_cap=math.inf):
     R = SMALLNESS / d (so sigma = SMALLNESS), lowered to exp(log_cap) if
     that binds; an explicit eps fixes M*R^2 = 1 - eps.
     """
+    _check_level_shape(index, branching, d)
     if eps is not None:
         return LevelSchedule.from_eps(index, branching, d, eps, K)
     log_r = min(math.log(SMALLNESS) - math.log(d), log_cap)
@@ -432,19 +441,34 @@ def pack_disks(M, rho, seed=0):
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration."""
+    """Invalid run configuration or input; the CLI exits 2 on it."""
 
 
-def _resolve_multiplier(dspec, index, K):
+def _as(convert, value, where):
+    """convert(value) (float or int), or a ConfigError naming where the value sits."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "a number" if convert is float else "an integer"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
+
+
+def _config_level(i, lv, K):
+    if not isinstance(lv, dict) or not {"M", "d"} <= set(lv):
+        raise ConfigError(f"level {i}: needs keys M and d")
+    m, dspec, eps = _as(int, lv["M"], f"level {i}: M"), lv["d"], lv.get("eps")
+    eps = None if eps is None else _as(float, eps, f"level {i}: eps")
     if isinstance(dspec, (int, float)) and not isinstance(dspec, bool):
-        return float(dspec)
-    if dspec in ("harmonic", "example2"):
-        return _multiplier(index)
-    if isinstance(dspec, dict) and set(dspec) == {"sharpness_q"}:
-        return _multiplier(index, sharpness_exponent(K, float(dspec["sharpness_q"])))
-    raise ConfigError(
-        f"level {index}: d must be a number, \"harmonic\"/\"example2\", "
-        f"or {{\"sharpness_q\": q}}, got {dspec!r}")
+        d = _as(float, dspec, f"level {i}: d")
+    elif dspec in ("harmonic", "example2"):
+        d = _multiplier(i)
+    elif isinstance(dspec, dict) and set(dspec) == {"sharpness_q"}:
+        q = _as(float, dspec["sharpness_q"], f"level {i}: sharpness_q")
+        d = _multiplier(i, sharpness_exponent(K, q))
+    else:
+        raise ConfigError(f"level {i}: d must be a number, \"harmonic\"/\"example2\", "
+                          f"or {{\"sharpness_q\": q}}, got {dspec!r}")
+    return _level(i, m, d, K, eps)
 
 
 def schedules_from_config(cfg):
@@ -458,32 +482,13 @@ def schedules_from_config(cfg):
     missing = {"K", "depth", "levels"} - set(cfg)
     if missing:
         raise ConfigError(f"config missing keys: {sorted(missing)}")
-    try:
-        K = float(cfg["K"])
-        depth = int(cfg["depth"])
-        seed = int(cfg.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scalar field: {exc}") from None
+    K = _as(float, cfg["K"], "K")
+    depth = _as(int, cfg["depth"], "depth")
+    seed = _as(int, cfg.get("seed", 0), "seed")
     try:
         check_distortion(K)  # also when no level is built
+        if not isinstance(cfg["levels"], list) or len(cfg["levels"]) < depth:
+            raise ConfigError(f"levels must list at least depth={depth} entries")
+        return [_config_level(i, lv, K) for i, lv in enumerate(cfg["levels"], 1)], depth, seed
     except ConstructionError as exc:
         raise ConfigError(str(exc)) from None
-    levels_cfg = cfg["levels"]
-    if not isinstance(levels_cfg, list) or len(levels_cfg) < depth:
-        raise ConfigError(f"levels must list at least depth={depth} entries")
-    schedules = []
-    for i, lv in enumerate(levels_cfg, start=1):
-        if not isinstance(lv, dict) or not {"M", "d"} <= set(lv):
-            raise ConfigError(f"level {i}: needs keys M and d")
-        d = _resolve_multiplier(lv["d"], i, K)
-        try:
-            m = int(lv["M"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"level {i}: M must be an integer") from None
-        eps = lv.get("eps")
-        try:
-            sched = _level(i, m, d, K, None if eps is None else float(eps))
-        except ConstructionError as exc:
-            raise ConfigError(str(exc)) from None
-        schedules.append(sched)
-    return schedules, depth, seed

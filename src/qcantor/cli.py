@@ -54,25 +54,25 @@ def _tree_from_args(args):
     return build_tree(schedules, depth, seed=seed)
 
 
-def _given(args, names, command, reads=()):
-    """{name: value} of the given flags in names; one that command does not read is refused."""
+def _given(args, names, command=None, reads=()):
+    """{name: value} of the flags in names that were given, so that the callee keeps
+    its defaults.  With command, a given flag outside reads is refused."""
     given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    for name in given:
+    for name in given if command else ():
         if name not in reads:
             raise ConfigError(f"{command} does not read --{name.replace('_', '-')}")
     return given
 
 
 def _realized(args, *counts, realize=True):
-    """(tree, realization or None unless realize) of the config.  The count flags
-    given (--samples-per-leaf, default 1, and counts) must be positive integers;
-    they are checked before the config is read."""
+    """(tree, realization or None unless realize) of the config.  The count flags given
+    (--samples-per-leaf and counts) must be positive integers, checked before the config."""
     for name in ("samples_per_leaf",) + counts:
         value = getattr(args, name)
         if value is not None and value < 1:
             raise ConfigError(f"--{name.replace('_', '-')} {value}: need a positive integer")
     tree = _tree_from_args(args)
-    return tree, tree.realize(samples_per_leaf=args.samples_per_leaf or 1) if realize else None
+    return tree, tree.realize(**_given(args, ("samples_per_leaf",))) if realize else None
 
 
 def _parse_depths(text):
@@ -160,8 +160,6 @@ def _cmd_riesz(args):
 
 def _cmd_curvature(args):
     tree, real = _realized(args, "triples")
-    if real.n_atoms < 3:
-        raise ConfigError(f"curvature at depth {tree.depth}: {real.n_atoms} atoms, need >= 3")
     est = menger_curvature(real.measure(args.side), triples=args.triples, seed=tree.seed)
     _emit(args, est.to_json_dict(), f"curvature: c2={est.value:.17g} "
           f"stderr={est.stderr:.3g} sup={est.sup_pointwise:.6g}")
@@ -175,7 +173,7 @@ def _cmd_capacity(args):
         _given(args, ("samples_per_leaf", "cells"), "capacity --estimator wolff")
         est = wolff_capacity_lower(tree, indices, side=args.side, seed=tree.seed)
     else:
-        est = direct_capacity_lower(real.measure(args.side), indices, cells=args.cells or 64)
+        est = direct_capacity_lower(real.measure(args.side), indices, **_given(args, ("cells",)))
     _emit(args, est.to_json_dict(),
           f"capacity[{args.estimator}]: value={est.value:.17g} convention={est.convention}")
     return 0
@@ -266,21 +264,22 @@ def build_parser():
                                  description="Cantor-pair potential laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cloud=False):
+    def add_common(p, cloud=False, side=True):
         p.add_argument("--config", required=True, help="schedule JSON")
+        if side:
+            p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         if cloud:  # the commands that realize the tree as an atom cloud
-            p.add_argument("--samples-per-leaf", type=int, help="atoms per leaf (default 1)")
+            p.add_argument("--samples-per-leaf", type=int, help="atoms per leaf")
 
     p = sub.add_parser("build", help="build a tree and export node logs")
-    add_common(p)
+    add_common(p, side=False)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("wolff", help="tree-formula Wolff profile")
     add_common(p)
-    p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--convention", choices=("ideal", "realized"), default="ideal")
@@ -289,34 +288,30 @@ def build_parser():
 
     p = sub.add_parser("riesz", help="Riesz potential of a realization at a point")
     add_common(p, cloud=True)
-    p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--x", default="0,0", help="evaluation point 'x,y'")
     p.set_defaults(fn=_cmd_riesz)
 
     p = sub.add_parser("curvature", help="Menger curvature of a realization")
     add_common(p, cloud=True)
-    p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--triples", type=int, default=200_000)
     p.set_defaults(fn=_cmd_curvature)
 
     p = sub.add_parser("capacity", help="capacity lower estimate")
     add_common(p, cloud=True)
-    p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--estimator", choices=("wolff", "direct"), default="wolff")
-    p.add_argument("--cells", type=int, help="direct only (default 64)")
+    p.add_argument("--cells", type=int, help="direct estimator only")
     p.set_defaults(fn=_cmd_capacity)
 
     p = sub.add_parser("content", help="tree-aligned h-content and Frostman flow")
     add_common(p, cloud=True)
-    p.add_argument("--side", choices=(SOURCE, TARGET), required=True)
     p.add_argument("--gauge", default="smoothed:a=0.1")
     p.set_defaults(fn=_cmd_content)
 
     p = sub.add_parser("check-gauge", help="doubling/summability report")
-    add_common(p, cloud=True)
+    add_common(p, cloud=True, side=False)
     p.add_argument("--side", choices=(SOURCE, TARGET), default=SOURCE)
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--pairs", type=int, default=200)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import TARGET, _check_side
+from .cantor import TARGET, ConfigError, _check_side
 
 LN2 = math.log(2.0)
 
@@ -287,7 +287,7 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
     """
     n = measure.n_atoms
     if n < 3:
-        raise ValueError("curvature needs at least 3 atoms")
+        raise ConfigError(f"curvature needs at least 3 atoms, got {n}")
     pts, w = measure.points, measure.weights
     total = measure.total_mass
     if n <= _EXACT_CURVATURE_ATOMS:

@@ -340,6 +340,18 @@ def test_schedule_config_with_explicit_eps():
     ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": "nope"}]}, "d must be"),
     ({"K": 2, "depth": 1, "levels": [{"d": 1.0}]}, "needs keys"),
     ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": 1.0, "eps": 0.5}]}, "level 1"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": 1.0, "eps": "x"}]},
+     "level 1: eps must be a number, got 'x'"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": {"sharpness_q": "x"}}]},
+     "level 1: sharpness_q must be a number, got 'x'"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": {"sharpness_q": None}}]},
+     "level 1: sharpness_q must be a number, got None"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": {"sharpness_q": 1e4}}]},
+     "level 1: d = .* overflows"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": 0}]}, "level 1: multiplier d must be >= 1"),
+    ({"K": 2, "depth": 1, "levels": [{"M": float("inf"), "d": 1.0}]},
+     "level 1: M must be an integer, got inf"),
+    ({"K": 10**400, "depth": 1, "levels": []}, "K must be a number"),
 ])
 def test_schedule_config_errors(cfg, msg):
     with pytest.raises(ConfigError, match=msg):

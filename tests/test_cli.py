@@ -136,7 +136,7 @@ def test_curvature_refuses_fewer_than_three_atoms(config_path, tmp_path, capsys)
                  "--depth", "0", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "curvature at depth 0: 1 atoms, need >= 3" in err
+    assert "curvature needs at least 3 atoms, got 1" in err
     assert not out.exists()
 
 
@@ -406,6 +406,19 @@ def test_build_export_cap_names_the_depth(tmp_path, capsys):
     out = tmp_path / "tree.json"
     assert main(["build", "--config", str(path), "--out", str(out)]) == 2
     assert "depth 9: 349525 nodes exceed the export cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", [{"M": 4, "d": 1.0, "eps": "x"},
+                                   {"M": 4, "d": {"sharpness_q": "x"}},
+                                   {"M": 4, "d": {"sharpness_q": 1e4}},
+                                   {"M": 4, "d": -1}])
+def test_bad_level_value_exits_two(tmp_path, capsys, level):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"K": 2, "depth": 1, "levels": [level]}))
+    out = tmp_path / "tree.json"
+    assert main(["build", "--config", str(path), "--out", str(out)]) == 2
+    assert "error: level 1: " in capsys.readouterr().err
     assert not out.exists()
 
 
