@@ -96,9 +96,9 @@ class LevelSchedule:
             raise ConstructionError(
                 f"level {self.index}: sigma = R*d = {math.exp(self.log_sigma):.6g} violates "
                 f"the smallness convention sigma <= {SMALLNESS}")
-        if self.branching * self.protect ** 2 > 1.0 + _SMALL_TOL:
+        if self.log_keep > math.log1p(_SMALL_TOL):
             raise ConstructionError(
-                f"level {self.index}: M*R^2 = {self.branching * self.protect**2:.6g} exceeds 1 "
+                f"level {self.index}: M*R^2 = exp({self.log_keep:.6g}) exceeds 1 "
                 f"(eps would be negative)")
 
     @classmethod
@@ -106,7 +106,10 @@ class LevelSchedule:
         """Protecting radius from the leftover area fraction: M*R^2 = 1 - eps."""
         if not (0.0 <= eps < 1.0):
             raise ConstructionError(f"level {index}: eps must lie in [0, 1)")
-        log_r = 0.5 * math.log((1.0 - eps) / branching)
+        try:
+            log_r = 0.5 * math.log((1.0 - eps) / branching)
+        except OverflowError:  # an integer M beyond the float range
+            log_r = 0.5 * (math.log1p(-eps) - math.log(branching))
         return cls(index, branching, multiplier, log_r, distortion)
 
     @property
@@ -122,10 +125,6 @@ class LevelSchedule:
     @property
     def log_sigma(self) -> float:
         return self.log_protect + math.log(self.multiplier)
-
-    @property
-    def sigma(self) -> float:
-        return math.exp(self.log_sigma)
 
     @property
     def log_keep(self) -> float:
@@ -246,12 +245,13 @@ class CantorTree:
             raise ConstructionError("depth must be >= 0")
         if not (scale > 0.0) or not math.isfinite(scale):
             raise ConstructionError("scale must be positive and finite")
-        ks = {s.distortion for s in schedules[:depth]}
+        ks = {s.distortion for s in schedules}
         if len(ks) > 1:
             raise ConstructionError(f"levels must share one distortion K, got {sorted(ks)}")
         for i, s in enumerate(schedules[:depth], start=1):
             if s.index != i:
                 raise ConstructionError(f"level {i}: schedule index {s.index} out of order")
+        self._levels = schedules  # every level supplied: K is theirs, also at depth 0
         self.schedules = schedules[:depth]
         self.depth = depth
         self.seed = int(seed)
@@ -276,7 +276,7 @@ class CantorTree:
 
     @property
     def K(self) -> float:
-        return self.schedules[0].distortion if self.schedules else 1.0
+        return self._levels[0].distortion if self._levels else 1.0
 
     def level(self, generation) -> LevelSchedule:
         return self.schedules[generation - 1]
@@ -328,7 +328,7 @@ class CantorTree:
 
     def scaled(self, lam) -> "CantorTree":
         """The same construction with the ambient picture scaled by lam."""
-        return CantorTree(self.schedules, self.depth, seed=self.seed, scale=self.scale * lam)
+        return CantorTree(self._levels, self.depth, seed=self.seed, scale=self.scale * lam)
 
     # -- node access ------------------------------------------------------
 

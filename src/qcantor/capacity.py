@@ -16,7 +16,8 @@ import numpy as np
 
 from .cantor import CantorTree, check_distortion
 from .measure import PlanarMeasure
-from .potentials import check_indices, conjugate_minus_one, wolff_dyadic, wolff_tree
+from .potentials import (IndexDomainError, check_indices, conjugate_minus_one, wolff_dyadic,
+                         wolff_tree)
 
 #: the quadrature grid spans FARFIELD_FACTOR support diameters around the
 #: support centre; beyond it a closed-form tail takes over
@@ -126,6 +127,19 @@ class CapacityEstimate:
         return d
 
 
+def _admissible_mass(mass, sup, indices, side, depth) -> float:
+    """mass * sup^(-1/(p'-1)), refused unless a positive finite double (never 0 or inf)."""
+    try:
+        value = mass * sup ** (-1.0 / indices.conjugate_minus_one)
+    except (ZeroDivisionError, OverflowError):  # 0.0 ** -x, or a power past the range
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise IndexDomainError(f"the Wolff capacity at alpha = {indices.alpha:.6g}, p = "
+                               f"{indices.p:.6g} on the {side} side at depth {depth} leaves "
+                               f"double precision (Wolff sup {sup:.6g}, capacity {value:.6g})")
+    return value
+
+
 def wolff_capacity_lower(obj, indices, *, side=None, depth=None,
                          mass_convention="ideal", query_points=None,
                          k_range=None, seed=0, query_set_id=None) -> CapacityEstimate:
@@ -136,7 +150,7 @@ def wolff_capacity_lower(obj, indices, *, side=None, depth=None,
     lower estimate in the wolff_sup convention.  On a CantorTree the sup over
     paths is the exact tree sum (path independent); depth-0 trees fall back
     to the closed-form single-ball term.  A divergent potential yields value
-    0 with the divergence rate recorded.
+    0 with the divergence rate recorded; a tree value of 0 or inf is refused.
     """
     eta = indices.conjugate_minus_one
     if isinstance(obj, CantorTree):
@@ -150,38 +164,29 @@ def wolff_capacity_lower(obj, indices, *, side=None, depth=None,
             log_ball = obj.log_mass(0, mass_convention) - homog * math.log(obj.scale)
             sup = math.exp(eta * log_ball) * (1.0 / ((2.0 - homog) * eta)
                                               + 1.0 / (homog * eta))
-            record = {"sup": sup, "query_set": "root_ball_closed_form",
-                      "seed": seed, "mass": mass, "mass_convention": mass_convention}
-            return CapacityEstimate(mass * sup ** (-1.0 / eta), LOWER_BOUND, WOLFF_SUP,
-                                    indices, record)
-        profile = wolff_tree(obj, side, indices.alpha, indices.p, depth=depth,
-                             mass_convention=mass_convention)
-        sup = profile.total
-        record = {"sup": sup, "query_set": f"tree_paths:{side}:depth={depth}",
+            profile, query_set = None, "root_ball_closed_form"
+        else:
+            profile = wolff_tree(obj, side, indices.alpha, indices.p, depth=depth,
+                                 mass_convention=mass_convention)
+            sup, query_set = profile.total, f"tree_paths:{side}:depth={depth}"
+        record = {"sup": sup, "query_set": query_set,
                   "seed": seed, "mass": mass, "mass_convention": mass_convention}
-        if profile.divergent:
+        if profile is not None and profile.divergent:
             record["divergence_rate"] = profile.divergence_rate
             return CapacityEstimate(0.0, LOWER_BOUND, WOLFF_SUP, indices, record)
-        return CapacityEstimate(mass * sup ** (-1.0 / eta), LOWER_BOUND, WOLFF_SUP,
-                                indices, record)
+        return CapacityEstimate(_admissible_mass(mass, sup, indices, side, depth),
+                                LOWER_BOUND, WOLFF_SUP, indices, record)
 
     if not isinstance(obj, PlanarMeasure):
         raise TypeError("expected a CantorTree or PlanarMeasure")
     if query_points is None or k_range is None:
         raise ValueError("measure estimates need query_points and k_range")
     k_min, k_max = k_range
-    sup, rate, divergent = 0.0, None, False
+    sup = 0.0
     for x in np.asarray(query_points, dtype=float):
-        prof = wolff_dyadic(obj, x, indices.alpha, indices.p, k_min, k_max)
-        sup = max(sup, prof.total)
-        if prof.divergent:
-            divergent = True
-            rate = prof.divergence_rate
+        sup = max(sup, wolff_dyadic(obj, x, indices.alpha, indices.p, k_min, k_max).total)
     record = {"sup": sup, "query_set": query_set_id or f"points[{len(query_points)}]",
               "seed": seed, "mass": obj.total_mass, "k_range": [k_min, k_max]}
-    if divergent:
-        record["divergence_rate"] = rate
-        return CapacityEstimate(0.0, LOWER_BOUND, WOLFF_SUP, indices, record)
     value = obj.total_mass * sup ** (-1.0 / eta) if sup > 0 else 0.0
     return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 

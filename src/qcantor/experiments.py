@@ -22,7 +22,7 @@ from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_ma
                        distortion_indices, wolff_capacity_lower)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
                      generation_cover_sum)
-from .potentials import LN2, CurvatureEstimate, wolff_tree
+from .potentials import LN2, CurvatureEstimate, IndexDomainError, wolff_tree
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
 RATIO_STABILITY = 0.1
@@ -246,17 +246,26 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
     """Same pipeline with the Wolff estimator at (1/p, p) on the target side
     and the mapped indices (beta, q) on the source side."""
     depths = _depths_from(depths, "thm2a")
+    if not 1.0 < p < math.inf:  # before 1/p is formed
+        raise ConfigError(f"thm2a: p = {p}: need a finite p > 1")
     di = distorted_index_map(1.0 / p, p, K)
-    target_idx = CapacityIndices(1.0 / p, p)
+    source_idx, target_idx = di.image, CapacityIndices(1.0 / p, p)
     schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
     rows = []
     for depth in depths:
         tree = build_tree(schedules, depth, seed=seed)
-        lhs_est = wolff_capacity_lower(tree, di.image, side=SOURCE, seed=seed)
+        try:  # the estimator names the indices; p chose them
+            lhs_est = wolff_capacity_lower(tree, source_idx, side=SOURCE, seed=seed)
+            rhs_est = wolff_capacity_lower(tree, target_idx, side=TARGET, seed=seed)
+        except IndexDomainError as exc:
+            raise ConfigError(f"thm2a: p = {p}: {exc}") from None
         lhs = lhs_est.value / (2.0 * tree.scale) ** (2.0 / (K + 1.0))
-        rhs_est = wolff_capacity_lower(tree, target_idx, side=TARGET, seed=seed)
         rhs = rhs_est.value / (2.0 * tree.scale)
-        ratio = lhs / rhs ** (2.0 * K / (K + 1.0))
+        rhs_power = rhs ** (2.0 * K / (K + 1.0))
+        if not lhs > 0.0 < rhs_power:
+            raise ConfigError(f"thm2a: p = {p}: at depth {depth} lhs {lhs:.6g} or "
+                              f"rhs^(2K/(K+1)) underflows to 0 (rhs {rhs:.6g})")
+        ratio = lhs / rhs_power
         rows.append({"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": ratio,
                      "beta": di.beta, "q": di.q,
                      "source_sup": lhs_est.normalization["sup"],
@@ -295,8 +304,11 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
         tree = build_tree(schedules, depth, seed=seed)
         src = wolff_tree(tree, SOURCE, beta, q, depth=depth)
         tgt = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth)
-        cap = wolff_capacity_lower(tree, src_idx, side=SOURCE, seed=seed)
-        bounded = wolff_capacity_lower(tree, thm1_idx, side=SOURCE, seed=seed)
+        try:  # the estimator names the indices; q chose them and the schedule
+            cap = wolff_capacity_lower(tree, src_idx, side=SOURCE, seed=seed)
+            bounded = wolff_capacity_lower(tree, thm1_idx, side=SOURCE, seed=seed)
+        except IndexDomainError as exc:
+            raise ConfigError(f"sharpness: q = {q}: {exc}") from None
         last_term = tgt.entries[-1][1]
         tail = last_term * (depth + 1) / (s - 1.0)  # integral bound of the tail
         rows.append({"depth": depth, "source_sum": src.total, "target_total": tgt.total,

@@ -352,6 +352,8 @@ def test_schedule_config_with_explicit_eps():
     ({"K": 2, "depth": 1, "levels": [{"M": float("inf"), "d": 1.0}]},
      "level 1: M must be an integer, got inf"),
     ({"K": 10**400, "depth": 1, "levels": []}, "K must be a number"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 10**400, "d": "harmonic"}]},
+     r"level 1: M\*R\^2 = exp\(.*\) exceeds 1"),
 ])
 def test_schedule_config_errors(cfg, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -365,3 +367,18 @@ def test_schedule_config_rejects_bad_k_at_any_depth(K, levels):
     with pytest.raises(ConfigError) as info:
         schedules_from_config(cfg)
     assert str(info.value) == f"distortion K must be >= 1, got {K} (K must also be finite)"
+
+
+def test_huge_branching_with_eps_keeps_the_area_fraction():
+    # M beyond the float range: M*R^2 = 1 - eps still holds, in log space
+    (lv,), _, _ = schedules_from_config({"K": 2, "depth": 1,
+                                         "levels": [{"M": 10**400, "d": 1.0, "eps": 0.5}]})
+    assert lv.log_keep == pytest.approx(math.log(0.5), rel=1e-12)
+
+
+def test_depth_zero_tree_keeps_k():
+    # K comes from every level supplied, not only from the first depth levels
+    tree = build_tree(harmonic_schedule(2.0, 3), 0)
+    assert tree.K == 2.0 and tree.scaled(3.0).K == 2.0
+    with pytest.raises(ConstructionError, match="share one distortion K"):
+        build_tree(harmonic_schedule(2.0, 1) + harmonic_schedule(3.0, 2)[1:], 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcantor.cantor import SOURCE, ConstructionError, build_tree, harmonic_schedule, \
+from qcantor.cantor import SOURCE, TARGET, ConstructionError, build_tree, harmonic_schedule, \
     sharpness_exponent, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, WOLFF_SUP,
                               CapacityEstimate, CapacityIndices, direct_capacity_lower,
@@ -11,7 +11,7 @@ from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, WOLFF_SU
                               wolff_capacity_lower)
 from qcantor.experiments import gauge_criterion_experiment
 from qcantor.measure import PlanarMeasure
-from qcantor.potentials import CurvatureEstimate, menger_curvature
+from qcantor.potentials import CurvatureEstimate, IndexDomainError, menger_curvature
 
 
 # -- index algebra ------------------------------------------------------------
@@ -143,6 +143,19 @@ def test_depth_zero_tree_estimate_finite():
     tree = build_tree(harmonic_schedule(2.0, 4), 0)
     est = wolff_capacity_lower(tree, distortion_indices(2.0), side=SOURCE)
     assert est.value > 0 and math.isfinite(est.value)
+
+
+@pytest.mark.parametrize("schedules,depth,indices,side,why", [
+    # (1e-5, 1e5) on the target: mass * sup^(-(p-1)) underflows to 0
+    (harmonic_schedule(2.0, 2), 2, CapacityIndices(1e-5, 1e5), TARGET, "capacity 0"),
+    # d_1 = 2^749 on the sharpness schedule at q = 1000: the sup underflows to 0
+    (sharpness_schedule(2.0, 1000.0, 8), 8, distortion_indices(2.0), SOURCE, "Wolff sup 0"),
+], ids=["capacity-underflow", "sup-underflow"])
+def test_tree_estimate_refuses_capacity_outside_the_doubles(schedules, depth, indices,
+                                                            side, why):
+    tree = build_tree(schedules, depth)
+    with pytest.raises(IndexDomainError, match=f"leaves double precision.*{why}"):
+        wolff_capacity_lower(tree, indices, side=side)
 
 
 def test_sharpness_capacity_decays_to_zero():

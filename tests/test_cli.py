@@ -339,6 +339,37 @@ def test_verify_sharpness_rejects_nonfinite_q(tmp_path, capsys, q):
     assert not (tmp_path / "sharpness.json").exists()
 
 
+@pytest.mark.parametrize("p,why", [("inf", "need a finite p > 1"), ("nan", "need a finite p > 1"),
+                                   ("0", "need a finite p > 1"),
+                                   ("1e5", "leaves double precision")])
+def test_verify_thm2a_names_p(tmp_path, capsys, p, why):
+    # p = inf used to name alpha*p = nan; p = 0 and 1e5 ended in a ZeroDivisionError
+    code = main(["verify", "thm2a", "--K", "2", "--p", p, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"thm2a: p = {float(p)}: " in err and why in err
+    assert not (tmp_path / "thm2a.json").exists()
+
+
+def test_verify_sharpness_refuses_capacity_that_leaves_the_doubles(tmp_path, capsys):
+    # q = 1000: the bounded source capacity's Wolff sup underflows to 0
+    code = main(["verify", "sharpness", "--K", "2", "--q", "1000", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sharpness: q = 1000.0: " in err and "leaves double precision" in err
+    assert not (tmp_path / "sharpness.json").exists()
+
+
+def test_build_depth_zero_keeps_the_config_k(tmp_path, capsys):
+    cfg = {"K": 2, "depth": 2, "levels": [{"M": 4, "d": "harmonic"}] * 2}
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "tree.json"
+    assert main(["build", "--config", str(path), "--depth", "0", "--out", str(out)]) == 0
+    assert "depth=0 K=2.0 " in capsys.readouterr().out
+    assert json.loads(out.read_text())["K"] == 2.0
+
+
 _SEEDED = {
     "build": [],
     "wolff": ["--side", "target", "--alpha", "0.5", "--p", "1.5"],
@@ -412,7 +443,8 @@ def test_build_export_cap_names_the_depth(tmp_path, capsys):
 @pytest.mark.parametrize("level", [{"M": 4, "d": 1.0, "eps": "x"},
                                    {"M": 4, "d": {"sharpness_q": "x"}},
                                    {"M": 4, "d": {"sharpness_q": 1e4}},
-                                   {"M": 4, "d": -1}])
+                                   {"M": 4, "d": -1},
+                                   {"M": 10**400, "d": "harmonic"}])
 def test_bad_level_value_exits_two(tmp_path, capsys, level):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"K": 2, "depth": 1, "levels": [level]}))

@@ -367,6 +367,23 @@ def test_distorted_gauge_k1_reduces_to_smoothed():
         assert dist.h_node(path) == pytest.approx(plain.h_node(path), rel=1e-12)
 
 
+def test_distorted_gauge_is_the_smoothed_body_with_k_exponents():
+    # one node-gauge body: the subclass supplies data only, plus the per-class
+    # h_node entry that bench/tracer.py patches
+    body = ("_eps", "eps_node", "h_values", "far_field_bound")
+    assert not set(body) & set(vars(DistortedTreeGauge))
+    assert vars(DistortedTreeGauge)["h_node"] is vars(TreeSmoothedDensityGauge)["h_node"]
+    tree = build_tree(harmonic_schedule(1.0, 3), 3, seed=3)
+    real = tree.realize(seed=3)
+    dist = DistortedTreeGauge(real, a=0.2)
+    plain = TreeSmoothedDensityGauge(real, 0.2, side=SOURCE)
+    # K = 1: both exponents are 1 and source radii equal target radii, bit for bit
+    assert (dist.gamma, dist.exponent, dist.side) == (1.0, 1.0, TARGET)
+    for h_dist, h_plain in zip(dist.h_values(3), plain.h_values(3)):
+        assert np.array_equal(h_dist, h_plain)
+    assert dist.far_field_bound(3) == plain.far_field_bound(3)
+
+
 def test_distorted_gauge_root_ball_closed_form(real_k2_d3):
     real = real_k2_d3
     K = real.tree.K
