@@ -17,8 +17,11 @@ truncated at a finite depth.
 """
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,8 +236,15 @@ class CantorTree:
 
     Nodes are not materialized: every per-generation quantity is a prefix sum
     over the schedules, so potentials and contents at depth 64 cost O(depth).
+    A depth sweep builds one tree at its deepest depth and reads every
+    shallower depth as ``prefix(depth)``, whose arrays are slices of this
+    tree's (read-only) arrays, so the sweep does its O(depth) work once.
     Geometry (centers, atoms) lives in a CantorRealization.
     """
+
+    #: the cumulative per-generation logs, entry n = generation n (entry 0 = root):
+    #: log t, log s, ideal log mass (2 * sum log R_k), sum log d_k, sum log(1 - eps_k)
+    _CUMULATIVE = ("cum_log_t", "cum_log_s", "cum_log_mass", "cum_log_d", "cum_log_keep")
 
     def __init__(self, schedules, depth, seed=0, scale=1.0):
         schedules = tuple(schedules)
@@ -257,22 +267,31 @@ class CantorTree:
         self.seed = int(seed)
         self.scale = float(scale)
 
-        # cumulative per-generation logs, entry n = generation n (entry 0 = root)
-        n = depth + 1
-        self.cum_log_t = np.zeros(n)
-        self.cum_log_s = np.zeros(n)
-        self.cum_log_mass = np.zeros(n)       # ideal: 2 * sum log R_k
-        self.cum_log_d = np.zeros(n)          # sum log d_k
-        self.cum_log_keep = np.zeros(n)       # sum log(1 - eps_k)
-        counts = [1]                          # nodes per generation
-        for g, lv in enumerate(self.schedules, start=1):
-            counts.append(counts[-1] * lv.branching)
-            self.cum_log_t[g] = self.cum_log_t[g - 1] + lv.log_target_step
-            self.cum_log_s[g] = self.cum_log_s[g - 1] + lv.log_source_step
-            self.cum_log_mass[g] = self.cum_log_mass[g - 1] + 2.0 * lv.log_protect
-            self.cum_log_d[g] = self.cum_log_d[g - 1] + math.log(lv.multiplier)
-            self.cum_log_keep[g] = self.cum_log_keep[g - 1] + lv.log_keep
-        self.node_counts = tuple(counts)
+        # one in-order cumsum per quantity over (0, step_1, ..., step_depth): the
+        # same additions, in the same order, as cum[g] = cum[g - 1] + step_g
+        steps = [(0.0,) * len(self._CUMULATIVE)] + [
+            (lv.log_target_step, lv.log_source_step, 2.0 * lv.log_protect,
+             math.log(lv.multiplier), lv.log_keep) for lv in self.schedules]
+        cum = np.cumsum(np.array(steps).T, axis=1)
+        cum.setflags(write=False)  # prefixes share these arrays
+        for name, row in zip(self._CUMULATIVE, cum):
+            setattr(self, name, row)
+        self.node_counts = tuple(itertools.accumulate(  # nodes per generation
+            (lv.branching for lv in self.schedules), operator.mul, initial=1))
+
+    def prefix(self, depth) -> "CantorTree":
+        """The tree of the first depth levels, equal array for array to
+        build_tree(levels, depth) with this tree's levels, seed and scale; its
+        arrays are slices of this tree's, so no level is summed again."""
+        if not 0 <= depth <= self.depth:
+            raise ConstructionError(f"prefix depth {depth} outside 0..{self.depth}")
+        tree = copy.copy(self)
+        tree.depth = depth
+        tree.schedules = self.schedules[:depth]
+        tree.node_counts = self.node_counts[:depth + 1]
+        for name in self._CUMULATIVE:
+            setattr(tree, name, getattr(self, name)[:depth + 1])
+        return tree
 
     @property
     def K(self) -> float:
@@ -340,16 +359,8 @@ class CantorTree:
         return idx
 
     def paths_at(self, generation):
-        """All paths of a generation, in index order."""
-
-        def rec(prefix, g):
-            if g == generation:
-                yield prefix
-                return
-            for j in range(self.branching(g + 1)):
-                yield from rec(prefix + (j,), g + 1)
-
-        yield from rec((), 0)
+        """All paths of a generation, in index order (an iterator)."""
+        return itertools.product(*(range(self.branching(g)) for g in range(1, generation + 1)))
 
     def realize(self, seed=None, samples_per_leaf=1):
         """Materialize centers and leaf atoms as a new CantorRealization."""

@@ -53,11 +53,22 @@ class CapacityIndices:
         return 2.0 - self.alpha * self.p
 
 
+def _check_k_indices(alpha, p, K):
+    """Refuse, naming K, indices that K sends to alpha*p = 2 (or nan) in double
+    precision: 2 - alpha*p ~ 2/(K+1) is below the ulp of 2 once K passes ~1e16."""
+    if not alpha * p < 2.0:
+        raise IndexDomainError(f"K = {K}: the indices it gives round to alpha*p = "
+                               f"{alpha * p!r}, outside 0 < alpha*p < 2 (K is too large "
+                               "for double precision)")
+
+
 def distortion_indices(K) -> CapacityIndices:
     """(2K/(2K+1), (2K+1)/(K+1)): the source-side indices paired with
     analytic capacity on the distorted side; homogeneity 2/(K+1)."""
     check_distortion(K)
-    return CapacityIndices(2.0 * K / (2.0 * K + 1.0), (2.0 * K + 1.0) / (K + 1.0))
+    alpha, p = 2.0 * K / (2.0 * K + 1.0), (2.0 * K + 1.0) / (K + 1.0)
+    _check_k_indices(alpha, p, K)
+    return CapacityIndices(alpha, p)
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,7 @@ def distorted_index_map(alpha, p, K) -> DistortedIndices:
     num = 2.0 * K * p * t - 3.0 * K * t + 2.0 * K + t
     beta = (4.0 * K - 2.0 * K * t) / num
     q = num / denom
+    _check_k_indices(beta, q, K)
     return DistortedIndices(alpha, p, K, t, t_prime, beta, q)
 
 

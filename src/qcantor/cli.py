@@ -8,6 +8,7 @@ CSV/JSON, and reports through exit codes: 0 success or verdict pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -276,7 +277,6 @@ def build_parser():
 
     p = sub.add_parser("build", help="build a tree and export node logs")
     add_common(p, side=False)
-    p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("wolff", help="tree-formula Wolff profile")
     add_common(p)
@@ -284,18 +284,15 @@ def build_parser():
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--convention", choices=("ideal", "realized"), default="ideal")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_wolff)
 
     p = sub.add_parser("riesz", help="Riesz potential of a realization at a point")
     add_common(p, cloud=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--x", default="0,0", help="evaluation point 'x,y'")
-    p.set_defaults(fn=_cmd_riesz)
 
     p = sub.add_parser("curvature", help="Menger curvature of a realization")
     add_common(p, cloud=True)
     p.add_argument("--triples", type=int, default=200_000)
-    p.set_defaults(fn=_cmd_curvature)
 
     p = sub.add_parser("capacity", help="capacity lower estimate")
     add_common(p, cloud=True)
@@ -303,19 +300,16 @@ def build_parser():
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--estimator", choices=("wolff", "direct"), default="wolff")
     p.add_argument("--cells", type=int, help="direct estimator only")
-    p.set_defaults(fn=_cmd_capacity)
 
     p = sub.add_parser("content", help="tree-aligned h-content and Frostman flow")
     add_common(p, cloud=True)
     p.add_argument("--gauge", default="smoothed:a=0.1")
-    p.set_defaults(fn=_cmd_content)
 
     p = sub.add_parser("check-gauge", help="doubling/summability report")
     add_common(p, cloud=True, side=False)
     p.add_argument("--side", choices=(SOURCE, TARGET), default=SOURCE)
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--pairs", type=int, default=200)
-    p.set_defaults(fn=_cmd_check_gauge)
 
     p = sub.add_parser("verify", help="run a verification experiment")
     p.add_argument("target", choices=tuple(_VERIFY))
@@ -326,18 +320,24 @@ def build_parser():
     p.add_argument("--a", type=float, help="kernel parameter (content-ratio only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_verify)
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The process's one parser, built on the first main() call, not at import.
+    Each parse_args call returns a fresh namespace, so calls share no parsed state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]  # looked up per call
     try:
-        return args.fn(args)
+        return handler(args)
     except (ConfigError, ConstructionError, IndexDomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -193,6 +193,11 @@ def _depths_from(depths, experiment, minimum=0, why="a tree has no negative dept
     return depths
 
 
+def _sweep_tree(schedules, seed):
+    """The one tree of a depth sweep, at its deepest depth; each row reads a prefix of it."""
+    return build_tree(schedules, len(schedules), seed=seed)
+
+
 # -- distortion inequality experiments ---------------------------------------
 
 
@@ -215,10 +220,10 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     """
     depths = _depths_from(depths, "thm1")
     idx = distortion_indices(K)
-    schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
+    full = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
     rows = []
     for depth in depths:
-        tree = build_tree(schedules, depth, seed=seed)
+        tree = full.prefix(depth)
         lhs_est = wolff_capacity_lower(tree, idx, side=SOURCE, seed=seed)
         diam_b = 2.0 * tree.scale
         lhs = lhs_est.value / diam_b ** (2.0 / (K + 1.0))
@@ -250,10 +255,10 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
         raise ConfigError(f"thm2a: p = {p}: need a finite p > 1")
     di = distorted_index_map(1.0 / p, p, K)
     source_idx, target_idx = di.image, CapacityIndices(1.0 / p, p)
-    schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
+    full = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
     rows = []
     for depth in depths:
-        tree = build_tree(schedules, depth, seed=seed)
+        tree = full.prefix(depth)
         try:  # the estimator names the indices; p chose them
             lhs_est = wolff_capacity_lower(tree, source_idx, side=SOURCE, seed=seed)
             rhs_est = wolff_capacity_lower(tree, target_idx, side=TARGET, seed=seed)
@@ -289,22 +294,22 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     """
     depths = _depths_from(depths, "sharpness", 2,
                           "the capacity decay is fitted against log(log N)")
+    thm1_idx = distortion_indices(K)  # refuses a bad K, naming one too large for the doubles
     if q is None:
         q = (3.0 * K + 1.0) / (K + 1.0)
-    sharpness_exponent(K, q)  # refuses a bad K, then a q outside the sharpness regime
+    sharpness_exponent(K, q)  # refuses a q outside the sharpness regime
     q_conj_minus_1 = 1.0 / (q - 1.0)
     beta = 2.0 * K / ((K + 1.0) * q)
     src_idx = CapacityIndices(beta, q)
-    thm1_idx = distortion_indices(K)
-    schedules = sharpness_schedule(K, q, max(depths), branching=BRANCHING)
+    full = _sweep_tree(sharpness_schedule(K, q, max(depths), branching=BRANCHING), seed)
     # convergence exponent of the target terms (n+1)^(-s)
     s = (K + 1.0) / (K * q_conj_minus_1)
     rows = []
     for depth in depths:
-        tree = build_tree(schedules, depth, seed=seed)
-        src = wolff_tree(tree, SOURCE, beta, q, depth=depth)
+        tree = full.prefix(depth)
         tgt = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth)
-        try:  # the estimator names the indices; q chose them and the schedule
+        try:  # the potential and the estimator name the indices; q chose them and the schedule
+            src = wolff_tree(tree, SOURCE, beta, q, depth=depth)
             cap = wolff_capacity_lower(tree, src_idx, side=SOURCE, seed=seed)
             bounded = wolff_capacity_lower(tree, thm1_idx, side=SOURCE, seed=seed)
         except IndexDomainError as exc:
@@ -335,11 +340,10 @@ def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> Exper
     global mass scaling, so the truncation renormalization cancels.
     """
     depths = _depths_from(depths, "content_ratio")
-    schedules = harmonic_schedule(K, max(depths), branching=BRANCHING)
+    full = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
     rows = []
     for depth in depths:
-        tree = build_tree(schedules, depth, seed=seed)
-        real = tree.realize(seed=seed)
+        real = full.prefix(depth).realize(seed=seed)
         m_src = content_Mh_tree(TreeSmoothedDensityGauge(real, a, side=SOURCE)).value
         m_tgt = content_Mh_tree(DistortedTreeGauge(real, a)).value
         rows.append({"depth": depth, "source_content": m_src,
@@ -409,10 +413,10 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
     eps = lambda log_r: 1.0 / (-log_r)  # noqa: E731
     unit = lambda log_r: 1.0  # noqa: E731
     cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
-    schedules = shrunk_schedule(K, max(depths), cap, branching=BRANCHING)
+    full = _sweep_tree(shrunk_schedule(K, max(depths), cap, branching=BRANCHING), seed)
     rows = []
     for depth in depths:
-        tree = build_tree(schedules, depth, seed=seed)
+        tree = full.prefix(depth)
         closed = (depth + 1) ** (2.0 * K / (K + 1.0))
         rows.append({
             "depth": depth,
@@ -442,12 +446,11 @@ def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentR
     depths = _depths_from(depths, "doubly_exponential", 1,
                           "eps = log(1/s)^(-2/a) is undefined at the unit root radius")
     eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
-    schedules = doubly_exponential_schedule(K, max(depths), branching=BRANCHING)
-    harmonic = harmonic_schedule(K, max(depths), branching=BRANCHING)
+    full = _sweep_tree(doubly_exponential_schedule(K, max(depths), branching=BRANCHING), seed)
+    hfull = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
     rows = []
     for depth in depths:
-        tree = build_tree(schedules, depth, seed=seed)
-        htree = build_tree(harmonic, depth, seed=seed)
+        tree, htree = full.prefix(depth), hfull.prefix(depth)
         rows.append({
             "depth": depth,
             "source_log_radius": tree.log_radius(SOURCE, depth),

@@ -279,17 +279,16 @@ def content_Mh_tree(gauge, depth=None) -> ContentResult:
     tree = gauge.tree
     depth = tree.depth if depth is None else depth
     cost, take = _content_dp(tree, gauge.h_values(depth), depth)
-    cover = []
-
-    def walk(g, i, path):
+    # depth-first, children in order; an explicit stack, since a recursive
+    # closure is a reference cycle that keeps the DP arrays alive until a full gc
+    cover, stack = [], [(0, 0, ())]
+    while stack:
+        g, i, path = stack.pop()
         if take[g][i]:
             cover.append(path)
-            return
+            continue
         m = tree.branching(g + 1)
-        for j in range(m):
-            walk(g + 1, i * m + j, path + (j,))
-
-    walk(0, 0, ())
+        stack.extend((g + 1, i * m + j, path + (j,)) for j in reversed(range(m)))
     return ContentResult(float(cost[0][0]), tuple(cover), gauge.description,
                          gauge.far_field_bound(depth))
 

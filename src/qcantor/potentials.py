@@ -129,6 +129,9 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
     (2/3, 3/2)) the target radius products cancel symbolically; otherwise a
     residual ~|sum log R| * 1e-16 remains, which is harmless for
     smallness-sized radii but matters for doubly-exponential schedules.
+    The log terms of all generations are one array expression; each term is
+    exponentiated by math.exp (libm), and a log term at or past 709, where
+    the term leaves the doubles, is refused with IndexDomainError.
     """
     _check_side(side)
     check_indices(alpha, p)
@@ -136,6 +139,8 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
         depth = tree.depth
     if depth > tree.depth:
         raise ValueError(f"requested depth {depth} exceeds tree depth {tree.depth}")
+    if mass_convention not in ("ideal", "realized"):
+        raise ValueError(f"unknown mass convention {mass_convention!r}")
     eta = conjugate_minus_one(p)
     homog = 2.0 - alpha * p
     K = tree.K
@@ -145,22 +150,22 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
     else:
         coef_log_r = 2.0 - homog * (K + 1.0)
         coef_log_d = -homog * K
-    log_scale = math.log(tree.scale)
-    entries = []
-    for n in range(1, depth + 1):
-        log_ratio = (0.5 * coef_log_r * tree.cum_log_mass[n]
-                     + coef_log_d * tree.cum_log_d[n]
-                     - homog * log_scale)
-        if mass_convention == "realized":
-            log_ratio += tree.cum_log_keep[depth] - tree.cum_log_keep[n]
-        elif mass_convention != "ideal":
-            raise ValueError(f"unknown mass convention {mass_convention!r}")
-        x = eta * log_ratio
-        entries.append((n, math.exp(x) if x < 709.0 else math.inf))
-    labels = [n for n, _ in entries]
-    contribs = np.array([c for _, c in entries])
-    divergent, rate = diagnose_divergence(labels, contribs, "generation")
-    return PotentialProfile(alpha, p, f"tree:{side}:{mass_convention}", tuple(entries),
+    gens = slice(1, depth + 1)
+    log_ratio = (0.5 * coef_log_r * tree.cum_log_mass[gens]
+                 + coef_log_d * tree.cum_log_d[gens]
+                 - homog * math.log(tree.scale))
+    if mass_convention == "realized":
+        log_ratio += tree.cum_log_keep[depth] - tree.cum_log_keep[gens]
+    x = eta * log_ratio
+    past = np.flatnonzero(~(x < 709.0))
+    if past.size:
+        n = int(past[0]) + 1
+        raise IndexDomainError(
+            f"the {side} Wolff term at alpha = {alpha:.6g}, p = {p:.6g} leaves double "
+            f"precision at generation {n} (log term {x[n - 1]:.6g})")
+    labels, terms = range(1, depth + 1), [math.exp(v) for v in x.tolist()]
+    divergent, rate = diagnose_divergence(labels, np.array(terms), "generation")
+    return PotentialProfile(alpha, p, f"tree:{side}:{mass_convention}", tuple(zip(labels, terms)),
                             divergent=divergent, divergence_rate=rate)
 
 

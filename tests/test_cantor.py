@@ -10,7 +10,8 @@ from qcantor import cantor
 from qcantor.cantor import (SOURCE, TARGET, ConfigError, ConstructionError,
                             LevelSchedule, PackingError, build_tree,
                             doubly_exponential_schedule, harmonic_schedule,
-                            pack_disks, schedules_from_config, sharpness_schedule)
+                            pack_disks, schedules_from_config, sharpness_schedule,
+                            shrunk_schedule)
 
 
 def test_harmonic_multipliers():
@@ -382,3 +383,54 @@ def test_depth_zero_tree_keeps_k():
     assert tree.K == 2.0 and tree.scaled(3.0).K == 2.0
     with pytest.raises(ConstructionError, match="share one distortion K"):
         build_tree(harmonic_schedule(2.0, 1) + harmonic_schedule(3.0, 2)[1:], 1)
+
+
+_CUMULATIVE = ("cum_log_t", "cum_log_s", "cum_log_mass", "cum_log_d", "cum_log_keep")
+
+
+def _cumulative_loop(levels):
+    """Reference copy of the tree's first cumulative fill: one addition per level."""
+    cum = {name: np.zeros(len(levels) + 1) for name in _CUMULATIVE}
+    for g, lv in enumerate(levels, start=1):
+        steps = (lv.log_target_step, lv.log_source_step, 2.0 * lv.log_protect,
+                 math.log(lv.multiplier), lv.log_keep)
+        for name, step in zip(_CUMULATIVE, steps):
+            cum[name][g] = cum[name][g - 1] + step
+    return cum
+
+
+_SWEEP_LEVELS = {
+    "harmonic": lambda: harmonic_schedule(2.0, 40),
+    "sharpness": lambda: sharpness_schedule(3.0, 2.5, 40, branching=3),
+    "shrunk": lambda: shrunk_schedule(2.0, 12, lambda n: -float((n + 1) ** 3)),
+    "doubly-exponential": lambda: doubly_exponential_schedule(2.5, 12),
+    "explicit-eps": lambda: harmonic_schedule(1.5, 40, branching=3, eps=0.99993),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("kind", sorted(_SWEEP_LEVELS))
+def test_prefix_equals_the_tree_built_at_its_depth(kind, scale):
+    levels = _SWEEP_LEVELS[kind]()
+    full = build_tree(levels, len(levels), seed=3, scale=scale)
+    for depth in range(len(levels) + 1):
+        tree, want = full.prefix(depth), build_tree(levels, depth, seed=3, scale=scale)
+        ref = _cumulative_loop(levels[:depth])
+        for name in _CUMULATIVE:
+            got = getattr(tree, name)
+            assert np.array_equal(got, getattr(want, name)) and np.array_equal(got, ref[name])
+        assert (tree.depth, tree.schedules, tree.node_counts, tree.seed, tree.scale, tree.K) \
+            == (want.depth, want.schedules, want.node_counts, want.seed, want.scale, want.K)
+        assert tree.log_total_mass() == want.log_total_mass()
+        assert tree.scaled(2.0).cum_log_s.tolist() == want.scaled(2.0).cum_log_s.tolist()
+
+
+def test_prefix_shares_read_only_arrays():
+    full = build_tree(harmonic_schedule(2.0, 6), 6)
+    tree = full.prefix(3)
+    assert np.shares_memory(tree.cum_log_t, full.cum_log_t)
+    with pytest.raises(ValueError):
+        tree.cum_log_t[1] = 0.0
+    for depth in (-1, 7):
+        with pytest.raises(ConstructionError, match=f"prefix depth {depth} outside 0..6"):
+            full.prefix(depth)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -501,3 +502,73 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     code = main(["verify", "gauge-criterion", "--K", "2"])
     assert code == 0
     assert (tmp_path / "gauge_criterion.json").exists()
+
+
+def test_wolff_refuses_a_term_past_the_doubles(tmp_path, capsys):
+    # K = 3 at depth 4 used to print total=inf divergent=False and exit 0
+    cfg = {"K": 3, "depth": 4, "levels": [{"M": 4, "d": "harmonic"}] * 4}
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "wolff.json"
+    code = main(["wolff", "--config", str(path), "--side", "source", "--alpha", "1.3",
+                 "--p", "1.01", "--format", "json", "--out", str(out)])
+    assert code == 2
+    assert ("error: the source Wolff term at alpha = 1.3, p = 1.01 leaves double precision "
+            "at generation 3 ") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target,stem", [("thm1", "thm1"), ("thm2a", "thm2a"),
+                                         ("sharpness", "sharpness")])
+@pytest.mark.parametrize("K", ["1e16", "1e300"])
+def test_verify_names_a_k_too_large_for_the_doubles(tmp_path, capsys, target, stem, K):
+    # the indices used to be named instead: need 0 < alpha*p < 2, got alpha*p = 2.0
+    code = main(["verify", target, "--K", K, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: K = {float(K)}: the indices it gives round to alpha*p = 2.0" in err
+    assert not (tmp_path / f"{stem}.json").exists()
+
+
+def test_calls_share_one_parser_and_no_parsed_state(config_path, tmp_path, monkeypatch):
+    builds, build_parser = [], cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        wolff = ["wolff", "--config", config_path, "--side", "target", "--alpha", "0.5",
+                 "--p", "1.5"]
+        assert main(["verify", "thm1", "--K", "2", "--depths", "2,3",
+                     "--out", str(tmp_path / "v")]) == 0
+        assert main(wolff + ["--depth", "2", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(wolff + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert main(["build", "--config", config_path, "--out", str(tmp_path / "t.json")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    rows = [len((tmp_path / name).read_text().splitlines()) - 1 for name in ("a.csv", "b.csv")]
+    assert rows == [2, 3]  # --depth 2 reached the call that gave it, and no other
+    assert json.loads((tmp_path / "t.json").read_text())["depth"] == 3
+
+
+def test_commands_leave_no_reference_cycles(config_path, tmp_path):
+    # with one parser per process, garbage cycles are seldom collected: a cycle
+    # that holds a tree or DP arrays grows the peak RSS of a long-lived caller
+    runs = [["build", "--config", config_path],
+            ["content", "--config", config_path, "--side", "source"],
+            ["content", "--config", config_path, "--side", "target", "--gauge", "distorted"],
+            ["check-gauge", "--config", config_path, "--pairs", "10"],
+            ["verify", "content-ratio", "--K", "2", "--depths", "2,3"]]
+    cli._parser()  # building it leaves argparse's own formatter cycles, once per process
+    gc.collect()
+    gc.disable()
+    try:
+        for n, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / str(n))]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import pytest
 
 from qcantor import experiments as ex
-from qcantor.cantor import ConfigError
+from qcantor.cantor import SOURCE, ConfigError, build_tree
+from qcantor.potentials import IndexDomainError, wolff_tree
 
 
 def test_gamma_distortion_ratio_stable_and_rows_complete():
@@ -196,3 +198,41 @@ def test_experiment_defaults_are_plain_arguments():
     report = ex.verify_riesz_distortion(2.0)
     assert report.params["p"] == 2.0 and report.params["depths"] == [2, 3, 4, 5]
     assert ex.gauge_criterion_experiment(2.0, seed=3).params["seed"] == 3
+
+
+@pytest.mark.parametrize("run,trees", [
+    (ex.verify_gamma_distortion, 1), (ex.verify_riesz_distortion, 1),
+    (ex.sharpness_experiment, 1), (ex.content_distortion_experiment, 1),
+    (ex.vanishing_content_experiment, 1), (ex.doubly_exponential_experiment, 2)])
+def test_sweeps_build_one_tree_per_schedule(monkeypatch, run, trees):
+    built = []
+
+    def counting(schedules, depth, **kwargs):
+        built.append(depth)
+        return build_tree(schedules, depth, **kwargs)
+
+    monkeypatch.setattr(ex, "build_tree", counting)
+    for depths in ([4, 2], [2, 3, 5, 4, 6]):
+        built.clear()
+        run(2.0, depths=depths)
+        assert built == [max(depths)] * trees
+
+
+def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
+    def refusing(tree, side, alpha, p, **kwargs):
+        if side == SOURCE:
+            raise IndexDomainError(f"the {side} Wolff term at alpha = {alpha:.6g}, p = "
+                                   f"{p:.6g} leaves double precision at generation 1")
+        return wolff_tree(tree, side, alpha, p, **kwargs)
+
+    monkeypatch.setattr(ex, "wolff_tree", refusing)
+    with pytest.raises(ConfigError, match=r"^sharpness: q = 2\.5: the source Wolff term"):
+        ex.sharpness_experiment(3.0, q=2.5, depths=[8, 9])
+
+
+@pytest.mark.parametrize("run", [ex.verify_gamma_distortion, ex.verify_riesz_distortion,
+                                 ex.sharpness_experiment])
+@pytest.mark.parametrize("K", [1e16, 1e300])
+def test_distortion_sweeps_name_a_k_too_large_for_the_doubles(run, K):
+    with pytest.raises(IndexDomainError, match=re.escape(f"K = {K}: the indices it gives")):
+        run(K)

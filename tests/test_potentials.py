@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcantor.cantor import SOURCE, TARGET, build_tree, harmonic_schedule, \
-    sharpness_schedule
+from qcantor.cantor import SOURCE, TARGET, build_tree, doubly_exponential_schedule, \
+    harmonic_schedule, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import distortion_indices
 from qcantor.measure import PlanarMeasure
 from qcantor.potentials import (IndexDomainError, circumradius, default_dyadic_range,
@@ -306,12 +306,79 @@ def test_proxy_matches_tree_sum_within_factor(tree_k2_d3, real_k2_d3):
         assert 1.0 / 8.0 <= proxy / tree_total <= 8.0
 
 
+def _wolff_tree_loop(tree, side, alpha, p, mass_convention="ideal"):
+    """Reference copy of wolff_tree's first implementation: one log term per
+    generation, inf where the term leaves the doubles.  Returns the entries."""
+    eta = 1.0 / (p - 1.0)
+    homog = 2.0 - alpha * p
+    if side == TARGET:
+        coef_log_r, coef_log_d = 2.0 - 2.0 * homog, -homog
+    else:
+        coef_log_r, coef_log_d = 2.0 - homog * (tree.K + 1.0), -homog * tree.K
+    log_scale = math.log(tree.scale)
+    entries = []
+    for n in range(1, tree.depth + 1):
+        log_ratio = (0.5 * coef_log_r * tree.cum_log_mass[n]
+                     + coef_log_d * tree.cum_log_d[n]
+                     - homog * log_scale)
+        if mass_convention == "realized":
+            log_ratio += tree.cum_log_keep[tree.depth] - tree.cum_log_keep[n]
+        x = eta * log_ratio
+        entries.append((n, math.exp(x) if x < 709.0 else math.inf))
+    return tuple(entries)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 1.8), st.floats(1.1, 3.0))
 def test_tree_terms_nonnegative_property(alpha, p):
     if not (0.0 < alpha * p < 2.0):
         return
     tree = build_tree(harmonic_schedule(2.0, 6), 6)
+    want = _wolff_tree_loop(tree, SOURCE, alpha, p)
+    past = [n for n, c in want if math.isinf(c)]
+    if past:  # a term past the doubles is refused, never summed into an inf total
+        with pytest.raises(IndexDomainError, match=f"at generation {past[0]} "):
+            wolff_tree(tree, SOURCE, alpha, p)
+        return
     prof = wolff_tree(tree, SOURCE, alpha, p)
-    assert all(c >= 0.0 for _, c in prof.entries)
+    assert all(0.0 <= c < math.inf for _, c in prof.entries)
     assert prof.total == pytest.approx(sum(c for _, c in prof.entries), rel=1e-12)
+
+
+_WOLFF_TREES = {
+    "harmonic": lambda: build_tree(harmonic_schedule(2.0, 64), 64),
+    "sharpness": lambda: build_tree(sharpness_schedule(3.0, 2.5, 64, branching=3), 64),
+    "shrunk": lambda: build_tree(shrunk_schedule(2.0, 10, lambda n: -float((n + 1) ** 3)), 10),
+    "doubly-exponential": lambda: build_tree(doubly_exponential_schedule(2.5, 12), 12),
+    "explicit-eps": lambda: build_tree(harmonic_schedule(1.5, 40, branching=3, eps=0.99993),
+                                       40, scale=0.37),
+}
+
+
+@pytest.mark.parametrize("convention", ["ideal", "realized"])
+@pytest.mark.parametrize("kind", sorted(_WOLFF_TREES))
+def test_wolff_tree_equals_loop_reference(kind, convention):
+    tree = _WOLFF_TREES[kind]()
+    for side in (SOURCE, TARGET):
+        for alpha, p in ((2.0 / 3.0, 1.5), (0.8, 5.0 / 3.0), (0.3, 2.5), (0.05, 1.2)):
+            want = _wolff_tree_loop(tree, side, alpha, p, convention)
+            if any(math.isinf(c) for _, c in want):
+                with pytest.raises(IndexDomainError, match=f"the {side} Wolff term"):
+                    wolff_tree(tree, side, alpha, p, mass_convention=convention)
+                continue
+            got = wolff_tree(tree, side, alpha, p, mass_convention=convention)
+            assert got.entries == want
+            for depth in (0, 1, tree.depth // 2):
+                short = wolff_tree(tree.prefix(depth), side, alpha, p,
+                                   mass_convention=convention)
+                assert short.entries == _wolff_tree_loop(tree.prefix(depth), side, alpha, p,
+                                                         convention)
+
+
+def test_wolff_tree_refuses_a_term_past_the_doubles():
+    # K = 3, four 4-way harmonic levels: the third source term would be exp(851)
+    tree = build_tree(harmonic_schedule(3.0, 4), 4)
+    with pytest.raises(IndexDomainError) as info:
+        wolff_tree(tree, SOURCE, 1.3, 1.01)
+    assert str(info.value).startswith("the source Wolff term at alpha = 1.3, p = 1.01 leaves "
+                                      "double precision at generation 3 ")
