@@ -152,23 +152,23 @@ def _admissible_mass(mass, sup, indices, side, depth) -> float:
     return value
 
 
-def wolff_capacity_lower(obj, indices, *, side=None, depth=None,
-                         mass_convention="ideal", query_points=None,
+def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", query_points=None,
                          k_range=None, seed=0, query_set_id=None) -> CapacityEstimate:
     """mass * S^(-1/(p'-1)) where S is the Wolff sup over the query set.
 
     The mass scaling law W(c*mu) = c^(p'-1) W(mu) makes the measure with
     potential sup exactly 1 a rescale of mu, so this is the admissible-mass
     lower estimate in the wolff_sup convention.  On a CantorTree the sup over
-    paths is the exact tree sum (path independent); depth-0 trees fall back
-    to the closed-form single-ball term.  A divergent potential yields value
+    paths is the exact tree sum (path independent) at the tree's depth (pass
+    tree.prefix(depth) for a shallower one); depth-0 trees fall back to the
+    closed-form single-ball term.  A divergent potential yields value
     0 with the divergence rate recorded; a tree value of 0 or inf is refused.
     """
     eta = indices.conjugate_minus_one
     if isinstance(obj, CantorTree):
         if side is None:
             raise ValueError("side required for tree estimates")
-        depth = obj.depth if depth is None else depth
+        depth = obj.depth
         mass = math.exp(obj.log_total_mass(mass_convention))
         if depth == 0:
             # uniform unit ball: area law below the radius, constant mass above
@@ -178,7 +178,7 @@ def wolff_capacity_lower(obj, indices, *, side=None, depth=None,
                                               + 1.0 / (homog * eta))
             profile, query_set = None, "root_ball_closed_form"
         else:
-            profile = wolff_tree(obj, side, indices.alpha, indices.p, depth=depth,
+            profile = wolff_tree(obj, side, indices.alpha, indices.p,
                                  mass_convention=mass_convention)
             sup, query_set = profile.total, f"tree_paths:{side}:depth={depth}"
         record = {"sup": sup, "query_set": query_set,
@@ -265,10 +265,11 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     return CapacityEstimate(value, LOWER_BOUND, DEFINITION, indices, record)
 
 
-def melnikov_gamma_lower(mass, curvature, growth) -> CapacityEstimate:
+def melnikov_gamma_lower(mass, sup_curvature, growth) -> CapacityEstimate:
     """Analytic-capacity lower proxy: rescale a measure of the given total
     mass until linear growth and pointwise curvature are both admissible,
-    then report the rescaled mass.
+    then report the rescaled mass.  sup_curvature is the sup of the pointwise
+    curvature c^2_mu(x), for example CurvatureEstimate.sup_pointwise.
 
     Growth scales linearly and curvature quadratically in the mass, so the
     admissible rescale is c = min(1/growth, sup_curvature^(-1/2)) and the
@@ -278,11 +279,9 @@ def melnikov_gamma_lower(mass, curvature, growth) -> CapacityEstimate:
         raise ValueError(
             "growth must be positive and finite; realize the measure at "
             "sufficient sampling density before estimating")
-    sup_c2 = curvature.sup_pointwise
-    if sup_c2 < 0:
+    if sup_curvature < 0:
         raise ValueError("curvature sup must be nonnegative")
-    c = 1.0 / growth if sup_c2 == 0.0 else min(1.0 / growth, sup_c2 ** -0.5)
-    record = {"growth": growth, "sup_curvature": sup_c2, "rescale": c,
-              "curvature_method": getattr(curvature, "method", "")}
+    c = 1.0 / growth if sup_curvature == 0.0 else min(1.0 / growth, sup_curvature ** -0.5)
+    record = {"growth": growth, "sup_curvature": sup_curvature, "rescale": c}
     return CapacityEstimate(c * mass, LOWER_BOUND, WOLFF_SUP,
                             None, record, kind="analytic_capacity")

@@ -229,6 +229,10 @@ def _cmd_check_gauge(args):
     distorted = DistortedTreeGauge(real, args.a)
     paths = [p for p in tree.paths_at(min(2, tree.depth))][:16]
     doc["G2_distorted_chain"] = check_G2_tree_gauge(distorted, paths).to_json_dict()
+    chain = doc["G2_distorted_chain"]["C0_prime"]
+    if not all(map(math.isfinite, (g1.c0, g2.c0_prime, chain))):
+        raise ConfigError(f"--a {args.a}: the G1/G2 constants are not all finite (C0={g1.c0:.6g}, "
+                          f"C0'={g2.c0_prime:.6g}, distorted chain C0'={chain:.6g})")
     _emit(args, doc, f"check-gauge: C0={g1.c0:.6g} C0'={g2.c0_prime:.6g}")
     return 0
 

@@ -9,6 +9,7 @@ the depth range.  Divergence is always reported with a fitted rate.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_ma
                        distortion_indices, wolff_capacity_lower)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
                      generation_cover_sum)
-from .potentials import LN2, CurvatureEstimate, IndexDomainError, wolff_tree
+from .potentials import LN2, IndexDomainError, wolff_tree
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
 RATIO_STABILITY = 0.1
@@ -179,9 +180,18 @@ def recompute_verdict(experiment, rows, thresholds):
     return _VERDICTS[experiment](rows, thresholds)
 
 
-def _depths_from(depths, experiment, minimum=0, why="a tree has no negative depth"):
-    """The one depth rule: depths as a list, none below the minimum, at least two and
-    none repeated (one depth compares nothing; the sharpness fits are singular)."""
+def _sweep(experiment, K, depths, seed, schedules, row, params, thresholds, minimum=0,
+           why="a tree has no negative depth"):
+    """The one depth-sweep driver.
+
+    It owns the depth rule: depths as a list, none below the minimum, at least two
+    and none repeated (one depth compares nothing; the sharpness fits are singular).
+    Each schedule is a function of the depth and the branching; the driver builds
+    one tree per schedule at the deepest depth and BRANCHING children per node,
+    and row d is row(*prefixes) of the depth-d prefixes of those trees.  The
+    report carries K, branching, seed and depths next to the experiment's own
+    params.
+    """
     depths = list(depths)
     for depth in depths:
         if depth < minimum:
@@ -190,21 +200,26 @@ def _depths_from(depths, experiment, minimum=0, why="a tree has no negative dept
     if len(depths) < 2 or len(set(depths)) < len(depths):
         raise ConfigError(f"{experiment}: depths {depths}: a sweep needs at least two "
                           "depths, none repeated")
-    return depths
+    deepest = max(depths)
+    trees = [build_tree(schedule(deepest, branching=BRANCHING), deepest, seed=seed)
+             for schedule in schedules]
+    rows = [row(*(tree.prefix(depth) for tree in trees)) for depth in depths]
+    return ExperimentReport(experiment, {"K": K, "branching": BRANCHING, "seed": seed,
+                                         "depths": depths, **params}, rows, thresholds)
 
 
-def _sweep_tree(schedules, seed):
-    """The one tree of a depth sweep, at its deepest depth; each row reads a prefix of it."""
-    return build_tree(schedules, len(schedules), seed=seed)
+def _target_series(tree):
+    """The target-side Wolff series at the pinned indices (2/3, 3/2)."""
+    return wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5)
 
 
 # -- distortion inequality experiments ---------------------------------------
 
 
-def _tree_growth(tree, side, depth) -> float:
-    """sup over generations 0..depth of the ideal generation density."""
+def _tree_growth(tree, side) -> float:
+    """sup over the tree's generations of the ideal generation density."""
     return max(math.exp(tree.log_mass(n, "ideal") - tree.log_radius(side, n))
-               for n in range(depth + 1))
+               for n in range(tree.depth + 1))
 
 
 def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
@@ -218,47 +233,37 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     ratio = LHS / RHS^(2K/(K+1)).  Passes when the ratio spans less than
     one decade.
     """
-    depths = _depths_from(depths, "thm1")
     idx = distortion_indices(K)
-    full = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
-    rows = []
-    for depth in depths:
-        tree = full.prefix(depth)
+
+    def row(tree):
         lhs_est = wolff_capacity_lower(tree, idx, side=SOURCE, seed=seed)
         diam_b = 2.0 * tree.scale
         lhs = lhs_est.value / diam_b ** (2.0 / (K + 1.0))
-        curv_proxy = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total
-        growth = _tree_growth(tree, TARGET, depth)
-        curv = CurvatureEstimate(curv_proxy, 0.0, curv_proxy, 0, seed,
-                                 method="tree_dyadic_proxy")
-        rhs_est = melnikov_gamma_lower(1.0, curv, growth)
-        rhs = rhs_est.value / diam_b
-        ratio = lhs / rhs ** (2.0 * K / (K + 1.0))
-        rows.append({"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": ratio,
-                     "wolff_sup": lhs_est.normalization["sup"],
-                     "growth": growth, "curvature_proxy": curv_proxy,
-                     "realized_mass": math.exp(tree.log_total_mass()),
-                     "n_leaves": tree.n_leaves})
-    return ExperimentReport(
-        "thm1",
-        {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
-         "alpha": idx.alpha, "p": idx.p,
-         "rhs_inputs": "growth and curvature proxy from ideal tree data"},
-        rows, {"ratio_stability": RATIO_STABILITY})
+        curv_proxy = _target_series(tree).total
+        growth = _tree_growth(tree, TARGET)
+        rhs = melnikov_gamma_lower(1.0, curv_proxy, growth).value / diam_b
+        return {"depth": tree.depth, "lhs": lhs, "rhs": rhs,
+                "ratio": lhs / rhs ** (2.0 * K / (K + 1.0)),
+                "wolff_sup": lhs_est.normalization["sup"],
+                "growth": growth, "curvature_proxy": curv_proxy,
+                "realized_mass": math.exp(tree.log_total_mass()),
+                "n_leaves": tree.n_leaves}
+
+    return _sweep("thm1", K, depths, seed, [functools.partial(harmonic_schedule, K)], row,
+                  {"alpha": idx.alpha, "p": idx.p,
+                   "rhs_inputs": "growth and curvature proxy from ideal tree data"},
+                  {"ratio_stability": RATIO_STABILITY})
 
 
 def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentReport:
     """Same pipeline with the Wolff estimator at (1/p, p) on the target side
     and the mapped indices (beta, q) on the source side."""
-    depths = _depths_from(depths, "thm2a")
     if not 1.0 < p < math.inf:  # before 1/p is formed
         raise ConfigError(f"thm2a: p = {p}: need a finite p > 1")
     di = distorted_index_map(1.0 / p, p, K)
     source_idx, target_idx = di.image, CapacityIndices(1.0 / p, p)
-    full = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
-    rows = []
-    for depth in depths:
-        tree = full.prefix(depth)
+
+    def row(tree):
         try:  # the estimator names the indices; p chose them
             lhs_est = wolff_capacity_lower(tree, source_idx, side=SOURCE, seed=seed)
             rhs_est = wolff_capacity_lower(tree, target_idx, side=TARGET, seed=seed)
@@ -268,18 +273,16 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
         rhs = rhs_est.value / (2.0 * tree.scale)
         rhs_power = rhs ** (2.0 * K / (K + 1.0))
         if not lhs > 0.0 < rhs_power:
-            raise ConfigError(f"thm2a: p = {p}: at depth {depth} lhs {lhs:.6g} or "
+            raise ConfigError(f"thm2a: p = {p}: at depth {tree.depth} lhs {lhs:.6g} or "
                               f"rhs^(2K/(K+1)) underflows to 0 (rhs {rhs:.6g})")
-        ratio = lhs / rhs_power
-        rows.append({"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": ratio,
-                     "beta": di.beta, "q": di.q,
-                     "source_sup": lhs_est.normalization["sup"],
-                     "target_sup": rhs_est.normalization["sup"]})
-    return ExperimentReport(
-        "thm2a",
-        {"K": K, "p": p, "branching": BRANCHING, "seed": seed, "depths": depths,
-         "beta": di.beta, "q": di.q, "t": di.t, "t_prime": di.t_prime},
-        rows, {"ratio_stability": RATIO_STABILITY})
+        return {"depth": tree.depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
+                "beta": di.beta, "q": di.q,
+                "source_sup": lhs_est.normalization["sup"],
+                "target_sup": rhs_est.normalization["sup"]}
+
+    return _sweep("thm2a", K, depths, seed, [functools.partial(harmonic_schedule, K)], row,
+                  {"p": p, "beta": di.beta, "q": di.q, "t": di.t, "t_prime": di.t_prime},
+                  {"ratio_stability": RATIO_STABILITY})
 
 
 def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentReport:
@@ -290,10 +293,9 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     beyond the final depth below 5% of the total), the capacity estimate must
     decay like (ln N)^(-1/(q'-1)) (fitted exponent within 10%), and the
     source capacity at the distortion indices must stay decade-stable.
-    q defaults to (3K+1)/(K+1).
+    q defaults to (3K+1)/(K+1).  The source sum is the Wolff sup of the
+    capacity estimate, one series per depth.
     """
-    depths = _depths_from(depths, "sharpness", 2,
-                          "the capacity decay is fitted against log(log N)")
     thm1_idx = distortion_indices(K)  # refuses a bad K, naming one too large for the doubles
     if q is None:
         q = (3.0 * K + 1.0) / (K + 1.0)
@@ -301,33 +303,28 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     q_conj_minus_1 = 1.0 / (q - 1.0)
     beta = 2.0 * K / ((K + 1.0) * q)
     src_idx = CapacityIndices(beta, q)
-    full = _sweep_tree(sharpness_schedule(K, q, max(depths), branching=BRANCHING), seed)
     # convergence exponent of the target terms (n+1)^(-s)
     s = (K + 1.0) / (K * q_conj_minus_1)
-    rows = []
-    for depth in depths:
-        tree = full.prefix(depth)
-        tgt = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth)
-        try:  # the potential and the estimator name the indices; q chose them and the schedule
-            src = wolff_tree(tree, SOURCE, beta, q, depth=depth)
+
+    def row(tree):
+        tgt = _target_series(tree)
+        try:  # the estimator names the indices; q chose them and the schedule
             cap = wolff_capacity_lower(tree, src_idx, side=SOURCE, seed=seed)
             bounded = wolff_capacity_lower(tree, thm1_idx, side=SOURCE, seed=seed)
         except IndexDomainError as exc:
             raise ConfigError(f"sharpness: q = {q}: {exc}") from None
-        last_term = tgt.entries[-1][1]
-        tail = last_term * (depth + 1) / (s - 1.0)  # integral bound of the tail
-        rows.append({"depth": depth, "source_sum": src.total, "target_total": tgt.total,
-                     "target_tail_fraction": tail / (tgt.total + tail),
-                     "capacity": cap.value,
-                     "bounded_source_capacity": bounded.value})
-    return ExperimentReport(
-        "sharpness",
-        {"K": K, "q": q, "beta": beta, "branching": BRANCHING, "seed": seed,
-         "depths": depths, "target_exponent": s},
-        rows,
-        {"slope_lo": 0.5, "slope_hi": 2.0, "r2_min": 0.99, "target_tail_max": 0.05,
-         "capacity_exponent": 1.0 / q_conj_minus_1,
-         "capacity_exponent_tol": 0.10, "ratio_stability": RATIO_STABILITY})
+        tail = tgt.entries[-1][1] * (tree.depth + 1) / (s - 1.0)  # integral bound
+        return {"depth": tree.depth, "source_sum": cap.normalization["sup"],
+                "target_total": tgt.total,
+                "target_tail_fraction": tail / (tgt.total + tail),
+                "capacity": cap.value, "bounded_source_capacity": bounded.value}
+
+    return _sweep("sharpness", K, depths, seed, [functools.partial(sharpness_schedule, K, q)], row,
+                  {"q": q, "beta": beta, "target_exponent": s},
+                  {"slope_lo": 0.5, "slope_hi": 2.0, "r2_min": 0.99, "target_tail_max": 0.05,
+                   "capacity_exponent": 1.0 / q_conj_minus_1,
+                   "capacity_exponent_tol": 0.10, "ratio_stability": RATIO_STABILITY},
+                  minimum=2, why="the capacity decay is fitted against log(log N)")
 
 
 def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> ExperimentReport:
@@ -339,20 +336,15 @@ def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> Exper
     within one decade across the depth range.  The ratio is invariant under
     global mass scaling, so the truncation renormalization cancels.
     """
-    depths = _depths_from(depths, "content_ratio")
-    full = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
-    rows = []
-    for depth in depths:
-        real = full.prefix(depth).realize(seed=seed)
+    def row(tree):
+        real = tree.realize()
         m_src = content_Mh_tree(TreeSmoothedDensityGauge(real, a, side=SOURCE)).value
         m_tgt = content_Mh_tree(DistortedTreeGauge(real, a)).value
-        rows.append({"depth": depth, "source_content": m_src,
-                     "target_content": m_tgt,
-                     "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))})
-    return ExperimentReport(
-        "content_ratio",
-        {"K": K, "a": a, "branching": BRANCHING, "seed": seed, "depths": depths},
-        rows, {"ratio_stability": RATIO_STABILITY})
+        return {"depth": tree.depth, "source_content": m_src, "target_content": m_tgt,
+                "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))}
+
+    return _sweep("content_ratio", K, depths, seed, [functools.partial(harmonic_schedule, K)],
+                  row, {"a": a}, {"ratio_stability": RATIO_STABILITY})
 
 
 # -- gauge experiments --------------------------------------------------------
@@ -398,6 +390,8 @@ def gauge_criterion_experiment(K, betas=None, seed=0) -> ExperimentReport:
         rows, {"boundary": 1.0})
 
 
+
+
 def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentReport:
     """Generation gauge sums vanish under thinning while the target potential
     stays bounded.
@@ -408,31 +402,25 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
     thinning leaves the multipliers untouched, so the target-side (2/3, 3/2)
     sum is unchanged and bounded by pi^2/6 - 1.
     """
-    depths = _depths_from(depths, "vanishing_content", 1,
-                          "eps = 1/log(1/r) is undefined at the unit root radius")
     eps = lambda log_r: 1.0 / (-log_r)  # noqa: E731
     unit = lambda log_r: 1.0  # noqa: E731
     cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
-    full = _sweep_tree(shrunk_schedule(K, max(depths), cap, branching=BRANCHING), seed)
-    rows = []
-    for depth in depths:
-        tree = full.prefix(depth)
-        closed = (depth + 1) ** (2.0 * K / (K + 1.0))
-        rows.append({
-            "depth": depth,
-            "unit_gauge_sum": generation_cover_sum(tree, unit, depth),
-            "closed_form": closed,
-            "shrunk_gauge_sum": generation_cover_sum(tree, eps, depth),
-            "source_log_radius": tree.log_radius(SOURCE, depth),
-            "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total,
-        })
-    return ExperimentReport(
-        "vanishing_content",
-        {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
-         "shrink_exponent": SHRINK_EXPONENT, "gauge": "eps=1/log(1/r)"},
-        rows,
-        {"closed_form_rtol": 1e-12, "vanish_factor": 1.0,
-         "target_bound": math.pi ** 2 / 6.0 - 1.0 + 1e-12})
+
+    def row(tree):
+        depth = tree.depth
+        return {"depth": depth,
+                "unit_gauge_sum": generation_cover_sum(tree, unit, depth),
+                "closed_form": (depth + 1) ** (2.0 * K / (K + 1.0)),
+                "shrunk_gauge_sum": generation_cover_sum(tree, eps, depth),
+                "source_log_radius": tree.log_radius(SOURCE, depth),
+                "target_total": _target_series(tree).total}
+
+    return _sweep("vanishing_content", K, depths, seed,
+                  [functools.partial(shrunk_schedule, K, source_log_cap=cap)], row,
+                  {"shrink_exponent": SHRINK_EXPONENT, "gauge": "eps=1/log(1/r)"},
+                  {"closed_form_rtol": 1e-12, "vanish_factor": 1.0,
+                   "target_bound": math.pi ** 2 / 6.0 - 1.0 + 1e-12},
+                  minimum=1, why="eps = 1/log(1/r) is undefined at the unit root radius")
 
 
 def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentReport:
@@ -443,25 +431,20 @@ def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentR
     like log(1/s)^(-2) ds/s, which converges.  Generation sums use the
     telescoped closed form, so log radii of size e^N never cancel.
     """
-    depths = _depths_from(depths, "doubly_exponential", 1,
-                          "eps = log(1/s)^(-2/a) is undefined at the unit root radius")
     eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
-    full = _sweep_tree(doubly_exponential_schedule(K, max(depths), branching=BRANCHING), seed)
-    hfull = _sweep_tree(harmonic_schedule(K, max(depths), branching=BRANCHING), seed)
-    rows = []
-    for depth in depths:
-        tree, htree = full.prefix(depth), hfull.prefix(depth)
-        rows.append({
-            "depth": depth,
-            "source_log_radius": tree.log_radius(SOURCE, depth),
-            "cap_log": -math.exp(depth),
-            "gauge_sum": generation_cover_sum(tree, eps, depth),
-            "target_total": wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, depth=depth).total,
-            "harmonic_target_total": wolff_tree(htree, TARGET, 2.0 / 3.0, 1.5,
-                                                depth=depth).total,
-        })
-    return ExperimentReport(
-        "doubly_exponential",
-        {"K": K, "branching": BRANCHING, "seed": seed, "depths": depths,
-         "criterion_a": CRITERION_A, "gauge": f"eps=log(1/s)^(-2/{CRITERION_A})"},
-        rows, {"schedule_equality_rtol": 1e-12})
+
+    def row(tree, harmonic_tree):
+        depth = tree.depth
+        return {"depth": depth,
+                "source_log_radius": tree.log_radius(SOURCE, depth),
+                "cap_log": -math.exp(depth),
+                "gauge_sum": generation_cover_sum(tree, eps, depth),
+                "target_total": _target_series(tree).total,
+                "harmonic_target_total": _target_series(harmonic_tree).total}
+
+    return _sweep("doubly_exponential", K, depths, seed,
+                  [functools.partial(doubly_exponential_schedule, K),
+                   functools.partial(harmonic_schedule, K)], row,
+                  {"criterion_a": CRITERION_A, "gauge": f"eps=log(1/s)^(-2/{CRITERION_A})"},
+                  {"schedule_equality_rtol": 1e-12},
+                  minimum=1, why="eps = log(1/s)^(-2/a) is undefined at the unit root radius")

@@ -5,8 +5,9 @@ function h(B) = t^gamma * eps(B).  It plays two roles.  As a ball density,
 any callable eps(x, r) feeds the regularity checks check_G1/check_G2, and
 any callable eps_log(log r) of the radius alone feeds generation_cover_sum.
 As a node gauge, an object carrying its tree and side supplies h on every
-node ball (h_values, far_field_bound) to contents and Frostman flows.  The
-smoothed density of a measure,
+node ball of that tree (h_values, far_field_bound) to contents and Frostman
+flows; the tree alone fixes the depth (tree.prefix(depth) is a shallower
+one).  The smoothed density of a measure,
 
     eps_mu_a(x, t) = (1/t) * sum_i w_i * psi_a(|y_i - x| / t),
     psi_a(r) = 1 / (r^(1+a) + 1),
@@ -33,7 +34,8 @@ def psi_a(r, a):
     """Radial kernel 1/(r^(1+a) + 1) of nonnegative radii, elementwise."""
     if not 0.0 < a < math.inf:
         raise ValueError(f"kernel parameter a must be positive and finite, got {a}")
-    return 1.0 / (r ** (1.0 + a) + 1.0)
+    with np.errstate(over="ignore"):  # r^(1+a) past the doubles gives 0, the limit
+        return 1.0 / (r ** (1.0 + a) + 1.0)
 
 
 def eps_mu_a(measure, x, t, a) -> float:
@@ -76,20 +78,20 @@ class TreeSmoothedDensityGauge:
         t = math.exp(self.tree.log_radius(self.side, len(path)))
         return t ** self.gamma * self.eps_node(path)
 
-    def h_values(self, depth):
-        """h over every node of generations 0..depth, one array per generation."""
+    def h_values(self):
+        """h over every node of the tree, one array per generation 0..depth."""
         return [math.exp(self.tree.log_radius(self.side, g)) ** self.gamma
                 * eps ** self.exponent
-                for g, eps in enumerate(self._eps()[:depth + 1])]
+                for g, eps in enumerate(self._eps())]
 
-    def far_field_bound(self, depth):
+    def far_field_bound(self):
         """Relative bound on the h share dropped with the far rings.
 
         eps is low by at most a share tail, so eps**p with p >= 1 is low by
         at most p * tail (Bernoulli).
         """
         rings = self.realization.eps_rings(self._density_side, self.a)
-        return self.exponent * max(tail for _, tail in rings[:depth + 1])
+        return self.exponent * max(tail for _, tail in rings)
 
 
 class DistortedTreeGauge(TreeSmoothedDensityGauge):
@@ -120,12 +122,12 @@ class TableGauge:
         self.tree = tree
         self.table = {tuple(k): float(v) for k, v in table.items()}
 
-    def h_values(self, depth):
-        """h over every node of generations 0..depth, one array per generation."""
+    def h_values(self):
+        """h over every node of the tree, one array per generation 0..depth."""
         return [np.array([self.table[path] for path in self.tree.paths_at(g)], dtype=float)
-                for g in range(depth + 1)]
+                for g in range(self.tree.depth + 1)]
 
-    def far_field_bound(self, depth):
+    def far_field_bound(self):
         """0: the table values are exact."""
         return 0.0
 
@@ -251,12 +253,13 @@ class ContentResult:
     far_field_bound: float = 0.0
 
 
-def _content_dp(tree, h, depth):
-    """Bottom-up min-cut DP over per-generation h arrays.
+def _content_dp(tree, h):
+    """Bottom-up min-cut DP over per-generation h arrays of the whole tree.
 
     cost[g] = min(h[g], sum of the children's cost) per node, and take[g]
     marks the nodes whose own ball is the cheaper choice.
     """
+    depth = tree.depth
     cost = [None] * (depth + 1)
     take = [None] * (depth + 1)
     cost[depth] = h[depth]
@@ -268,7 +271,7 @@ def _content_dp(tree, h, depth):
     return cost, take
 
 
-def content_Mh_tree(gauge, depth=None) -> ContentResult:
+def content_Mh_tree(gauge) -> ContentResult:
     """min over antichain covers of sum h(node ball), by bottom-up DP.
 
     cost(node) = min(h(node), sum over children of cost); an upper bound for
@@ -277,8 +280,7 @@ def content_Mh_tree(gauge, depth=None) -> ContentResult:
     bound and a description; which side's balls it measures is its own.
     """
     tree = gauge.tree
-    depth = tree.depth if depth is None else depth
-    cost, take = _content_dp(tree, gauge.h_values(depth), depth)
+    cost, take = _content_dp(tree, gauge.h_values())
     # depth-first, children in order; an explicit stack, since a recursive
     # closure is a reference cycle that keeps the DP arrays alive until a full gc
     cover, stack = [], [(0, 0, ())]
@@ -290,7 +292,7 @@ def content_Mh_tree(gauge, depth=None) -> ContentResult:
         m = tree.branching(g + 1)
         stack.extend((g + 1, i * m + j, path + (j,)) for j in reversed(range(m)))
     return ContentResult(float(cost[0][0]), tuple(cover), gauge.description,
-                         gauge.far_field_bound(depth))
+                         gauge.far_field_bound())
 
 
 @dataclass(frozen=True)
@@ -302,17 +304,16 @@ class FrostmanResult:
     far_field_bound: float = 0.0
 
 
-def frostman_tree(gauge, depth=None) -> FrostmanResult:
+def frostman_tree(gauge) -> FrostmanResult:
     """Leaf masses maximizing the total subject to every node's h-constraint.
 
     On a tree the max flow equals the min cut, i.e. the content DP value,
     so nu(F) matches M^h exactly within the tree-aligned class.
     """
     tree = gauge.tree
-    depth = tree.depth if depth is None else depth
-    flow, _ = _content_dp(tree, gauge.h_values(depth), depth)
+    flow, _ = _content_dp(tree, gauge.h_values())
     alloc = np.array([flow[0][0]])
-    for g in range(1, depth + 1):
+    for g in range(1, tree.depth + 1):
         m = tree.branching(g)
         child = flow[g].reshape(-1, m)
         denom = child.sum(axis=1)
@@ -322,7 +323,7 @@ def frostman_tree(gauge, depth=None) -> FrostmanResult:
     # the flow value is the min cut, i.e. the DP value; the proportional leaf
     # split re-sums to it only up to rounding
     value = float(flow[0][0])
-    return FrostmanResult(alloc, value, gauge.far_field_bound(depth))
+    return FrostmanResult(alloc, value, gauge.far_field_bound())
 
 
 def generation_cover_sum(tree, eps_log, generation) -> float:

@@ -16,7 +16,7 @@ circumradius; small measures are enumerated exactly, larger ones sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class PotentialProfile:
     """Per-scale contributions to a potential sum, coarse scale first.
 
     Labels are generations (tree route) or dyadic exponents k (brute force).
+    ``log_terms`` holds each entry's log term as formed before exponentiation
+    (-inf for an empty ball), so a term that underflows keeps its log.
     ``tail`` holds the closed-form sub-finest-scale term, included in the
     total.  A divergence flag always comes with a fitted log-slope rate.
     """
@@ -60,6 +62,7 @@ class PotentialProfile:
     p: float
     label: str
     entries: tuple
+    log_terms: tuple
     tail: float = 0.0
     divergent: bool = False
     divergence_rate: float | None = None
@@ -76,9 +79,9 @@ class PotentialProfile:
         """(scale_label, contribution, running_total, contribution_log) rows."""
         rows = []
         running = 0.0
-        for lab, c in self.entries:
+        for (lab, c), log_c in zip(self.entries, self.log_terms):
             running += c
-            rows.append((lab, c, running, math.log(c) if c > 0 else -math.inf))
+            rows.append((lab, c, running, log_c))
         return rows
 
 
@@ -114,7 +117,7 @@ def diagnose_divergence(labels, contributions, kind):
     return True, float(slope)
 
 
-def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
+def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
     """Generation terms (mass_N / r_N^(2-alpha*p))^(p'-1) of a Cantor tree.
 
     With level-uniform schedules every root-to-leaf path sees the same
@@ -122,7 +125,8 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
     "ideal" convention uses mass_N = prod(R_k^2) (total mass 1 kept at every
     level); "realized" uses the depth-truncated area-split masses and matches
     the realized atom cloud exactly.  Contributions run over generations
-    1..depth; the root term is excluded.
+    1..tree.depth; the root term is excluded; tree.prefix(depth) gives the
+    sum of a shallower tree.
 
     The log-ratio is assembled per level as coefficients on sum(log R) and
     sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at
@@ -135,10 +139,6 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
     """
     _check_side(side)
     check_indices(alpha, p)
-    if depth is None:
-        depth = tree.depth
-    if depth > tree.depth:
-        raise ValueError(f"requested depth {depth} exceeds tree depth {tree.depth}")
     if mass_convention not in ("ideal", "realized"):
         raise ValueError(f"unknown mass convention {mass_convention!r}")
     eta = conjugate_minus_one(p)
@@ -150,6 +150,7 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
     else:
         coef_log_r = 2.0 - homog * (K + 1.0)
         coef_log_d = -homog * K
+    depth = tree.depth
     gens = slice(1, depth + 1)
     log_ratio = (0.5 * coef_log_r * tree.cum_log_mass[gens]
                  + coef_log_d * tree.cum_log_d[gens]
@@ -163,10 +164,11 @@ def wolff_tree(tree, side, alpha, p, depth=None, mass_convention="ideal"):
         raise IndexDomainError(
             f"the {side} Wolff term at alpha = {alpha:.6g}, p = {p:.6g} leaves double "
             f"precision at generation {n} (log term {x[n - 1]:.6g})")
-    labels, terms = range(1, depth + 1), [math.exp(v) for v in x.tolist()]
+    logs = x.tolist()
+    labels, terms = range(1, depth + 1), [math.exp(v) for v in logs]
     divergent, rate = diagnose_divergence(labels, np.array(terms), "generation")
     return PotentialProfile(alpha, p, f"tree:{side}:{mass_convention}", tuple(zip(labels, terms)),
-                            divergent=divergent, divergence_rate=rate)
+                            tuple(logs), divergent=divergent, divergence_rate=rate)
 
 
 def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
@@ -188,12 +190,11 @@ def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
     ks = np.arange(k_max, k_min - 1, -1)
     radii_sorted = np.power(2.0, ks[::-1].astype(float))
     masses = measure.ball_mass_profile(x, radii_sorted)[::-1]
+    logs = np.where(masses > 0,
+                    eta * (np.log(np.where(masses > 0, masses, 1.0)) - homog * ks * LN2),
+                    -np.inf)
     with np.errstate(over="ignore"):
-        terms = np.where(
-            masses > 0,
-            np.exp(np.clip(eta * (np.log(np.where(masses > 0, masses, 1.0))
-                                  - homog * ks * LN2), -745.0, 710.0)),
-            0.0)
+        terms = np.where(masses > 0, np.exp(np.clip(logs, -745.0, 710.0)), 0.0)
     entries = tuple((int(k), float(t)) for k, t in zip(ks, terms))
     tail = 0.0
     divergent, rate = False, None
@@ -210,8 +211,8 @@ def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
             divergent = True
             if rate is None:
                 rate = -homog * eta  # slope of log-term vs log-scale at an atom
-    return PotentialProfile(alpha, p, f"dyadic:{measure.label}", entries, tail=tail,
-                            divergent=divergent, divergence_rate=rate)
+    return PotentialProfile(alpha, p, f"dyadic:{measure.label}", entries, tuple(logs.tolist()),
+                            tail=tail, divergent=divergent, divergence_rate=rate)
 
 
 def default_dyadic_range(tree, side):
@@ -270,7 +271,6 @@ class CurvatureEstimate:
     sup_pointwise: float
     triples: int
     seed: int | None = None
-    method: str = field(default="", compare=False)
 
     def to_json_dict(self):
         return {"value": self.value, "stderr": self.stderr,
@@ -303,7 +303,7 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
         value = float(np.sum(contrib))
         pointwise = np.sum(contrib, axis=(1, 2))
         return CurvatureEstimate(value, 0.0, float(np.max(pointwise)),
-                                 int(n * (n - 1) * (n - 2)), seed, method="exact")
+                                 int(n * (n - 1) * (n - 2)), seed)
 
     rng = np.random.default_rng(seed)
     prob = w / total
@@ -325,7 +325,7 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
         ok = (jj != kk) & (jj != qi) & (kk != qi)
         v = np.where(ok, _inv_circumradius_sq(pts[qi][None, :], pts[jj], pts[kk]), 0.0)
         sup = max(sup, total ** 2 * float(np.mean(v)))
-    return CurvatureEstimate(value, stderr, sup, int(triples), seed, method="montecarlo")
+    return CurvatureEstimate(value, stderr, sup, int(triples), seed)
 
 
 def linear_growth_constant(measure, k_min, k_max, points=None) -> float:

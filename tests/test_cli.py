@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import shlex
 
@@ -219,6 +220,20 @@ def test_verify_content_ratio_rejects_bad_kernel_parameter(tmp_path, capsys, a):
     assert code == 2
     assert f"--a {float(a)}" in capsys.readouterr().err
     assert not (tmp_path / "content_ratio.json").exists()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning used to reach stderr
+def test_check_gauge_refuses_constants_that_are_not_finite(tmp_path, capsys):
+    # used to exit 0 with C0=inf C0'=inf and write Infinity into the report
+    cfg = {"K": 2, "depth": 3, "levels": [{"M": 4, "d": "harmonic"}] * 3}
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "gauge.json"
+    code = main(["check-gauge", "--config", str(path), "--a", "1e300", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --a 1e+300: the G1/G2 constants are not all finite (C0=inf")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pairs", ["0", "-3"])
@@ -502,6 +517,21 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     code = main(["verify", "gauge-criterion", "--K", "2"])
     assert code == 0
     assert (tmp_path / "gauge_criterion.json").exists()
+
+
+def test_wolff_csv_keeps_the_log_term_of_an_underflowed_generation(tmp_path):
+    # generations 57-64 used to print contribution_log -inf, and 54-56 the log of a subnormal
+    cfg = {"K": 2, "depth": 64, "levels": [{"M": 4, "d": "harmonic"}] * 64}
+    path = tmp_path / "h64.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "wolff.csv"
+    assert main(["wolff", "--config", str(path), "--side", "source", "--alpha", "1.2",
+                 "--p", "1.5", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    logs = [float(row["contribution_log"]) for row in rows]
+    assert len(logs) == 64 and all(map(math.isfinite, logs))
+    assert all(math.exp(x) == float(row["contribution"]) for x, row in zip(logs, rows))
+    assert float(rows[-1]["contribution"]) == 0.0 and logs[-1] < -745.0
 
 
 def test_wolff_refuses_a_term_past_the_doubles(tmp_path, capsys):

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from qcantor import capacity
 from qcantor import experiments as ex
-from qcantor.cantor import SOURCE, ConfigError, build_tree
+from qcantor.cantor import SOURCE, ConfigError, build_tree, sharpness_schedule
 from qcantor.potentials import IndexDomainError, wolff_tree
 
 
@@ -218,6 +219,17 @@ def test_sweeps_build_one_tree_per_schedule(monkeypatch, run, trees):
         assert built == [max(depths)] * trees
 
 
+@pytest.mark.parametrize("K,q", [(2.0, None), (3.0, 2.5)])
+def test_sharpness_source_sum_is_the_source_wolff_series(K, q):
+    # read from the capacity estimate's Wolff sup: the same series, bit for bit
+    report = ex.sharpness_experiment(K, q=q, depths=[8, 12, 9, 30])
+    q, beta = report.params["q"], report.params["beta"]
+    tree = build_tree(sharpness_schedule(K, q, 30, branching=ex.BRANCHING), 30)
+    for row in report.rows:
+        want = wolff_tree(tree.prefix(row["depth"]), SOURCE, beta, q).total
+        assert row["source_sum"] == want
+
+
 def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
     def refusing(tree, side, alpha, p, **kwargs):
         if side == SOURCE:
@@ -225,7 +237,7 @@ def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
                                    f"{p:.6g} leaves double precision at generation 1")
         return wolff_tree(tree, side, alpha, p, **kwargs)
 
-    monkeypatch.setattr(ex, "wolff_tree", refusing)
+    monkeypatch.setattr(capacity, "wolff_tree", refusing)  # under the source capacity
     with pytest.raises(ConfigError, match=r"^sharpness: q = 2\.5: the source Wolff term"):
         ex.sharpness_experiment(3.0, q=2.5, depths=[8, 9])
 

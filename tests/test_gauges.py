@@ -379,9 +379,9 @@ def test_distorted_gauge_is_the_smoothed_body_with_k_exponents():
     plain = TreeSmoothedDensityGauge(real, 0.2, side=SOURCE)
     # K = 1: both exponents are 1 and source radii equal target radii, bit for bit
     assert (dist.gamma, dist.exponent, dist.side) == (1.0, 1.0, TARGET)
-    for h_dist, h_plain in zip(dist.h_values(3), plain.h_values(3)):
+    for h_dist, h_plain in zip(dist.h_values(), plain.h_values()):
         assert np.array_equal(h_dist, h_plain)
-    assert dist.far_field_bound(3) == plain.far_field_bound(3)
+    assert dist.far_field_bound() == plain.far_field_bound()
 
 
 def test_distorted_gauge_root_ball_closed_form(real_k2_d3):
@@ -433,7 +433,7 @@ def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):
     tree = real_k2_d3.tree
     for gauge in (TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=TARGET),
                   DistortedTreeGauge(real_k2_d3, 0.1)):
-        h = gauge.h_values(tree.depth)
+        h = gauge.h_values()
         for path in [(), (2,), (3, 1), (0, 3, 2)]:
             assert gauge.h_node(path) == pytest.approx(
                 h[len(path)][tree.node_index(path)], rel=1e-15)

@@ -382,3 +382,26 @@ def test_wolff_tree_refuses_a_term_past_the_doubles():
         wolff_tree(tree, SOURCE, 1.3, 1.01)
     assert str(info.value).startswith("the source Wolff term at alpha = 1.3, p = 1.01 leaves "
                                       "double precision at generation 3 ")
+
+
+def test_profiles_record_the_log_term_of_each_entry():
+    # tree route: the exponent of each term, also where the term underflows to 0
+    tree = build_tree(harmonic_schedule(2.0, 64), 64)
+    prof = wolff_tree(tree, SOURCE, 1.2, 1.5)
+    assert len(prof.log_terms) == 64 and all(map(math.isfinite, prof.log_terms))
+    assert all(math.exp(x) == c for x, (_, c) in zip(prof.log_terms, prof.entries))
+    assert prof.entries[-1][1] == 0.0 and prof.log_terms[-1] < -745.0
+    assert [row[3] for row in prof.csv_rows()] == list(prof.log_terms)
+    # dyadic route: the term before clipping, -inf for an empty ball
+    mu = PlanarMeasure(np.array([[1.0, 0.0], [1.5, 0.0]]), np.array([1e-3, 1e-3]))
+    alpha, p = 0.5, 1.001
+    prof = wolff_dyadic(mu, (0.0, 0.0), alpha, p, -4, 2)
+    eta, homog = 1.0 / (p - 1.0), 2.0 - alpha * p
+    for (k, c), x in zip(prof.entries, prof.log_terms):
+        mass = mu.ball_mass((0.0, 0.0), 2.0 ** k)
+        if mass == 0.0:
+            assert c == 0.0 and x == -math.inf
+        else:
+            assert x == pytest.approx(eta * (math.log(mass) - homog * k * math.log(2.0)),
+                                      rel=1e-14)
+            assert x < -745.0 and c < 1e-300
