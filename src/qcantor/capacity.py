@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import CantorTree, check_distortion
-from .measure import PlanarMeasure
+from .measure import PlanarMeasure, _parallel_rows
 from .potentials import (IndexDomainError, check_indices, conjugate_minus_one, wolff_dyadic,
                          wolff_tree)
 
@@ -210,7 +210,9 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     scaling is exact) plus a closed-form far-field tail using
     I_alpha(mu)(x) <= mass / (|x - c| - diam)^{2 - alpha} beyond
     FARFIELD_FACTOR * diam.  Cells near an atom use the equal-area disk
-    average of the kernel, so no infinities propagate.
+    average of the kernel, so no infinities propagate.  The cells are split
+    over the usable CPUs; each cell's value, and so the result, is the same
+    bits for any CPU count.
     """
     alpha, p = indices.alpha, indices.p
     p_prime = indices.p_prime
@@ -235,23 +237,25 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     live = measure.weights > 0
     pts, w = measure.points[live], measure.weights[live]
     vals = np.empty(cc.shape[0])
-    # per cell: sum_j w_j min(|c - x_j|^(alpha-2), cap), in two reused
-    # (step, n) buffers; an atom on a cell centre gives 0^(alpha-2) = inf
-    block = 1 << 18
-    step = max(1, block // max(1, pts.shape[0]))
-    dx = np.empty((step, pts.shape[0]))
-    dy = np.empty_like(dx)
-    with np.errstate(divide="ignore"):
-        for i in range(0, cc.shape[0], step):
-            k = min(step, cc.shape[0] - i)
-            kx, ky = dx[:k], dy[:k]
-            np.subtract(cc[i:i + k, None, 0], pts[None, :, 0], out=kx)
-            np.subtract(cc[i:i + k, None, 1], pts[None, :, 1], out=ky)
-            np.hypot(kx, ky, out=kx)
-            np.power(kx, alpha - 2.0, out=kx)
-            np.minimum(kx, cap, out=kx)
-            np.multiply(kx, w, out=kx)
-            np.sum(kx, axis=1, out=vals[i:i + k])
+
+    def cell_rows(lo, hi, step):
+        # per cell: sum_j w_j min(|c - x_j|^(alpha-2), cap), in two reused
+        # (step, n) buffers; an atom on a cell centre gives 0^(alpha-2) = inf
+        dx = np.empty((min(step, hi - lo), pts.shape[0]))
+        dy = np.empty_like(dx)
+        with np.errstate(divide="ignore"):
+            for i in range(lo, hi, step):
+                k = min(step, hi - i)
+                kx, ky = dx[:k], dy[:k]
+                np.subtract(cc[i:i + k, None, 0], pts[None, :, 0], out=kx)
+                np.subtract(cc[i:i + k, None, 1], pts[None, :, 1], out=ky)
+                np.hypot(kx, ky, out=kx)
+                np.power(kx, alpha - 2.0, out=kx)
+                np.minimum(kx, cap, out=kx)
+                np.multiply(kx, w, out=kx)
+                np.sum(kx, axis=1, out=vals[i:i + k])
+
+    _parallel_rows(cc.shape[0], pts.shape[0], cell_rows)
     cell_sum = float(np.sum(vals ** p_prime)) * h * h
 
     a = (2.0 - alpha) * p_prime  # > 2 whenever 0 < alpha*p < 2

@@ -2,8 +2,9 @@
 
 A gauge assigns every ball B(x, t) a density eps(B) >= 0 and the set
 function h(B) = t^gamma * eps(B).  It plays two roles.  As a ball density,
-any callable eps(x, r) feeds the regularity checks check_G1/check_G2, and
-any callable eps_log(log r) of the radius alone feeds generation_cover_sum.
+any callable eps(x, r) taking arrays of centres and radii (a constant also
+serves) feeds the regularity checks check_G1/check_G2, and any callable
+eps_log(log r) of the radius alone feeds generation_cover_sum.
 As a node gauge, an object carrying its tree and side supplies h on every
 node ball of that tree (h_values, far_field_bound) to contents and Frostman
 flows; the tree alone fixes the depth (tree.prefix(depth) is a shallower
@@ -28,22 +29,77 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import SOURCE, TARGET, _check_side
+from .measure import _parallel_rows
+
+
+def _psi(r, a, inplace=False):
+    """psi_a's body, unchecked; inplace overwrites the array r with the result.
+
+    Both forms apply the same three operations, so they agree bit for bit.
+    """
+    with np.errstate(over="ignore"):  # r^(1+a) past the doubles gives 0, the limit
+        if not inplace:
+            return 1.0 / (r ** (1.0 + a) + 1.0)
+        r **= 1.0 + a
+        r += 1.0
+        return np.divide(1.0, r, out=r)
 
 
 def psi_a(r, a):
     """Radial kernel 1/(r^(1+a) + 1) of nonnegative radii, elementwise."""
     if not 0.0 < a < math.inf:
         raise ValueError(f"kernel parameter a must be positive and finite, got {a}")
-    with np.errstate(over="ignore"):  # r^(1+a) past the doubles gives 0, the limit
-        return 1.0 / (r ** (1.0 + a) + 1.0)
+    return _psi(r, a)
 
 
-def eps_mu_a(measure, x, t, a) -> float:
-    """Smoothed density of a planar measure on B(x, t)."""
-    if not (t > 0.0):
+def eps_mu_a(measure, x, t, a):
+    """Smoothed density of a planar measure on the balls B(x, t).
+
+    x is one centre (2,) or many (m, 2), and t a radius or an array of radii
+    broadcast against the centres.  One centre and one radius give a float,
+    anything else an array of the broadcast shape.  Each centre's distance
+    row is computed once and shared by its radii; every ball's value is the
+    one a single-ball call gives, bit for bit.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr > 0.0):
         raise ValueError("radius t must be positive")
-    d = measure.distances(x)
-    return float(np.sum(measure.weights * psi_a(d / t, a)) / t)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(x.shape[:-1], t_arr.shape)
+    px = np.ascontiguousarray(measure.points[:, 0])
+    py = np.ascontiguousarray(measure.points[:, 1])
+    w, n = measure.weights, measure.n_atoms
+    if x.ndim == 1:
+        d = np.hypot(px - x[0], py - x[1])  # one centre: its row serves every radius
+        radii = t_arr.reshape(-1, 1)
+    else:
+        xs = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
+        cx, cy = np.ascontiguousarray(xs[:, 0:1]), np.ascontiguousarray(xs[:, 1:2])
+        radii = np.broadcast_to(t_arr, shape).reshape(-1, 1)
+    out = np.empty(radii.shape[0])
+
+    def ball_rows(lo, hi, step):
+        buf = np.empty((min(step, hi - lo), n))
+        dy = np.empty_like(buf) if x.ndim > 1 else None
+        for i in range(lo, hi, step):
+            k = min(step, hi - i)
+            b = buf[:k]
+            if x.ndim == 1:
+                np.divide(d, radii[i:i + k], out=b)
+            else:
+                np.subtract(px, cx[i:i + k], out=b)
+                np.subtract(py, cy[i:i + k], out=dy[:k])
+                np.hypot(b, dy[:k], out=b)
+                np.divide(b, radii[i:i + k], out=b)
+            _psi(b, a, inplace=True)
+            np.multiply(b, w, out=b)
+            np.sum(b, axis=1, out=out[i:i + k])
+
+    _parallel_rows(radii.shape[0], n, ball_rows)
+    out /= radii[:, 0]
+    if not shape:
+        return float(out[0])
+    return out.reshape(shape)
 
 
 # -- node gauges -------------------------------------------------------------
@@ -171,12 +227,15 @@ def sample_ball_pairs(center, spread, n, seed, log_r_range=(-8.0, 0.0)):
 def check_G1(eps, pairs) -> DoublingReport:
     """Empirical C0 with C0^-1 eps(x,r) <= eps(y,s) <= C0 eps(x,r).
 
-    eps(x, r) is the ball density under test.
+    eps(x, r) is the ball density under test, called once with the (m, 2)
+    centres and (m,) radii of all 2 * len(pairs) balls; a scalar result is
+    broadcast, so a constant callable also serves.
     """
+    centres = np.array([c for ball_pair in pairs for c, _ in ball_pair], dtype=float)
+    radii = np.array([r for ball_pair in pairs for _, r in ball_pair], dtype=float)
+    e = np.broadcast_to(eps(centres.reshape(-1, 2), radii), radii.shape).tolist()
     worst = 1.0
-    for (x, r), (y, s) in pairs:
-        e1 = eps(x, r)
-        e2 = eps(y, s)
+    for e1, e2 in zip(e[0::2], e[1::2]):
         if e1 <= 0.0 or e2 <= 0.0:
             if e1 != e2:
                 return DoublingReport(math.inf, None, len(pairs),
@@ -191,20 +250,24 @@ def check_G2(eps, balls, swallow_radius) -> DoublingReport:
 
     The sum is truncated two scales past the radius that swallows the
     support, where terms of mass-type gauges have stabilized; a geometric
-    bound on the remainder (ratio 1/2 per scale) is added.
+    bound on the remainder (ratio 1/2 per scale) is added.  eps(x, radii)
+    is called once per ball, with its centre and the array of its radii
+    2^k r; the k = 0 term is the base.  A scalar result is broadcast.
     """
     worst = 0.0
     k_used = 0
     for (x, r) in balls:
         k_trunc = max(1, int(math.ceil(math.log2(max(swallow_radius / r, 1.0)))) + 2)
         k_used = max(k_used, k_trunc)
+        radii = np.array([(2.0 ** k) * r for k in range(k_trunc + 1)])
+        e = np.broadcast_to(eps(x, radii), radii.shape).tolist()
         total = 0.0
         last = 0.0
-        for k in range(k_trunc + 1):
-            last = 2.0 ** (-k) * eps(x, (2.0 ** k) * r)
+        for k, e_k in enumerate(e):
+            last = 2.0 ** (-k) * e_k
             total += last
         total += last  # geometric remainder bound: sum_{j>k} <= last
-        base = eps(x, r)
+        base = e[0]
         if base <= 0.0:
             return DoublingReport(None, math.inf, len(balls), truncation_k=k_used,
                                   notes="vanishing density at base scale")

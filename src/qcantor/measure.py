@@ -6,6 +6,7 @@ its atoms. Instances are immutable after construction.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,44 @@ import numpy as np
 #: atoms deeper than this fraction of the bounding-box diagonal inside the
 #: convex hull cannot attain the diameter (see PlanarMeasure.diameter)
 HULL_MARGIN = 2.0 ** -40
+#: scratch elements of one blocked kernel call, shared by all its workers
+BLOCK_ELEMENTS = 1 << 18
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_rows(row_elements, workers=1) -> int:
+    """Rows of row_elements each that fit one worker's share of the scratch."""
+    return max(1, BLOCK_ELEMENTS // workers // max(1, row_elements))
+
+
+def _parallel_rows(n, row_elements, kernel):
+    """Run kernel(lo, hi, step) on contiguous ranges of rows 0..n, one per CPU.
+
+    Rows are independent, so each range's values do not depend on the split.
+    Each range works in blocks of step rows, step * row_elements being its
+    BLOCK_ELEMENTS / workers share of the scratch.  The ranges run in a thread
+    pool (numpy ufuncs release the GIL); with one worker, or rows that fit one
+    block, the kernel runs inline.  A kernel sets its own np.errstate, which
+    does not reach pool threads, and calls nothing traced by bench/tracer.py,
+    which keeps one span stack per process.
+    """
+    workers = max(1, min(_cpus(), n))
+    step = _block_rows(row_elements, workers)
+    if workers == 1 or n <= step:
+        kernel(0, n, step)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    bounds = [n * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(kernel, lo, hi, step) for lo, hi in zip(bounds, bounds[1:])]
+        for f in futures:
+            f.result()
 
 
 def _convex_hull(pts) -> list:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import TARGET, ConfigError, _check_side
+from .measure import _block_rows
 
 LN2 = math.log(2.0)
 
@@ -193,8 +194,8 @@ def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
     logs = np.where(masses > 0,
                     eta * (np.log(np.where(masses > 0, masses, 1.0)) - homog * ks * LN2),
                     -np.inf)
-    with np.errstate(over="ignore"):
-        terms = np.where(masses > 0, np.exp(np.clip(logs, -745.0, 710.0)), 0.0)
+    with np.errstate(over="ignore"):  # a term past the doubles is inf; one below them 0
+        terms = np.exp(logs)
     entries = tuple((int(k), float(t)) for k, t in zip(ks, terms))
     tail = 0.0
     divergent, rate = False, None
@@ -307,10 +308,16 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
 
     rng = np.random.default_rng(seed)
     prob = w / total
-    idx = rng.choice(n, size=(int(triples), 3), p=prob)
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-    distinct = (i != j) & (j != k) & (i != k)
-    vals = np.where(distinct, _inv_circumradius_sq(pts[i], pts[j], pts[k]), 0.0)
+    # consecutive draws continue one uniform stream, so blocks of triples give
+    # the indices (and generator state) of one draw of all of them
+    vals = np.empty(int(triples))
+    step = _block_rows(6)  # six coordinates per triple
+    for lo in range(0, vals.size, step):
+        idx = rng.choice(n, size=(min(step, vals.size - lo), 3), p=prob)
+        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+        distinct = (i != j) & (j != k) & (i != k)
+        vals[lo:lo + idx.shape[0]] = np.where(
+            distinct, _inv_circumradius_sq(pts[i], pts[j], pts[k]), 0.0)
     scale = total ** 3
     value = scale * float(np.mean(vals))
     stderr = scale * float(np.std(vals)) / math.sqrt(len(vals))

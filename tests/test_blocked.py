@@ -1,0 +1,152 @@
+"""The flat-cloud kernels give the same bits for any CPU count and block budget.
+
+direct_capacity_lower and eps_mu_a split their rows over a thread pool, one
+contiguous range per CPU, and menger_curvature draws its triples in blocks;
+none of this may change a value.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qcantor import measure as measure_mod
+from qcantor.capacity import FARFIELD_FACTOR, CapacityIndices, direct_capacity_lower
+from qcantor.cantor import SOURCE, build_tree, harmonic_schedule
+from qcantor.cli import main
+from qcantor.gauges import eps_mu_a
+from qcantor.measure import PlanarMeasure
+from qcantor.potentials import _inv_circumradius_sq, menger_curvature, wolff_dyadic
+
+
+def _set_pool(monkeypatch, workers, budget=None):
+    monkeypatch.setattr(measure_mod, "_cpus", lambda: workers)
+    if budget is not None:
+        monkeypatch.setattr(measure_mod, "BLOCK_ELEMENTS", budget)
+
+
+@pytest.fixture(scope="module")
+def cloud():
+    """A 256-atom realized cloud (depth-3 harmonic tree, 4 atoms per leaf)."""
+    tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=4)
+    return tree.realize(seed=4, samples_per_leaf=4).measure(SOURCE)
+
+
+@pytest.fixture()
+def config_path(tmp_path):
+    cfg = {"K": 2, "depth": 3, "seed": 7, "levels": [{"M": 4, "d": "harmonic"}] * 3}
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _outputs(cloud, config_path, out):
+    lam = direct_capacity_lower(cloud, CapacityIndices(2.0 / 3.0, 1.5),
+                                cells=16).normalization["lambda"]
+    curv = menger_curvature(cloud, triples=3000, seed=2)
+    assert main(["check-gauge", "--config", config_path, "--side", "target",
+                 "--samples-per-leaf", "3", "--pairs", "40", "--out", out]) == 0
+    with open(out, "rb") as f:
+        gauge = f.read()
+    return lam, (curv.value, curv.stderr, curv.sup_pointwise), gauge
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("budget", [None, 1000, 1])
+def test_outputs_do_not_depend_on_workers_or_block_budget(cloud, config_path, tmp_path,
+                                                          monkeypatch, workers, budget):
+    want = _outputs(cloud, config_path, str(tmp_path / "want.json"))
+    _set_pool(monkeypatch, workers, budget)
+    assert _outputs(cloud, config_path, str(tmp_path / "got.json")) == want
+
+
+def _one_shot_curvature(measure, triples, seed):
+    """Reference copy of the sampled estimator before blocking: one draw of
+    all the triples, then the pointwise sup from the same generator."""
+    n, pts, w = measure.n_atoms, measure.points, measure.weights
+    total = measure.total_mass
+    rng = np.random.default_rng(seed)
+    prob = w / total
+    idx = rng.choice(n, size=(int(triples), 3), p=prob)
+    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+    distinct = (i != j) & (j != k) & (i != k)
+    vals = np.where(distinct, _inv_circumradius_sq(pts[i], pts[j], pts[k]), 0.0)
+    scale = total ** 3
+    value = scale * float(np.mean(vals))
+    stderr = scale * float(np.std(vals)) / math.sqrt(len(vals))
+    queries = rng.choice(n, size=min(16, n), replace=False, p=prob)
+    m = max(2000, int(triples) // 64)
+    sup = 0.0
+    for qi in queries:
+        jj = rng.choice(n, size=m, p=prob)
+        kk = rng.choice(n, size=m, p=prob)
+        ok = (jj != kk) & (jj != qi) & (kk != qi)
+        v = np.where(ok, _inv_circumradius_sq(pts[qi][None, :], pts[jj], pts[kk]), 0.0)
+        sup = max(sup, total ** 2 * float(np.mean(v)))
+    return value, stderr, sup
+
+
+@pytest.mark.parametrize("triples", [70, 300, 250])  # below a block, 3 blocks, 2.5 blocks
+def test_blocked_curvature_equals_one_shot_draw(cloud, monkeypatch, triples):
+    _set_pool(monkeypatch, 2, budget=6 * 100)  # 100 triples per block
+    est = menger_curvature(cloud, triples=triples, seed=9)
+    assert (est.value, est.stderr, est.sup_pointwise) == _one_shot_curvature(cloud, triples, 9)
+
+
+def _eps_reference(measure, x, t, a):
+    """The single-ball formula: distances, psi_a, weighted sum, over t."""
+    d = measure.distances(x)
+    with np.errstate(over="ignore"):
+        return float(np.sum(measure.weights * (1.0 / ((d / t) ** (1.0 + a) + 1.0))) / t)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 2.5])
+def test_batched_eps_equals_single_ball_calls(cloud, monkeypatch, a):
+    _set_pool(monkeypatch, 2, budget=3 * cloud.n_atoms)
+    rng = np.random.default_rng(1)
+    centres = np.vstack([rng.uniform(-1.0, 1.0, size=(37, 2)), cloud.points[:3]])
+    radii = np.exp(rng.uniform(-9.0, 2.0, size=centres.shape[0]))
+    many = eps_mu_a(cloud, centres, radii, a)
+    chain = eps_mu_a(cloud, centres[0], radii, a)
+    one_radius = eps_mu_a(cloud, centres, radii[0], a)
+    assert many.shape == chain.shape == one_radius.shape == (centres.shape[0],)
+    for i, (x, t) in enumerate(zip(centres, radii)):
+        single = eps_mu_a(cloud, x, t, a)
+        assert isinstance(single, float)
+        assert single == _eps_reference(cloud, x, t, a)
+        assert many[i] == single
+        assert chain[i] == eps_mu_a(cloud, centres[0], t, a)
+        assert one_radius[i] == eps_mu_a(cloud, x, radii[0], a)
+
+
+def _square_with_atom_on_cell_centre(cells):
+    """Corner atoms and one atom exactly on a cell centre of the quadrature grid."""
+    corners = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
+    base = PlanarMeasure(corners, np.ones(4))
+    center, r_far = base.support_center(), FARFIELD_FACTOR * base.diameter()
+    h = 2.0 * r_far / cells
+    ax = center[0] - r_far + h * (np.arange(cells) + 0.5)
+    ay = center[1] - r_far + h * (np.arange(cells) + 0.5)
+    x, y = ax[np.argmin(np.abs(ax))], ay[np.argmin(np.abs(ay))]
+    return PlanarMeasure(np.vstack([corners, [[x, y]]]), np.full(5, 0.2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_pool_workers_keep_their_errstate(monkeypatch):
+    _set_pool(monkeypatch, 2, budget=5)  # one cell per block
+    mu = _square_with_atom_on_cell_centre(16)
+    est = direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=16)
+    assert math.isfinite(est.value) and est.value > 0
+    # (|y - x| / t)^(1 + a) past the doubles: psi_a reads 0 but for the atom at x
+    eps = eps_mu_a(mu, mu.points[[4] * 8], 1e-300, 1.0)
+    assert np.array_equal(eps, np.full(8, 0.2 / 1e-300))
+
+
+def test_dyadic_terms_are_the_exponentials_of_their_log_terms():
+    # the two-atom measure's log terms reach -6907: its entries underflow to 0
+    mu = PlanarMeasure(np.array([[1.0, 0.0], [1.5, 0.0]]), np.array([1e-3, 1e-3]))
+    for alpha, p in ((0.5, 1.001), (2.0 / 3.0, 1.5)):
+        prof = wolff_dyadic(mu, (0.0, 0.0), alpha, p, -4, 2)
+        assert all(math.exp(x) == c for x, (_, c) in zip(prof.log_terms, prof.entries))
+    prof = wolff_dyadic(mu, (0.0, 0.0), 0.5, 1.001, -4, 2)
+    assert prof.total == 0.0 and prof.tail == 0.0
