@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import CantorTree, check_distortion
-from .measure import PlanarMeasure, _parallel_rows
+from .measure import PlanarMeasure, _distance_rows
 from .potentials import (IndexDomainError, check_indices, conjugate_minus_one, wolff_dyadic,
                          wolff_tree)
 
@@ -139,15 +139,15 @@ class CapacityEstimate:
         return d
 
 
-def _admissible_mass(mass, sup, indices, side, depth) -> float:
-    """mass * sup^(-1/(p'-1)), refused unless a positive finite double (never 0 or inf)."""
+def _admissible_mass(mass, sup, indices, where) -> float:
+    """mass * sup^(-1/(p'-1)), refused (naming where) unless a positive finite double."""
     try:
         value = mass * sup ** (-1.0 / indices.conjugate_minus_one)
     except (ZeroDivisionError, OverflowError):  # 0.0 ** -x, or a power past the range
         value = math.inf
     if not 0.0 < value < math.inf:
         raise IndexDomainError(f"the Wolff capacity at alpha = {indices.alpha:.6g}, p = "
-                               f"{indices.p:.6g} on the {side} side at depth {depth} leaves "
+                               f"{indices.p:.6g} {where} leaves "
                                f"double precision (Wolff sup {sup:.6g}, capacity {value:.6g})")
     return value
 
@@ -161,8 +161,8 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     lower estimate in the wolff_sup convention.  On a CantorTree the sup over
     paths is the exact tree sum (path independent) at the tree's depth (pass
     tree.prefix(depth) for a shallower one); depth-0 trees fall back to the
-    closed-form single-ball term.  A divergent potential yields value
-    0 with the divergence rate recorded; a tree value of 0 or inf is refused.
+    closed-form single-ball term.  A divergent tree potential yields value
+    0 with the divergence rate recorded; any other value of 0 or inf is refused.
     """
     eta = indices.conjugate_minus_one
     if isinstance(obj, CantorTree):
@@ -186,8 +186,8 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
         if profile is not None and profile.divergent:
             record["divergence_rate"] = profile.divergence_rate
             return CapacityEstimate(0.0, LOWER_BOUND, WOLFF_SUP, indices, record)
-        return CapacityEstimate(_admissible_mass(mass, sup, indices, side, depth),
-                                LOWER_BOUND, WOLFF_SUP, indices, record)
+        value = _admissible_mass(mass, sup, indices, f"on the {side} side at depth {depth}")
+        return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 
     if not isinstance(obj, PlanarMeasure):
         raise TypeError("expected a CantorTree or PlanarMeasure")
@@ -199,7 +199,8 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
         sup = max(sup, wolff_dyadic(obj, x, indices.alpha, indices.p, k_min, k_max).total)
     record = {"sup": sup, "query_set": query_set_id or f"points[{len(query_points)}]",
               "seed": seed, "mass": obj.total_mass, "k_range": [k_min, k_max]}
-    value = obj.total_mass * sup ** (-1.0 / eta) if sup > 0 else 0.0
+    value = _admissible_mass(obj.total_mass, sup, indices,
+                             f"on the {obj.n_atoms}-atom measure {obj.label!r}")
     return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 
 
@@ -236,26 +237,15 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     cap = 2.0 / alpha * rho ** (alpha - 2.0)
     live = measure.weights > 0
     pts, w = measure.points[live], measure.weights[live]
-    vals = np.empty(cc.shape[0])
 
-    def cell_rows(lo, hi, step):
-        # per cell: sum_j w_j min(|c - x_j|^(alpha-2), cap), in two reused
-        # (step, n) buffers; an atom on a cell centre gives 0^(alpha-2) = inf
-        dx = np.empty((min(step, hi - lo), pts.shape[0]))
-        dy = np.empty_like(dx)
-        with np.errstate(divide="ignore"):
-            for i in range(lo, hi, step):
-                k = min(step, hi - i)
-                kx, ky = dx[:k], dy[:k]
-                np.subtract(cc[i:i + k, None, 0], pts[None, :, 0], out=kx)
-                np.subtract(cc[i:i + k, None, 1], pts[None, :, 1], out=ky)
-                np.hypot(kx, ky, out=kx)
-                np.power(kx, alpha - 2.0, out=kx)
-                np.minimum(kx, cap, out=kx)
-                np.multiply(kx, w, out=kx)
-                np.sum(kx, axis=1, out=vals[i:i + k])
+    def cell_values(d, lo, hi):
+        # sum_j w_j min(|c - x_j|^(alpha-2), cap); an atom on c gives inf, capped
+        np.power(d, alpha - 2.0, out=d)
+        np.minimum(d, cap, out=d)
+        d *= w
+        return np.sum(d, axis=1)
 
-    _parallel_rows(cc.shape[0], pts.shape[0], cell_rows)
+    vals = _distance_rows(pts, cc, cc.shape[0], cell_values)
     cell_sum = float(np.sum(vals ** p_prime)) * h * h
 
     a = (2.0 - alpha) * p_prime  # > 2 whenever 0 < alpha*p < 2

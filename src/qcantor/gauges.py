@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import SOURCE, TARGET, _check_side
-from .measure import _parallel_rows
+from .measure import _distance_rows
 
 
 def _psi(r, a, inplace=False):
@@ -65,37 +65,23 @@ def eps_mu_a(measure, x, t, a):
     if not np.all(t_arr > 0.0):
         raise ValueError("radius t must be positive")
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 2:
+        raise ValueError(f"centre x must have shape (2,) or (..., 2), got {x.shape}")
     shape = np.broadcast_shapes(x.shape[:-1], t_arr.shape)
-    px = np.ascontiguousarray(measure.points[:, 0])
-    py = np.ascontiguousarray(measure.points[:, 1])
-    w, n = measure.weights, measure.n_atoms
     if x.ndim == 1:
-        d = np.hypot(px - x[0], py - x[1])  # one centre: its row serves every radius
+        centres = x  # one centre: its row serves every radius
         radii = t_arr.reshape(-1, 1)
     else:
-        xs = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
-        cx, cy = np.ascontiguousarray(xs[:, 0:1]), np.ascontiguousarray(xs[:, 1:2])
+        centres = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
         radii = np.broadcast_to(t_arr, shape).reshape(-1, 1)
-    out = np.empty(radii.shape[0])
 
-    def ball_rows(lo, hi, step):
-        buf = np.empty((min(step, hi - lo), n))
-        dy = np.empty_like(buf) if x.ndim > 1 else None
-        for i in range(lo, hi, step):
-            k = min(step, hi - i)
-            b = buf[:k]
-            if x.ndim == 1:
-                np.divide(d, radii[i:i + k], out=b)
-            else:
-                np.subtract(px, cx[i:i + k], out=b)
-                np.subtract(py, cy[i:i + k], out=dy[:k])
-                np.hypot(b, dy[:k], out=b)
-                np.divide(b, radii[i:i + k], out=b)
-            _psi(b, a, inplace=True)
-            np.multiply(b, w, out=b)
-            np.sum(b, axis=1, out=out[i:i + k])
+    def ball_values(d, lo, hi):
+        d /= radii[lo:hi]
+        _psi(d, a, inplace=True)
+        d *= measure.weights
+        return np.sum(d, axis=1)
 
-    _parallel_rows(radii.shape[0], n, ball_rows)
+    out = _distance_rows(measure.points, centres, radii.shape[0], ball_values)
     out /= radii[:, 0]
     if not shape:
         return float(out[0])

@@ -30,28 +30,50 @@ def _block_rows(row_elements, workers=1) -> int:
     return max(1, BLOCK_ELEMENTS // workers // max(1, row_elements))
 
 
-def _parallel_rows(n, row_elements, kernel):
-    """Run kernel(lo, hi, step) on contiguous ranges of rows 0..n, one per CPU.
+def _distance_rows(pts, centres, rows, reduce):
+    """reduce(d, lo, hi) of the distance rows lo..hi, one value per row.
 
-    Rows are independent, so each range's values do not depend on the split.
-    Each range works in blocks of step rows, step * row_elements being its
-    BLOCK_ELEMENTS / workers share of the scratch.  The ranges run in a thread
-    pool (numpy ufuncs release the GIL); with one worker, or rows that fit one
-    block, the kernel runs inline.  A kernel sets its own np.errstate, which
-    does not reach pool threads, and calls nothing traced by bench/tracer.py,
-    which keeps one span stack per process.
+    Row i holds |c_i - y_j| over the atoms y_j of pts (n, 2): c_i is row i of
+    centres (rows, 2), or one centre (2,) whose row is computed once for all.
+    reduce may overwrite d and calls nothing bench/tracer.py traces (it keeps
+    one span stack per process).  Rows run in one contiguous range per CPU in
+    a thread pool (numpy ufuncs release the GIL), in blocks of BLOCK_ELEMENTS
+    / workers elements per scratch array, each range under its own errstate
+    (np.errstate does not reach pool threads): 0^-s and powers past the
+    doubles give inf silently.  No value depends on the split.
     """
-    workers = max(1, min(_cpus(), n))
-    step = _block_rows(row_elements, workers)
-    if workers == 1 or n <= step:
-        kernel(0, n, step)
-        return
+    n = pts.shape[0]
+    px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+    centres = np.asarray(centres, dtype=float)
+    one = centres.ndim == 1
+    row = np.hypot(px - centres[0], py - centres[1]) if one else None
+    out = np.empty(rows)
+    workers = max(1, min(_cpus(), rows))
+    step = _block_rows(n, workers)
+
+    def run(lo, hi):
+        d = np.empty((min(step, hi - lo), n))
+        dy = None if one else np.empty_like(d)
+        with np.errstate(divide="ignore", over="ignore"):
+            for i in range(lo, hi, step):
+                k = min(step, hi - i)
+                if one:
+                    d[:k] = row
+                else:
+                    np.subtract(px, centres[i:i + k, 0:1], out=d[:k])
+                    np.subtract(py, centres[i:i + k, 1:2], out=dy[:k])
+                    np.hypot(d[:k], dy[:k], out=d[:k])
+                out[i:i + k] = reduce(d[:k], i, i + k)
+
+    if workers == 1 or rows <= step:
+        run(0, rows)
+        return out
     from concurrent.futures import ThreadPoolExecutor
-    bounds = [n * i // workers for i in range(workers + 1)]
+    bounds = [rows * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(kernel, lo, hi, step) for lo, hi in zip(bounds, bounds[1:])]
-        for f in futures:
+        for f in [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
             f.result()
+    return out
 
 
 def _convex_hull(pts) -> list:
@@ -185,22 +207,17 @@ class PlanarMeasure:
         t > 2^-41 * diagonal >= 2^-41 D.  Rounding moves a computed
         distance by a few ulps (< 2^-50 D), so no pair with a dropped atom
         can exceed the computed distance of the two hull vertices that
-        realise D, and the blocked pairwise max over the distinct kept atoms
-        equals the max over all pairs.  A hull with fewer than three
-        vertices drops nothing.  Cost: an O(n log n) sort, O(n h) edge tests
-        for h hull vertices, and the pairs of the kept atoms.
+        realise D, and the row maxima over the distinct kept atoms give the
+        max over all pairs.  A hull with fewer than three vertices (a
+        collinear cloud) drops nothing.  Cost: an O(n log n) sort, O(n h)
+        edge tests for h hull vertices, and the k^2 pairs of k kept atoms.
         """
         pts = self.points
         if pts.shape[0] < 2:
             return 0.0
         pts = np.unique(pts[_hull_candidates(pts)], axis=0)
-        best = 0.0
-        block = 1024
-        for i in range(0, pts.shape[0], block):
-            chunk = pts[i:i + block]
-            d = chunk[:, None, :] - pts[None, :, :]
-            best = max(best, float(np.max(np.hypot(d[..., 0], d[..., 1]))))
-        return best
+        return float(np.max(_distance_rows(pts, pts, pts.shape[0],
+                                           lambda d, lo, hi: np.max(d, axis=1))))
 
     def support_center(self) -> np.ndarray:
         lo = self.points.min(axis=0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import TARGET, ConfigError, _check_side
-from .measure import _block_rows
+from .measure import _block_rows, _distance_rows
 
 LN2 = math.log(2.0)
 
@@ -227,12 +227,18 @@ def riesz_potential(measure, x, alpha) -> float:
     """I_alpha(mu)(x) = sum w_i / |x - y_i|^(2 - alpha); inf on coincidence."""
     if not (0.0 < alpha < 2.0):
         raise IndexDomainError(f"need 0 < alpha < 2, got {alpha}")
-    d = measure.distances(x)
-    hit = (d == 0.0) & (measure.weights > 0)
-    if np.any(hit):
-        return math.inf
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValueError(f"point x must have shape (2,), got {x.shape}")
     live = measure.weights > 0
-    return float(np.sum(measure.weights[live] * d[live] ** (alpha - 2.0)))
+    w = measure.weights[live]
+
+    def total(d, lo, hi):
+        d **= alpha - 2.0  # an atom at x gives inf
+        d *= w
+        return np.sum(d, axis=1)
+
+    return float(_distance_rows(measure.points[live], x, 1, total)[0])
 
 
 # -- curvature ---------------------------------------------------------------

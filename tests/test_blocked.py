@@ -1,8 +1,9 @@
 """The flat-cloud kernels give the same bits for any CPU count and block budget.
 
-direct_capacity_lower and eps_mu_a split their rows over a thread pool, one
-contiguous range per CPU, and menger_curvature draws its triples in blocks;
-none of this may change a value.
+direct_capacity_lower, eps_mu_a, riesz_potential and PlanarMeasure.diameter
+split their distance rows over a thread pool, one contiguous range per CPU,
+and menger_curvature draws its triples in blocks; none of this may change a
+value.
 """
 import json
 import math
@@ -16,7 +17,8 @@ from qcantor.cantor import SOURCE, build_tree, harmonic_schedule
 from qcantor.cli import main
 from qcantor.gauges import eps_mu_a
 from qcantor.measure import PlanarMeasure
-from qcantor.potentials import _inv_circumradius_sq, menger_curvature, wolff_dyadic
+from qcantor.potentials import (_inv_circumradius_sq, menger_curvature, riesz_potential,
+                                wolff_dyadic)
 
 
 def _set_pool(monkeypatch, workers, budget=None):
@@ -48,7 +50,10 @@ def _outputs(cloud, config_path, out):
                  "--samples-per-leaf", "3", "--pairs", "40", "--out", out]) == 0
     with open(out, "rb") as f:
         gauge = f.read()
-    return lam, (curv.value, curv.stderr, curv.sup_pointwise), gauge
+    # a collinear cloud's two-vertex hull keeps all 300 atoms: 300 distance rows
+    segment = PlanarMeasure.uniform_segment(300).diameter()
+    return (lam, (curv.value, curv.stderr, curv.sup_pointwise), gauge, cloud.diameter(),
+            segment, riesz_potential(cloud, (2.0, 0.0), 1.0))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -158,6 +158,21 @@ def test_tree_estimate_refuses_capacity_outside_the_doubles(schedules, depth, in
         wolff_capacity_lower(tree, indices, side=side)
 
 
+@pytest.mark.parametrize("weight,indices,k_min,why", [
+    # (1e-160)^(p'-1) with p' - 1 = 100: every dyadic term underflows to 0
+    (1e-160, CapacityIndices(0.5, 1.01), -4, "Wolff sup 0"),
+    # p' - 1 = 1000: the unit atom at the query point overflows the terms
+    (1.0, CapacityIndices(0.5, 1.001), -8, "Wolff sup inf"),
+], ids=["sup-underflow", "sup-overflow"])
+def test_cloud_estimate_refuses_capacity_outside_the_doubles(weight, indices, k_min, why):
+    mu = PlanarMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.full(2, weight), label="pair")
+    with pytest.raises(IndexDomainError, match=rf"alpha = 0.5, p = {indices.p:.6g} on the "
+                                               rf"2-atom measure 'pair' leaves double "
+                                               rf"precision \({why}"):
+        wolff_capacity_lower(mu, indices, query_points=[(0.0, 0.0), (0.5, 0.0)],
+                             k_range=(k_min, 2))
+
+
 def test_sharpness_capacity_decays_to_zero():
     K, q = 2.0, 7.0 / 3.0
     beta = 2 * K / ((K + 1) * q)

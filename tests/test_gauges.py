@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,14 @@ def test_eps_two_atom_measure_sums_per_atom():
     mu = PlanarMeasure(np.array([[1.0, 0.0], [0.0, 3.0]]), np.array([0.25, 0.75]))
     want = 0.25 / (1.0 ** 1.5 + 1.0) + 0.75 / (3.0 ** 1.5 + 1.0)
     assert eps_mu_a(mu, (0.0, 0.0), 1.0, 0.5) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 5.0], np.zeros((4, 3))], ids=["one", "many"])
+def test_eps_refuses_a_centre_that_is_not_planar(x):
+    # the three-coordinate centre once read as (0, 0), silently
+    mu = PlanarMeasure(np.array([[1.0, 0.0], [0.0, 3.0]]), np.array([0.25, 0.75]))
+    with pytest.raises(ValueError, match=re.escape(f"(2,) or (..., 2), got {np.shape(x)}")):
+        eps_mu_a(mu, x, 1.0, 0.1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,12 @@ def test_riesz_two_atoms():
 def test_riesz_coincidence_divergent():
     mu = PlanarMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
     assert riesz_potential(mu, (0.0, 0.0), 1.0) == math.inf
+
+
+def test_riesz_refuses_a_point_that_is_not_planar():
+    mu = PlanarMeasure(np.array([[1.0, 0.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match=re.escape("shape (2,), got (3,)")):
+        riesz_potential(mu, [0.0, 0.0, 5.0], 1.0)
 
 
 def test_riesz_uniform_disk_closed_form():
