@@ -154,6 +154,9 @@ def _cmd_riesz(args):
         raise ConfigError(f"--x {args.x!r}: need two finite numbers 'x,y'")
     _, real = _realized(args)
     value = riesz_potential(real.measure(args.side), x, args.alpha)
+    if not math.isfinite(value):
+        raise ConfigError(f"--x {args.x!r}: I_alpha is infinite there (an atom of positive "
+                          "weight sits at or too close to the point); choose another point")
     _emit(args, {"x": list(x), "alpha": args.alpha, "value": value},
           f"riesz: I_alpha at {x} = {value:.17g}")
     return 0

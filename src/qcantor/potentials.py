@@ -244,29 +244,109 @@ def riesz_potential(measure, x, alpha) -> float:
 # -- curvature ---------------------------------------------------------------
 
 
-def _inv_circumradius_sq(x, y, z):
-    """4 * area^2 * 16 / ... : vectorized 1/R^2 via squared side lengths.
+def _inv_r2(xi, yi, xj, yj, xk, yk, out, work=None):
+    """out = 1/R^2 of the triangles (i, j, k), from coordinate columns that
+    broadcast to out's shape; returns out.
 
-    Zero for collinear or coincident points, with no square roots so that
-    rational inputs give exact dyadic values.
+    4 * cross^2 / (|a|^2 |b|^2 |c|^2) for the sides a = j - i, b = k - i,
+    c = k - j, each |.|^2 as a0*a0 + a1*a1 and the product left to right.
+    Zero for collinear or coincident points, so a triangle with a repeated
+    index gives zero; no square roots, so rational inputs give exact dyadic
+    values.  work holds five float arrays and one bool array of out's shape,
+    overwritten (allocated when omitted).
     """
-    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
-    a = y - x
-    b = z - x
-    c = z - y
-    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    d2 = (np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1) * np.sum(c * c, axis=-1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(d2 > 0, 4.0 * cross * cross / np.where(d2 > 0, d2, 1.0), 0.0)
+    if work is None:
+        work = [np.empty(out.shape) for _ in range(5)], np.empty(out.shape, dtype=bool)
+    (a0, a1, b0, b1, t), positive = work
+    np.subtract(xj, xi, out=a0)
+    np.subtract(yj, yi, out=a1)
+    np.subtract(xk, xi, out=b0)
+    np.subtract(yk, yi, out=b1)
+    np.multiply(a0, b1, out=out)
+    np.multiply(a1, b0, out=t)
+    np.subtract(out, t, out=out)  # cross
+
+    def norm2(s0, s1):  # s0 * s0 + s1 * s1, into s0
+        np.multiply(s0, s0, out=s0)
+        np.multiply(s1, s1, out=s1)
+        return np.add(s0, s1, out=s0)
+
+    np.multiply(norm2(a0, a1), norm2(b0, b1), out=a0)
+    np.subtract(xk, xj, out=a1)
+    np.subtract(yk, yj, out=b1)
+    np.multiply(a0, norm2(a1, b1), out=a0)  # d2
+    np.multiply(out, 4.0, out=t)
+    np.multiply(t, out, out=t)
+    np.greater(a0, 0.0, out=positive)
+    with np.errstate(invalid="ignore"):
+        np.divide(t, a0, out=out, where=positive)
+    np.logical_not(positive, out=positive)
+    np.copyto(out, 0.0, where=positive)
     return out
+
+
+def _inv_circumradius_sq(x, y, z):
+    """1/R^2 of the triangles of the points x, y, z (..., 2), by _inv_r2."""
+    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape, z.shape)[:-1])
+    return _inv_r2(x[..., 0], x[..., 1], y[..., 0], y[..., 1], z[..., 0], z[..., 1], out)
 
 
 def circumradius(x, y, z) -> float:
     """Radius of the circle through three points; inf when collinear."""
-    inv_sq = float(_inv_circumradius_sq(np.asarray(x), np.asarray(y), np.asarray(z)))
+    inv_sq = float(_inv_circumradius_sq(x, y, z))
     if inv_sq == 0.0:
         return math.inf
     return 1.0 / math.sqrt(inv_sq)
+
+
+#: forward steps from a guide-table start before a draw finishes by binary search
+_GUIDE_STEPS = 4
+
+
+def _guide_table(prob):
+    """(cdf, guide) of the inverse-cdf sampler _invert_cdf over the atoms' prob.
+
+    cdf is built as numpy's Generator.choice(n, p=prob) builds it, prob.cumsum()
+    divided by its last entry.  guide has B = 2^ceil(log2 n) buckets, so that
+    u*B and b/B are exact: guide[b] counts the cdf entries <= b/B (Chen & Asau
+    1974; Devroye 1986, III.2.4).
+    """
+    cdf = np.cumsum(prob)
+    cdf /= cdf[-1]
+    buckets = 1 << (cdf.size - 1).bit_length()
+    return cdf, cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+
+
+def _invert_cdf(cdf, guide, u, out, probe=None, short=None):
+    """out = cdf.searchsorted(u, side="right") for u in [0, 1); returns out.
+
+    With u = rng.random(size) these are the indices that Generator.choice(n,
+    size, p=prob) draws with replacement from the same generator state, which
+    it advances by the same size uniforms.  guide[b] is a lower bound on the
+    count of cdf entries <= u for every u in bucket b = floor(u*B); stepping
+    forward from it while cdf[idx] <= u reaches the count in an expected O(1)
+    probes, against ceil(log2 n) for a binary search.  Draws still short
+    after _GUIDE_STEPS steps (weight piled into a few buckets) finish with
+    searchsorted.  probe (float) and short (bool) are scratch of u's size,
+    allocated when omitted.
+    """
+    probe = np.empty(u.size) if probe is None else probe
+    short = np.empty(u.size, dtype=bool) if short is None else short
+    bucket = probe.view(np.intp)
+    np.multiply(u, guide.size, out=probe)
+    np.copyto(out, probe, casting="unsafe")  # floor: u*B is exact and >= 0
+    np.take(guide, out, out=bucket, mode="clip")
+    np.copyto(out, bucket)
+    for _ in range(_GUIDE_STEPS):
+        np.take(cdf, out, out=probe, mode="clip")
+        np.less_equal(probe, u, out=short)
+        if not short.any():
+            return out
+        np.add(out, short, out=out)  # cdf[-1] = 1 > u: never past n - 1
+    rest = np.flatnonzero(cdf[out] <= u)
+    out[rest] = cdf.searchsorted(u[rest], side="right")
+    return out
 
 
 @dataclass(frozen=True)
@@ -291,22 +371,27 @@ _EXACT_CURVATURE_ATOMS = 85
 def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
     """c^2(mu) over ordered distinct-index triples.
 
-    Measures with at most 85 atoms are enumerated exactly (stderr 0);
-    otherwise triples are sampled with probability proportional to weight and
-    degenerate draws (any repeated index) contribute zero, which keeps the
-    estimator unbiased for the distinct-triple sum.  Also reports the largest
-    pointwise c^2_mu(x) seen over a seeded subset of atoms.
+    Measures with at most 85 atoms, or fewer than 3 of positive weight, are
+    evaluated exactly (stderr 0); otherwise triples are sampled with
+    probability proportional to weight and degenerate draws (any repeated
+    index) contribute zero, which keeps the estimator unbiased for the
+    distinct-triple sum.  Also reports the largest pointwise c^2_mu(x) seen
+    over a seeded subset of up to 16 positive-weight atoms.
     """
     n = measure.n_atoms
     if n < 3:
         raise ConfigError(f"curvature needs at least 3 atoms, got {n}")
     pts, w = measure.points, measure.weights
     total = measure.total_mass
+    live = int(np.count_nonzero(w))
+    if live < 3:  # every distinct triple holds an atom of weight zero
+        return CurvatureEstimate(0.0, 0.0, 0.0, n * (n - 1) * (n - 2), seed)
+    px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
     if n <= _EXACT_CURVATURE_ATOMS:
-        i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-        distinct = (i != j) & (j != k) & (i != k)
-        inv2 = _inv_circumradius_sq(pts[i], pts[j], pts[k])
-        contrib = np.where(distinct, inv2 * w[i] * w[j] * w[k], 0.0)
+        xs, ys, ws = ([a.reshape(s) for s in ((n, 1, 1), (1, n, 1), (1, 1, n))]
+                      for a in (px, py, w))  # along the axes of i, j and k
+        inv2 = _inv_r2(xs[0], ys[0], xs[1], ys[1], xs[2], ys[2], np.empty((n, n, n)))
+        contrib = inv2 * ws[0] * ws[1] * ws[2]
         value = float(np.sum(contrib))
         pointwise = np.sum(contrib, axis=(1, 2))
         return CurvatureEstimate(value, 0.0, float(np.max(pointwise)),
@@ -314,29 +399,46 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
 
     rng = np.random.default_rng(seed)
     prob = w / total
+    cdf, guide = _guide_table(prob)
+    rows = int(triples)
+    m = max(2000, rows // 64)
+    # scratch per triple: three uniforms and three probes (then the atoms'
+    # x and y), three indices and _inv_r2's five arrays
+    step = max(1, min(_block_rows(14), rows))
+    draws, cols = max(3 * step, 2 * m), max(step, m)
+    buf, idx = np.empty((2, draws)), np.empty(draws, dtype=np.intp)
+    flags, floats = np.empty(draws, dtype=bool), np.empty((5, cols))
+
+    def work(k):
+        return [a[:k] for a in floats], flags[:k]
+
+    def draw(count):
+        """x and y of the atoms at the indices choice(n, count, p=prob) draws
+        from the next count uniforms of rng."""
+        u, probe = buf[:, :count]
+        rng.random(out=u)
+        ix = _invert_cdf(cdf, guide, u, idx[:count], probe, flags[:count])
+        return np.take(px, ix, out=u, mode="clip"), np.take(py, ix, out=probe, mode="clip")
+
     # consecutive draws continue one uniform stream, so blocks of triples give
-    # the indices (and generator state) of one draw of all of them
-    vals = np.empty(int(triples))
-    step = _block_rows(6)  # six coordinates per triple
-    for lo in range(0, vals.size, step):
-        idx = rng.choice(n, size=(min(step, vals.size - lo), 3), p=prob)
-        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-        distinct = (i != j) & (j != k) & (i != k)
-        vals[lo:lo + idx.shape[0]] = np.where(
-            distinct, _inv_circumradius_sq(pts[i], pts[j], pts[k]), 0.0)
+    # the indices (and generator state) of one draw of all of them; a repeated
+    # index repeats a point, so _inv_r2 gives the degenerate draw zero
+    vals = np.empty(rows)
+    for lo in range(0, rows, step):
+        k = min(step, rows - lo)
+        x, y = (c.reshape(k, 3) for c in draw(3 * k))
+        _inv_r2(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2], vals[lo:lo + k],
+                work(k))
     scale = total ** 3
     value = scale * float(np.mean(vals))
     stderr = scale * float(np.std(vals)) / math.sqrt(len(vals))
 
-    n_query = min(16, n)
-    queries = rng.choice(n, size=n_query, replace=False, p=prob)
-    m = max(2000, int(triples) // 64)
+    queries = rng.choice(n, size=min(16, live), replace=False, p=prob)
+    v = np.empty(m)
     sup = 0.0
     for qi in queries:
-        jj = rng.choice(n, size=m, p=prob)
-        kk = rng.choice(n, size=m, p=prob)
-        ok = (jj != kk) & (jj != qi) & (kk != qi)
-        v = np.where(ok, _inv_circumradius_sq(pts[qi][None, :], pts[jj], pts[kk]), 0.0)
+        x, y = draw(2 * m)  # m draws for j, then m for k
+        _inv_r2(px[qi], py[qi], x[:m], y[:m], x[m:], y[m:], v, work(m))
         sup = max(sup, total ** 2 * float(np.mean(v)))
     return CurvatureEstimate(value, stderr, sup, int(triples), seed)
 

@@ -98,6 +98,20 @@ def test_blocked_curvature_equals_one_shot_draw(cloud, monkeypatch, triples):
     assert (est.value, est.stderr, est.sup_pointwise) == _one_shot_curvature(cloud, triples, 9)
 
 
+
+@pytest.mark.parametrize("weights", ["skewed", "zeros"])
+def test_curvature_on_uneven_weights_equals_one_shot_draw(cloud, monkeypatch, weights):
+    _set_pool(monkeypatch, 2, budget=6 * 100)
+    n = cloud.n_atoms
+    if weights == "skewed":  # 0.999 of the mass on atom 0: the rest of the cdf
+        w = np.full(n, 1e-3 / (n - 1))  # shares one guide bucket
+        w[0] = 0.999
+    else:
+        w = np.where(np.arange(n) % 4 == 1, 0.0, cloud.weights)
+    mu = PlanarMeasure(cloud.points, w)
+    est = menger_curvature(mu, triples=3000, seed=6)
+    assert (est.value, est.stderr, est.sup_pointwise) == _one_shot_curvature(mu, 3000, 6)
+
 def _eps_reference(measure, x, t, a):
     """The single-ball formula: distances, psi_a, weighted sum, over t."""
     d = measure.distances(x)

@@ -82,6 +82,18 @@ def test_riesz_rejects_bad_point(config_path, capsys, x):
     assert "--x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_riesz_refuses_a_point_on_an_atom(config_path, tmp_path, capsys, side):
+    # one atom per leaf puts an atom at the default --x 0,0: I_alpha is inf there,
+    # which used to be written as the non-JSON token Infinity
+    out = tmp_path / "riesz.json"
+    code = main(["riesz", "--config", config_path, "--side", side, "--alpha", "0.5",
+                 "--samples-per-leaf", "1", "--out", str(out)])
+    assert code == 2
+    assert "--x '0,0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,flag", [
     (["--cells", "5"], "--cells"), (["--samples-per-leaf", "3"], "--samples-per-leaf"),
     (["--cells", "5", "--samples-per-leaf", "3"], "--samples-per-leaf")])

@@ -10,9 +10,10 @@ from qcantor.cantor import SOURCE, TARGET, build_tree, doubly_exponential_schedu
     harmonic_schedule, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import distortion_indices
 from qcantor.measure import PlanarMeasure
-from qcantor.potentials import (IndexDomainError, circumradius, default_dyadic_range,
-                                dyadic_curvature_proxy, linear_growth_constant,
-                                menger_curvature, riesz_potential,
+from qcantor import potentials
+from qcantor.potentials import (IndexDomainError, _guide_table, _invert_cdf, circumradius,
+                                default_dyadic_range, dyadic_curvature_proxy,
+                                linear_growth_constant, menger_curvature, riesz_potential,
                                 standard_query_points, wolff_dyadic, wolff_tree)
 
 
@@ -265,6 +266,98 @@ def test_curvature_cantor_realization_finite(real_k2_d3):
     mu = real_k2_d3.measure(TARGET)
     est = menger_curvature(mu, triples=50_000, seed=2)
     assert math.isfinite(est.value) and est.value >= 0.0
+
+
+def _cloud_with_live_atoms(n, live, seed=0):
+    """n distinct atoms of a disk, of which the first live have positive weight."""
+    pts = PlanarMeasure.uniform_disk(n, seed=seed).points
+    return PlanarMeasure(pts, np.where(np.arange(n) < live, 1.0 / max(live, 1), 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("live", [0, 1, 2])
+def test_curvature_below_three_live_atoms_is_exactly_zero(live):
+    # sampling used to divide by a zero total (live = 0) or ask for 16 distinct
+    # queries among fewer positive-weight atoms
+    est = menger_curvature(_cloud_with_live_atoms(120, live), triples=5000, seed=1)
+    assert (est.value, est.stderr, est.sup_pointwise) == (0.0, 0.0, 0.0)
+    assert est.triples == 120 * 119 * 118
+
+
+def test_curvature_with_fewer_than_sixteen_live_atoms():
+    mu = _cloud_with_live_atoms(120, 10, seed=2)
+    est = menger_curvature(mu, triples=200_000, seed=4)
+    live = PlanarMeasure(mu.points[:10], mu.weights[:10])
+    exact = menger_curvature(live)  # 10 atoms: enumerated
+    assert est.triples == 200_000 and est.stderr > 0
+    assert abs(est.value - exact.value) <= 4.0 * est.stderr
+    assert 0.0 < est.sup_pointwise
+
+
+def _weights(draw):
+    """Atom weights with zeros, ties and, when heavy, one atom holding almost all
+    of the mass; at least one weight is positive."""
+    w = draw(st.lists(st.one_of(st.just(0.0), st.just(0.25), st.floats(1e-9, 1.0)),
+                      min_size=1, max_size=70))
+    w[draw(st.integers(0, len(w) - 1))] = draw(st.sampled_from([1.0, 1e12]))
+    return np.array(w)
+
+
+@st.composite
+def _sampler_cases(draw):
+    prob = _weights(draw)
+    prob /= prob.sum()
+    buckets = 1 << (prob.size - 1).bit_length()
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0),
+                        draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))])
+    return prob, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sampler_cases())
+def test_guide_table_inversion_is_the_binary_search(case):
+    prob, u = case
+    cdf, guide = _guide_table(prob)
+    want = prob.cumsum()
+    want /= want[-1]
+    assert np.array_equal(cdf, want)
+    got = _invert_cdf(cdf, guide, u, np.empty(u.size, dtype=np.intp))
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 300])
+def test_guide_table_inversion_with_one_heavy_atom(n):
+    # one heavy atom first: the rest of the cdf piles into the last bucket
+    prob = np.full(n, 1e-6)
+    prob[0] = 1.0
+    prob /= prob.sum()
+    buckets = 1 << (n - 1).bit_length()
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0),
+                        np.linspace(prob[0], 1.0, 997, endpoint=False)])
+    u = u[u < 1.0]  # n = 1: prob[0] = 1
+    cdf, guide = _guide_table(prob)
+    want = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(_invert_cdf(cdf, guide, u, np.empty(u.size, dtype=np.intp)), want)
+    if n == 300:  # the binary-search fallback is taken
+        steps = want - guide[(u * buckets).astype(np.intp)]
+        assert steps.max() > potentials._GUIDE_STEPS
+
+
+@pytest.mark.parametrize("weights", ["equal", "random", "zeros", "heavy"])
+def test_sampler_draws_the_indices_and_state_of_choice(weights):
+    n = 1000
+    w = {"equal": np.ones(n), "random": np.random.default_rng(1).random(n) ** 4,
+         "zeros": np.where(np.arange(n) % 3 == 0, 0.0, 1.0),
+         "heavy": np.where(np.arange(n) == 7, 1e6, 1.0)}[weights]
+    prob = w / w.sum()
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    cdf, guide = _guide_table(prob)
+    for size in (5000, 1, 3 * 5000):
+        got = _invert_cdf(cdf, guide, ours.random(size), np.empty(size, dtype=np.intp))
+        assert np.array_equal(got, theirs.choice(n, size=size, p=prob))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # -- growth and proxy ---------------------------------------------------------
