@@ -20,7 +20,7 @@ from .experiments import (ExperimentReport, content_distortion_experiment,
                           vanishing_content_experiment, verify_gamma_distortion,
                           verify_riesz_distortion)
 from .gauges import (ContentResult, DistortedTreeGauge, DoublingReport, FrostmanResult,
-                     TableGauge, TreeSmoothedDensityGauge, check_G1, check_G2,
+                     TreeSmoothedDensityGauge, check_G1, check_G2,
                      check_G2_tree_gauge, content_Mh_tree, eps_mu_a, frostman_tree,
                      generation_cover_sum, psi_a, sample_ball_pairs)
 from .measure import PlanarMeasure

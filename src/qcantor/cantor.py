@@ -329,8 +329,8 @@ class CantorTree:
 
         "realized": area-split mass of the depth-truncated construction,
         prod(R_k^2) * prod_{n>N}(1 - eps_n); generation totals are constant.
-        "ideal": prod(R_k^2) alone, the fully filled construction where each
-        level keeps total mass 1.
+        "ideal": prod(R_k^2) alone.  Its generation total prod(M_k R_k^2) is
+        1 only when M_k R_k^2 = 1; the default trees keep 4e-4/d_k^2 per level.
         """
         ideal = float(self.cum_log_mass[generation])
         if convention == "ideal":

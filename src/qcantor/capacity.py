@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorTree, check_distortion
+from .cantor import CantorTree, ConfigError, check_distortion
 from .measure import PlanarMeasure, _distance_rows
 from .potentials import (IndexDomainError, check_indices, conjugate_minus_one, wolff_dyadic,
                          wolff_tree)
@@ -215,6 +215,8 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     over the usable CPUs; each cell's value, and so the result, is the same
     bits for any CPU count.
     """
+    if cells < 1:
+        raise ConfigError(f"cells {cells}: need a positive count")
     alpha, p = indices.alpha, indices.p
     p_prime = indices.p_prime
     m = measure.total_mass

@@ -229,9 +229,10 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     Per depth N: LHS = wolff lower estimate on the source tree at
     (2K/(2K+1), (2K+1)/(K+1)) over diam(B)^(2/(K+1)); RHS = Melnikov proxy
     (growth sup and pointwise-curvature proxy taken from ideal-convention
-    tree data, ideal total mass 1) over diam of the image ball, 2 * scale;
+    tree data, the root mass 1) over diam of the image ball, 2 * scale;
     ratio = LHS / RHS^(2K/(K+1)).  Passes when the ratio spans less than
-    one decade.
+    one decade.  The ideal generation total prod(M_k R_k^2) is 1 only when
+    M_k R_k^2 = 1; the default trees keep 4e-4/d_k^2 per level.
     """
     idx = distortion_indices(K)
 

@@ -155,25 +155,6 @@ class DistortedTreeGauge(TreeSmoothedDensityGauge):
     h_node = TreeSmoothedDensityGauge.h_node
 
 
-class TableGauge:
-    """Explicit per-node h values of a tree, keyed by path; for hand-set gauges."""
-
-    description = "table"
-
-    def __init__(self, tree, table):
-        self.tree = tree
-        self.table = {tuple(k): float(v) for k, v in table.items()}
-
-    def h_values(self):
-        """h over every node of the tree, one array per generation 0..depth."""
-        return [np.array([self.table[path] for path in self.tree.paths_at(g)], dtype=float)
-                for g in range(self.tree.depth + 1)]
-
-    def far_field_bound(self):
-        """0: the table values are exact."""
-        return 0.0
-
-
 # -- regularity classes ------------------------------------------------------
 
 
@@ -376,13 +357,15 @@ def frostman_tree(gauge) -> FrostmanResult:
 
 
 def generation_cover_sum(tree, eps_log, generation) -> float:
-    """Ideal-convention sum of h over one source generation's balls.
+    """Sum of h over one source generation's balls, divided by the ideal
+    generation total prod(M_k R_k^2).
 
     eps_log(log r) is a radial density and h = r^gamma * eps with the tree's
-    distortion exponent gamma = 2/(K+1).  In the fully filled construction
-    the level masses sum to 1, so the radius products cancel exactly and the
-    sum telescopes to eps(s_N) * prod(d_k)^(2K/(K+1)); the cancellation is
-    done symbolically, with no catastrophic log-space subtraction.
+    distortion exponent gamma = 2/(K+1).  Divided by prod(M_k R_k^2), the
+    radius products cancel exactly and the sum telescopes to
+    eps(s_N) * prod(d_k)^(2K/(K+1)); the cancellation is done symbolically,
+    with no catastrophic log-space subtraction.  The divisor is 1 only when
+    M_k R_k^2 = 1; the default trees keep 4e-4/d_k^2 per level.
     """
     eps = float(eps_log(tree.log_radius(SOURCE, generation)))
     K = tree.K

@@ -131,23 +131,6 @@ class PlanarMeasure:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def uniform_disk(cls, n, seed=0, center=(0.0, 0.0), radius=1.0, mass=1.0):
-        """n equal atoms sampled uniformly (by area) in a disk."""
-        rng = np.random.default_rng(seed)
-        r = radius * np.sqrt(rng.uniform(size=n))
-        th = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1) + np.asarray(center, float)
-        return cls(pts, np.full(n, mass) / n, label=f"uniform_disk(n={n},seed={seed})")
-
-    @classmethod
-    def uniform_segment(cls, n, start=(0.0, 0.0), end=(1.0, 0.0), mass=1.0):
-        """n equal atoms at the midpoints of n equal subsegments."""
-        t = (np.arange(n) + 0.5) / n
-        a, b = np.asarray(start, float), np.asarray(end, float)
-        pts = a[None, :] + t[:, None] * (b - a)[None, :]
-        return cls(pts, np.full(n, mass) / n, label=f"uniform_segment(n={n})")
-
     @property
     def n_atoms(self) -> int:
         return self.points.shape[0]
@@ -171,27 +154,6 @@ class PlanarMeasure:
         cw = np.concatenate([[0.0], np.cumsum(self.weights[order])])
         idx = np.searchsorted(d[order], np.asarray(radii, dtype=float), side="right")
         return cw[idx]
-
-    def scaled(self, lam) -> "PlanarMeasure":
-        """Scale the geometry by lam, keeping weights."""
-        return PlanarMeasure(self.points * float(lam), self.weights, label=self.label)
-
-    def weighted(self, c) -> "PlanarMeasure":
-        """Scale every weight by c >= 0."""
-        return PlanarMeasure(self.points, self.weights * float(c), label=self.label)
-
-    def translated(self, v) -> "PlanarMeasure":
-        return PlanarMeasure(self.points + np.asarray(v, float)[None, :], self.weights,
-                             label=self.label)
-
-    def rotated(self, theta) -> "PlanarMeasure":
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        return PlanarMeasure(self.points @ rot.T, self.weights, label=self.label)
-
-    def union(self, other: "PlanarMeasure") -> "PlanarMeasure":
-        return PlanarMeasure(np.vstack([self.points, other.points]),
-                             np.concatenate([self.weights, other.weights]))
 
     def diameter(self) -> float:
         """Exact support diameter: the largest ``hypot`` of coordinate

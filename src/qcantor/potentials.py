@@ -123,11 +123,12 @@ def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
 
     With level-uniform schedules every root-to-leaf path sees the same
     per-generation ball data, so the sum is path independent.  The default
-    "ideal" convention uses mass_N = prod(R_k^2) (total mass 1 kept at every
-    level); "realized" uses the depth-truncated area-split masses and matches
-    the realized atom cloud exactly.  Contributions run over generations
-    1..tree.depth; the root term is excluded; tree.prefix(depth) gives the
-    sum of a shallower tree.
+    "ideal" convention uses mass_N = prod(R_k^2), whose generation total
+    prod(M_k R_k^2) is 1 only when M_k R_k^2 = 1 (the default trees keep
+    4e-4/d_k^2 per level); "realized" uses the depth-truncated area-split
+    masses and matches the realized atom cloud exactly.  Contributions run
+    over generations 1..tree.depth; the root term is excluded;
+    tree.prefix(depth) gives the sum of a shallower tree.
 
     The log-ratio is assembled per level as coefficients on sum(log R) and
     sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at
@@ -378,6 +379,8 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
     distinct-triple sum.  Also reports the largest pointwise c^2_mu(x) seen
     over a seeded subset of up to 16 positive-weight atoms.
     """
+    if triples < 1:
+        raise ConfigError(f"triples {triples}: need a positive count")
     n = measure.n_atoms
     if n < 3:
         raise ConfigError(f"curvature needs at least 3 atoms, got {n}")

@@ -118,19 +118,6 @@ class CantorRealization:
 
     # -- geometry ----------------------------------------------------------
 
-    def node_center(self, side, path) -> np.ndarray:
-        """Absolute center (meaningful to ~1e-16 of the coordinate size)."""
-        cantor._check_side(side)
-        c = np.zeros(2)
-        for g in range(1, len(path) + 1):
-            c = c + self._offsets[side][g][self.tree.node_index(path[:g])]
-        return c
-
-    def node_ball(self, side, path):
-        """(absolute center, generating radius) of a node's disk."""
-        return self.node_center(side, path), math.exp(
-            self.tree.log_radius(side, len(path)))
-
     def measure(self, side) -> PlanarMeasure:
         """Flat atom cloud with absolute positions.
 

@@ -1,0 +1,65 @@
+"""Fixtures and oracles that only the tests use: test clouds, a hand-set
+node gauge, absolute node centres and the brute-force content."""
+import numpy as np
+
+from qcantor.measure import PlanarMeasure
+
+
+def uniform_disk(n, seed=0):
+    """n equal atoms sampled uniformly (by area) in the unit disk."""
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.uniform(size=n))
+    th = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    return PlanarMeasure(pts, np.full(n, 1.0) / n, label=f"uniform_disk(n={n},seed={seed})")
+
+
+def uniform_segment(n):
+    """n equal atoms at the midpoints of n equal subsegments of [0, 1] x {0}."""
+    t = (np.arange(n) + 0.5) / n
+    pts = np.stack([t, np.zeros(n)], axis=1)
+    return PlanarMeasure(pts, np.full(n, 1.0) / n, label=f"uniform_segment(n={n})")
+
+
+def node_center(real, side, path):
+    """Absolute centre of a realized node: the sum of its per-level offsets
+    (meaningful to ~1e-16 of the coordinate size)."""
+    c = np.zeros(2)
+    for g in range(1, len(path) + 1):
+        c = c + real._offsets[side][g][real.tree.node_index(path[:g])]
+    return c
+
+
+class TableGauge:
+    """Explicit per-node h values of a tree, keyed by path; for hand-set gauges."""
+
+    description = "table"
+
+    def __init__(self, tree, table):
+        self.tree = tree
+        self.table = {tuple(k): float(v) for k, v in table.items()}
+
+    def h_values(self):
+        """h over every node of the tree, one array per generation 0..depth."""
+        return [np.array([self.table[path] for path in self.tree.paths_at(g)], dtype=float)
+                for g in range(self.tree.depth + 1)]
+
+    def far_field_bound(self):
+        """0: the table values are exact."""
+        return 0.0
+
+
+def content_by_enumeration(tree, table):
+    """Min of sum h over all node subsets that cover every leaf.
+
+    Every subset of the n nodes is listed by doubling: the subsets holding
+    node i are those without it, each extended by i's leaves and h value.
+    """
+    nodes = [p for g in range(tree.depth + 1) for p in tree.paths_at(g)]
+    leaves = list(tree.paths_at(tree.depth))
+    cover, cost = np.zeros(1, dtype=np.int64), np.zeros(1)
+    for node in nodes:
+        bits = sum(1 << j for j, leaf in enumerate(leaves) if leaf[:len(node)] == node)
+        cover = np.concatenate([cover, cover | bits])
+        cost = np.concatenate([cost, cost + table[node]])
+    return float(cost[cover == (1 << len(leaves)) - 1].min())

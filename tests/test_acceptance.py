@@ -20,11 +20,13 @@ from qcantor.capacity import (CapacityIndices, direct_capacity_lower,
                               melnikov_gamma_lower, distorted_index_map,
                               distortion_indices, wolff_capacity_lower)
 from qcantor.cli import main
-from qcantor.gauges import (DistortedTreeGauge, TableGauge, TreeSmoothedDensityGauge,
-                            content_Mh_tree, frostman_tree)
+from qcantor.gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
+                            frostman_tree)
 from qcantor.measure import PlanarMeasure
 from qcantor.potentials import (circumradius, default_dyadic_range, menger_curvature,
                                 wolff_dyadic, wolff_tree)
+
+import support
 
 
 def _report(num, text):
@@ -156,12 +158,12 @@ def test_criterion_05_oracle_comparability():
 
 def test_criterion_06_scaling_laws():
     # mass scaling of the brute-force potential
-    mu = PlanarMeasure.uniform_disk(250, seed=4)
+    mu = support.uniform_disk(250, seed=4)
     x = (0.1, -0.2)
     c, (alpha, p) = 2.6, (0.7, 1.4)
     eta = 1.0 / (p - 1.0)
     base = wolff_dyadic(mu, x, alpha, p, -18, 3)
-    scaled = wolff_dyadic(mu.weighted(c), x, alpha, p, -18, 3)
+    scaled = wolff_dyadic(PlanarMeasure(mu.points, mu.weights * c), x, alpha, p, -18, 3)
     assert scaled.total == pytest.approx(c ** eta * base.total, rel=1e-12)
 
     # geometric homogeneity: exact for the tree estimator, <= 1% for quadrature
@@ -175,7 +177,8 @@ def test_criterion_06_scaling_laws():
         tv = wolff_capacity_lower(tree.scaled(lam), idx, side=SOURCE).value
         worst_tree = max(worst_tree,
                          abs(tv / (tree_base * lam ** idx.homogeneity) - 1.0))
-        qv = direct_capacity_lower(mu.scaled(lam), disk_idx, cells=64).value
+        qv = direct_capacity_lower(PlanarMeasure(mu.points * lam, mu.weights), disk_idx,
+                                   cells=64).value
         worst_quad = max(worst_quad,
                          abs(qv / (quad_base * lam ** disk_idx.homogeneity) - 1.0))
     assert worst_tree <= 1e-12
@@ -185,12 +188,12 @@ def test_criterion_06_scaling_laws():
 
 
 def test_criterion_07_curvature_units():
-    line = PlanarMeasure.uniform_segment(25)
+    line = support.uniform_segment(25)
     assert menger_curvature(line).value == 0.0
     tri = PlanarMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(3))
     assert menger_curvature(tri).value == 12.0
     assert circumradius((0, 0), (1, 0), (2, 0)) == math.inf
-    seg = PlanarMeasure.uniform_segment(1001)
+    seg = support.uniform_segment(1001)
     est = melnikov_gamma_lower(seg.total_mass, 0.0, growth=1.0)
     assert est.value == pytest.approx(1.0, abs=1e-9)
     _report(7, "collinear 0 exact, triangle value 12 exact, segment proxy 1±1e-9")
@@ -203,19 +206,14 @@ def test_criterion_08_contents():
         tree = build_tree(harmonic_schedule(2.0, depth, branching=branching), depth)
         real = tree.realize()
         nodes = [p for g in range(depth + 1) for p in tree.paths_at(g)]
-        leaves = list(tree.paths_at(depth))
         for _ in range(7):
             table = {p: float(rng.integers(1, 1000)) for p in nodes}
-            got = content_Mh_tree(TableGauge(tree, table)).value
-            best = math.inf
-            for mask in range(1, 1 << len(nodes)):
-                chosen = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
-                if all(any(leaf[:len(c)] == c for c in chosen) for leaf in leaves):
-                    best = min(best, sum(table[c] for c in chosen))
-            assert got == best  # integer-valued gauges: exact equality
+            got = content_Mh_tree(support.TableGauge(tree, table)).value
+            # integer-valued gauges: exact equality
+            assert got == support.content_by_enumeration(tree, table)
             # max flow = min cut: the flow value is the DP value bitwise, the
             # leaf split re-sums to it and respects every node's capacity
-            fr = frostman_tree(TableGauge(tree, table))
+            fr = frostman_tree(support.TableGauge(tree, table))
             assert fr.value == got
             assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
             for p in nodes:

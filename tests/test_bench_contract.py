@@ -17,7 +17,8 @@ from types import SimpleNamespace
 import pytest
 
 from qcantor.capacity import CapacityIndices, direct_capacity_lower
-from qcantor.measure import PlanarMeasure
+
+import support
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -58,7 +59,7 @@ def test_tracer_target_resolves(name, owner, attr):
 
 def test_direct_capacity_record_feeds_quadrature_counter():
     # the tracer rebuilds the quadrature grid from these record keys
-    mu = PlanarMeasure.uniform_disk(32, seed=1)
+    mu = support.uniform_disk(32, seed=1)
     est = direct_capacity_lower(mu, CapacityIndices(0.8, 1.6), cells=16)
     assert {"cells", "farfield_factor", "diam"} <= set(est.normalization)
     tr = SimpleNamespace(counters=Counter())

@@ -20,6 +20,8 @@ from qcantor.measure import PlanarMeasure
 from qcantor.potentials import (_inv_circumradius_sq, menger_curvature, riesz_potential,
                                 wolff_dyadic)
 
+import support
+
 
 def _set_pool(monkeypatch, workers, budget=None):
     monkeypatch.setattr(measure_mod, "_cpus", lambda: workers)
@@ -51,7 +53,7 @@ def _outputs(cloud, config_path, out):
     with open(out, "rb") as f:
         gauge = f.read()
     # a collinear cloud's two-vertex hull keeps all 300 atoms: 300 distance rows
-    segment = PlanarMeasure.uniform_segment(300).diameter()
+    segment = support.uniform_segment(300).diameter()
     return (lam, (curv.value, curv.stderr, curv.sup_pointwise), gauge, cloud.diameter(),
             segment, riesz_potential(cloud, (2.0, 0.0), 1.0))
 

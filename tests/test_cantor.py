@@ -13,6 +13,8 @@ from qcantor.cantor import (SOURCE, TARGET, ConfigError, ConstructionError,
                             pack_disks, schedules_from_config, sharpness_schedule,
                             shrunk_schedule)
 
+import support
+
 
 def test_harmonic_multipliers():
     sch = harmonic_schedule(1.5, 6)
@@ -231,7 +233,8 @@ def test_generation_ball_mass_query():
     tree = build_tree(harmonic_schedule(2.0, 2, branching=3), 2, seed=5)
     real = tree.realize(seed=5)
     mu = real.measure(TARGET)
-    center, radius = real.node_ball(TARGET, (0,))
+    center = support.node_center(real, TARGET, (0,))
+    radius = math.exp(tree.log_radius(TARGET, 1))
     got = mu.ball_mass(center, radius * (1 + 1e-9))
     lv1, lv2 = tree.schedules
     expected = lv1.protect ** 2 * (1.0 - lv2.eps)
@@ -245,8 +248,8 @@ def test_nesting_and_sibling_disjointness(real_k2_d3):
             parent_r = math.exp(tree.log_radius(side, g - 1))
             child_protect = math.exp(tree.log_protect_radius(side, g))
             for path in tree.paths_at(g - 1):
-                offs = [real_k2_d3.node_center(side, path + (j,))
-                        - real_k2_d3.node_center(side, path)
+                offs = [support.node_center(real_k2_d3, side, path + (j,))
+                        - support.node_center(real_k2_d3, side, path)
                         for j in range(tree.branching(g))]
                 for o in offs:
                     assert np.hypot(*o) + child_protect < parent_r  # strict
@@ -267,7 +270,7 @@ def test_frame_distances_match_absolute_oracle():
         atoms = real.measure(side).points
         noise = float(np.max(np.abs(atoms))) * 2.0 ** -52
         for path in [(), (1,), (0, 2), (2, 1, 0)]:
-            center = real.node_center(side, path)
+            center = support.node_center(real, side, path)
             brute = np.hypot(atoms[:, 0] - center[0], atoms[:, 1] - center[1])
             framed = real.node_atom_distances(side, path)
             ok = brute >= 1e4 * noise

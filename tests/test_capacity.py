@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qcantor.cantor import SOURCE, TARGET, ConstructionError, build_tree, harmonic_schedule, \
-    sharpness_exponent, sharpness_schedule, shrunk_schedule
+from qcantor.cantor import SOURCE, TARGET, ConfigError, ConstructionError, build_tree, \
+    harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, WOLFF_SUP,
                               CapacityEstimate, CapacityIndices, direct_capacity_lower,
                               melnikov_gamma_lower, distorted_index_map, distortion_indices,
@@ -12,6 +12,8 @@ from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, WOLFF_SU
 from qcantor.experiments import gauge_criterion_experiment
 from qcantor.measure import PlanarMeasure
 from qcantor.potentials import IndexDomainError, menger_curvature
+
+import support
 
 
 # -- index algebra ------------------------------------------------------------
@@ -109,24 +111,24 @@ def test_tree_estimate_mass_scaling_invariance():
 
 def test_normalized_measure_estimate_returns_mass():
     # rescale so the potential sup is exactly 1: the estimate is the mass
-    mu = PlanarMeasure.uniform_disk(200, seed=1)
+    mu = support.uniform_disk(200, seed=1)
     idx = CapacityIndices(2.0 / 3.0, 1.5)
     pts = mu.points[::25]
     first = wolff_capacity_lower(mu, idx, query_points=pts, k_range=(-12, 3))
     c = first.normalization["sup"] ** (-1.0 / idx.conjugate_minus_one)
-    normalized = mu.weighted(c)
+    normalized = PlanarMeasure(mu.points, mu.weights * c)
     est = wolff_capacity_lower(normalized, idx, query_points=pts, k_range=(-12, 3))
     assert est.normalization["sup"] == pytest.approx(1.0, rel=1e-12)
     assert est.value == pytest.approx(normalized.total_mass, rel=1e-12)
 
 
 def test_measure_estimate_mass_scaling_invariance():
-    mu = PlanarMeasure.uniform_disk(300, seed=2)
+    mu = support.uniform_disk(300, seed=2)
     idx = CapacityIndices(2.0 / 3.0, 1.5)
     pts = mu.points[::30]
     a = wolff_capacity_lower(mu, idx, query_points=pts, k_range=(-12, 3))
-    b = wolff_capacity_lower(mu.weighted(7.3), idx, query_points=pts,
-                             k_range=(-12, 3))
+    b = wolff_capacity_lower(PlanarMeasure(mu.points, mu.weights * 7.3), idx,
+                             query_points=pts, k_range=(-12, 3))
     assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
@@ -191,10 +193,10 @@ def test_sharpness_capacity_decays_to_zero():
 
 def test_monotone_under_separated_union():
     idx = CapacityIndices(2.0 / 3.0, 1.5)
-    mu = PlanarMeasure.uniform_disk(200, seed=3)
-    far = mu.translated((10.0, 0.0))
-    both = mu.union(far)
-    pts = np.vstack([mu.points[::20], far.points[::20]])
+    mu = support.uniform_disk(200, seed=3)
+    far = mu.points + (10.0, 0.0)
+    both = PlanarMeasure(np.vstack([mu.points, far]), np.tile(mu.weights, 2))
+    pts = np.vstack([mu.points[::20], far[::20]])
     a = wolff_capacity_lower(mu, idx, query_points=pts, k_range=(-12, 5))
     b = wolff_capacity_lower(both, idx, query_points=pts, k_range=(-12, 5))
     assert b.value >= a.value * (1 - 1e-12)
@@ -209,12 +211,23 @@ def test_direct_zero_measure():
     assert est.value == 0.0
 
 
+@pytest.mark.parametrize("cells", [0, -4])
+@pytest.mark.parametrize("mass", [1.0, 0.0])
+def test_direct_refuses_nonpositive_cells(cells, mass):
+    # an empty grid would leave the far-field tail alone as the value
+    mu = support.uniform_disk(200, seed=1)
+    mu = PlanarMeasure(mu.points, mu.weights * mass)
+    with pytest.raises(ConfigError, match="cells"):
+        direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=cells)
+
+
 def test_direct_homogeneity_within_tolerance():
     idx = CapacityIndices(2.0 / 3.0, 1.5)
-    mu = PlanarMeasure.uniform_disk(800, seed=4)
+    mu = support.uniform_disk(800, seed=4)
     base = direct_capacity_lower(mu, idx, cells=64)
     for lam in (0.25, 0.5, 2.0):
-        scaled = direct_capacity_lower(mu.scaled(lam), idx, cells=64)
+        scaled = direct_capacity_lower(PlanarMeasure(mu.points * lam, mu.weights), idx,
+                                       cells=64)
         expected = base.value * lam ** idx.homogeneity
         assert scaled.value == pytest.approx(expected, rel=0.01)
 
@@ -225,8 +238,8 @@ def test_direct_vs_wolff_on_resolvable_measures():
     # feasible grid's reach; see the uniform-disk and segment cases)
     idx = CapacityIndices(2.0 / 3.0, 1.5)
     records = []
-    for mu, k_range in [(PlanarMeasure.uniform_disk(2000, seed=5), (-12, 4)),
-                        (PlanarMeasure.uniform_segment(2000), (-14, 3))]:
+    for mu, k_range in [(support.uniform_disk(2000, seed=5), (-12, 4)),
+                        (support.uniform_segment(2000), (-14, 3))]:
         direct = direct_capacity_lower(mu, idx, cells=96)
         wolff = wolff_capacity_lower(mu, idx, query_points=mu.points[::100],
                                      k_range=k_range)
@@ -318,7 +331,7 @@ def test_direct_lambda_equals_blocked_reference(cells, case):
     elif case == "disk":
         w = np.random.default_rng(3).uniform(size=700)
         w[::7] = 0.0
-        mu = PlanarMeasure(PlanarMeasure.uniform_disk(700, seed=3).points, w)
+        mu = PlanarMeasure(support.uniform_disk(700, seed=3).points, w)
     else:
         tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=5)
         mu = tree.realize(seed=5, samples_per_leaf=3).measure(SOURCE)
@@ -330,38 +343,38 @@ def test_direct_lambda_equals_blocked_reference(cells, case):
 
 
 def test_melnikov_admissible_measure_returns_mass():
-    mu = PlanarMeasure.uniform_segment(100)
+    mu = support.uniform_segment(100)
     est = melnikov_gamma_lower(mu.total_mass, 1.0, growth=1.0)
     assert est.value == pytest.approx(mu.total_mass, rel=1e-12)
     assert est.kind == "analytic_capacity"
 
 
 def test_melnikov_mass_scaling_invariance():
-    mu = PlanarMeasure.uniform_segment(200)
+    mu = support.uniform_segment(200)
     curv = menger_curvature(mu)  # zero for a line
     g = 1.4
     a = melnikov_gamma_lower(mu.total_mass, curv.sup_pointwise, growth=g)
-    doubled = mu.weighted(2.0)
+    doubled = PlanarMeasure(mu.points, mu.weights * 2.0)
     curv2 = menger_curvature(doubled)
     b = melnikov_gamma_lower(doubled.total_mass, curv2.sup_pointwise, growth=2.0 * g)
     assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
 def test_melnikov_segment_value_one():
-    mu = PlanarMeasure.uniform_segment(1001)
+    mu = support.uniform_segment(1001)
     est = melnikov_gamma_lower(mu.total_mass, 0.0, growth=1.0)
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_melnikov_curvature_binding():
-    mu = PlanarMeasure.uniform_disk(50, seed=6)
+    mu = support.uniform_disk(50, seed=6)
     est = melnikov_gamma_lower(mu.total_mass, 9.0, growth=0.1)
     # curvature bound 9 -> rescale 1/3 beats 1/growth = 10
     assert est.value == pytest.approx(mu.total_mass / 3.0, rel=1e-12)
 
 
 def test_melnikov_rejects_bad_growth():
-    mu = PlanarMeasure.uniform_segment(10)
+    mu = support.uniform_segment(10)
     with pytest.raises(ValueError, match="growth"):
         melnikov_gamma_lower(mu.total_mass, 0.0, growth=math.inf)
 

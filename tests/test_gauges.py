@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from qcantor.cantor import (SOURCE, TARGET, build_tree, doubly_exponential_schedule,
                             harmonic_schedule)
-from qcantor.gauges import (DistortedTreeGauge, TableGauge, TreeSmoothedDensityGauge,
-                            check_G1, check_G2, check_G2_tree_gauge, content_Mh_tree,
-                            eps_mu_a, frostman_tree, generation_cover_sum, psi_a,
-                            sample_ball_pairs)
+from qcantor.gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1,
+                            check_G2, check_G2_tree_gauge, content_Mh_tree, eps_mu_a,
+                            frostman_tree, generation_cover_sum, psi_a, sample_ball_pairs)
 from qcantor.measure import PlanarMeasure
 from qcantor.potentials import (conjugate_minus_one, default_dyadic_range,
                                 diagnose_divergence, standard_query_points,
                                 wolff_dyadic)
+
+import support
 
 
 # -- paper-lemma checks ---------------------------------------------------------
@@ -123,21 +124,21 @@ def test_eps_refuses_a_centre_that_is_not_planar(x):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 2.0), st.floats(0.01, 4.0))
 def test_eps_doubling_bound(a, t):
-    mu = PlanarMeasure.uniform_disk(40, seed=12)
+    mu = support.uniform_disk(40, seed=12)
     x = (0.2, 0.1)
     assert eps_mu_a(mu, x, 2.0 * t, a) <= 2.0 ** a * eps_mu_a(mu, x, t, a) * (1 + 1e-12)
 
 
 def test_eps_dominates_plain_density():
     # psi_a(1) = 1/2 at a = 1, so eps >= mu(B(x,t)) / (2t)
-    mu = PlanarMeasure.uniform_disk(200, seed=13)
+    mu = support.uniform_disk(200, seed=13)
     for t in (0.2, 0.7, 1.5):
         x = (0.1, 0.0)
         assert eps_mu_a(mu, x, t, 1.0) >= mu.ball_mass(x, t) / (2.0 * t) - 1e-15
 
 
 def test_gauge_h_vanishes_monotonically():
-    mu = PlanarMeasure.uniform_disk(100, seed=14)
+    mu = support.uniform_disk(100, seed=14)
     x = (0.05, 0.05)
     hs = [h_mu_a(mu, x, 2.0 ** -k, 0.5) for k in range(6, 17)]
     assert all(b < a for a, b in zip(hs, hs[1:]))
@@ -181,7 +182,7 @@ def test_constant_gauge_doubling_constants():
 
 
 def test_smoothed_gauge_in_G1():
-    mu = PlanarMeasure.uniform_disk(150, seed=15)
+    mu = support.uniform_disk(150, seed=15)
     a = 0.4
     pairs = sample_ball_pairs((0.0, 0.0), 1.0, 400, seed=5, log_r_range=(-6.0, 1.0))
     report = check_G1(lambda x, r: eps_mu_a(mu, x, r, a), pairs)
@@ -230,20 +231,6 @@ def test_kernel_sum_equal_exponents_rejected():
 # -- contents: DP vs exhaustive enumeration ------------------------------------
 
 
-def _bruteforce_content(tree, h_table):
-    """Min of sum h over all node subsets that cover every leaf."""
-    nodes = []
-    for g in range(tree.depth + 1):
-        nodes.extend(tree.paths_at(g))
-    leaves = list(tree.paths_at(tree.depth))
-    best = math.inf
-    for mask in range(1, 1 << len(nodes)):
-        chosen = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
-        if all(any(leaf[:len(c)] == c for c in chosen) for leaf in leaves):
-            best = min(best, sum(h_table[c] for c in chosen))
-    return best
-
-
 def _random_integer_gauge(tree, rng):
     table = {}
     for g in range(tree.depth + 1):
@@ -270,8 +257,8 @@ def test_content_dp_equals_enumeration(branching, depth):
     rng = np.random.default_rng(100 * branching + depth)
     for trial in range(20):
         table = _random_integer_gauge(tree, rng)
-        got = content_Mh_tree(TableGauge(tree, table)).value
-        assert got == _bruteforce_content(tree, table)  # integer sums: exact
+        got = content_Mh_tree(support.TableGauge(tree, table)).value
+        assert got == support.content_by_enumeration(tree, table)  # integer sums: exact
 
 
 @pytest.mark.parametrize("branching,depth", [(2, 4), (5, 2), (3, 3)])
@@ -284,7 +271,7 @@ def test_content_dp_equals_cut_enumeration_wider(branching, depth):
     rng = np.random.default_rng(7 * branching + depth)
     for trial in range(5):
         table = _random_integer_gauge(tree, rng)
-        got = content_Mh_tree(TableGauge(tree, table)).value
+        got = content_Mh_tree(support.TableGauge(tree, table)).value
         assert got == min(sum(table[p] for p in cut) for cut in cuts)
 
 
@@ -292,7 +279,7 @@ def test_content_mass_gauge_returns_total_mass():
     tree = build_tree(harmonic_schedule(2.0, 3), 3)
     table = {path: math.exp(tree.log_mass(g))
              for g in range(4) for path in tree.paths_at(g)}
-    got = content_Mh_tree(TableGauge(tree, table)).value
+    got = content_Mh_tree(support.TableGauge(tree, table)).value
     assert got == pytest.approx(math.exp(tree.log_total_mass()), rel=1e-12)
 
 
@@ -302,7 +289,7 @@ def test_content_root_optimal_when_subadditive():
     for g in (1, 2):
         for path in tree.paths_at(g):
             table[path] = 2.0  # children always cost more
-    res = content_Mh_tree(TableGauge(tree, table))
+    res = content_Mh_tree(support.TableGauge(tree, table))
     assert res.value == 1.0
     assert res.cover == ((),)
 
@@ -328,10 +315,10 @@ def test_frostman_equals_content_on_random_gauges():
     rng = np.random.default_rng(77)
     for trial in range(20):
         table = _random_integer_gauge(tree, rng)
-        fr = frostman_tree(TableGauge(tree, table))
+        fr = frostman_tree(support.TableGauge(tree, table))
         # max flow = min cut: the flow value is the DP value bitwise, the
         # leaf split re-sums to it and respects every node's capacity
-        assert fr.value == content_Mh_tree(TableGauge(tree, table)).value
+        assert fr.value == content_Mh_tree(support.TableGauge(tree, table)).value
         assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
         for path, h in table.items():
             lo, hi = real.leaf_range(path)
@@ -355,7 +342,7 @@ def test_frostman_mass_gauge_proportional():
     tree = build_tree(harmonic_schedule(2.0, 2), 2)
     table = {path: math.exp(tree.log_mass(g))
              for g in range(3) for path in tree.paths_at(g)}
-    fr = frostman_tree(TableGauge(tree, table))
+    fr = frostman_tree(support.TableGauge(tree, table))
     assert fr.value == pytest.approx(math.exp(tree.log_total_mass()), rel=1e-12)
     leaf_mass = math.exp(tree.log_mass(2))
     assert np.allclose(fr.leaf_weights, leaf_mass, rtol=1e-12)
@@ -459,7 +446,7 @@ def test_far_field_bound_recorded_on_results(tree_k2_d3, real_k2_d3):
     res_t = content_Mh_tree(distorted)
     assert res_t.far_field_bound == pytest.approx(distorted.exponent * max(tails), rel=1e-15)
     table = {path: 1.0 for g in range(4) for path in tree_k2_d3.paths_at(g)}
-    assert content_Mh_tree(TableGauge(tree_k2_d3, table)).far_field_bound == 0.0
+    assert content_Mh_tree(support.TableGauge(tree_k2_d3, table)).far_field_bound == 0.0
 
 
 # -- generation cover sums ----------------------------------------------------

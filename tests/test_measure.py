@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from qcantor.measure import PlanarMeasure
 
+import support
+
 # integer grid points tie many distances; weights k/8 with k <= 8 keep every
 # partial sum exact, so both routes must agree bit for bit in any order
 _atoms = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 8)),
@@ -67,7 +69,7 @@ def test_diameter_equals_pairwise_oracle(pts):
 
 
 def test_zero_atom_constructors_give_empty_measures():
-    for mu in (PlanarMeasure.uniform_disk(0), PlanarMeasure.uniform_segment(0)):
+    for mu in (support.uniform_disk(0), support.uniform_segment(0)):
         assert mu.n_atoms == 0
         assert mu.points.shape == (0, 2)
         assert mu.total_mass == 0.0

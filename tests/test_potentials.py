@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcantor.cantor import SOURCE, TARGET, build_tree, doubly_exponential_schedule, \
+from qcantor.cantor import SOURCE, TARGET, ConfigError, build_tree, doubly_exponential_schedule, \
     harmonic_schedule, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import distortion_indices
 from qcantor.measure import PlanarMeasure
@@ -15,6 +15,8 @@ from qcantor.potentials import (IndexDomainError, _guide_table, _invert_cdf, cir
                                 default_dyadic_range, dyadic_curvature_proxy,
                                 linear_growth_constant, menger_curvature, riesz_potential,
                                 standard_query_points, wolff_dyadic, wolff_tree)
+
+import support
 
 
 # -- tree formula -------------------------------------------------------------
@@ -64,7 +66,8 @@ def test_path_independence_on_realization(real_k2_d3):
     for path in list(tree.paths_at(3))[:5]:
         total = 0.0
         for n in range(1, 4):
-            center, radius = real_k2_d3.node_ball(TARGET, path[:n])
+            center = support.node_center(real_k2_d3, TARGET, path[:n])
+            radius = math.exp(tree.log_radius(TARGET, n))
             m = mu.ball_mass(center, radius * (1 + 1e-9))
             total += (m / radius) ** 2
         assert total == pytest.approx(prof.total, rel=1e-9)
@@ -74,7 +77,8 @@ def test_realized_convention_matches_ball_masses(real_k2_d3):
     tree = real_k2_d3.tree
     mu = real_k2_d3.measure(TARGET)
     prof = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, mass_convention="realized")
-    center, radius = real_k2_d3.node_ball(TARGET, (0, 0))
+    center = support.node_center(real_k2_d3, TARGET, (0, 0))
+    radius = math.exp(tree.log_radius(TARGET, 2))
     m = mu.ball_mass(center, radius * (1 + 1e-9))
     assert prof.entries[1][1] == pytest.approx((m / radius) ** 2, rel=1e-9)
 
@@ -100,24 +104,24 @@ def test_far_query_point_top_term():
 
 
 def test_mass_scaling_law_exact():
-    mu = PlanarMeasure.uniform_disk(200, seed=1)
+    mu = support.uniform_disk(200, seed=1)
     x = (0.2, -0.1)
     c = 3.7
     base = wolff_dyadic(mu, x, 0.7, 1.4, -20, 2)
-    scaled = wolff_dyadic(mu.weighted(c), x, 0.7, 1.4, -20, 2)
+    scaled = wolff_dyadic(PlanarMeasure(mu.points, mu.weights * c), x, 0.7, 1.4, -20, 2)
     eta = 1.0 / (1.4 - 1.0)
     assert scaled.total == pytest.approx(c ** eta * base.total, rel=1e-12)
 
 
 def test_spatial_scaling_law_dyadic():
     # geometry * 2, mass * 2^(2 - alpha p), indices shifted by one
-    mu = PlanarMeasure.uniform_disk(150, seed=2)
+    mu = support.uniform_disk(150, seed=2)
     alpha, p = 2.0 / 3.0, 1.5
     homog = 2.0 - alpha * p
     x = np.array([0.3, 0.1])
     base = wolff_dyadic(mu, x, alpha, p, -18, 3)
-    moved = wolff_dyadic(mu.scaled(2.0).weighted(2.0 ** homog), 2.0 * x, alpha, p,
-                         -17, 4)
+    moved = wolff_dyadic(PlanarMeasure(mu.points * 2.0, mu.weights * 2.0 ** homog), 2.0 * x,
+                         alpha, p, -17, 4)
     for (_, a), (_, b) in zip(base.entries, moved.entries):
         assert b == pytest.approx(a, rel=1e-12) or (a == 0.0 and b == 0.0)
     assert moved.total == pytest.approx(base.total, rel=1e-12)
@@ -182,7 +186,7 @@ def test_riesz_uniform_disk_closed_form():
     # the seeded Monte Carlo cloud lands in a fixed band (the 1/r kernel has
     # infinite variance under the area measure, so a plain stderr window
     # under-covers; the band is wide and the draw deterministic)
-    mu = PlanarMeasure.uniform_disk(10_000, seed=8)
+    mu = support.uniform_disk(10_000, seed=8)
     assert riesz_potential(mu, (0.0, 0.0), 1.0) == pytest.approx(2.0, abs=0.15)
 
 
@@ -206,7 +210,7 @@ def test_circumradius_collinear_infinite():
 
 
 def test_curvature_line_measure_zero():
-    mu = PlanarMeasure.uniform_segment(30)
+    mu = support.uniform_segment(30)
     est = menger_curvature(mu)
     assert est.value == 0.0
     assert est.sup_pointwise == 0.0
@@ -226,9 +230,17 @@ def test_curvature_too_few_atoms():
         menger_curvature(mu)
 
 
+@pytest.mark.parametrize("n", [200, 20, 2])  # sampled, enumerated, too few atoms
+@pytest.mark.parametrize("triples", [0, -1])
+def test_curvature_refuses_nonpositive_triples(n, triples):
+    mu = support.uniform_disk(n, seed=1)
+    with pytest.raises(ConfigError, match="triples"):
+        menger_curvature(mu, triples=triples)
+
+
 def test_curvature_montecarlo_vs_enumeration():
     # 120 atoms forces the sampling path; the test's own oracle enumerates
-    mu = PlanarMeasure.uniform_disk(120, seed=3)
+    mu = support.uniform_disk(120, seed=3)
     est = menger_curvature(mu, triples=400_000, seed=5)
     pts, w = mu.points, mu.weights
     i, j, k = np.meshgrid(np.arange(120), np.arange(120), np.arange(120),
@@ -247,14 +259,16 @@ def test_curvature_montecarlo_vs_enumeration():
 
 
 def test_curvature_rigid_motion_invariance():
-    mu = PlanarMeasure.uniform_disk(60, seed=4)
+    mu = support.uniform_disk(60, seed=4)
     a = menger_curvature(mu)
-    b = menger_curvature(mu.rotated(0.7).translated((3.0, -1.0)))
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    b = menger_curvature(PlanarMeasure(mu.points @ rot.T + (3.0, -1.0), mu.weights))
     assert b.value == pytest.approx(a.value, rel=1e-9)
 
 
 def test_curvature_permutation_invariance():
-    mu = PlanarMeasure.uniform_disk(200, seed=4)
+    mu = support.uniform_disk(200, seed=4)
     perm = np.random.default_rng(1).permutation(200)
     shuffled = PlanarMeasure(mu.points[perm], mu.weights[perm])
     a = menger_curvature(mu, triples=150_000, seed=8)
@@ -270,7 +284,7 @@ def test_curvature_cantor_realization_finite(real_k2_d3):
 
 def _cloud_with_live_atoms(n, live, seed=0):
     """n distinct atoms of a disk, of which the first live have positive weight."""
-    pts = PlanarMeasure.uniform_disk(n, seed=seed).points
+    pts = support.uniform_disk(n, seed=seed).points
     return PlanarMeasure(pts, np.where(np.arange(n) < live, 1.0 / max(live, 1), 0.0))
 
 
@@ -369,16 +383,16 @@ def test_growth_single_atom_unbounded():
 
 
 def test_growth_uniform_disk():
-    mu = PlanarMeasure.uniform_disk(20_000, seed=6)
+    mu = support.uniform_disk(20_000, seed=6)
     got = linear_growth_constant(mu, -8, 4, points=np.zeros((1, 2)))
     # mu(B(0,r)) = r^2 for r <= 1, so sup over dyadic radii of r is 1
     assert got == pytest.approx(1.0, rel=0.05)
 
 
 def test_growth_scales_linearly_in_mass():
-    mu = PlanarMeasure.uniform_disk(500, seed=7)
+    mu = support.uniform_disk(500, seed=7)
     a = linear_growth_constant(mu, -10, 2)
-    b = linear_growth_constant(mu.weighted(3.0), -10, 2)
+    b = linear_growth_constant(PlanarMeasure(mu.points, mu.weights * 3.0), -10, 2)
     assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
@@ -388,7 +402,7 @@ def test_proxy_empty_annuli_zero():
 
 
 def test_proxy_dominates_growth_term():
-    mu = PlanarMeasure.uniform_disk(300, seed=9)
+    mu = support.uniform_disk(300, seed=9)
     x = (0.1, 0.2)
     proxy = dyadic_curvature_proxy(mu, x, -12, 3)
     radii = 2.0 ** np.arange(-12, 4, dtype=float)
