@@ -127,13 +127,15 @@ class TreeSmoothedDensityGauge:
                 for g, eps in enumerate(self._eps())]
 
     def far_field_bound(self):
-        """Relative bound on the h share dropped with the far rings.
+        """Relative bound, either sign, on the h error of the batched eps.
 
-        eps is low by at most a share tail, so eps**p with p >= 1 is low by
-        at most p * tail (Bernoulli).
+        Each eps is within a share b of its exact value (the largest
+        ``RingPlan.bound`` of the fill: the dropped rings' tail plus the
+        expansion remainders), so by the mean value theorem eps**p with
+        p >= 1 is within p * b * (1 + b)**(p - 1) of its exact power.
         """
-        rings = self.realization.eps_rings(self._density_side, self.a)
-        return self.exponent * max(tail for _, tail in rings)
+        b = max(plan.bound for plan in self.realization.eps_rings(self._density_side, self.a))
+        return self.exponent * b * (1.0 + b) ** (self.exponent - 1.0)
 
 
 class DistortedTreeGauge(TreeSmoothedDensityGauge):
@@ -273,8 +275,9 @@ def check_G2_tree_gauge(gauge, paths) -> DoublingReport:
 class ContentResult:
     """Tree-aligned h-content: exact optimum over antichain covers.
 
-    far_field_bound bounds the relative amount by which value may be low
-    because far rings were dropped from the h values (0 for exact gauges).
+    far_field_bound bounds the relative error of value, either sign, that the
+    batched h values carry from their dropped and expanded far rings (0 for
+    exact gauges).
     """
 
     value: float
@@ -327,7 +330,10 @@ def content_Mh_tree(gauge) -> ContentResult:
 
 @dataclass(frozen=True)
 class FrostmanResult:
-    """Max-flow leaf allocation: nu(subtree) <= h(node) for every node."""
+    """Max-flow leaf allocation: nu(subtree) <= h(node) for every node.
+
+    far_field_bound is the relative error bound of value, as on ContentResult.
+    """
 
     leaf_weights: np.ndarray
     value: float

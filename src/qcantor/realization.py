@@ -13,27 +13,57 @@ contiguous block.  Seen from a generation-g node, the atoms fall into
 deepest common ancestor with the node sits at generation g - j.
 ``node_eps`` sums every ring per node (the frame-exact oracle);
 ``eps_by_generation`` evaluates all nodes of a generation at once, ring by
-ring, and keeps only the near rings.  Sibling disks are separated by their
-protecting radii, so ring j's share of eps falls by a factor of roughly
-1e-4 to 1e-6 per level, and the rings beyond L contribute at most an
-a-priori tail computed from the tree's log radii (``eps_rings``).  L is the
-smallest ring count whose tail is at most 2**-53, which keeps the batched
-values within round-off of the oracle at O(M^L * N) work per generation for
-N atoms, instead of O(nodes * N).
+ring, under a plan fixed a priori from the tree's log radii and the
+realized block moments (``eps_rings``).  Sibling disks are separated by
+their protecting radii, so ring j's share of eps falls by a factor of
+roughly 1e-4 to 1e-6 per level: the rings beyond L are dropped under an
+a-priori tail bound, and ring 0 is summed over its atoms exactly.  Each
+kept ring is summed over blocks, the subtrees of the siblings or of their
+descendants, each replaced by its expansion about its centroid (the
+monopole and the quadrupole; the dipole vanishes there, in the manner of
+Barnes-Hut and Greengard-Rokhlin), at the first generation whose
+third-order remainder bound fits the budget, or over its exact atoms past
+the leaves.  Tail plus remainders stay at most 2**-53 of eps, either sign.
+A generation then costs N atoms for ring 0 plus O(nodes * M * L) block
+terms, instead of the O(M^L * N) of summing the kept rings atom by atom.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .measure import PlanarMeasure
 from . import cantor
 
-#: largest node x atom block evaluated at once by eps_by_generation
+#: largest block of kernel terms evaluated at once by eps_by_generation
 _CHUNK = 1 << 15
-#: relative tail of eps that the batched evaluator may drop: one unit round-off
-_TAIL = 2.0 ** -53
+#: relative error of eps that the batched evaluator may commit: one unit round-off
+_BUDGET = 2.0 ** -53
+#: the part of it kept back from the dropped rings for the expansion remainders
+_REMAINDER = 2.0 ** -56
+
+
+class RingPlan(NamedTuple):
+    """How eps_by_generation evaluates one generation's rings 1..L.
+
+    levels[j - 1] is the generation whose blocks stand for ring j (depth + 1
+    for its exact atoms); remainders[j - 1] bounds that ring's expansion
+    error and tail the dropped rings' share, both relative to eps.
+    evaluations counts the generation's kernel terms: its N atoms for ring 0,
+    plus for every node the blocks or atoms of each kept ring.
+    """
+
+    levels: tuple
+    remainders: tuple
+    tail: float
+    evaluations: int
+
+    @property
+    def bound(self):
+        """Relative error bound of the generation's eps, either sign."""
+        return self.tail + sum(self.remainders)
 
 
 class CantorRealization:
@@ -106,7 +136,7 @@ class CantorRealization:
         leaf_mass = math.exp(tree.log_mass(depth))
         self.weights = np.full(self.n_atoms, leaf_mass / s)
         self.weights.setflags(write=False)
-        self._eps_cache = {}
+        self._eps_cache, self._plans, self._block_cache = {}, {}, {}
 
     # -- indexing ----------------------------------------------------------
 
@@ -167,111 +197,236 @@ class CantorRealization:
         return float(np.sum(self.weights * psi_a(dist / r, a)) / r)
 
     def eps_rings(self, side, a):
-        """Per generation g: (L, tail), the rings kept and the dropped share.
+        """Per generation g, the ``RingPlan`` by which its eps are evaluated.
 
         Ring j of a generation-g node holds the M_k - 1 siblings of its
         generation-k ancestor, k = g - j + 1.  Sibling protecting disks
         (radius P_k = R_k * r_{k-1}) are disjoint and every atom of a
         generation-k subtree lies within r_k of its center, so each ring atom
-        is at least 2 (P_k - r_k) from the node's center.  Every atom of the
-        node's own subtree lies within r_g of it, so eps(node) >= psi_a(1)
+        is at least gap = 2 (P_k - r_k) from the node's center.  Every atom of
+        the node's own subtree lies within r_g of it, so eps(node) >= psi_a(1)
         m_g / r_g = m_g / (2 r_g), and ring j's share of eps is at most
 
-            B_j = 2 (M_k - 1) (n_g / n_k) psi_a(2 (P_k - r_k) / r_g),
+            B_j = 2 (M_k - 1) (n_g / n_k) psi_a(u),   u = gap / r_g,
 
         with n_g / n_k = m_k / m_g the mass ratio of the equal split.  L is
-        the smallest ring count with sum_{j > L} B_j <= 2**-53, and tail is
-        that sum: the batched eps is low by at most tail * eps.
+        the smallest ring count with tail = sum_{j > L} B_j <= 2**-53 - 2**-56,
+        so that at least 2**-56 of the 2**-53 budget is left for the rings
+        kept.
+
+        A kept ring is summed over blocks, the generation-l nodes below its
+        siblings (l >= k), each replaced by its moments about its centroid
+        (``_blocks``).  Every segment from a centroid to an atom of its block
+        stays in the sibling's disk, at least gap from the node's center.
+        The third directional derivative of |x|^-q is at most
+        (q)_3 |x|^-(q+3) (Gegenbauer), and psi_a(u) = sum_m (-1)^(m+1)
+        u^-(m p) for u > 1, p = 1 + a, so the Taylor remainder of ring j is
+        at most a share
+
+            B_j (1 + x) (p)_3 (1 + 4x + x^2) / (6 (1 - x)^4) * (rho_l / gap)^3
+
+        of eps, with x = u^-p and rho_l the largest block radius about the
+        centroid at generation l.  Each ring takes the first l whose bound is
+        at most (2**-53 - tail) / L, and is summed over its exact atoms
+        (l = depth + 1) when none is, or when the blocks are single atoms.
+        Computed once and cached per (side, a).
         """
         cantor._check_side(side)
         if not 0.0 < a < math.inf:
             raise ValueError(f"kernel parameter a must be positive and finite, got {a}")
-        tree = self.tree
-        out = []
-        for g in range(self.depth + 1):
+        key = (side, float(a))
+        if key not in self._plans:
+            self._plans[key] = tuple(self._plan(side, float(a)))
+        return self._plans[key]
+
+    def _plan(self, side, a):
+        tree, depth, p = self.tree, self.depth, 1.0 + a
+        counts = tree.node_counts
+        radii = [rad for *_, rad in self._blocks(side)]
+        taylor = p * (p + 1.0) * (p + 2.0) / 6.0
+        for g in range(depth + 1):
             log_r = tree.log_radius(side, g)
-            bound = [0.0] * (g + 1)
+            share, far = [0.0] * (g + 1), [None] * (g + 1)
             for j in range(1, g + 1):
                 k = g - j + 1
                 m = tree.branching(k)
                 if m == 1:
                     continue
                 log_p = tree.log_protect_radius(side, k)
-                log_gap = (math.log(2.0) + log_p - log_r
+                log_gap = (math.log(2.0) + log_p
                            + math.log1p(-math.exp(tree.log_radius(side, k) - log_p)))
-                t = (1.0 + a) * log_gap                 # log |u|^(1+a)
+                t = p * (log_gap - log_r)               # log u^p
                 log_psi = -(max(t, 0.0) + math.log1p(math.exp(-abs(t))))
-                bound[j] = math.exp(math.log(2.0 * (m - 1) * tree.node_counts[g]
-                                             / tree.node_counts[k]) + log_psi)
+                share[j] = math.exp(math.log(2.0 * (m - 1) * counts[g] / counts[k])
+                                    + log_psi)
+                x = math.exp(-max(t, 0.0))
+                if x < 1.0:  # u > 1: the expansion converges
+                    far[j] = (share[j] * (1.0 + x) * taylor * (1.0 + 4.0 * x + x * x)
+                              / (1.0 - x) ** 4, math.exp(log_gap))
             rings, tail = g, 0.0
-            while rings > 0 and tail + bound[rings] <= _TAIL:
-                tail += bound[rings]
+            while rings > 0 and tail + share[rings] <= _BUDGET - _REMAINDER:
+                tail += share[rings]
                 rings -= 1
-            out.append((rings, tail))
-        return tuple(out)
+            budget = (_BUDGET - tail) / max(rings, 1)
+            levels, remainders, evaluations = [], [], self.n_atoms
+            for j in range(1, rings + 1):
+                k = g - j + 1
+                level, rem = depth + 1, 0.0
+                if far[j] is not None:
+                    scale, gap = far[j]
+                    for lv in range(k, depth + 1):  # single-atom blocks are the atoms
+                        b = scale * (radii[lv] / gap) ** 3
+                        if 0.0 < radii[lv] and b <= budget:
+                            level, rem = lv, b
+                            break
+                levels.append(level)
+                remainders.append(rem)
+                members = counts[level] if level <= depth else self.n_atoms
+                evaluations += counts[g] * (tree.branching(k) - 1) * members // counts[k]
+            yield RingPlan(tuple(levels), tuple(remainders), tail, evaluations)
+
+    def _blocks(self, side):
+        """Per generation: each node's atom centroid relative to its center
+        (x, y rows), the second moment of its atoms about that centroid in
+        units of the node radius r (sxx, 2 sxy, syy rows, over r^2, so that
+        no square of a coordinate underflows), and the largest atom distance
+        from a centroid over the generation.
+
+        Bottom-up by the parallel-axis rule, with each node's radius bounded
+        by max over children c of |mu_c - mu| + rho_c.  Cached per side.
+        """
+        if side not in self._block_cache:
+            tree = self.tree
+            # (x, y) x member x node: a leaf's atoms, then a node's children
+            pos = self._atom_rel[side][self.depth].reshape(self.n_leaves, -1, 2).T
+            members, rad, mom = 1, 0.0, 0.0
+            out = []
+            for g in range(self.depth, -1, -1):
+                pos = np.ascontiguousarray(pos)
+                r_g = math.exp(tree.log_radius(side, g))
+                mu = pos.sum(axis=1) / pos.shape[1]
+                dev = pos - mu[:, None]
+                dev /= r_g
+                sq = dev * dev
+                rad = (np.sqrt(sq[0] + sq[1]) * r_g + rad).max(axis=0)
+                mom = mom + members * np.stack([sq[0].sum(axis=0),
+                                                2.0 * (dev[0] * dev[1]).sum(axis=0),
+                                                sq[1].sum(axis=0)])
+                out.append((mu, mom, float(rad.max())))
+                if g:
+                    m = tree.branching(g)
+                    members = self.n_atoms // tree.node_counts[g]
+                    pos = (mu + self._offsets[side][g].T).reshape(2, -1, m).transpose(0, 2, 1)
+                    shrink = math.exp(2.0 * (tree.log_radius(side, g)
+                                             - tree.log_radius(side, g - 1)))
+                    mom = mom.reshape(3, -1, m).sum(axis=2) * shrink
+                    rad = rad.reshape(-1, m).T
+            self._block_cache[side] = tuple(reversed(out))
+        return self._block_cache[side]
 
     def eps_by_generation(self, side, a):
         """eps_mu_a of every node ball, one read-only array per generation.
 
-        Per generation, ring 0 and the near rings 1..L of ``eps_rings`` are
-        evaluated exactly, ring j in the frame of the generation-(g - j)
-        ancestor (the frame arithmetic of ``node_atom_distances``); farther
-        rings are dropped.  Cached per (side, a).
+        Ring 0 is summed over its atoms exactly.  Each kept ring j >= 1 of the
+        plan (``eps_rings``) is summed in the frame of the generation-(g - j)
+        ancestor, the frame arithmetic of ``node_atom_distances``: over its
+        exact atoms, or over its blocks' centroid expansions
+        W psi_a(|mu - c| / r) + tr(H S) / 2, whose dipole term vanishes about
+        the centroid.  Farther rings are dropped.  The result is within the
+        plan's bound (tail plus remainders, at most 2**-53) of the exact eps,
+        on either side.  Cached per (side, a).
         """
         key = (side, float(a))
         if key not in self._eps_cache:
             weight = float(self.weights[0])  # atoms carry equal weights
             eps = []
-            for g, (rings, _) in enumerate(self.eps_rings(side, a)):
-                n = self.tree.node_counts[g]
+            for g, plan in enumerate(self.eps_rings(side, a)):
                 r = math.exp(self.tree.log_radius(side, g))
-                center = np.zeros((n, 2))  # node center in its gen-(g - j) frame
-                total = self._ring_psi_sums(side, g, g, center, r, a)
-                for k in range(g - 1, g - rings - 1, -1):
-                    step = self._offsets[side][k + 1]
-                    center = center + np.repeat(step, n // len(step), axis=0)
-                    total += self._ring_psi_sums(side, k, g, center, r, a)
-                values = total * weight / r
+                values = sum(self._ring_sums(side, g, a, plan.levels)) * weight / r
                 values.setflags(write=False)
                 eps.append(values)
             self._eps_cache[key] = tuple(eps)
         return self._eps_cache[key]
 
-    def _ring_psi_sums(self, side, k, g, center, r, a):
+    def _ring_sums(self, side, g, a, levels):
+        """Per ring j = 0 .. len(levels), its psi sum at every generation-g node;
+        ring j >= 1 is evaluated at generation levels[j - 1] (depth + 1: atoms)."""
+        r = math.exp(self.tree.log_radius(side, g))
+        center = np.zeros((2, self.tree.node_counts[g]))  # in the gen-f frame
+        yield self._ring_psi_sums(side, g, g, center, r, a, self.depth + 1)
+        for f, level in zip(range(g - 1, -1, -1), levels):
+            step = self._offsets[side][f + 1].T
+            center = center + np.repeat(step, center.shape[1] // step.shape[1], axis=1)
+            yield self._ring_psi_sums(side, f, g, center, r, a, level)
+
+    def _ring_psi_sums(self, side, f, g, center, r, a, level):
         """Sum of psi_a(|y - c| / r) over one ring, for every generation-g node.
 
-        The ring holds the atoms of each node's generation-k ancestor; for
-        k < g the block of the ancestor's child that contains the node is
-        masked out.  ``center`` gives the node centers in the frame of that
-        ancestor.  Work is split into blocks of about _CHUNK distances, or
-        one node's ring where that is larger.
+        For f = g the ring is the node's own atoms, in its own frame.  For
+        f < g it is what lies below the siblings of the node's
+        generation-(f + 1) ancestor, in the frame of the generation-f
+        ancestor, where ``center`` gives the node centers (x, y rows).  It is
+        taken as its exact atoms when level is depth + 1, and otherwise as the
+        centroid expansions of its generation-level blocks.  Coordinates are
+        scaled by 1/r before they are squared, so nothing underflows; terms
+        are laid out (ring member, node within group, group), groups
+        innermost, and evaluated in pieces of about _CHUNK terms.
         """
         from .gauges import psi_a
         counts = self.tree.node_counts
-        n_anc = counts[k]
-        per_anc = counts[g] // n_anc
-        atoms = self._atom_rel[side][k].reshape(n_anc, -1, 2)
-        block = atoms.shape[1]
-        children = counts[k + 1] // n_anc if k < g else 1
-        own = np.arange(per_anc) // (per_anc // children)
-        center = center.reshape(n_anc, per_anc, 2)
-        out = np.empty((n_anc, per_anc))
-        nodes_step = max(1, min(per_anc, _CHUNK // block))
-        anc_step = max(1, _CHUNK // (per_anc * block)) if nodes_step == per_anc else 1
-        for a0 in range(0, n_anc, anc_step):
-            y = atoms[a0:a0 + anc_step, None]
-            for b0 in range(0, per_anc, nodes_step):
-                c = center[a0:a0 + anc_step, b0:b0 + nodes_step, None]
-                dist = y[..., 0] - c[..., 0]
-                dist = np.hypot(dist, y[..., 1] - c[..., 1], out=dist)
-                dist /= r
-                psi = psi_a(dist, a)
-                sums = psi.reshape(psi.shape[:2] + (children, -1)).sum(axis=3)
-                if k < g:
-                    nodes = np.arange(sums.shape[1])
-                    sums[:, nodes, own[b0:b0 + nodes_step]] = 0.0
-                out[a0:a0 + anc_step, b0:b0 + nodes_step] = sums.sum(axis=2)
-        return out.ravel()
+        if f == g:
+            rel = self._atom_rel[side][g] / r
+            psi = psi_a(np.sqrt(rel[:, 0] ** 2 + rel[:, 1] ** 2), a)
+            return psi.reshape(counts[g], -1).sum(axis=1)
+        if level > self.depth:
+            data, q = self._atom_rel[side][f].T / r, None
+        else:
+            data, mom, _ = self._blocks(side)[level]
+            weight = self.n_atoms // counts[level]
+            q = math.exp(self.tree.log_radius(side, level)) / r
+            for h in range(level, f, -1):
+                step = self._offsets[side][h].T
+                data = data + np.repeat(step, data.shape[1] // step.shape[1], axis=1)
+            data = np.concatenate([data / r, mom])
+        # each gen-(f + 1) ancestor faces the blocks of its m - 1 siblings:
+        # data[:, s * b + i, c + m * A] is sibling s of child c of ancestor A
+        m, rows = self.tree.branching(f + 1), len(data)
+        src = data.reshape(rows, counts[f], m, -1).transpose(0, 2, 3, 1)
+        data = np.empty((rows, m - 1) + src.shape[2:] + (m,))
+        for c in range(m):
+            data[:, :c, ..., c] = src[:, :c]
+            data[:, c:, ..., c] = src[:, c + 1:]
+        groups = counts[f + 1]
+        data = data.reshape(rows, -1, groups)
+        members, per_group = data.shape[1], counts[g] // groups
+        center = (center / r).reshape(2, groups, per_group).transpose(0, 2, 1).copy()
+        out = np.zeros((per_group, groups))
+        m_step = max(1, min(members, _CHUNK // groups))
+        n_step = max(1, _CHUNK // (m_step * groups))
+        p = 1.0 + a
+        for m0 in range(0, members, m_step):
+            y = data[:, m0:m0 + m_step, None]
+            for n0 in range(0, per_group, n_step):
+                c = center[:, None, n0:n0 + n_step]
+                dx, dy = y[0] - c[0], y[1] - c[1]
+                with np.errstate(over="ignore"):  # past 1e154 radii: u = inf, psi = 0
+                    u = np.sqrt(dx * dx + dy * dy)
+                psi = psi_a(u, a)
+                if q is not None:
+                    # tr(H S) / 2 of psi_a(|y - c| / r) for the block moments
+                    # S = r_level^2 (sxx, 2 sxy, syy), with psi (1 - psi) =
+                    # u^p psi^2 and (dx, dy) turned into the unit direction
+                    dx /= u
+                    dy /= u
+                    quad = dx * (y[2] * dx + y[3] * dy) + y[4] * dy * dy
+                    quad *= (p + 2.0) - 2.0 * p * psi
+                    quad -= y[2] + y[4]
+                    u = q / u  # r_level / |y - c|
+                    quad *= (0.5 * p) * psi * (1.0 - psi) * u * u
+                    psi *= weight
+                    psi += quad
+                out[n0:n0 + n_step] += psi.sum(axis=0)
+        return out.T.ravel()
 
     def leaf_centers(self, side) -> np.ndarray:
         """Absolute leaf centers (one per leaf, regardless of samples)."""

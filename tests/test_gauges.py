@@ -422,7 +422,7 @@ def test_source_eps_filled_once_across_gauges():
     distorted.h_node((1, 2))
     assert len(fills) >= 4
     assert [cached for *_, cached in fills].count(False) == 1
-    assert list(real._eps_cache) == [(SOURCE, 0.1)]
+    assert list(real._eps_cache) == list(real._plans) == [(SOURCE, 0.1)]
 
 
 def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):
@@ -438,13 +438,13 @@ def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):
 def test_far_field_bound_recorded_on_results(tree_k2_d3, real_k2_d3):
     smoothed = TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE)
     res = content_Mh_tree(smoothed)
-    tails = [tail for _, tail in real_k2_d3.eps_rings(SOURCE, 0.1)]
-    assert 0.0 < res.far_field_bound == max(tails) <= 2.0 ** -53
+    bounds = [plan.bound for plan in real_k2_d3.eps_rings(SOURCE, 0.1)]
+    assert 0.0 < res.far_field_bound == max(bounds) <= 2.0 ** -53
     fr = frostman_tree(smoothed)
     assert fr.far_field_bound == res.far_field_bound
     distorted = DistortedTreeGauge(real_k2_d3, 0.1)
     res_t = content_Mh_tree(distorted)
-    assert res_t.far_field_bound == pytest.approx(distorted.exponent * max(tails), rel=1e-15)
+    assert res_t.far_field_bound == pytest.approx(distorted.exponent * max(bounds), rel=1e-15)
     table = {path: 1.0 for g in range(4) for path in tree_k2_d3.paths_at(g)}
     assert content_Mh_tree(support.TableGauge(tree_k2_d3, table)).far_field_bound == 0.0
 

@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from qcantor.cantor import (SOURCE, SIDES, build_tree, harmonic_schedule,
+from qcantor import realization
+from qcantor.cantor import (SOURCE, SIDES, TARGET, build_tree, harmonic_schedule,
                             schedules_from_config)
 from qcantor.gauges import psi_a
 
@@ -55,12 +56,12 @@ def test_batched_eps_matches_node_oracle(realized, side):
 def test_dropped_ring_share_within_recorded_bound(realized, side):
     tree = realized.tree
     s = realized.samples_per_leaf
-    rings = realized.eps_rings(side, A)
-    assert all(tail <= ROUNDOFF for _, tail in rings)
+    plans = realized.eps_rings(side, A)
+    assert all(plan.tail <= plan.bound <= ROUNDOFF for plan in plans)
     dropped_somewhere = False
     for path in _sampled_paths(tree):
         g = len(path)
-        kept, tail = rings[g]
+        kept, tail = len(plans[g].levels), plans[g].tail
         r = np.exp(tree.log_radius(side, g))
         terms = realized.weights * psi_a(realized.node_atom_distances(side, path) / r, A)
         # rings 0..kept are the atoms below the generation-(g - kept) ancestor
@@ -71,6 +72,68 @@ def test_dropped_ring_share_within_recorded_bound(realized, side):
         assert share <= tail
         dropped_somewhere |= share > 0.0
     assert dropped_somewhere
+
+
+def _ring_errors(real, side):
+    """Per planned ring of each sampled node: (level, k, |batched - exact| / eps,
+    planned remainder), with ring j of a generation-g node facing the siblings
+    of its generation-k ancestor, k = g - j + 1, and the exact ring sum taken
+    from the per-node oracle's distances."""
+    tree, s = real.tree, real.samples_per_leaf
+    plans = real.eps_rings(side, A)
+    rings = [list(real._ring_sums(side, g, A, plan.levels)) for g, plan in enumerate(plans)]
+    for path in _sampled_paths(tree):
+        g = len(path)
+        r = np.exp(tree.log_radius(side, g))
+        terms = psi_a(real.node_atom_distances(side, path) / r, A)  # equal weights
+        i = tree.node_index(path)
+        for j, (level, rem) in enumerate(zip(plans[g].levels, plans[g].remainders), start=1):
+            lo, hi = real.leaf_range(path[:g - j])
+            own_lo, own_hi = real.leaf_range(path[:g - j + 1])
+            exact = terms[lo * s:own_lo * s].sum() + terms[own_hi * s:hi * s].sum()
+            yield level, g - j + 1, abs(rings[g][j][i] - exact) / terms.sum(), rem
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_expansion_error_within_planned_remainder(realized, side):
+    # the remainders bound the Taylor truncation; the two sums' frame
+    # arithmetic differs by rounding, which one unit round-off of eps covers
+    errors = list(_ring_errors(realized, side))
+    assert all(err <= rem + ROUNDOFF for *_, err, rem in errors)
+    assert any(level == k for level, k, *_ in errors)  # expanded at its own generation
+    if side == TARGET and realized.samples_per_leaf == 4:
+        assert any(k < level <= realized.depth for level, k, *_ in errors)  # descended
+
+
+def test_remainder_bounds_truncation_at_a_loose_budget(realized, monkeypatch):
+    # a 2**-16 budget expands the target rings at their own generation, where
+    # the truncation error stands far above rounding and tests the bound itself
+    monkeypatch.setattr(realization, "_BUDGET", 2.0 ** -16)
+    monkeypatch.setattr(realization, "_REMAINDER", 2.0 ** -17)
+    real = realized.tree.realize(seed=3, samples_per_leaf=realized.samples_per_leaf)
+    errors = list(_ring_errors(real, TARGET))
+    assert all(err <= rem + ROUNDOFF for *_, err, rem in errors)
+    if realized.samples_per_leaf == 4:
+        assert max(err for *_, err, _ in errors) > 1e3 * ROUNDOFF
+
+
+def test_fill_work_counter_depth_8():
+    # kernel evaluations of the depth-8 fill: ring 0's atoms plus every kept
+    # ring's blocks or atoms, per generation; deterministic for the schedule
+    tree = _harmonic(8, seed=0)
+    real = tree.realize(seed=0)
+    work = {side: sum(plan.evaluations for plan in real.eps_rings(side, A)) for side in SIDES}
+    assert work == {SOURCE: 1_114_092, TARGET: 1_834_656}
+    assert work[TARGET] <= 2 * work[SOURCE]
+    # summing the kept rings atom by atom costs N (1 + sum_{j <= L} (M - 1) M^(j - 1))
+    # per generation: L = 2 rings (source) and up to 4 (target) give these counts
+    n = real.n_atoms
+    atom_by_atom = {SOURCE: [0, 1] + [2] * 7, TARGET: [0, 1, 2, 3] + [4] * 5}
+    for side, rings in atom_by_atom.items():
+        assert [len(plan.levels) for plan in real.eps_rings(side, A)] == rings
+        parent = sum(n * (1 + sum(3 * 4 ** (j - 1) for j in range(1, L + 1))) for L in rings)
+        assert parent == {SOURCE: 7_667_712, TARGET: 89_456_640}[side]
+        assert work[side] < parent
 
 
 def test_two_atom_tree_matches_oracle():
@@ -98,6 +161,7 @@ def test_non_finite_kernel_parameter_rejected_by_ring_bounds(real_k2_d3, a):
 def test_eps_cache_is_read_only_and_shared(real_k2_d3):
     eps = real_k2_d3.eps_by_generation(SOURCE, A)
     assert real_k2_d3.eps_by_generation(SOURCE, A) is eps
+    assert real_k2_d3.eps_rings(SOURCE, A) is real_k2_d3.eps_rings(SOURCE, A)
     with pytest.raises(ValueError):
         eps[1][0] = 0.0
 
