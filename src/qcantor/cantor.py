@@ -36,7 +36,7 @@ SMALLNESS = 1.0 / 100.0
 _SMALL_TOL = 1e-12
 
 # realization guards
-MAX_REALIZED_LEAVES = 200_000
+MAX_REALIZED_ATOMS = 1 << 20
 _LOG_UNDERFLOW = -700.0
 
 

@@ -1,11 +1,13 @@
-"""Realized geometry of a CantorTree: centers, leaf atoms, relative frames.
+"""Realized geometry of a CantorTree: level offsets, leaf-frame atoms, frames.
 
 Absolute coordinates lose sibling separations once node radii drop below
 ~1e-16 of the coordinate magnitude (around generation 5 under the smallness
-convention), so next to the flat atom cloud the realization keeps, for every
-generation g, each atom's position *relative to its generation-g ancestor*.
-Distances from a node center to the atoms are then assembled blockwise at the
-scale of the deepest common ancestor, which is exact at every depth.
+convention), so the realization stores none: per side, only each node
+center's offset from its parent's center and each atom's position in its
+leaf's frame, as (x, y) rows.  One routine, ``_lift``, adds the offsets
+upward to form every ancestor-relative frame and the flat cloud on demand;
+distances from a node center to the atoms are assembled blockwise in the
+frame of the deepest common ancestor, which is exact at every depth.
 
 Atoms are stored in leaf order, so the atoms below any node are one
 contiguous block.  Seen from a generation-g node, the atoms fall into
@@ -30,10 +32,12 @@ terms, instead of the O(M^L * N) of summing the kept rings atom by atom.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
+from .gauges import psi_a
 from .measure import PlanarMeasure
 from . import cantor
 
@@ -70,12 +74,13 @@ class CantorRealization:
     def __init__(self, tree, seed, samples_per_leaf=1):
         if samples_per_leaf < 1:
             raise ValueError("samples_per_leaf must be >= 1")
-        depth = tree.depth
-        n_leaves = tree.n_leaves
-        if n_leaves > cantor.MAX_REALIZED_LEAVES:
+        if seed < 0:
+            raise cantor.ConstructionError(f"seed {seed}: need a nonnegative integer")
+        depth, n_leaves, s = tree.depth, tree.n_leaves, operator.index(samples_per_leaf)
+        if n_leaves * s > cantor.MAX_REALIZED_ATOMS:
             raise cantor.ConstructionError(
-                f"{n_leaves} leaves exceed the realization cap of "
-                f"{cantor.MAX_REALIZED_LEAVES}")
+                f"{n_leaves * s} atoms ({n_leaves} leaves x {s} samples) exceed the "
+                f"realization cap of {cantor.MAX_REALIZED_ATOMS}")
         for side in cantor.SIDES:
             if tree.log_radius(side, depth) < cantor._LOG_UNDERFLOW:
                 raise cantor.ConstructionError(
@@ -86,52 +91,39 @@ class CantorRealization:
 
         self.tree = tree
         self.seed = int(seed)
-        self.samples_per_leaf = int(samples_per_leaf)
+        self.samples_per_leaf = s
         self.depth = depth
         self.n_leaves = n_leaves
-        self.n_atoms = n_leaves * samples_per_leaf
+        self.n_atoms = n_leaves * s
 
         counts = tree.node_counts
         self._leaf_stride = [n_leaves // c for c in counts]  # leaves per node
+        self._radii = {side: [math.exp(tree.log_radius(side, g)) for g in range(depth + 1)]
+                       for side in cantor.SIDES}
 
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed & (2**32 - 1), 0xC0]))
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xC0]))
 
         # one packed layout per level, rotated by a seeded angle per parent
-        # (rotation preserves the packing), expanded to offsets per side
+        # (rotation preserves the packing), scaled to offsets per side
         self._offsets = {side: [None] for side in cantor.SIDES}  # index g >= 1
         for g in range(1, depth + 1):
             lv = tree.level(g)
-            layout = cantor.pack_disks(lv.branching, lv.protect,
-                                       seed=int(rng.integers(2**32)))
-            phis = rng.uniform(0.0, 2.0 * np.pi, size=counts[g - 1])
+            x, y = cantor.pack_disks(lv.branching, lv.protect,
+                                     seed=int(rng.integers(2**32))).T
+            phis = rng.uniform(0.0, 2.0 * np.pi, size=(counts[g - 1], 1))
             cos, sin = np.cos(phis), np.sin(phis)
-            rot = np.stack([np.stack([cos, -sin], axis=-1),
-                            np.stack([sin, cos], axis=-1)], axis=-2)
-            units = np.einsum("pij,cj->pci", rot, layout).reshape(counts[g], 2)
+            units = np.stack([cos * x - sin * y, sin * x + cos * y]).reshape(2, counts[g])
             for side in cantor.SIDES:
-                parent_radius = math.exp(tree.log_radius(side, g - 1))
-                self._offsets[side].append(units * parent_radius)
+                self._offsets[side].append(units * self._radii[side][g - 1])
 
         # per-leaf atom positions, as unit-disk samples shared by both sides
-        s = samples_per_leaf
         if s == 1:
-            unit_atoms = np.zeros((self.n_atoms, 2))
+            unit_atoms = np.zeros((2, self.n_atoms))
         else:
             r = np.sqrt(rng.uniform(size=self.n_atoms))
             th = rng.uniform(0.0, 2.0 * np.pi, size=self.n_atoms)
-            unit_atoms = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-
-        # relative frames: atom position w.r.t. its generation-g ancestor center
-        self._atom_rel = {}
-        for side in cantor.SIDES:
-            leaf_radius = math.exp(tree.log_radius(side, depth))
-            rel = [None] * (depth + 1)
-            rel[depth] = unit_atoms * leaf_radius
-            for g in range(depth - 1, -1, -1):
-                step = np.repeat(self._offsets[side][g + 1],
-                                 self._leaf_stride[g + 1] * s, axis=0)
-                rel[g] = rel[g + 1] + step
-            self._atom_rel[side] = rel
+            unit_atoms = np.stack([r * np.cos(th), r * np.sin(th)])
+        self._atoms = {side: unit_atoms * self._radii[side][depth] for side in cantor.SIDES}
 
         leaf_mass = math.exp(tree.log_mass(depth))
         self.weights = np.full(self.n_atoms, leaf_mass / s)
@@ -148,15 +140,36 @@ class CantorRealization:
 
     # -- geometry ----------------------------------------------------------
 
+    def _lift(self, side, pos, f, g, nodes=None):
+        """Positions in generation-g frames (x, y rows) moved to the frames of
+        their generation-f ancestors, f <= g, by adding the offsets of generations
+        g, g - 1, ..., f + 1 in that order.  The columns cover generation-g nodes
+        lo .. hi - 1 (nodes = (lo, hi), by default all) in order, equally many each."""
+        counts = self.tree.node_counts
+        lo, hi = nodes or (0, counts[g])
+        for h in range(g, f, -1):
+            per = counts[g] // counts[h]  # generation-g nodes per generation-h node
+            step = self._offsets[side][h][:, lo // per:(hi - 1) // per + 1]
+            pos = pos + np.repeat(step, pos.shape[1] // step.shape[1], axis=1)
+        return pos
+
+    def _frames(self, side):
+        """Every atom in its generation-g frame, g = 0 .. depth, each lifted once."""
+        frames = [self._atoms[side]]
+        for g in range(self.depth - 1, -1, -1):
+            frames.append(self._lift(side, frames[-1], g, g + 1))
+        return frames[::-1]
+
     def measure(self, side) -> PlanarMeasure:
-        """Flat atom cloud with absolute positions.
+        """Flat atom cloud with absolute positions, formed on each call by
+        lifting the leaf-frame atoms to the root frame.
 
         Safe for brute-force oracles while sibling separations stay above
         the double-precision floor (depth <= 4 under the smallness
         convention); at greater depth use the frame-based evaluators.
         """
         cantor._check_side(side)
-        return PlanarMeasure(self._atom_rel[side][0], self.weights,
+        return PlanarMeasure(self._lift(side, self._atoms[side], 0, self.depth).T, self.weights,
                              label=f"cantor:{side}:depth{self.depth}:seed{self.seed}")
 
     def node_atom_distances(self, side, path) -> np.ndarray:
@@ -167,33 +180,24 @@ class CantorRealization:
         ancestor's frame, so no catastrophic cancellation occurs.
         """
         cantor._check_side(side)
-        d = len(path)
-        s = self.samples_per_leaf
-        rel = self._atom_rel[side]
-        out = np.empty(self.n_atoms)
-        lo_leaf, hi_leaf = self.leaf_range(path)
-        lo, hi = lo_leaf * s, hi_leaf * s
-        below = rel[d][lo:hi]
-        out[lo:hi] = np.hypot(below[:, 0], below[:, 1])
-
-        nrel = np.zeros(2)
-        prev_lo, prev_hi = lo, hi
-        for g in range(d - 1, -1, -1):
-            nrel = nrel + self._offsets[side][g + 1][self.tree.node_index(path[:g + 1])]
-            blo_leaf, bhi_leaf = self.leaf_range(path[:g])
-            blo, bhi = blo_leaf * s, bhi_leaf * s
-            for a, b in ((blo, prev_lo), (prev_hi, bhi)):
+        d, s, atoms = len(path), self.samples_per_leaf, self._atoms[side]
+        node, out = self.tree.node_index(path), np.empty(self.n_atoms)
+        inner = None  # the leaves below the generation-(g + 1) ancestor
+        for g in range(d, -1, -1):
+            lo, hi = self.leaf_range(path[:g])
+            # the node's center in the frame of its generation-g ancestor
+            center = self._lift(side, np.zeros((2, 1)), g, d, (node, node + 1))
+            for a, b in ((lo, inner[0]), (inner[1], hi)) if inner else ((lo, hi),):
                 if a < b:
-                    diff = rel[g][a:b] - nrel
-                    out[a:b] = np.hypot(diff[:, 0], diff[:, 1])
-            prev_lo, prev_hi = blo, bhi
+                    ring = self._lift(side, atoms[:, a * s:b * s], g, self.depth, (a, b))
+                    out[a * s:b * s] = np.hypot(*(ring - center))
+            inner = lo, hi
         return out
 
     def node_eps(self, side, path, a) -> float:
         """Smoothed density of the realized measure on a node's generating ball."""
-        from .gauges import psi_a
-        r = math.exp(self.tree.log_radius(side, len(path)))
         dist = self.node_atom_distances(side, path)
+        r = self._radii[side][len(path)]
         return float(np.sum(self.weights * psi_a(dist / r, a)) / r)
 
     def eps_rings(self, side, a):
@@ -298,12 +302,12 @@ class CantorRealization:
         if side not in self._block_cache:
             tree = self.tree
             # (x, y) x member x node: a leaf's atoms, then a node's children
-            pos = self._atom_rel[side][self.depth].reshape(self.n_leaves, -1, 2).T
+            pos = self._atoms[side].reshape(2, self.n_leaves, -1).transpose(0, 2, 1)
             members, rad, mom = 1, 0.0, 0.0
             out = []
             for g in range(self.depth, -1, -1):
                 pos = np.ascontiguousarray(pos)
-                r_g = math.exp(tree.log_radius(side, g))
+                r_g = self._radii[side][g]
                 mu = pos.sum(axis=1) / pos.shape[1]
                 dev = pos - mu[:, None]
                 dev /= r_g
@@ -316,7 +320,7 @@ class CantorRealization:
                 if g:
                     m = tree.branching(g)
                     members = self.n_atoms // tree.node_counts[g]
-                    pos = (mu + self._offsets[side][g].T).reshape(2, -1, m).transpose(0, 2, 1)
+                    pos = self._lift(side, mu, g - 1, g).reshape(2, -1, m).transpose(0, 2, 1)
                     shrink = math.exp(2.0 * (tree.log_radius(side, g)
                                              - tree.log_radius(side, g - 1)))
                     mom = mom.reshape(3, -1, m).sum(axis=2) * shrink
@@ -338,56 +342,54 @@ class CantorRealization:
         """
         key = (side, float(a))
         if key not in self._eps_cache:
+            plans = self.eps_rings(side, a)
+            frames, radii = self._frames(side), self._radii[side]
             weight = float(self.weights[0])  # atoms carry equal weights
             eps = []
-            for g, plan in enumerate(self.eps_rings(side, a)):
-                r = math.exp(self.tree.log_radius(side, g))
-                values = sum(self._ring_sums(side, g, a, plan.levels)) * weight / r
+            for g, plan in enumerate(plans):
+                values = sum(self._ring_sums(side, g, a, plan.levels, frames)) * weight / radii[g]
                 values.setflags(write=False)
                 eps.append(values)
             self._eps_cache[key] = tuple(eps)
         return self._eps_cache[key]
 
-    def _ring_sums(self, side, g, a, levels):
+    def _ring_sums(self, side, g, a, levels, frames):
         """Per ring j = 0 .. len(levels), its psi sum at every generation-g node;
-        ring j >= 1 is evaluated at generation levels[j - 1] (depth + 1: atoms)."""
-        r = math.exp(self.tree.log_radius(side, g))
+        ring j >= 1 is evaluated at generation levels[j - 1] (depth + 1: atoms).
+        frames[f] holds every atom in its generation-f frame (``_frames``)."""
+        r = self._radii[side][g]
         center = np.zeros((2, self.tree.node_counts[g]))  # in the gen-f frame
-        yield self._ring_psi_sums(side, g, g, center, r, a, self.depth + 1)
+        yield self._ring_psi_sums(side, g, g, center, r, a, self.depth + 1, frames[g])
         for f, level in zip(range(g - 1, -1, -1), levels):
-            step = self._offsets[side][f + 1].T
-            center = center + np.repeat(step, center.shape[1] // step.shape[1], axis=1)
-            yield self._ring_psi_sums(side, f, g, center, r, a, level)
+            center = self._lift(side, center, f, f + 1)
+            yield self._ring_psi_sums(side, f, g, center, r, a, level, frames[f])
 
-    def _ring_psi_sums(self, side, f, g, center, r, a, level):
+    def _ring_psi_sums(self, side, f, g, center, r, a, level, atoms):
         """Sum of psi_a(|y - c| / r) over one ring, for every generation-g node.
 
         For f = g the ring is the node's own atoms, in its own frame.  For
         f < g it is what lies below the siblings of the node's
         generation-(f + 1) ancestor, in the frame of the generation-f
-        ancestor, where ``center`` gives the node centers (x, y rows).  It is
-        taken as its exact atoms when level is depth + 1, and otherwise as the
-        centroid expansions of its generation-level blocks.  Coordinates are
-        scaled by 1/r before they are squared, so nothing underflows; terms
-        are laid out (ring member, node within group, group), groups
-        innermost, and evaluated in pieces of about _CHUNK terms.
+        ancestor, where ``center`` gives the node centers and ``atoms`` every
+        atom (x, y rows).  It is taken as its exact atoms when level is
+        depth + 1, and otherwise as the centroid expansions of its
+        generation-level blocks.  Coordinates are scaled by 1/r before they
+        are squared, so nothing underflows; terms are laid out (ring member,
+        node within group, group), groups innermost, and evaluated in pieces
+        of about _CHUNK terms.
         """
-        from .gauges import psi_a
         counts = self.tree.node_counts
         if f == g:
-            rel = self._atom_rel[side][g] / r
-            psi = psi_a(np.sqrt(rel[:, 0] ** 2 + rel[:, 1] ** 2), a)
+            rel = atoms / r
+            psi = psi_a(np.sqrt(rel[0] ** 2 + rel[1] ** 2), a)
             return psi.reshape(counts[g], -1).sum(axis=1)
         if level > self.depth:
-            data, q = self._atom_rel[side][f].T / r, None
+            data, q = atoms / r, None
         else:
-            data, mom, _ = self._blocks(side)[level]
+            mu, mom, _ = self._blocks(side)[level]
             weight = self.n_atoms // counts[level]
-            q = math.exp(self.tree.log_radius(side, level)) / r
-            for h in range(level, f, -1):
-                step = self._offsets[side][h].T
-                data = data + np.repeat(step, data.shape[1] // step.shape[1], axis=1)
-            data = np.concatenate([data / r, mom])
+            q = self._radii[side][level] / r
+            data = np.concatenate([self._lift(side, mu, f, level) / r, mom])
         # each gen-(f + 1) ancestor faces the blocks of its m - 1 siblings:
         # data[:, s * b + i, c + m * A] is sibling s of child c of ancestor A
         m, rows = self.tree.branching(f + 1), len(data)
@@ -430,7 +432,5 @@ class CantorRealization:
 
     def leaf_centers(self, side) -> np.ndarray:
         """Absolute leaf centers (one per leaf, regardless of samples)."""
-        rel0 = self._atom_rel[side][0]
-        s = self.samples_per_leaf
-        leaf_frame = self._atom_rel[side][self.depth]
-        return (rel0 - leaf_frame)[::s]
+        first = self._atoms[side][:, ::self.samples_per_leaf]
+        return (self._lift(side, first, 0, self.depth) - first).T

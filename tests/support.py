@@ -1,7 +1,11 @@
 """Fixtures and oracles that only the tests use: test clouds, a hand-set
-node gauge, absolute node centres and the brute-force content."""
+node gauge, absolute node centres, reference realization frames and the
+brute-force content."""
+import math
+
 import numpy as np
 
+from qcantor import cantor
 from qcantor.measure import PlanarMeasure
 
 
@@ -26,8 +30,44 @@ def node_center(real, side, path):
     (meaningful to ~1e-16 of the coordinate size)."""
     c = np.zeros(2)
     for g in range(1, len(path) + 1):
-        c = c + real._offsets[side][g][real.tree.node_index(path[:g])]
+        c = c + real._offsets[side][g][:, real.tree.node_index(path[:g])]
     return c
+
+
+def reference_frames(tree, seed, samples_per_leaf):
+    """{side: [frame_0, ..., frame_depth]}: every atom relative to its
+    generation-g ancestor, as (n_atoms, 2) rows, built generation by
+    generation from the same seeded draws as a realization: the layouts
+    rotated by stacked 2x2 matrices, then frame_g = frame_(g+1) plus the
+    generation-(g + 1) offsets repeated over each node's atoms."""
+    depth, s, counts = tree.depth, samples_per_leaf, tree.node_counts
+    n_atoms = tree.n_leaves * s
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
+    offsets = {side: [None] for side in cantor.SIDES}
+    for g in range(1, depth + 1):
+        lv = tree.level(g)
+        layout = cantor.pack_disks(lv.branching, lv.protect, seed=int(rng.integers(2**32)))
+        phis = rng.uniform(0.0, 2.0 * np.pi, size=counts[g - 1])
+        cos, sin = np.cos(phis), np.sin(phis)
+        rot = np.stack([np.stack([cos, -sin], axis=-1),
+                        np.stack([sin, cos], axis=-1)], axis=-2)
+        units = np.einsum("pij,cj->pci", rot, layout).reshape(counts[g], 2)
+        for side in cantor.SIDES:
+            offsets[side].append(units * math.exp(tree.log_radius(side, g - 1)))
+    if s == 1:
+        unit_atoms = np.zeros((n_atoms, 2))
+    else:
+        r = np.sqrt(rng.uniform(size=n_atoms))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=n_atoms)
+        unit_atoms = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    frames = {}
+    for side in cantor.SIDES:
+        rel = [None] * (depth + 1)
+        rel[depth] = unit_atoms * math.exp(tree.log_radius(side, depth))
+        for g in range(depth - 1, -1, -1):
+            rel[g] = rel[g + 1] + np.repeat(offsets[side][g + 1], n_atoms // counts[g + 1], axis=0)
+        frames[side] = rel
+    return frames
 
 
 class TableGauge:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,30 @@ def test_logspace_schedule_cannot_realize():
     tree = build_tree(doubly_exponential_schedule(2.0, 8), 8)
     with pytest.raises(ConstructionError, match="underflow"):
         tree.realize(seed=0)
+
+
+def test_realization_seeds_do_not_alias_modulo_2_32():
+    tree = build_tree(harmonic_schedule(2.0, 2), 2)
+    points = {seed: tree.realize(seed=seed).measure(SOURCE).points for seed in (0, 2**32)}
+    assert not np.array_equal(points[0], points[2**32])
+
+
+def test_negative_realization_seed_refused():
+    tree = build_tree(harmonic_schedule(2.0, 2), 2)
+    with pytest.raises(ConstructionError, match="seed -1"):
+        tree.realize(seed=-1)
+
+
+def test_atom_cap_refuses_before_allocating():
+    tree = build_tree(harmonic_schedule(2.0, 3), 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError, match="64000000000000 atoms"):
+            tree.realize(seed=0, samples_per_leaf=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_scaling_moves_ball_mass_ratio():

@@ -154,6 +154,15 @@ def test_curvature_refuses_fewer_than_three_atoms(config_path, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_curvature_refuses_too_many_atoms(config_path, tmp_path, capsys):
+    out = tmp_path / "curv.json"
+    code = main(["curvature", "--config", config_path, "--side", "target",
+                 "--samples-per-leaf", "1000000000", "--out", str(out)])
+    assert code == 2
+    assert "64000000000 atoms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_content_command(config_path, tmp_path):
     out = str(tmp_path / "content.json")
     code = main(["content", "--config", config_path, "--side", "source",

@@ -10,6 +10,8 @@ from qcantor.cantor import (SOURCE, SIDES, TARGET, build_tree, harmonic_schedule
                             schedules_from_config)
 from qcantor.gauges import psi_a
 
+import support
+
 A = 0.1
 ROUNDOFF = 2.0 ** -53
 
@@ -80,8 +82,9 @@ def _ring_errors(real, side):
     of its generation-k ancestor, k = g - j + 1, and the exact ring sum taken
     from the per-node oracle's distances."""
     tree, s = real.tree, real.samples_per_leaf
-    plans = real.eps_rings(side, A)
-    rings = [list(real._ring_sums(side, g, A, plan.levels)) for g, plan in enumerate(plans)]
+    plans, frames = real.eps_rings(side, A), real._frames(side)
+    rings = [list(real._ring_sums(side, g, A, plan.levels, frames))
+             for g, plan in enumerate(plans)]
     for path in _sampled_paths(tree):
         g = len(path)
         r = np.exp(tree.log_radius(side, g))
@@ -134,6 +137,24 @@ def test_fill_work_counter_depth_8():
         parent = sum(n * (1 + sum(3 * 4 ** (j - 1) for j in range(1, L + 1))) for L in rings)
         assert parent == {SOURCE: 7_667_712, TARGET: 89_456_640}[side]
         assert work[side] < parent
+
+
+@pytest.mark.parametrize("spl", [1, 4])
+@pytest.mark.parametrize("K", [1.5, 2.0, 10.0, "mixed"])
+def test_lifted_frames_equal_reference_bit_for_bit(K, spl):
+    # every frame is the leaf-frame atoms plus the offsets of generations
+    # depth, depth - 1, ..., g + 1, added in that order
+    tree = _mixed(seed=3) if K == "mixed" else build_tree(harmonic_schedule(K, 5), 5, seed=3)
+    real = tree.realize(seed=3, samples_per_leaf=spl)
+    reference = support.reference_frames(tree, 3, spl)
+    for side in SIDES:
+        ref, atoms = reference[side], real._atoms[side]
+        frames = real._frames(side)
+        for g in range(tree.depth + 1):
+            assert np.array_equal(real._lift(side, atoms, g, tree.depth).T, ref[g])
+            assert np.array_equal(frames[g].T, ref[g])
+        assert np.array_equal(real.measure(side).points, ref[0])
+        assert np.array_equal(real.leaf_centers(side), (ref[0] - ref[tree.depth])[::spl])
 
 
 def test_two_atom_tree_matches_oracle():
