@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def _block_rows(row_elements, workers=1) -> int:
     return max(1, BLOCK_ELEMENTS // workers // max(1, row_elements))
 
 
-def _distance_rows(pts, centres, rows, reduce):
+def _distance_rows(pts, centres, rows, reduce, extra=0):
     """reduce(d, lo, hi) of the distance rows lo..hi, one value per row.
 
     Row i holds |c_i - y_j| over the atoms y_j of pts (n, 2): c_i is row i of
@@ -40,7 +41,10 @@ def _distance_rows(pts, centres, rows, reduce):
     a thread pool (numpy ufuncs release the GIL), in blocks of BLOCK_ELEMENTS
     / workers elements per scratch array, each range under its own errstate
     (np.errstate does not reach pool threads): 0^-s and powers past the
-    doubles give inf silently.  No value depends on the split.
+    doubles give inf silently.  A reduce that holds up to extra more arrays
+    of d's size at once gets blocks shrunk by 2 / (2 + extra), so that the
+    call's arrays together fit the scratch of two.  No value depends on the
+    split.
     """
     n = pts.shape[0]
     px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
@@ -49,7 +53,7 @@ def _distance_rows(pts, centres, rows, reduce):
     row = np.hypot(px - centres[0], py - centres[1]) if one else None
     out = np.empty(rows)
     workers = max(1, min(_cpus(), rows))
-    step = _block_rows(n, workers)
+    step = _block_rows(n * (2 + extra) // 2, workers)
 
     def run(lo, hi):
         d = np.empty((min(step, hi - lo), n))
@@ -76,11 +80,31 @@ def _distance_rows(pts, centres, rows, reduce):
     return out
 
 
-def _convex_hull(pts) -> list:
+def _inside(pts, v, margin) -> np.ndarray:
+    """Mask of the atoms more than margin inside every edge of the
+    counterclockwise polygon v (k, 2) of distinct consecutive vertices;
+    nothing is inside one of fewer than three."""
+    inside = np.full(pts.shape[0], len(v) >= 3)
+    for (vx, vy), (ex, ey) in zip(v, np.roll(v, -1, axis=0) - v):
+        inside &= ex * (pts[:, 1] - vy) - ey * (pts[:, 0] - vx) > margin * np.hypot(ex, ey)
+    return inside
+
+
+def _convex_hull(pts, margin) -> list:
     """Indices of the convex hull vertices in counterclockwise order
-    (Andrew's monotone chain; collinear and repeated atoms are skipped)."""
-    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
-    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    (Andrew's monotone chain; collinear and repeated atoms are skipped).
+
+    The chain sees only the atoms not more than margin inside the octagon of
+    the extreme atoms in x, x + y, y, y - x and their opposites (Akl and
+    Toussaint), which are hull points in counterclockwise order."""
+    s, t = pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]
+    ext = [np.argmax(pts[:, 0]), np.argmax(s), np.argmax(pts[:, 1]), np.argmax(t),
+           np.argmin(pts[:, 0]), np.argmin(s), np.argmin(pts[:, 1]), np.argmin(t)]
+    octagon = pts[ext]
+    octagon = octagon[np.any(octagon != np.roll(octagon, 1, axis=0), axis=1)]
+    outer = np.flatnonzero(~_inside(pts, octagon, margin))
+    xs, ys = pts[outer, 0].tolist(), pts[outer, 1].tolist()
+    order = np.lexsort((ys, xs)).tolist()
 
     def chain(seq):
         keep = []
@@ -94,17 +118,25 @@ def _convex_hull(pts) -> list:
             keep.append(b)
         return keep
 
-    return chain(order)[:-1] + chain(order[::-1])[:-1]
+    return outer[chain(order)[:-1] + chain(order[::-1])[:-1]].tolist()
 
 
 def _hull_candidates(pts) -> np.ndarray:
     """Mask of the atoms within HULL_MARGIN * diagonal of the hull boundary."""
     margin = HULL_MARGIN * float(np.hypot(*np.ptp(pts, axis=0)))
-    v = pts[_convex_hull(pts)]
-    deep = np.ones(pts.shape[0], dtype=bool)
-    for (vx, vy), (ex, ey) in zip(v, np.roll(v, -1, axis=0) - v):
-        deep &= ex * (pts[:, 1] - vy) - ey * (pts[:, 0] - vx) > margin * np.hypot(ex, ey)
-    return ~deep
+    return ~_inside(pts, pts[_convex_hull(pts, margin)], margin)
+
+
+class LeafBlocks(NamedTuple):
+    """A measure's atoms in consecutive groups of ``atoms`` (its leaves) of
+    equal weight within each group: per group, the centroid (x, y), the
+    second moments (sxx, sxy, syy) of its atom positions about the centroid,
+    unweighted, and the largest atom distance from the centroid."""
+
+    centroids: np.ndarray
+    moments: np.ndarray
+    radii: np.ndarray
+    atoms: int
 
 
 @dataclass(frozen=True)
@@ -171,8 +203,10 @@ class PlanarMeasure:
         can exceed the computed distance of the two hull vertices that
         realise D, and the row maxima over the distinct kept atoms give the
         max over all pairs.  A hull with fewer than three vertices (a
-        collinear cloud) drops nothing.  Cost: an O(n log n) sort, O(n h)
-        edge tests for h hull vertices, and the k^2 pairs of k kept atoms.
+        collinear cloud) drops nothing.  Cost: 8 n octagon tests, an
+        O(m log m) sort of the m atoms not inside the octagon (``_convex_hull``),
+        O(n h) edge tests for h hull vertices, and the k^2 pairs of k kept
+        atoms.
         """
         pts = self.points
         if pts.shape[0] < 2:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gauges import psi_a
-from .measure import PlanarMeasure
+from .measure import LeafBlocks, PlanarMeasure
 from . import cantor
 
 #: largest block of kernel terms evaluated at once by eps_by_generation
@@ -246,7 +246,7 @@ class CantorRealization:
     def _plan(self, side, a):
         tree, depth, p = self.tree, self.depth, 1.0 + a
         counts = tree.node_counts
-        radii = [rad for *_, rad in self._blocks(side)]
+        radii = [float(rad.max()) for *_, rad in self._blocks(side)]
         taylor = p * (p + 1.0) * (p + 2.0) / 6.0
         for g in range(depth + 1):
             log_r = tree.log_radius(side, g)
@@ -293,8 +293,8 @@ class CantorRealization:
         """Per generation: each node's atom centroid relative to its center
         (x, y rows), the second moment of its atoms about that centroid in
         units of the node radius r (sxx, 2 sxy, syy rows, over r^2, so that
-        no square of a coordinate underflows), and the largest atom distance
-        from a centroid over the generation.
+        no square of a coordinate underflows), and each node's largest atom
+        distance from its centroid.
 
         Bottom-up by the parallel-axis rule, with each node's radius bounded
         by max over children c of |mu_c - mu| + rho_c.  Cached per side.
@@ -316,7 +316,7 @@ class CantorRealization:
                 mom = mom + members * np.stack([sq[0].sum(axis=0),
                                                 2.0 * (dev[0] * dev[1]).sum(axis=0),
                                                 sq[1].sum(axis=0)])
-                out.append((mu, mom, float(rad.max())))
+                out.append((mu, mom, rad))
                 if g:
                     m = tree.branching(g)
                     members = self.n_atoms // tree.node_counts[g]
@@ -327,6 +327,18 @@ class CantorRealization:
                     rad = rad.reshape(-1, m).T
             self._block_cache[side] = tuple(reversed(out))
         return self._block_cache[side]
+
+    def leaf_blocks(self, side) -> LeafBlocks:
+        """Each leaf's atoms summarized about their centroid, for the far
+        field of flat-cloud kernels: the centroids lifted to the root frame
+        (the frame of ``measure(side)``), the second moments about them in
+        absolute units, and the largest atom distance from them."""
+        cantor._check_side(side)
+        mu, mom, rad = self._blocks(side)[self.depth]
+        r2 = self._radii[side][self.depth] ** 2
+        moments = mom.T * np.array([r2, 0.5 * r2, r2])
+        return LeafBlocks(self._lift(side, mu, 0, self.depth).T, moments, rad.copy(),
+                          self.samples_per_leaf)
 
     def eps_by_generation(self, side, a):
         """eps_mu_a of every node ball, one read-only array per generation.

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from qcantor import cantor
-from qcantor.measure import PlanarMeasure
+from qcantor.measure import LeafBlocks, PlanarMeasure
 
 
 def uniform_disk(n, seed=0):
@@ -23,6 +23,17 @@ def uniform_segment(n):
     t = (np.arange(n) + 0.5) / n
     pts = np.stack([t, np.zeros(n)], axis=1)
     return PlanarMeasure(pts, np.full(n, 1.0) / n, label=f"uniform_segment(n={n})")
+
+
+def leaf_blocks(measure, atoms):
+    """LeafBlocks of a cloud whose leaves are its consecutive groups of
+    ``atoms`` atoms, by direct sums over each group's points."""
+    pts = measure.points.reshape(-1, atoms, 2)
+    centroids = pts.mean(axis=1)
+    dx, dy = (pts - centroids[:, None]).transpose(2, 0, 1)
+    moments = np.stack([(dx * dx).sum(axis=1), (dx * dy).sum(axis=1), (dy * dy).sum(axis=1)],
+                       axis=1)
+    return LeafBlocks(centroids, moments, np.hypot(dx, dy).max(axis=1), atoms)
 
 
 def node_center(real, side, path):

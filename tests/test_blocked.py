@@ -52,10 +52,16 @@ def _outputs(cloud, config_path, out):
                  "--samples-per-leaf", "3", "--pairs", "40", "--out", out]) == 0
     with open(out, "rb") as f:
         gauge = f.read()
+    # three atoms per leaf: the quadrature sums leaf centroid expansions
+    assert main(["capacity", "--config", config_path, "--side", "target",
+                 "--samples-per-leaf", "3", "--estimator", "direct", "--alpha", "0.8",
+                 "--p", "1.6", "--cells", "16", "--out", out]) == 0
+    with open(out, "rb") as f:
+        quadrature = f.read()
     # a collinear cloud's two-vertex hull keeps all 300 atoms: 300 distance rows
     segment = support.uniform_segment(300).diameter()
-    return (lam, (curv.value, curv.stderr, curv.sup_pointwise), gauge, cloud.diameter(),
-            segment, riesz_potential(cloud, (2.0, 0.0), 1.0))
+    return (lam, (curv.value, curv.stderr, curv.sup_pointwise), gauge, quadrature,
+            cloud.diameter(), segment, riesz_potential(cloud, (2.0, 0.0), 1.0))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qcantor import capacity
 from qcantor.cantor import SOURCE, TARGET, ConfigError, ConstructionError, build_tree, \
     harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
-from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, WOLFF_SUP,
-                              CapacityEstimate, CapacityIndices, direct_capacity_lower,
-                              melnikov_gamma_lower, distorted_index_map, distortion_indices,
-                              wolff_capacity_lower)
+from qcantor.capacity import (DEFINITION, EXPANSION_BUDGET, FARFIELD_FACTOR, LOWER_BOUND,
+                              MAX_CELLS, WOLFF_SUP, CapacityEstimate, CapacityIndices,
+                              direct_capacity_lower, melnikov_gamma_lower, distorted_index_map,
+                              distortion_indices, wolff_capacity_lower)
 from qcantor.experiments import gauge_criterion_experiment
 from qcantor.measure import PlanarMeasure
 from qcantor.potentials import IndexDomainError, menger_curvature
@@ -337,6 +339,99 @@ def test_direct_lambda_equals_blocked_reference(cells, case):
         mu = tree.realize(seed=5, samples_per_leaf=3).measure(SOURCE)
     est = direct_capacity_lower(mu, idx, cells=cells)
     assert est.normalization["lambda"] == _lambda_blocked(mu, idx, cells)
+
+
+@pytest.mark.parametrize("cells", [MAX_CELLS + 1, 200_000])
+def test_direct_refuses_oversized_grid_before_allocating(cells):
+    mu = support.uniform_disk(200, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"--cells {cells}: at most {MAX_CELLS}"):
+            direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# -- leaf centroid expansions -------------------------------------------------
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+def test_leaf_expansions_match_flat_quadrature(K, depth):
+    idx = distortion_indices(K)
+    tree = build_tree(harmonic_schedule(K, depth), depth, seed=depth)
+    for spl in (1, 4, 64):
+        real = tree.realize(seed=depth, samples_per_leaf=spl)
+        for side in (SOURCE, TARGET):
+            mu, blocks = real.measure(side), real.leaf_blocks(side)
+            for cells in (1, 16, 64):
+                flat = direct_capacity_lower(mu, idx, cells=cells)
+                est = direct_capacity_lower(mu, idx, cells=cells, blocks=blocks)
+                if spl == 1:  # one atom per leaf: the flat route
+                    assert est == flat
+                    continue
+                record = dict(est.normalization)
+                assert 0.0 <= record.pop("expansion_bound") <= EXPANSION_BUDGET
+                assert record == pytest.approx(flat.normalization, rel=1e-12, abs=0.0)
+                assert est.value == pytest.approx(flat.value, rel=1e-12, abs=0.0)
+
+
+def _corner_leaves_and_centre_leaf(cells):
+    """Five leaves of three equal atoms within 1e-9 of each other: four
+    reaching inwards from the corners of a square, which fix the grid, and
+    one whose first atom sits exactly on the cell centre nearest the middle.
+    Its remainder bound is tiny, so only the cap keeps it exact."""
+    corners = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
+    _, _, _, _, ax, ay = _grid(PlanarMeasure(corners, np.ones(4)), cells)
+    anchors = np.vstack([corners, [[ax[np.argmin(np.abs(ax))], ay[np.argmin(np.abs(ay))]]]])
+    towards = np.vstack([-corners, [[1.0, 1.0]]])
+    shape = np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, 1e-9]])
+    pts = (anchors[:, None] + shape * towards[:, None]).reshape(-1, 2)
+    return PlanarMeasure(pts, np.repeat([0.1, 0.2, 0.3, 0.15, 0.25], 3) / 3.0)
+
+
+@pytest.mark.parametrize("cells", [16, 64])
+def test_leaf_expansions_cap_an_atom_on_a_cell_centre(cells):
+    idx = CapacityIndices(2.0 / 3.0, 1.5)
+    mu = _corner_leaves_and_centre_leaf(cells)
+    flat = direct_capacity_lower(mu, idx, cells=cells)
+    assert math.isfinite(flat.value) and flat.value > 0
+    # one atom per leaf takes the flat route: the same estimate, bit for bit
+    assert direct_capacity_lower(mu, idx, cells=cells, blocks=support.leaf_blocks(mu, 1)) == flat
+    est = direct_capacity_lower(mu, idx, cells=cells, blocks=support.leaf_blocks(mu, 3))
+    assert est.value == pytest.approx(flat.value, rel=1e-12, abs=0.0)
+    assert est.normalization["lambda"] == pytest.approx(flat.normalization["lambda"],
+                                                        rel=1e-12, abs=0.0)
+
+
+def test_leaf_expansion_error_within_recorded_bound(monkeypatch):
+    # at depth 1 no pair fits the default budget; a loose one expands pairs
+    # whose remainder stands far above rounding
+    idx = distortion_indices(2.0)
+    real = build_tree(harmonic_schedule(2.0, 1), 1, seed=0).realize(seed=0, samples_per_leaf=64)
+    mu = real.measure(TARGET)
+    exact = direct_capacity_lower(mu, idx).normalization["lambda"]
+    assert direct_capacity_lower(mu, idx, blocks=real.leaf_blocks(TARGET)) \
+        .normalization["expansion_bound"] == 0.0
+    monkeypatch.setattr(capacity, "EXPANSION_BUDGET", 2.0 ** -16)
+    est = direct_capacity_lower(mu, idx, blocks=real.leaf_blocks(TARGET))
+    bound = est.normalization["expansion_bound"]
+    assert 2.0 ** -30 < bound <= 2.0 ** -16
+    assert abs(est.normalization["lambda"] - exact) <= (bound + 2.0 ** -52) * exact
+
+
+def test_leaf_blocks_must_cover_the_measure():
+    mu = support.uniform_disk(12, seed=2)
+    with pytest.raises(ValueError, match="do not cover"):
+        direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5),
+                              blocks=support.leaf_blocks(PlanarMeasure(mu.points[:9],
+                                                                      mu.weights[:9]), 3))
+    uneven = PlanarMeasure(mu.points, np.arange(1.0, 13.0))
+    with pytest.raises(ValueError, match="equal weights"):
+        direct_capacity_lower(uneven, CapacityIndices(2.0 / 3.0, 1.5),
+                              blocks=support.leaf_blocks(uneven, 3))
 
 
 # -- Melnikov gamma proxy -----------------------------------------------------

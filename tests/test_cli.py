@@ -125,6 +125,16 @@ def test_capacity_rejects_nonpositive_cells(config_path, capsys, cells):
     assert f"--cells {cells}" in capsys.readouterr().err
 
 
+def test_capacity_refuses_oversized_grid(config_path, tmp_path, capsys):
+    out = tmp_path / "cap.json"
+    code = main(["capacity", "--config", config_path, "--side", "target",
+                 "--alpha", "0.8", "--p", "1.6666666666666667",
+                 "--estimator", "direct", "--cells", "200000", "--out", str(out)])
+    assert code == 2
+    assert "--cells 200000: at most 2048" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curvature_command(config_path, tmp_path):
     out = str(tmp_path / "curv.json")
     code = main(["curvature", "--config", config_path, "--side", "target",

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcantor.cantor import SOURCE, TARGET, build_tree, harmonic_schedule
 from qcantor.measure import PlanarMeasure
 
 import support
@@ -30,9 +31,20 @@ def test_ball_mass_profile_equals_ball_mass(atoms, center, picks):
 
 
 def _diameter_oracle(pts):
-    """Largest hypot of coordinate differences over all n^2 ordered pairs."""
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.max(np.hypot(d[..., 0], d[..., 1]), initial=0.0))
+    """Largest hypot of coordinate differences over all n^2 ordered pairs,
+    256 rows at a time."""
+    best = 0.0
+    for i in range(0, len(pts), 256):
+        d = pts[i:i + 256, None, :] - pts[None, :, :]
+        best = max(best, float(np.max(np.hypot(d[..., 0], d[..., 1]))))
+    return best
+
+
+def _realized_cloud(side):
+    """A depth-3 harmonic cloud at 64 atoms per leaf: 4,096 atoms in 64 tight
+    clusters, most of them inside the octagon of the extreme atoms."""
+    tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=0)
+    return tree.realize(seed=0, samples_per_leaf=64).measure(side).points
 
 
 _grid = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=40)
@@ -63,6 +75,8 @@ def _clouds(draw):
 @example(np.array([[0.5, -2.0], [0.5, -2.0]]))
 @example(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
 @example(np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 1e-300]]))
+@example(_realized_cloud(SOURCE))
+@example(_realized_cloud(TARGET))
 def test_diameter_equals_pairwise_oracle(pts):
     mu = PlanarMeasure(pts, np.ones(len(pts)))
     assert mu.diameter() == _diameter_oracle(mu.points)

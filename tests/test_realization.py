@@ -9,6 +9,7 @@ from qcantor import realization
 from qcantor.cantor import (SOURCE, SIDES, TARGET, build_tree, harmonic_schedule,
                             schedules_from_config)
 from qcantor.gauges import psi_a
+from qcantor.measure import PlanarMeasure
 
 import support
 
@@ -155,6 +156,24 @@ def test_lifted_frames_equal_reference_bit_for_bit(K, spl):
             assert np.array_equal(frames[g].T, ref[g])
         assert np.array_equal(real.measure(side).points, ref[0])
         assert np.array_equal(real.leaf_centers(side), (ref[0] - ref[tree.depth])[::spl])
+
+
+@pytest.mark.parametrize("spl", [1, 4, 64])
+def test_leaf_blocks_equal_grouped_atoms(spl):
+    # moments and radii against the leaf-frame atoms, centroids against the
+    # flat cloud (depth 3 keeps its sibling separations)
+    tree = _harmonic(3, seed=3)
+    real = tree.realize(seed=3, samples_per_leaf=spl)
+    reference = support.reference_frames(tree, 3, spl)
+    for side in SIDES:
+        blocks = real.leaf_blocks(side)
+        local = support.leaf_blocks(PlanarMeasure(reference[side][3], real.weights), spl)
+        flat = support.leaf_blocks(real.measure(side), spl)
+        assert blocks.atoms == spl
+        assert blocks.centroids.shape == (tree.n_leaves, 2)
+        np.testing.assert_allclose(blocks.moments, local.moments, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(blocks.radii, local.radii, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(blocks.centroids, flat.centroids, rtol=0.0, atol=1e-15)
 
 
 def test_two_atom_tree_matches_oracle():
