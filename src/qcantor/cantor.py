@@ -18,6 +18,7 @@ truncated at a finite depth.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -399,12 +400,18 @@ def build_tree(schedules, depth, seed=0, scale=1.0) -> CantorTree:
 # -- disk packing ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def pack_disks(M, rho, seed=0):
     """Centers of M pairwise disjoint disks of radius rho in the unit disk.
 
     Hex-first greedy: lattice with spacing 2*rho, rotated by a seeded angle,
     candidates sorted by distance from the origin.  Tangency is accepted to
     within 1e-12 (the classical 7-disk packing at rho = 1/3 is tangent).
+
+    A layout is a pure function of (M, rho, seed), so it is computed once
+    and the (M, 2) array returned is read-only and shared by every caller
+    with the same arguments.  A refused input raises PackingError on every
+    call (failures are not cached).
     """
     if M < 1 or int(M) != M:
         raise PackingError("M must be a positive integer")
@@ -414,7 +421,7 @@ def pack_disks(M, rho, seed=0):
         raise PackingError(
             f"area bound violated: M*rho^2 = {M * rho * rho:.6g} > 1")
     if M == 1:
-        return np.zeros((1, 2))
+        return _read_only(np.zeros((1, 2)))
     if rho > 0.5:
         raise PackingError(f"no two disjoint disks of radius {rho} > 1/2 fit in the unit disk")
 
@@ -445,7 +452,12 @@ def pack_disks(M, rho, seed=0):
         raise PackingError(
             f"hex-lattice feasibility: only {pts.shape[0]} of {M} disks of radius "
             f"{rho:.6g} fit in the unit disk")
-    return np.ascontiguousarray(pts[:M])
+    return _read_only(np.ascontiguousarray(pts[:M]))
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 # -- JSON schedule schema ---------------------------------------------------

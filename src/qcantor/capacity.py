@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import CantorTree, ConfigError, check_distortion
-from .measure import PlanarMeasure, _distance_rows
+from .measure import PlanarMeasure, _distance_rows, _leaf_sums
 from .potentials import (IndexDomainError, check_indices, conjugate_minus_one, wolff_dyadic,
                          wolff_tree)
 
@@ -24,9 +24,6 @@ from .potentials import (IndexDomainError, check_indices, conjugate_minus_one, w
 FARFIELD_FACTOR = 4.0
 #: largest quadrature grid side: cells^2 grid points are held at once
 MAX_CELLS = 2048
-#: largest remainder bound, relative to the leaf's exact share, at which the
-#: quadrature takes a leaf's centroid expansion: one unit round-off
-EXPANSION_BUDGET = 2.0 ** -53
 
 LOWER_BOUND = "lower_bound"
 WOLFF_SUP = "wolff_sup"
@@ -209,7 +206,7 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 
 
-def direct_capacity_lower(measure, indices, cells=64, *, blocks=None) -> CapacityEstimate:
+def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     """(mass / ||I_alpha(mu)||_{p'})^p by planar quadrature.
 
     The L^{p'} norm is a cell sum over a support-relative grid (so geometric
@@ -221,16 +218,15 @@ def direct_capacity_lower(measure, indices, cells=64, *, blocks=None) -> Capacit
     bits for any CPU count.
 
     Without blocks each cell sums the kernel over every live atom, about
-    0.79 * cells^2 * n terms for n atoms.  With blocks (``LeafBlocks`` of the
-    measure, such as ``CantorRealization.leaf_blocks``) each cell takes each
-    leaf's monopole plus quadrupole about its centroid where no atom of the
-    leaf reaches the cap and the third-order remainder bound is at most
-    EXPANSION_BUDGET of the leaf's exact share, and the leaf's atoms
-    otherwise (``_leaf_values``): about 0.79 * cells^2 * leaves expansions
-    plus the atoms of the near (cell, leaf) pairs.  Every share, and so every cell value, is
-    then within EXPANSION_BUDGET of its exact value, relative; the largest
-    bound taken is recorded as expansion_bound.  Leaves of one atom take the flat route,
-    so the result is then the flat one, bit for bit.
+    0.79 * cells^2 * n terms for n atoms.  On a measure with blocks (such as
+    ``CantorRealization.measure``) each cell takes each leaf's monopole plus
+    quadrupole about its centroid where no atom of the leaf reaches the cap
+    and the third-order remainder bound is at most EXPANSION_BUDGET of the
+    leaf's exact share, and the leaf's atoms otherwise (``measure._leaf_sums``
+    with ``_CappedPower``): about 0.79 * cells^2 * leaves expansions plus the
+    atoms of the near (cell, leaf) pairs.  Every share, and so every cell
+    value, is then within EXPANSION_BUDGET of its exact value, relative; the
+    largest bound taken is recorded as expansion_bound.
     """
     if cells < 1:
         raise ConfigError(f"cells {cells}: need a positive count")
@@ -256,22 +252,21 @@ def direct_capacity_lower(measure, indices, cells=64, *, blocks=None) -> Capacit
     inside = np.hypot(cc[:, 0] - center[0], cc[:, 1] - center[1]) <= r_far
     cc = cc[inside]
     rho = h / math.sqrt(math.pi)
-    cap = 2.0 / alpha * rho ** (alpha - 2.0)
+    kernel = _CappedPower(alpha, 2.0 / alpha * rho ** (alpha - 2.0))
     bound = None
-    if blocks is None or blocks.atoms == 1:
+    if measure.blocks is None:
         live = measure.weights > 0
         pts, w = measure.points[live], measure.weights[live]
 
         def cell_values(d, lo, hi):
             # sum_j w_j min(|c - x_j|^(alpha-2), cap); an atom on c gives inf, capped
-            np.power(d, alpha - 2.0, out=d)
-            np.minimum(d, cap, out=d)
+            kernel.atoms(d, slice(lo, hi))
             d *= w
             return np.sum(d, axis=1)
 
         vals = _distance_rows(pts, cc, cc.shape[0], cell_values)
     else:
-        vals, bound = _leaf_values(measure, blocks, cc, alpha, cap)
+        vals, bound = _leaf_sums(measure, cc, kernel)
     cell_sum = float(np.sum(vals ** p_prime)) * h * h
 
     a = (2.0 - alpha) * p_prime  # > 2 whenever 0 < alpha*p < 2
@@ -287,104 +282,41 @@ def direct_capacity_lower(measure, indices, cells=64, *, blocks=None) -> Capacit
     return CapacityEstimate(value, LOWER_BOUND, DEFINITION, indices, record)
 
 
-def _leaf_values(measure, blocks, cc, alpha, cap):
-    """Per cell centre c (rows of cc), sum_j w_j min(|c - x_j|^-q, cap) with
-    q = 2 - alpha, leaf by leaf, and the largest remainder bound expanded.
+class _CappedPower:
+    """min(|x|^-q, cap), q = 2 - alpha: the quadrature's kernel for
+    ``measure._leaf_sums``.
 
-    A leaf of weight W, atom weight w = W / s, centroid y, moments S (so
-    w S is its weighted second moment) and radius rho lies at u = |y - c|
-    from c.  When gap = u - rho exceeds cap^(-1/q), no atom reaches the cap;
-    the third directional derivative of |x|^-q is at most (q)_3 |x|^-(q+3)
-    (Gegenbauer) on the segments from y to the atoms, all at least gap from
-    c, and the leaf's exact share is at least W (u + rho)^-q, so the Taylor
-    remainder of the monopole plus quadrupole
-
-        W u^-q + w q u^-(q+2) ((q + 2) d.S d - tr S) / 2,   d = (y - c) / u,
-
-    (the dipole vanishes about the centroid) is at most a share
-    (q)_3 / 6 (rho / gap)^3 ((u + rho) / gap)^q of it.  The expansion is
-    taken where that share is at most EXPANSION_BUDGET, and the leaf's atoms
-    are summed as in the flat route otherwise.
+    With k(u) = u^-q, k' = -q u^-(q+1) and k'' = q (q + 1) u^-(q+2), the
+    quadrupole (k'' Q + k' / u (tr - Q)) / 2 is q u^-(q+2) ((q + 2) Q - tr) / 2.
+    Where gap = u - rho exceeds cap^(-1/q) no atom of the leaf reaches the
+    cap.  The third directional derivative of |x|^-q is at most
+    (q)_3 |x|^-(q+3) (Gegenbauer) on the segments from the centroid to the
+    atoms, all at least gap from the cell centre, and the leaf's exact share
+    is at least W (u + rho)^-q, so the Taylor remainder is at most a share
+    (q)_3 / 6 (rho / gap)^3 ((u + rho) / gap)^q of it.
     """
-    s, q = blocks.atoms, 2.0 - alpha
-    n_leaves = blocks.centroids.shape[0]
-    if n_leaves * s != measure.n_atoms:
-        raise ValueError(f"blocks of {n_leaves} leaves x {s} atoms do not cover the "
-                         f"{measure.n_atoms}-atom measure")
-    weights = measure.weights.reshape(n_leaves, s)
-    if np.any(weights != weights[:, :1]):
-        raise ValueError("atoms of one leaf must carry equal weights")
-    leaf_w, w = weights.sum(axis=1), weights[:, 0]
-    sxx, sxy, syy = (w * mom for mom in blocks.moments.T)
-    trace = sxx + syy
-    rho = blocks.radii
-    mx, my = blocks.centroids[:, 0], blocks.centroids[:, 1]
-    px, py = (measure.points[:, k].reshape(n_leaves, s) for k in (0, 1))
-    r_cap = cap ** (-1.0 / q)
-    taylor = q * (q + 1.0) * (q + 2.0) / 6.0
-    bounds = np.zeros(cc.shape[0])
 
-    def expand(u, c):
-        """Overwrite u with the expansions; the mask of the pairs that take
-        them, and each row's largest remainder share among those."""
-        # the share (q)_3 / 6 x^3 (1 + 2 x)^q, x = rho / gap, as
-        # (u + rho) / gap = 1 + 2 x
-        x = u - rho
-        far = x > r_cap
-        np.maximum(x, r_cap, out=x)
-        np.divide(rho, x, out=x)
-        t = 2.0 * x
-        t += 1.0
-        np.power(t, q, out=t)
-        for _ in range(3):
-            t *= x
-        t *= taylor
-        far &= t <= EXPANSION_BUDGET
-        share = np.max(t, axis=1, where=far, initial=0.0)
-        # W u^-q + w q u^-(q+2) ((q + 2) d.S d - tr S) / 2 for (dx, dy) = u d
-        dx, dy = np.subtract(mx, c[:, 0:1], out=x), np.subtract(my, c[:, 1:2], out=t)
-        quad = dx * dy
-        quad *= 2.0 * sxy
-        dx *= dx
-        dx *= sxx
-        quad += dx
-        dy *= dy
-        dy *= syy
-        quad += dy
-        inv = np.multiply(u, u, out=dx)
-        with np.errstate(invalid="ignore"):  # u = 0 is a near pair, replaced later
-            np.reciprocal(inv, out=inv)
-            quad *= inv
-            quad *= q + 2.0
-            quad -= trace
-            quad *= inv
-            quad *= 0.5 * q
-            quad += leaf_w
-            np.power(u, -q, out=u)
-            u *= quad
-        return far, share
+    def __init__(self, alpha, cap):
+        q = self.power = 2.0 - alpha
+        self.cap = cap
+        self.radius = cap ** (-1.0 / q)
+        self.taylor = q * (q + 1.0) * (q + 2.0) / 6.0
 
-    def leaf_sums(u, lo, hi):
-        far, bounds[lo:hi] = expand(u, cc[lo:hi])
-        # the near leaves' atoms, in pieces no larger than this block of pairs
-        rows, cols = np.nonzero(~far)
-        step = max(1, u.size // s)
-        for k in range(0, rows.size, step):
-            i, j = rows[k:k + step], cols[k:k + step]
-            d, e = px[j], py[j]
-            d -= cc[lo + i, 0:1]
-            e -= cc[lo + i, 1:2]
-            np.hypot(d, e, out=d)
-            np.power(d, alpha - 2.0, out=d)
-            np.minimum(d, cap, out=d)
-            d *= w[j, None]
-            u[i, j] = np.sum(d, axis=1)
-        return np.sum(u, axis=1)
+    def atoms(self, d, rows):
+        np.power(d, -self.power, out=d)
+        np.minimum(d, self.cap, out=d)
 
-    # leaf_sums holds up to four more arrays of u's size: x, t and quad, or
-    # the near pairs' indices and atom coordinates
-    vals = _distance_rows(blocks.centroids, cc, cc.shape[0], leaf_sums, extra=4)
-    return vals, float(bounds.max())
+    def expand(self, u, quad, inv, work, leaf_w, trace, rows):
+        # u^-q (W + q / u^2 ((q + 2) Q - tr) / 2)
+        q = self.power
+        quad *= q + 2.0
+        quad -= trace
+        quad *= inv
+        quad *= 0.5 * q
+        quad += leaf_w
+        np.power(u, -q, out=u)
+        u *= quad
+        return u
 
 
 def melnikov_gamma_lower(mass, sup_curvature, growth) -> CapacityEstimate:

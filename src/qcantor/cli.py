@@ -177,9 +177,7 @@ def _cmd_capacity(args):
         _given(args, ("samples_per_leaf", "cells"), "capacity --estimator wolff")
         est = wolff_capacity_lower(tree, indices, side=args.side, seed=tree.seed)
     else:
-        est = direct_capacity_lower(real.measure(args.side), indices,
-                                    blocks=real.leaf_blocks(args.side),
-                                    **_given(args, ("cells",)))
+        est = direct_capacity_lower(real.measure(args.side), indices, **_given(args, ("cells",)))
     _emit(args, est.to_json_dict(),
           f"capacity[{args.estimator}]: value={est.value:.17g} convention={est.convention}")
     return 0

@@ -28,8 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import SOURCE, TARGET, _check_side
-from .measure import _distance_rows
+from .cantor import SOURCE, TARGET, ConfigError, _check_side
+from .measure import _distance_rows, _leaf_sums
+
+#: largest sample_ball_pairs count: its pairs are drawn one at a time
+MAX_PAIRS = 1 << 16
 
 
 def _psi(r, a, inplace=False):
@@ -52,14 +55,89 @@ def psi_a(r, a):
     return _psi(r, a)
 
 
+class _PsiKernel:
+    """psi_a(r / t) with a radius t per row: eps_mu_a's kernel, for the flat
+    route and for ``measure._leaf_sums``.
+
+    With s = r / t, p = 1 + a and h = s^p psi = 1 - psi in [0, 1), dh/ds =
+    p h psi / s, so by induction psi^(k)(s) = (p / s^k) P_k(h) h psi with
+
+        P_1 = -1,   P_2 = 2 p h - (p - 1),
+        P_3 = -6 p^2 h^2 + 6 p (p - 1) h - (p - 1) (p - 2).
+
+    The quadrupole (psi'' Q + psi' / s (tr - Q)) / 2, in units of t, is then
+    p h psi / s^2 ((p + 2 - 2 p psi) Q - tr) / 2, as in
+    ``CantorRealization._ring_psi_sums``; in absolute units 1 / (s t)^2 is
+    1 / u^2.  The third directional derivative of psi(|z|) along a unit
+    vector at cosine c to z is psi''' c^3 + 3 c (1 - c^2) (psi'' / s -
+    psi' / s^2) = (p / s^3) h psi (P_3 c^3 + 3 c (1 - c^2) (P_2 + 1)).  On
+    [0, 1] |P_3| <= 6 p^2 + 6 p (p - 1) + |(p - 1)(p - 2)| and |P_2 + 1| =
+    |2 p h - p + 2| <= p + 2, while |c|^3 <= 1 and 3 |c| (1 - c^2) <= 2 / sqrt 3,
+    so with h <= 1 the derivative is at most 6 C(p) psi(s) / s^3,
+
+        C(p) = p (6 p^2 + 6 p (p - 1) + |(p - 1)(p - 2)| + 2 (p + 2) / sqrt 3) / 6.
+
+    On the segments from a leaf's centroid to its atoms s >= gap / t > 0,
+    where psi(s) / s^3 decreases, so the Lagrange remainder of an atom of
+    weight w is at most w C(p) (rho / gap)^3 psi(gap / t).  The leaf's exact
+    share is at least W psi((u + rho) / t), and psi(gap / t) /
+    psi((u + rho) / t) = (1 + X) / (1 + Y) <= X / Y = ((u + rho) / gap)^p
+    for X = ((u + rho) / t)^p >= Y = (gap / t)^p > 0.  The remainder is
+    therefore at most a share C(p) x^3 (1 + 2 x)^p, x = rho / gap, of the
+    leaf's exact term, for every gap > 0: only a ball centred inside the
+    leaf (gap <= 0) needs its atoms.  Past the doubles (a = 1e300) C(p) and
+    the share are inf, so every leaf takes its atoms.
+    """
+
+    radius = 0.0
+
+    def __init__(self, a, radii):
+        p = self.power = 1.0 + a
+        self.a, self.radii = a, radii
+        self.taylor = p * (6.0 * p * p + 6.0 * p * (p - 1.0) + abs((p - 1.0) * (p - 2.0))
+                           + 2.0 * (p + 2.0) / math.sqrt(3.0)) / 6.0
+
+    def atoms(self, d, rows):
+        d /= self.radii[rows]
+        _psi(d, self.a, inplace=True)
+
+    def expand(self, u, quad, inv, work, leaf_w, trace, rows):
+        # W psi + p psi (1 - psi) / u^2 ((p + 2 - 2 p psi) Q - tr) / 2
+        p = self.power
+        u /= self.radii[rows]
+        _psi(u, self.a, inplace=True)
+        np.multiply(u, -2.0 * p, out=work)
+        work += p + 2.0
+        quad *= work
+        quad -= trace
+        np.subtract(1.0, u, out=work)
+        work *= u
+        work *= 0.5 * p
+        quad *= work
+        quad *= inv
+        u *= leaf_w
+        u += quad
+        return u
+
+
 def eps_mu_a(measure, x, t, a):
     """Smoothed density of a planar measure on the balls B(x, t).
 
     x is one centre (2,) or many (m, 2), and t a radius or an array of radii
     broadcast against the centres.  One centre and one radius give a float,
-    anything else an array of the broadcast shape.  Each centre's distance
-    row is computed once and shared by its radii; every ball's value is the
-    one a single-ball call gives, bit for bit.
+    anything else an array of the broadcast shape.  Every ball's value is
+    the one a single-ball call gives, bit for bit.
+
+    Without blocks each ball sums psi_a over every atom, n terms; one
+    centre's distance row is computed once and shared by its radii.  On a
+    measure with blocks (``CantorRealization.measure`` at more than one
+    sample per leaf) each ball takes each leaf's monopole plus quadrupole
+    about its centroid wherever the ball's centre lies outside the leaf and
+    the a-priori third-order remainder (``_PsiKernel``) is at most
+    EXPANSION_BUDGET of the leaf's share, and the leaf's atoms otherwise
+    (``measure._leaf_sums``): one term per leaf plus the atoms of the near
+    (ball, leaf) pairs, each leaf's share within EXPANSION_BUDGET of its
+    exact value, relative.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr > 0.0):
@@ -74,14 +152,16 @@ def eps_mu_a(measure, x, t, a):
     else:
         centres = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
         radii = np.broadcast_to(t_arr, shape).reshape(-1, 1)
+    kernel = _PsiKernel(a, radii)
+    if measure.blocks is None:
+        def ball_values(d, lo, hi):
+            kernel.atoms(d, slice(lo, hi))
+            d *= measure.weights
+            return np.sum(d, axis=1)
 
-    def ball_values(d, lo, hi):
-        d /= radii[lo:hi]
-        _psi(d, a, inplace=True)
-        d *= measure.weights
-        return np.sum(d, axis=1)
-
-    out = _distance_rows(measure.points, centres, radii.shape[0], ball_values)
+        out = _distance_rows(measure.points, centres, radii.shape[0], ball_values)
+    else:
+        out, _ = _leaf_sums(measure, np.broadcast_to(centres, (radii.shape[0], 2)), kernel)
     out /= radii[:, 0]
     if not shape:
         return float(out[0])
@@ -178,7 +258,13 @@ class DoublingReport:
 
 
 def sample_ball_pairs(center, spread, n, seed, log_r_range=(-8.0, 0.0)):
-    """Admissible comparability pairs: |x - y| <= 2r and r/2 <= s <= 2r."""
+    """Admissible comparability pairs: |x - y| <= 2r and r/2 <= s <= 2r.
+
+    More than MAX_PAIRS pairs are refused before any is drawn.
+    """
+    if n > MAX_PAIRS:
+        raise ConfigError(f"--pairs {n}: at most {MAX_PAIRS} (the pairs are drawn one "
+                          "at a time)")
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
     pairs = []
@@ -219,17 +305,23 @@ def check_G2(eps, balls, swallow_radius) -> DoublingReport:
 
     The sum is truncated two scales past the radius that swallows the
     support, where terms of mass-type gauges have stabilized; a geometric
-    bound on the remainder (ratio 1/2 per scale) is added.  eps(x, radii)
-    is called once per ball, with its centre and the array of its radii
-    2^k r; the k = 0 term is the base.  A scalar result is broadcast.
+    bound on the remainder (ratio 1/2 per scale) is added.  eps(x, r) is
+    called once, with the (m, 2) centres and (m,) radii 2^k r of every
+    ball's dilates, ball by ball; the k = 0 term is the base.  A scalar
+    result is broadcast.
     """
+    truncations = [max(1, int(math.ceil(math.log2(max(swallow_radius / r, 1.0)))) + 2)
+                   for _, r in balls]
+    counts = [k + 1 for k in truncations]
+    centres = np.repeat(np.array([x for x, _ in balls], dtype=float).reshape(-1, 2), counts,
+                        axis=0)
+    radii = np.array([(2.0 ** k) * r for (_, r), n in zip(balls, counts) for k in range(n)])
+    values = np.broadcast_to(eps(centres, radii), radii.shape).tolist()
     worst = 0.0
     k_used = 0
-    for (x, r) in balls:
-        k_trunc = max(1, int(math.ceil(math.log2(max(swallow_radius / r, 1.0)))) + 2)
+    for k_trunc, end in zip(truncations, np.cumsum(counts).tolist()):
         k_used = max(k_used, k_trunc)
-        radii = np.array([(2.0 ** k) * r for k in range(k_trunc + 1)])
-        e = np.broadcast_to(eps(x, radii), radii.shape).tolist()
+        e = values[end - k_trunc - 1:end]
         total = 0.0
         last = 0.0
         for k, e_k in enumerate(e):

@@ -6,6 +6,7 @@ its atoms. Instances are immutable after construction.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -17,6 +18,12 @@ import numpy as np
 HULL_MARGIN = 2.0 ** -40
 #: scratch elements of one blocked kernel call, shared by all its workers
 BLOCK_ELEMENTS = 1 << 18
+#: largest remainder bound, relative to the leaf's exact share, at which a
+#: leaf-expansion kernel takes a leaf's centroid expansion: one unit round-off
+EXPANSION_BUDGET = 2.0 ** -53
+#: slack of the whole-leaf ball tests, in units of the largest coordinate
+#: magnitude (see PlanarMeasure.ball_mass_profile)
+LEAF_MARGIN = 2.0 ** -40
 
 
 def _cpus() -> int:
@@ -131,7 +138,9 @@ class LeafBlocks(NamedTuple):
     """A measure's atoms in consecutive groups of ``atoms`` (its leaves) of
     equal weight within each group: per group, the centroid (x, y), the
     second moments (sxx, sxy, syy) of its atom positions about the centroid,
-    unweighted, and the largest atom distance from the centroid."""
+    unweighted, and the largest atom distance from the centroid (to within
+    the rounding of a few additions per tree generation, far below
+    LEAF_MARGIN times the largest coordinate magnitude)."""
 
     centroids: np.ndarray
     moments: np.ndarray
@@ -139,13 +148,115 @@ class LeafBlocks(NamedTuple):
     atoms: int
 
 
+def _leaf_sums(measure, centres, kernel):
+    """Per row c of centres (rows, 2), sum_j w_j k(|c - y_j|) over the atoms
+    y_j of the measure, leaf by leaf over ``measure.blocks``, and the largest
+    remainder share taken.
+
+    A leaf of weight W, atom weight w, centroid y, second moments S and
+    radius rho lies at u = |y - c| from c.  Where gap = u - rho exceeds
+    kernel.radius and the kernel's remainder share
+
+        kernel.taylor * x^3 * (1 + 2 x)^kernel.power,   x = rho / gap,
+
+    (so 1 + 2 x = (u + rho) / gap) is at most EXPANSION_BUDGET of the
+    leaf's exact share, the leaf is replaced by its monopole plus quadrupole
+    about the centroid (the dipole vanishes there),
+
+        W k(u) + (k''(u) Q + k'(u) / u (tr - Q)) / 2,   Q = d.(w S) d,
+        tr = w tr S,   d = (y - c) / u,
+
+    which ``kernel.expand(u, Q, 1 / u^2, work, W, tr, rows)`` forms over u
+    (work is free scratch of u's shape; rows selects the kernel's per-row
+    parameters).  Elsewhere the leaf's atoms are summed as the flat route
+    does: ``kernel.atoms(d, rows)`` turns their distances d into kernel
+    values in place, and the weights multiply them.  A share that is not
+    finite is never taken.  Neither kernel method may call anything
+    bench/tracer.py traces: they run on ``_distance_rows``' pool threads.
+    """
+    blocks = measure.blocks
+    s, n_leaves = blocks.atoms, blocks.centroids.shape[0]
+    leaf_w, w, _ = measure._leaves
+    sxx, sxy, syy = (w * mom for mom in blocks.moments.T)
+    sxy *= 2.0
+    trace = sxx + syy
+    rho = blocks.radii
+    mx, my = blocks.centroids[:, 0], blocks.centroids[:, 1]
+    px, py = (measure.points[:, k].reshape(n_leaves, s) for k in (0, 1))
+    radius, taylor, power = kernel.radius, kernel.taylor, kernel.power
+    shares = np.zeros(centres.shape[0])
+
+    def expand(u, lo, hi):
+        """Overwrite u with the expansions; the mask of the pairs that take
+        them, and the largest remainder share among those."""
+        c = centres[lo:hi]
+        x = u - rho
+        far = x > radius
+        with np.errstate(invalid="ignore"):  # a pair inside its leaf: inf or nan, not far
+            np.maximum(x, radius, out=x)
+            np.divide(rho, x, out=x)
+            t = 2.0 * x
+            t += 1.0
+            np.power(t, power, out=t)
+            for _ in range(3):
+                t *= x
+            t *= taylor
+            far &= t <= EXPANSION_BUDGET
+        share = np.max(t, axis=1, where=far, initial=0.0)
+        dx, dy = np.subtract(mx, c[:, 0:1], out=x), np.subtract(my, c[:, 1:2], out=t)
+        quad = dx * dy
+        quad *= sxy
+        dx *= dx
+        dx *= sxx
+        quad += dx
+        dy *= dy
+        dy *= syy
+        quad += dy
+        inv = np.multiply(u, u, out=dx)
+        with np.errstate(invalid="ignore"):  # u = 0 is a near pair, replaced later
+            np.reciprocal(inv, out=inv)
+            quad *= inv
+            u = kernel.expand(u, quad, inv, dy, leaf_w, trace, slice(lo, hi))
+        return u, far, share
+
+    def leaf_sums(u, lo, hi):
+        u, far, shares[lo:hi] = expand(u, lo, hi)
+        # the near leaves' atoms, in pieces no larger than this block of pairs
+        rows, cols = np.nonzero(~far)
+        step = max(1, u.size // s)
+        for k in range(0, rows.size, step):
+            i, j = rows[k:k + step], cols[k:k + step]
+            d, e = px[j], py[j]
+            d -= centres[lo + i, 0:1]
+            e -= centres[lo + i, 1:2]
+            np.hypot(d, e, out=d)
+            kernel.atoms(d, lo + i)
+            d *= w[j, None]
+            u[i, j] = np.sum(d, axis=1)
+        return np.sum(u, axis=1)
+
+    # leaf_sums holds up to four more arrays of u's size: x, t and quad, or
+    # the near pairs' indices and atom coordinates
+    vals = _distance_rows(blocks.centroids, centres, centres.shape[0], leaf_sums, extra=4)
+    return vals, float(shares.max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class PlanarMeasure:
-    """Atoms ``points[i]`` with nonnegative weights ``weights[i]``."""
+    """Atoms ``points[i]`` with nonnegative weights ``weights[i]``.
+
+    ``blocks`` optionally groups the atoms into leaves (``LeafBlocks``), as
+    ``CantorRealization.measure`` does; the kernels that read it
+    (``eps_mu_a``, ``direct_capacity_lower``, ``ball_mass_profile``) then
+    work leaf by leaf.  Blocks must cover the atoms, with equal weights
+    within each leaf; blocks of one atom per leaf are dropped, since each
+    such leaf is its atom.
+    """
 
     points: np.ndarray
     weights: np.ndarray
     label: str = field(default="", compare=False)
+    blocks: LeafBlocks | None = field(default=None, compare=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -162,6 +273,26 @@ class PlanarMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+        blocks = self.blocks
+        if blocks is not None:
+            s, n_leaves = blocks.atoms, blocks.centroids.shape[0]
+            if n_leaves * s != pts.shape[0]:
+                raise ValueError(f"blocks of {n_leaves} leaves x {s} atoms do not cover the "
+                                 f"{pts.shape[0]}-atom measure")
+            leaves = w.reshape(n_leaves, s)
+            if np.any(leaves != leaves[:, :1]):
+                raise ValueError("atoms of one leaf must carry equal weights")
+            if s == 1:
+                object.__setattr__(self, "blocks", None)
+
+    @functools.cached_property
+    def _leaves(self):
+        """Per leaf of the blocks, its weight and its atoms' common weight, and
+        the largest coordinate magnitude any leaf reaches, |centroid| + radius."""
+        blocks = self.blocks
+        weights = self.weights.reshape(-1, blocks.atoms)
+        extent = np.abs(blocks.centroids).max(axis=1) + blocks.radii
+        return weights.sum(axis=1), weights[:, 0], float(extent.max(initial=0.0))
 
     @property
     def n_atoms(self) -> int:
@@ -180,12 +311,50 @@ class PlanarMeasure:
         return float(np.sum(self.weights[self.distances(center) <= radius]))
 
     def ball_mass_profile(self, center, radii) -> np.ndarray:
-        """Closed-ball masses for an increasing array of radii."""
-        d = self.distances(center)
-        order = np.argsort(d, kind="stable")
-        cw = np.concatenate([[0.0], np.cumsum(self.weights[order])])
-        idx = np.searchsorted(d[order], np.asarray(radii, dtype=float), side="right")
-        return cw[idx]
+        """Closed-ball masses for an array of radii: the atoms whose computed
+        distance (``distances``) is at most the radius.
+
+        Without blocks every atom's distance is sorted, n terms.  With blocks
+        a leaf at computed centroid distance u and radius rho lies wholly
+        inside a ball of radius R when u + rho + m <= R and wholly outside
+        when u - rho - m > R.  The margin m = LEAF_MARGIN * S, S the largest
+        coordinate magnitude of the centre and the leaves' reach, covers the
+        rounding of the computed distances (two subtractions and a hypot,
+        under 2^-50 S each for the atoms and the centroid) and of the lifted
+        coordinates behind the blocks (one rounding per generation, under
+        2^-52 S each), with room for hundreds of generations.  A leaf that
+        no radius straddles so stands for its weight, keyed at u + rho + m;
+        only a straddling leaf, such as the one holding the centre, is
+        replaced by its atoms' computed distances.  Every count of atoms
+        inside a ball is then the flat count exactly, and the masses differ
+        only in the order of summation.  Cost: the leaves plus the atoms of
+        the straddling ones, instead of n.
+        """
+        radii = np.asarray(radii, dtype=float)
+        blocks = self.blocks
+        if blocks is None:
+            d = self.distances(center)
+            order = np.argsort(d, kind="stable")
+            cw = np.concatenate([[0.0], np.cumsum(self.weights[order])])
+            idx = np.searchsorted(d[order], radii, side="right")
+            return cw[idx]
+        x = np.asarray(center, dtype=float)
+        mu, s = blocks.centroids, blocks.atoms
+        leaf_w, _, extent = self._leaves
+        u = np.hypot(mu[:, 0] - x[0], mu[:, 1] - x[1])
+        reach = blocks.radii + LEAF_MARGIN * max(float(np.abs(x).max()), extent)
+        inner, outer = u - reach, u + reach
+        # a leaf straddles when the first radius >= inner lies below outer
+        steps = np.append(np.sort(radii, axis=None), np.inf)
+        split = steps[np.searchsorted(steps, inner, side="left")] < outer
+        whole = np.flatnonzero(~split)
+        atoms = (np.flatnonzero(split)[:, None] * s + np.arange(s)).ravel()
+        d = self.points[atoms] - x[None, :]
+        keys = np.concatenate([outer[whole], np.hypot(d[:, 0], d[:, 1])])
+        mass = np.concatenate([leaf_w[whole], self.weights[atoms]])
+        order = np.argsort(keys, kind="stable")
+        cw = np.concatenate([[0.0], np.cumsum(mass[order])])
+        return cw[np.searchsorted(keys[order], radii, side="right")]
 
     def diameter(self) -> float:
         """Exact support diameter: the largest ``hypot`` of coordinate

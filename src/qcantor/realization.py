@@ -129,6 +129,7 @@ class CantorRealization:
         self.weights = np.full(self.n_atoms, leaf_mass / s)
         self.weights.setflags(write=False)
         self._eps_cache, self._plans, self._block_cache = {}, {}, {}
+        self._leaf_block_cache = {}
 
     # -- indexing ----------------------------------------------------------
 
@@ -162,7 +163,9 @@ class CantorRealization:
 
     def measure(self, side) -> PlanarMeasure:
         """Flat atom cloud with absolute positions, formed on each call by
-        lifting the leaf-frame atoms to the root frame.
+        lifting the leaf-frame atoms to the root frame.  At more than one
+        sample per leaf it carries ``leaf_blocks(side)``, so the flat kernels
+        that read blocks work leaf by leaf.
 
         Safe for brute-force oracles while sibling separations stay above
         the double-precision floor (depth <= 4 under the smallness
@@ -170,7 +173,8 @@ class CantorRealization:
         """
         cantor._check_side(side)
         return PlanarMeasure(self._lift(side, self._atoms[side], 0, self.depth).T, self.weights,
-                             label=f"cantor:{side}:depth{self.depth}:seed{self.seed}")
+                             label=f"cantor:{side}:depth{self.depth}:seed{self.seed}",
+                             blocks=self.leaf_blocks(side) if self.samples_per_leaf > 1 else None)
 
     def node_atom_distances(self, side, path) -> np.ndarray:
         """Distances from a node center to every atom, assembled blockwise.
@@ -332,13 +336,19 @@ class CantorRealization:
         """Each leaf's atoms summarized about their centroid, for the far
         field of flat-cloud kernels: the centroids lifted to the root frame
         (the frame of ``measure(side)``), the second moments about them in
-        absolute units, and the largest atom distance from them."""
+        absolute units, and the largest atom distance from them.  Computed
+        once per side; the arrays are read-only and shared by every call."""
         cantor._check_side(side)
-        mu, mom, rad = self._blocks(side)[self.depth]
-        r2 = self._radii[side][self.depth] ** 2
-        moments = mom.T * np.array([r2, 0.5 * r2, r2])
-        return LeafBlocks(self._lift(side, mu, 0, self.depth).T, moments, rad.copy(),
-                          self.samples_per_leaf)
+        if side not in self._leaf_block_cache:
+            mu, mom, rad = self._blocks(side)[self.depth]
+            r2 = self._radii[side][self.depth] ** 2
+            blocks = LeafBlocks(self._lift(side, mu, 0, self.depth).T,
+                                mom.T * np.array([r2, 0.5 * r2, r2]), rad.copy(),
+                                self.samples_per_leaf)
+            for arr in blocks[:3]:
+                arr.setflags(write=False)
+            self._leaf_block_cache[side] = blocks
+        return self._leaf_block_cache[side]
 
     def eps_by_generation(self, side, a):
         """eps_mu_a of every node ball, one read-only array per generation.

@@ -25,6 +25,11 @@ def uniform_segment(n):
     return PlanarMeasure(pts, np.full(n, 1.0) / n, label=f"uniform_segment(n={n})")
 
 
+def without_blocks(measure):
+    """The same atoms with no leaf blocks: every kernel takes its flat route."""
+    return PlanarMeasure(measure.points, measure.weights, label=measure.label)
+
+
 def leaf_blocks(measure, atoms):
     """LeafBlocks of a cloud whose leaves are its consecutive groups of
     ``atoms`` atoms, by direct sums over each group's points."""

@@ -31,9 +31,16 @@ def _set_pool(monkeypatch, workers, budget=None):
 
 @pytest.fixture(scope="module")
 def cloud():
-    """A 256-atom realized cloud (depth-3 harmonic tree, 4 atoms per leaf)."""
+    """A 256-atom realized cloud (depth-3 harmonic tree, 4 atoms per leaf),
+    which carries its leaf blocks."""
     tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=4)
     return tree.realize(seed=4, samples_per_leaf=4).measure(SOURCE)
+
+
+@pytest.fixture(scope="module")
+def flat(cloud):
+    """The same atoms without blocks: the flat route."""
+    return support.without_blocks(cloud)
 
 
 @pytest.fixture()
@@ -44,9 +51,9 @@ def config_path(tmp_path):
     return str(path)
 
 
-def _outputs(cloud, config_path, out):
-    lam = direct_capacity_lower(cloud, CapacityIndices(2.0 / 3.0, 1.5),
-                                cells=16).normalization["lambda"]
+def _outputs(cloud, flat, config_path, out):
+    lam = [direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5),
+                                 cells=16).normalization["lambda"] for mu in (cloud, flat)]
     curv = menger_curvature(cloud, triples=3000, seed=2)
     assert main(["check-gauge", "--config", config_path, "--side", "target",
                  "--samples-per-leaf", "3", "--pairs", "40", "--out", out]) == 0
@@ -66,11 +73,11 @@ def _outputs(cloud, config_path, out):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("budget", [None, 1000, 1])
-def test_outputs_do_not_depend_on_workers_or_block_budget(cloud, config_path, tmp_path,
+def test_outputs_do_not_depend_on_workers_or_block_budget(cloud, flat, config_path, tmp_path,
                                                           monkeypatch, workers, budget):
-    want = _outputs(cloud, config_path, str(tmp_path / "want.json"))
+    want = _outputs(cloud, flat, config_path, str(tmp_path / "want.json"))
     _set_pool(monkeypatch, workers, budget)
-    assert _outputs(cloud, config_path, str(tmp_path / "got.json")) == want
+    assert _outputs(cloud, flat, config_path, str(tmp_path / "got.json")) == want
 
 
 def _one_shot_curvature(measure, triples, seed):
@@ -127,23 +134,38 @@ def _eps_reference(measure, x, t, a):
         return float(np.sum(measure.weights * (1.0 / ((d / t) ** (1.0 + a) + 1.0))) / t)
 
 
-@pytest.mark.parametrize("a", [0.1, 1.0, 2.5])
-def test_batched_eps_equals_single_ball_calls(cloud, monkeypatch, a):
-    _set_pool(monkeypatch, 2, budget=3 * cloud.n_atoms)
+def _check_batched_eps(mu, monkeypatch, a):
+    """Batched calls give each ball the single-ball value, bit for bit; the
+    flat route is the single-ball formula itself, and the leaf route is
+    within 2^-53 of it per leaf, plus rounding."""
+    _set_pool(monkeypatch, 2, budget=3 * mu.n_atoms)
     rng = np.random.default_rng(1)
-    centres = np.vstack([rng.uniform(-1.0, 1.0, size=(37, 2)), cloud.points[:3]])
+    centres = np.vstack([rng.uniform(-1.0, 1.0, size=(37, 2)), mu.points[:3]])
     radii = np.exp(rng.uniform(-9.0, 2.0, size=centres.shape[0]))
-    many = eps_mu_a(cloud, centres, radii, a)
-    chain = eps_mu_a(cloud, centres[0], radii, a)
-    one_radius = eps_mu_a(cloud, centres, radii[0], a)
+    many = eps_mu_a(mu, centres, radii, a)
+    chain = eps_mu_a(mu, centres[0], radii, a)
+    one_radius = eps_mu_a(mu, centres, radii[0], a)
     assert many.shape == chain.shape == one_radius.shape == (centres.shape[0],)
     for i, (x, t) in enumerate(zip(centres, radii)):
-        single = eps_mu_a(cloud, x, t, a)
+        single = eps_mu_a(mu, x, t, a)
         assert isinstance(single, float)
-        assert single == _eps_reference(cloud, x, t, a)
+        if mu.blocks is None:
+            assert single == _eps_reference(mu, x, t, a)
+        else:
+            assert single == pytest.approx(_eps_reference(mu, x, t, a), rel=1e-12, abs=0.0)
         assert many[i] == single
-        assert chain[i] == eps_mu_a(cloud, centres[0], t, a)
-        assert one_radius[i] == eps_mu_a(cloud, x, radii[0], a)
+        assert chain[i] == eps_mu_a(mu, centres[0], t, a)
+        assert one_radius[i] == eps_mu_a(mu, x, radii[0], a)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 2.5])
+def test_batched_eps_equals_single_ball_calls(flat, monkeypatch, a):
+    _check_batched_eps(flat, monkeypatch, a)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 2.5])
+def test_batched_leaf_eps_equals_single_ball_calls(cloud, monkeypatch, a):
+    _check_batched_eps(cloud, monkeypatch, a)
 
 
 def _square_with_atom_on_cell_centre(cells):

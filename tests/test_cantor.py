@@ -209,6 +209,17 @@ def test_pack_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def test_pack_layouts_are_shared_and_read_only():
+    a = pack_disks(12, 0.05, seed=3)
+    assert pack_disks(12, 0.05, seed=3) is a
+    assert not a.flags.writeable and not pack_disks(1, 0.3).flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    for _ in range(2):  # refusals are not cached: every bad call raises
+        with pytest.raises(PackingError, match="area bound"):
+            pack_disks(4, 0.9)
+
+
 def test_build_depth_exceeds_schedules():
     with pytest.raises(ConstructionError, match="depth"):
         build_tree(harmonic_schedule(2.0, 3), 4)

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcantor import capacity
+from qcantor import measure as measure_mod
 from qcantor.cantor import SOURCE, TARGET, ConfigError, ConstructionError, build_tree, \
     harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
-from qcantor.capacity import (DEFINITION, EXPANSION_BUDGET, FARFIELD_FACTOR, LOWER_BOUND,
-                              MAX_CELLS, WOLFF_SUP, CapacityEstimate, CapacityIndices,
-                              direct_capacity_lower, melnikov_gamma_lower, distorted_index_map,
-                              distortion_indices, wolff_capacity_lower)
+from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, MAX_CELLS, WOLFF_SUP,
+                              CapacityEstimate, CapacityIndices, direct_capacity_lower,
+                              distorted_index_map, distortion_indices, melnikov_gamma_lower,
+                              wolff_capacity_lower)
 from qcantor.experiments import gauge_criterion_experiment
-from qcantor.measure import PlanarMeasure
+from qcantor.measure import EXPANSION_BUDGET, PlanarMeasure
 from qcantor.potentials import IndexDomainError, menger_curvature
 
 import support
@@ -336,7 +336,7 @@ def test_direct_lambda_equals_blocked_reference(cells, case):
         mu = PlanarMeasure(support.uniform_disk(700, seed=3).points, w)
     else:
         tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=5)
-        mu = tree.realize(seed=5, samples_per_leaf=3).measure(SOURCE)
+        mu = support.without_blocks(tree.realize(seed=5, samples_per_leaf=3).measure(SOURCE))
     est = direct_capacity_lower(mu, idx, cells=cells)
     assert est.normalization["lambda"] == _lambda_blocked(mu, idx, cells)
 
@@ -365,10 +365,10 @@ def test_leaf_expansions_match_flat_quadrature(K, depth):
     for spl in (1, 4, 64):
         real = tree.realize(seed=depth, samples_per_leaf=spl)
         for side in (SOURCE, TARGET):
-            mu, blocks = real.measure(side), real.leaf_blocks(side)
+            mu = real.measure(side)
             for cells in (1, 16, 64):
-                flat = direct_capacity_lower(mu, idx, cells=cells)
-                est = direct_capacity_lower(mu, idx, cells=cells, blocks=blocks)
+                flat = direct_capacity_lower(support.without_blocks(mu), idx, cells=cells)
+                est = direct_capacity_lower(mu, idx, cells=cells)
                 if spl == 1:  # one atom per leaf: the flat route
                     assert est == flat
                     continue
@@ -392,6 +392,10 @@ def _corner_leaves_and_centre_leaf(cells):
     return PlanarMeasure(pts, np.repeat([0.1, 0.2, 0.3, 0.15, 0.25], 3) / 3.0)
 
 
+def _with_blocks(mu, atoms):
+    return PlanarMeasure(mu.points, mu.weights, blocks=support.leaf_blocks(mu, atoms))
+
+
 @pytest.mark.parametrize("cells", [16, 64])
 def test_leaf_expansions_cap_an_atom_on_a_cell_centre(cells):
     idx = CapacityIndices(2.0 / 3.0, 1.5)
@@ -399,8 +403,8 @@ def test_leaf_expansions_cap_an_atom_on_a_cell_centre(cells):
     flat = direct_capacity_lower(mu, idx, cells=cells)
     assert math.isfinite(flat.value) and flat.value > 0
     # one atom per leaf takes the flat route: the same estimate, bit for bit
-    assert direct_capacity_lower(mu, idx, cells=cells, blocks=support.leaf_blocks(mu, 1)) == flat
-    est = direct_capacity_lower(mu, idx, cells=cells, blocks=support.leaf_blocks(mu, 3))
+    assert direct_capacity_lower(_with_blocks(mu, 1), idx, cells=cells) == flat
+    est = direct_capacity_lower(_with_blocks(mu, 3), idx, cells=cells)
     assert est.value == pytest.approx(flat.value, rel=1e-12, abs=0.0)
     assert est.normalization["lambda"] == pytest.approx(flat.normalization["lambda"],
                                                         rel=1e-12, abs=0.0)
@@ -412,11 +416,10 @@ def test_leaf_expansion_error_within_recorded_bound(monkeypatch):
     idx = distortion_indices(2.0)
     real = build_tree(harmonic_schedule(2.0, 1), 1, seed=0).realize(seed=0, samples_per_leaf=64)
     mu = real.measure(TARGET)
-    exact = direct_capacity_lower(mu, idx).normalization["lambda"]
-    assert direct_capacity_lower(mu, idx, blocks=real.leaf_blocks(TARGET)) \
-        .normalization["expansion_bound"] == 0.0
-    monkeypatch.setattr(capacity, "EXPANSION_BUDGET", 2.0 ** -16)
-    est = direct_capacity_lower(mu, idx, blocks=real.leaf_blocks(TARGET))
+    exact = direct_capacity_lower(support.without_blocks(mu), idx).normalization["lambda"]
+    assert direct_capacity_lower(mu, idx).normalization["expansion_bound"] == 0.0
+    monkeypatch.setattr(measure_mod, "EXPANSION_BUDGET", 2.0 ** -16)
+    est = direct_capacity_lower(mu, idx)
     bound = est.normalization["expansion_bound"]
     assert 2.0 ** -30 < bound <= 2.0 ** -16
     assert abs(est.normalization["lambda"] - exact) <= (bound + 2.0 ** -52) * exact
@@ -425,13 +428,10 @@ def test_leaf_expansion_error_within_recorded_bound(monkeypatch):
 def test_leaf_blocks_must_cover_the_measure():
     mu = support.uniform_disk(12, seed=2)
     with pytest.raises(ValueError, match="do not cover"):
-        direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5),
-                              blocks=support.leaf_blocks(PlanarMeasure(mu.points[:9],
-                                                                      mu.weights[:9]), 3))
-    uneven = PlanarMeasure(mu.points, np.arange(1.0, 13.0))
+        PlanarMeasure(mu.points, mu.weights,
+                      blocks=support.leaf_blocks(PlanarMeasure(mu.points[:9], mu.weights[:9]), 3))
     with pytest.raises(ValueError, match="equal weights"):
-        direct_capacity_lower(uneven, CapacityIndices(2.0 / 3.0, 1.5),
-                              blocks=support.leaf_blocks(uneven, 3))
+        PlanarMeasure(mu.points, np.arange(1.0, 13.0), blocks=support.leaf_blocks(mu, 3))
 
 
 # -- Melnikov gamma proxy -----------------------------------------------------

@@ -267,6 +267,30 @@ def test_check_gauge_refuses_constants_that_are_not_finite(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_gauge_refuses_constants_that_are_not_finite_on_leaf_blocks(tmp_path, capsys):
+    # at four atoms per leaf the balls sum leaf expansions; at a = 1e300 every
+    # remainder share is inf, so each leaf takes its atoms, as the flat route does
+    cfg = {"K": 2, "depth": 3, "levels": [{"M": 4, "d": "harmonic"}] * 3}
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "gauge.json"
+    code = main(["check-gauge", "--config", str(path), "--a", "1e300", "--samples-per-leaf", "4",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --a 1e+300: the G1/G2 constants")
+    assert not out.exists()
+
+
+def test_check_gauge_refuses_oversized_pairs(config_path, tmp_path, capsys):
+    out = tmp_path / "gauge.json"
+    code = main(["check-gauge", "--config", config_path, "--pairs", "1000000000",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--pairs 1000000000: at most 65536" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_check_gauge_rejects_nonpositive_pairs(config_path, tmp_path, capsys, pairs):
     out = str(tmp_path / "gauge.json")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcantor.cantor import (SOURCE, TARGET, build_tree, doubly_exponential_schedule,
-                            harmonic_schedule)
-from qcantor.gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1,
+from qcantor import gauges
+from qcantor import measure as measure_mod
+from qcantor.cantor import (SOURCE, TARGET, ConfigError, build_tree,
+                            doubly_exponential_schedule, harmonic_schedule)
+from qcantor.gauges import (MAX_PAIRS, DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1,
                             check_G2, check_G2_tree_gauge, content_Mh_tree, eps_mu_a,
                             frostman_tree, generation_cover_sum, psi_a, sample_ball_pairs)
 from qcantor.measure import PlanarMeasure
@@ -201,6 +204,115 @@ def test_distorted_gauge_chain_summability(real_k2_d3):
     report = check_G2_tree_gauge(gauge, paths)
     assert math.isfinite(report.c0_prime)
     assert "ancestor-chain" in report.notes
+
+
+def test_G2_evaluates_every_ball_in_one_call():
+    mu = support.uniform_disk(40, seed=3)
+    balls = [(np.array([0.1 * k, -0.2]), 0.03 * (k + 1)) for k in range(5)]
+    calls = []
+
+    def eps(x, r):
+        calls.append((np.shape(x), np.shape(r)))
+        return eps_mu_a(mu, x, r, 0.3)
+
+    report = check_G2(eps, balls, swallow_radius=2.0)
+    rows = calls[0][1][0]
+    assert calls == [((rows, 2), (rows,))]
+    # the same report as one call per ball
+    one_by_one = [check_G2(lambda x, r: eps_mu_a(mu, x, r, 0.3), [ball], 2.0) for ball in balls]
+    assert report.c0_prime == max(r.c0_prime for r in one_by_one)
+    assert report.truncation_k == max(r.truncation_k for r in one_by_one)
+
+
+def test_ball_pairs_refuse_an_oversized_count_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"--pairs {10 ** 9}: at most {MAX_PAIRS}"):
+            sample_ball_pairs((0.0, 0.0), 1.0, 10 ** 9, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(sample_ball_pairs((0.0, 0.0), 1.0, MAX_PAIRS, seed=0)) == MAX_PAIRS
+
+
+# -- leaf expansions of eps_mu_a ----------------------------------------------
+
+
+def _test_balls(mu, seed):
+    """check-gauge's sampled balls, plus balls centred on atoms, whose own
+    leaf takes its atoms.  No radius is below 1e-3: at depths 3-4 the flat
+    cloud's coordinates, rounded once per lifted generation, are off by
+    about 1e-16, more than a leaf radius (ROADMAP item 2), so on smaller
+    balls the flat sum itself drifts by 1e-16 / t relative."""
+    pairs = sample_ball_pairs((0.0, 0.0), 1.0, 24, seed)
+    centres = [c for pair in pairs for c, _ in pair]
+    radii = [r for pair in pairs for _, r in pair]
+    rng = np.random.default_rng(seed)
+    for x in mu.points[rng.choice(mu.n_atoms, 4, replace=False)]:
+        centres += [x, x]
+        radii += [1e-3, 0.1]
+    return np.array(centres), np.array(radii)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+def test_leaf_expansions_match_flat_eps(K, depth):
+    tree = build_tree(harmonic_schedule(K, depth), depth, seed=depth)
+    for spl in (1, 4, 64):
+        real = tree.realize(seed=depth, samples_per_leaf=spl)
+        for side in (SOURCE, TARGET):
+            mu = real.measure(side)
+            centres, radii = _test_balls(mu, depth)
+            for a in (0.1, 1.0, 50.0):
+                flat = eps_mu_a(support.without_blocks(mu), centres, radii, a)
+                got = eps_mu_a(mu, centres, radii, a)
+                if spl == 1:  # one atom per leaf: no blocks, the flat route
+                    assert mu.blocks is None
+                    assert np.array_equal(got, flat)
+                    continue
+                np.testing.assert_allclose(got, flat, rtol=1e-12, atol=0.0)
+
+
+def test_ball_centred_inside_a_leaf_takes_its_atoms(monkeypatch):
+    # one leaf, and a budget that takes every expansion outside it
+    real = build_tree(harmonic_schedule(2.0, 1), 1, seed=0).realize(seed=0, samples_per_leaf=64)
+    mu = real.measure(TARGET)
+    leaf = PlanarMeasure(mu.points[:64], mu.weights[:64],
+                         blocks=measure_mod.LeafBlocks(*(b[:1] for b in mu.blocks[:3]), 64))
+    monkeypatch.setattr(measure_mod, "EXPANSION_BUDGET", math.inf)
+    rho = float(leaf.blocks.radii[0])
+    inside = np.vstack([leaf.points[:8], leaf.blocks.centroids])
+    t = np.geomspace(0.01, 10.0, 7)[:, None] * rho
+    flat = support.without_blocks(leaf)
+    np.testing.assert_allclose(eps_mu_a(leaf, inside, t, 0.1), eps_mu_a(flat, inside, t, 0.1),
+                               rtol=1e-12, atol=0.0)
+    # just outside the leaf the loose budget expands, far from the atoms' sum
+    outside = leaf.blocks.centroids + [[1.5 * rho, 0.0]]
+    near = eps_mu_a(leaf, outside, 0.1 * rho, 0.1)
+    assert abs(near / eps_mu_a(flat, outside, 0.1 * rho, 0.1) - 1.0) > 1e-6
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 3.0])
+def test_leaf_expansion_eps_error_within_its_share(monkeypatch, a):
+    # depth 1: four wide leaves; balls a few leaf radii to a thousand away
+    real = build_tree(harmonic_schedule(2.0, 1), 1, seed=0).realize(seed=0, samples_per_leaf=64)
+    mu = real.measure(TARGET)
+    rho = float(mu.blocks.radii.max())
+    angle = np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
+    offsets = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    centres = np.vstack([c + f * rho * offsets for c in mu.blocks.centroids
+                         for f in (3.0, 30.0, 300.0, 1000.0)])
+    centres = np.repeat(centres, 3, axis=0)
+    radii = np.tile([rho, 10.0 * rho, 100.0 * rho], centres.shape[0] // 3)
+    exact = eps_mu_a(support.without_blocks(mu), centres, radii, a)
+    assert eps_mu_a(mu, centres, radii, a) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    monkeypatch.setattr(measure_mod, "EXPANSION_BUDGET", 2.0 ** -16)
+    kernel = gauges._PsiKernel(a, radii[:, None])
+    sums, share = measure_mod._leaf_sums(mu, centres, kernel)
+    assert 2.0 ** -40 < share <= 2.0 ** -16  # pairs expanded, far above rounding
+    assert np.all(np.abs(sums / radii - exact) <= (share + 2.0 ** -52) * exact)
+    assert np.array_equal(eps_mu_a(mu, centres, radii, a), sums / radii)
 
 
 # -- two-parameter kernel sum bound -------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,3 +89,44 @@ def test_zero_atom_constructors_give_empty_measures():
         assert mu.points.shape == (0, 2)
         assert mu.total_mass == 0.0
         assert mu.diameter() == 0.0
+
+
+# -- whole-leaf ball masses ------------------------------------------------------
+
+
+@pytest.mark.parametrize("depth,spl", [(1, 64), (2, 16), (3, 4), (3, 64)])
+@pytest.mark.parametrize("side", [SOURCE, TARGET])
+def test_leaf_ball_mass_profile_counts_equal_flat(side, depth, spl):
+    real = build_tree(harmonic_schedule(2.0, depth), depth, seed=depth).realize(
+        seed=depth, samples_per_leaf=spl)
+    mu = real.measure(side)
+    blocks = mu.blocks
+    # unit weights keep every partial sum exact, so the masses are the counts
+    ones = PlanarMeasure(mu.points, np.ones(mu.n_atoms), blocks=blocks)
+    flat_ones, flat = (PlanarMeasure(mu.points, w) for w in (ones.weights, mu.weights))
+    rng = np.random.default_rng(depth)
+    lo, hi = mu.points.min(axis=0), mu.points.max(axis=0)
+    centres = np.vstack([mu.points[rng.choice(mu.n_atoms, 6, replace=False)],
+                         blocks.centroids[rng.choice(len(blocks.centroids), 3, replace=False)],
+                         rng.uniform(lo, hi, size=(3, 2))])
+    for x in centres:
+        d = flat.distances(x)
+        u = np.hypot(*(blocks.centroids - x).T)
+        # computed atom distances (closed-ball ties) and their neighbouring
+        # doubles, the leaves' own edges u -+ rho, and dyadic radii
+        picks = d[rng.choice(mu.n_atoms, 16, replace=False)]
+        edges = np.concatenate([u - blocks.radii, u + blocks.radii])
+        radii = np.concatenate([[0.0], picks, np.nextafter(picks, 0.0), np.nextafter(picks, 9.0),
+                                edges[edges > 0], 2.0 ** np.arange(-60.0, 2.0)])
+        rng.shuffle(radii)
+        assert np.array_equal(ones.ball_mass_profile(x, radii),
+                              flat_ones.ball_mass_profile(x, radii))
+        np.testing.assert_allclose(mu.ball_mass_profile(x, radii),
+                                   flat.ball_mass_profile(x, radii), rtol=1e-12, atol=0.0)
+
+
+def test_leaf_blocks_of_one_atom_are_dropped():
+    mu = support.uniform_disk(12, seed=2)
+    for atoms, kept in ((1, None), (3, 3)):
+        blocks = PlanarMeasure(mu.points, mu.weights, blocks=support.leaf_blocks(mu, atoms)).blocks
+        assert (blocks and blocks.atoms) == kept
