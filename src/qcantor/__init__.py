@@ -25,8 +25,7 @@ from .gauges import (ContentResult, DistortedTreeGauge, DoublingReport, Frostman
                      generation_cover_sum, psi_a, sample_ball_pairs)
 from .measure import PlanarMeasure
 from .potentials import (CurvatureEstimate, IndexDomainError, PotentialProfile,
-                         circumradius, default_dyadic_range, dyadic_curvature_proxy,
-                         linear_growth_constant, menger_curvature, riesz_potential,
+                         default_dyadic_range, menger_curvature, riesz_potential,
                          standard_query_points, wolff_dyadic, wolff_tree)
 from .realization import CantorRealization
 

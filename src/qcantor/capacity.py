@@ -163,8 +163,11 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     lower estimate in the wolff_sup convention.  On a CantorTree the sup over
     paths is the exact tree sum (path independent) at the tree's depth (pass
     tree.prefix(depth) for a shallower one); depth-0 trees fall back to the
-    closed-form single-ball term.  A divergent tree potential yields value
-    0 with the divergence rate recorded; any other value of 0 or inf is refused.
+    closed-form single-ball term.  A finite tree's sup is finite, so its
+    value is too, also where the divergence diagnosis fires for the limit
+    (the fitted rate is then recorded); a value of 0 or inf is refused.
+    Every tree record carries log_ideal_total, log prod_{k <= N} M_k R_k^2:
+    the log of the ideal convention's generation-N total mass.
     """
     eta = indices.conjugate_minus_one
     if isinstance(obj, CantorTree):
@@ -184,10 +187,10 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
                                  mass_convention=mass_convention)
             sup, query_set = profile.total, f"tree_paths:{side}:depth={depth}"
         record = {"sup": sup, "query_set": query_set,
-                  "seed": seed, "mass": mass, "mass_convention": mass_convention}
+                  "seed": seed, "mass": mass, "mass_convention": mass_convention,
+                  "log_ideal_total": math.log(obj.n_nodes(depth)) + obj.log_mass(depth, "ideal")}
         if profile is not None and profile.divergent:
             record["divergence_rate"] = profile.divergence_rate
-            return CapacityEstimate(0.0, LOWER_BOUND, WOLFF_SUP, indices, record)
         value = _admissible_mass(mass, sup, indices, f"on the {side} side at depth {depth}")
         return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 
@@ -287,33 +290,33 @@ class _CappedPower:
     ``measure._leaf_sums``.
 
     With k(u) = u^-q, k' = -q u^-(q+1) and k'' = q (q + 1) u^-(q+2), the
-    quadrupole (k'' Q + k' / u (tr - Q)) / 2 is q u^-(q+2) ((q + 2) Q - tr) / 2.
-    Where gap = u - rho exceeds cap^(-1/q) no atom of the leaf reaches the
-    cap.  The third directional derivative of |x|^-q is at most
-    (q)_3 |x|^-(q+3) (Gegenbauer) on the segments from the centroid to the
-    atoms, all at least gap from the cell centre, and the leaf's exact share
-    is at least W (u + rho)^-q, so the Taylor remainder is at most a share
-    (q)_3 / 6 (rho / gap)^3 ((u + rho) / gap)^q of it.
+    quadrupole (k'' Q + k' / u (tr - Q)) / 2 is q u^-q ((q + 2) Q - tr) / 2
+    times scale^2 = 1 / u^2.  Where gap = u - rho exceeds cap^(-1/q) no atom
+    of the leaf reaches the cap.  The third directional derivative of |x|^-q
+    is at most (q)_3 |x|^-(q+3) (Gegenbauer) on the segments from the
+    centroid to the atoms, all at least gap from the cell centre, and the
+    leaf's exact share is at least W (u + rho)^-q, so the Taylor remainder is
+    at most a share (q)_3 / 6 (rho / gap)^3 ((u + rho) / gap)^q of it.
     """
 
     def __init__(self, alpha, cap):
         q = self.power = 2.0 - alpha
         self.cap = cap
         self.radius = cap ** (-1.0 / q)
-        self.taylor = q * (q + 1.0) * (q + 2.0) / 6.0
 
     def atoms(self, d, rows):
         np.power(d, -self.power, out=d)
         np.minimum(d, self.cap, out=d)
 
-    def expand(self, u, quad, inv, work, leaf_w, trace, rows):
-        # u^-q (W + q / u^2 ((q + 2) Q - tr) / 2)
+    def expand(self, u, quad, trace, scale, weight, rows):
+        # u^-q (W + q scale^2 ((q + 2) Q - tr) / 2)
         q = self.power
         quad *= q + 2.0
         quad -= trace
-        quad *= inv
+        quad *= scale
+        quad *= scale
         quad *= 0.5 * q
-        quad += leaf_w
+        quad += weight
         np.power(u, -q, out=u)
         u *= quad
         return u

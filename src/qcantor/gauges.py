@@ -56,8 +56,9 @@ def psi_a(r, a):
 
 
 class _PsiKernel:
-    """psi_a(r / t) with a radius t per row: eps_mu_a's kernel, for the flat
-    route and for ``measure._leaf_sums``.
+    """psi_a(r / t) with a radius t per row (radii, (rows, 1)), or t = 1 where
+    radii is None: the one psi_a expansion, for ``measure._leaf_sums`` and for
+    the tree fill (``CantorRealization.eps_rings``).
 
     With s = r / t, p = 1 + a and h = s^p psi = 1 - psi in [0, 1), dh/ds =
     p h psi / s, so by induction psi^(k)(s) = (p / s^k) P_k(h) h psi with
@@ -65,59 +66,63 @@ class _PsiKernel:
         P_1 = -1,   P_2 = 2 p h - (p - 1),
         P_3 = -6 p^2 h^2 + 6 p (p - 1) h - (p - 1) (p - 2).
 
-    The quadrupole (psi'' Q + psi' / s (tr - Q)) / 2, in units of t, is then
-    p h psi / s^2 ((p + 2 - 2 p psi) Q - tr) / 2, as in
-    ``CantorRealization._ring_psi_sums``; in absolute units 1 / (s t)^2 is
-    1 / u^2.  The third directional derivative of psi(|z|) along a unit
-    vector at cosine c to z is psi''' c^3 + 3 c (1 - c^2) (psi'' / s -
-    psi' / s^2) = (p / s^3) h psi (P_3 c^3 + 3 c (1 - c^2) (P_2 + 1)).  On
-    [0, 1] |P_3| <= 6 p^2 + 6 p (p - 1) + |(p - 1)(p - 2)| and |P_2 + 1| =
-    |2 p h - p + 2| <= p + 2, while |c|^3 <= 1 and 3 |c| (1 - c^2) <= 2 / sqrt 3,
-    so with h <= 1 the derivative is at most 6 C(p) psi(s) / s^3,
+    The quadrupole (psi'' Q + psi' / s (tr - Q)) / 2 of a block with second
+    moments S, Q = d.S d along the unit direction d, is then
+    p psi (1 - psi) ((p + 2 - 2 p psi) Q - tr S) scale^2 / 2, with scale the
+    length unit of S over r (1 / r for S in absolute units).
 
-        C(p) = p (6 p^2 + 6 p (p - 1) + |(p - 1)(p - 2)| + 2 (p + 2) / sqrt 3) / 6.
+    The third directional derivative of psi(|z|) along a unit vector at
+    cosine c to z is psi''' c^3 + 3 c (1 - c^2) (psi'' / s - psi' / s^2) =
+    (p / s^3) h psi (P_3 c^3 + 3 c (1 - c^2) (P_2 + 1)).  On h in [0, 1]
+    |P_3| <= (p + 1)(p + 2), reached at h = 1 (the interior vertex gives
+    (p - 1)(p + 1) / 2), and |P_2 + 1| = |2 p h - p + 2| <= p + 2; since
+    (p - 2) c^3 + 3 c increases on [0, 1], (p + 1) |c|^3 + 3 |c| (1 - c^2)
+    <= p + 1.  With h <= 1 the derivative is therefore at most
+    (p)_3 psi(s) / s^3, (p)_3 = p (p + 1)(p + 2), the Gegenbauer form of
+    |x|^-q's (q)_3 |x|^-(q+3).  On segments at least gap / t > 0 from the
+    origin, where psi(s) / s^3 decreases, the Lagrange remainder of an atom
+    of weight w within rho of the expansion centre is at most
+    w (p)_3 / 6 (rho / gap)^3 psi(gap / t).
 
-    On the segments from a leaf's centroid to its atoms s >= gap / t > 0,
-    where psi(s) / s^3 decreases, so the Lagrange remainder of an atom of
-    weight w is at most w C(p) (rho / gap)^3 psi(gap / t).  The leaf's exact
-    share is at least W psi((u + rho) / t), and psi(gap / t) /
+    A tree ring's bound holds psi(gap / t) already (``eps_rings``).  A leaf's
+    exact share is at least W psi((u + rho) / t), and psi(gap / t) /
     psi((u + rho) / t) = (1 + X) / (1 + Y) <= X / Y = ((u + rho) / gap)^p
-    for X = ((u + rho) / t)^p >= Y = (gap / t)^p > 0.  The remainder is
-    therefore at most a share C(p) x^3 (1 + 2 x)^p, x = rho / gap, of the
-    leaf's exact term, for every gap > 0: only a ball centred inside the
-    leaf (gap <= 0) needs its atoms.  Past the doubles (a = 1e300) C(p) and
-    the share are inf, so every leaf takes its atoms.
+    for X = ((u + rho) / t)^p >= Y = (gap / t)^p > 0, so its remainder is at
+    most a share (p)_3 / 6 x^3 (1 + 2 x)^p, x = rho / gap, of the leaf's
+    exact term, for every gap > 0: only a ball centred inside the leaf
+    (gap <= 0) needs its atoms.  Past the doubles (a = 1e300) the share is
+    inf, so every leaf takes its atoms.
     """
 
     radius = 0.0
 
-    def __init__(self, a, radii):
-        p = self.power = 1.0 + a
+    def __init__(self, a, radii=None):
+        self.power = 1.0 + a
         self.a, self.radii = a, radii
-        self.taylor = p * (6.0 * p * p + 6.0 * p * (p - 1.0) + abs((p - 1.0) * (p - 2.0))
-                           + 2.0 * (p + 2.0) / math.sqrt(3.0)) / 6.0
 
     def atoms(self, d, rows):
         d /= self.radii[rows]
         _psi(d, self.a, inplace=True)
 
-    def expand(self, u, quad, inv, work, leaf_w, trace, rows):
-        # W psi + p psi (1 - psi) / u^2 ((p + 2 - 2 p psi) Q - tr) / 2
+    def expand(self, u, quad, trace, scale, weight, rows=None):
+        """Overwrite the distances u with W psi plus the quadrupole, from
+        quad = Q (overwritten too), trace = tr S, scale and the block weight W."""
         p = self.power
-        u /= self.radii[rows]
-        _psi(u, self.a, inplace=True)
-        np.multiply(u, -2.0 * p, out=work)
+        if self.radii is not None:
+            u /= self.radii[rows]
+        psi = _psi(u, self.a, inplace=True)
+        work = np.multiply(psi, -2.0 * p)
         work += p + 2.0
         quad *= work
         quad -= trace
-        np.subtract(1.0, u, out=work)
-        work *= u
-        work *= 0.5 * p
+        np.multiply(psi, 0.5 * p, out=work)
+        work *= 1.0 - psi
+        work *= scale
+        work *= scale
         quad *= work
-        quad *= inv
-        u *= leaf_w
-        u += quad
-        return u
+        psi *= weight
+        psi += quad
+        return psi
 
 
 def eps_mu_a(measure, x, t, a):

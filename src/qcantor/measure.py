@@ -148,6 +148,12 @@ class LeafBlocks(NamedTuple):
     atoms: int
 
 
+def _taylor(power):
+    """(k)_3 / 6 = k (k + 1) (k + 2) / 6: the third-order remainder constant
+    of a kernel of power k, |x|^-k or psi_a with k = 1 + a (``_leaf_sums``)."""
+    return power * (power + 1.0) * (power + 2.0) / 6.0
+
+
 def _leaf_sums(measure, centres, kernel):
     """Per row c of centres (rows, 2), sum_j w_j k(|c - y_j|) over the atoms
     y_j of the measure, leaf by leaf over ``measure.blocks``, and the largest
@@ -157,7 +163,7 @@ def _leaf_sums(measure, centres, kernel):
     radius rho lies at u = |y - c| from c.  Where gap = u - rho exceeds
     kernel.radius and the kernel's remainder share
 
-        kernel.taylor * x^3 * (1 + 2 x)^kernel.power,   x = rho / gap,
+        (k)_3 / 6 * x^3 * (1 + 2 x)^k,   x = rho / gap,   k = kernel.power,
 
     (so 1 + 2 x = (u + rho) / gap) is at most EXPANSION_BUDGET of the
     leaf's exact share, the leaf is replaced by its monopole plus quadrupole
@@ -166,13 +172,13 @@ def _leaf_sums(measure, centres, kernel):
         W k(u) + (k''(u) Q + k'(u) / u (tr - Q)) / 2,   Q = d.(w S) d,
         tr = w tr S,   d = (y - c) / u,
 
-    which ``kernel.expand(u, Q, 1 / u^2, work, W, tr, rows)`` forms over u
-    (work is free scratch of u's shape; rows selects the kernel's per-row
-    parameters).  Elsewhere the leaf's atoms are summed as the flat route
-    does: ``kernel.atoms(d, rows)`` turns their distances d into kernel
-    values in place, and the weights multiply them.  A share that is not
-    finite is never taken.  Neither kernel method may call anything
-    bench/tracer.py traces: they run on ``_distance_rows``' pool threads.
+    which ``kernel.expand(u, Q, tr, 1 / u, W, rows)`` forms over u (rows
+    selects the kernel's per-row parameters).  Elsewhere the leaf's atoms are
+    summed as the flat route does: ``kernel.atoms(d, rows)`` turns their
+    distances d into kernel values in place, and the weights multiply them.
+    A share that is not finite is never taken.  Neither kernel method may
+    call anything bench/tracer.py traces: they run on ``_distance_rows``'
+    pool threads.
     """
     blocks = measure.blocks
     s, n_leaves = blocks.atoms, blocks.centroids.shape[0]
@@ -183,7 +189,8 @@ def _leaf_sums(measure, centres, kernel):
     rho = blocks.radii
     mx, my = blocks.centroids[:, 0], blocks.centroids[:, 1]
     px, py = (measure.points[:, k].reshape(n_leaves, s) for k in (0, 1))
-    radius, taylor, power = kernel.radius, kernel.taylor, kernel.power
+    radius, power = kernel.radius, kernel.power
+    taylor = _taylor(power)
     shares = np.zeros(centres.shape[0])
 
     def expand(u, lo, hi):
@@ -203,20 +210,23 @@ def _leaf_sums(measure, centres, kernel):
             t *= taylor
             far &= t <= EXPANSION_BUDGET
         share = np.max(t, axis=1, where=far, initial=0.0)
-        dx, dy = np.subtract(mx, c[:, 0:1], out=x), np.subtract(my, c[:, 1:2], out=t)
-        quad = dx * dy
-        quad *= sxy
-        dx *= dx
-        dx *= sxx
-        quad += dx
-        dy *= dy
-        dy *= syy
-        quad += dy
-        inv = np.multiply(u, u, out=dx)
+        # x and t become the unit direction d, then x the scale 1 / u
+        np.subtract(mx, c[:, 0:1], out=x)
+        np.subtract(my, c[:, 1:2], out=t)
         with np.errstate(invalid="ignore"):  # u = 0 is a near pair, replaced later
-            np.reciprocal(inv, out=inv)
-            quad *= inv
-            u = kernel.expand(u, quad, inv, dy, leaf_w, trace, slice(lo, hi))
+            x /= u
+            t /= u
+            quad = np.multiply(x, sxy)
+            quad *= t
+            x *= x
+            x *= sxx
+            quad += x
+            t *= t
+            t *= syy
+            quad += t
+            del t  # the kernel's scratch takes its place
+            u = kernel.expand(u, quad, trace, np.divide(1.0, u, out=x), leaf_w,
+                              slice(lo, hi))
         return u, far, share
 
     def leaf_sums(u, lo, hi):
@@ -235,8 +245,9 @@ def _leaf_sums(measure, centres, kernel):
             u[i, j] = np.sum(d, axis=1)
         return np.sum(u, axis=1)
 
-    # leaf_sums holds up to four more arrays of u's size: x, t and quad, or
-    # the near pairs' indices and atom coordinates
+    # leaf_sums holds up to four more arrays of u's size: x, t and quad, then
+    # x, quad and the kernel's two scratch arrays, or the near pairs' indices
+    # and atom coordinates
     vals = _distance_rows(blocks.centroids, centres, centres.shape[0], leaf_sums, extra=4)
     return vals, float(shares.max(initial=0.0))
 

@@ -286,21 +286,6 @@ def _inv_r2(xi, yi, xj, yj, xk, yk, out, work=None):
     return out
 
 
-def _inv_circumradius_sq(x, y, z):
-    """1/R^2 of the triangles of the points x, y, z (..., 2), by _inv_r2."""
-    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape, z.shape)[:-1])
-    return _inv_r2(x[..., 0], x[..., 1], y[..., 0], y[..., 1], z[..., 0], z[..., 1], out)
-
-
-def circumradius(x, y, z) -> float:
-    """Radius of the circle through three points; inf when collinear."""
-    inv_sq = float(_inv_circumradius_sq(x, y, z))
-    if inv_sq == 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(inv_sq)
-
-
 #: forward steps from a guide-table start before a draw finishes by binary search
 _GUIDE_STEPS = 4
 
@@ -444,32 +429,6 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
         _inv_r2(px[qi], py[qi], x[:m], y[:m], x[m:], y[m:], v, work(m))
         sup = max(sup, total ** 2 * float(np.mean(v)))
     return CurvatureEstimate(value, stderr, sup, int(triples), seed)
-
-
-def linear_growth_constant(measure, k_min, k_max, points=None) -> float:
-    """sup over sampled (x, 2^k) of mu(B(x, 2^k)) / 2^k.
-
-    Evaluation at atom locations biases the sup upward, which is the safe
-    direction for an admissibility constraint.
-    """
-    if measure.n_atoms == 0:
-        raise ValueError("measure must be nonempty")
-    if points is None:
-        points = np.vstack([measure.points, measure.support_center()[None, :]])
-    radii = np.power(2.0, np.arange(k_min, k_max + 1, dtype=float))
-    best = 0.0
-    for x in np.asarray(points, dtype=float):
-        masses = measure.ball_mass_profile(x, radii)
-        best = max(best, float(np.max(masses / radii)))
-    return best
-
-
-def dyadic_curvature_proxy(measure, x, k_min, k_max) -> float:
-    """sum_k (mu(B(x, 2^k)) / 2^k)^2, the cheap upper surrogate for
-    growth^2 + pointwise curvature."""
-    radii = np.power(2.0, np.arange(k_min, k_max + 1, dtype=float))
-    masses = measure.ball_mass_profile(x, radii)
-    return float(np.sum((masses / radii) ** 2))
 
 
 def standard_query_points(realization, side, seed=0):

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gauges import psi_a
-from .measure import LeafBlocks, PlanarMeasure
+from .gauges import _PsiKernel, psi_a
+from .measure import LeafBlocks, PlanarMeasure, _taylor
 from . import cantor
 
 #: largest block of kernel terms evaluated at once by eps_by_generation
@@ -225,17 +225,15 @@ class CantorRealization:
         A kept ring is summed over blocks, the generation-l nodes below its
         siblings (l >= k), each replaced by its moments about its centroid
         (``_blocks``).  Every segment from a centroid to an atom of its block
-        stays in the sibling's disk, at least gap from the node's center.
-        The third directional derivative of |x|^-q is at most
-        (q)_3 |x|^-(q+3) (Gegenbauer), and psi_a(u) = sum_m (-1)^(m+1)
-        u^-(m p) for u > 1, p = 1 + a, so the Taylor remainder of ring j is
-        at most a share
+        stays in the sibling's disk, at least gap from the node's center,
+        where the psi_a kernel's remainder bound (``gauges._PsiKernel``)
+        makes ring j's Taylor remainder at most a share
 
-            B_j (1 + x) (p)_3 (1 + 4x + x^2) / (6 (1 - x)^4) * (rho_l / gap)^3
+            B_j (p)_3 / 6 * (rho_l / gap)^3,   p = 1 + a,
 
-        of eps, with x = u^-p and rho_l the largest block radius about the
-        centroid at generation l.  Each ring takes the first l whose bound is
-        at most (2**-53 - tail) / L, and is summed over its exact atoms
+        of eps, with rho_l the largest block radius about the centroid at
+        generation l.  Each ring takes the first l whose bound is at most
+        (2**-53 - tail) / L, and is summed over its exact atoms
         (l = depth + 1) when none is, or when the blocks are single atoms.
         Computed once and cached per (side, a).
         """
@@ -251,7 +249,7 @@ class CantorRealization:
         tree, depth, p = self.tree, self.depth, 1.0 + a
         counts = tree.node_counts
         radii = [float(rad.max()) for *_, rad in self._blocks(side)]
-        taylor = p * (p + 1.0) * (p + 2.0) / 6.0
+        taylor = _taylor(p)
         for g in range(depth + 1):
             log_r = tree.log_radius(side, g)
             share, far = [0.0] * (g + 1), [None] * (g + 1)
@@ -267,10 +265,7 @@ class CantorRealization:
                 log_psi = -(max(t, 0.0) + math.log1p(math.exp(-abs(t))))
                 share[j] = math.exp(math.log(2.0 * (m - 1) * counts[g] / counts[k])
                                     + log_psi)
-                x = math.exp(-max(t, 0.0))
-                if x < 1.0:  # u > 1: the expansion converges
-                    far[j] = (share[j] * (1.0 + x) * taylor * (1.0 + 4.0 * x + x * x)
-                              / (1.0 - x) ** 4, math.exp(log_gap))
+                far[j] = share[j] * taylor, math.exp(log_gap)
             rings, tail = g, 0.0
             while rings > 0 and tail + share[rings] <= _BUDGET - _REMAINDER:
                 tail += share[rings]
@@ -356,11 +351,10 @@ class CantorRealization:
         Ring 0 is summed over its atoms exactly.  Each kept ring j >= 1 of the
         plan (``eps_rings``) is summed in the frame of the generation-(g - j)
         ancestor, the frame arithmetic of ``node_atom_distances``: over its
-        exact atoms, or over its blocks' centroid expansions
-        W psi_a(|mu - c| / r) + tr(H S) / 2, whose dipole term vanishes about
-        the centroid.  Farther rings are dropped.  The result is within the
-        plan's bound (tail plus remainders, at most 2**-53) of the exact eps,
-        on either side.  Cached per (side, a).
+        exact atoms, or over its blocks' monopoles plus quadrupoles about their
+        centroids (``_PsiKernel.expand``).  Farther rings are dropped.  The
+        result is within the plan's bound (tail plus remainders, at most
+        2**-53) of the exact eps, on either side.  Cached per (side, a).
         """
         key = (side, float(a))
         if key not in self._eps_cache:
@@ -427,7 +421,7 @@ class CantorRealization:
         out = np.zeros((per_group, groups))
         m_step = max(1, min(members, _CHUNK // groups))
         n_step = max(1, _CHUNK // (m_step * groups))
-        p = 1.0 + a
+        kernel = _PsiKernel(a)
         for m0 in range(0, members, m_step):
             y = data[:, m0:m0 + m_step, None]
             for n0 in range(0, per_group, n_step):
@@ -435,20 +429,15 @@ class CantorRealization:
                 dx, dy = y[0] - c[0], y[1] - c[1]
                 with np.errstate(over="ignore"):  # past 1e154 radii: u = inf, psi = 0
                     u = np.sqrt(dx * dx + dy * dy)
-                psi = psi_a(u, a)
-                if q is not None:
-                    # tr(H S) / 2 of psi_a(|y - c| / r) for the block moments
-                    # S = r_level^2 (sxx, 2 sxy, syy), with psi (1 - psi) =
-                    # u^p psi^2 and (dx, dy) turned into the unit direction
+                if q is None:
+                    psi = psi_a(u, a)
+                else:
+                    # the block moments S = r_level^2 (sxx, 2 sxy, syy) along
+                    # the unit direction, with scale r_level / |y - c|
                     dx /= u
                     dy /= u
                     quad = dx * (y[2] * dx + y[3] * dy) + y[4] * dy * dy
-                    quad *= (p + 2.0) - 2.0 * p * psi
-                    quad -= y[2] + y[4]
-                    u = q / u  # r_level / |y - c|
-                    quad *= (0.5 * p) * psi * (1.0 - psi) * u * u
-                    psi *= weight
-                    psi += quad
+                    psi = kernel.expand(u, quad, y[2] + y[4], q / u, weight)
                 out[n0:n0 + n_step] += psi.sum(axis=0)
         return out.T.ravel()
 

@@ -1,12 +1,13 @@
 """Fixtures and oracles that only the tests use: test clouds, a hand-set
-node gauge, absolute node centres, reference realization frames and the
-brute-force content."""
+node gauge, absolute node centres, reference realization frames, the
+brute-force content, circumradii and dyadic growth and curvature surrogates."""
 import math
 
 import numpy as np
 
 from qcantor import cantor
 from qcantor.measure import LeafBlocks, PlanarMeasure
+from qcantor.potentials import _inv_r2
 
 
 def uniform_disk(n, seed=0):
@@ -119,3 +120,44 @@ def content_by_enumeration(tree, table):
         cover = np.concatenate([cover, cover | bits])
         cost = np.concatenate([cost, cost + table[node]])
     return float(cost[cover == (1 << len(leaves)) - 1].min())
+
+
+def inv_circumradius_sq(x, y, z):
+    """1/R^2 of the triangles of the points x, y, z (..., 2), by _inv_r2."""
+    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape, z.shape)[:-1])
+    return _inv_r2(x[..., 0], x[..., 1], y[..., 0], y[..., 1], z[..., 0], z[..., 1], out)
+
+
+def circumradius(x, y, z) -> float:
+    """Radius of the circle through three points; inf when collinear."""
+    inv_sq = float(inv_circumradius_sq(x, y, z))
+    if inv_sq == 0.0:
+        return math.inf
+    return 1.0 / math.sqrt(inv_sq)
+
+
+def linear_growth_constant(measure, k_min, k_max, points=None) -> float:
+    """sup over sampled (x, 2^k) of mu(B(x, 2^k)) / 2^k.
+
+    Evaluation at atom locations biases the sup upward, which is the safe
+    direction for an admissibility constraint.
+    """
+    if measure.n_atoms == 0:
+        raise ValueError("measure must be nonempty")
+    if points is None:
+        points = np.vstack([measure.points, measure.support_center()[None, :]])
+    radii = np.power(2.0, np.arange(k_min, k_max + 1, dtype=float))
+    best = 0.0
+    for x in np.asarray(points, dtype=float):
+        masses = measure.ball_mass_profile(x, radii)
+        best = max(best, float(np.max(masses / radii)))
+    return best
+
+
+def dyadic_curvature_proxy(measure, x, k_min, k_max) -> float:
+    """sum_k (mu(B(x, 2^k)) / 2^k)^2, the cheap upper surrogate for
+    growth^2 + pointwise curvature."""
+    radii = np.power(2.0, np.arange(k_min, k_max + 1, dtype=float))
+    masses = measure.ball_mass_profile(x, radii)
+    return float(np.sum((masses / radii) ** 2))

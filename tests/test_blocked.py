@@ -17,8 +17,7 @@ from qcantor.cantor import SOURCE, build_tree, harmonic_schedule
 from qcantor.cli import main
 from qcantor.gauges import eps_mu_a
 from qcantor.measure import PlanarMeasure
-from qcantor.potentials import (_inv_circumradius_sq, menger_curvature, riesz_potential,
-                                wolff_dyadic)
+from qcantor.potentials import menger_curvature, riesz_potential, wolff_dyadic
 
 import support
 
@@ -90,7 +89,7 @@ def _one_shot_curvature(measure, triples, seed):
     idx = rng.choice(n, size=(int(triples), 3), p=prob)
     i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
     distinct = (i != j) & (j != k) & (i != k)
-    vals = np.where(distinct, _inv_circumradius_sq(pts[i], pts[j], pts[k]), 0.0)
+    vals = np.where(distinct, support.inv_circumradius_sq(pts[i], pts[j], pts[k]), 0.0)
     scale = total ** 3
     value = scale * float(np.mean(vals))
     stderr = scale * float(np.std(vals)) / math.sqrt(len(vals))
@@ -101,7 +100,7 @@ def _one_shot_curvature(measure, triples, seed):
         jj = rng.choice(n, size=m, p=prob)
         kk = rng.choice(n, size=m, p=prob)
         ok = (jj != kk) & (jj != qi) & (kk != qi)
-        v = np.where(ok, _inv_circumradius_sq(pts[qi][None, :], pts[jj], pts[kk]), 0.0)
+        v = np.where(ok, support.inv_circumradius_sq(pts[qi][None, :], pts[jj], pts[kk]), 0.0)
         sup = max(sup, total ** 2 * float(np.mean(v)))
     return value, stderr, sup
 

@@ -141,6 +141,25 @@ def test_tree_estimate_records_normalization():
     assert est.convention == WOLFF_SUP
     assert est.normalization["sup"] > 0
     assert "tree_paths" in est.normalization["query_set"]
+    # the ideal mass defect log prod_{k <= N} M_k R_k^2: the ideal masses of
+    # generation 4 sum to about e^-34.5, while the estimate takes mass 1
+    defect = est.normalization["log_ideal_total"]
+    assert defect == math.log(tree.n_nodes(4)) + tree.log_mass(4, "ideal")
+    assert defect == pytest.approx(-34.5, abs=0.05)
+    assert est.normalization["mass"] == 1.0
+
+
+def test_finite_tree_capacity_is_finite_where_the_limit_diverges():
+    # depth 12: the divergence diagnosis fires on the realized masses, but the
+    # finite tree's Wolff sup (about 0.0059) gives a positive capacity
+    tree = build_tree(harmonic_schedule(2.0, 12), 12)
+    idx = distortion_indices(2.0)
+    est = wolff_capacity_lower(tree, idx, side=SOURCE, mass_convention="realized")
+    record = est.normalization
+    assert record["divergence_rate"] > 0.0
+    assert record["sup"] == pytest.approx(0.0059, rel=0.01)
+    assert est.value > 0.0
+    assert est.value == record["mass"] * record["sup"] ** (-1.0 / idx.conjugate_minus_one)
 
 
 def test_depth_zero_tree_estimate_finite():

@@ -293,7 +293,7 @@ def test_ball_centred_inside_a_leaf_takes_its_atoms(monkeypatch):
     assert abs(near / eps_mu_a(flat, outside, 0.1 * rho, 0.1) - 1.0) > 1e-6
 
 
-@pytest.mark.parametrize("a", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("a", [0.1, 1.0, 3.0, 10.0])
 def test_leaf_expansion_eps_error_within_its_share(monkeypatch, a):
     # depth 1: four wide leaves; balls a few leaf radii to a thousand away
     real = build_tree(harmonic_schedule(2.0, 1), 1, seed=0).realize(seed=0, samples_per_leaf=64)

@@ -11,9 +11,8 @@ from qcantor.cantor import SOURCE, TARGET, ConfigError, build_tree, doubly_expon
 from qcantor.capacity import distortion_indices
 from qcantor.measure import PlanarMeasure
 from qcantor import potentials
-from qcantor.potentials import (IndexDomainError, _guide_table, _invert_cdf, circumradius,
-                                default_dyadic_range, dyadic_curvature_proxy,
-                                linear_growth_constant, menger_curvature, riesz_potential,
+from qcantor.potentials import (IndexDomainError, _guide_table, _invert_cdf,
+                                default_dyadic_range, menger_curvature, riesz_potential,
                                 standard_query_points, wolff_dyadic, wolff_tree)
 
 import support
@@ -194,19 +193,19 @@ def test_riesz_uniform_disk_closed_form():
 
 
 def test_circumradius_right_triangle():
-    assert circumradius((0, 0), (1, 0), (0, 1)) == pytest.approx(math.sqrt(2) / 2,
-                                                                 rel=1e-14)
+    assert support.circumradius((0, 0), (1, 0), (0, 1)) == pytest.approx(math.sqrt(2) / 2,
+                                                                         rel=1e-14)
 
 
 def test_circumradius_equilateral():
     h = math.sqrt(3) / 2
-    assert circumradius((0, 0), (1, 0), (0.5, h)) == pytest.approx(1 / math.sqrt(3),
-                                                                   rel=1e-12)
+    assert support.circumradius((0, 0), (1, 0), (0.5, h)) == pytest.approx(1 / math.sqrt(3),
+                                                                           rel=1e-12)
 
 
 def test_circumradius_collinear_infinite():
-    assert circumradius((0, 0), (1, 0), (2, 0)) == math.inf
-    assert circumradius((0, 0), (0, 0), (1, 0)) == math.inf
+    assert support.circumradius((0, 0), (1, 0), (2, 0)) == math.inf
+    assert support.circumradius((0, 0), (0, 0), (1, 0)) == math.inf
 
 
 def test_curvature_line_measure_zero():
@@ -379,32 +378,32 @@ def test_sampler_draws_the_indices_and_state_of_choice(weights):
 
 def test_growth_single_atom_unbounded():
     mu = PlanarMeasure(np.zeros((1, 2)), np.ones(1))
-    assert linear_growth_constant(mu, -40, 0) >= 2.0 ** 40
+    assert support.linear_growth_constant(mu, -40, 0) >= 2.0 ** 40
 
 
 def test_growth_uniform_disk():
     mu = support.uniform_disk(20_000, seed=6)
-    got = linear_growth_constant(mu, -8, 4, points=np.zeros((1, 2)))
+    got = support.linear_growth_constant(mu, -8, 4, points=np.zeros((1, 2)))
     # mu(B(0,r)) = r^2 for r <= 1, so sup over dyadic radii of r is 1
     assert got == pytest.approx(1.0, rel=0.05)
 
 
 def test_growth_scales_linearly_in_mass():
     mu = support.uniform_disk(500, seed=7)
-    a = linear_growth_constant(mu, -10, 2)
-    b = linear_growth_constant(PlanarMeasure(mu.points, mu.weights * 3.0), -10, 2)
+    a = support.linear_growth_constant(mu, -10, 2)
+    b = support.linear_growth_constant(PlanarMeasure(mu.points, mu.weights * 3.0), -10, 2)
     assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
 def test_proxy_empty_annuli_zero():
     mu = PlanarMeasure(np.array([[10.0, 0.0]]), np.ones(1))
-    assert dyadic_curvature_proxy(mu, (0.0, 0.0), -10, 2) == 0.0
+    assert support.dyadic_curvature_proxy(mu, (0.0, 0.0), -10, 2) == 0.0
 
 
 def test_proxy_dominates_growth_term():
     mu = support.uniform_disk(300, seed=9)
     x = (0.1, 0.2)
-    proxy = dyadic_curvature_proxy(mu, x, -12, 3)
+    proxy = support.dyadic_curvature_proxy(mu, x, -12, 3)
     radii = 2.0 ** np.arange(-12, 4, dtype=float)
     best = max((mu.ball_mass(x, r) / r) ** 2 for r in radii)
     assert proxy >= best
@@ -416,7 +415,7 @@ def test_proxy_matches_tree_sum_within_factor(tree_k2_d3, real_k2_d3):
                             mass_convention="realized").total
     k_range = default_dyadic_range(tree_k2_d3, TARGET)
     for x in real_k2_d3.leaf_centers(TARGET)[:10]:
-        proxy = dyadic_curvature_proxy(mu, x, *k_range)
+        proxy = support.dyadic_curvature_proxy(mu, x, *k_range)
         assert 1.0 / 8.0 <= proxy / tree_total <= 8.0
 
 

@@ -77,19 +77,19 @@ def test_dropped_ring_share_within_recorded_bound(realized, side):
     assert dropped_somewhere
 
 
-def _ring_errors(real, side):
+def _ring_errors(real, side, a=A):
     """Per planned ring of each sampled node: (level, k, |batched - exact| / eps,
     planned remainder), with ring j of a generation-g node facing the siblings
     of its generation-k ancestor, k = g - j + 1, and the exact ring sum taken
     from the per-node oracle's distances."""
     tree, s = real.tree, real.samples_per_leaf
-    plans, frames = real.eps_rings(side, A), real._frames(side)
-    rings = [list(real._ring_sums(side, g, A, plan.levels, frames))
+    plans, frames = real.eps_rings(side, a), real._frames(side)
+    rings = [list(real._ring_sums(side, g, a, plan.levels, frames))
              for g, plan in enumerate(plans)]
     for path in _sampled_paths(tree):
         g = len(path)
         r = np.exp(tree.log_radius(side, g))
-        terms = psi_a(real.node_atom_distances(side, path) / r, A)  # equal weights
+        terms = psi_a(real.node_atom_distances(side, path) / r, a)  # equal weights
         i = tree.node_index(path)
         for j, (level, rem) in enumerate(zip(plans[g].levels, plans[g].remainders), start=1):
             lo, hi = real.leaf_range(path[:g - j])
@@ -111,14 +111,16 @@ def test_expansion_error_within_planned_remainder(realized, side):
 
 def test_remainder_bounds_truncation_at_a_loose_budget(realized, monkeypatch):
     # a 2**-16 budget expands the target rings at their own generation, where
-    # the truncation error stands far above rounding and tests the bound itself
+    # the truncation error stands far above rounding and tests the bound itself;
+    # from a = 3 on this budget drops every ring, leaving nothing to expand
     monkeypatch.setattr(realization, "_BUDGET", 2.0 ** -16)
     monkeypatch.setattr(realization, "_REMAINDER", 2.0 ** -17)
     real = realized.tree.realize(seed=3, samples_per_leaf=realized.samples_per_leaf)
-    errors = list(_ring_errors(real, TARGET))
-    assert all(err <= rem + ROUNDOFF for *_, err, rem in errors)
-    if realized.samples_per_leaf == 4:
-        assert max(err for *_, err, _ in errors) > 1e3 * ROUNDOFF
+    for a in (A, 1.0):
+        errors = list(_ring_errors(real, TARGET, a))
+        assert all(err <= rem + ROUNDOFF for *_, err, rem in errors)
+        if realized.samples_per_leaf == 4:
+            assert max(err for *_, err, _ in errors) > 1e3 * ROUNDOFF
 
 
 def test_fill_work_counter_depth_8():
