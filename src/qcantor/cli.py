@@ -207,8 +207,10 @@ def _cmd_content(args):
     gauge = _make_gauge(args.gauge, real, args.side)
     content = content_Mh_tree(gauge)
     frost = frostman_tree(gauge)
+    # the gauge's relative error bound, shared by content and frostman
     _emit(args, {"content": content.value, "gauge": content.gauge,
-                 "cover_size": len(content.cover), "frostman": frost.value},
+                 "cover_size": len(content.cover), "frostman": frost.value,
+                 "far_field_bound": content.far_field_bound},
           f"content: M^h={content.value:.17g} frostman={frost.value:.17g} "
           f"cover={len(content.cover)} balls")
     return 0

@@ -31,7 +31,7 @@ import numpy as np
 from .cantor import SOURCE, TARGET, ConfigError, _check_side
 from .measure import _distance_rows, _leaf_sums
 
-#: largest sample_ball_pairs count: its pairs are drawn one at a time
+#: largest sample_ball_pairs count: its pairs are built one at a time
 MAX_PAIRS = 1 << 16
 
 
@@ -136,13 +136,14 @@ def eps_mu_a(measure, x, t, a):
     Without blocks each ball sums psi_a over every atom, n terms; one
     centre's distance row is computed once and shared by its radii.  On a
     measure with blocks (``CantorRealization.measure`` at more than one
-    sample per leaf) each ball takes each leaf's monopole plus quadrupole
-    about its centroid wherever the ball's centre lies outside the leaf and
-    the a-priori third-order remainder (``_PsiKernel``) is at most
-    EXPANSION_BUDGET of the leaf's share, and the leaf's atoms otherwise
-    (``measure._leaf_sums``): one term per leaf plus the atoms of the near
-    (ball, leaf) pairs, each leaf's share within EXPANSION_BUDGET of its
-    exact value, relative.
+    sample per leaf) a block is admissible for a ball whose centre lies
+    outside it where the a-priori third-order remainder (``_PsiKernel``) is
+    at most EXPANSION_BUDGET of its share (``measure._leaf_sums``).  Each
+    ball takes the coarsest tree generation whose every block is
+    admissible, one monopole plus quadrupole about the centroid per block,
+    and a ball that none above the leaves serves takes each admissible
+    leaf's expansion and the other leaves' atoms; every block's share is
+    within EXPANSION_BUDGET of its exact value, relative.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr > 0.0):
@@ -265,22 +266,25 @@ class DoublingReport:
 def sample_ball_pairs(center, spread, n, seed, log_r_range=(-8.0, 0.0)):
     """Admissible comparability pairs: |x - y| <= 2r and r/2 <= s <= 2r.
 
-    More than MAX_PAIRS pairs are refused before any is drawn.
+    Pair i reads row i of one rng.random((n, 6)) draw as the uniforms of x
+    (two), log r, the angle and length of y - x, and s / r, each mapped to
+    its range as low + (high - low) u, which is numpy's uniform(low, high)
+    on the same stream; exp, cos and sin are math's, pair by pair.  More
+    than MAX_PAIRS pairs are refused before any is drawn.
     """
     if n > MAX_PAIRS:
-        raise ConfigError(f"--pairs {n}: at most {MAX_PAIRS} (the pairs are drawn one "
+        raise ConfigError(f"--pairs {n}: at most {MAX_PAIRS} (the pairs are built one "
                           "at a time)")
-    rng = np.random.default_rng(seed)
-    center = np.asarray(center, dtype=float)
+    u = np.random.default_rng(seed).random((n, 6))
+    lo, hi = (float(v) for v in log_r_range)
+    xs = np.asarray(center, dtype=float) + spread * (-1.0 + 2.0 * u[:, :2])
     pairs = []
-    for _ in range(n):
-        x = center + spread * rng.uniform(-1.0, 1.0, size=2)
-        r = math.exp(rng.uniform(*log_r_range))
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        rad = rng.uniform(0.0, 2.0 * r)
+    for x, (_, _, v_r, v_phi, v_rad, v_s) in zip(xs, u.tolist()):
+        r = math.exp(lo + (hi - lo) * v_r)
+        phi = 2.0 * np.pi * v_phi
+        rad = 2.0 * r * v_rad
         y = x + rad * np.array([math.cos(phi), math.sin(phi)])
-        s = r * rng.uniform(0.5, 2.0)
-        pairs.append(((x, r), (y, s)))
+        pairs.append(((x, r), (y, r * (0.5 + 1.5 * v_s))))
     return pairs
 
 

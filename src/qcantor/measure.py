@@ -140,12 +140,23 @@ class LeafBlocks(NamedTuple):
     second moments (sxx, sxy, syy) of its atom positions about the centroid,
     unweighted, and the largest atom distance from the centroid (to within
     the rounding of a few additions per tree generation, far below
-    LEAF_MARGIN times the largest coordinate magnitude)."""
+    LEAF_MARGIN times the largest coordinate magnitude).
+
+    ``coarser`` holds the blocks of the coarser tree generations, coarse to
+    fine, each a LeafBlocks of the same atoms in larger consecutive groups
+    (and no ``coarser`` of its own), whose radii may exceed the largest
+    atom distance: they bound it."""
 
     centroids: np.ndarray
     moments: np.ndarray
     radii: np.ndarray
     atoms: int
+    coarser: tuple = ()
+
+    @property
+    def levels(self) -> tuple:
+        """Every generation's blocks, coarse to fine: ``coarser``, then the leaves."""
+        return (*self.coarser, self)
 
 
 def _taylor(power):
@@ -156,50 +167,73 @@ def _taylor(power):
 
 def _leaf_sums(measure, centres, kernel):
     """Per row c of centres (rows, 2), sum_j w_j k(|c - y_j|) over the atoms
-    y_j of the measure, leaf by leaf over ``measure.blocks``, and the largest
-    remainder share taken.
+    y_j of the measure, block by block over ``measure.blocks``, and the
+    largest remainder share taken.
 
-    A leaf of weight W, atom weight w, centroid y, second moments S and
-    radius rho lies at u = |y - c| from c.  Where gap = u - rho exceeds
-    kernel.radius and the kernel's remainder share
+    A block of weight W, atom weight w, centroid y, second moments S and
+    radius rho lies at u = |y - c| from c.  It is admissible for c where
+    gap = u - rho exceeds kernel.radius and the kernel's remainder share
 
         (k)_3 / 6 * x^3 * (1 + 2 x)^k,   x = rho / gap,   k = kernel.power,
 
     (so 1 + 2 x = (u + rho) / gap) is at most EXPANSION_BUDGET of the
-    leaf's exact share, the leaf is replaced by its monopole plus quadrupole
+    block's exact share; it is then replaced by its monopole plus quadrupole
     about the centroid (the dipole vanishes there),
 
         W k(u) + (k''(u) Q + k'(u) / u (tr - Q)) / 2,   Q = d.(w S) d,
         tr = w tr S,   d = (y - c) / u,
 
     which ``kernel.expand(u, Q, tr, 1 / u, W, rows)`` forms over u (rows
-    selects the kernel's per-row parameters).  Elsewhere the leaf's atoms are
-    summed as the flat route does: ``kernel.atoms(d, rows)`` turns their
-    distances d into kernel values in place, and the weights multiply them.
-    A share that is not finite is never taken.  Neither kernel method may
-    call anything bench/tracer.py traces: they run on ``_distance_rows``'
-    pool threads.
+    selects the kernel's per-row parameters).
+
+    Each row takes the coarsest generation of ``blocks.levels`` whose every
+    block is admissible for it, and is the sum of their expansions.  A row
+    that no generation above the leaves serves is summed leaf by leaf: the
+    admissible leaves by their expansions, the others as the flat route
+    does, ``kernel.atoms(d, rows)`` turning their atoms' distances d into
+    kernel values in place and the weights multiplying them.  A row's value
+    so depends on that row alone.  A share that is not finite is never
+    taken.  Neither kernel method may call anything bench/tracer.py traces:
+    they run on ``_distance_rows``' pool threads.
     """
-    blocks = measure.blocks
-    s, n_leaves = blocks.atoms, blocks.centroids.shape[0]
-    leaf_w, w, _ = measure._leaves
+    rows = centres.shape[0]
+    vals, shares = np.empty(rows), np.zeros(rows)
+    todo = np.arange(rows)
+    *coarse, leaves = measure._levels
+    for level in coarse:
+        if todo.size:
+            todo = _block_sums(measure, level, centres, todo, kernel, vals, shares)
+    if todo.size:
+        _block_sums(measure, leaves, centres, todo, kernel, vals, shares, exact=True)
+    return vals, float(shares.max(initial=0.0))
+
+
+def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False):
+    """``_leaf_sums`` of the rows todo over one generation's blocks: writes
+    the values and shares of the rows it serves into vals and shares, and
+    returns the others.  It serves the rows whose every block is admissible,
+    and every row when exact (a block that is not admissible then gives its
+    atoms)."""
+    blocks, block_w, w = level
+    s, n_blocks = blocks.atoms, blocks.centroids.shape[0]
     sxx, sxy, syy = (w * mom for mom in blocks.moments.T)
     sxy *= 2.0
     trace = sxx + syy
     rho = blocks.radii
     mx, my = blocks.centroids[:, 0], blocks.centroids[:, 1]
-    px, py = (measure.points[:, k].reshape(n_leaves, s) for k in (0, 1))
+    px, py = (measure.points[:, k].reshape(n_blocks, s) for k in (0, 1))
     radius, power = kernel.radius, kernel.power
     taylor = _taylor(power)
-    shares = np.zeros(centres.shape[0])
+    centres = centres[todo]
+    share, served = np.zeros(todo.size), np.ones(todo.size, dtype=bool)
 
     def expand(u, lo, hi):
-        """Overwrite u with the expansions; the mask of the pairs that take
-        them, and the largest remainder share among those."""
+        """Overwrite u with the expansions; the mask of the admissible
+        pairs, and the largest remainder share among those."""
         c = centres[lo:hi]
         x = u - rho
         far = x > radius
-        with np.errstate(invalid="ignore"):  # a pair inside its leaf: inf or nan, not far
+        with np.errstate(invalid="ignore"):  # a pair inside its block: inf or nan, not far
             np.maximum(x, radius, out=x)
             np.divide(rho, x, out=x)
             t = 2.0 * x
@@ -225,13 +259,15 @@ def _leaf_sums(measure, centres, kernel):
             t *= syy
             quad += t
             del t  # the kernel's scratch takes its place
-            u = kernel.expand(u, quad, trace, np.divide(1.0, u, out=x), leaf_w,
-                              slice(lo, hi))
+            u = kernel.expand(u, quad, trace, np.divide(1.0, u, out=x), block_w, todo[lo:hi])
         return u, far, share
 
-    def leaf_sums(u, lo, hi):
-        u, far, shares[lo:hi] = expand(u, lo, hi)
-        # the near leaves' atoms, in pieces no larger than this block of pairs
+    def block_sums(u, lo, hi):
+        u, far, share[lo:hi] = expand(u, lo, hi)
+        if not exact:
+            served[lo:hi] = np.all(far, axis=1)
+            return np.sum(u, axis=1)
+        # the near blocks' atoms, in pieces no larger than this block of pairs
         rows, cols = np.nonzero(~far)
         step = max(1, u.size // s)
         for k in range(0, rows.size, step):
@@ -240,28 +276,33 @@ def _leaf_sums(measure, centres, kernel):
             d -= centres[lo + i, 0:1]
             e -= centres[lo + i, 1:2]
             np.hypot(d, e, out=d)
-            kernel.atoms(d, lo + i)
+            kernel.atoms(d, todo[lo + i])
             d *= w[j, None]
             u[i, j] = np.sum(d, axis=1)
         return np.sum(u, axis=1)
 
-    # leaf_sums holds up to four more arrays of u's size: x, t and quad, then
+    # block_sums holds up to four more arrays of u's size: x, t and quad, then
     # x, quad and the kernel's two scratch arrays, or the near pairs' indices
     # and atom coordinates
-    vals = _distance_rows(blocks.centroids, centres, centres.shape[0], leaf_sums, extra=4)
-    return vals, float(shares.max(initial=0.0))
+    out = _distance_rows(blocks.centroids, centres, todo.size, block_sums, extra=4)
+    vals[todo[served]] = out[served]
+    shares[todo[served]] = share[served]
+    return todo[~served]
 
 
 @dataclass(frozen=True)
 class PlanarMeasure:
     """Atoms ``points[i]`` with nonnegative weights ``weights[i]``.
 
-    ``blocks`` optionally groups the atoms into leaves (``LeafBlocks``), as
-    ``CantorRealization.measure`` does; the kernels that read it
-    (``eps_mu_a``, ``direct_capacity_lower``, ``ball_mass_profile``) then
-    work leaf by leaf.  Blocks must cover the atoms, with equal weights
-    within each leaf; blocks of one atom per leaf are dropped, since each
-    such leaf is its atom.
+    ``blocks`` optionally groups the atoms into leaves (``LeafBlocks``), and
+    through ``blocks.coarser`` into the blocks of coarser tree generations,
+    as ``CantorRealization.measure`` does; the kernels that read it
+    (``eps_mu_a``, ``direct_capacity_lower``, ``riesz_potential``) then take
+    each query at the coarsest generation that serves it, and
+    ``ball_mass_profile`` and ``diameter`` work leaf by leaf.  Every
+    generation's blocks must cover the atoms, with equal weights within each
+    block; blocks of one atom per leaf are dropped, since each such leaf is
+    its atom.
     """
 
     points: np.ndarray
@@ -286,24 +327,33 @@ class PlanarMeasure:
         object.__setattr__(self, "weights", w)
         blocks = self.blocks
         if blocks is not None:
-            s, n_leaves = blocks.atoms, blocks.centroids.shape[0]
-            if n_leaves * s != pts.shape[0]:
-                raise ValueError(f"blocks of {n_leaves} leaves x {s} atoms do not cover the "
-                                 f"{pts.shape[0]}-atom measure")
-            leaves = w.reshape(n_leaves, s)
-            if np.any(leaves != leaves[:, :1]):
-                raise ValueError("atoms of one leaf must carry equal weights")
-            if s == 1:
+            for level in blocks.levels:
+                s, n_blocks = level.atoms, level.centroids.shape[0]
+                if n_blocks * s != pts.shape[0]:
+                    raise ValueError(f"{n_blocks} blocks x {s} atoms do not cover the "
+                                     f"{pts.shape[0]}-atom measure")
+                group = w.reshape(n_blocks, s)
+                if np.any(group != group[:, :1]):
+                    raise ValueError("atoms of one block must carry equal weights")
+            if blocks.atoms == 1:
                 object.__setattr__(self, "blocks", None)
 
     @functools.cached_property
-    def _leaves(self):
-        """Per leaf of the blocks, its weight and its atoms' common weight, and
-        the largest coordinate magnitude any leaf reaches, |centroid| + radius."""
+    def _levels(self):
+        """Per generation of the blocks, coarse to fine: the blocks, each
+        block's weight and its atoms' common weight."""
+        out = []
+        for level in self.blocks.levels:
+            weights = self.weights.reshape(-1, level.atoms)
+            out.append((level, weights.sum(axis=1), weights[:, 0]))
+        return out
+
+    @functools.cached_property
+    def _extent(self) -> float:
+        """The largest coordinate magnitude any leaf reaches, |centroid| + radius."""
         blocks = self.blocks
-        weights = self.weights.reshape(-1, blocks.atoms)
         extent = np.abs(blocks.centroids).max(axis=1) + blocks.radii
-        return weights.sum(axis=1), weights[:, 0], float(extent.max(initial=0.0))
+        return float(extent.max(initial=0.0))
 
     @property
     def n_atoms(self) -> int:
@@ -323,61 +373,100 @@ class PlanarMeasure:
 
     def ball_mass_profile(self, center, radii) -> np.ndarray:
         """Closed-ball masses for an array of radii: the atoms whose computed
-        distance (``distances``) is at most the radius.
+        distance (``distances``) is at most the radius.  center is one
+        centre (2,), giving an array of radii's shape, or many (m, 2),
+        giving one such row per centre; a single centre is one row of the
+        batch, bit for bit.
 
-        Without blocks every atom's distance is sorted, n terms.  With blocks
-        a leaf at computed centroid distance u and radius rho lies wholly
-        inside a ball of radius R when u + rho + m <= R and wholly outside
-        when u - rho - m > R.  The margin m = LEAF_MARGIN * S, S the largest
+        Each row weighs items, each keyed at a distance: a key counts
+        towards every radius at or above it, so the row is the running sum,
+        over the sorted radii, of its items' weights binned at the first
+        radius at or above their keys.  Without blocks the items are the
+        atoms, keyed at their distances, n per row.  With blocks a leaf at
+        computed centroid distance u and radius rho lies wholly inside a
+        ball of radius R when u + rho + m <= R and wholly outside when
+        u - rho - m > R.  The margin m = LEAF_MARGIN * S, S the largest
         coordinate magnitude of the centre and the leaves' reach, covers the
         rounding of the computed distances (two subtractions and a hypot,
         under 2^-50 S each for the atoms and the centroid) and of the lifted
         coordinates behind the blocks (one rounding per generation, under
         2^-52 S each), with room for hundreds of generations.  A leaf that
-        no radius straddles so stands for its weight, keyed at u + rho + m;
-        only a straddling leaf, such as the one holding the centre, is
-        replaced by its atoms' computed distances.  Every count of atoms
-        inside a ball is then the flat count exactly, and the masses differ
-        only in the order of summation.  Cost: the leaves plus the atoms of
-        the straddling ones, instead of n.
+        no radius straddles so is one item of its weight; only a straddling
+        leaf, such as the one holding the centre, gives its atoms.  Every
+        count of atoms inside a ball is then the flat count exactly, and
+        the masses differ only in the order of summation.  Cost: the leaves
+        plus the atoms of the straddling ones per row, instead of n.  The
+        rows run in batches whose items fit BLOCK_ELEMENTS.
         """
         radii = np.asarray(radii, dtype=float)
+        x = np.asarray(center, dtype=float)
+        centres = x.reshape(-1, 2)
+        rows, n = centres.shape[0], self.n_atoms
+        order = np.argsort(radii, axis=None, kind="stable")
+        steps = radii.ravel()[order]
+        bins = steps.size + 1  # the last bin: keys above every radius
+        binned = np.empty((rows, bins))
+        step = _block_rows(2 * n)
+        for lo in range(0, rows, step):
+            c = centres[lo:lo + step]
+            row, bin_, mass = self._ball_items(c, steps)
+            bin_ += row * bins
+            binned[lo:lo + step] = np.bincount(bin_, mass, c.shape[0] * bins).reshape(-1, bins)
+        masses = np.empty((rows, steps.size))
+        masses[:, order] = np.cumsum(binned, axis=1)[:, :-1]
+        masses = masses.reshape((rows,) + radii.shape)
+        return masses[0] if x.ndim == 1 else masses
+
+    def _ball_items(self, centres, steps):
+        """(row, bin, weight) of the items that ``ball_mass_profile`` bins for
+        the centres (k, 2) and sorted radii steps, bin being the index of the
+        first radius at or above the item's key; each row's items come in a
+        fixed order, its whole leaves and then its atoms."""
+        k, n = centres.shape[0], self.n_atoms
+        cx, cy = centres[:, 0:1], centres[:, 1:2]
         blocks = self.blocks
         if blocks is None:
-            d = self.distances(center)
-            order = np.argsort(d, kind="stable")
-            cw = np.concatenate([[0.0], np.cumsum(self.weights[order])])
-            idx = np.searchsorted(d[order], radii, side="right")
-            return cw[idx]
-        x = np.asarray(center, dtype=float)
+            d = np.hypot(self.points[:, 0] - cx, self.points[:, 1] - cy)
+            return (np.arange(k).repeat(n), np.searchsorted(steps, d.ravel(), side="left"),
+                    np.tile(self.weights, k))
         mu, s = blocks.centroids, blocks.atoms
-        leaf_w, _, extent = self._leaves
-        u = np.hypot(mu[:, 0] - x[0], mu[:, 1] - x[1])
-        reach = blocks.radii + LEAF_MARGIN * max(float(np.abs(x).max()), extent)
-        inner, outer = u - reach, u + reach
-        # a leaf straddles when the first radius >= inner lies below outer
-        steps = np.append(np.sort(radii, axis=None), np.inf)
-        split = steps[np.searchsorted(steps, inner, side="left")] < outer
-        whole = np.flatnonzero(~split)
-        atoms = (np.flatnonzero(split)[:, None] * s + np.arange(s)).ravel()
-        d = self.points[atoms] - x[None, :]
-        keys = np.concatenate([outer[whole], np.hypot(d[:, 0], d[:, 1])])
-        mass = np.concatenate([leaf_w[whole], self.weights[atoms]])
-        order = np.argsort(keys, kind="stable")
-        cw = np.concatenate([[0.0], np.cumsum(mass[order])])
-        return cw[np.searchsorted(keys[order], radii, side="right")]
+        u = np.hypot(mu[:, 0] - cx, mu[:, 1] - cy)
+        scale = np.maximum(np.abs(centres).max(axis=1, keepdims=True), self._extent)
+        reach = blocks.radii + LEAF_MARGIN * scale
+        inner = np.searchsorted(steps, u - reach, side="left")
+        # a leaf straddles when some radius lies in [u - reach, u + reach)
+        split = np.searchsorted(steps, u + reach, side="left") > inner
+        whole, (row_s, leaf_s) = np.nonzero(~split), np.nonzero(split)
+        atoms = (leaf_s[:, None] * s + np.arange(s)).ravel()
+        row_a = row_s.repeat(s)
+        d = np.hypot(self.points[atoms, 0] - cx[row_a, 0], self.points[atoms, 1] - cy[row_a, 0])
+        return (np.concatenate([whole[0], row_a]),
+                np.concatenate([inner[whole], np.searchsorted(steps, d, side="left")]),
+                np.concatenate([self._levels[-1][1][whole[1]], self.weights[atoms]]))
 
     def diameter(self) -> float:
         """Exact support diameter: the largest ``hypot`` of coordinate
         differences over all atom pairs, bit for bit.
 
-        Only atoms near the convex hull boundary can attain it.  If an atom
-        p lies at distance t inside a polygon whose vertices are atoms, then
-        for every atom q the point p + t (p - q)/|p - q| is in the hull, so
-        |p - q| + t <= D, the exact diameter.  An atom is dropped when it
-        lies more than HULL_MARGIN times the bounding-box diagonal inside
-        every edge of the monotone-chain hull; the computed edge tests err
-        by under 2^-50 of the diagonal, so a dropped atom has
+        With blocks, a pair of leaves i, j at computed centroid distance u
+        holds no atom pair farther apart than u + reach_i + reach_j and
+        none closer than u - reach_i - reach_j, where reach is the leaf's
+        radius plus LEAF_MARGIN times the largest coordinate magnitude any
+        leaf reaches: the margin that covers the rounding of the computed
+        distances and of the lifted coordinates (``ball_mass_profile``).  The
+        largest lower bound over all leaf pairs is so at most the diameter,
+        every pair of leaves whose upper bound falls below it is skipped,
+        and the atom pairs of the others are maximised exactly.  Cost: the
+        leaves^2 bounds plus s^2 atom pairs per leaf pair kept, s atoms per
+        leaf.
+
+        Without blocks only atoms near the convex hull boundary can attain
+        it.  If an atom p lies at distance t inside a polygon whose vertices
+        are atoms, then for every atom q the point p + t (p - q)/|p - q| is
+        in the hull, so |p - q| + t <= D, the exact diameter.  An atom is
+        dropped when it lies more than HULL_MARGIN times the bounding-box
+        diagonal inside every edge of the monotone-chain hull; the computed
+        edge tests err by under 2^-50 of the diagonal, so a dropped atom has
         t > 2^-41 * diagonal >= 2^-41 D.  Rounding moves a computed
         distance by a few ulps (< 2^-50 D), so no pair with a dropped atom
         can exceed the computed distance of the two hull vertices that
@@ -391,9 +480,26 @@ class PlanarMeasure:
         pts = self.points
         if pts.shape[0] < 2:
             return 0.0
-        pts = np.unique(pts[_hull_candidates(pts)], axis=0)
-        return float(np.max(_distance_rows(pts, pts, pts.shape[0],
-                                           lambda d, lo, hi: np.max(d, axis=1))))
+        row_max = lambda d, lo, hi: np.max(d, axis=1)  # noqa: E731
+        blocks = self.blocks
+        if blocks is None:
+            pts = np.unique(pts[_hull_candidates(pts)], axis=0)
+            return float(np.max(_distance_rows(pts, pts, pts.shape[0], row_max)))
+        mu, s = blocks.centroids, blocks.atoms
+        reach = blocks.radii + LEAF_MARGIN * self._extent
+        lower = _distance_rows(mu, mu, mu.shape[0], lambda u, lo, hi: np.max(u - reach, axis=1))
+        best = float(np.max(lower - reach))
+        upper = _distance_rows(mu, mu, mu.shape[0], lambda u, lo, hi: np.max(u + reach, axis=1))
+        diam = 0.0
+        for i in np.flatnonzero(upper + reach >= best):
+            u = np.hypot(mu[i:, 0] - mu[i, 0], mu[i:, 1] - mu[i, 1])
+            kept = i + np.flatnonzero(u + reach[i:] + reach[i] >= best)
+            if not kept.size:  # its pairs were kept by the earlier leaves
+                continue
+            atoms = (kept[:, None] * s + np.arange(s)).ravel()
+            diam = max(diam, float(np.max(_distance_rows(pts[atoms], pts[i * s:(i + 1) * s],
+                                                         s, row_max))))
+        return diam
 
     def support_center(self) -> np.ndarray:
         lo = self.points.min(axis=0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import TARGET, ConfigError, _check_side
-from .measure import _block_rows, _distance_rows
+from .measure import _block_rows, _distance_rows, _leaf_sums
 
 LN2 = math.log(2.0)
 
@@ -173,14 +173,15 @@ def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
                             tuple(logs), divergent=divergent, divergence_rate=rate)
 
 
-def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
-    """Brute-force dyadic Wolff sum of an atom cloud at a point.
+def _dyadic_terms(measure, x, alpha, p, k_min, k_max):
+    """The dyadic Wolff terms of an atom cloud at one point x (2,) or at each
+    of many (m, 2), from one ``ball_mass_profile`` call.
 
-    Sums (mu(B(x, 2^k)) / 2^(k(2-alpha*p)))^(p'-1) for k_max >= k >= k_min
-    (closed balls, radii treated as exact dyadics) and, when requested, adds
-    the closed-form tail of a leaf-uniform density below 2^k_min,
-    term(k_min) / (alpha*p*(p'-1)), which removes the truncation bias of
-    shallow realizations.
+    Returns the exponents ks = k_max .. k_min, the log terms and terms
+    (mu(B(x, 2^k)) / 2^(k(2-alpha*p)))^(p'-1) over ks (-inf and 0 for an
+    empty ball), one row per point, and per point the closed-form tail
+    term(k_min) / (alpha*p*(p'-1)) of a leaf-uniform density below 2^k_min
+    (0 where that term is 0).
     """
     check_indices(alpha, p)
     if k_min > k_max:
@@ -191,20 +192,32 @@ def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
     homog = 2.0 - alpha * p
     ks = np.arange(k_max, k_min - 1, -1)
     radii_sorted = np.power(2.0, ks[::-1].astype(float))
-    masses = measure.ball_mass_profile(x, radii_sorted)[::-1]
+    masses = measure.ball_mass_profile(x, radii_sorted)[..., ::-1]
     logs = np.where(masses > 0,
                     eta * (np.log(np.where(masses > 0, masses, 1.0)) - homog * ks * LN2),
                     -np.inf)
     with np.errstate(over="ignore"):  # a term past the doubles is inf; one below them 0
         terms = np.exp(logs)
+    finest = terms[..., -1]
+    tails = np.where(finest > 0, finest / (alpha * p * eta), 0.0)
+    return ks, logs, terms, tails
+
+
+def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
+    """Brute-force dyadic Wolff sum of an atom cloud at a point.
+
+    Sums (mu(B(x, 2^k)) / 2^(k(2-alpha*p)))^(p'-1) for k_max >= k >= k_min
+    (closed balls, radii treated as exact dyadics) and, when requested, adds
+    the closed-form tail of a leaf-uniform density below 2^k_min,
+    term(k_min) / (alpha*p*(p'-1)), which removes the truncation bias of
+    shallow realizations (``_dyadic_terms``).
+    """
+    ks, logs, terms, tail = _dyadic_terms(measure, x, alpha, p, k_min, k_max)
     entries = tuple((int(k), float(t)) for k, t in zip(ks, terms))
-    tail = 0.0
+    # the area-law continuation below 2^k_min keeps the sum finite by model
+    tail = float(tail) if sub_scale_tail else 0.0
     divergent, rate = False, None
-    if sub_scale_tail:
-        # area-law continuation below 2^k_min: the sum is finite by model
-        if terms[-1] > 0:
-            tail = float(terms[-1]) / (alpha * p * eta)
-    else:
+    if not sub_scale_tail:
         # literal atomic measure: an atom at x makes the potential infinite,
         # and runaway growth of the finest terms is flagged heuristically
         atom_at_x = measure.ball_mass(x, 0.0) > 0.0
@@ -212,7 +225,8 @@ def wolff_dyadic(measure, x, alpha, p, k_min, k_max, sub_scale_tail=True):
         if atom_at_x:
             divergent = True
             if rate is None:
-                rate = -homog * eta  # slope of log-term vs log-scale at an atom
+                # slope of log-term vs log-scale at an atom
+                rate = -(2.0 - alpha * p) * conjugate_minus_one(p)
     return PotentialProfile(alpha, p, f"dyadic:{measure.label}", entries, tuple(logs.tolist()),
                             tail=tail, divergent=divergent, divergence_rate=rate)
 
@@ -225,13 +239,21 @@ def default_dyadic_range(tree, side):
 
 
 def riesz_potential(measure, x, alpha) -> float:
-    """I_alpha(mu)(x) = sum w_i / |x - y_i|^(2 - alpha); inf on coincidence."""
+    """I_alpha(mu)(x) = sum w_i / |x - y_i|^(2 - alpha); inf on coincidence.
+
+    On a measure with blocks the sum runs over block expansions
+    (``measure._leaf_sums`` with the uncapped ``_CappedPower``), each
+    block's share within EXPANSION_BUDGET of its exact value, relative;
+    otherwise over every atom of positive weight.
+    """
     if not (0.0 < alpha < 2.0):
         raise IndexDomainError(f"need 0 < alpha < 2, got {alpha}")
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"point x must have shape (2,), got {x.shape}")
     live = measure.weights > 0
+    if measure.blocks is not None and np.all(live):  # a dead atom at x would give inf * 0
+        return float(_leaf_sums(measure, x[None, :], _CappedPower(alpha, math.inf))[0][0])
     w = measure.weights[live]
 
     def total(d, lo, hi):
@@ -240,6 +262,44 @@ def riesz_potential(measure, x, alpha) -> float:
         return np.sum(d, axis=1)
 
     return float(_distance_rows(measure.points[live], x, 1, total)[0])
+
+
+class _CappedPower:
+    """min(|x|^-q, cap), q = 2 - alpha: the kernel of the direct-capacity
+    quadrature and, uncapped (cap = inf, so radius 0), of the Riesz sum, for
+    ``measure._leaf_sums``.
+
+    With k(u) = u^-q, k' = -q u^-(q+1) and k'' = q (q + 1) u^-(q+2), the
+    quadrupole (k'' Q + k' / u (tr - Q)) / 2 is q u^-q ((q + 2) Q - tr) / 2
+    times scale^2 = 1 / u^2.  Where gap = u - rho exceeds cap^(-1/q) no atom
+    of the leaf reaches the cap.  The third directional derivative of |x|^-q
+    is at most (q)_3 |x|^-(q+3) (Gegenbauer) on the segments from the
+    centroid to the atoms, all at least gap from the cell centre, and the
+    leaf's exact share is at least W (u + rho)^-q, so the Taylor remainder is
+    at most a share (q)_3 / 6 (rho / gap)^3 ((u + rho) / gap)^q of it.
+    """
+
+    def __init__(self, alpha, cap):
+        q = self.power = 2.0 - alpha
+        self.cap = cap
+        self.radius = cap ** (-1.0 / q)
+
+    def atoms(self, d, rows):
+        np.power(d, -self.power, out=d)
+        np.minimum(d, self.cap, out=d)
+
+    def expand(self, u, quad, trace, scale, weight, rows):
+        # u^-q (W + q scale^2 ((q + 2) Q - tr) / 2)
+        q = self.power
+        quad *= q + 2.0
+        quad -= trace
+        quad *= scale
+        quad *= scale
+        quad *= 0.5 * q
+        quad += weight
+        np.power(u, -q, out=u)
+        u *= quad
+        return u
 
 
 # -- curvature ---------------------------------------------------------------

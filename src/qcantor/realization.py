@@ -164,8 +164,8 @@ class CantorRealization:
     def measure(self, side) -> PlanarMeasure:
         """Flat atom cloud with absolute positions, formed on each call by
         lifting the leaf-frame atoms to the root frame.  At more than one
-        sample per leaf it carries ``leaf_blocks(side)``, so the flat kernels
-        that read blocks work leaf by leaf.
+        sample per leaf it carries ``leaf_blocks(side)``, every generation's
+        blocks, which the flat kernels that read blocks work over.
 
         Safe for brute-force oracles while sibling separations stay above
         the double-precision floor (depth <= 4 under the smallness
@@ -331,18 +331,23 @@ class CantorRealization:
         """Each leaf's atoms summarized about their centroid, for the far
         field of flat-cloud kernels: the centroids lifted to the root frame
         (the frame of ``measure(side)``), the second moments about them in
-        absolute units, and the largest atom distance from them.  Computed
-        once per side; the arrays are read-only and shared by every call."""
+        absolute units, and the largest atom distance from them; ``coarser``
+        holds the same for the nodes of generations 0 .. depth - 1, whose
+        radii bound their atoms' distances from the centroid (``_blocks``).
+        Computed once per side from ``_blocks(side)``; the arrays are
+        read-only and shared by every call."""
         cantor._check_side(side)
         if side not in self._leaf_block_cache:
-            mu, mom, rad = self._blocks(side)[self.depth]
-            r2 = self._radii[side][self.depth] ** 2
-            blocks = LeafBlocks(self._lift(side, mu, 0, self.depth).T,
-                                mom.T * np.array([r2, 0.5 * r2, r2]), rad.copy(),
-                                self.samples_per_leaf)
-            for arr in blocks[:3]:
-                arr.setflags(write=False)
-            self._leaf_block_cache[side] = blocks
+            levels = []
+            for g, (mu, mom, rad) in enumerate(self._blocks(side)):
+                r2 = self._radii[side][g] ** 2
+                level = LeafBlocks(self._lift(side, mu, 0, g).T,
+                                   mom.T * np.array([r2, 0.5 * r2, r2]), rad.copy(),
+                                   self.n_atoms // self.tree.node_counts[g])
+                for arr in level[:3]:
+                    arr.setflags(write=False)
+                levels.append(level)
+            self._leaf_block_cache[side] = levels[-1]._replace(coarser=tuple(levels[:-1]))
         return self._leaf_block_cache[side]
 
     def eps_by_generation(self, side, a):

@@ -161,3 +161,20 @@ def dyadic_curvature_proxy(measure, x, k_min, k_max) -> float:
     radii = np.power(2.0, np.arange(k_min, k_max + 1, dtype=float))
     masses = measure.ball_mass_profile(x, radii)
     return float(np.sum((masses / radii) ** 2))
+
+
+def sample_ball_pairs_loop(center, spread, n, seed, log_r_range=(-8.0, 0.0)):
+    """Reference copy of ``gauges.sample_ball_pairs`` as a loop of numpy
+    uniform draws, six per pair in the order x, x, log r, angle, length, s / r."""
+    rng = np.random.default_rng(seed)
+    center = np.asarray(center, dtype=float)
+    pairs = []
+    for _ in range(n):
+        x = center + spread * rng.uniform(-1.0, 1.0, size=2)
+        r = math.exp(rng.uniform(*log_r_range))
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        rad = rng.uniform(0.0, 2.0 * r)
+        y = x + rad * np.array([math.cos(phi), math.sin(phi)])
+        s = r * rng.uniform(0.5, 2.0)
+        pairs.append(((x, r), (y, s)))
+    return pairs

@@ -13,7 +13,8 @@ from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, MAX_CELL
                               wolff_capacity_lower)
 from qcantor.experiments import gauge_criterion_experiment
 from qcantor.measure import EXPANSION_BUDGET, PlanarMeasure
-from qcantor.potentials import IndexDomainError, menger_curvature
+from qcantor.potentials import (IndexDomainError, default_dyadic_range, menger_curvature,
+                                standard_query_points, wolff_dyadic)
 
 import support
 
@@ -99,6 +100,24 @@ def test_distortion_indices_match_map_at_p32():
 
 
 # -- wolff estimator ----------------------------------------------------------
+
+
+def _benchmark_tree():
+    """The tree of the flat-estimators clouds: depth 3, K = 2, seed 0."""
+    return build_tree(harmonic_schedule(2.0, 3), 3, seed=0)
+
+
+@pytest.mark.parametrize("spl", [1, 64])
+def test_oracle_sup_is_the_largest_pointwise_wolff_total(spl):
+    tree = _benchmark_tree()
+    real = tree.realize(samples_per_leaf=spl)
+    mu = real.measure(TARGET)
+    points, _ = standard_query_points(real, TARGET, seed=0)
+    k_range = default_dyadic_range(tree, TARGET)
+    idx = CapacityIndices(2.0 / 3.0, 1.5)
+    est = wolff_capacity_lower(mu, idx, query_points=points, k_range=k_range)
+    assert est.normalization["sup"] == max(wolff_dyadic(mu, x, idx.alpha, idx.p, *k_range).total
+                                           for x in points)
 
 
 def test_tree_estimate_mass_scaling_invariance():
@@ -395,6 +414,23 @@ def test_leaf_expansions_match_flat_quadrature(K, depth):
                 assert 0.0 <= record.pop("expansion_bound") <= EXPANSION_BUDGET
                 assert record == pytest.approx(flat.normalization, rel=1e-12, abs=0.0)
                 assert est.value == pytest.approx(flat.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spl", [64, 128])
+def test_benchmark_cells_take_generation_two(monkeypatch, spl):
+    mu = _benchmark_tree().realize(samples_per_leaf=spl).measure(TARGET)
+    served = {}
+    block_sums = measure_mod._block_sums
+
+    def spy(measure, level, centres, todo, *args, **kwargs):
+        rest = block_sums(measure, level, centres, todo, *args, **kwargs)
+        served[level[0].atoms // spl] = todo.size - rest.size  # leaves per block
+        return rest
+
+    monkeypatch.setattr(measure_mod, "_block_sums", spy)
+    direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=64)
+    assert sum(served.values()) == 3228
+    assert served[4] >= 3220  # the 16 generation-2 blocks
 
 
 def _corner_leaves_and_centre_leaf(cells):

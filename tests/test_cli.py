@@ -9,6 +9,7 @@ import shlex
 import pytest
 
 from qcantor import cli
+from qcantor.cantor import build_tree, schedules_from_config
 from qcantor.cli import main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -181,6 +182,22 @@ def test_content_command(config_path, tmp_path):
     doc = json.loads(open(out).read())
     assert doc["content"] > 0
     assert doc["frostman"] == pytest.approx(doc["content"], rel=1e-12)
+
+
+@pytest.mark.parametrize("side,gauge", [("source", "smoothed:a=0.1"),
+                                        ("target", "distorted:a=0.1")])
+def test_content_records_the_far_field_bound(config_path, tmp_path, side, gauge):
+    out = str(tmp_path / "content.json")
+    assert main(["content", "--config", config_path, "--side", side, "--gauge", gauge,
+                 "--depth", "2", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert set(doc) == {"content", "cover_size", "far_field_bound", "frostman", "gauge"}
+    with open(config_path) as f:
+        schedules, _, seed = schedules_from_config(json.load(f))
+    real = build_tree(schedules, 2, seed=seed).realize()
+    want = cli._make_gauge(gauge, real, side).far_field_bound()
+    assert doc["far_field_bound"] == want
+    assert 0.0 < want <= 2.0 * 2.0 ** -53
 
 
 def test_content_command_depth7_min_cut_equals_max_flow(tmp_path):

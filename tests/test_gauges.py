@@ -236,6 +236,16 @@ def test_ball_pairs_refuse_an_oversized_count_before_drawing():
     assert len(sample_ball_pairs((0.0, 0.0), 1.0, MAX_PAIRS, seed=0)) == MAX_PAIRS
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
+def test_ball_pairs_equal_the_loop_of_uniform_draws(seed):
+    for args in (((0.0, 0.0), 1.0, 200, seed), ((0.3, -2.0), 0.25, 57, seed, (-3.0, 2.0)),
+                 ((0.0, 0.0), 1.0, 0, seed)):
+        got, want = sample_ball_pairs(*args), support.sample_ball_pairs_loop(*args)
+        assert len(got) == len(want) == args[2]
+        for ((x, r), (y, s)), ((x0, r0), (y0, s0)) in zip(got, want):
+            assert (x.tolist(), r, y.tolist(), s) == (x0.tolist(), r0, y0.tolist(), s0)
+
+
 # -- leaf expansions of eps_mu_a ----------------------------------------------
 
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcantor.cantor import SOURCE, TARGET, build_tree, harmonic_schedule
+from qcantor import measure as measure_mod
 from qcantor.measure import PlanarMeasure
 
 import support
@@ -130,3 +131,62 @@ def test_leaf_blocks_of_one_atom_are_dropped():
     for atoms, kept in ((1, None), (3, 3)):
         blocks = PlanarMeasure(mu.points, mu.weights, blocks=support.leaf_blocks(mu, atoms)).blocks
         assert (blocks and blocks.atoms) == kept
+
+
+@pytest.mark.parametrize("depth,spl", [(1, 64), (3, 4), (3, 64)])
+@pytest.mark.parametrize("side", [SOURCE, TARGET])
+def test_batched_ball_mass_profile_rows_equal_single_calls(monkeypatch, side, depth, spl):
+    mu = build_tree(harmonic_schedule(2.0, depth), depth, seed=depth).realize(
+        seed=depth, samples_per_leaf=spl).measure(side)
+    ones = PlanarMeasure(mu.points, np.ones(mu.n_atoms), blocks=mu.blocks)
+    flat_ones = support.without_blocks(ones)
+    rng = np.random.default_rng(depth)
+    lo, hi = mu.points.min(axis=0), mu.points.max(axis=0)
+    centres = np.vstack([mu.points[rng.choice(mu.n_atoms, 5, replace=False)],
+                         mu.blocks.centroids[:3], rng.uniform(lo, hi, size=(3, 2))])
+    d = mu.distances(centres[0])
+    radii = np.concatenate([d[rng.choice(mu.n_atoms, 8, replace=False)],
+                            2.0 ** np.arange(-50.0, -2.0)])
+    rng.shuffle(radii)
+    radii = radii.reshape(8, -1)
+    # three centres per batch of rows
+    monkeypatch.setattr(measure_mod, "BLOCK_ELEMENTS", 6 * mu.n_atoms)
+    for m in (mu, support.without_blocks(mu), ones, flat_ones):
+        batch = m.ball_mass_profile(centres, radii)
+        assert batch.shape == (len(centres),) + radii.shape
+        for row, x in zip(batch, centres):
+            assert np.array_equal(row, m.ball_mass_profile(x, radii))
+    # unit weights: every mass is a count, and the counts are the flat ones
+    assert np.array_equal(ones.ball_mass_profile(centres, radii),
+                          flat_ones.ball_mass_profile(centres, radii))
+
+
+def _blocked(mu, atoms):
+    return PlanarMeasure(mu.points, mu.weights, blocks=support.leaf_blocks(mu, atoms))
+
+
+@pytest.mark.parametrize("depth,spl", [(1, 64), (2, 16), (3, 4), (3, 64), (3, 128)])
+@pytest.mark.parametrize("side", [SOURCE, TARGET])
+def test_blocked_diameter_equals_hull_diameter(side, depth, spl):
+    for seed in (0, 1, 2, 3):
+        mu = build_tree(harmonic_schedule(2.0, depth), depth, seed=seed).realize(
+            seed=seed, samples_per_leaf=spl).measure(side)
+        assert mu.blocks is not None
+        assert mu.diameter() == support.without_blocks(mu).diameter()
+
+
+def test_blocked_diameter_of_overlapping_and_collinear_leaves():
+    # leaves that overlap, and a segment whose leaves all lie on one line
+    for mu in (support.uniform_disk(600, seed=4), support.uniform_segment(300)):
+        for atoms in (3, 20, 300):
+            blocked = _blocked(mu, atoms)
+            assert blocked.diameter() == _diameter_oracle(mu.points)
+
+
+def test_blocked_diameter_reached_by_a_wide_leaf():
+    # the farthest centroids are those of the two narrow leaves, 6.73 apart,
+    # but an end of the wide leaf lies 8.01 from an atom of the first
+    shape = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    pts = np.vstack([3.0 * shape, [5.0, 0.0] + 0.01 * shape, [0.0, 4.5] + 0.01 * shape])
+    mu = _blocked(PlanarMeasure(pts, np.ones(12)), 4)
+    assert mu.diameter() == _diameter_oracle(mu.points) == pytest.approx(8.01)

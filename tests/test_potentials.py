@@ -170,6 +170,25 @@ def test_riesz_refuses_a_point_that_is_not_planar():
         riesz_potential(mu, [0.0, 0.0, 5.0], 1.0)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+def test_blocked_riesz_equals_the_flat_atom_sum(K, depth):
+    tree = build_tree(harmonic_schedule(K, depth), depth, seed=depth)
+    for spl in (4, 64):
+        for side in (SOURCE, TARGET):
+            mu = tree.realize(seed=depth, samples_per_leaf=spl).measure(side)
+            flat = support.without_blocks(mu)
+            assert mu.blocks is not None and mu.blocks.coarser
+            rho = float(mu.blocks.radii.max())
+            points = [(2.0, 0.0), mu.support_center(), mu.blocks.centroids[1],
+                      mu.blocks.centroids[2] + [3.0 * rho, 0.0], mu.points[5] + [0.0, 1e3 * rho]]
+            for x in points:
+                for alpha in (0.5, 1.0, 1.5):
+                    assert riesz_potential(mu, x, alpha) == pytest.approx(
+                        riesz_potential(flat, x, alpha), rel=1e-12, abs=0.0)
+            assert riesz_potential(mu, mu.points[5], 1.0) == math.inf  # an atom at x
+
+
 def test_riesz_uniform_disk_closed_form():
     # I_1 at the center of the unit-disk area measure: int_0^1 (1/r) 2r dr = 2.
     # Deterministic oracle first: equal-area rings give midpoint quadrature of
