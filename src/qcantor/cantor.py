@@ -370,22 +370,31 @@ class CantorTree:
         return CantorRealization(self, seed, samples_per_leaf)
 
     def to_json(self, max_nodes=100_000) -> str:
-        """Export per-node logs: {"path", "s_log", "t_log", "mass_log"}."""
+        """Export per-node logs: {"path", "s_log", "t_log", "mass_log"}.
+
+        The text is json.dumps(doc, sort_keys=True, separators=(",", ":")) of
+        the document with its nodes in generation order and, within a
+        generation, in path order.  A generation's nodes share their logs, so
+        each log is formatted once per generation and each node record is
+        joined from strings; the keys are written in sorted order.
+        """
         total = sum(self.n_nodes(g) for g in range(self.depth + 1))
         if total > max_nodes:
             raise ConfigError(f"depth {self.depth}: {total} nodes exceed the export cap "
                               f"of {max_nodes}")
-        nodes = []
+        dumps = json.dumps
+        records, paths = [], [""]
         for g in range(self.depth + 1):
-            log_s = self.log_radius(SOURCE, g)
-            log_t = self.log_radius(TARGET, g)
-            log_m = self.log_mass(g)
-            for path in self.paths_at(g):
-                nodes.append({"path": list(path), "s_log": log_s, "t_log": log_t,
-                              "mass_log": log_m})
-        doc = {"K": self.K, "depth": self.depth, "seed": self.seed, "scale": self.scale,
-               "nodes": nodes}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            if g:  # the children of each path, in path order
+                sep = "," if g > 1 else ""
+                paths = [f"{path}{sep}{j}" for path in paths for j in range(self.branching(g))]
+            head = f'{{"mass_log":{dumps(self.log_mass(g))},"path":['
+            tail = (f'],"s_log":{dumps(self.log_radius(SOURCE, g))},'
+                    f'"t_log":{dumps(self.log_radius(TARGET, g))}}}')
+            records += [head + path + tail for path in paths]
+        return (f'{{"K":{dumps(self.K)},"depth":{dumps(self.depth)},'
+                f'"nodes":[{",".join(records)}],'
+                f'"scale":{dumps(self.scale)},"seed":{dumps(self.seed)}}}')
 
 
 def build_tree(schedules, depth, seed=0, scale=1.0) -> CantorTree:

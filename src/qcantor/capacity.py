@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorTree, ConfigError, check_distortion
+from .cantor import CantorTree, ConfigError, ConstructionError, check_distortion
 from .measure import PlanarMeasure, _distance_rows, _leaf_sums
 from .potentials import (IndexDomainError, _CappedPower, _dyadic_terms, check_indices,
                          conjugate_minus_one, wolff_tree)
@@ -154,6 +154,67 @@ def _admissible_mass(mass, sup, indices, where) -> float:
     return value
 
 
+class TreeWolffSeries:
+    """The tree Wolff series of every prefix of one tree, from one ``wolff_tree`` call.
+
+    ``tree.prefix(depth)`` slices the tree's cumulative arrays, so under the
+    ideal convention its series is the first depth terms of the tree's own.
+    ``total(depth)`` sums that slice pairwise, as ``PotentialProfile.total``
+    does, so it is the same bits as ``wolff_tree(tree.prefix(depth), ...).total``
+    (a running ``np.cumsum`` is not).  Realized masses depend on the depth,
+    and a series with a term past the doubles is refused, so in those two
+    cases a shallower depth takes its prefix's own series: the depths below
+    the refused generation keep their values, and every other depth refuses
+    where it is read, with its prefix's message.
+    """
+
+    def __init__(self, tree, side, indices, mass_convention="ideal"):
+        self.tree, self.side, self.indices = tree, side, indices
+        self.mass_convention = mass_convention
+        self.profile = self._refusal = None
+        self._terms = np.empty(0)
+        if tree.depth:  # a depth-0 tree has no terms, and its capacity a closed form
+            try:
+                self.profile = wolff_tree(tree, side, indices.alpha, indices.p,
+                                          mass_convention=mass_convention)
+                self._terms = self.profile.contributions
+                self._terms.flags.writeable = False  # terms() hands out views
+            except IndexDomainError as exc:
+                self._refusal = exc
+
+    def terms(self, depth) -> np.ndarray:
+        """The generation terms 1..depth of ``tree.prefix(depth)``."""
+        if not 0 <= depth <= self.tree.depth:
+            raise ConstructionError(f"prefix depth {depth} outside 0..{self.tree.depth}")
+        own_depth = depth == self.tree.depth
+        if self._refusal is None and (own_depth or self.mass_convention == "ideal"):
+            return self._terms[:depth]
+        if own_depth:
+            raise self._refusal
+        return wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
+                          self.indices.p, mass_convention=self.mass_convention).contributions
+
+    def total(self, depth) -> float:
+        return float(np.sum(self.terms(depth)))
+
+    def capacity(self, depth):
+        """(sup, value) of ``wolff_capacity_lower(tree.prefix(depth), ...)``."""
+        indices, convention = self.indices, self.mass_convention
+        # ideal tree data at a generation are the same on every prefix; realized are not
+        tree = self.tree if convention == "ideal" else self.tree.prefix(depth)
+        mass = math.exp(tree.log_total_mass(convention))
+        if depth == 0:
+            # uniform unit ball: area law below the radius, constant mass above
+            eta, homog = indices.conjugate_minus_one, indices.homogeneity
+            log_ball = tree.log_mass(0, convention) - homog * math.log(tree.scale)
+            sup = math.exp(eta * log_ball) * (1.0 / ((2.0 - homog) * eta)
+                                              + 1.0 / (homog * eta))
+        else:
+            sup = self.total(depth)
+        return sup, _admissible_mass(mass, sup, indices,
+                                     f"on the {self.side} side at depth {depth}")
+
+
 def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", query_points=None,
                          k_range=None, seed=0, query_set_id=None) -> CapacityEstimate:
     """mass * S^(-1/(p'-1)) where S is the Wolff sup over the query set.
@@ -161,9 +222,10 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     The mass scaling law W(c*mu) = c^(p'-1) W(mu) makes the measure with
     potential sup exactly 1 a rescale of mu, so this is the admissible-mass
     lower estimate in the wolff_sup convention.  On a CantorTree the sup over
-    paths is the exact tree sum (path independent) at the tree's depth (pass
-    tree.prefix(depth) for a shallower one); depth-0 trees fall back to the
-    closed-form single-ball term.  A finite tree's sup is finite, so its
+    paths is the exact tree sum (path independent) at the tree's depth, the
+    one-depth case of ``TreeWolffSeries`` (which serves every prefix of a
+    tree from one series); depth-0 trees fall back to the closed-form
+    single-ball term.  A finite tree's sup is finite, so its
     value is too, also where the divergence diagnosis fires for the limit
     (the fitted rate is then recorded); a value of 0 or inf is refused.
     Every tree record carries log_ideal_total, log prod_{k <= N} M_k R_k^2:
@@ -171,29 +233,20 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     measure the sup is the largest ``wolff_dyadic`` total over the query
     points, all taken from one ``ball_mass_profile`` call.
     """
-    eta = indices.conjugate_minus_one
     if isinstance(obj, CantorTree):
         if side is None:
             raise ValueError("side required for tree estimates")
         depth = obj.depth
-        mass = math.exp(obj.log_total_mass(mass_convention))
-        if depth == 0:
-            # uniform unit ball: area law below the radius, constant mass above
-            homog = indices.homogeneity
-            log_ball = obj.log_mass(0, mass_convention) - homog * math.log(obj.scale)
-            sup = math.exp(eta * log_ball) * (1.0 / ((2.0 - homog) * eta)
-                                              + 1.0 / (homog * eta))
-            profile, query_set = None, "root_ball_closed_form"
-        else:
-            profile = wolff_tree(obj, side, indices.alpha, indices.p,
-                                 mass_convention=mass_convention)
-            sup, query_set = profile.total, f"tree_paths:{side}:depth={depth}"
-        record = {"sup": sup, "query_set": query_set,
-                  "seed": seed, "mass": mass, "mass_convention": mass_convention,
+        series = TreeWolffSeries(obj, side, indices, mass_convention)
+        sup, value = series.capacity(depth)
+        record = {"sup": sup,
+                  "query_set": f"tree_paths:{side}:depth={depth}" if depth
+                  else "root_ball_closed_form",
+                  "seed": seed, "mass": math.exp(obj.log_total_mass(mass_convention)),
+                  "mass_convention": mass_convention,
                   "log_ideal_total": math.log(obj.n_nodes(depth)) + obj.log_mass(depth, "ideal")}
-        if profile is not None and profile.divergent:
-            record["divergence_rate"] = profile.divergence_rate
-        value = _admissible_mass(mass, sup, indices, f"on the {side} side at depth {depth}")
+        if series.profile is not None and series.profile.divergent:
+            record["divergence_rate"] = series.profile.divergence_rate
         return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 
     if not isinstance(obj, PlanarMeasure):

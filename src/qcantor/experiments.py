@@ -19,11 +19,11 @@ import numpy as np
 from .cantor import SOURCE, TARGET, ConfigError, build_tree, check_distortion, \
     harmonic_schedule, shrunk_schedule, doubly_exponential_schedule, sharpness_exponent, \
     sharpness_schedule
-from .capacity import (CapacityIndices, melnikov_gamma_lower, distorted_index_map,
-                       distortion_indices, wolff_capacity_lower)
+from .capacity import (CapacityIndices, TreeWolffSeries, melnikov_gamma_lower,
+                       distorted_index_map, distortion_indices)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
                      generation_cover_sum)
-from .potentials import LN2, IndexDomainError, wolff_tree
+from .potentials import LN2, IndexDomainError, wolff_tree  # noqa: F401 (a traced alias)
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
 RATIO_STABILITY = 0.1
@@ -31,6 +31,8 @@ RATIO_STABILITY = 0.1
 #: dyadic scales k = 2..N_SCALES of the gauge-criterion sums, thinned radii
 #: log s_N <= -(N+1)^SHRINK_EXPONENT, and a in the doubly-exponential gauge
 BRANCHING, N_SCALES, SHRINK_EXPONENT, CRITERION_A = 4, 4096, 3.0, 1.0
+#: the target-side indices (2/3, 3/2) of the curvature proxy and the target sums
+TARGET_INDICES = CapacityIndices(2.0 / 3.0, 1.5)
 
 
 def _fmt(v) -> str:
@@ -180,17 +182,19 @@ def recompute_verdict(experiment, rows, thresholds):
     return _VERDICTS[experiment](rows, thresholds)
 
 
-def _sweep(experiment, K, depths, seed, schedules, row, params, thresholds, minimum=0,
+def _sweep(experiment, K, depths, seed, schedules, make_row, params, thresholds, minimum=0,
            why="a tree has no negative depth"):
     """The one depth-sweep driver.
 
     It owns the depth rule: depths as a list, none below the minimum, at least two
     and none repeated (one depth compares nothing; the sharpness fits are singular).
     Each schedule is a function of the depth and the branching; the driver builds
-    one tree per schedule at the deepest depth and BRANCHING children per node,
-    and row d is row(*prefixes) of the depth-d prefixes of those trees.  The
-    report carries K, branching, seed and depths next to the experiment's own
-    params.
+    one tree per schedule at the deepest depth and BRANCHING children per node.
+    make_row(*trees) sees those deepest trees once, where it forms each Wolff
+    series it needs as one ``TreeWolffSeries``, and returns row; row d is
+    row(*prefixes) of the depth-d prefixes of the trees, which reads its Wolff
+    sums as prefix sums of those series.  The report carries K, branching, seed
+    and depths next to the experiment's own params.
     """
     depths = list(depths)
     for depth in depths:
@@ -203,6 +207,7 @@ def _sweep(experiment, K, depths, seed, schedules, row, params, thresholds, mini
     deepest = max(depths)
     trees = [build_tree(schedule(deepest, branching=BRANCHING), deepest, seed=seed)
              for schedule in schedules]
+    row = make_row(*trees)
     rows = [row(*(tree.prefix(depth) for tree in trees)) for depth in depths]
     return ExperimentReport(experiment, {"K": K, "branching": BRANCHING, "seed": seed,
                                          "depths": depths, **params}, rows, thresholds)
@@ -210,7 +215,7 @@ def _sweep(experiment, K, depths, seed, schedules, row, params, thresholds, mini
 
 def _target_series(tree):
     """The target-side Wolff series at the pinned indices (2/3, 3/2)."""
-    return wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5)
+    return TreeWolffSeries(tree, TARGET, TARGET_INDICES)
 
 
 # -- distortion inequality experiments ---------------------------------------
@@ -236,21 +241,25 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     """
     idx = distortion_indices(K)
 
-    def row(tree):
-        lhs_est = wolff_capacity_lower(tree, idx, side=SOURCE, seed=seed)
-        diam_b = 2.0 * tree.scale
-        lhs = lhs_est.value / diam_b ** (2.0 / (K + 1.0))
-        curv_proxy = _target_series(tree).total
-        growth = _tree_growth(tree, TARGET)
-        rhs = melnikov_gamma_lower(1.0, curv_proxy, growth).value / diam_b
-        return {"depth": tree.depth, "lhs": lhs, "rhs": rhs,
-                "ratio": lhs / rhs ** (2.0 * K / (K + 1.0)),
-                "wolff_sup": lhs_est.normalization["sup"],
-                "growth": growth, "curvature_proxy": curv_proxy,
-                "realized_mass": math.exp(tree.log_total_mass()),
-                "n_leaves": tree.n_leaves}
+    def make_row(deepest):
+        source, target = TreeWolffSeries(deepest, SOURCE, idx), _target_series(deepest)
 
-    return _sweep("thm1", K, depths, seed, [functools.partial(harmonic_schedule, K)], row,
+        def row(tree):
+            sup, value = source.capacity(tree.depth)
+            diam_b = 2.0 * tree.scale
+            lhs = value / diam_b ** (2.0 / (K + 1.0))
+            curv_proxy = target.total(tree.depth)
+            growth = _tree_growth(tree, TARGET)
+            rhs = melnikov_gamma_lower(1.0, curv_proxy, growth).value / diam_b
+            return {"depth": tree.depth, "lhs": lhs, "rhs": rhs,
+                    "ratio": lhs / rhs ** (2.0 * K / (K + 1.0)),
+                    "wolff_sup": sup,
+                    "growth": growth, "curvature_proxy": curv_proxy,
+                    "realized_mass": math.exp(tree.log_total_mass()),
+                    "n_leaves": tree.n_leaves}
+        return row
+
+    return _sweep("thm1", K, depths, seed, [functools.partial(harmonic_schedule, K)], make_row,
                   {"alpha": idx.alpha, "p": idx.p,
                    "rhs_inputs": "growth and curvature proxy from ideal tree data"},
                   {"ratio_stability": RATIO_STABILITY})
@@ -264,24 +273,28 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
     di = distorted_index_map(1.0 / p, p, K)
     source_idx, target_idx = di.image, CapacityIndices(1.0 / p, p)
 
-    def row(tree):
-        try:  # the estimator names the indices; p chose them
-            lhs_est = wolff_capacity_lower(tree, source_idx, side=SOURCE, seed=seed)
-            rhs_est = wolff_capacity_lower(tree, target_idx, side=TARGET, seed=seed)
-        except IndexDomainError as exc:
-            raise ConfigError(f"thm2a: p = {p}: {exc}") from None
-        lhs = lhs_est.value / (2.0 * tree.scale) ** (2.0 / (K + 1.0))
-        rhs = rhs_est.value / (2.0 * tree.scale)
-        rhs_power = rhs ** (2.0 * K / (K + 1.0))
-        if not lhs > 0.0 < rhs_power:
-            raise ConfigError(f"thm2a: p = {p}: at depth {tree.depth} lhs {lhs:.6g} or "
-                              f"rhs^(2K/(K+1)) underflows to 0 (rhs {rhs:.6g})")
-        return {"depth": tree.depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
-                "beta": di.beta, "q": di.q,
-                "source_sup": lhs_est.normalization["sup"],
-                "target_sup": rhs_est.normalization["sup"]}
+    def make_row(deepest):
+        source = TreeWolffSeries(deepest, SOURCE, source_idx)
+        target = TreeWolffSeries(deepest, TARGET, target_idx)
 
-    return _sweep("thm2a", K, depths, seed, [functools.partial(harmonic_schedule, K)], row,
+        def row(tree):
+            try:  # the estimator names the indices; p chose them
+                source_sup, lhs_value = source.capacity(tree.depth)
+                target_sup, rhs_value = target.capacity(tree.depth)
+            except IndexDomainError as exc:
+                raise ConfigError(f"thm2a: p = {p}: {exc}") from None
+            lhs = lhs_value / (2.0 * tree.scale) ** (2.0 / (K + 1.0))
+            rhs = rhs_value / (2.0 * tree.scale)
+            rhs_power = rhs ** (2.0 * K / (K + 1.0))
+            if not lhs > 0.0 < rhs_power:
+                raise ConfigError(f"thm2a: p = {p}: at depth {tree.depth} lhs {lhs:.6g} or "
+                                  f"rhs^(2K/(K+1)) underflows to 0 (rhs {rhs:.6g})")
+            return {"depth": tree.depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
+                    "beta": di.beta, "q": di.q,
+                    "source_sup": source_sup, "target_sup": target_sup}
+        return row
+
+    return _sweep("thm2a", K, depths, seed, [functools.partial(harmonic_schedule, K)], make_row,
                   {"p": p, "beta": di.beta, "q": di.q, "t": di.t, "t_prime": di.t_prime},
                   {"ratio_stability": RATIO_STABILITY})
 
@@ -295,7 +308,8 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     decay like (ln N)^(-1/(q'-1)) (fitted exponent within 10%), and the
     source capacity at the distortion indices must stay decade-stable.
     q defaults to (3K+1)/(K+1).  The source sum is the Wolff sup of the
-    capacity estimate, one series per depth.
+    capacity estimate: one series on the deepest tree, read at each depth as
+    a prefix sum.
     """
     thm1_idx = distortion_indices(K)  # refuses a bad K, naming one too large for the doubles
     if q is None:
@@ -307,20 +321,27 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     # convergence exponent of the target terms (n+1)^(-s)
     s = (K + 1.0) / (K * q_conj_minus_1)
 
-    def row(tree):
-        tgt = _target_series(tree)
-        try:  # the estimator names the indices; q chose them and the schedule
-            cap = wolff_capacity_lower(tree, src_idx, side=SOURCE, seed=seed)
-            bounded = wolff_capacity_lower(tree, thm1_idx, side=SOURCE, seed=seed)
-        except IndexDomainError as exc:
-            raise ConfigError(f"sharpness: q = {q}: {exc}") from None
-        tail = tgt.entries[-1][1] * (tree.depth + 1) / (s - 1.0)  # integral bound
-        return {"depth": tree.depth, "source_sum": cap.normalization["sup"],
-                "target_total": tgt.total,
-                "target_tail_fraction": tail / (tgt.total + tail),
-                "capacity": cap.value, "bounded_source_capacity": bounded.value}
+    def make_row(deepest):
+        target = _target_series(deepest)
+        source = TreeWolffSeries(deepest, SOURCE, src_idx)
+        bounded = TreeWolffSeries(deepest, SOURCE, thm1_idx)
 
-    return _sweep("sharpness", K, depths, seed, [functools.partial(sharpness_schedule, K, q)], row,
+        def row(tree):
+            depth = tree.depth
+            tgt_total = target.total(depth)
+            try:  # the estimator names the indices; q chose them and the schedule
+                source_sum, cap = source.capacity(depth)
+                _, bounded_cap = bounded.capacity(depth)
+            except IndexDomainError as exc:
+                raise ConfigError(f"sharpness: q = {q}: {exc}") from None
+            tail = float(target.terms(depth)[-1]) * (depth + 1) / (s - 1.0)  # integral bound
+            return {"depth": depth, "source_sum": source_sum, "target_total": tgt_total,
+                    "target_tail_fraction": tail / (tgt_total + tail),
+                    "capacity": cap, "bounded_source_capacity": bounded_cap}
+        return row
+
+    return _sweep("sharpness", K, depths, seed, [functools.partial(sharpness_schedule, K, q)],
+                  make_row,
                   {"q": q, "beta": beta, "target_exponent": s},
                   {"slope_lo": 0.5, "slope_hi": 2.0, "r2_min": 0.99, "target_tail_max": 0.05,
                    "capacity_exponent": 1.0 / q_conj_minus_1,
@@ -345,7 +366,7 @@ def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> Exper
                 "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))}
 
     return _sweep("content_ratio", K, depths, seed, [functools.partial(harmonic_schedule, K)],
-                  row, {"a": a}, {"ratio_stability": RATIO_STABILITY})
+                  lambda deepest: row, {"a": a}, {"ratio_stability": RATIO_STABILITY})
 
 
 # -- gauge experiments --------------------------------------------------------
@@ -407,17 +428,21 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
     unit = lambda log_r: 1.0  # noqa: E731
     cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
 
-    def row(tree):
-        depth = tree.depth
-        return {"depth": depth,
-                "unit_gauge_sum": generation_cover_sum(tree, unit, depth),
-                "closed_form": (depth + 1) ** (2.0 * K / (K + 1.0)),
-                "shrunk_gauge_sum": generation_cover_sum(tree, eps, depth),
-                "source_log_radius": tree.log_radius(SOURCE, depth),
-                "target_total": _target_series(tree).total}
+    def make_row(deepest):
+        target = _target_series(deepest)
+
+        def row(tree):
+            depth = tree.depth
+            return {"depth": depth,
+                    "unit_gauge_sum": generation_cover_sum(tree, unit, depth),
+                    "closed_form": (depth + 1) ** (2.0 * K / (K + 1.0)),
+                    "shrunk_gauge_sum": generation_cover_sum(tree, eps, depth),
+                    "source_log_radius": tree.log_radius(SOURCE, depth),
+                    "target_total": target.total(depth)}
+        return row
 
     return _sweep("vanishing_content", K, depths, seed,
-                  [functools.partial(shrunk_schedule, K, source_log_cap=cap)], row,
+                  [functools.partial(shrunk_schedule, K, source_log_cap=cap)], make_row,
                   {"shrink_exponent": SHRINK_EXPONENT, "gauge": "eps=1/log(1/r)"},
                   {"closed_form_rtol": 1e-12, "vanish_factor": 1.0,
                    "target_bound": math.pi ** 2 / 6.0 - 1.0 + 1e-12},
@@ -434,18 +459,22 @@ def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentR
     """
     eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
 
-    def row(tree, harmonic_tree):
-        depth = tree.depth
-        return {"depth": depth,
-                "source_log_radius": tree.log_radius(SOURCE, depth),
-                "cap_log": -math.exp(depth),
-                "gauge_sum": generation_cover_sum(tree, eps, depth),
-                "target_total": _target_series(tree).total,
-                "harmonic_target_total": _target_series(harmonic_tree).total}
+    def make_row(deepest, harmonic_deepest):
+        target, harmonic_target = _target_series(deepest), _target_series(harmonic_deepest)
+
+        def row(tree, harmonic_tree):
+            depth = tree.depth
+            return {"depth": depth,
+                    "source_log_radius": tree.log_radius(SOURCE, depth),
+                    "cap_log": -math.exp(depth),
+                    "gauge_sum": generation_cover_sum(tree, eps, depth),
+                    "target_total": target.total(depth),
+                    "harmonic_target_total": harmonic_target.total(depth)}
+        return row
 
     return _sweep("doubly_exponential", K, depths, seed,
                   [functools.partial(doubly_exponential_schedule, K),
-                   functools.partial(harmonic_schedule, K)], row,
+                   functools.partial(harmonic_schedule, K)], make_row,
                   {"criterion_a": CRITERION_A, "gauge": f"eps=log(1/s)^(-2/{CRITERION_A})"},
                   {"schedule_equality_rtol": 1e-12},
                   minimum=1, why="eps = log(1/s)^(-2/a) is undefined at the unit root radius")

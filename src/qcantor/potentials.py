@@ -127,8 +127,11 @@ def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
     prod(M_k R_k^2) is 1 only when M_k R_k^2 = 1 (the default trees keep
     4e-4/d_k^2 per level); "realized" uses the depth-truncated area-split
     masses and matches the realized atom cloud exactly.  Contributions run
-    over generations 1..tree.depth; the root term is excluded;
-    tree.prefix(depth) gives the sum of a shallower tree.
+    over generations 1..tree.depth; the root term is excluded.  Under the
+    ideal convention the series of tree.prefix(depth) is the first depth
+    terms of this one, so ``capacity.TreeWolffSeries`` serves every depth of
+    a sweep from one call on its deepest tree; realized series are not
+    prefixes.
 
     The log-ratio is assembled per level as coefficients on sum(log R) and
     sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at

@@ -353,6 +353,41 @@ def test_tree_json_export():
     assert set(node) == {"path", "s_log", "t_log", "mass_log"}
 
 
+def _reference_tree_json(tree):
+    """The export as one json.dumps over node dicts, path by path."""
+    nodes = [{"path": list(path), "s_log": tree.log_radius(SOURCE, g),
+              "t_log": tree.log_radius(TARGET, g), "mass_log": tree.log_mass(g)}
+             for g in range(tree.depth + 1) for path in tree.paths_at(g)]
+    doc = {"K": tree.K, "depth": tree.depth, "seed": tree.seed, "scale": tree.scale,
+           "nodes": nodes}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _mixed_config_tree():
+    schedules, depth, seed = schedules_from_config(
+        {"K": 2, "depth": 3, "seed": 9,
+         "levels": [{"M": 4, "d": "example2"}, {"M": 4, "d": "harmonic"},
+                    {"M": 4, "d": {"sharpness_q": 7.0 / 3.0}}, {"M": 4, "d": 1.25}]})
+    return build_tree(schedules, depth, seed=seed)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda K=K, d=d: build_tree(harmonic_schedule(K, d, branching=4), d)
+      for K in (1.5, 2.0, 3.0) for d in (0, 1, 5)),
+    lambda: build_tree(harmonic_schedule(2.0, 3, branching=4), 3, seed=3).scaled(0.37),
+    _mixed_config_tree])
+def test_tree_json_export_is_canonical_json_bytes(make):
+    tree = make()
+    assert tree.to_json() == _reference_tree_json(tree)
+
+
+def test_tree_json_export_keeps_its_node_cap():
+    tree = build_tree(harmonic_schedule(2.0, 5, branching=4), 5)
+    assert len(json.loads(tree.to_json(max_nodes=1365))["nodes"]) == 1365
+    with pytest.raises(ConfigError, match="1365 nodes exceed the export cap of 1364"):
+        tree.to_json(max_nodes=1364)
+
+
 def test_schedule_config_roundtrip():
     cfg = {"K": 2, "depth": 3, "seed": 9,
            "levels": [{"M": 4, "d": "example2"},

@@ -8,13 +8,13 @@ from qcantor import measure as measure_mod
 from qcantor.cantor import SOURCE, TARGET, ConfigError, ConstructionError, build_tree, \
     harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, MAX_CELLS, WOLFF_SUP,
-                              CapacityEstimate, CapacityIndices, direct_capacity_lower,
-                              distorted_index_map, distortion_indices, melnikov_gamma_lower,
-                              wolff_capacity_lower)
+                              CapacityEstimate, CapacityIndices, TreeWolffSeries,
+                              direct_capacity_lower, distorted_index_map, distortion_indices,
+                              melnikov_gamma_lower, wolff_capacity_lower)
 from qcantor.experiments import gauge_criterion_experiment
 from qcantor.measure import EXPANSION_BUDGET, PlanarMeasure
 from qcantor.potentials import (IndexDomainError, default_dyadic_range, menger_curvature,
-                                standard_query_points, wolff_dyadic)
+                                standard_query_points, wolff_dyadic, wolff_tree)
 
 import support
 
@@ -128,6 +128,44 @@ def test_tree_estimate_mass_scaling_invariance():
     # both conventions rescale out the potential sup; realized just carries a
     # different (tiny) mass and a different sup
     assert a.value > 0 and b.value > 0
+
+
+@pytest.mark.parametrize("convention", ["ideal", "realized"])
+@pytest.mark.parametrize("side", [SOURCE, TARGET])
+def test_tree_series_prefixes_equal_each_prefix_own_series(side, convention):
+    tree = build_tree(sharpness_schedule(2.0, 2.5, 12, branching=4), 12, seed=2)
+    idx = distortion_indices(2.0)
+    series = TreeWolffSeries(tree, side, idx, convention)
+    for depth in (0, 1, 5, 11, 12):
+        prefix = tree.prefix(depth)
+        own = wolff_tree(prefix, side, idx.alpha, idx.p, mass_convention=convention)
+        assert series.total(depth) == own.total
+        assert np.array_equal(series.terms(depth), own.contributions)
+        est = wolff_capacity_lower(prefix, idx, side=side, mass_convention=convention)
+        assert series.capacity(depth) == (est.normalization["sup"], est.value)
+    for depth in (-1, 13):
+        with pytest.raises(ConstructionError, match=f"prefix depth {depth} outside 0..12"):
+            series.total(depth)
+
+
+def test_tree_series_refuses_exactly_the_depths_past_the_doubles():
+    # the third source term at (1.3, 1.01) is exp(851): depths 1 and 2 keep their values
+    tree = build_tree(harmonic_schedule(3.0, 4), 4)
+    idx = CapacityIndices(1.3, 1.01)
+    series = TreeWolffSeries(tree, SOURCE, idx)
+    for depth in (1, 2):
+        prefix = tree.prefix(depth)
+        assert series.total(depth) == wolff_tree(prefix, SOURCE, 1.3, 1.01).total
+        est = wolff_capacity_lower(prefix, idx, side=SOURCE)
+        assert series.capacity(depth) == (est.normalization["sup"], est.value)
+    for depth in (3, 4, 3):
+        with pytest.raises(IndexDomainError) as own:
+            wolff_tree(tree.prefix(depth), SOURCE, 1.3, 1.01)
+        assert "generation 3 (log term 851" in str(own.value)
+        for read in (series.terms, series.total, series.capacity):
+            with pytest.raises(IndexDomainError) as refused:
+                read(depth)
+            assert str(refused.value) == str(own.value)
 
 
 def test_normalized_measure_estimate_returns_mass():

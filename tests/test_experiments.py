@@ -248,3 +248,67 @@ def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
 def test_distortion_sweeps_name_a_k_too_large_for_the_doubles(run, K):
     with pytest.raises(IndexDomainError, match=re.escape(f"K = {K}: the indices it gives")):
         run(K)
+
+
+class _PerPrefixSeries:
+    """The per-prefix route: each depth's own wolff_tree and wolff_capacity_lower call."""
+
+    def __init__(self, tree, side, indices, mass_convention="ideal"):
+        self.tree, self.side, self.indices = tree, side, indices
+
+    def terms(self, depth):
+        return wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
+                          self.indices.p).contributions
+
+    def total(self, depth):
+        return wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
+                          self.indices.p).total
+
+    def capacity(self, depth):
+        est = capacity.wolff_capacity_lower(self.tree.prefix(depth), self.indices,
+                                            side=self.side)
+        return est.normalization["sup"], est.value
+
+
+_WOLFF_SWEEPS = {
+    "thm1": lambda K, depths: ex.verify_gamma_distortion(K, depths),
+    "thm2a": lambda K, depths: ex.verify_riesz_distortion(K, 2.0, depths),
+    "sharpness": lambda K, depths: ex.sharpness_experiment(K, depths=depths),
+    "sharpness-q2.5": lambda K, depths: ex.sharpness_experiment(K, q=2.5, depths=depths),
+    "thin-content": lambda K, depths: ex.vanishing_content_experiment(K, depths),
+    "doubly-exp": lambda K, depths: ex.doubly_exponential_experiment(K, depths),
+}
+
+
+@pytest.mark.parametrize("sweep,K,depths", [
+    *((name, K, depths) for K in (1.5, 2.0, 3.0)
+      for name, depths in [*((name, [8, 12, 9, 30]) for name in _WOLFF_SWEEPS
+                              if name != "sharpness-q2.5"),
+                           ("thm1", [0, 1, 3]), ("thm2a", [0, 1, 3])]),
+    ("sharpness-q2.5", 3.0, [8, 12, 9, 30])])
+def test_sweep_rows_equal_the_per_prefix_route(monkeypatch, sweep, K, depths):
+    report = _WOLFF_SWEEPS[sweep](K, depths)
+    monkeypatch.setattr(ex, "TreeWolffSeries", _PerPrefixSeries)
+    reference = _WOLFF_SWEEPS[sweep](K, depths)
+    assert [r["depth"] for r in report.rows] == depths
+    assert report.rows == reference.rows  # every column, ==
+    assert report.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("run,calls", [
+    (lambda: ex.sharpness_experiment(2.0), 3),
+    (lambda: ex.doubly_exponential_experiment(2.0), 2),
+    (lambda: ex.verify_gamma_distortion(2.0), 2),
+    (lambda: ex.verify_riesz_distortion(2.0), 2),
+    (lambda: ex.vanishing_content_experiment(2.0), 1),
+    (lambda: ex.content_distortion_experiment(2.0, depths=[2, 3]), 0)])
+def test_sweeps_make_one_wolff_tree_call_per_series(monkeypatch, run, calls):
+    seen = []
+
+    def counting(tree, *args, **kwargs):
+        seen.append(tree.depth)
+        return wolff_tree(tree, *args, **kwargs)
+
+    monkeypatch.setattr(capacity, "wolff_tree", counting)
+    report = run()
+    assert seen == [max(report.params["depths"])] * calls
