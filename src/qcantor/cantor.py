@@ -237,9 +237,10 @@ class CantorTree:
 
     Nodes are not materialized: every per-generation quantity is a prefix sum
     over the schedules, so potentials and contents at depth 64 cost O(depth).
-    A depth sweep builds one tree at its deepest depth and reads every
-    shallower depth as ``prefix(depth)``, whose arrays are slices of this
-    tree's (read-only) arrays, so the sweep does its O(depth) work once.
+    ``prefix(depth)`` is the shallower tree whose arrays are slices of this
+    tree's (read-only) arrays; a depth sweep builds one tree at its deepest
+    depth and reads every shallower depth at its index, so the sweep does its
+    O(depth) work once.
     Geometry (centers, atoms) lives in a CantorRealization.
     """
 
@@ -277,8 +278,13 @@ class CantorTree:
         cum.setflags(write=False)  # prefixes share these arrays
         for name, row in zip(self._CUMULATIVE, cum):
             setattr(self, name, row)
-        self.node_counts = tuple(itertools.accumulate(  # nodes per generation
-            (lv.branching for lv in self.schedules), operator.mul, initial=1))
+
+    @functools.cached_property
+    def node_counts(self) -> tuple:
+        """Nodes per generation, exact.  Formed on first use: at depth N the
+        counts hold O(N^2) bits, and no Wolff sweep reads them."""
+        return tuple(itertools.accumulate((lv.branching for lv in self.schedules),
+                                          operator.mul, initial=1))
 
     def prefix(self, depth) -> "CantorTree":
         """The tree of the first depth levels, equal array for array to
@@ -289,7 +295,8 @@ class CantorTree:
         tree = copy.copy(self)
         tree.depth = depth
         tree.schedules = self.schedules[:depth]
-        tree.node_counts = self.node_counts[:depth + 1]
+        if "node_counts" in vars(self):  # formed already: slice them too
+            tree.node_counts = self.node_counts[:depth + 1]
         for name in self._CUMULATIVE:
             setattr(tree, name, getattr(self, name)[:depth + 1])
         return tree

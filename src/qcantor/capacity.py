@@ -158,44 +158,58 @@ class TreeWolffSeries:
     """The tree Wolff series of every prefix of one tree, from one ``wolff_tree`` call.
 
     ``tree.prefix(depth)`` slices the tree's cumulative arrays, so under the
-    ideal convention its series is the first depth terms of the tree's own.
-    ``total(depth)`` sums that slice pairwise, as ``PotentialProfile.total``
-    does, so it is the same bits as ``wolff_tree(tree.prefix(depth), ...).total``
-    (a running ``np.cumsum`` is not).  Realized masses depend on the depth,
-    and a series with a term past the doubles is refused, so in those two
-    cases a shallower depth takes its prefix's own series: the depths below
-    the refused generation keep their values, and every other depth refuses
-    where it is read, with its prefix's message.
+    ideal convention its series is the first depth terms of the tree's own,
+    and its total (``PotentialProfile.total``, the running sum) is entry
+    depth of this series' one ``np.cumsum``: ``total(depth)`` is a lookup,
+    the same bits as ``wolff_tree(tree.prefix(depth), ...).total``.
+    Realized masses depend on the depth, and a series with a term past the
+    doubles is refused, so in those two cases a shallower depth takes its
+    prefix's own series: the depths below the refused generation keep their
+    values, and every other depth refuses where it is read, with its
+    prefix's message.
     """
 
     def __init__(self, tree, side, indices, mass_convention="ideal"):
         self.tree, self.side, self.indices = tree, side, indices
         self.mass_convention = mass_convention
         self.profile = self._refusal = None
-        self._terms = np.empty(0)
+        self._terms = self._running = np.empty(0)
         if tree.depth:  # a depth-0 tree has no terms, and its capacity a closed form
             try:
                 self.profile = wolff_tree(tree, side, indices.alpha, indices.p,
                                           mass_convention=mass_convention)
                 self._terms = self.profile.contributions
                 self._terms.flags.writeable = False  # terms() hands out views
+                self._running = self.profile.running_totals
             except IndexDomainError as exc:
                 self._refusal = exc
 
-    def terms(self, depth) -> np.ndarray:
-        """The generation terms 1..depth of ``tree.prefix(depth)``."""
+    def _own(self, depth) -> bool:
+        """Whether depth reads this series (else its prefix's own); refuses a
+        depth outside the tree, or the tree's own depth past the doubles."""
         if not 0 <= depth <= self.tree.depth:
             raise ConstructionError(f"prefix depth {depth} outside 0..{self.tree.depth}")
         own_depth = depth == self.tree.depth
         if self._refusal is None and (own_depth or self.mass_convention == "ideal"):
-            return self._terms[:depth]
+            return True
         if own_depth:
             raise self._refusal
+        return False
+
+    def _prefix_profile(self, depth):
         return wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
-                          self.indices.p, mass_convention=self.mass_convention).contributions
+                          self.indices.p, mass_convention=self.mass_convention)
+
+    def terms(self, depth) -> np.ndarray:
+        """The generation terms 1..depth of ``tree.prefix(depth)``."""
+        if self._own(depth):
+            return self._terms[:depth]
+        return self._prefix_profile(depth).contributions
 
     def total(self, depth) -> float:
-        return float(np.sum(self.terms(depth)))
+        if self._own(depth):
+            return float(self._running[depth - 1]) if depth else 0.0
+        return self._prefix_profile(depth).total
 
     def capacity(self, depth):
         """(sup, value) of ``wolff_capacity_lower(tree.prefix(depth), ...)``."""
@@ -256,7 +270,8 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     k_min, k_max = k_range
     _, _, terms, tails = _dyadic_terms(obj, np.asarray(query_points, dtype=float).reshape(-1, 2),
                                        indices.alpha, indices.p, k_min, k_max)
-    sup = float(np.max(np.sum(terms, axis=1) + tails, initial=0.0))
+    # each point's total is its running sum, as ``PotentialProfile.total`` takes it
+    sup = float(np.max(np.cumsum(terms, axis=1)[:, -1] + tails, initial=0.0))
     record = {"sup": sup, "query_set": query_set_id or f"points[{len(query_points)}]",
               "seed": seed, "mass": obj.total_mass, "k_range": [k_min, k_max]}
     value = _admissible_mass(obj.total_mass, sup, indices,

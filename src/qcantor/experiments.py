@@ -10,6 +10,7 @@ the depth range.  Divergence is always reported with a fitted rate.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from .capacity import (CapacityIndices, TreeWolffSeries, melnikov_gamma_lower,
                        distorted_index_map, distortion_indices)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
                      generation_cover_sum)
-from .potentials import LN2, IndexDomainError, wolff_tree  # noqa: F401 (a traced alias)
+from .potentials import LN2, IndexDomainError, line_fit
+from .potentials import wolff_tree  # noqa: F401 (a traced alias)
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
 RATIO_STABILITY = 0.1
@@ -105,7 +107,7 @@ def _verdict_ratio_stable(rows, thresholds):
 
 def _linfit(x, y):
     x, y = np.asarray(x, float), np.asarray(y, float)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = line_fit(x, y)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
@@ -192,9 +194,10 @@ def _sweep(experiment, K, depths, seed, schedules, make_row, params, thresholds,
     one tree per schedule at the deepest depth and BRANCHING children per node.
     make_row(*trees) sees those deepest trees once, where it forms each Wolff
     series it needs as one ``TreeWolffSeries``, and returns row; row d is
-    row(*prefixes) of the depth-d prefixes of the trees, which reads its Wolff
-    sums as prefix sums of those series.  The report carries K, branching, seed
-    and depths next to the experiment's own params.
+    row(d), which reads the deepest trees at index d (a prefix's arrays are
+    their slices) and its Wolff sums as lookups in those series, so a sweep
+    builds no prefix tree and does O(1) work per row.  The report carries K,
+    branching, seed and depths next to the experiment's own params.
     """
     depths = list(depths)
     for depth in depths:
@@ -208,7 +211,7 @@ def _sweep(experiment, K, depths, seed, schedules, make_row, params, thresholds,
     trees = [build_tree(schedule(deepest, branching=BRANCHING), deepest, seed=seed)
              for schedule in schedules]
     row = make_row(*trees)
-    rows = [row(*(tree.prefix(depth) for tree in trees)) for depth in depths]
+    rows = [row(depth) for depth in depths]
     return ExperimentReport(experiment, {"K": K, "branching": BRANCHING, "seed": seed,
                                          "depths": depths, **params}, rows, thresholds)
 
@@ -219,12 +222,6 @@ def _target_series(tree):
 
 
 # -- distortion inequality experiments ---------------------------------------
-
-
-def _tree_growth(tree, side) -> float:
-    """sup over the tree's generations of the ideal generation density."""
-    return max(math.exp(tree.log_mass(n, "ideal") - tree.log_radius(side, n))
-               for n in range(tree.depth + 1))
 
 
 def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
@@ -243,20 +240,25 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
 
     def make_row(deepest):
         source, target = TreeWolffSeries(deepest, SOURCE, idx), _target_series(deepest)
+        # the growth of depth N, the sup of the ideal target generation density over
+        # generations 0..N, is entry N of one running max
+        growth = list(itertools.accumulate(
+            (math.exp(deepest.log_mass(n, "ideal") - deepest.log_radius(TARGET, n))
+             for n in range(deepest.depth + 1)), max))
+        diam_b = 2.0 * deepest.scale
 
-        def row(tree):
-            sup, value = source.capacity(tree.depth)
-            diam_b = 2.0 * tree.scale
+        def row(depth):
+            sup, value = source.capacity(depth)
             lhs = value / diam_b ** (2.0 / (K + 1.0))
-            curv_proxy = target.total(tree.depth)
-            growth = _tree_growth(tree, TARGET)
-            rhs = melnikov_gamma_lower(1.0, curv_proxy, growth).value / diam_b
-            return {"depth": tree.depth, "lhs": lhs, "rhs": rhs,
+            curv_proxy = target.total(depth)
+            rhs = melnikov_gamma_lower(1.0, curv_proxy, growth[depth]).value / diam_b
+            return {"depth": depth, "lhs": lhs, "rhs": rhs,
                     "ratio": lhs / rhs ** (2.0 * K / (K + 1.0)),
                     "wolff_sup": sup,
-                    "growth": growth, "curvature_proxy": curv_proxy,
-                    "realized_mass": math.exp(tree.log_total_mass()),
-                    "n_leaves": tree.n_leaves}
+                    "growth": growth[depth], "curvature_proxy": curv_proxy,
+                    # the realized total mass of the depth-N construction
+                    "realized_mass": math.exp(float(deepest.cum_log_keep[depth])),
+                    "n_leaves": deepest.n_nodes(depth)}
         return row
 
     return _sweep("thm1", K, depths, seed, [functools.partial(harmonic_schedule, K)], make_row,
@@ -276,20 +278,21 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
     def make_row(deepest):
         source = TreeWolffSeries(deepest, SOURCE, source_idx)
         target = TreeWolffSeries(deepest, TARGET, target_idx)
+        diam_b = 2.0 * deepest.scale
 
-        def row(tree):
+        def row(depth):
             try:  # the estimator names the indices; p chose them
-                source_sup, lhs_value = source.capacity(tree.depth)
-                target_sup, rhs_value = target.capacity(tree.depth)
+                source_sup, lhs_value = source.capacity(depth)
+                target_sup, rhs_value = target.capacity(depth)
             except IndexDomainError as exc:
                 raise ConfigError(f"thm2a: p = {p}: {exc}") from None
-            lhs = lhs_value / (2.0 * tree.scale) ** (2.0 / (K + 1.0))
-            rhs = rhs_value / (2.0 * tree.scale)
+            lhs = lhs_value / diam_b ** (2.0 / (K + 1.0))
+            rhs = rhs_value / diam_b
             rhs_power = rhs ** (2.0 * K / (K + 1.0))
             if not lhs > 0.0 < rhs_power:
-                raise ConfigError(f"thm2a: p = {p}: at depth {tree.depth} lhs {lhs:.6g} or "
+                raise ConfigError(f"thm2a: p = {p}: at depth {depth} lhs {lhs:.6g} or "
                                   f"rhs^(2K/(K+1)) underflows to 0 (rhs {rhs:.6g})")
-            return {"depth": tree.depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
+            return {"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
                     "beta": di.beta, "q": di.q,
                     "source_sup": source_sup, "target_sup": target_sup}
         return row
@@ -309,7 +312,7 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     source capacity at the distortion indices must stay decade-stable.
     q defaults to (3K+1)/(K+1).  The source sum is the Wolff sup of the
     capacity estimate: one series on the deepest tree, read at each depth as
-    a prefix sum.
+    its running sum.
     """
     thm1_idx = distortion_indices(K)  # refuses a bad K, naming one too large for the doubles
     if q is None:
@@ -326,8 +329,7 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
         source = TreeWolffSeries(deepest, SOURCE, src_idx)
         bounded = TreeWolffSeries(deepest, SOURCE, thm1_idx)
 
-        def row(tree):
-            depth = tree.depth
+        def row(depth):
             tgt_total = target.total(depth)
             try:  # the estimator names the indices; q chose them and the schedule
                 source_sum, cap = source.capacity(depth)
@@ -365,8 +367,10 @@ def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> Exper
         return {"depth": tree.depth, "source_content": m_src, "target_content": m_tgt,
                 "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))}
 
+    # the one sweep that realizes, so the one whose rows build their prefix trees
     return _sweep("content_ratio", K, depths, seed, [functools.partial(harmonic_schedule, K)],
-                  lambda deepest: row, {"a": a}, {"ratio_stability": RATIO_STABILITY})
+                  lambda deepest: lambda depth: row(deepest.prefix(depth)), {"a": a},
+                  {"ratio_stability": RATIO_STABILITY})
 
 
 # -- gauge experiments --------------------------------------------------------
@@ -386,16 +390,18 @@ def gauge_criterion_experiment(K, betas=None, seed=0) -> ExperimentReport:
         betas = [float(e / (1.0 + 1.0 / K)) for e in grid]
     power = 1.0 + 1.0 / K
     ks = np.arange(2, N_SCALES + 1, dtype=float)
+    exponents = [beta * power for beta in betas]
+    # one row of terms (k ln 2)^(-e) per gauge, and one fit over the upper half of
+    # the scales for every row
+    table = (ks * LN2) ** -np.array(exponents, dtype=float)[:, None]
+    half = ks >= ks[len(ks) // 2]
+    slopes, _ = line_fit(np.log(ks[half]), np.log(table[:, half]))
+    after = ks > 1000
     rows = []
-    for beta in betas:
-        e = beta * power
-        terms = (ks * LN2) ** (-e)
-        half = ks >= ks[len(ks) // 2]
-        slope, _, _ = _linfit(np.log(ks[half]), np.log(terms[half]))
+    for beta, e, terms, slope in zip(betas, exponents, table, slopes.tolist()):
         fitted_e = -slope
         classified = "divergent" if fitted_e <= 1.0 + 1e-9 else "convergent"
         partial = float(np.sum(terms))
-        after = ks > 1000
         tail_1000 = float(np.sum(terms[after])) / partial if np.any(after) else 0.0
         if fitted_e > 1.0 + 1e-9:
             rate = "convergent"
@@ -410,8 +416,6 @@ def gauge_criterion_experiment(K, betas=None, seed=0) -> ExperimentReport:
         "gauge_criterion",
         {"K": K, "n_scales": N_SCALES, "seed": seed, "betas": [float(b) for b in betas]},
         rows, {"boundary": 1.0})
-
-
 
 
 def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentReport:
@@ -431,13 +435,12 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
     def make_row(deepest):
         target = _target_series(deepest)
 
-        def row(tree):
-            depth = tree.depth
+        def row(depth):
             return {"depth": depth,
-                    "unit_gauge_sum": generation_cover_sum(tree, unit, depth),
+                    "unit_gauge_sum": generation_cover_sum(deepest, unit, depth),
                     "closed_form": (depth + 1) ** (2.0 * K / (K + 1.0)),
-                    "shrunk_gauge_sum": generation_cover_sum(tree, eps, depth),
-                    "source_log_radius": tree.log_radius(SOURCE, depth),
+                    "shrunk_gauge_sum": generation_cover_sum(deepest, eps, depth),
+                    "source_log_radius": deepest.log_radius(SOURCE, depth),
                     "target_total": target.total(depth)}
         return row
 
@@ -462,12 +465,11 @@ def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentR
     def make_row(deepest, harmonic_deepest):
         target, harmonic_target = _target_series(deepest), _target_series(harmonic_deepest)
 
-        def row(tree, harmonic_tree):
-            depth = tree.depth
+        def row(depth):
             return {"depth": depth,
-                    "source_log_radius": tree.log_radius(SOURCE, depth),
+                    "source_log_radius": deepest.log_radius(SOURCE, depth),
                     "cap_log": -math.exp(depth),
-                    "gauge_sum": generation_cover_sum(tree, eps, depth),
+                    "gauge_sum": generation_cover_sum(deepest, eps, depth),
                     "target_total": target.total(depth),
                     "harmonic_target_total": harmonic_target.total(depth)}
         return row

@@ -227,10 +227,9 @@ def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False
     centres = centres[todo]
     share, served = np.zeros(todo.size), np.ones(todo.size, dtype=bool)
 
-    def expand(u, lo, hi):
-        """Overwrite u with the expansions; the mask of the admissible
-        pairs, and the largest remainder share among those."""
-        c = centres[lo:hi]
+    def admissible(u):
+        """The mask of the admissible pairs of the distances u, and per row
+        the largest remainder share among those."""
         x = u - rho
         far = x > radius
         with np.errstate(invalid="ignore"):  # a pair inside its block: inf or nan, not far
@@ -243,10 +242,14 @@ def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False
                 t *= x
             t *= taylor
             far &= t <= EXPANSION_BUDGET
-        share = np.max(t, axis=1, where=far, initial=0.0)
-        # x and t become the unit direction d, then x the scale 1 / u
-        np.subtract(mx, c[:, 0:1], out=x)
-        np.subtract(my, c[:, 1:2], out=t)
+        return far, np.max(t, axis=1, where=far, initial=0.0)
+
+    def expand(u, c, rows):
+        """Overwrite u, the distances of the centres c (rows todo[rows]), with
+        the expansions."""
+        # x and t are the unit direction d, then x the scale 1 / u
+        x = np.subtract(mx, c[:, 0:1])
+        t = np.subtract(my, c[:, 1:2])
         with np.errstate(invalid="ignore"):  # u = 0 is a near pair, replaced later
             x /= u
             t /= u
@@ -259,14 +262,20 @@ def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False
             t *= syy
             quad += t
             del t  # the kernel's scratch takes its place
-            u = kernel.expand(u, quad, trace, np.divide(1.0, u, out=x), block_w, todo[lo:hi])
-        return u, far, share
+            return kernel.expand(u, quad, trace, np.divide(1.0, u, out=x), block_w, todo[rows])
 
     def block_sums(u, lo, hi):
-        u, far, share[lo:hi] = expand(u, lo, hi)
+        far, share[lo:hi] = admissible(u)
         if not exact:
-            served[lo:hi] = np.all(far, axis=1)
-            return np.sum(u, axis=1)
+            # only the rows whose every block is admissible are expanded
+            ok = served[lo:hi] = np.all(far, axis=1)
+            if ok.all():  # the usual case: no copy of u
+                return np.sum(expand(u, centres[lo:hi], slice(lo, hi)), axis=1)
+            rows = lo + np.flatnonzero(ok)
+            out = np.zeros(hi - lo)
+            out[ok] = np.sum(expand(u[ok], centres[rows], rows), axis=1)
+            return out
+        u = expand(u, centres[lo:hi], slice(lo, hi))
         # the near blocks' atoms, in pieces no larger than this block of pairs
         rows, cols = np.nonzero(~far)
         step = max(1, u.size // s)

@@ -73,23 +73,39 @@ class PotentialProfile:
         return np.array([c for _, c in self.entries], dtype=float)
 
     @property
+    def running_totals(self) -> np.ndarray:
+        """The sums of the first 1, 2, ... contributions, added in order: the
+        one summation rule of every Wolff total."""
+        return np.cumsum(self.contributions)
+
+    @property
     def total(self) -> float:
-        return float(np.sum(self.contributions)) + self.tail
+        """The last running total plus the tail."""
+        running = self.running_totals
+        return (float(running[-1]) if running.size else 0.0) + self.tail
 
     def csv_rows(self):
         """(scale_label, contribution, running_total, contribution_log) rows."""
-        rows = []
-        running = 0.0
-        for (lab, c), log_c in zip(self.entries, self.log_terms):
-            running += c
-            rows.append((lab, c, running, log_c))
-        return rows
+        return [(lab, c, running, log_c) for (lab, c), running, log_c
+                in zip(self.entries, self.running_totals.tolist(), self.log_terms)]
 
 
 def _scale_x(labels, kind):
     if kind == "dyadic":
         return np.array(labels, dtype=float) * LN2
     return np.log(np.array(labels, dtype=float))
+
+
+def line_fit(x, y):
+    """The least-squares line through the points (x, y): (slope, intercept), in
+    closed form about the mean of x, slope = dx.dy / dx.dx with dx and dy the
+    centred coordinates.  y may hold several series on the one x along its
+    leading axes; slope and intercept then have those axes' shape."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x_mean, y_mean = np.mean(x), np.mean(y, axis=-1)
+    dx = x - x_mean
+    slope = (y - y_mean[..., None]) @ dx / (dx @ dx)
+    return slope, y_mean - slope * x_mean
 
 
 def diagnose_divergence(labels, contributions, kind):
@@ -114,7 +130,7 @@ def diagnose_divergence(labels, contributions, kind):
     pos = (y > 0) & np.isfinite(y)
     if np.count_nonzero(pos) < 3:
         return True, None
-    slope = np.polyfit(x[pos], np.log(y[pos]), 1)[0]
+    slope, _ = line_fit(x[pos], np.log(y[pos]))
     return True, float(slope)
 
 

@@ -108,8 +108,11 @@ class CantorRealization:
         self._offsets = {side: [None] for side in cantor.SIDES}  # index g >= 1
         for g in range(1, depth + 1):
             lv = tree.level(g)
-            x, y = cantor.pack_disks(lv.branching, lv.protect,
-                                     seed=int(rng.integers(2**32))).T
+            try:
+                x, y = cantor.pack_disks(lv.branching, lv.protect,
+                                         seed=int(rng.integers(2**32))).T
+            except cantor.PackingError as exc:
+                raise cantor.PackingError(f"level {g} (M = {lv.branching}): {exc}") from None
             phis = rng.uniform(0.0, 2.0 * np.pi, size=(counts[g - 1], 1))
             cos, sin = np.cos(phis), np.sin(phis)
             units = np.stack([cos * x - sin * y, sin * x + cos * y]).reshape(2, counts[g])

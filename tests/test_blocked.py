@@ -17,7 +17,7 @@ from qcantor.cantor import SOURCE, build_tree, harmonic_schedule
 from qcantor.cli import main
 from qcantor.gauges import eps_mu_a
 from qcantor.measure import PlanarMeasure
-from qcantor.potentials import menger_curvature, riesz_potential, wolff_dyadic
+from qcantor.potentials import _CappedPower, menger_curvature, riesz_potential, wolff_dyadic
 
 import support
 
@@ -198,3 +198,34 @@ def test_dyadic_terms_are_the_exponentials_of_their_log_terms():
         assert all(math.exp(x) == c for x, (_, c) in zip(prof.log_terms, prof.entries))
     prof = wolff_dyadic(mu, (0.0, 0.0), 0.5, 1.001, -4, 2)
     assert prof.total == 0.0 and prof.tail == 0.0
+
+
+class _CountingKernel:
+    """A kernel that records the (rows, blocks) shape of every expansion it forms."""
+
+    def __init__(self, kernel):
+        self.kernel, self.radius, self.power = kernel, kernel.radius, kernel.power
+        self.expanded = []
+
+    def atoms(self, d, rows):
+        self.kernel.atoms(d, rows)
+
+    def expand(self, u, *args):
+        self.expanded.append(u.shape)
+        return self.kernel.expand(u, *args)
+
+
+@pytest.mark.parametrize("workers,budget", [(1, None), (2, 64), (1, 1)])
+def test_each_row_is_expanded_only_at_the_generation_that_serves_it(cloud, monkeypatch,
+                                                                    workers, budget):
+    _set_pool(monkeypatch, workers, budget)
+    rho = float(cloud.blocks.radii.max())
+    # far away (the root serves), a few leaf radii off a leaf, and on atoms (the leaves)
+    centres = np.vstack([[[3.0, 0.0], [0.0, -5.0]], cloud.blocks.centroids[::7] + 3.0 * rho,
+                         cloud.points[::37], [[0.5, 0.25], [-0.2, 0.1]]])
+    kernel = _CountingKernel(_CappedPower(1.0, math.inf))
+    vals, _ = measure_mod._leaf_sums(cloud, centres, kernel)
+    assert sum(rows for rows, _ in kernel.expanded) == centres.shape[0]
+    assert len({blocks for _, blocks in kernel.expanded}) >= 3  # served at three generations
+    single = [measure_mod._leaf_sums(cloud, c[None], kernel)[0][0] for c in centres]
+    assert np.array_equal(vals, single)  # a row's value is its own, bit for bit

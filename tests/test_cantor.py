@@ -499,6 +499,17 @@ def test_prefix_equals_the_tree_built_at_its_depth(kind, scale):
         assert tree.scaled(2.0).cum_log_s.tolist() == want.scaled(2.0).cum_log_s.tolist()
 
 
+def test_node_counts_are_formed_on_first_use_and_prefixes_slice_them():
+    levels = harmonic_schedule(2.0, 9, branching=3)
+    full = build_tree(levels, 9)
+    assert "node_counts" not in vars(full)
+    lazy = full.prefix(5)
+    assert "node_counts" not in vars(lazy) and lazy.node_counts == (1, 3, 9, 27, 81, 243)
+    assert full.n_leaves == 3 ** 9
+    formed = full.prefix(5)
+    assert vars(formed)["node_counts"] == lazy.node_counts  # sliced, not formed again
+
+
 def test_prefix_shares_read_only_arrays():
     full = build_tree(harmonic_schedule(2.0, 6), 6)
     tree = full.prefix(3)

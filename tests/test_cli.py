@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import sys
 
 import pytest
 
@@ -674,3 +675,45 @@ def test_commands_leave_no_reference_cycles(config_path, tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture()
+def default_int_digits():
+    """The interpreter's default limit on int-to-str digits, 4300, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.usefixtures("default_int_digits")
+def test_thm1_refuses_a_leaf_count_it_cannot_write(tmp_path, capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli.exp, "verify_gamma_distortion",
+                        lambda *args, **kwargs: computed.append(args))
+    out = tmp_path / "v"
+    assert main(["verify", "thm1", "--K", "2", "--depths", "2,7200", "--out", str(out)]) == 2
+    assert "verify thm1: depth 7200: its n_leaves, 4^7200, has more than the 4300 digits" \
+        in capsys.readouterr().err
+    assert not out.exists() and not computed  # refused before any row
+
+
+@pytest.mark.usefixtures("default_int_digits")
+def test_thm1_writes_the_deepest_leaf_count_it_can(tmp_path):
+    # 4^7142 has 4300 digits, the interpreter's default limit
+    out = tmp_path / "v"
+    assert main(["verify", "thm1", "--K", "2", "--depths", "7141,7142", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "thm1.csv")))
+    assert [int(r["n_leaves"]) for r in rows] == [4 ** 7141, 4 ** 7142]
+
+
+def test_packing_refusal_names_the_level(tmp_path, capsys):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"K": 2, "depth": 2, "seed": 0,
+                               "levels": [{"M": 4, "d": "harmonic"},
+                                          {"M": 40000, "eps": 0.01, "d": "harmonic"}]}))
+    out = tmp_path / "content.json"
+    assert main(["content", "--config", str(cfg), "--side", "source", "--out", str(out)]) == 2
+    assert "error: level 2 (M = 40000): hex-lattice feasibility: only 36295 of 40000" \
+        in capsys.readouterr().err
+    assert not out.exists()

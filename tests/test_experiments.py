@@ -2,12 +2,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from qcantor import capacity
 from qcantor import experiments as ex
-from qcantor.cantor import SOURCE, ConfigError, build_tree, sharpness_schedule
-from qcantor.potentials import IndexDomainError, wolff_tree
+from qcantor.cantor import (SOURCE, TARGET, CantorTree, ConfigError, build_tree,
+                            harmonic_schedule, sharpness_schedule)
+from qcantor.potentials import IndexDomainError, line_fit, wolff_tree
 
 
 def test_gamma_distortion_ratio_stable_and_rows_complete():
@@ -312,3 +314,91 @@ def test_sweeps_make_one_wolff_tree_call_per_series(monkeypatch, run, calls):
     monkeypatch.setattr(capacity, "wolff_tree", counting)
     report = run()
     assert seen == [max(report.params["depths"])] * calls
+
+
+@pytest.mark.parametrize("run,prefixes", [
+    (lambda: ex.sharpness_experiment(2.0), 0),
+    (lambda: ex.doubly_exponential_experiment(2.0), 0),
+    (lambda: ex.verify_gamma_distortion(2.0, [0, 1, 4, 3]), 0),
+    (lambda: ex.verify_riesz_distortion(2.0), 0),
+    (lambda: ex.vanishing_content_experiment(2.0), 0),
+    (lambda: ex.content_distortion_experiment(2.0, depths=[2, 4, 3]), 3)])
+def test_only_content_ratio_builds_prefix_trees(monkeypatch, run, prefixes):
+    seen = []
+    prefix = CantorTree.prefix
+
+    def counting(tree, depth):
+        seen.append(depth)
+        return prefix(tree, depth)
+
+    monkeypatch.setattr(CantorTree, "prefix", counting)
+    report = run()
+    assert len(seen) == prefixes
+    if prefixes:  # one per row, at the row's depth
+        assert seen == report.params["depths"]
+
+
+@pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+def test_thm1_growth_is_each_prefix_own_max(K):
+    report = ex.verify_gamma_distortion(K, range(2, 301))
+    tree = build_tree(harmonic_schedule(K, 300), 300)
+    for row in report.rows:
+        prefix = tree.prefix(row["depth"])
+        own = max(math.exp(prefix.log_mass(n, "ideal") - prefix.log_radius(TARGET, n))
+                  for n in range(prefix.depth + 1))
+        assert row["growth"] == own  # bit for bit
+        assert row["n_leaves"] == prefix.n_leaves
+        assert row["realized_mass"] == math.exp(prefix.log_total_mass())
+
+
+def _polyfit_linfit(x, y):
+    """The reference least-squares line: np.polyfit, with _linfit's R^2."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
+
+
+def _polyfit_line(x, y):
+    """line_fit's contract, one np.polyfit per series."""
+    fits = np.array([np.polyfit(x, row, 1) for row in np.atleast_2d(y)])
+    return fits[:, 0].reshape(np.shape(y)[:-1]), fits[:, 1].reshape(np.shape(y)[:-1])
+
+
+@pytest.mark.parametrize("K", [1.0, 1.5, 2.0, 3.0, 7.0])
+def test_closed_form_gauge_fits_equal_polyfit(monkeypatch, K):
+    report = ex.gauge_criterion_experiment(K)
+    monkeypatch.setattr(ex, "line_fit", _polyfit_line)
+    reference = ex.gauge_criterion_experiment(K)
+    for got, want in zip(report.rows, reference.rows):
+        assert got["fitted_exponent"] == pytest.approx(want["fitted_exponent"], rel=1e-12)
+        assert (got["classified"], got["rate"]) == (want["classified"], want["rate"])
+        assert got["partial_sum"] == pytest.approx(want["partial_sum"], rel=1e-14)
+    assert report.verdict == reference.verdict
+
+
+@pytest.mark.parametrize("K,q", [(1.5, None), (2.0, None), (3.0, None), (3.0, 2.5)])
+def test_closed_form_sharpness_fits_equal_polyfit(monkeypatch, K, q):
+    report = ex.sharpness_experiment(K, q=q, depths=range(8, 201))
+    depths = [r["depth"] for r in report.rows]
+    inputs = [(np.log(depths), [r["source_sum"] for r in report.rows]),
+              ([math.log(math.log(d)) for d in depths],
+               np.log([r["capacity"] for r in report.rows]))]
+    for x, y in inputs:
+        got, want = ex._linfit(x, y), _polyfit_linfit(x, y)
+        assert got == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(ex, "_linfit", _polyfit_linfit)
+    assert ex.recompute_verdict("sharpness", report.rows, report.thresholds) == \
+        (report.verdict, report.passed)
+
+
+def test_line_fit_is_exact_on_a_line_and_fits_many_series_at_once():
+    x = np.array([1.0, 2.0, 4.0, 8.0])
+    slope, intercept = line_fit(x, 3.0 * x - 2.0)
+    assert slope == 3.0 and intercept == -2.0
+    ys = np.array([[1.0, 0.0, 2.0, 5.0], [0.5, 0.5, 0.5, 0.5]])
+    slopes, intercepts = line_fit(x, ys)
+    for row, s, c in zip(ys, slopes, intercepts):
+        assert (s, c) == pytest.approx(tuple(np.polyfit(x, row, 1)), rel=1e-12, abs=1e-15)

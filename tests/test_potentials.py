@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qcantor.cantor import SOURCE, TARGET, ConfigError, build_tree, doubly_exponential_schedule, \
     harmonic_schedule, sharpness_schedule, shrunk_schedule
-from qcantor.capacity import distortion_indices
+from qcantor.capacity import CapacityIndices, distortion_indices
 from qcantor.measure import PlanarMeasure
 from qcantor import potentials
 from qcantor.potentials import (IndexDomainError, _guide_table, _invert_cdf,
@@ -144,6 +144,42 @@ def test_profile_csv_rows():
     rows = prof.csv_rows()
     assert [r[0] for r in rows] == [1, 2, 3]
     assert rows[-1][2] == pytest.approx(prof.total, rel=1e-12)
+
+
+def _tree_profiles():
+    for K in (1.5, 2.0, 3.0):
+        for schedule, depth in ((harmonic_schedule(K, 64), 64),
+                                (sharpness_schedule(K, 2.5, 40), 40),
+                                (doubly_exponential_schedule(K, 9), 9)):
+            tree = build_tree(schedule, depth, seed=1)
+            for side in (SOURCE, TARGET):
+                for idx in (distortion_indices(K), CapacityIndices(2.0 / 3.0, 1.5)):
+                    for convention in ("ideal", "realized"):
+                        try:
+                            yield wolff_tree(tree, side, idx.alpha, idx.p,
+                                             mass_convention=convention)
+                        except IndexDomainError:  # a term past the doubles
+                            continue
+
+
+def test_profile_totals_are_their_csv_running_totals():
+    profiles = list(_tree_profiles())
+    assert len(profiles) > 50
+    tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=0)
+    real = tree.realize(samples_per_leaf=16)
+    for side in (SOURCE, TARGET):
+        mu = real.measure(side)
+        points, _ = standard_query_points(real, side, seed=0)
+        for x in points[:8]:
+            for tail in (True, False):
+                profiles.append(wolff_dyadic(mu, x, 2.0 / 3.0, 1.5,
+                                             *default_dyadic_range(tree, side),
+                                             sub_scale_tail=tail))
+    for prof in profiles:
+        terms = [c for _, c in prof.entries]
+        assert prof.total == prof.csv_rows()[-1][2] + prof.tail  # the same bits
+        exact = math.fsum(terms) + prof.tail
+        assert prof.total == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 # -- Riesz potential ----------------------------------------------------------
