@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import CantorTree, ConfigError, ConstructionError, check_distortion
-from .measure import PlanarMeasure, _distance_rows, _leaf_sums
+from .measure import PlanarMeasure, _kernel_sums
 from .potentials import (IndexDomainError, _CappedPower, _dyadic_terms, check_indices,
                          conjugate_minus_one, wolff_tree)
 
@@ -286,20 +286,20 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     scaling is exact) plus a closed-form far-field tail using
     I_alpha(mu)(x) <= mass / (|x - c| - diam)^{2 - alpha} beyond
     FARFIELD_FACTOR * diam.  Cells near an atom use the equal-area disk
-    average of the kernel, so no infinities propagate.  The cells are split
-    over the usable CPUs; each cell's value, and so the result, is the same
-    bits for any CPU count.
+    average of the kernel, so no infinities propagate.
 
-    Without blocks each cell sums the kernel over every live atom, about
-    0.79 * cells^2 * n terms for n atoms.  On a measure with blocks (such as
-    ``CantorRealization.measure``) a block is admissible for a cell where
-    none of its atoms reaches the cap and its third-order remainder bound is
-    at most EXPANSION_BUDGET of its exact share (``measure._leaf_sums`` with
-    ``_CappedPower``).  Each cell takes the coarsest tree generation whose
-    every block is admissible, one monopole plus quadrupole per block, and
-    a cell that none above the leaves serves takes each admissible leaf's
-    expansion and the other leaves' atoms.  On the 64-leaf benchmark clouds
-    generation 2 serves nearly every cell: 16 expansions instead of 64.
+    Each cell is one row of ``measure._kernel_sums`` with ``_CappedPower``.
+    Without blocks, or with an atom of zero weight, it sums the kernel over
+    every live atom, about 0.79 * cells^2 * n terms for n atoms.  On a
+    measure with blocks (such as ``CantorRealization.measure``) and no atom
+    of zero weight a block is admissible for a cell where none of its atoms
+    reaches the cap and its third-order remainder bound is at most
+    EXPANSION_BUDGET of its exact share (``measure._leaf_sums``).  Each cell
+    takes the coarsest tree generation whose every block is admissible, one
+    monopole plus quadrupole per block, and a cell that none above the
+    leaves serves takes each admissible leaf's expansion and the other
+    leaves' atoms.  On the 64-leaf benchmark clouds generation 2 serves
+    nearly every cell: 16 expansions instead of 64.
     Every share, and so every cell value, is within EXPANSION_BUDGET of its
     exact value, relative; the largest bound taken is recorded as
     expansion_bound.
@@ -329,20 +329,8 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     cc = cc[inside]
     rho = h / math.sqrt(math.pi)
     kernel = _CappedPower(alpha, 2.0 / alpha * rho ** (alpha - 2.0))
-    bound = None
-    if measure.blocks is None:
-        live = measure.weights > 0
-        pts, w = measure.points[live], measure.weights[live]
-
-        def cell_values(d, lo, hi):
-            # sum_j w_j min(|c - x_j|^(alpha-2), cap); an atom on c gives inf, capped
-            kernel.atoms(d, slice(lo, hi))
-            d *= w
-            return np.sum(d, axis=1)
-
-        vals = _distance_rows(pts, cc, cc.shape[0], cell_values)
-    else:
-        vals, bound = _leaf_sums(measure, cc, kernel)
+    # sum_j w_j min(|c - x_j|^(alpha-2), cap); an atom on c gives inf, capped
+    vals, bound = _kernel_sums(measure, cc, cc.shape[0], kernel)
     cell_sum = float(np.sum(vals ** p_prime)) * h * h
 
     a = (2.0 - alpha) * p_prime  # > 2 whenever 0 < alpha*p < 2

@@ -254,26 +254,11 @@ _VERIFY = {
 }
 
 
-def _check_leaf_counts(depths):
-    """Refuse a thm1 depth whose report cannot be written, before any row is computed:
-    its n_leaves column is the exact count BRANCHING^depth, written in decimal, and the
-    interpreter converts no integer of more than sys.get_int_max_str_digits() digits."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    depth, branching = max(depths), exp.BRANCHING
-    # exact where the count is within a digit of the limit, so no huge power is formed
-    if limit and (depth * math.log10(branching) > limit + 1
-                  or branching ** depth >= 10 ** limit):
-        raise ConfigError(f"verify thm1: depth {depth}: its n_leaves, {branching}^{depth}, "
-                          f"has more than the {limit} digits this interpreter writes")
-
-
 def _cmd_verify(args):
     experiment, reads = _VERIFY[args.target]
     flags = _given(args, ("depths", "p", "q", "a"), f"verify {args.target}", reads)
     if "depths" in flags:
         flags["depths"] = _parse_depths(flags["depths"])
-        if args.target == "thm1":
-            _check_leaf_counts(flags["depths"])
     _check_seed(args.seed)
     if "a" in flags:
         _check_kernel_a(flags["a"])

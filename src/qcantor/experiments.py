@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,6 +225,20 @@ def _target_series(tree):
 # -- distortion inequality experiments ---------------------------------------
 
 
+def _check_leaf_counts(depths):
+    """Refuse a thm1 depth whose report cannot be written, before any tree is built:
+    its n_leaves column is the exact count BRANCHING^depth, written in decimal, and the
+    interpreter converts no integer of more than sys.get_int_max_str_digits() digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not (limit and depths):
+        return
+    depth = max(depths)
+    # exact where the count is within a digit of the limit, so no huge power is formed
+    if depth * math.log10(BRANCHING) > limit + 1 or BRANCHING ** depth >= 10 ** limit:
+        raise ConfigError(f"verify thm1: depth {depth}: its n_leaves, {BRANCHING}^{depth}, "
+                          f"has more than the {limit} digits this interpreter writes")
+
+
 def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     """Source capacity at the distortion indices vs the analytic-capacity
     proxy of the rearranged side, normalized by ball diameters.
@@ -234,8 +249,11 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     tree data, the root mass 1) over diam of the image ball, 2 * scale;
     ratio = LHS / RHS^(2K/(K+1)).  Passes when the ratio spans less than
     one decade.  The ideal generation total prod(M_k R_k^2) is 1 only when
-    M_k R_k^2 = 1; the default trees keep 4e-4/d_k^2 per level.
+    M_k R_k^2 = 1; the default trees keep 4e-4/d_k^2 per level.  A depth
+    whose n_leaves has more digits than the interpreter writes is refused.
     """
+    depths = list(depths)
+    _check_leaf_counts(depths)
     idx = distortion_indices(K)
 
     def make_row(deepest):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import SOURCE, TARGET, ConfigError, _check_side
-from .measure import _distance_rows, _leaf_sums
+from .measure import _kernel_sums
 
 #: largest sample_ball_pairs count: its pairs are built one at a time
 MAX_PAIRS = 1 << 16
@@ -57,7 +57,7 @@ def psi_a(r, a):
 
 class _PsiKernel:
     """psi_a(r / t) with a radius t per row (radii, (rows, 1)), or t = 1 where
-    radii is None: the one psi_a expansion, for ``measure._leaf_sums`` and for
+    radii is None: the one psi_a kernel, for ``measure._kernel_sums`` and for
     the tree fill (``CantorRealization.eps_rings``).
 
     With s = r / t, p = 1 + a and h = s^p psi = 1 - psi in [0, 1), dh/ds =
@@ -133,17 +133,19 @@ def eps_mu_a(measure, x, t, a):
     anything else an array of the broadcast shape.  Every ball's value is
     the one a single-ball call gives, bit for bit.
 
-    Without blocks each ball sums psi_a over every atom, n terms; one
-    centre's distance row is computed once and shared by its radii.  On a
-    measure with blocks (``CantorRealization.measure`` at more than one
-    sample per leaf) a block is admissible for a ball whose centre lies
-    outside it where the a-priori third-order remainder (``_PsiKernel``) is
-    at most EXPANSION_BUDGET of its share (``measure._leaf_sums``).  Each
-    ball takes the coarsest tree generation whose every block is
-    admissible, one monopole plus quadrupole about the centroid per block,
-    and a ball that none above the leaves serves takes each admissible
-    leaf's expansion and the other leaves' atoms; every block's share is
-    within EXPANSION_BUDGET of its exact value, relative.
+    Each ball is one row of ``measure._kernel_sums`` with ``_PsiKernel``.
+    Without blocks, or with an atom of zero weight, it sums psi_a over the
+    atoms of positive weight; one centre's distance row is computed once
+    and shared by its radii.  On a measure with blocks
+    (``CantorRealization.measure`` at more than one sample per leaf) a block
+    is admissible for a ball whose centre lies outside it where the
+    a-priori third-order remainder (``_PsiKernel``) is at most
+    EXPANSION_BUDGET of its share (``measure._leaf_sums``).  Each ball takes
+    the coarsest tree generation whose every block is admissible, one
+    monopole plus quadrupole about the centroid per block, and a ball that
+    none above the leaves serves takes each admissible leaf's expansion and
+    the other leaves' atoms; every block's share is within EXPANSION_BUDGET
+    of its exact value, relative.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr > 0.0):
@@ -158,16 +160,7 @@ def eps_mu_a(measure, x, t, a):
     else:
         centres = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
         radii = np.broadcast_to(t_arr, shape).reshape(-1, 1)
-    kernel = _PsiKernel(a, radii)
-    if measure.blocks is None:
-        def ball_values(d, lo, hi):
-            kernel.atoms(d, slice(lo, hi))
-            d *= measure.weights
-            return np.sum(d, axis=1)
-
-        out = _distance_rows(measure.points, centres, radii.shape[0], ball_values)
-    else:
-        out, _ = _leaf_sums(measure, np.broadcast_to(centres, (radii.shape[0], 2)), kernel)
+    out, _ = _kernel_sums(measure, centres, radii.shape[0], _PsiKernel(a, radii))
     out /= radii[:, 0]
     if not shape:
         return float(out[0])

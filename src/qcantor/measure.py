@@ -7,7 +7,6 @@ its atoms. Instances are immutable after construction.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -16,7 +15,7 @@ import numpy as np
 #: atoms deeper than this fraction of the bounding-box diagonal inside the
 #: convex hull cannot attain the diameter (see PlanarMeasure.diameter)
 HULL_MARGIN = 2.0 ** -40
-#: scratch elements of one blocked kernel call, shared by all its workers
+#: scratch elements per array of one blocked kernel call
 BLOCK_ELEMENTS = 1 << 18
 #: largest remainder bound, relative to the leaf's exact share, at which a
 #: leaf-expansion kernel takes a leaf's centroid expansion: one unit round-off
@@ -26,16 +25,9 @@ EXPANSION_BUDGET = 2.0 ** -53
 LEAF_MARGIN = 2.0 ** -40
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _block_rows(row_elements, workers=1) -> int:
-    """Rows of row_elements each that fit one worker's share of the scratch."""
-    return max(1, BLOCK_ELEMENTS // workers // max(1, row_elements))
+def _block_rows(row_elements) -> int:
+    """Rows of row_elements each that fit the scratch budget, BLOCK_ELEMENTS."""
+    return max(1, BLOCK_ELEMENTS // max(1, row_elements))
 
 
 def _distance_rows(pts, centres, rows, reduce, extra=0):
@@ -43,15 +35,12 @@ def _distance_rows(pts, centres, rows, reduce, extra=0):
 
     Row i holds |c_i - y_j| over the atoms y_j of pts (n, 2): c_i is row i of
     centres (rows, 2), or one centre (2,) whose row is computed once for all.
-    reduce may overwrite d and calls nothing bench/tracer.py traces (it keeps
-    one span stack per process).  Rows run in one contiguous range per CPU in
-    a thread pool (numpy ufuncs release the GIL), in blocks of BLOCK_ELEMENTS
-    / workers elements per scratch array, each range under its own errstate
-    (np.errstate does not reach pool threads): 0^-s and powers past the
-    doubles give inf silently.  A reduce that holds up to extra more arrays
-    of d's size at once gets blocks shrunk by 2 / (2 + extra), so that the
-    call's arrays together fit the scratch of two.  No value depends on the
-    split.
+    reduce may overwrite d.  The rows run on the calling thread in blocks of
+    BLOCK_ELEMENTS elements per scratch array, under one errstate: 0^-s and
+    powers past the doubles give inf silently.  A reduce that holds up to
+    extra more arrays of d's size at once gets blocks shrunk by
+    2 / (2 + extra), so that the call's arrays together fit the scratch of
+    two.  No value depends on the block size.
     """
     n = pts.shape[0]
     px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
@@ -59,32 +48,45 @@ def _distance_rows(pts, centres, rows, reduce, extra=0):
     one = centres.ndim == 1
     row = np.hypot(px - centres[0], py - centres[1]) if one else None
     out = np.empty(rows)
-    workers = max(1, min(_cpus(), rows))
-    step = _block_rows(n * (2 + extra) // 2, workers)
-
-    def run(lo, hi):
-        d = np.empty((min(step, hi - lo), n))
-        dy = None if one else np.empty_like(d)
-        with np.errstate(divide="ignore", over="ignore"):
-            for i in range(lo, hi, step):
-                k = min(step, hi - i)
-                if one:
-                    d[:k] = row
-                else:
-                    np.subtract(px, centres[i:i + k, 0:1], out=d[:k])
-                    np.subtract(py, centres[i:i + k, 1:2], out=dy[:k])
-                    np.hypot(d[:k], dy[:k], out=d[:k])
-                out[i:i + k] = reduce(d[:k], i, i + k)
-
-    if workers == 1 or rows <= step:
-        run(0, rows)
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-    bounds = [rows * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        for f in [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
-            f.result()
+    step = _block_rows(n * (2 + extra) // 2)
+    d = np.empty((min(step, rows), n))
+    dy = None if one else np.empty_like(d)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(0, rows, step):
+            k = min(step, rows - i)
+            if one:
+                d[:k] = row
+            else:
+                np.subtract(px, centres[i:i + k, 0:1], out=d[:k])
+                np.subtract(py, centres[i:i + k, 1:2], out=dy[:k])
+                np.hypot(d[:k], dy[:k], out=d[:k])
+            out[i:i + k] = reduce(d[:k], i, i + k)
     return out
+
+
+def _kernel_sums(measure, centres, rows, kernel):
+    """Per row i, sum_j w_j k(|c_i - y_j|) over the atoms y_j of the measure,
+    and the largest remainder share taken (None on the atom route).
+
+    The one route of the flat kernels (``eps_mu_a``, ``direct_capacity_lower``,
+    ``riesz_potential``).  centres is rows centres (rows, 2), or one centre
+    (2,) whose distance row serves every row.  On a measure with blocks and
+    no atom of zero weight the rows are ``_leaf_sums``; otherwise each row
+    sums over the atoms of positive weight, ``kernel.atoms(d, rows)`` turning
+    their distances d into kernel values in place (so a dead atom at c_i,
+    where k is inf, adds nothing).
+    """
+    live = measure.weights > 0
+    if measure.blocks is not None and live.all():
+        return _leaf_sums(measure, np.broadcast_to(centres, (rows, 2)), kernel)
+    w = measure.weights[live]
+
+    def atom_sums(d, lo, hi):
+        kernel.atoms(d, slice(lo, hi))
+        d *= w
+        return np.sum(d, axis=1)
+
+    return _distance_rows(measure.points[live], centres, rows, atom_sums), None
 
 
 def _inside(pts, v, margin) -> np.ndarray:
@@ -168,7 +170,8 @@ def _taylor(power):
 def _leaf_sums(measure, centres, kernel):
     """Per row c of centres (rows, 2), sum_j w_j k(|c - y_j|) over the atoms
     y_j of the measure, block by block over ``measure.blocks``, and the
-    largest remainder share taken.
+    largest remainder share taken: ``_kernel_sums``' route on a measure with
+    blocks and no atom of zero weight.
 
     A block of weight W, atom weight w, centroid y, second moments S and
     radius rho lies at u = |y - c| from c.  It is admissible for c where
@@ -189,12 +192,11 @@ def _leaf_sums(measure, centres, kernel):
     Each row takes the coarsest generation of ``blocks.levels`` whose every
     block is admissible for it, and is the sum of their expansions.  A row
     that no generation above the leaves serves is summed leaf by leaf: the
-    admissible leaves by their expansions, the others as the flat route
-    does, ``kernel.atoms(d, rows)`` turning their atoms' distances d into
-    kernel values in place and the weights multiplying them.  A row's value
-    so depends on that row alone.  A share that is not finite is never
-    taken.  Neither kernel method may call anything bench/tracer.py traces:
-    they run on ``_distance_rows``' pool threads.
+    admissible leaves by their expansions, the others as the atom route of
+    ``_kernel_sums`` does, ``kernel.atoms(d, rows)`` turning their atoms'
+    distances d into kernel values in place and the weights multiplying
+    them.  A row's value so depends on that row alone.  A share that is not
+    finite is never taken.
     """
     rows = centres.shape[0]
     vals, shares = np.empty(rows), np.zeros(rows)

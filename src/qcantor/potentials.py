@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import TARGET, ConfigError, _check_side
-from .measure import _block_rows, _distance_rows, _leaf_sums
+from .measure import _block_rows, _kernel_sums
 
 LN2 = math.log(2.0)
 
@@ -260,33 +260,24 @@ def default_dyadic_range(tree, side):
 def riesz_potential(measure, x, alpha) -> float:
     """I_alpha(mu)(x) = sum w_i / |x - y_i|^(2 - alpha); inf on coincidence.
 
-    On a measure with blocks the sum runs over block expansions
-    (``measure._leaf_sums`` with the uncapped ``_CappedPower``), each
-    block's share within EXPANSION_BUDGET of its exact value, relative;
-    otherwise over every atom of positive weight.
+    One row of ``measure._kernel_sums`` with the uncapped ``_CappedPower``:
+    on a measure with blocks and no atom of zero weight the sum runs over
+    block expansions (``measure._leaf_sums``), each block's share within
+    EXPANSION_BUDGET of its exact value, relative; otherwise over every atom
+    of positive weight, so an atom of zero weight at x adds nothing.
     """
     if not (0.0 < alpha < 2.0):
         raise IndexDomainError(f"need 0 < alpha < 2, got {alpha}")
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"point x must have shape (2,), got {x.shape}")
-    live = measure.weights > 0
-    if measure.blocks is not None and np.all(live):  # a dead atom at x would give inf * 0
-        return float(_leaf_sums(measure, x[None, :], _CappedPower(alpha, math.inf))[0][0])
-    w = measure.weights[live]
-
-    def total(d, lo, hi):
-        d **= alpha - 2.0  # an atom at x gives inf
-        d *= w
-        return np.sum(d, axis=1)
-
-    return float(_distance_rows(measure.points[live], x, 1, total)[0])
+    return float(_kernel_sums(measure, x, 1, _CappedPower(alpha, math.inf))[0][0])
 
 
 class _CappedPower:
     """min(|x|^-q, cap), q = 2 - alpha: the kernel of the direct-capacity
     quadrature and, uncapped (cap = inf, so radius 0), of the Riesz sum, for
-    ``measure._leaf_sums``.
+    ``measure._kernel_sums``.
 
     With k(u) = u^-q, k' = -q u^-(q+1) and k'' = q (q + 1) u^-(q+2), the
     quadrupole (k'' Q + k' / u (tr - Q)) / 2 is q u^-q ((q + 2) Q - tr) / 2

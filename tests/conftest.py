@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from qcantor import cantor
@@ -14,3 +16,12 @@ def tree_k2_d3():
 @pytest.fixture(scope="session")
 def real_k2_d3(tree_k2_d3):
     return tree_k2_d3.realize(seed=11)
+
+
+@pytest.fixture()
+def default_int_digits():
+    """The interpreter's default limit on int-to-str digits, 4300, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)

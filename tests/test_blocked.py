@@ -1,16 +1,21 @@
-"""The flat-cloud kernels give the same bits for any CPU count and block budget.
+"""The flat-cloud kernels give the same bits for any block budget, on the
+calling thread, through one atom route.
 
 direct_capacity_lower, eps_mu_a, riesz_potential and PlanarMeasure.diameter
-split their distance rows over a thread pool, one contiguous range per CPU,
-and menger_curvature draws its triples in blocks; none of this may change a
-value.
+run their distance rows in blocks of the scratch budget, and menger_curvature
+draws its triples in blocks; none of this may change a value.  The first
+three reach the atoms through measure._kernel_sums alone: leaf blocks where
+the measure has them and every weight is positive, the atoms of positive
+weight otherwise.
 """
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from qcantor import gauges
 from qcantor import measure as measure_mod
 from qcantor.capacity import FARFIELD_FACTOR, CapacityIndices, direct_capacity_lower
 from qcantor.cantor import SOURCE, build_tree, harmonic_schedule
@@ -22,8 +27,7 @@ from qcantor.potentials import _CappedPower, menger_curvature, riesz_potential, 
 import support
 
 
-def _set_pool(monkeypatch, workers, budget=None):
-    monkeypatch.setattr(measure_mod, "_cpus", lambda: workers)
+def _set_budget(monkeypatch, budget=None):
     if budget is not None:
         monkeypatch.setattr(measure_mod, "BLOCK_ELEMENTS", budget)
 
@@ -70,12 +74,11 @@ def _outputs(cloud, flat, config_path, out):
             cloud.diameter(), segment, riesz_potential(cloud, (2.0, 0.0), 1.0))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("budget", [None, 1000, 1])
-def test_outputs_do_not_depend_on_workers_or_block_budget(cloud, flat, config_path, tmp_path,
-                                                          monkeypatch, workers, budget):
+def test_outputs_do_not_depend_on_block_budget(cloud, flat, config_path, tmp_path,
+                                               monkeypatch, budget):
     want = _outputs(cloud, flat, config_path, str(tmp_path / "want.json"))
-    _set_pool(monkeypatch, workers, budget)
+    _set_budget(monkeypatch, budget)
     assert _outputs(cloud, flat, config_path, str(tmp_path / "got.json")) == want
 
 
@@ -107,7 +110,7 @@ def _one_shot_curvature(measure, triples, seed):
 
 @pytest.mark.parametrize("triples", [70, 300, 250])  # below a block, 3 blocks, 2.5 blocks
 def test_blocked_curvature_equals_one_shot_draw(cloud, monkeypatch, triples):
-    _set_pool(monkeypatch, 2, budget=6 * 100)  # 100 triples per block
+    _set_budget(monkeypatch, 6 * 100)  # 100 triples per block
     est = menger_curvature(cloud, triples=triples, seed=9)
     assert (est.value, est.stderr, est.sup_pointwise) == _one_shot_curvature(cloud, triples, 9)
 
@@ -115,7 +118,7 @@ def test_blocked_curvature_equals_one_shot_draw(cloud, monkeypatch, triples):
 
 @pytest.mark.parametrize("weights", ["skewed", "zeros"])
 def test_curvature_on_uneven_weights_equals_one_shot_draw(cloud, monkeypatch, weights):
-    _set_pool(monkeypatch, 2, budget=6 * 100)
+    _set_budget(monkeypatch, 6 * 100)
     n = cloud.n_atoms
     if weights == "skewed":  # 0.999 of the mass on atom 0: the rest of the cdf
         w = np.full(n, 1e-3 / (n - 1))  # shares one guide bucket
@@ -137,7 +140,7 @@ def _check_batched_eps(mu, monkeypatch, a):
     """Batched calls give each ball the single-ball value, bit for bit; the
     flat route is the single-ball formula itself, and the leaf route is
     within 2^-53 of it per leaf, plus rounding."""
-    _set_pool(monkeypatch, 2, budget=3 * mu.n_atoms)
+    _set_budget(monkeypatch, 3 * mu.n_atoms)
     rng = np.random.default_rng(1)
     centres = np.vstack([rng.uniform(-1.0, 1.0, size=(37, 2)), mu.points[:3]])
     radii = np.exp(rng.uniform(-9.0, 2.0, size=centres.shape[0]))
@@ -181,7 +184,8 @@ def _square_with_atom_on_cell_centre(cells):
 
 @pytest.mark.filterwarnings("error")
 def test_pool_workers_keep_their_errstate(monkeypatch):
-    _set_pool(monkeypatch, 2, budget=5)  # one cell per block
+    # the calling thread's errstate: 0^-s and psi_a past the doubles stay silent
+    _set_budget(monkeypatch, 5)  # one cell per block
     mu = _square_with_atom_on_cell_centre(16)
     est = direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=16)
     assert math.isfinite(est.value) and est.value > 0
@@ -215,10 +219,10 @@ class _CountingKernel:
         return self.kernel.expand(u, *args)
 
 
-@pytest.mark.parametrize("workers,budget", [(1, None), (2, 64), (1, 1)])
+@pytest.mark.parametrize("budget", [None, 64, 1])
 def test_each_row_is_expanded_only_at_the_generation_that_serves_it(cloud, monkeypatch,
-                                                                    workers, budget):
-    _set_pool(monkeypatch, workers, budget)
+                                                                    budget):
+    _set_budget(monkeypatch, budget)
     rho = float(cloud.blocks.radii.max())
     # far away (the root serves), a few leaf radii off a leaf, and on atoms (the leaves)
     centres = np.vstack([[[3.0, 0.0], [0.0, -5.0]], cloud.blocks.centroids[::7] + 3.0 * rho,
@@ -229,3 +233,53 @@ def test_each_row_is_expanded_only_at_the_generation_that_serves_it(cloud, monke
     assert len({blocks for _, blocks in kernel.expanded}) >= 3  # served at three generations
     single = [measure_mod._leaf_sums(cloud, c[None], kernel)[0][0] for c in centres]
     assert np.array_equal(vals, single)  # a row's value is its own, bit for bit
+
+
+#: each flat kernel at a few queries: eps_mu_a at many balls and at one centre's
+#: radii, the quadrature's cells, and riesz at a point off the cloud and on an atom
+FLAT_KERNELS = {
+    "eps_mu_a": lambda mu: (eps_mu_a(mu, mu.points[::5], 0.05, 1.0),
+                            eps_mu_a(mu, mu.points[3], np.geomspace(1e-3, 1.0, 40), 1.0)),
+    "direct_capacity_lower": lambda mu: direct_capacity_lower(
+        mu, CapacityIndices(2.0 / 3.0, 1.5), cells=16).normalization,
+    "riesz_potential": lambda mu: (riesz_potential(mu, (2.0, 0.0), 1.0),
+                                   riesz_potential(mu, mu.points[21], 1.0)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(FLAT_KERNELS))
+def test_flat_kernels_run_on_the_calling_thread(cloud, flat, monkeypatch, kernel):
+    """Every kernel evaluation runs on the calling thread, and no thread is started."""
+    calls = []
+    for cls in (gauges._PsiKernel, _CappedPower):
+        for name in ("atoms", "expand"):
+            def record(self, *args, _method=getattr(cls, name)):
+                calls.append((threading.get_ident(), threading.active_count()))
+                return _method(self, *args)
+            monkeypatch.setattr(cls, name, record)
+    _set_budget(monkeypatch, 64)  # a few distance rows per block: many blocks
+    before = threading.active_count()
+    for mu in (cloud, flat):
+        FLAT_KERNELS[kernel](mu)
+    assert calls and set(calls) == {(threading.get_ident(), before)}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("kernel", sorted(FLAT_KERNELS))
+def test_zero_weight_atoms_take_the_atom_route(cloud, kernel):
+    """On blocks with a dead leaf a flat kernel sums the live atoms, bit for bit
+    as without blocks; riesz is finite at a dead atom, and no expansion bound
+    is recorded."""
+    w = cloud.weights.copy()
+    w[20:24] = 0.0  # leaf 5, which holds the atom riesz is taken at
+    # coarser blocks would hold unequal weights: the leaves alone
+    blocked = PlanarMeasure(cloud.points, w, blocks=cloud.blocks._replace(coarser=()))
+    got, want = FLAT_KERNELS[kernel](blocked), FLAT_KERNELS[kernel](PlanarMeasure(cloud.points, w))
+    if kernel == "eps_mu_a":
+        assert all(np.array_equal(g, v) for g, v in zip(got, want))
+    else:
+        assert got == want
+    if kernel == "riesz_potential":
+        assert all(map(math.isfinite, got))
+    if kernel == "direct_capacity_lower":
+        assert "expansion_bound" not in got

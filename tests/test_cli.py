@@ -5,7 +5,6 @@ import json
 import math
 import os
 import shlex
-import sys
 
 import pytest
 
@@ -677,25 +676,15 @@ def test_commands_leave_no_reference_cycles(config_path, tmp_path):
         gc.enable()
 
 
-@pytest.fixture()
-def default_int_digits():
-    """The interpreter's default limit on int-to-str digits, 4300, for one test."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.usefixtures("default_int_digits")
 def test_thm1_refuses_a_leaf_count_it_cannot_write(tmp_path, capsys, monkeypatch):
     computed = []
-    monkeypatch.setattr(cli.exp, "verify_gamma_distortion",
-                        lambda *args, **kwargs: computed.append(args))
+    monkeypatch.setattr(cli.exp, "build_tree", lambda *args, **kwargs: computed.append(args))
     out = tmp_path / "v"
     assert main(["verify", "thm1", "--K", "2", "--depths", "2,7200", "--out", str(out)]) == 2
     assert "verify thm1: depth 7200: its n_leaves, 4^7200, has more than the 4300 digits" \
         in capsys.readouterr().err
-    assert not out.exists() and not computed  # refused before any row
+    assert not out.exists() and not computed  # refused before any tree
 
 
 @pytest.mark.usefixtures("default_int_digits")

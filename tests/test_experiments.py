@@ -351,6 +351,16 @@ def test_thm1_growth_is_each_prefix_own_max(K):
         assert row["realized_mass"] == math.exp(prefix.log_total_mass())
 
 
+@pytest.mark.usefixtures("default_int_digits")
+def test_thm1_refuses_a_leaf_count_it_cannot_write_before_any_tree(monkeypatch):
+    built = []
+    monkeypatch.setattr(ex, "build_tree", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ConfigError, match=r"^verify thm1: depth 7200: its n_leaves, 4\^7200, "
+                                          "has more than the 4300 digits"):
+        ex.verify_gamma_distortion(2.0, depths=[2, 7200])
+    assert not built
+
+
 def _polyfit_linfit(x, y):
     """The reference least-squares line: np.polyfit, with _linfit's R^2."""
     x, y = np.asarray(x, float), np.asarray(y, float)
