@@ -74,12 +74,27 @@ def _outputs(cloud, flat, config_path, out):
             cloud.diameter(), segment, riesz_potential(cloud, (2.0, 0.0), 1.0))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("budget", [None, 1000, 1])
-def test_outputs_do_not_depend_on_block_budget(cloud, flat, config_path, tmp_path,
-                                               monkeypatch, budget):
+def test_outputs_do_not_depend_on_workers_or_block_budget(cloud, flat, config_path, tmp_path,
+                                                          monkeypatch, workers, budget):
+    """Under any block budget, each of `workers` caller threads running the
+    kernels at once gets the single caller's bits: the rows share no state
+    between calls."""
     want = _outputs(cloud, flat, config_path, str(tmp_path / "want.json"))
     _set_budget(monkeypatch, budget)
-    assert _outputs(cloud, flat, config_path, str(tmp_path / "got.json")) == want
+    got = [None] * workers
+
+    def run(i):
+        got[i] = _outputs(cloud, flat, config_path, str(tmp_path / f"got{i}.json"))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=600)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * workers
 
 
 def _one_shot_curvature(measure, triples, seed):
