@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ SIDES = (SOURCE, TARGET)
 
 #: hard smallness bound for both R and sigma = R*d
 SMALLNESS = 1.0 / 100.0
+_LOG_SMALLNESS = math.log(SMALLNESS)
 _SMALL_TOL = 1e-12
 
 # realization guards
@@ -70,7 +71,7 @@ def _check_level_shape(index, branching, d):
         raise ConstructionError(f"level {index}: multiplier d must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelSchedule:
     """Parameters of one construction level.
 
@@ -79,6 +80,9 @@ class LevelSchedule:
     multiplier  d >= 1, the generating/protecting gap: sigma = R * d
     log_protect natural log of the protecting radius fraction R
     distortion  K >= 1, shared across levels
+
+    The derived logs (log_multiplier, log_sigma, log_keep, log_target_step,
+    log_source_step) are computed once, when the level is made.
     """
 
     index: int
@@ -86,24 +90,41 @@ class LevelSchedule:
     multiplier: float
     log_protect: float
     distortion: float
+    log_multiplier: float = field(init=False, repr=False, compare=False)
+    log_sigma: float = field(init=False, repr=False, compare=False)
+    log_keep: float = field(init=False, repr=False, compare=False)
+    log_target_step: float = field(init=False, repr=False, compare=False)
+    log_source_step: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_level_shape(self.index, self.branching, self.multiplier)
         check_distortion(self.distortion)
         if not (self.log_protect < 0.0):
             raise ConstructionError(f"level {self.index}: protecting radius must be < 1")
-        if self.log_protect > math.log(SMALLNESS) + _SMALL_TOL:
+        if self.log_protect > _LOG_SMALLNESS + _SMALL_TOL:
             raise ConstructionError(
                 f"level {self.index}: R = {math.exp(self.log_protect):.6g} violates the "
                 f"smallness convention R <= {SMALLNESS}")
-        if self.log_sigma > math.log(SMALLNESS) + _SMALL_TOL:
+        log_multiplier = math.log(self.multiplier)
+        log_sigma = self.log_protect + log_multiplier
+        if log_sigma > _LOG_SMALLNESS + _SMALL_TOL:
             raise ConstructionError(
-                f"level {self.index}: sigma = R*d = {math.exp(self.log_sigma):.6g} violates "
+                f"level {self.index}: sigma = R*d = {math.exp(log_sigma):.6g} violates "
                 f"the smallness convention sigma <= {SMALLNESS}")
-        if self.log_keep > math.log1p(_SMALL_TOL):
+        # log(1 - eps) = log(M * R^2), the per-level retained mass fraction
+        log_keep = math.log(self.branching) + 2.0 * self.log_protect
+        if log_keep > math.log1p(_SMALL_TOL):
             raise ConstructionError(
-                f"level {self.index}: M*R^2 = exp({self.log_keep:.6g}) exceeds 1 "
+                f"level {self.index}: M*R^2 = exp({log_keep:.6g}) exceeds 1 "
                 f"(eps would be negative)")
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "log_multiplier", log_multiplier)
+        put(self, "log_sigma", log_sigma)
+        put(self, "log_keep", log_keep)
+        # log(sigma * R) and log(sigma**K * R), the per-level target and
+        # source generating factors
+        put(self, "log_target_step", log_sigma + self.log_protect)
+        put(self, "log_source_step", self.distortion * log_sigma + self.log_protect)
 
     @classmethod
     def from_eps(cls, index, branching, multiplier, eps, distortion):
@@ -126,24 +147,6 @@ class LevelSchedule:
         """Leftover area fraction: 1 - M*R^2."""
         return 1.0 - self.branching * math.exp(2.0 * self.log_protect)
 
-    @property
-    def log_sigma(self) -> float:
-        return self.log_protect + math.log(self.multiplier)
-
-    @property
-    def log_keep(self) -> float:
-        """log(1 - eps) = log(M * R^2), the per-level retained mass fraction."""
-        return math.log(self.branching) + 2.0 * self.log_protect
-
-    @property
-    def log_target_step(self) -> float:
-        """log(sigma * R), the per-level target generating factor."""
-        return self.log_sigma + self.log_protect
-
-    @property
-    def log_source_step(self) -> float:
-        """log(sigma**K * R), the per-level source generating factor."""
-        return self.distortion * self.log_sigma + self.log_protect
 
 
 def _multiplier(j, e=1.0):
@@ -164,7 +167,7 @@ def _level(index, branching, d, K, eps=None, log_cap=math.inf):
     _check_level_shape(index, branching, d)
     if eps is not None:
         return LevelSchedule.from_eps(index, branching, d, eps, K)
-    log_r = min(math.log(SMALLNESS) - math.log(d), log_cap)
+    log_r = min(_LOG_SMALLNESS - math.log(d), log_cap)
     return LevelSchedule(index, branching, d, log_r, K)
 
 
@@ -273,7 +276,7 @@ class CantorTree:
         # same additions, in the same order, as cum[g] = cum[g - 1] + step_g
         steps = [(0.0,) * len(self._CUMULATIVE)] + [
             (lv.log_target_step, lv.log_source_step, 2.0 * lv.log_protect,
-             math.log(lv.multiplier), lv.log_keep) for lv in self.schedules]
+             lv.log_multiplier, lv.log_keep) for lv in self.schedules]
         cum = np.cumsum(np.array(steps).T, axis=1)
         cum.setflags(write=False)  # prefixes share these arrays
         for name, row in zip(self._CUMULATIVE, cum):

@@ -209,10 +209,10 @@ def _cmd_content(args):
     frost = frostman_tree(gauge)
     # the gauge's relative error bound, shared by content and frostman
     _emit(args, {"content": content.value, "gauge": content.gauge,
-                 "cover_size": len(content.cover), "frostman": frost.value,
+                 "cover_size": content.cover_size, "frostman": frost.value,
                  "far_field_bound": content.far_field_bound},
           f"content: M^h={content.value:.17g} frostman={frost.value:.17g} "
-          f"cover={len(content.cover)} balls")
+          f"cover={content.cover_size} balls")
     return 0
 
 

@@ -23,7 +23,9 @@ value) exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -369,15 +371,35 @@ def check_G2_tree_gauge(gauge, paths) -> DoublingReport:
 class ContentResult:
     """Tree-aligned h-content: exact optimum over antichain covers.
 
-    far_field_bound bounds the relative error of value, either sign, that the
-    batched h values carry from their dropped and expanded far rings (0 for
-    exact gauges).
+    cover_size counts the balls of the optimal cover.  cover lists their
+    paths, depth-first with children in order; it is built from the DP's
+    take masks when it is first read.  far_field_bound bounds the relative
+    error of value, either sign, that the batched h values carry from their
+    dropped and expanded far rings (0 for exact gauges).
     """
 
     value: float
-    cover: tuple
+    cover_size: int
     gauge: str
     far_field_bound: float = 0.0
+    _tree: object = field(default=None, repr=False, compare=False)
+    _take: tuple = field(default=(), repr=False, compare=False)
+
+    @functools.cached_property
+    def cover(self) -> tuple:
+        """Paths of the cover's nodes: a node is in it when its own ball is
+        taken and no ancestor's is."""
+        # an explicit stack, since a recursive closure is a reference cycle
+        # that keeps the DP arrays alive until a full gc
+        cover, stack = [], [(0, 0, ())] if self._take else []
+        while stack:
+            g, i, path = stack.pop()
+            if self._take[g][i]:
+                cover.append(path)
+                continue
+            m = self._tree.branching(g + 1)
+            stack.extend((g + 1, i * m + j, path + (j,)) for j in reversed(range(m)))
+        return tuple(cover)
 
 
 def _content_dp(tree, h):
@@ -398,28 +420,47 @@ def _content_dp(tree, h):
     return cost, take
 
 
+#: each live gauge's content DP, so that its content and Frostman flow share
+#: one h pass and one DP; a gauge's h values are read once
+_DP = weakref.WeakKeyDictionary()
+
+
+def _gauge_dp(gauge):
+    """(cost, take) of ``_content_dp`` on the gauge's h values, computed once
+    per gauge."""
+    if gauge not in _DP:
+        _DP[gauge] = _content_dp(gauge.tree, gauge.h_values())
+    return _DP[gauge]
+
+
+def _cover_size(tree, take):
+    """The number of taken nodes below no taken ancestor, generation by
+    generation: a mask of the nodes not under a taken ancestor is repeated
+    down to the children of the nodes it keeps and not taken."""
+    free, size = np.ones(1, dtype=bool), 0
+    for g, taken in enumerate(take):
+        size += int(np.count_nonzero(free & taken))
+        free &= ~taken
+        if g == tree.depth or not free.any():
+            return size
+        free = free.repeat(tree.branching(g + 1))
+
+
 def content_Mh_tree(gauge) -> ContentResult:
     """min over antichain covers of sum h(node ball), by bottom-up DP.
 
     cost(node) = min(h(node), sum over children of cost); an upper bound for
     the unrestricted content and exact among tree-aligned covers.  The gauge
     supplies everything: its tree, its h arrays (h_values), their far-field
-    bound and a description; which side's balls it measures is its own.
+    bound and a description; which side's balls it measures is its own.  The
+    DP is shared with ``frostman_tree`` on the same gauge.  The cover's size
+    is counted from the DP's take masks; its paths are built when
+    ``ContentResult.cover`` is read.
     """
     tree = gauge.tree
-    cost, take = _content_dp(tree, gauge.h_values())
-    # depth-first, children in order; an explicit stack, since a recursive
-    # closure is a reference cycle that keeps the DP arrays alive until a full gc
-    cover, stack = [], [(0, 0, ())]
-    while stack:
-        g, i, path = stack.pop()
-        if take[g][i]:
-            cover.append(path)
-            continue
-        m = tree.branching(g + 1)
-        stack.extend((g + 1, i * m + j, path + (j,)) for j in reversed(range(m)))
-    return ContentResult(float(cost[0][0]), tuple(cover), gauge.description,
-                         gauge.far_field_bound())
+    cost, take = _gauge_dp(gauge)
+    return ContentResult(float(cost[0][0]), _cover_size(tree, take), gauge.description,
+                         gauge.far_field_bound(), tree, tuple(take))
 
 
 @dataclass(frozen=True)
@@ -438,10 +479,11 @@ def frostman_tree(gauge) -> FrostmanResult:
     """Leaf masses maximizing the total subject to every node's h-constraint.
 
     On a tree the max flow equals the min cut, i.e. the content DP value,
-    so nu(F) matches M^h exactly within the tree-aligned class.
+    so nu(F) matches M^h exactly within the tree-aligned class.  The DP is
+    shared with ``content_Mh_tree`` on the same gauge.
     """
     tree = gauge.tree
-    flow, _ = _content_dp(tree, gauge.h_values())
+    flow, _ = _gauge_dp(gauge)
     alloc = np.array([flow[0][0]])
     for g in range(1, tree.depth + 1):
         m = tree.branching(g)

@@ -422,6 +422,9 @@ class CurvatureEstimate:
 
 
 _EXACT_CURVATURE_ATOMS = 85
+#: largest triples count: the sampled values and np.std's scratch hold about
+#: 24 bytes per triple, so the cap bounds them by about 400 MB
+MAX_TRIPLES = 1 << 24
 
 
 def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
@@ -432,10 +435,14 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
     probability proportional to weight and degenerate draws (any repeated
     index) contribute zero, which keeps the estimator unbiased for the
     distinct-triple sum.  Also reports the largest pointwise c^2_mu(x) seen
-    over a seeded subset of up to 16 positive-weight atoms.
+    over a seeded subset of up to 16 positive-weight atoms.  More than
+    MAX_TRIPLES triples are refused before anything is drawn or allocated.
     """
     if triples < 1:
         raise ConfigError(f"triples {triples}: need a positive count")
+    if triples > MAX_TRIPLES:
+        raise ConfigError(f"--triples {triples}: at most {MAX_TRIPLES} (each sampled triple "
+                          "holds about 24 bytes)")
     n = measure.n_atoms
     if n < 3:
         raise ConfigError(f"curvature needs at least 3 atoms, got {n}")

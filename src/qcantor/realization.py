@@ -31,13 +31,15 @@ terms, instead of the O(M^L * N) of summing the kept rings atom by atom.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from .gauges import _PsiKernel, psi_a
+from .gauges import _PsiKernel, _psi, psi_a
 from .measure import LeafBlocks, PlanarMeasure, _taylor
 from . import cantor
 
@@ -154,15 +156,20 @@ class CantorRealization:
         for h in range(g, f, -1):
             per = counts[g] // counts[h]  # generation-g nodes per generation-h node
             step = self._offsets[side][h][:, lo // per:(hi - 1) // per + 1]
-            pos = pos + np.repeat(step, pos.shape[1] // step.shape[1], axis=1)
+            k = pos.shape[1] // step.shape[1]
+            pos = pos + (step if k == 1 else step.repeat(k, axis=1))
         return pos
 
     def _frames(self, side):
-        """Every atom in its generation-g frame, g = 0 .. depth, each lifted once."""
-        frames = [self._atoms[side]]
+        """Every atom in its generation-g frame, g = 0 .. depth, each lifted
+        once: frames[g] holds them as x, y rows."""
+        counts, offsets = self.tree.node_counts, self._offsets[side]
+        frames = np.empty((self.depth + 1, 2, self.n_atoms))
+        frames[self.depth] = self._atoms[side]
         for g in range(self.depth - 1, -1, -1):
-            frames.append(self._lift(side, frames[-1], g, g + 1))
-        return frames[::-1]
+            np.add(frames[g + 1], offsets[g + 1].repeat(self.n_atoms // counts[g + 1], axis=1),
+                   out=frames[g])
+        return frames
 
     def measure(self, side) -> PlanarMeasure:
         """Flat atom cloud with absolute positions, formed on each call by
@@ -253,22 +260,28 @@ class CantorRealization:
         counts = tree.node_counts
         radii = [float(rad.max()) for *_, rad in self._blocks(side)]
         taylor = _taylor(p)
+        log_r = [tree.log_radius(side, g) for g in range(depth + 1)]
+        gaps = [None]  # per generation k >= 1 of M_k > 1: (M_k, log gap, gap)
+        for k in range(1, depth + 1):
+            m = tree.branching(k)
+            if m == 1:
+                gaps.append(None)
+                continue
+            log_p = tree.log_protect_radius(side, k)
+            log_gap = math.log(2.0) + log_p + math.log1p(-math.exp(log_r[k] - log_p))
+            gaps.append((m, log_gap, math.exp(log_gap)))
         for g in range(depth + 1):
-            log_r = tree.log_radius(side, g)
             share, far = [0.0] * (g + 1), [None] * (g + 1)
             for j in range(1, g + 1):
                 k = g - j + 1
-                m = tree.branching(k)
-                if m == 1:
+                if gaps[k] is None:
                     continue
-                log_p = tree.log_protect_radius(side, k)
-                log_gap = (math.log(2.0) + log_p
-                           + math.log1p(-math.exp(tree.log_radius(side, k) - log_p)))
-                t = p * (log_gap - log_r)               # log u^p
+                m, log_gap, gap = gaps[k]
+                t = p * (log_gap - log_r[g])               # log u^p
                 log_psi = -(max(t, 0.0) + math.log1p(math.exp(-abs(t))))
                 share[j] = math.exp(math.log(2.0 * (m - 1) * counts[g] / counts[k])
                                     + log_psi)
-                far[j] = share[j] * taylor, math.exp(log_gap)
+                far[j] = share[j] * taylor, gap
             rings, tail = g, 0.0
             while rings > 0 and tail + share[rings] <= _BUDGET - _REMAINDER:
                 tail += share[rings]
@@ -302,30 +315,34 @@ class CantorRealization:
         by max over children c of |mu_c - mu| + rho_c.  Cached per side.
         """
         if side not in self._block_cache:
-            tree = self.tree
+            tree, radii, offsets = self.tree, self._radii[side], self._offsets[side]
             # (x, y) x member x node: a leaf's atoms, then a node's children
             pos = self._atoms[side].reshape(2, self.n_leaves, -1).transpose(0, 2, 1)
             members, rad, mom = 1, 0.0, 0.0
             out = []
             for g in range(self.depth, -1, -1):
-                pos = np.ascontiguousarray(pos)
-                r_g = self._radii[side][g]
-                mu = pos.sum(axis=1) / pos.shape[1]
-                dev = pos - mu[:, None]
-                dev /= r_g
-                sq = dev * dev
-                rad = (np.sqrt(sq[0] + sq[1]) * r_g + rad).max(axis=0)
-                mom = mom + members * np.stack([sq[0].sum(axis=0),
-                                                2.0 * (dev[0] * dev[1]).sum(axis=0),
-                                                sq[1].sum(axis=0)])
+                if g == self.depth and pos.shape[1] == 1:  # a leaf's one atom
+                    mu, rad = pos[:, 0], np.zeros(pos.shape[2])
+                    mom = np.zeros((3, pos.shape[2]))
+                else:
+                    pos = np.ascontiguousarray(pos)
+                    r_g = radii[g]
+                    mu = np.add.reduce(pos, axis=1) / pos.shape[1]
+                    dev = pos - mu[:, None]
+                    dev /= r_g
+                    sq = dev * dev
+                    rad = np.maximum.reduce(np.sqrt(sq[0] + sq[1]) * r_g + rad, axis=0)
+                    sums = np.add.reduce(sq, axis=1)
+                    mom = mom + members * np.stack([
+                        sums[0], 2.0 * np.add.reduce(dev[0] * dev[1], axis=0), sums[1]])
                 out.append((mu, mom, rad))
                 if g:
                     m = tree.branching(g)
                     members = self.n_atoms // tree.node_counts[g]
-                    pos = self._lift(side, mu, g - 1, g).reshape(2, -1, m).transpose(0, 2, 1)
+                    pos = (mu + offsets[g]).reshape(2, -1, m).transpose(0, 2, 1)
                     shrink = math.exp(2.0 * (tree.log_radius(side, g)
                                              - tree.log_radius(side, g - 1)))
-                    mom = mom.reshape(3, -1, m).sum(axis=2) * shrink
+                    mom = np.add.reduce(mom.reshape(3, -1, m), axis=2) * shrink
                     rad = rad.reshape(-1, m).T
             self._block_cache[side] = tuple(reversed(out))
         return self._block_cache[side]
@@ -360,96 +377,262 @@ class CantorRealization:
         plan (``eps_rings``) is summed in the frame of the generation-(g - j)
         ancestor, the frame arithmetic of ``node_atom_distances``: over its
         exact atoms, or over its blocks' monopoles plus quadrupoles about their
-        centroids (``_PsiKernel.expand``).  Farther rings are dropped.  The
-        result is within the plan's bound (tail plus remainders, at most
-        2**-53) of the exact eps, on either side.  Cached per (side, a).
+        centroids (``_PsiKernel.expand``).  Farther rings are dropped.  Every
+        generation's rings go through one ``_fill``.  The result is within the
+        plan's bound (tail plus remainders, at most 2**-53) of the exact eps,
+        on either side.  Cached per (side, a).
         """
         key = (side, float(a))
         if key not in self._eps_cache:
             plans = self.eps_rings(side, a)
-            frames, radii = self._frames(side), self._radii[side]
+            radii = self._radii[side]
             weight = float(self.weights[0])  # atoms carry equal weights
+            rings = self._fill(side, a, [(g, plan.levels) for g, plan in enumerate(plans)],
+                               self._frames(side))
             eps = []
-            for g, plan in enumerate(plans):
-                values = sum(self._ring_sums(side, g, a, plan.levels, frames)) * weight / radii[g]
+            for g, sums in enumerate(rings):
+                values = np.add.reduce(sums, axis=0) * weight / radii[g]
                 values.setflags(write=False)
                 eps.append(values)
             self._eps_cache[key] = tuple(eps)
         return self._eps_cache[key]
 
     def _ring_sums(self, side, g, a, levels, frames):
-        """Per ring j = 0 .. len(levels), its psi sum at every generation-g node;
-        ring j >= 1 is evaluated at generation levels[j - 1] (depth + 1: atoms).
-        frames[f] holds every atom in its generation-f frame (``_frames``)."""
-        r = self._radii[side][g]
-        center = np.zeros((2, self.tree.node_counts[g]))  # in the gen-f frame
-        yield self._ring_psi_sums(side, g, g, center, r, a, self.depth + 1, frames[g])
-        for f, level in zip(range(g - 1, -1, -1), levels):
-            center = self._lift(side, center, f, f + 1)
-            yield self._ring_psi_sums(side, f, g, center, r, a, level, frames[f])
+        """Per ring j = 0 .. len(levels), its psi sum at every generation-g node
+        (one row per ring); ring j >= 1 is evaluated at generation levels[j - 1]
+        (depth + 1: atoms).  frames[f] holds every atom in its generation-f
+        frame (``_frames``)."""
+        return self._fill(side, a, [(g, levels)], frames)[0]
 
-    def _ring_psi_sums(self, side, f, g, center, r, a, level, atoms):
-        """Sum of psi_a(|y - c| / r) over one ring, for every generation-g node.
+    def _fill(self, side, a, rings, frames):
+        """Ring psi sums per (g, levels) of rings, in order: one array per
+        generation g, with a row per ring j = 0 .. len(levels) and a column
+        per generation-g node.
 
-        For f = g the ring is the node's own atoms, in its own frame.  For
-        f < g it is what lies below the siblings of the node's
-        generation-(f + 1) ancestor, in the frame of the generation-f
-        ancestor, where ``center`` gives the node centers and ``atoms`` every
-        atom (x, y rows).  It is taken as its exact atoms when level is
-        depth + 1, and otherwise as the centroid expansions of its
-        generation-level blocks.  Coordinates are scaled by 1/r before they
-        are squared, so nothing underflows; terms are laid out (ring member,
-        node within group, group), groups innermost, and evaluated in pieces
-        of about _CHUNK terms.
+        Ring 0 of a generation-g node is its own atoms, in its own frame.
+        Ring j >= 1 is what lies below the siblings of its generation-(f + 1)
+        ancestor, f = g - j, in the frame of the generation-f ancestor, taken
+        as its exact atoms when levels[j - 1] is depth + 1 and otherwise as
+        the centroid expansions of that generation's blocks.  Offsets are
+        scaled by 1/r, r the node radius, before they are squared, so
+        nothing underflows.
+
+        rings covers consecutive generations.  Ring 0 of all of them is one
+        array of psi terms, evaluated in slices of _CHUNK.  The other rings are grouped by (f, level): the
+        rings of one group face the same items, so each group is one box of
+        terms over its generations' nodes.  The boxes go into two streams
+        (``_Terms``), the exact atoms and the block expansions, each
+        evaluated in chunks of at most _CHUNK terms and summed back per node.
         """
-        counts = self.tree.node_counts
-        if f == g:
-            rel = atoms / r
-            psi = psi_a(np.sqrt(rel[0] ** 2 + rel[1] ** 2), a)
-            return psi.reshape(counts[g], -1).sum(axis=1)
-        if level > self.depth:
-            data, q = atoms / r, None
-        else:
-            mu, mom, _ = self._blocks(side)[level]
-            weight = self.n_atoms // counts[level]
-            q = self._radii[side][level] / r
-            data = np.concatenate([self._lift(side, mu, f, level) / r, mom])
-        # each gen-(f + 1) ancestor faces the blocks of its m - 1 siblings:
-        # data[:, s * b + i, c + m * A] is sibling s of child c of ancestor A
-        m, rows = self.tree.branching(f + 1), len(data)
-        src = data.reshape(rows, counts[f], m, -1).transpose(0, 2, 3, 1)
-        data = np.empty((rows, m - 1) + src.shape[2:] + (m,))
-        for c in range(m):
-            data[:, :c, ..., c] = src[:, :c]
-            data[:, c:, ..., c] = src[:, c + 1:]
-        groups = counts[f + 1]
-        data = data.reshape(rows, -1, groups)
-        members, per_group = data.shape[1], counts[g] // groups
-        center = (center / r).reshape(2, groups, per_group).transpose(0, 2, 1).copy()
-        out = np.zeros((per_group, groups))
-        m_step = max(1, min(members, _CHUNK // groups))
-        n_step = max(1, _CHUNK // (m_step * groups))
+        counts, radii, offsets = self.tree.node_counts, self._radii[side], self._offsets[side]
         kernel = _PsiKernel(a)
-        for m0 in range(0, members, m_step):
-            y = data[:, m0:m0 + m_step, None]
-            for n0 in range(0, per_group, n_step):
-                c = center[:, None, n0:n0 + n_step]
-                dx, dy = y[0] - c[0], y[1] - c[1]
-                with np.errstate(over="ignore"):  # past 1e154 radii: u = inf, psi = 0
-                    u = np.sqrt(dx * dx + dy * dy)
-                if q is None:
-                    psi = psi_a(u, a)
-                else:
-                    # the block moments S = r_level^2 (sxx, 2 sxy, syy) along
-                    # the unit direction, with scale r_level / |y - c|
-                    dx /= u
-                    dy /= u
-                    quad = dx * (y[2] * dx + y[3] * dy) + y[4] * dy * dy
-                    psi = kernel.expand(u, quad, y[2] + y[4], q / u, weight)
-                out[n0:n0 + n_step] += psi.sum(axis=0)
-        return out.T.ravel()
+        atom_terms = _atom_terms(kernel)
+        out = [np.zeros((len(levels) + 1, counts[g])) for g, levels in rings]
+        # ring 0: every atom in its generation-g frame, over r_g, summed per node
+        lo, hi = rings[0][0], rings[-1][0] + 1
+        own = np.divide(frames[lo:hi].transpose(1, 0, 2), np.array(radii[lo:hi])[:, None],
+                        order="C").reshape(2, -1)
+        for at in range(0, own.shape[1], _CHUNK):
+            atom_terms(own[:, at:at + _CHUNK])
+        own = np.add.reduceat(own[0], _node_starts(counts[lo:hi], self.n_atoms))
+        for sums, (g, _) in zip(out, rings):
+            sums[0], own = own[:counts[g]], own[counts[g]:]
+        # the node centers of every ring in its frame, grouped by (f, level)
+        groups = {}
+        for sums, (g, levels) in zip(out, rings):
+            center = np.zeros((2, counts[g]))  # in the gen-f frame
+            for j, (f, level) in enumerate(zip(range(g - 1, -1, -1), levels), start=1):
+                center = center + offsets[f + 1].repeat(counts[g] // counts[f + 1], axis=1)
+                groups.setdefault((f, level), []).append((g, center, sums[j]))
+        atoms, blocks = _Terms(2, atom_terms), _Terms(8, _block_terms(kernel))
+        moments, done = {}, []
+        for (f, level), members in groups.items():
+            n = counts[f + 1]  # the groups: a node, facing its siblings' items
+            per = [counts[g] // n for g, *_ in members]
+            centers = np.concatenate([c.reshape(2, n, -1) for _, c, _ in members], axis=2)
+            scale = np.repeat([1.0 / radii[g] for g, *_ in members], per)
+            box = np.zeros(centers.shape[1:])
+            if level > self.depth:
+                data, stream, weight, q = frames[f], atoms, 1, None
+            else:
+                mu, mom, _ = self._blocks(side)[level]
+                if level not in moments:  # sxx, 2 sxy, syy and the trace
+                    moments[level] = np.concatenate([mom, mom[0:1] + mom[2:3]])
+                data = np.concatenate([self._lift(side, mu, f, level), moments[level]])
+                # the block weight W and the scale (r_level / r)^2 of the moments
+                # ride on the moments: a term is psi + its quadrupole / W
+                stream, weight = blocks, self.n_atoms // counts[level]
+                q = np.repeat([(radii[level] / radii[g]) ** 2 / weight for g, *_ in members],
+                              per)
+            m = self.tree.branching(f + 1)
+            items = np.take(data, _sibling_items(counts[f], m, data.shape[1] // n), axis=1)
+            stream.add(items, centers, scale, q, box)
+            done.append((box, per, members, weight))
+        atoms.flush()
+        blocks.flush()
+        for box, per, members, weight in done:
+            at = 0
+            for width, (_, _, row) in zip(per, members):
+                np.multiply(box[:, at:at + width], weight, out=row.reshape(-1, width))
+                at += width
+        return out
 
     def leaf_centers(self, side) -> np.ndarray:
         """Absolute leaf centers (one per leaf, regardless of samples)."""
         first = self._atoms[side][:, ::self.samples_per_leaf]
         return (self._lift(side, first, 0, self.depth) - first).T
+
+
+#: per-thread chunk buffers of the fills (``_workspace``)
+_WORKSPACE = threading.local()
+
+
+class _Terms:
+    """One stream of kernel terms, gathered from many boxes into chunks.
+
+    ``add`` takes one box of terms: a term is an item below the siblings of
+    a generation-(f + 1) node, the group, less the center of a node below
+    that group, times the node's scale 1/r.  The items are (rows, member,
+    group), x and y first, the centers (2, group, node), scale (node,), and
+    moment_scale (node,), or None, multiplies the other rows.  The box is
+    laid out (member, group, node), or (member, node, group) when there are
+    more groups than nodes, so that the longer axis is innermost, and cut
+    into pieces of at most _CHUNK terms, which are copied into a buffer of
+    _CHUNK columns.  A full buffer is evaluated by one kernel call, and its
+    values are summed over the members into out, one sum per (group, node).
+    """
+
+    def __init__(self, rows, evaluate):
+        self.buffer = _workspace(rows)
+        self.evaluate = evaluate
+        self.used, self.pieces = 0, []
+
+    def add(self, items, center, scale, moment_scale, out):
+        if out.shape[1] >= out.shape[0]:  # (member, group, node)
+            arrays = [items[..., None], center[:, None], scale[None, None, None],
+                      None if moment_scale is None else moment_scale[None, None, None],
+                      out[None, None]]
+        else:  # (member, node, group)
+            arrays = [items[:, :, None], center.transpose(0, 2, 1)[:, None],
+                      scale[None, None, :, None], None if moment_scale is None
+                      else moment_scale[None, None, :, None], out.T[None, None]]
+        shape = (items.shape[1],) + arrays[4].shape[2:]
+        if math.prod(shape) <= self.buffer.shape[1]:  # the usual case: one piece
+            self._put(*arrays, shape)
+            return
+        for part, piece in _pieces(shape, self.buffer.shape[1]):
+            self._put(*[None if x is None else x[_cut(x, part)] for x in arrays], piece)
+
+    def _put(self, items, center, scale, moment_scale, out, shape):
+        """Copy one piece, a box of this shape, into the buffer; its sums
+        over the members go to out."""
+        size = math.prod(shape)
+        if self.used + size > self.buffer.shape[1]:
+            self.flush()
+        view = self.buffer[:len(items), self.used:self.used + size].reshape(len(items), *shape)
+        np.subtract(items[:2], center, out=view[:2])
+        view[:2] *= scale
+        if moment_scale is not None:
+            np.multiply(items[2:], moment_scale, out=view[2:])
+        self.pieces.append((self.used, shape, out[0]))
+        self.used += size
+
+    def flush(self):
+        """Evaluate the buffered terms and add them to their sums."""
+        if self.used:
+            values = self.evaluate(self.buffer[:, :self.used])
+            for at, shape, row in self.pieces:
+                part = values[at:at + math.prod(shape)].reshape(shape)
+                np.add(row, np.add.reduce(part, axis=0, keepdims=True), out=row)
+            self.used, self.pieces = 0, []
+
+
+def _workspace(rows):
+    """A (rows, _CHUNK) buffer kept per thread: every fill of the thread
+    writes its terms into memory the process already holds."""
+    key = f"buffer{rows}x{_CHUNK}"
+    if not hasattr(_WORKSPACE, key):
+        setattr(_WORKSPACE, key, np.empty((rows, _CHUNK)))
+    return getattr(_WORKSPACE, key)
+
+
+def _pieces(shape, chunk):
+    """(slices, shape) of boxes that cut a box of this shape into pieces of
+    at most chunk elements, each whole along its innermost axes."""
+    inner, k = 1, len(shape)
+    while k and inner * shape[k - 1] <= chunk:
+        k -= 1
+        inner *= shape[k]
+    if not k:
+        yield (slice(None),) * len(shape), shape
+        return
+    step, n = chunk // inner, shape[k - 1]
+    for index in np.ndindex(*shape[:k - 1]):
+        for lo in range(0, n, step):
+            part = tuple(slice(i, i + 1) for i in index) + (slice(lo, lo + step),)
+            yield (part + (slice(None),) * (len(shape) - k),
+                   (1,) * (k - 1) + (min(step, n - lo),) + shape[k:])
+
+
+def _cut(array, part):
+    """The piece part of a box, of an array (rows, box axes) broadcast along
+    its axes of length 1."""
+    return (slice(None),) + tuple(slice(None) if n == 1 else p
+                                  for n, p in zip(array.shape[1:], part))
+
+
+@functools.lru_cache(maxsize=64)
+def _sibling_items(n, m, per):
+    """Indices into the items below n nodes of m children each, per children
+    in node order: column i, child i % m of node i // m, lists the per items
+    below each of its m - 1 siblings, as (members, n * m)."""
+    sib = np.array([[s for s in range(m) if s != c] for c in range(m)], dtype=np.intp)
+    child = np.arange(n)[:, None, None] * m + sib  # ancestor x child x sibling
+    items = child[..., None] * per + np.arange(per)
+    return np.ascontiguousarray(items.reshape(n * m, -1).T)
+
+
+@functools.lru_cache(maxsize=64)
+def _node_starts(counts, n_atoms):
+    """Where each node's atoms start in generations of counts[0], counts[1],
+    ... nodes, n_atoms atoms each, laid end to end."""
+    return np.concatenate([g * n_atoms + np.arange(0, n_atoms, n_atoms // c)
+                           for g, c in enumerate(counts)])
+
+
+def _atom_terms(kernel):
+    """Kernel of the exact-atom stream: psi_a of the offsets (x, y rows)."""
+    def evaluate(buffer):
+        x, y = buffer
+        with np.errstate(over="ignore"):  # past 1e154 radii: u = inf, psi = 0
+            x *= x
+            y *= y
+        x += y
+        return _psi(np.sqrt(x, out=x), kernel.a, inplace=True)
+    return evaluate
+
+
+def _block_terms(kernel):
+    """Kernel of the block stream, over rows x, y, sxx, 2 sxy, syy and tr S,
+    the moments in units of the node radius divided by the block weight W,
+    and two scratch rows: psi plus the quadrupole over W
+    (``_PsiKernel.expand``)."""
+    def evaluate(buffer):
+        x, y, quad, sxy, syy, trace, u, scale = buffer
+        with np.errstate(over="ignore"):  # as in the atom stream
+            np.multiply(x, x, out=u)
+            np.multiply(y, y, out=scale)
+        u += scale
+        np.sqrt(u, out=u)
+        np.divide(1.0, u, out=scale)
+        x *= scale  # the unit direction d
+        y *= scale
+        quad *= x  # Q = d.S d
+        sxy *= y
+        quad += sxy
+        quad *= x
+        syy *= y
+        syy *= y
+        quad += syy
+        return kernel.expand(u, quad, trace, scale, 1.0)
+    return evaluate

@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from qcantor import cli
+from qcantor import cli, potentials
 from qcantor.cantor import build_tree, schedules_from_config
 from qcantor.cli import main
 
@@ -153,6 +153,17 @@ def test_curvature_rejects_nonpositive_triples(config_path, capsys, triples, spl
                  "--samples-per-leaf", spl, "--triples", triples])
     assert code == 2
     assert f"--triples {triples}" in capsys.readouterr().err
+
+
+def test_curvature_refuses_an_oversized_triples_count(config_path, tmp_path, capsys):
+    # refused before any triple is drawn or any array of them allocated
+    out = tmp_path / "curv.json"
+    n = potentials.MAX_TRIPLES + 1
+    code = main(["curvature", "--config", config_path, "--side", "target",
+                 "--samples-per-leaf", "2", "--triples", str(n), "--out", str(out)])
+    assert code == 2
+    assert f"--triples {n}: at most {potentials.MAX_TRIPLES}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_curvature_refuses_fewer_than_three_atoms(config_path, tmp_path, capsys):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from qcantor import gauges
 from qcantor import measure as measure_mod
 from qcantor.cantor import (SOURCE, TARGET, ConfigError, build_tree,
-                            doubly_exponential_schedule, harmonic_schedule)
+                            doubly_exponential_schedule, harmonic_schedule,
+                            schedules_from_config)
 from qcantor.gauges import (MAX_PAIRS, DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1,
                             check_G2, check_G2_tree_gauge, content_Mh_tree, eps_mu_a,
                             frostman_tree, generation_cover_sum, psi_a, sample_ball_pairs)
@@ -416,6 +417,68 @@ def test_content_root_optimal_when_subadditive():
     assert res.cover == ((),)
 
 
+def _cover_by_recursion(tree, table, path=()):
+    """(cost, cover) of the optimal antichain below a node, depth-first with
+    children in order; the node's own ball wins ties, as in the DP."""
+    if len(path) == tree.depth:
+        return table[path], [path]
+    cost, cover = 0.0, []
+    for j in range(tree.branching(len(path) + 1)):
+        c, sub = _cover_by_recursion(tree, table, path + (j,))
+        cost += c
+        cover += sub
+    return (table[path], [path]) if table[path] <= cost else (cost, cover)
+
+
+def _mixed_tree(branchings, seed=0):
+    cfg = {"K": 2, "depth": len(branchings), "seed": seed,
+           "levels": [{"M": m, "d": "harmonic"} for m in branchings]}
+    return build_tree(*schedules_from_config(cfg))
+
+
+@pytest.mark.parametrize("branchings", [(2, 2, 2, 2), (3, 1, 2, 3), (4, 1, 1, 2), (1, 3, 2)])
+def test_cover_size_from_the_take_masks_equals_the_walked_cover(branchings):
+    tree = _mixed_tree(branchings)
+    rng = np.random.default_rng(sum(branchings))
+    for trial in range(25):
+        # small integers: many ties, and covers at every depth
+        table = {path: float(rng.integers(1, 6 ** (tree.depth - len(path) + 1)))
+                 for g in range(tree.depth + 1) for path in tree.paths_at(g)}
+        res = content_Mh_tree(support.TableGauge(tree, table))
+        cost, cover = _cover_by_recursion(tree, table)
+        assert res.value == cost
+        assert res.cover == tuple(cover)  # depth-first, children in order
+        assert res.cover_size == len(res.cover)
+
+
+def test_root_only_cover_counts_one_ball():
+    tree = _mixed_tree((3, 1, 2))
+    table = {path: 1.0 if not path else 5.0
+             for g in range(tree.depth + 1) for path in tree.paths_at(g)}
+    res = content_Mh_tree(support.TableGauge(tree, table))
+    assert res.cover_size == 1
+    assert res.cover == ((),)
+
+
+def test_content_and_frostman_share_one_dp(real_k2_d3, monkeypatch):
+    calls = []
+    dp = gauges._content_dp
+
+    def counting(tree, h):
+        calls.append(tree)
+        return dp(tree, h)
+
+    monkeypatch.setattr(gauges, "_content_dp", counting)
+    for gauge in (TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE),
+                  DistortedTreeGauge(real_k2_d3, 0.1)):
+        before = len(calls)
+        content = content_Mh_tree(gauge)
+        frost = frostman_tree(gauge)
+        content_Mh_tree(gauge)
+        assert len(calls) == before + 1
+        assert frost.value == content.value
+
+
 def test_cover_is_antichain_partition(tree_k2_d3, real_k2_d3):
     gauge = TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE)
     res = content_Mh_tree(gauge)
@@ -542,7 +605,9 @@ def test_source_eps_filled_once_across_gauges():
     frostman_tree(smoothed)
     content_Mh_tree(distorted)
     distorted.h_node((1, 2))
-    assert len(fills) >= 4
+    # frostman_tree reuses the DP that content_Mh_tree made for the same gauge,
+    # so it reads no h values: the smoothed pair, the distorted content and h_node
+    assert len(fills) == 3
     assert [cached for *_, cached in fills].count(False) == 1
     assert list(real._eps_cache) == list(real._plans) == [(SOURCE, 0.1)]
 

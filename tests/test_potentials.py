@@ -292,6 +292,20 @@ def test_curvature_refuses_nonpositive_triples(n, triples):
         menger_curvature(mu, triples=triples)
 
 
+@pytest.mark.parametrize("n", [200, 20])  # sampled, enumerated
+def test_curvature_refuses_an_oversized_count_before_drawing(n, monkeypatch):
+    mu = support.uniform_disk(n, seed=1)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made for a refused count")
+
+    monkeypatch.setattr(potentials.np.random, "default_rng", no_draw)
+    monkeypatch.setattr(potentials.np, "empty", no_draw)
+    with pytest.raises(ConfigError, match=f"--triples {potentials.MAX_TRIPLES + 1}: at most "
+                                          f"{potentials.MAX_TRIPLES}"):
+        menger_curvature(mu, triples=potentials.MAX_TRIPLES + 1)
+
+
 def test_curvature_montecarlo_vs_enumeration():
     # 120 atoms forces the sampling path; the test's own oracle enumerates
     mu = support.uniform_disk(120, seed=3)

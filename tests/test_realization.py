@@ -55,6 +55,21 @@ def test_batched_eps_matches_node_oracle(realized, side):
         assert abs(got - exact) <= 1e-13 * exact
 
 
+@pytest.mark.parametrize("chunk", [61, 1000])
+def test_batched_eps_in_tiny_chunks_matches_node_oracle(realized, chunk, monkeypatch):
+    # every box is cut into pieces: rings wider than a chunk, nodes with more
+    # members than a chunk, and ring 0 in many slices
+    monkeypatch.setattr(realization, "_CHUNK", chunk)
+    real = realized.tree.realize(seed=3, samples_per_leaf=realized.samples_per_leaf)
+    tree = real.tree
+    for side in SIDES:
+        eps = real.eps_by_generation(side, A)
+        for path in _sampled_paths(tree, per_generation=12):
+            exact = realized.node_eps(side, path, A)
+            got = eps[len(path)][tree.node_index(path)]
+            assert abs(got - exact) <= 1e-13 * exact
+
+
 @pytest.mark.parametrize("side", SIDES)
 def test_dropped_ring_share_within_recorded_bound(realized, side):
     tree = realized.tree
