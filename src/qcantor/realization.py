@@ -156,8 +156,7 @@ class CantorRealization:
         for h in range(g, f, -1):
             per = counts[g] // counts[h]  # generation-g nodes per generation-h node
             step = self._offsets[side][h][:, lo // per:(hi - 1) // per + 1]
-            k = pos.shape[1] // step.shape[1]
-            pos = pos + (step if k == 1 else step.repeat(k, axis=1))
+            pos = (pos.reshape(2, step.shape[1], -1) + step[:, :, None]).reshape(2, -1)
         return pos
 
     def _frames(self, side):
@@ -167,8 +166,9 @@ class CantorRealization:
         frames = np.empty((self.depth + 1, 2, self.n_atoms))
         frames[self.depth] = self._atoms[side]
         for g in range(self.depth - 1, -1, -1):
-            np.add(frames[g + 1], offsets[g + 1].repeat(self.n_atoms // counts[g + 1], axis=1),
-                   out=frames[g])
+            n = counts[g + 1]
+            np.add(frames[g + 1].reshape(2, n, -1), offsets[g + 1][:, :, None],
+                   out=frames[g].reshape(2, n, -1))
         return frames
 
     def measure(self, side) -> PlanarMeasure:
@@ -418,7 +418,7 @@ class CantorRealization:
         nothing underflows.
 
         rings covers consecutive generations.  Ring 0 of all of them is one
-        array of psi terms, evaluated in slices of _CHUNK.  The other rings are grouped by (f, level): the
+        array of psi terms, evaluated a chunk of _CHUNK terms at a time.  The other rings are grouped by (f, level): the
         rings of one group face the same items, so each group is one box of
         terms over its generations' nodes.  The boxes go into two streams
         (``_Terms``), the exact atoms and the block expansions, each
@@ -426,47 +426,46 @@ class CantorRealization:
         """
         counts, radii, offsets = self.tree.node_counts, self._radii[side], self._offsets[side]
         kernel = _PsiKernel(a)
-        atom_terms = _atom_terms(kernel)
         out = [np.zeros((len(levels) + 1, counts[g])) for g, levels in rings]
-        # ring 0: every atom in its generation-g frame, over r_g, summed per node
-        lo, hi = rings[0][0], rings[-1][0] + 1
-        own = np.divide(frames[lo:hi].transpose(1, 0, 2), np.array(radii[lo:hi])[:, None],
-                        order="C").reshape(2, -1)
-        for at in range(0, own.shape[1], _CHUNK):
-            atom_terms(own[:, at:at + _CHUNK])
-        own = np.add.reduceat(own[0], _node_starts(counts[lo:hi], self.n_atoms))
-        for sums, (g, _) in zip(out, rings):
-            sums[0], own = own[:counts[g]], own[counts[g]:]
+        atoms, blocks = _Terms(3, _atom_terms(kernel)), _Terms(9, _block_terms(kernel))
+        for sums, (g, _) in zip(out, rings):  # ring 0: a node's own atoms
+            own = frames[g].reshape(2, counts[g], -1).transpose(0, 2, 1)
+            atoms.add(own, None, np.array([1.0 / radii[g]]), sums[0].reshape(-1, 1))
         # the node centers of every ring in its frame, grouped by (f, level)
         groups = {}
         for sums, (g, levels) in zip(out, rings):
             center = np.zeros((2, counts[g]))  # in the gen-f frame
             for j, (f, level) in enumerate(zip(range(g - 1, -1, -1), levels), start=1):
-                center = center + offsets[f + 1].repeat(counts[g] // counts[f + 1], axis=1)
+                center = (center.reshape(2, counts[f + 1], -1)
+                          + offsets[f + 1][:, :, None]).reshape(2, -1)
                 groups.setdefault((f, level), []).append((g, center, sums[j]))
-        atoms, blocks = _Terms(2, atom_terms), _Terms(8, _block_terms(kernel))
         moments, done = {}, []
         for (f, level), members in groups.items():
-            n = counts[f + 1]  # the groups: a node, facing its siblings' items
+            # the groups are the generation-(f + 1) nodes, each facing its
+            # siblings' items; offsets are taken in units of their radius r1,
+            # and a node's u is its offset times r1 / r
+            n, r1 = counts[f + 1], radii[f + 1]
             per = [counts[g] // n for g, *_ in members]
             centers = np.concatenate([c.reshape(2, n, -1) for _, c, _ in members], axis=2)
-            scale = np.repeat([1.0 / radii[g] for g, *_ in members], per)
+            centers /= r1
+            ratio = np.repeat([r1 / radii[g] for g, *_ in members], per)
             box = np.zeros(centers.shape[1:])
             if level > self.depth:
-                data, stream, weight, q = frames[f], atoms, 1, None
+                data, stream, weight = frames[f], atoms, 1
             else:
                 mu, mom, _ = self._blocks(side)[level]
                 if level not in moments:  # sxx, 2 sxy, syy and the trace
                     moments[level] = np.concatenate([mom, mom[0:1] + mom[2:3]])
                 data = np.concatenate([self._lift(side, mu, f, level), moments[level]])
-                # the block weight W and the scale (r_level / r)^2 of the moments
-                # ride on the moments: a term is psi + its quadrupole / W
                 stream, weight = blocks, self.n_atoms // counts[level]
-                q = np.repeat([(radii[level] / radii[g]) ** 2 / weight for g, *_ in members],
-                              per)
-            m = self.tree.branching(f + 1)
-            items = np.take(data, _sibling_items(counts[f], m, data.shape[1] // n), axis=1)
-            stream.add(items, centers, scale, q, box)
+            items = np.take(data, _sibling_items(counts[f], self.tree.branching(f + 1),
+                                                 data.shape[1] // n), axis=1)
+            items[:2] /= r1
+            if stream is blocks:
+                # the moments in units of r1^2, over the block weight W: a
+                # term is psi plus its quadrupole over W
+                items[2:] *= (radii[level] / r1) ** 2 / weight
+            stream.add(items, centers, ratio, box)
             done.append((box, per, members, weight))
         atoms.flush()
         blocks.flush()
@@ -492,9 +491,10 @@ class _Terms:
 
     ``add`` takes one box of terms: a term is an item below the siblings of
     a generation-(f + 1) node, the group, less the center of a node below
-    that group, times the node's scale 1/r.  The items are (rows, member,
-    group), x and y first, the centers (2, group, node), scale (node,), and
-    moment_scale (node,), or None, multiplies the other rows.  The box is
+    that group, and the node's ratio of lengths to u.  The items are (rows,
+    member, group), x and y first, the centers (2, group, node) and ratio
+    (node,); the buffer holds x, y, the ratio and the items' other rows,
+    then the kernel's scratch rows.  The box is
     laid out (member, group, node), or (member, node, group) when there are
     more groups than nodes, so that the longer axis is innermost, and cut
     into pieces of at most _CHUNK terms, which are copied into a buffer of
@@ -507,43 +507,52 @@ class _Terms:
         self.evaluate = evaluate
         self.used, self.pieces = 0, []
 
-    def add(self, items, center, scale, moment_scale, out):
-        if out.shape[1] >= out.shape[0]:  # (member, group, node)
-            arrays = [items[..., None], center[:, None], scale[None, None, None],
-                      None if moment_scale is None else moment_scale[None, None, None],
-                      out[None, None]]
+    def add(self, items, center, ratio, out):
+        members, groups, nodes = items.shape[1], *out.shape
+        if members >= max(groups, nodes):  # (group, node, member)
+            arrays = [items.transpose(0, 2, 1)[:, :, None], center, ratio[None, None, :, None],
+                      out[None, ..., None]]
+            axis = 2
+        elif nodes >= groups:  # (member, group, node)
+            arrays = [items[..., None], center, ratio[None, None, None], out[None, None]]
+            axis = 0
         else:  # (member, node, group)
-            arrays = [items[:, :, None], center.transpose(0, 2, 1)[:, None],
-                      scale[None, None, :, None], None if moment_scale is None
-                      else moment_scale[None, None, :, None], out.T[None, None]]
-        shape = (items.shape[1],) + arrays[4].shape[2:]
+            arrays = [items[:, :, None], center, ratio[None, None, :, None], out.T[None, None]]
+            axis = 0
+        if center is not None:
+            arrays[1] = center[..., None] if axis == 2 else (
+                center[:, None] if nodes >= groups else center.transpose(0, 2, 1)[:, None])
+        shape = tuple(max(a.shape[i + 1] for a in arrays if a is not None) for i in range(3))
         if math.prod(shape) <= self.buffer.shape[1]:  # the usual case: one piece
-            self._put(*arrays, shape)
+            self._put(*arrays, shape, axis)
             return
         for part, piece in _pieces(shape, self.buffer.shape[1]):
-            self._put(*[None if x is None else x[_cut(x, part)] for x in arrays], piece)
+            self._put(*[None if x is None else x[_cut(x, part)] for x in arrays], piece, axis)
 
-    def _put(self, items, center, scale, moment_scale, out, shape):
+    def _put(self, items, center, ratio, out, shape, axis):
         """Copy one piece, a box of this shape, into the buffer; its sums
-        over the members go to out."""
+        over the members (axis) go to out."""
         size = math.prod(shape)
         if self.used + size > self.buffer.shape[1]:
             self.flush()
-        view = self.buffer[:len(items), self.used:self.used + size].reshape(len(items), *shape)
-        np.subtract(items[:2], center, out=view[:2])
-        view[:2] *= scale
-        if moment_scale is not None:
-            np.multiply(items[2:], moment_scale, out=view[2:])
-        self.pieces.append((self.used, shape, out[0]))
+        view = self.buffer[:len(items) + 1, self.used:self.used + size].reshape(-1, *shape)
+        if center is None:  # offsets scaled before they are squared
+            np.multiply(items[:2], ratio, out=view[:2])
+            view[2] = 1.0
+        else:
+            np.subtract(items[:2], center, out=view[:2])
+            view[2] = ratio[0]
+        view[3:] = items[2:]
+        self.pieces.append((self.used, shape, axis, out[0]))
         self.used += size
 
     def flush(self):
         """Evaluate the buffered terms and add them to their sums."""
         if self.used:
             values = self.evaluate(self.buffer[:, :self.used])
-            for at, shape, row in self.pieces:
+            for at, shape, axis, row in self.pieces:
                 part = values[at:at + math.prod(shape)].reshape(shape)
-                np.add(row, np.add.reduce(part, axis=0, keepdims=True), out=row)
+                np.add(row, np.add.reduce(part, axis=axis, keepdims=True), out=row)
             self.used, self.pieces = 0, []
 
 
@@ -592,37 +601,33 @@ def _sibling_items(n, m, per):
     return np.ascontiguousarray(items.reshape(n * m, -1).T)
 
 
-@functools.lru_cache(maxsize=64)
-def _node_starts(counts, n_atoms):
-    """Where each node's atoms start in generations of counts[0], counts[1],
-    ... nodes, n_atoms atoms each, laid end to end."""
-    return np.concatenate([g * n_atoms + np.arange(0, n_atoms, n_atoms // c)
-                           for g, c in enumerate(counts)])
-
-
 def _atom_terms(kernel):
-    """Kernel of the exact-atom stream: psi_a of the offsets (x, y rows)."""
+    """Kernel of the exact-atom stream: psi_a of the offsets (x, y rows)
+    times their ratios to u (a row, or 1 where it is missing)."""
     def evaluate(buffer):
-        x, y = buffer
+        x, y, *ratio = buffer
         with np.errstate(over="ignore"):  # past 1e154 radii: u = inf, psi = 0
             x *= x
             y *= y
-        x += y
-        return _psi(np.sqrt(x, out=x), kernel.a, inplace=True)
+            x += y
+            np.sqrt(x, out=x)
+            for t in ratio:
+                x *= t
+        return _psi(x, kernel.a, inplace=True)
     return evaluate
 
 
 def _block_terms(kernel):
-    """Kernel of the block stream, over rows x, y, sxx, 2 sxy, syy and tr S,
-    the moments in units of the node radius divided by the block weight W,
-    and two scratch rows: psi plus the quadrupole over W
-    (``_PsiKernel.expand``)."""
+    """Kernel of the block stream, over rows x, y, the ratio to u, sxx,
+    2 sxy, syy and tr S, the moments in the units of the offsets squared
+    and divided by the block weight W, and two scratch rows: psi plus the
+    quadrupole over W (``_PsiKernel.expand``)."""
     def evaluate(buffer):
-        x, y, quad, sxy, syy, trace, u, scale = buffer
+        x, y, ratio, quad, sxy, syy, trace, u, scale = buffer
         with np.errstate(over="ignore"):  # as in the atom stream
             np.multiply(x, x, out=u)
             np.multiply(y, y, out=scale)
-        u += scale
+            u += scale
         np.sqrt(u, out=u)
         np.divide(1.0, u, out=scale)
         x *= scale  # the unit direction d
@@ -634,5 +639,7 @@ def _block_terms(kernel):
         syy *= y
         syy *= y
         quad += syy
+        with np.errstate(over="ignore"):
+            u *= ratio
         return kernel.expand(u, quad, trace, scale, 1.0)
     return evaluate
