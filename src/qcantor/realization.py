@@ -497,8 +497,9 @@ class CantorRealization:
                     moments[level] = np.concatenate([mom, mom[0:1] + mom[2:3]])
                 data = np.concatenate([self._lift(side, mu, f, level), moments[level]])
                 stream, weight = blocks, self.n_atoms // counts[level]
-            items = np.take(data, streams.sibling_items(counts[f], self.tree.branching(f + 1),
-                                                 data.shape[1] // n), axis=1)
+            index = streams.sibling_items(counts[f], self.tree.branching(f + 1),
+                                          data.shape[1] // n)
+            items = np.take(data, index, axis=1)
             items[:2] /= r1
             if stream is blocks:
                 # the moments in units of r1^2, over the block weight W: a

@@ -15,6 +15,7 @@ import numpy as np
 
 from .gauges import _psi
 
+
 class Terms:
     """One stream of kernel terms, gathered from many boxes into chunks.
 
@@ -41,24 +42,24 @@ class Terms:
     def add(self, items, center, ratio, out):
         members, groups, nodes = items.shape[1], *out.shape
         if members >= max(groups, nodes):  # (group, node, member)
-            arrays = [items.transpose(0, 2, 1)[:, :, None], center, ratio[None, None, :, None],
-                      out[None, ..., None]]
-            axis = 2
+            axis, items, out = 2, items.transpose(0, 2, 1)[:, :, None], out[None, ..., None]
+            center = None if center is None else center[..., None]
+            ratio = ratio[None, None, :, None]
         elif nodes >= groups:  # (member, group, node)
-            arrays = [items[..., None], center, ratio[None, None, None], out[None, None]]
-            axis = 0
+            axis, items, out = 0, items[..., None], out[None, None]
+            center = None if center is None else center[:, None]
+            ratio = ratio[None, None, None]
         else:  # (member, node, group)
-            arrays = [items[:, :, None], center, ratio[None, None, :, None], out.T[None, None]]
-            axis = 0
-        if center is not None:
-            arrays[1] = center[..., None] if axis == 2 else (
-                center[:, None] if nodes >= groups else center.transpose(0, 2, 1)[:, None])
-        shape = tuple(max(a.shape[i + 1] for a in arrays if a is not None) for i in range(3))
+            axis, items, out = 0, items[:, :, None], out.T[None, None]
+            center = None if center is None else center.transpose(0, 2, 1)[:, None]
+            ratio = ratio[None, None, :, None]
+        shape = tuple(members if i == axis else n for i, n in enumerate(out.shape[1:]))
         if math.prod(shape) <= self.buffer.shape[1]:  # the usual case: one piece
-            self._put(*arrays, shape, axis)
+            self._put(items, center, ratio, out, shape, axis)
             return
         for part, piece in _pieces(shape, self.buffer.shape[1]):
-            self._put(*[None if x is None else x[_cut(x, part)] for x in arrays], piece, axis)
+            self._put(*[None if x is None else x[_cut(x, part)]
+                        for x in (items, center, ratio, out)], piece, axis)
 
     def _put(self, items, center, ratio, out, shape, axis):
         """Copy one piece, a box of this shape, into the buffer; its sums
@@ -124,17 +125,16 @@ def sibling_items(n, m, per):
 
 
 def atom_terms(kernel):
-    """Kernel of the exact-atom stream: psi_a of the offsets (x, y rows)
-    times their ratios to u (a row, or 1 where it is missing)."""
+    """Kernel of the exact-atom stream: psi_a of the lengths of the offsets
+    (x, y rows) times their ratios to u (a row)."""
     def evaluate(buffer):
-        x, y, *ratio = buffer
+        x, y, ratio = buffer
         with np.errstate(over="ignore"):  # past 1e154 radii: u = inf, psi = 0
             x *= x
             y *= y
             x += y
             np.sqrt(x, out=x)
-            for t in ratio:
-                x *= t
+            x *= ratio
         return _psi(x, kernel.a, inplace=True)
     return evaluate
 
