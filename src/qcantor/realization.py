@@ -471,26 +471,31 @@ class CantorRealization:
                 kept[g] = pos.copy()
             if g == lowest:
                 break
-        moments, done = {}, []
-        # the exact atoms first: their stream is flushed before the block
-        # stream reuses its buffer
-        for (f, level), members in sorted(groups.items(), key=lambda kv: kv[0][1] <= self.depth):
-            if level <= self.depth and atoms.used:
+        # the atom rings first, so that the atom stream is flushed before the
+        # block stream reuses its buffer, then the block rings frame by frame
+        # from the leaves up, each generation's node centers lifted one frame
+        # further as its next ring needs them
+        moments, done, node_centers = {}, [], {}
+        for (f, level), members in sorted(groups.items(),
+                                          key=lambda kv: (kv[0][1] <= self.depth, -kv[0][0])):
+            if level <= self.depth:
                 atoms.flush()
+            for g, _ in members:
+                frame, center = node_centers.get(g, (g, np.zeros((2, counts[g]))))
+                node_centers[g] = f, self._lift(side, center, f, frame)
             # the groups are the generation-(f + 1) nodes, each facing its
             # siblings' items; offsets are taken in units of their radius r1,
             # and a node's u is its offset times r1 / r
             n, r1 = counts[f + 1], radii[f + 1]
             per = [counts[g] // n for g, _ in members]
-            # the members' node centers in the generation-f frame
-            centers = np.concatenate([
-                self._lift(side, np.zeros((2, counts[g])), f, g).reshape(2, n, -1)
-                for g, _ in members], axis=2)
+            centers = np.concatenate([node_centers[g][1].reshape(2, n, -1) for g, _ in members],
+                                     axis=2)
             centers /= r1
             ratio = np.repeat([r1 / radii[g] for g, _ in members], per)
             box = np.zeros(centers.shape[1:])
             if level > self.depth:
                 data, stream, weight = kept[f], atoms, 1
+                node_centers.clear()  # the block rings start again from each generation
             else:
                 mu, mom, _ = self._blocks(side)[level]
                 if level not in moments:  # sxx, 2 sxy, syy and the trace
