@@ -475,7 +475,7 @@ class CantorRealization:
         # block stream reuses its buffer, then the block rings frame by frame
         # from the leaves up, each generation's node centers lifted one frame
         # further as its next ring needs them
-        moments, done, node_centers = {}, [], {}
+        moments, done, node_centers, levels_of = {}, [], {}, dict(rings)
         for (f, level), members in sorted(groups.items(),
                                           key=lambda kv: (kv[0][1] <= self.depth, -kv[0][0])):
             if level <= self.depth:
@@ -490,6 +490,9 @@ class CantorRealization:
             per = [counts[g] // n for g, _ in members]
             centers = np.concatenate([node_centers[g][1].reshape(2, n, -1) for g, _ in members],
                                      axis=2)
+            for g, _ in members:  # past a generation's last ring, its centers go
+                if f == g - len(levels_of[g]):
+                    del node_centers[g]
             centers /= r1
             ratio = np.repeat([r1 / radii[g] for g, _ in members], per)
             box = np.zeros(centers.shape[1:])
