@@ -57,7 +57,10 @@ class Terms:
         if math.prod(shape) <= self.buffer.shape[1]:  # the usual case: one piece
             self._put(items, center, ratio, out, shape, axis)
             return
-        for part, piece in _pieces(shape, self.buffer.shape[1]):
+        # cut across the sums first: a piece keeps whole members where it can
+        order = [i for i in range(3) if i != axis] + [axis]
+        for part, piece in _pieces(tuple(shape[i] for i in order), self.buffer.shape[1]):
+            part, piece = (tuple(x[order.index(i)] for i in range(3)) for x in (part, piece))
             self._put(*[None if x is None else x[_cut(x, part)]
                         for x in (items, center, ratio, out)], piece, axis)
 
