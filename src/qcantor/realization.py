@@ -475,7 +475,7 @@ class CantorRealization:
         # block stream reuses its buffer, then the block rings frame by frame
         # from the leaves up, each generation's node centers lifted one frame
         # further as its next ring needs them
-        moments, done, node_centers, levels_of = {}, [], {}, dict(rings)
+        done, node_centers, levels_of = [], {}, dict(rings)
         for (f, level), members in sorted(groups.items(),
                                           key=lambda kv: (kv[0][1] <= self.depth, -kv[0][0])):
             if level <= self.depth:
@@ -500,10 +500,9 @@ class CantorRealization:
                 data, stream, weight = kept[f], atoms, 1
                 node_centers.clear()  # the block rings start again from each generation
             else:
-                mu, mom, _ = self._blocks(side)[level]
-                if level not in moments:  # sxx, 2 sxy, syy and the trace
-                    moments[level] = np.concatenate([mom, mom[0:1] + mom[2:3]])
-                data = np.concatenate([self._lift(side, mu, f, level), moments[level]])
+                mu, mom, _ = self._blocks(side)[level]  # mom: sxx, 2 sxy, syy
+                data = np.concatenate([self._lift(side, mu, f, level), mom,
+                                       mom[0:1] + mom[2:3]])  # and each block's trace
                 stream, weight = blocks, self.n_atoms // counts[level]
             index = streams.sibling_items(counts[f], self.tree.branching(f + 1),
                                           data.shape[1] // n)
