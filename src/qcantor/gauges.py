@@ -108,7 +108,8 @@ class _PsiKernel:
 
     def expand(self, u, quad, trace, scale, weight, rows=None):
         """Overwrite the distances u with W psi plus the quadrupole, from
-        quad = Q (overwritten too), trace = tr S, scale and the block weight W."""
+        quad = Q (overwritten too), trace = tr S, scale and the block weight W
+        (None for 1, which skips the product)."""
         p = self.power
         if self.radii is not None:
             u /= self.radii[rows]
@@ -122,7 +123,8 @@ class _PsiKernel:
         work *= scale
         work *= scale
         quad *= work
-        psi *= weight
+        if weight is not None:
+            psi *= weight
         psi += quad
         return psi
 

@@ -166,5 +166,5 @@ def block_terms(kernel):
         quad += syy
         with np.errstate(over="ignore"):
             u *= ratio
-        return kernel.expand(u, quad, trace, scale, 1.0)
+        return kernel.expand(u, quad, trace, scale, None)
     return evaluate
