@@ -123,8 +123,9 @@ def sibling_items(n, m, per):
     below each of its m - 1 siblings, as (members, n * m)."""
     sib = np.array([[s for s in range(m) if s != c] for c in range(m)], dtype=np.intp)
     child = np.arange(n)[:, None, None] * m + sib  # ancestor x child x sibling
-    items = child[..., None] * per + np.arange(per)
-    return np.ascontiguousarray(items.reshape(n * m, -1).T)
+    items = np.ascontiguousarray((child[..., None] * per + np.arange(per)).reshape(n * m, -1).T)
+    items.setflags(write=False)  # shared by every caller of the cache
+    return items
 
 
 def atom_terms(kernel):
