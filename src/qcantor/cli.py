@@ -19,7 +19,7 @@ from .cantor import (SOURCE, TARGET, ConfigError, ConstructionError, build_tree,
                      schedules_from_config)
 from .capacity import CapacityIndices, direct_capacity_lower, wolff_capacity_lower
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1, check_G2,
-                     check_G2_tree_gauge, content_Mh_tree, eps_mu_a, frostman_tree,
+                     check_G2_tree_gauge, content_and_frostman, eps_mu_a,
                      sample_ball_pairs)
 from .potentials import IndexDomainError, menger_curvature, riesz_potential, wolff_tree
 
@@ -205,8 +205,7 @@ def _make_gauge(descriptor, real, side):
 def _cmd_content(args):
     _, real = _realized(args)
     gauge = _make_gauge(args.gauge, real, args.side)
-    content = content_Mh_tree(gauge)
-    frost = frostman_tree(gauge)
+    content, frost = content_and_frostman(gauge)
     # the gauge's relative error bound, shared by content and frostman
     _emit(args, {"content": content.value, "gauge": content.gauge,
                  "cover_size": content.cover_size, "frostman": frost.value,

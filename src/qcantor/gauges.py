@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +107,7 @@ class _PsiKernel:
 
     def expand(self, u, quad, trace, scale, weight, rows=None):
         """Overwrite the distances u with W psi plus the quadrupole, from
-        quad = Q (overwritten too), trace = tr S, scale and the block weight W
-        (None for 1, which skips the product)."""
+        quad = Q (overwritten too), trace = tr S, scale and the block weight W."""
         p = self.power
         if self.radii is not None:
             u /= self.radii[rows]
@@ -123,8 +121,7 @@ class _PsiKernel:
         work *= scale
         work *= scale
         quad *= work
-        if weight is not None:
-            psi *= weight
+        psi *= weight
         psi += quad
         return psi
 
@@ -422,19 +419,6 @@ def _content_dp(tree, h):
     return cost, take
 
 
-#: each live gauge's content DP, so that its content and Frostman flow share
-#: one h pass and one DP; a gauge's h values are read once
-_DP = weakref.WeakKeyDictionary()
-
-
-def _gauge_dp(gauge):
-    """(cost, take) of ``_content_dp`` on the gauge's h values, computed once
-    per gauge."""
-    if gauge not in _DP:
-        _DP[gauge] = _content_dp(gauge.tree, gauge.h_values())
-    return _DP[gauge]
-
-
 def _cover_size(tree, take):
     """The number of taken nodes below no taken ancestor, generation by
     generation: a mask of the nodes not under a taken ancestor is repeated
@@ -455,12 +439,14 @@ def content_Mh_tree(gauge) -> ContentResult:
     the unrestricted content and exact among tree-aligned covers.  The gauge
     supplies everything: its tree, its h arrays (h_values), their far-field
     bound and a description; which side's balls it measures is its own.  The
-    DP is shared with ``frostman_tree`` on the same gauge.  The cover's size
-    is counted from the DP's take masks; its paths are built when
-    ``ContentResult.cover`` is read.
+    cover's size is counted from the DP's take masks; its paths are built
+    when ``ContentResult.cover`` is read.
     """
+    return _content(gauge, *_content_dp(gauge.tree, gauge.h_values()))
+
+
+def _content(gauge, cost, take):
     tree = gauge.tree
-    cost, take = _gauge_dp(gauge)
     return ContentResult(float(cost[0][0]), _cover_size(tree, take), gauge.description,
                          gauge.far_field_bound(), tree, tuple(take))
 
@@ -481,11 +467,13 @@ def frostman_tree(gauge) -> FrostmanResult:
     """Leaf masses maximizing the total subject to every node's h-constraint.
 
     On a tree the max flow equals the min cut, i.e. the content DP value,
-    so nu(F) matches M^h exactly within the tree-aligned class.  The DP is
-    shared with ``content_Mh_tree`` on the same gauge.
+    so nu(F) matches M^h exactly within the tree-aligned class.
     """
+    return _frostman(gauge, _content_dp(gauge.tree, gauge.h_values())[0])
+
+
+def _frostman(gauge, flow):
     tree = gauge.tree
-    flow, _ = _gauge_dp(gauge)
     alloc = np.array([flow[0][0]])
     for g in range(1, tree.depth + 1):
         m = tree.branching(g)
@@ -498,6 +486,13 @@ def frostman_tree(gauge) -> FrostmanResult:
     # split re-sums to it only up to rounding
     value = float(flow[0][0])
     return FrostmanResult(alloc, value, gauge.far_field_bound())
+
+
+def content_and_frostman(gauge):
+    """(``content_Mh_tree``, ``frostman_tree``) of one gauge, from one read of
+    its h values and one DP."""
+    cost, take = _content_dp(gauge.tree, gauge.h_values())
+    return _content(gauge, cost, take), _frostman(gauge, cost)
 
 
 def generation_cover_sum(tree, eps_log, generation) -> float:

@@ -29,18 +29,14 @@ the leaves.  Tail plus remainders stay at most 2**-53 of eps, either sign.
 A generation then costs N atoms for ring 0 plus O(nodes * M * L) block
 terms, instead of the O(M^L * N) of summing the kept rings atom by atom.
 
-The fill gathers its terms instead of looping over rings (``_fill``).  The
-kept rings of one frame and block generation form one box of terms over
-the nodes of every generation that keeps them, and ring 0 of a generation
-is the box of its nodes' own atoms.  Each box's offsets (and its blocks'
-moments) are gathered into the chunk buffer of its stream, the exact atoms
-or the block expansions (``streams``), and a full buffer of at most _CHUNK
-terms is one kernel call, whose values are summed back per node: a depth-6
-source fill makes 10 kernel calls over 61,420 terms where a call per ring
-made 18, and a gauge-content benchmark pass 35 over 170,000 terms where it
-made 108.  What is left per term is the arithmetic and the gather: on a
-2-vCPU Xeon host about 10 ns per exact-atom term and 22 ns per block term
-in the kernels, and about 30 ns per term for a whole depth-8 fill.
+A fill evaluates ring by ring, each ring in pieces of at most _CHUNK
+terms.  The eight fills of a gauge-content benchmark pass make 108 ring
+calls over 170,000 terms, about 10 ms on a 2-vCPU Xeon host: 47 block rings
+of under 1,000 terms cost about 70 us each, mostly numpy call overhead,
+and the large rings about 50 ns per block term and 40 ns per exact-atom
+term.  Evaluating several rings per kernel call was measured and did not
+pay: each ring still lifts, lays out and scales its own items and node
+centers, which costs about what the saved calls did.
 """
 from __future__ import annotations
 
@@ -52,10 +48,10 @@ import numpy as np
 
 from .gauges import _PsiKernel, psi_a
 from .measure import LeafBlocks, PlanarMeasure, _taylor
-from . import cantor, streams
+from . import cantor
 
 #: largest block of kernel terms evaluated at once by eps_by_generation
-_CHUNK = 1 << 13
+_CHUNK = 1 << 15
 #: relative error of eps that the batched evaluator may commit: one unit round-off
 _BUDGET = 2.0 ** -53
 #: the part of it kept back from the dropped rings for the expansion remainders
@@ -170,25 +166,12 @@ class CantorRealization:
             pos = (pos.reshape(2, step.shape[1], -1) + step[:, :, None]).reshape(2, -1)
         return pos
 
-    def _lifted(self, side):
-        """(g, every atom in its generation-g frame) for g = depth, ..., 0:
-        one (x, y) array, lifted in place by the offsets of generation g + 1
-        between yields, so each yield overwrites the last."""
-        counts, offsets = self.tree.node_counts, self._offsets[side]
-        pos = self._atoms[side].copy()
-        yield self.depth, pos
-        for g in range(self.depth - 1, -1, -1):
-            view = pos.reshape(2, counts[g + 1], -1)
-            np.add(view, offsets[g + 1][:, :, None], out=view)
-            yield g, pos
-
     def _frames(self, side):
-        """Every atom in its generation-g frame, g = 0 .. depth, each lifted
-        once: frames[g] holds them as x, y rows."""
-        frames = np.empty((self.depth + 1, 2, self.n_atoms))
-        for g, pos in self._lifted(side):
-            frames[g] = pos
-        return frames
+        """Every atom in its generation-g frame, g = 0 .. depth, each lifted once."""
+        frames = [self._atoms[side]]
+        for g in range(self.depth - 1, -1, -1):
+            frames.append(self._lift(side, frames[-1], g, g + 1))
+        return frames[::-1]
 
     def measure(self, side) -> PlanarMeasure:
         """Flat atom cloud with absolute positions, formed on each call by
@@ -396,132 +379,94 @@ class CantorRealization:
         plan (``eps_rings``) is summed in the frame of the generation-(g - j)
         ancestor, the frame arithmetic of ``node_atom_distances``: over its
         exact atoms, or over its blocks' monopoles plus quadrupoles about their
-        centroids (``_PsiKernel.expand``).  Farther rings are dropped.  All
-        generations' rings go through one ``_fill``.  The result is within the
-        plan's bound (tail plus remainders, at most 2**-53) of the exact eps,
-        on either side.  Cached per (side, a).
+        centroids (``_PsiKernel.expand``).  Farther rings are dropped.  The
+        result is within the plan's bound (tail plus remainders, at most
+        2**-53) of the exact eps, on either side.  Cached per (side, a).
         """
         key = (side, float(a))
         if key not in self._eps_cache:
             plans = self.eps_rings(side, a)
-            radii = self._radii[side]
+            frames, radii = self._frames(side), self._radii[side]
             weight = float(self.weights[0])  # atoms carry equal weights
-            rings = self._fill(side, a, [(g, plan.levels) for g, plan in enumerate(plans)])
             eps = []
-            for g, sums in enumerate(rings):
-                values = np.add.reduce(sums, axis=0) * weight / radii[g]
+            for g, plan in enumerate(plans):
+                values = sum(self._ring_sums(side, g, a, plan.levels, frames)) * weight / radii[g]
                 values.setflags(write=False)
                 eps.append(values)
             self._eps_cache[key] = tuple(eps)
         return self._eps_cache[key]
 
     def _ring_sums(self, side, g, a, levels, frames):
-        """Per ring j = 0 .. len(levels), its psi sum at every generation-g node
-        (one row per ring), as ``_fill`` evaluates it; ring j >= 1 is evaluated
-        at generation levels[j - 1] (depth + 1: atoms).  frames[f] holds every
-        atom in its generation-f frame (``_frames``); the fill lifts its own
-        where none are given."""
-        return self._fill(side, a, [(g, levels)], frames)[0]
+        """Per ring j = 0 .. len(levels), its psi sum at every generation-g node;
+        ring j >= 1 is evaluated at generation levels[j - 1] (depth + 1: atoms).
+        frames[f] holds every atom in its generation-f frame (``_frames``)."""
+        r = self._radii[side][g]
+        center = np.zeros((2, self.tree.node_counts[g]))  # in the gen-f frame
+        yield self._ring_psi_sums(side, g, g, center, r, a, self.depth + 1, frames[g])
+        for f, level in zip(range(g - 1, -1, -1), levels):
+            center = self._lift(side, center, f, f + 1)
+            yield self._ring_psi_sums(side, f, g, center, r, a, level, frames[f])
 
-    def _fill(self, side, a, rings, frames=None):
-        """Ring psi sums per (g, levels) of rings, in order: one array per
-        generation g, with a row per ring j = 0 .. len(levels) and a column
-        per generation-g node.
+    def _ring_psi_sums(self, side, f, g, center, r, a, level, atoms):
+        """Sum of psi_a(|y - c| / r) over one ring, for every generation-g node.
 
-        Ring 0 of a generation-g node is its own atoms, in its own frame,
-        their offsets over r_g.  Ring j >= 1 is what lies below the siblings
-        of its generation-(f + 1) ancestor, f = g - j, in the frame of the
-        generation-f ancestor, taken as its exact atoms when levels[j - 1] is
-        depth + 1 and otherwise as the centroid expansions of that
-        generation's blocks.  Its offsets are taken in units of r1, the
-        radius of the generation-(f + 1) nodes: every such offset is at least
-        2 (P / r1 - 1) >= 2 (1 / sigma - 1), so no square of one underflows,
-        and u is the offset's length times r1 / r_g.
-
-        The rings of one (f, level) face the same items, so they form one box
-        of terms over the nodes of all their generations.  The boxes, ring 0
-        of each generation among them, go into two streams
-        (``streams.Terms``), the exact atoms and the block expansions, each
-        evaluated in chunks of at most _CHUNK terms and summed back per node.
-        The atoms are lifted from the leaves up, one generation at a time
-        (``_lifted``), unless frames (``_frames``) are given.
+        For f = g the ring is the node's own atoms, in its own frame.  For
+        f < g it is what lies below the siblings of the node's
+        generation-(f + 1) ancestor, in the frame of the generation-f
+        ancestor, where ``center`` gives the node centers and ``atoms`` every
+        atom (x, y rows).  It is taken as its exact atoms when level is
+        depth + 1, and otherwise as the centroid expansions of its
+        generation-level blocks.  Coordinates are scaled by 1/r before they
+        are squared, so nothing underflows; terms are laid out (ring member,
+        node within group, group), groups innermost, and evaluated in pieces
+        of about _CHUNK terms.
         """
-        counts, radii = self.tree.node_counts, self._radii[side]
+        counts = self.tree.node_counts
+        if f == g:
+            rel = atoms / r
+            psi = psi_a(np.sqrt(rel[0] ** 2 + rel[1] ** 2), a)
+            return psi.reshape(counts[g], -1).sum(axis=1)
+        if level > self.depth:
+            data, q = atoms / r, None
+        else:
+            mu, mom, _ = self._blocks(side)[level]
+            weight = self.n_atoms // counts[level]
+            q = self._radii[side][level] / r
+            data = np.concatenate([self._lift(side, mu, f, level) / r, mom])
+        # each gen-(f + 1) ancestor faces the blocks of its m - 1 siblings:
+        # data[:, s * b + i, c + m * A] is sibling s of child c of ancestor A
+        m, rows = self.tree.branching(f + 1), len(data)
+        src = data.reshape(rows, counts[f], m, -1).transpose(0, 2, 3, 1)
+        data = np.empty((rows, m - 1) + src.shape[2:] + (m,))
+        for c in range(m):
+            data[:, :c, ..., c] = src[:, :c]
+            data[:, c:, ..., c] = src[:, c + 1:]
+        groups = counts[f + 1]
+        data = data.reshape(rows, -1, groups)
+        members, per_group = data.shape[1], counts[g] // groups
+        center = (center / r).reshape(2, groups, per_group).transpose(0, 2, 1).copy()
+        out = np.zeros((per_group, groups))
+        m_step = max(1, min(members, _CHUNK // groups))
+        n_step = max(1, _CHUNK // (m_step * groups))
         kernel = _PsiKernel(a)
-        out = [np.zeros((len(levels) + 1, counts[g])) for g, levels in rings]
-        buffer = np.empty((9, _CHUNK))  # the block stream's rows; the first three the atoms'
-        atoms = streams.Terms(buffer[:3], streams.atom_terms(kernel))
-        blocks = streams.Terms(buffer, streams.block_terms(kernel))
-        groups = {}  # the rings of each (f, level)
-        for sums, (g, levels) in zip(out, rings):
-            for j, (f, level) in enumerate(zip(range(g - 1, -1, -1), levels), start=1):
-                groups.setdefault((f, level), []).append((g, sums[j]))
-        # the atoms in each generation's frame, from the leaves up: ring 0
-        # takes its own, and the frames the atom rings read are kept
-        own = dict((g, sums[0]) for sums, (g, _) in zip(out, rings))
-        kept = {f: None for f, level in groups if level > self.depth}
-        lowest = min(min(own), min(kept, default=self.depth))
-        lifted = self._lifted(side) if frames is None else (
-            (g, frames[g]) for g in range(self.depth, -1, -1))
-        for g, pos in lifted:
-            if g in own:  # ring 0: a node's own atoms
-                atoms.add(pos.reshape(2, counts[g], -1).transpose(0, 2, 1), None,
-                          np.array([1.0 / radii[g]]), own[g].reshape(-1, 1))
-            if g in kept:
-                kept[g] = pos.copy()
-            if g == lowest:
-                break
-        # the atom rings first, so that the atom stream is flushed before the
-        # block stream reuses its buffer, then the block rings frame by frame
-        # from the leaves up, each generation's node centers lifted one frame
-        # further as its next ring needs them
-        done, node_centers, levels_of = [], {}, dict(rings)
-        for (f, level), members in sorted(groups.items(),
-                                          key=lambda kv: (kv[0][1] <= self.depth, -kv[0][0])):
-            if level <= self.depth:
-                atoms.flush()
-            for g, _ in members:
-                frame, center = node_centers.get(g, (g, np.zeros((2, counts[g]))))
-                node_centers[g] = f, self._lift(side, center, f, frame)
-            # the groups are the generation-(f + 1) nodes, each facing its
-            # siblings' items; offsets are taken in units of their radius r1,
-            # and a node's u is its offset times r1 / r
-            n, r1 = counts[f + 1], radii[f + 1]
-            per = [counts[g] // n for g, _ in members]
-            centers = np.concatenate([node_centers[g][1].reshape(2, n, -1) for g, _ in members],
-                                     axis=2)
-            for g, _ in members:  # past a generation's last ring, its centers go
-                if f == g - len(levels_of[g]):
-                    del node_centers[g]
-            centers /= r1
-            ratio = np.repeat([r1 / radii[g] for g, _ in members], per)
-            box = np.zeros(centers.shape[1:])
-            if level > self.depth:
-                data, stream, weight = kept[f], atoms, 1
-                node_centers.clear()  # the block rings start again from each generation
-            else:
-                mu, mom, _ = self._blocks(side)[level]  # mom: sxx, 2 sxy, syy
-                data = np.concatenate([self._lift(side, mu, f, level), mom,
-                                       mom[0:1] + mom[2:3]])  # and each block's trace
-                stream, weight = blocks, self.n_atoms // counts[level]
-            index = streams.sibling_items(counts[f], self.tree.branching(f + 1),
-                                          data.shape[1] // n)
-            items = np.take(data, index, axis=1)
-            items[:2] /= r1
-            if stream is blocks:
-                # the moments in units of r1^2, over the block weight W: a
-                # term is psi plus its quadrupole over W
-                items[2:] *= (radii[level] / r1) ** 2 / weight
-            stream.add(items, centers, ratio, box)
-            done.append((box, per, members, weight))
-        atoms.flush()
-        blocks.flush()
-        for box, per, members, weight in done:
-            at = 0
-            for width, (_, row) in zip(per, members):
-                np.multiply(box[:, at:at + width], weight, out=row.reshape(-1, width))
-                at += width
-        return out
+        for m0 in range(0, members, m_step):
+            y = data[:, m0:m0 + m_step, None]
+            for n0 in range(0, per_group, n_step):
+                c = center[:, None, n0:n0 + n_step]
+                dx, dy = y[0] - c[0], y[1] - c[1]
+                with np.errstate(over="ignore"):  # past 1e154 radii: u = inf, psi = 0
+                    u = np.sqrt(dx * dx + dy * dy)
+                if q is None:
+                    psi = psi_a(u, a)
+                else:
+                    # the block moments S = r_level^2 (sxx, 2 sxy, syy) along
+                    # the unit direction, with scale r_level / |y - c|
+                    dx /= u
+                    dy /= u
+                    quad = dx * (y[2] * dx + y[3] * dy) + y[4] * dy * dy
+                    psi = kernel.expand(u, quad, y[2] + y[4], q / u, weight)
+                out[n0:n0 + n_step] += psi.sum(axis=0)
+        return out.T.ravel()
 
     def leaf_centers(self, side) -> np.ndarray:
         """Absolute leaf centers (one per leaf, regardless of samples)."""

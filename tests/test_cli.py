@@ -224,6 +224,24 @@ def test_content_command_depth7_min_cut_equals_max_flow(tmp_path):
     assert doc["frostman"] == doc["content"]
 
 
+@pytest.mark.parametrize("side,gauge", [("source", "smoothed:a=0.1"),
+                                        ("target", "smoothed:a=0.1"),
+                                        ("target", "distorted:a=0.1")])
+def test_content_with_an_interior_single_child_level(tmp_path, side, gauge):
+    # M = 1 at generation 2: the rings kept there have no siblings to sum
+    cfg = {"K": 2, "depth": 3, "seed": 0,
+           "levels": [{"M": m, "d": "harmonic"} for m in (2, 1, 2)]}
+    config = tmp_path / "m212.json"
+    config.write_text(json.dumps(cfg))
+    out = str(tmp_path / "content.json")
+    assert main(["content", "--config", str(config), "--side", side, "--gauge", gauge,
+                 "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert doc["content"] > 0
+    assert doc["frostman"] == doc["content"]
+    assert 1 <= doc["cover_size"] <= 4
+
+
 @pytest.mark.parametrize("gauge,item", [
     ("smoothed:a=0.1,b=3", "'b=3'"), ("smoothed:b", "'b'"), ("smoothed:a=", "'a='"),
     ("distorted:a=-1", "'a=-1'"), ("distorted:a=nan", "'a=nan'")])

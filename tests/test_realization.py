@@ -21,9 +21,9 @@ def _harmonic(depth, seed):
     return build_tree(harmonic_schedule(2.0, depth), depth, seed=seed)
 
 
-def _mixed(seed):
-    cfg = {"K": 2, "depth": 5, "seed": seed,
-           "levels": [{"M": m, "d": "harmonic"} for m in (3, 4, 2, 3, 4)]}
+def _mixed(seed, branchings=(3, 4, 2, 3, 4)):
+    cfg = {"K": 2, "depth": len(branchings), "seed": seed,
+           "levels": [{"M": m, "d": "harmonic"} for m in branchings]}
     schedules, depth, seed = schedules_from_config(cfg)
     return build_tree(schedules, depth, seed=seed)
 
@@ -34,13 +34,16 @@ def _sampled_paths(tree, per_generation=40):
         yield from paths[::max(1, len(paths) // per_generation)]
 
 
-CASES = [("harmonic", 1), ("harmonic", 4), ("mixed", 1), ("mixed", 4)]
+CASES = [("harmonic", 1), ("harmonic", 4), ("mixed", 1), ("mixed", 4),
+         ("single", 1), ("single", 4)]
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: f"{c[0]}-spl{c[1]}")
 def realized(request):
+    # "single" has an interior M = 1 level: its rings there have no siblings
     kind, spl = request.param
-    tree = _harmonic(5, seed=3) if kind == "harmonic" else _mixed(seed=3)
+    tree = {"harmonic": lambda: _harmonic(5, seed=3), "mixed": lambda: _mixed(seed=3),
+            "single": lambda: _mixed(seed=3, branchings=(3, 1, 2, 4, 3))}[kind]()
     return tree.realize(seed=3, samples_per_leaf=spl)
 
 
@@ -57,8 +60,8 @@ def test_batched_eps_matches_node_oracle(realized, side):
 
 @pytest.mark.parametrize("chunk", [61, 1000])
 def test_batched_eps_in_tiny_chunks_matches_node_oracle(realized, chunk, monkeypatch):
-    # every box is cut into pieces: rings wider than a chunk, nodes with more
-    # members than a chunk, and ring 0 in many slices
+    # every ring wider than a chunk is cut into pieces, over its members and
+    # over the nodes of each group
     monkeypatch.setattr(realization, "_CHUNK", chunk)
     real = realized.tree.realize(seed=3, samples_per_leaf=realized.samples_per_leaf)
     tree = real.tree
