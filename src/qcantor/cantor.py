@@ -249,7 +249,10 @@ class CantorTree:
 
     #: the cumulative per-generation logs, entry n = generation n (entry 0 = root):
     #: log t, log s, ideal log mass (2 * sum log R_k), sum log d_k, sum log(1 - eps_k)
-    _CUMULATIVE = ("cum_log_t", "cum_log_s", "cum_log_mass", "cum_log_d", "cum_log_keep")
+    #: and the log node count sum log M_k, in O(depth) floats where ``node_counts``
+    #: holds O(depth^2) bits
+    _CUMULATIVE = ("cum_log_t", "cum_log_s", "cum_log_mass", "cum_log_d", "cum_log_keep",
+                   "log_node_counts")
 
     def __init__(self, schedules, depth, seed=0, scale=1.0):
         schedules = tuple(schedules)
@@ -276,7 +279,7 @@ class CantorTree:
         # same additions, in the same order, as cum[g] = cum[g - 1] + step_g
         steps = [(0.0,) * len(self._CUMULATIVE)] + [
             (lv.log_target_step, lv.log_source_step, 2.0 * lv.log_protect,
-             lv.log_multiplier, lv.log_keep) for lv in self.schedules]
+             lv.log_multiplier, lv.log_keep, math.log(lv.branching)) for lv in self.schedules]
         cum = np.cumsum(np.array(steps).T, axis=1)
         cum.setflags(write=False)  # prefixes share these arrays
         for name, row in zip(self._CUMULATIVE, cum):
@@ -285,7 +288,8 @@ class CantorTree:
     @functools.cached_property
     def node_counts(self) -> tuple:
         """Nodes per generation, exact.  Formed on first use: at depth N the
-        counts hold O(N^2) bits, and no Wolff sweep reads them."""
+        counts hold O(N^2) bits, and no Wolff sweep or estimate reads them
+        (``log_node_counts`` holds their logs)."""
         return tuple(itertools.accumulate((lv.branching for lv in self.schedules),
                                           operator.mul, initial=1))
 

@@ -21,8 +21,8 @@ import numpy as np
 from .cantor import SOURCE, TARGET, ConfigError, build_tree, check_distortion, \
     harmonic_schedule, shrunk_schedule, doubly_exponential_schedule, sharpness_exponent, \
     sharpness_schedule
-from .capacity import (CapacityIndices, TreeWolffSeries, melnikov_gamma_lower,
-                       distorted_index_map, distortion_indices)
+from .capacity import (CapacityIndices, IndexOverflowError, TreeWolffSeries,
+                       distorted_index_map, distortion_indices, melnikov_gamma_lower)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
                      generation_cover_sum)
 from .potentials import LN2, IndexDomainError, line_fit
@@ -290,7 +290,10 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
     and the mapped indices (beta, q) on the source side."""
     if not 1.0 < p < math.inf:  # before 1/p is formed
         raise ConfigError(f"thm2a: p = {p}: need a finite p > 1")
-    di = distorted_index_map(1.0 / p, p, K)
+    try:  # the map names the indices; p chose them
+        di = distorted_index_map(1.0 / p, p, K)
+    except IndexOverflowError as exc:
+        raise ConfigError(f"thm2a: p = {p}: {exc}") from None
     source_idx, target_idx = di.image, CapacityIndices(1.0 / p, p)
 
     def make_row(deepest):

@@ -134,6 +134,53 @@ def diagnose_divergence(labels, contributions, kind):
     return True, float(slope)
 
 
+#: a log term at or past this leaves the doubles: math.exp overflows just above 709.78
+LOG_TERM_MAX = 709.0
+
+
+def check_mass_convention(convention):
+    if convention not in ("ideal", "realized"):
+        raise ValueError(f"unknown mass convention {convention!r}")
+
+
+def tree_log_ratios(tree, side, alpha, p, mass_convention="ideal", depth=None):
+    """log(mass_n / r_n^(2-alpha*p)) of generations 1..depth of ``tree.prefix(depth)``
+    (by default the tree's own depth), read from this tree's cumulative arrays.
+
+    The one owner of the tree Wolff log terms: generation n's log term is
+    (p'-1) times its log ratio, ``wolff_tree`` exponentiates them and
+    ``capacity.TreeWolffSeries`` serves every depth of a tree from them.  The
+    ideal ratios of a prefix are the first depth of the tree's own; a realized
+    ratio adds the depth's tail keep Lambda_depth - Lambda_n, Lambda =
+    ``cum_log_keep``, formed here as the prefix forms it.
+
+    The log-ratio is assembled per level as coefficients on sum(log R) and
+    sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at
+    (2/3, 3/2)) the target radius products cancel symbolically; otherwise a
+    residual ~|sum log R| * 1e-16 remains, which is harmless for
+    smallness-sized radii but matters for doubly-exponential schedules.
+    """
+    _check_side(side)
+    check_indices(alpha, p)
+    check_mass_convention(mass_convention)
+    homog = 2.0 - alpha * p
+    K = tree.K
+    if side == TARGET:
+        coef_log_r = 2.0 - 2.0 * homog        # on sum(log R_k); 0 exactly at homog=1
+        coef_log_d = -homog
+    else:
+        coef_log_r = 2.0 - homog * (K + 1.0)
+        coef_log_d = -homog * K
+    depth = tree.depth if depth is None else depth
+    gens = slice(1, depth + 1)
+    log_ratio = (0.5 * coef_log_r * tree.cum_log_mass[gens]
+                 + coef_log_d * tree.cum_log_d[gens]
+                 - homog * math.log(tree.scale))
+    if mass_convention == "realized":
+        log_ratio += tree.cum_log_keep[depth] - tree.cum_log_keep[gens]
+    return log_ratio
+
+
 def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
     """Generation terms (mass_N / r_N^(2-alpha*p))^(p'-1) of a Cantor tree.
 
@@ -143,50 +190,27 @@ def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
     prod(M_k R_k^2) is 1 only when M_k R_k^2 = 1 (the default trees keep
     4e-4/d_k^2 per level); "realized" uses the depth-truncated area-split
     masses and matches the realized atom cloud exactly.  Contributions run
-    over generations 1..tree.depth; the root term is excluded.  Under the
-    ideal convention the series of tree.prefix(depth) is the first depth
-    terms of this one, so ``capacity.TreeWolffSeries`` serves every depth of
-    a sweep from one call on its deepest tree; realized series are not
-    prefixes.
+    over generations 1..tree.depth; the root term is excluded.  The log
+    terms are (p'-1) times ``tree_log_ratios``, the ones that
+    ``capacity.TreeWolffSeries`` reads for every depth of a sweep on its
+    deepest tree: an ideal series is the first depth terms of this one, and
+    a realized total follows from the shallower one by a one-step
+    recurrence.  This function is the per-depth reference for both.
 
-    The log-ratio is assembled per level as coefficients on sum(log R) and
-    sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at
-    (2/3, 3/2)) the target radius products cancel symbolically; otherwise a
-    residual ~|sum log R| * 1e-16 remains, which is harmless for
-    smallness-sized radii but matters for doubly-exponential schedules.
-    The log terms of all generations are one array expression; each term is
-    exponentiated by math.exp (libm), and a log term at or past 709, where
-    the term leaves the doubles, is refused with IndexDomainError.
+    Each term is exponentiated by math.exp (libm), and a log term at or past
+    LOG_TERM_MAX = 709, where the term leaves the doubles, is refused with
+    IndexDomainError.
     """
-    _check_side(side)
-    check_indices(alpha, p)
-    if mass_convention not in ("ideal", "realized"):
-        raise ValueError(f"unknown mass convention {mass_convention!r}")
-    eta = conjugate_minus_one(p)
-    homog = 2.0 - alpha * p
-    K = tree.K
-    if side == TARGET:
-        coef_log_r = 2.0 - 2.0 * homog        # on sum(log R_k); 0 exactly at homog=1
-        coef_log_d = -homog
-    else:
-        coef_log_r = 2.0 - homog * (K + 1.0)
-        coef_log_d = -homog * K
-    depth = tree.depth
-    gens = slice(1, depth + 1)
-    log_ratio = (0.5 * coef_log_r * tree.cum_log_mass[gens]
-                 + coef_log_d * tree.cum_log_d[gens]
-                 - homog * math.log(tree.scale))
-    if mass_convention == "realized":
-        log_ratio += tree.cum_log_keep[depth] - tree.cum_log_keep[gens]
-    x = eta * log_ratio
-    past = np.flatnonzero(~(x < 709.0))
+    log_ratio = tree_log_ratios(tree, side, alpha, p, mass_convention)  # checks the inputs
+    x = conjugate_minus_one(p) * log_ratio
+    past = np.flatnonzero(~(x < LOG_TERM_MAX))
     if past.size:
         n = int(past[0]) + 1
         raise IndexDomainError(
             f"the {side} Wolff term at alpha = {alpha:.6g}, p = {p:.6g} leaves double "
             f"precision at generation {n} (log term {x[n - 1]:.6g})")
     logs = x.tolist()
-    labels, terms = range(1, depth + 1), [math.exp(v) for v in logs]
+    labels, terms = range(1, tree.depth + 1), [math.exp(v) for v in logs]
     divergent, rate = diagnose_divergence(labels, np.array(terms), "generation")
     return PotentialProfile(alpha, p, f"tree:{side}:{mass_convention}", tuple(zip(labels, terms)),
                             tuple(logs), divergent=divergent, divergence_rate=rate)

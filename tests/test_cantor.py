@@ -510,6 +510,18 @@ def test_node_counts_are_formed_on_first_use_and_prefixes_slice_them():
     assert vars(formed)["node_counts"] == lazy.node_counts  # sliced, not formed again
 
 
+def test_log_node_counts_are_the_logs_of_the_exact_counts():
+    # mixed branching, 1 to 7 children, to depth 64: a float cumsum of log M_k
+    cfg = {"K": 2, "depth": 64, "seed": 0,
+           "levels": [{"M": (3, 1, 2, 4, 7, 5)[g % 6], "d": "harmonic"} for g in range(64)]}
+    schedules, depth, _ = schedules_from_config(cfg)
+    tree = build_tree(schedules, depth)
+    for g in range(depth + 1):
+        want = math.log(tree.n_nodes(g))
+        assert abs(float(tree.log_node_counts[g]) - want) <= 1e-14 * want
+    assert np.array_equal(tree.prefix(17).log_node_counts, tree.log_node_counts[:18])
+
+
 def test_prefix_shares_read_only_arrays():
     full = build_tree(harmonic_schedule(2.0, 6), 6)
     tree = full.prefix(3)

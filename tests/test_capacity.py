@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from qcantor import measure as measure_mod
-from qcantor.cantor import SOURCE, TARGET, ConfigError, ConstructionError, build_tree, \
-    harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
+from qcantor.cantor import SOURCE, TARGET, CantorTree, ConfigError, ConstructionError, \
+    build_tree, harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, MAX_CELLS, WOLFF_SUP,
                               CapacityEstimate, CapacityIndices, TreeWolffSeries,
                               direct_capacity_lower, distorted_index_map, distortion_indices,
                               melnikov_gamma_lower, wolff_capacity_lower)
-from qcantor.experiments import gauge_criterion_experiment
+from qcantor.experiments import gauge_criterion_experiment, verify_riesz_distortion
 from qcantor.measure import EXPANSION_BUDGET, PlanarMeasure
 from qcantor.potentials import (IndexDomainError, default_dyadic_range, menger_curvature,
                                 standard_query_points, wolff_dyadic, wolff_tree)
@@ -130,19 +130,30 @@ def test_tree_estimate_mass_scaling_invariance():
     assert a.value > 0 and b.value > 0
 
 
+def _equal(got, want):
+    return got == want
+
+
+def _within_1e13(got, want):
+    return abs(got - want) <= 1e-13 * want
+
+
 @pytest.mark.parametrize("convention", ["ideal", "realized"])
 @pytest.mark.parametrize("side", [SOURCE, TARGET])
 def test_tree_series_prefixes_equal_each_prefix_own_series(side, convention):
     tree = build_tree(sharpness_schedule(2.0, 2.5, 12, branching=4), 12, seed=2)
     idx = distortion_indices(2.0)
     series = TreeWolffSeries(tree, side, idx, convention)
+    # realized totals come from the one-step recurrence, not the running sum
+    same = _equal if convention == "ideal" else _within_1e13
     for depth in (0, 1, 5, 11, 12):
         prefix = tree.prefix(depth)
         own = wolff_tree(prefix, side, idx.alpha, idx.p, mass_convention=convention)
-        assert series.total(depth) == own.total
+        assert same(series.total(depth), own.total)
         assert np.array_equal(series.terms(depth), own.contributions)
         est = wolff_capacity_lower(prefix, idx, side=side, mass_convention=convention)
-        assert series.capacity(depth) == (est.normalization["sup"], est.value)
+        sup, value = series.capacity(depth)
+        assert same(sup, est.normalization["sup"]) and same(value, est.value)
     for depth in (-1, 13):
         with pytest.raises(ConstructionError, match=f"prefix depth {depth} outside 0..12"):
             series.total(depth)
@@ -166,6 +177,148 @@ def test_tree_series_refuses_exactly_the_depths_past_the_doubles():
             with pytest.raises(IndexDomainError) as refused:
                 read(depth)
             assert str(refused.value) == str(own.value)
+
+
+def _outcome(read):
+    """read()'s value, or the type and text of what it raised."""
+    try:
+        return read()
+    except (IndexDomainError, ConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+def _terms_close(got, want, terms):
+    """Within 1e-13 relative; a subnormal per-depth total rounded each of its terms
+    to the subnormal grid, so it may differ by one grid step per term."""
+    return abs(got - want) <= 1e-13 * want + terms * math.ulp(0.0)
+
+
+_SERIES_TREES = {"harmonic": lambda K, depth: harmonic_schedule(K, depth),
+                 "sharpness": lambda K, depth: sharpness_schedule(K, (3 * K + 1) / (K + 1), depth)}
+
+
+@pytest.mark.parametrize("kind", sorted(_SERIES_TREES))
+@pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+def test_realized_series_within_1e13_of_each_prefix_to_depth_2000(K, kind):
+    tree = build_tree(_SERIES_TREES[kind](K, 2000), 2000)
+    depths = [*range(1, 100, 6), *range(100, 2000, 97), 1999, 2000]  # capacities to ~90
+    for side in (SOURCE, TARGET):
+        for idx in (distortion_indices(K), CapacityIndices(2.0 / 3.0, 1.5)):
+            series = TreeWolffSeries(tree, side, idx, "realized")
+            for depth in depths:
+                prefix = tree.prefix(depth)
+                own = _outcome(lambda: wolff_tree(prefix, side, idx.alpha, idx.p, "realized"))
+                if isinstance(own, tuple):  # refused: the same message from every read
+                    for read in (series.terms, series.total, series.capacity):
+                        assert _outcome(lambda: read(depth)) == own
+                    continue
+                assert np.array_equal(series.terms(depth), own.contributions)
+                assert _terms_close(series.total(depth), own.total, depth)
+                est = _outcome(lambda: wolff_capacity_lower(prefix, idx, side=side,
+                                                            mass_convention="realized"))
+                got = _outcome(lambda: series.capacity(depth))
+                if isinstance(est, tuple):
+                    assert got == est
+                    continue
+                sup, value = got
+                assert _terms_close(sup, own.total, depth)
+                assert sup == est.normalization["sup"] and value == est.value
+                mass = math.exp(float(tree.cum_log_keep[depth]))
+                want = mass * own.total ** (-1.0 / idx.conjugate_minus_one)
+                assert abs(value - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("kind", sorted(_SERIES_TREES))
+def test_ideal_series_bit_for_bit_below_a_refused_generation(kind):
+    # the source log term at (1.3, 1.01) passes 709 at generation 3, at (1.2, 1.05) at 9
+    tree = build_tree(_SERIES_TREES[kind](3.0, 12), 12)
+    for idx, refused in ((CapacityIndices(1.3, 1.01), 3), (CapacityIndices(1.2, 1.05), 9)):
+        series = TreeWolffSeries(tree, SOURCE, idx)
+        for depth in range(13):
+            prefix = tree.prefix(depth)
+            own = _outcome(lambda: wolff_tree(prefix, SOURCE, idx.alpha, idx.p))
+            est = _outcome(lambda: wolff_capacity_lower(prefix, idx, side=SOURCE))
+            if depth >= refused:
+                assert f"at generation {refused} " in own[1]
+                for read in (series.terms, series.total, series.capacity):
+                    assert _outcome(lambda: read(depth)) == own
+                continue
+            assert series.total(depth) == own.total
+            assert np.array_equal(series.terms(depth), own.contributions)
+            assert series.capacity(depth) == (est.normalization["sup"], est.value)
+
+
+def test_realized_refusals_name_each_depth_own_generation():
+    # realized log terms shrink with the depth, so each depth refuses at its own
+    # generation, with the message of its prefix's own series
+    tree = build_tree(harmonic_schedule(3.0, 8), 8)
+    series = TreeWolffSeries(tree, SOURCE, CapacityIndices(1.3, 1.01), "realized")
+    named = []
+    for depth in range(9):
+        own = _outcome(lambda: wolff_tree(tree.prefix(depth), SOURCE, 1.3, 1.01, "realized"))
+        if depth < 3:
+            assert series.total(depth) == own.total  # one or two terms: the same bits
+            continue
+        for read in (series.terms, series.total, series.capacity):
+            assert _outcome(lambda: read(depth)) == own
+        named.append(int(own[1].split("at generation ")[1].split()[0]))
+    assert named == [3, 4, 5, 6, 6, 7]
+
+
+def test_realized_total_next_to_the_limit_is_read_not_refused():
+    # scaled so the one realized depth-1 term is exp(708.5): its log total is within
+    # 1 of LOG_TERM_MAX, so its own log terms are checked, and none is past it
+    idx = CapacityIndices(2.0 / 3.0, 1.5)  # 2 - alpha*p = 1, p' - 1 = 2
+    tree = build_tree(harmonic_schedule(2.0, 3), 3, scale=math.exp(-354.25 - math.log(2.0)))
+    series = TreeWolffSeries(tree, TARGET, idx, "realized")
+    own = wolff_tree(tree.prefix(1), TARGET, idx.alpha, idx.p, "realized")
+    assert own.log_terms == pytest.approx((708.5,), abs=1e-9)
+    assert series.total(1) == own.total and series._suspect[1]
+    est = wolff_capacity_lower(tree.prefix(1), idx, side=TARGET, mass_convention="realized")
+    assert series.capacity(1) == (est.normalization["sup"], est.value)
+
+
+@pytest.mark.parametrize("convention", ["ideal", "realized"])
+def test_series_reads_build_no_prefix_outside_a_refusal(monkeypatch, convention):
+    built = []
+    prefix = CantorTree.prefix
+
+    def counting(tree, depth):
+        built.append(depth)
+        return prefix(tree, depth)
+
+    monkeypatch.setattr(CantorTree, "prefix", counting)
+    tree = build_tree(harmonic_schedule(2.0, 300), 300)
+    for side in (SOURCE, TARGET):
+        series = TreeWolffSeries(tree, side, distortion_indices(2.0), convention)
+        for depth in range(301):  # realized capacities past depth ~90 leave the doubles
+            series.terms(depth), series.total(depth), _outcome(lambda: series.capacity(depth))
+    assert built == []
+    # K = 3 at (1.3, 1.01): depths 3..8 refuse, each read through its prefix's own series
+    tree = build_tree(harmonic_schedule(3.0, 8), 8)
+    series = TreeWolffSeries(tree, SOURCE, CapacityIndices(1.3, 1.01), convention)
+    for depth in range(9):
+        _outcome(lambda: series.total(depth))
+    assert built == [3, 4, 5, 6, 7, 8]
+
+
+def test_depth_10000_estimate_forms_no_node_counts():
+    tree = build_tree(harmonic_schedule(2.0, 10_000), 10_000)
+    est = wolff_capacity_lower(tree, distortion_indices(2.0), side=TARGET)
+    assert "node_counts" not in vars(tree)
+    assert est.normalization["log_ideal_total"] == (float(tree.log_node_counts[-1])
+                                                    + tree.log_mass(10_000, "ideal"))
+
+
+def test_index_map_refuses_indices_it_sends_past_the_doubles():
+    # at p = 1e308 the map's numerator overflows: beta = 0 and q = inf, caused by p
+    with pytest.raises(IndexDomainError) as info:
+        distorted_index_map(1e-308, 1e308, 2.0)
+    message = str(info.value)
+    assert message.startswith("alpha = 1e-308, p = 1e+308 map to beta = 0.0, q = inf")
+    assert "K" not in message
+    with pytest.raises(ConfigError, match=r"^thm2a: p = 1e\+308: alpha = 1e-308, p = 1e\+308 "):
+        verify_riesz_distortion(2.0, p=1e308)
 
 
 def test_normalized_measure_estimate_returns_mass():

@@ -468,6 +468,16 @@ def test_verify_thm2a_names_p(tmp_path, capsys, p, why):
     assert not (tmp_path / "thm2a.json").exists()
 
 
+def test_verify_thm2a_names_a_p_that_overflows_the_index_map(tmp_path, capsys):
+    # p = 1e308 overflows the map's numerator (beta = 0, q = inf): p is the cause, not K
+    code = main(["verify", "thm2a", "--K", "2", "--p", "1e308", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "thm2a: p = 1e+308: alpha = 1e-308, p = 1e+308 map to beta = 0.0, q = inf" in err
+    assert "K =" not in err and "K is too large" not in err
+    assert not (tmp_path / "thm2a.json").exists()
+
+
 def test_verify_sharpness_refuses_capacity_that_leaves_the_doubles(tmp_path, capsys):
     # q = 1000: the bounded source capacity's Wolff sup underflows to 0
     code = main(["verify", "sharpness", "--K", "2", "--q", "1000", "--out", str(tmp_path)])

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from qcantor import capacity
+from qcantor import capacity, potentials
 from qcantor import experiments as ex
 from qcantor.cantor import (SOURCE, TARGET, CantorTree, ConfigError, build_tree,
                             harmonic_schedule, sharpness_schedule)
-from qcantor.potentials import IndexDomainError, line_fit, wolff_tree
+from qcantor.potentials import IndexDomainError, line_fit, tree_log_ratios, wolff_tree
 
 
 def test_gamma_distortion_ratio_stable_and_rows_complete():
@@ -233,13 +233,12 @@ def test_sharpness_source_sum_is_the_source_wolff_series(K, q):
 
 
 def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
-    def refusing(tree, side, alpha, p, **kwargs):
-        if side == SOURCE:
-            raise IndexDomainError(f"the {side} Wolff term at alpha = {alpha:.6g}, p = "
-                                   f"{p:.6g} leaves double precision at generation 1")
-        return wolff_tree(tree, side, alpha, p, **kwargs)
+    def overflowing(tree, side, *args, **kwargs):
+        ratios = tree_log_ratios(tree, side, *args, **kwargs)
+        return ratios + 1e4 if side == SOURCE else ratios  # every source term past the doubles
 
-    monkeypatch.setattr(capacity, "wolff_tree", refusing)  # under the source capacity
+    for module in (capacity, potentials):  # the series' log terms and wolff_tree's refusal
+        monkeypatch.setattr(module, "tree_log_ratios", overflowing)
     with pytest.raises(ConfigError, match=r"^sharpness: q = 2\.5: the source Wolff term"):
         ex.sharpness_experiment(3.0, q=2.5, depths=[8, 9])
 
@@ -305,13 +304,19 @@ def test_sweep_rows_equal_the_per_prefix_route(monkeypatch, sweep, K, depths):
     (lambda: ex.vanishing_content_experiment(2.0), 1),
     (lambda: ex.content_distortion_experiment(2.0, depths=[2, 3]), 0)])
 def test_sweeps_make_one_wolff_tree_call_per_series(monkeypatch, run, calls):
+    # each series forms wolff_tree's log terms once, on the deepest tree; wolff_tree
+    # itself is called only to raise a refusal, and no default sweep refuses
     seen = []
 
     def counting(tree, *args, **kwargs):
         seen.append(tree.depth)
-        return wolff_tree(tree, *args, **kwargs)
+        return tree_log_ratios(tree, *args, **kwargs)
 
-    monkeypatch.setattr(capacity, "wolff_tree", counting)
+    def refusing(*args, **kwargs):
+        raise AssertionError("wolff_tree called outside a refusal")
+
+    monkeypatch.setattr(capacity, "tree_log_ratios", counting)
+    monkeypatch.setattr(capacity, "wolff_tree", refusing)
     report = run()
     assert seen == [max(report.params["depths"])] * calls
 

@@ -73,26 +73,44 @@ def test_batched_eps_in_tiny_chunks_matches_node_oracle(realized, chunk, monkeyp
             assert abs(got - exact) <= 1e-13 * exact
 
 
-@pytest.mark.parametrize("side", SIDES)
-def test_dropped_ring_share_within_recorded_bound(realized, side):
-    tree = realized.tree
-    s = realized.samples_per_leaf
-    plans = realized.eps_rings(side, A)
+def _dropped_shares(real, side):
+    """Per sampled node: the share of its eps sum from the rings the plan drops,
+    each checked against the plan's recorded tail bound."""
+    tree, s = real.tree, real.samples_per_leaf
+    plans = real.eps_rings(side, A)
     assert all(plan.tail <= plan.bound <= ROUNDOFF for plan in plans)
-    dropped_somewhere = False
+    shares = []
     for path in _sampled_paths(tree):
         g = len(path)
         kept, tail = len(plans[g].levels), plans[g].tail
         r = np.exp(tree.log_radius(side, g))
-        terms = realized.weights * psi_a(realized.node_atom_distances(side, path) / r, A)
+        terms = real.weights * psi_a(real.node_atom_distances(side, path) / r, A)
         # rings 0..kept are the atoms below the generation-(g - kept) ancestor
-        lo, hi = realized.leaf_range(path[:g - kept])
-        near = np.zeros(realized.n_atoms, dtype=bool)
+        lo, hi = real.leaf_range(path[:g - kept])
+        near = np.zeros(real.n_atoms, dtype=bool)
         near[lo * s:hi * s] = True
         share = terms[~near].sum() / terms.sum()
         assert share <= tail
-        dropped_somewhere |= share > 0.0
-    assert dropped_somewhere
+        shares.append(share)
+    return shares
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_dropped_ring_share_within_recorded_bound(realized, side):
+    assert _dropped_shares(realized, side)
+
+
+@pytest.mark.parametrize("spl", [1, 4])
+def test_dropped_ring_share_within_bound_where_every_ring_is_kept(spl):
+    real = _mixed(seed=3, branchings=(3, 1, 2, 4)).realize(seed=3, samples_per_leaf=spl)
+    assert set(_dropped_shares(real, TARGET)) == {0.0}
+
+
+@pytest.mark.parametrize("spl", [1, 4])
+@pytest.mark.parametrize("side", SIDES)
+def test_some_sampled_ring_is_dropped_on_the_depth5_harmonic_tree(side, spl):
+    real = _harmonic(5, seed=3).realize(seed=3, samples_per_leaf=spl)
+    assert max(_dropped_shares(real, side)) > 0.0
 
 
 def _ring_errors(real, side, a=A):
