@@ -17,8 +17,8 @@ import numpy as np
 from .cantor import CantorTree, ConfigError, ConstructionError, check_distortion
 from .measure import PlanarMeasure, _kernel_sums
 from .potentials import (LOG_TERM_MAX, IndexDomainError, _CappedPower, _dyadic_terms,
-                         check_indices, check_mass_convention, conjugate_minus_one,
-                         diagnose_divergence, tree_log_ratios, wolff_tree)
+                         check_indices, conjugate_minus_one, diagnose_divergence,
+                         tree_log_ratios, wolff_tree)
 
 #: the quadrature grid spans FARFIELD_FACTOR support diameters around the
 #: support centre; beyond it a closed-form tail takes over
@@ -108,7 +108,9 @@ def distorted_index_map(alpha, p, K) -> DistortedIndices:
     num = 2.0 * K * p * t - 3.0 * K * t + 2.0 * K + t
     beta = (4.0 * K - 2.0 * K * t) / num
     q = num / denom
-    if not (math.isfinite(beta) and math.isfinite(q)):  # num overflows for a huge p
+    # denom depends on K and t alone: past the doubles it is K's, refused below;
+    # otherwise num overflowed, for a huge p
+    if math.isfinite(denom) and not (math.isfinite(beta) and math.isfinite(q)):
         raise IndexOverflowError(f"alpha = {alpha!r}, p = {p!r} map to beta = {beta!r}, "
                                f"q = {q!r}, outside double precision")
     _check_k_indices(beta, q, K)
@@ -163,93 +165,69 @@ def _admissible_mass(mass, sup, indices, where) -> float:
 
 
 class TreeWolffSeries:
-    """The tree Wolff series of every prefix of one tree, in one O(N) pass over
-    its log terms (``potentials.tree_log_ratios``).
+    """The tree Wolff series of every prefix of one tree, from its log terms
+    (``potentials.tree_log_ratios``).
 
     ``tree.prefix(depth)`` slices the tree's cumulative arrays, so its ideal
     log terms are the first depth of the tree's own: under the ideal
     convention ``terms(depth)`` is a view of one array and ``total(depth)``
     (``PotentialProfile.total``, the running sum) entry depth of its one
-    ``np.cumsum``, the same bits as ``wolff_tree(tree.prefix(depth),
-    ...)``.  Under the realized convention generation n's log term at depth
-    D is x_n + (p'-1)(Lambda_D - Lambda_n), x_n the ideal one and Lambda =
-    ``cum_log_keep``, so the totals obey the one-step recurrence
-    S_D = exp((p'-1)(Lambda_D - Lambda_{D-1})) S_{D-1} + exp(x_D).  The series
-    carries log(S_D) - x_D, so a total led by its newest term keeps that
-    term's bits.  At depths to 2000 (K = 1.5, 2, 3, harmonic and sharpness
-    trees, both sides, distortion indices and (2/3, 3/2)) the totals were
-    within 2.2e-16 relative of the per-depth ``wolff_tree`` where they are
-    normal doubles; the tests hold them to 1e-13.  A realized
-    ``terms(depth)`` forms the depth's log terms in O(depth), with
-    ``wolff_tree``'s bits.
+    ``np.cumsum``, the same bits as ``wolff_tree(tree.prefix(depth), ...)``,
+    also at the depths below a refused generation.  Realized masses depend on
+    the depth, so a realized read forms the log terms of ``tree.prefix(depth)``
+    in O(depth) and sums their exponentials in order: ``wolff_tree``'s bits.
 
     A depth with a term past the doubles refuses where it is read, with the
-    message of ``wolff_tree(tree.prefix(depth), ...)``, the one place a
-    prefix tree is built: under the ideal convention every depth from the
-    first such generation on, under the realized one each depth whose log
-    total reaches LOG_TERM_MAX - 1 and whose own log terms confirm it.
+    message of ``wolff_tree(tree.prefix(depth), ...)``, the one place that
+    function is called: under the ideal convention every depth from the first
+    such generation on, under the realized one each depth whose own log terms
+    reach LOG_TERM_MAX.
     """
 
     def __init__(self, tree, side, indices, mass_convention="ideal"):
-        check_mass_convention(mass_convention)
         self.tree, self.side, self.indices = tree, side, indices
         self.mass_convention = mass_convention
-        self._eta = eta = indices.conjugate_minus_one
-        ratios = tree_log_ratios(tree, side, indices.alpha, indices.p)
-        self._logs = logs = eta * ratios
+        logs = self._log_terms(tree)  # checks the side, indices and convention
         if mass_convention == "ideal":
             past = np.flatnonzero(~(logs < LOG_TERM_MAX))
-            kept = int(past[0]) if past.size else tree.depth
-            self._terms = np.array([math.exp(v) for v in logs[:kept].tolist()])
+            self._kept = int(past[0]) if past.size else tree.depth  # the depths read
+            self._terms = np.array([math.exp(v) for v in logs[:self._kept].tolist()])
             self._terms.flags.writeable = False  # terms() hands out views
             self._running = np.cumsum(self._terms)
-            self._suspect = np.arange(tree.depth + 1) > kept
-            return
-        # log(S_D) - x_D: the step takes generation D-1's log term at depth D as
-        # the per-depth route forms it, relative to x_D
-        steps = eta * (ratios[:-1] + np.diff(tree.cum_log_keep)[1:]) - logs[1:]
-        excess = [0.0] if tree.depth else []
-        for step in steps.tolist():
-            v = step + excess[-1]  # log(1 + e^v), with no e^v past the doubles
-            excess.append(v + math.log1p(math.exp(-v)) if v > 0.0 else math.log1p(math.exp(v)))
-        self._excess = excess
-        self._suspect = ~(np.concatenate(([-math.inf], logs + excess))
-                          < LOG_TERM_MAX - 1.0)
 
-    def _log_terms(self, depth):
-        if self.mass_convention == "ideal":
-            return self._logs[:depth]
-        return self._eta * tree_log_ratios(self.tree, self.side, self.indices.alpha,
-                                           self.indices.p, "realized", depth)
+    def _log_terms(self, tree):
+        idx = self.indices
+        return idx.conjugate_minus_one * tree_log_ratios(tree, self.side, idx.alpha, idx.p,
+                                                         self.mass_convention)
 
-    def _check(self, depth):
-        """Refuse a depth outside the tree, or one with a term past the doubles."""
+    def _realized_log_terms(self, depth):
+        """The log terms of ``tree.prefix(depth)`` under the realized convention
+        (None under the ideal one, whose terms are kept); refuses a depth outside
+        the tree, or one with a term past the doubles."""
         if not 0 <= depth <= self.tree.depth:
             raise ConstructionError(f"prefix depth {depth} outside 0..{self.tree.depth}")
-        if self._suspect[depth] and not np.all(self._log_terms(depth) < LOG_TERM_MAX):
+        logs = None
+        if self.mass_convention == "ideal":
+            refused = depth > self._kept
+        else:
+            logs = self._log_terms(self.tree.prefix(depth))
+            refused = not np.all(logs < LOG_TERM_MAX)
+        if refused:
             wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
                        self.indices.p, mass_convention=self.mass_convention)  # raises
+        return logs
 
     def terms(self, depth) -> np.ndarray:
         """The generation terms 1..depth of ``tree.prefix(depth)``."""
-        self._check(depth)
-        if self.mass_convention == "ideal":
+        logs = self._realized_log_terms(depth)
+        if logs is None:
             return self._terms[:depth]
-        return np.array([math.exp(v) for v in self._log_terms(depth).tolist()])
+        return np.array([math.exp(v) for v in logs.tolist()])
 
     def total(self, depth) -> float:
-        self._check(depth)
-        if not depth:
-            return 0.0
-        if self.mass_convention == "ideal":
-            return float(self._running[depth - 1])
-        x, excess = float(self._logs[depth - 1]), self._excess[depth - 1]
-        try:
-            if x > -708.0 and excess < LOG_TERM_MAX:  # both factors normal doubles
-                return math.exp(x) * math.exp(excess)
-            return math.exp(x + excess)
-        except OverflowError:  # a total past the doubles, as the running sum makes it
-            return math.inf
+        terms = self.terms(depth)
+        running = self._running[:depth] if self.mass_convention == "ideal" else np.cumsum(terms)
+        return float(running[-1]) if depth else 0.0
 
     def capacity(self, depth):
         """(sup, value) of ``wolff_capacity_lower(tree.prefix(depth), ...)``."""

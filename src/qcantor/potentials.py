@@ -143,16 +143,16 @@ def check_mass_convention(convention):
         raise ValueError(f"unknown mass convention {convention!r}")
 
 
-def tree_log_ratios(tree, side, alpha, p, mass_convention="ideal", depth=None):
-    """log(mass_n / r_n^(2-alpha*p)) of generations 1..depth of ``tree.prefix(depth)``
-    (by default the tree's own depth), read from this tree's cumulative arrays.
+def tree_log_ratios(tree, side, alpha, p, mass_convention="ideal"):
+    """log(mass_n / r_n^(2-alpha*p)) of generations 1..tree.depth, read from the
+    tree's cumulative arrays.
 
     The one owner of the tree Wolff log terms: generation n's log term is
-    (p'-1) times its log ratio, ``wolff_tree`` exponentiates them and
-    ``capacity.TreeWolffSeries`` serves every depth of a tree from them.  The
-    ideal ratios of a prefix are the first depth of the tree's own; a realized
-    ratio adds the depth's tail keep Lambda_depth - Lambda_n, Lambda =
-    ``cum_log_keep``, formed here as the prefix forms it.
+    (p'-1) times its log ratio, and ``wolff_tree`` and
+    ``capacity.TreeWolffSeries`` both exponentiate them.  The ideal ratios of
+    ``tree.prefix(depth)`` are the first depth of the tree's own; a realized
+    ratio adds the tail keep Lambda_depth - Lambda_n, Lambda = ``cum_log_keep``,
+    so it depends on the depth.
 
     The log-ratio is assembled per level as coefficients on sum(log R) and
     sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at
@@ -171,7 +171,7 @@ def tree_log_ratios(tree, side, alpha, p, mass_convention="ideal", depth=None):
     else:
         coef_log_r = 2.0 - homog * (K + 1.0)
         coef_log_d = -homog * K
-    depth = tree.depth if depth is None else depth
+    depth = tree.depth
     gens = slice(1, depth + 1)
     log_ratio = (0.5 * coef_log_r * tree.cum_log_mass[gens]
                  + coef_log_d * tree.cum_log_d[gens]
@@ -194,8 +194,8 @@ def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
     terms are (p'-1) times ``tree_log_ratios``, the ones that
     ``capacity.TreeWolffSeries`` reads for every depth of a sweep on its
     deepest tree: an ideal series is the first depth terms of this one, and
-    a realized total follows from the shallower one by a one-step
-    recurrence.  This function is the per-depth reference for both.
+    a realized series forms each depth's own.  This function is the
+    per-depth reference for both, and raises the series' refusals.
 
     Each term is exponentiated by math.exp (libm), and a log term at or past
     LOG_TERM_MAX = 709, where the term leaves the doubles, is refused with

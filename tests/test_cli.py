@@ -661,13 +661,15 @@ def test_wolff_refuses_a_term_past_the_doubles(tmp_path, capsys):
 
 @pytest.mark.parametrize("target,stem", [("thm1", "thm1"), ("thm2a", "thm2a"),
                                          ("sharpness", "sharpness")])
-@pytest.mark.parametrize("K", ["1e16", "1e300"])
+@pytest.mark.parametrize("K", ["1e16", "1e300", "1e308"])
 def test_verify_names_a_k_too_large_for_the_doubles(tmp_path, capsys, target, stem, K):
-    # the indices used to be named instead: need 0 < alpha*p < 2, got alpha*p = 2.0
+    # the indices used to be named instead: need 0 < alpha*p < 2, got alpha*p = 2.0;
+    # at K = 1e308, 2K overflows and the product is nan
     code = main(["verify", target, "--K", K, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"error: K = {float(K)}: the indices it gives round to alpha*p = 2.0" in err
+    product = "nan" if K == "1e308" else "2.0"
+    assert f"error: K = {float(K)}: the indices it gives round to alpha*p = {product}" in err
     assert not (tmp_path / f"{stem}.json").exists()
 
 

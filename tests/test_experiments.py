@@ -245,7 +245,7 @@ def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
 
 @pytest.mark.parametrize("run", [ex.verify_gamma_distortion, ex.verify_riesz_distortion,
                                  ex.sharpness_experiment])
-@pytest.mark.parametrize("K", [1e16, 1e300])
+@pytest.mark.parametrize("K", [1e16, 1e300, 1e308])
 def test_distortion_sweeps_name_a_k_too_large_for_the_doubles(run, K):
     with pytest.raises(IndexDomainError, match=re.escape(f"K = {K}: the indices it gives")):
         run(K)
