@@ -431,42 +431,96 @@ def _invert_cdf(cdf, guide, u, out, probe=None, short=None):
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
-    """Triple-integral curvature c^2(mu) with sampling metadata."""
+    """Triple-integral curvature c^2(mu) with sampling metadata.
+
+    ``stderr`` is the Monte Carlo standard error (0 when enumerated).  On the
+    sampled path, over the sampled values v (degenerate draws included as
+    zeros), ``effective_samples`` is (sum v)^2 / sum v^2, the count of equal
+    values that would carry the same spread, and ``max_share`` is max v /
+    sum v, the share of the estimate held by its largest triple; both are None
+    when enumerated or when every sampled value is zero.
+    """
 
     value: float
     stderr: float
     sup_pointwise: float
     triples: int
     seed: int | None = None
+    effective_samples: float | None = None
+    max_share: float | None = None
 
     def to_json_dict(self):
         return {"value": self.value, "stderr": self.stderr,
                 "sup_pointwise": self.sup_pointwise, "triples": self.triples,
-                "seed": self.seed}
+                "seed": self.seed, "effective_samples": self.effective_samples,
+                "max_share": self.max_share}
 
 
 _EXACT_CURVATURE_ATOMS = 85
-#: largest triples count: the sampled values and np.std's scratch hold about
-#: 24 bytes per triple, so the cap bounds them by about 400 MB
-MAX_TRIPLES = 1 << 24
+#: values per chunk of the sampled statistics: a constant, so no estimate
+#: depends on the scratch budget
+CHUNK = 4096
+
+
+def _stream_moments(count, fill, vals):
+    """(mean, centred square sum, largest value) of count values, which
+    fill(out) writes into out, a block of at most vals.size at a time.
+
+    vals holds whole chunks of CHUNK values and is overwritten: every block
+    but the last is whole chunks.  A chunk's mean is np.mean's (its pairwise
+    sum over its count) and its centred square sum np.std's (the values less
+    that mean, squared in place, pairwise summed); a block's chunks are
+    reduced row-wise on a reshape, which gives the bits of a 1-D reduction of
+    each.  The chunks merge in stream order by the update of Chan, Golub and
+    LeVeque (1983).  So at most CHUNK values give np.mean's and np.std's bits,
+    and no result depends on the block size.
+    """
+    n, mean, m2, top = 0, 0.0, 0.0, 0.0
+    for lo in range(0, count, vals.size):
+        k = min(vals.size, count - lo)
+        fill(vals[:k])
+        whole = k - k % CHUNK
+        for chunks in (vals[:whole].reshape(-1, CHUNK), vals[whole:k].reshape(1, -1)):
+            if not chunks.size:
+                continue
+            size = chunks.shape[1]
+            means = np.add.reduce(chunks, axis=1) / size
+            top = max(top, float(np.max(chunks)))
+            chunks -= means[:, None]
+            np.multiply(chunks, chunks, out=chunks)
+            for chunk_mean, chunk_m2 in zip(means.tolist(),
+                                            np.add.reduce(chunks, axis=1).tolist()):
+                if n:
+                    delta = chunk_mean - mean
+                    mean += delta * size / (n + size)
+                    m2 += chunk_m2 + delta * delta * n * size / (n + size)
+                else:
+                    mean, m2 = chunk_mean, chunk_m2
+                n += size
+    return mean, m2, top
 
 
 def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
     """c^2(mu) over ordered distinct-index triples.
 
     Measures with at most 85 atoms, or fewer than 3 of positive weight, are
-    evaluated exactly (stderr 0); otherwise triples are sampled with
-    probability proportional to weight and degenerate draws (any repeated
-    index) contribute zero, which keeps the estimator unbiased for the
-    distinct-triple sum.  Also reports the largest pointwise c^2_mu(x) seen
-    over a seeded subset of up to 16 positive-weight atoms.  More than
-    MAX_TRIPLES triples are refused before anything is drawn or allocated.
+    evaluated exactly (stderr 0), one i-slab of the (i, j, k) cube at a time;
+    otherwise triples are sampled with probability proportional to weight and
+    degenerate draws (any repeated index) contribute zero, which keeps the
+    estimator unbiased for the distinct-triple sum.  Also reports the largest
+    pointwise c^2_mu(x) seen over a seeded subset of up to 16 positive-weight
+    atoms.
+
+    The sampled path runs in scratch of one block at any triple count: the
+    values are reduced in chunks of CHUNK as they are drawn
+    (``_stream_moments``), and each query's m pairs draw their j-half from the
+    generator and their k-half from a second generator set to its state and
+    advanced by m, which then carries the stream.  The uniforms, indices and
+    generator state are those of one ``Generator.choice`` draw of all the
+    triples followed by one of 2m indices per query.
     """
     if triples < 1:
         raise ConfigError(f"triples {triples}: need a positive count")
-    if triples > MAX_TRIPLES:
-        raise ConfigError(f"--triples {triples}: at most {MAX_TRIPLES} (each sampled triple "
-                          "holds about 24 bytes)")
     n = measure.n_atoms
     if n < 3:
         raise ConfigError(f"curvature needs at least 3 atoms, got {n}")
@@ -477,13 +531,17 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
         return CurvatureEstimate(0.0, 0.0, 0.0, n * (n - 1) * (n - 2), seed)
     px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
     if n <= _EXACT_CURVATURE_ATOMS:
-        xs, ys, ws = ([a.reshape(s) for s in ((n, 1, 1), (1, n, 1), (1, 1, n))]
-                      for a in (px, py, w))  # along the axes of i, j and k
-        inv2 = _inv_r2(xs[0], ys[0], xs[1], ys[1], xs[2], ys[2], np.empty((n, n, n)))
-        contrib = inv2 * ws[0] * ws[1] * ws[2]
-        value = float(np.sum(contrib))
-        pointwise = np.sum(contrib, axis=(1, 2))
-        return CurvatureEstimate(value, 0.0, float(np.max(pointwise)),
+        # slab[j, k] = 1/R^2(i, j, k) w_i w_j w_k, multiplied in that order
+        slab = np.empty((n, n))
+        work = [np.empty((n, n)) for _ in range(5)], np.empty((n, n), dtype=bool)
+        pointwise = np.empty(n)
+        for i in range(n):
+            _inv_r2(px[i], py[i], px[:, None], py[:, None], px, py, slab, work)
+            slab *= w[i]
+            slab *= w[:, None]
+            slab *= w
+            pointwise[i] = np.sum(slab)
+        return CurvatureEstimate(float(np.sum(pointwise)), 0.0, float(np.max(pointwise)),
                                  int(n * (n - 1) * (n - 2)), seed)
 
     rng = np.random.default_rng(seed)
@@ -492,44 +550,59 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
     rows = int(triples)
     m = max(2000, rows // 64)
     # scratch per triple: three uniforms and three probes (then the atoms'
-    # x and y), three indices and _inv_r2's five arrays
-    step = max(1, min(_block_rows(14), rows))
-    draws, cols = max(3 * step, 2 * m), max(step, m)
-    buf, idx = np.empty((2, draws)), np.empty(draws, dtype=np.intp)
-    flags, floats = np.empty(draws, dtype=bool), np.empty((5, cols))
+    # x and y), three indices, _inv_r2's five arrays and the value; a block
+    # is whole chunks, at least one
+    step = _block_rows(15)
+    step = max(CHUNK, step - step % CHUNK)
+    vals = np.empty(step)
+    buf, idx = np.empty((2, 3 * step)), np.empty(3 * step, dtype=np.intp)
+    flags, floats = np.empty(3 * step, dtype=bool), np.empty((5, step))
 
     def work(k):
         return [a[:k] for a in floats], flags[:k]
 
-    def draw(count):
-        """x and y of the atoms at the indices choice(n, count, p=prob) draws
-        from the next count uniforms of rng."""
-        u, probe = buf[:, :count]
-        rng.random(out=u)
-        ix = _invert_cdf(cdf, guide, u, idx[:count], probe, flags[:count])
+    def draw(gen, lo, hi):
+        """x and y of the atoms at the indices choice(n, hi - lo, p=prob) draws
+        from the next hi - lo uniforms of gen, in buffer columns lo..hi."""
+        u, probe = buf[:, lo:hi]
+        gen.random(out=u)
+        ix = _invert_cdf(cdf, guide, u, idx[lo:hi], probe, flags[lo:hi])
         return np.take(px, ix, out=u, mode="clip"), np.take(py, ix, out=probe, mode="clip")
 
     # consecutive draws continue one uniform stream, so blocks of triples give
     # the indices (and generator state) of one draw of all of them; a repeated
     # index repeats a point, so _inv_r2 gives the degenerate draw zero
-    vals = np.empty(rows)
-    for lo in range(0, rows, step):
-        k = min(step, rows - lo)
-        x, y = (c.reshape(k, 3) for c in draw(3 * k))
-        _inv_r2(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2], vals[lo:lo + k],
-                work(k))
+    def triple_values(out):
+        k = out.size
+        x, y = (c.reshape(k, 3) for c in draw(rng, 0, 3 * k))
+        _inv_r2(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2], out, work(k))
+
+    mean, m2, top = _stream_moments(rows, triple_values, vals)
     scale = total ** 3
-    value = scale * float(np.mean(vals))
-    stderr = scale * float(np.std(vals)) / math.sqrt(len(vals))
+    value = scale * mean
+    stderr = scale * math.sqrt(m2 / rows) / math.sqrt(rows)
+    effective = share = None
+    if mean > 0.0:
+        effective = rows / (1.0 + m2 / rows / mean / mean)
+        share = top / (rows * mean)
 
     queries = rng.choice(n, size=min(16, live), replace=False, p=prob)
-    v = np.empty(m)
     sup = 0.0
+    ahead = np.random.Generator(type(rng.bit_generator)())
     for qi in queries:
-        x, y = draw(2 * m)  # m draws for j, then m for k
-        _inv_r2(px[qi], py[qi], x[:m], y[:m], x[m:], y[m:], v, work(m))
-        sup = max(sup, total ** 2 * float(np.mean(v)))
-    return CurvatureEstimate(value, stderr, sup, int(triples), seed)
+        # the k-half: this query's uniforms m..2m-1; ahead then carries the stream
+        ahead.bit_generator.state = rng.bit_generator.state
+        ahead.bit_generator.advance(m)
+
+        def pair_values(out, qi=qi, near=rng, far=ahead):
+            k = out.size
+            xj, yj = draw(near, 0, k)
+            xk, yk = draw(far, k, 2 * k)
+            _inv_r2(px[qi], py[qi], xj, yj, xk, yk, out, work(k))
+
+        sup = max(sup, total ** 2 * _stream_moments(m, pair_values, vals)[0])
+        rng, ahead = ahead, rng
+    return CurvatureEstimate(value, stderr, sup, rows, seed, effective, share)
 
 
 def standard_query_points(realization, side, seed=0):

@@ -178,3 +178,17 @@ def sample_ball_pairs_loop(center, spread, n, seed, log_r_range=(-8.0, 0.0)):
         s = r * rng.uniform(0.5, 2.0)
         pairs.append(((x, r), (y, s)))
     return pairs
+
+
+def zeta_partial_sums(s, depth):
+    """[sum over n = 1..N of (n+1)^-s, for N = 0..depth]: the running sums of the
+    rounded terms, each carried exactly as hi + lo by math.fsum and rounded
+    once, so each entry is within about 2^-104 of the exact sum of its terms."""
+    hi = lo = 0.0
+    sums = [0.0]
+    for n in range(1, depth + 1):
+        term = (n + 1.0) ** -s
+        total = math.fsum((hi, lo, term))
+        hi, lo = total, math.fsum((hi, lo, term, -total))
+        sums.append(hi)
+    return sums

@@ -131,6 +131,15 @@ def test_blocked_curvature_equals_one_shot_draw(cloud, monkeypatch, triples):
 
 
 
+@pytest.mark.parametrize("budget", [15 * 7, 15 * 5000, 15 * 3 * 4096])
+def test_curvature_over_several_chunks_does_not_depend_on_block_budget(cloud, monkeypatch,
+                                                                       budget):
+    # blocks of one chunk (7 and 5000 triples round to 4096) and of three
+    want = menger_curvature(cloud, triples=10_000, seed=5)
+    _set_budget(monkeypatch, budget)
+    assert menger_curvature(cloud, triples=10_000, seed=5) == want
+
+
 @pytest.mark.parametrize("weights", ["skewed", "zeros"])
 def test_curvature_on_uneven_weights_equals_one_shot_draw(cloud, monkeypatch, weights):
     _set_budget(monkeypatch, 6 * 100)

@@ -12,7 +12,8 @@ from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, MAX_CELL
                               CapacityEstimate, CapacityIndices, TreeWolffSeries,
                               direct_capacity_lower, distorted_index_map, distortion_indices,
                               melnikov_gamma_lower, wolff_capacity_lower)
-from qcantor.experiments import gauge_criterion_experiment, verify_riesz_distortion
+from qcantor.experiments import (TARGET_INDICES, gauge_criterion_experiment,
+                                 verify_riesz_distortion)
 from qcantor.measure import EXPANSION_BUDGET, PlanarMeasure
 from qcantor.potentials import (IndexDomainError, default_dyadic_range, menger_curvature,
                                 standard_query_points, wolff_dyadic, wolff_tree)
@@ -147,6 +148,19 @@ def test_tree_series_prefixes_equal_each_prefix_own_series(side, convention):
     for depth in (-1, 13):
         with pytest.raises(ConstructionError, match=f"prefix depth {depth} outside 0..12"):
             series.total(depth)
+
+
+@pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
+def test_harmonic_series_totals_are_zeta_partial_sums(K):
+    # thm1's two series on a harmonic tree: the target at (2/3, 3/2) and the
+    # source at the distortion indices both have the terms (n+1)^-2
+    depth = 10_000
+    tree = build_tree(harmonic_schedule(K, depth), depth)
+    want = np.array(support.zeta_partial_sums(2.0, depth)[1:])
+    for side, idx in ((TARGET, TARGET_INDICES), (SOURCE, distortion_indices(K))):
+        series = TreeWolffSeries(tree, side, idx)
+        got = np.array([series.total(d) for d in range(1, depth + 1)])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13, side
 
 
 def test_tree_series_refuses_exactly_the_depths_past_the_doubles():

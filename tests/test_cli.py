@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from qcantor import cli, potentials
+from qcantor import cli
 from qcantor.cantor import build_tree, schedules_from_config
 from qcantor.cli import main
 
@@ -142,7 +142,20 @@ def test_curvature_command(config_path, tmp_path):
                  "--triples", "20000", "--out", out])
     assert code == 0
     doc = json.loads(open(out).read())
-    assert set(doc) == {"value", "stderr", "sup_pointwise", "triples", "seed"}
+    assert set(doc) == {"value", "stderr", "sup_pointwise", "triples", "seed",
+                        "effective_samples", "max_share"}
+    # 64 atoms: enumerated, so no sampling diagnostics
+    assert doc["effective_samples"] is None and doc["max_share"] is None
+
+
+def test_curvature_command_writes_its_sampling_diagnostics(config_path, tmp_path):
+    out = str(tmp_path / "curv.json")
+    code = main(["curvature", "--config", config_path, "--side", "target",
+                 "--samples-per-leaf", "2", "--triples", "20000", "--out", out])
+    assert code == 0
+    doc = json.loads(open(out).read())
+    assert 1.0 <= doc["effective_samples"] <= 20000
+    assert 1.0 / 20000 <= doc["max_share"] <= 1.0
 
 
 @pytest.mark.parametrize("triples", ["0", "-5"])
@@ -153,17 +166,6 @@ def test_curvature_rejects_nonpositive_triples(config_path, capsys, triples, spl
                  "--samples-per-leaf", spl, "--triples", triples])
     assert code == 2
     assert f"--triples {triples}" in capsys.readouterr().err
-
-
-def test_curvature_refuses_an_oversized_triples_count(config_path, tmp_path, capsys):
-    # refused before any triple is drawn or any array of them allocated
-    out = tmp_path / "curv.json"
-    n = potentials.MAX_TRIPLES + 1
-    code = main(["curvature", "--config", config_path, "--side", "target",
-                 "--samples-per-leaf", "2", "--triples", str(n), "--out", str(out)])
-    assert code == 2
-    assert f"--triples {n}: at most {potentials.MAX_TRIPLES}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_curvature_refuses_fewer_than_three_atoms(config_path, tmp_path, capsys):

@@ -11,6 +11,8 @@ from qcantor.cantor import (SOURCE, TARGET, CantorTree, ConfigError, build_tree,
                             harmonic_schedule, sharpness_schedule)
 from qcantor.potentials import IndexDomainError, line_fit, tree_log_ratios, wolff_tree
 
+import support
+
 
 def test_gamma_distortion_ratio_stable_and_rows_complete():
     report = ex.verify_gamma_distortion(2.0, range(2, 7))
@@ -232,6 +234,18 @@ def test_sharpness_source_sum_is_the_source_wolff_series(K, q):
         assert row["source_sum"] == want
 
 
+@pytest.mark.parametrize("K,q", [(2.0, 7.0 / 3.0), (1.5, 2.2), (3.0, 2.6)])
+def test_sharpness_sums_are_zeta_partial_sums(K, q):
+    # the source terms are exactly 1/(n+1) and the target terms (n+1)^-s, so the
+    # columns are H_(N+1) - 1 and a Hurwitz zeta partial sum at every depth
+    depths = range(8, 4001)
+    report = ex.sharpness_experiment(K, q=q, depths=depths)
+    for column, s in (("source_sum", 1.0), ("target_total", report.params["target_exponent"])):
+        want = np.array(support.zeta_partial_sums(s, depths[-1]))[depths.start:]
+        got = np.array([row[column] for row in report.rows])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13, column
+
+
 def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
     def overflowing(tree, side, *args, **kwargs):
         ratios = tree_log_ratios(tree, side, *args, **kwargs)
@@ -303,9 +317,9 @@ def test_sweep_rows_equal_the_per_prefix_route(monkeypatch, sweep, K, depths):
     (lambda: ex.verify_riesz_distortion(2.0), 2),
     (lambda: ex.vanishing_content_experiment(2.0), 1),
     (lambda: ex.content_distortion_experiment(2.0, depths=[2, 3]), 0)])
-def test_sweeps_make_one_wolff_tree_call_per_series(monkeypatch, run, calls):
-    # each series forms wolff_tree's log terms once, on the deepest tree; wolff_tree
-    # itself is called only to raise a refusal, and no default sweep refuses
+def test_sweeps_make_one_tree_log_ratios_call_per_series(monkeypatch, run, calls):
+    # each series forms its log terms by one tree_log_ratios call, on the deepest
+    # tree; wolff_tree is called only to raise a refusal, and no default sweep refuses
     seen = []
 
     def counting(tree, *args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,18 +293,62 @@ def test_curvature_refuses_nonpositive_triples(n, triples):
         menger_curvature(mu, triples=triples)
 
 
-@pytest.mark.parametrize("n", [200, 20])  # sampled, enumerated
-def test_curvature_refuses_an_oversized_count_before_drawing(n, monkeypatch):
-    mu = support.uniform_disk(n, seed=1)
+def _one_draw_curvature(measure, triples, seed):
+    """Reference: every sampled value of one Generator.choice draw of all the
+    triples, then of each query's 2m indices, reduced by numpy in one piece."""
+    n, pts, w = measure.n_atoms, measure.points, measure.weights
+    total = measure.total_mass
+    rng = np.random.default_rng(seed)
+    prob = w / total
+    idx = rng.choice(n, size=(triples, 3), p=prob)
+    vals = support.inv_circumradius_sq(pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]])
+    queries = rng.choice(n, size=min(16, int(np.count_nonzero(w))), replace=False, p=prob)
+    m = max(2000, triples // 64)
+    sup = 0.0
+    for qi in queries:
+        jk = rng.choice(n, size=2 * m, p=prob)
+        v = support.inv_circumradius_sq(pts[qi][None, :], pts[jk[:m]], pts[jk[m:]])
+        sup = max(sup, total ** 2 * float(np.mean(v)))
+    return vals, total ** 3, sup
 
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a generator was made for a refused count")
 
-    monkeypatch.setattr(potentials.np.random, "default_rng", no_draw)
-    monkeypatch.setattr(potentials.np, "empty", no_draw)
-    with pytest.raises(ConfigError, match=f"--triples {potentials.MAX_TRIPLES + 1}: at most "
-                                          f"{potentials.MAX_TRIPLES}"):
-        menger_curvature(mu, triples=potentials.MAX_TRIPLES + 1)
+@pytest.mark.parametrize("triples", [4097, 20_000, 300_000])  # 2, 5 and 74 chunks
+def test_sampled_curvature_merges_its_chunks_to_the_one_draw_statistics(triples):
+    # from 64 * 4097 triples on, each query's m pairs span two chunks as well
+    mu = support.uniform_disk(200, seed=2)
+    est = menger_curvature(mu, triples=triples, seed=3)
+    vals, scale, sup = _one_draw_curvature(mu, triples, 3)
+    assert est.value == pytest.approx(scale * np.mean(vals), rel=1e-14)
+    assert est.stderr == pytest.approx(scale * np.std(vals) / math.sqrt(triples), rel=1e-12)
+    assert est.sup_pointwise == pytest.approx(sup, rel=1e-14)
+    assert est.effective_samples == pytest.approx(np.sum(vals) ** 2 / np.sum(vals * vals),
+                                                  rel=1e-12)
+    assert est.max_share == pytest.approx(np.max(vals) / np.sum(vals), rel=1e-12)
+
+
+def test_curvature_diagnostics_are_null_where_nothing_is_sampled():
+    enumerated = menger_curvature(support.uniform_disk(20, seed=1))
+    collinear = menger_curvature(support.uniform_segment(200), triples=5000)
+    for est in (enumerated, collinear):
+        assert (est.effective_samples, est.max_share) == (None, None)
+    assert collinear.value == 0.0 and collinear.to_json_dict()["max_share"] is None
+
+
+def test_curvature_traced_memory_does_not_grow_with_the_triples():
+    # the sampled values are reduced chunk by chunk as they are drawn: 16 times
+    # the triples, the same scratch
+    mu = support.uniform_disk(200, seed=1)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for triples in (1 << 16, 1 << 20):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            menger_curvature(mu, triples=triples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.5 * 2 ** 20, peaks
 
 
 def test_curvature_montecarlo_vs_enumeration():
