@@ -61,6 +61,11 @@ def _check_side(side):
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def check_mass_convention(convention):
+    if convention not in ("ideal", "realized"):
+        raise ValueError(f"unknown mass convention {convention!r}")
+
+
 def _check_level_shape(index, branching, d):
     """The index, M and d rules of a level, checked before a radius is derived from M or d."""
     if index < 1:
@@ -347,15 +352,15 @@ class CantorTree:
         "ideal": prod(R_k^2) alone.  Its generation total prod(M_k R_k^2) is
         1 only when M_k R_k^2 = 1; the default trees keep 4e-4/d_k^2 per level.
         """
+        check_mass_convention(convention)
         ideal = float(self.cum_log_mass[generation])
         if convention == "ideal":
             return ideal
-        if convention == "realized":
-            tail = float(self.cum_log_keep[self.depth] - self.cum_log_keep[generation])
-            return ideal + tail
-        raise ValueError(f"unknown mass convention {convention!r}")
+        tail = float(self.cum_log_keep[self.depth] - self.cum_log_keep[generation])
+        return ideal + tail
 
     def log_total_mass(self, convention="realized") -> float:
+        check_mass_convention(convention)
         if convention == "ideal":
             return 0.0
         return float(self.cum_log_keep[self.depth])

@@ -17,8 +17,7 @@ import numpy as np
 from .cantor import CantorTree, ConfigError, ConstructionError, check_distortion
 from .measure import PlanarMeasure, _kernel_sums
 from .potentials import (LOG_TERM_MAX, IndexDomainError, _CappedPower, _dyadic_terms,
-                         check_indices, conjugate_minus_one, diagnose_divergence,
-                         tree_log_ratios, wolff_tree)
+                         check_indices, conjugate_minus_one, tree_log_ratios, wolff_tree)
 
 #: the quadrature grid spans FARFIELD_FACTOR support diameters around the
 #: support centre; beyond it a closed-form tail takes over
@@ -164,86 +163,62 @@ def _admissible_mass(mass, sup, indices, where) -> float:
     return value
 
 
+def _root_ball_sup(indices, scale) -> float:
+    """The Wolff sup of a depth-0 tree: its root, a uniform ball of mass 1 and
+    radius scale, by the area law below the radius and constant mass above;
+    inf past the doubles, which ``_admissible_mass`` refuses."""
+    eta, homog = indices.conjugate_minus_one, indices.homogeneity
+    log_ball = -homog * math.log(scale)  # the log of the root's mass over radius^homog
+    try:
+        return math.exp(eta * log_ball) * (1.0 / ((2.0 - homog) * eta) + 1.0 / (homog * eta))
+    except OverflowError:
+        return math.inf
+
+
 class TreeWolffSeries:
-    """The tree Wolff series of every prefix of one tree, from its log terms
-    (``potentials.tree_log_ratios``).
+    """The ideal tree Wolff series of every prefix of one tree, from its log
+    terms (``potentials.tree_log_ratios``).
 
     ``tree.prefix(depth)`` slices the tree's cumulative arrays, so its ideal
-    log terms are the first depth of the tree's own: under the ideal
-    convention ``terms(depth)`` is a view of one array and ``total(depth)``
-    (``PotentialProfile.total``, the running sum) entry depth of its one
-    ``np.cumsum``, the same bits as ``wolff_tree(tree.prefix(depth), ...)``,
-    also at the depths below a refused generation.  Realized masses depend on
-    the depth, so a realized read forms the log terms of ``tree.prefix(depth)``
-    in O(depth) and sums their exponentials in order: ``wolff_tree``'s bits.
-
-    A depth with a term past the doubles refuses where it is read, with the
-    message of ``wolff_tree(tree.prefix(depth), ...)``, the one place that
-    function is called: under the ideal convention every depth from the first
-    such generation on, under the realized one each depth whose own log terms
-    reach LOG_TERM_MAX.
+    log terms are the first depth of the tree's own: ``terms(depth)`` is a
+    view of one array and ``total(depth)`` (``PotentialProfile.total``, the
+    running sum) entry depth of its one ``np.cumsum``, the same bits as
+    ``wolff_tree(tree.prefix(depth), ...)``, also at the depths below a
+    refused generation.  Every depth from the first generation whose term
+    leaves the doubles on refuses where it is read, with the message of
+    ``wolff_tree(tree.prefix(depth), ...)``, which it calls only to refuse.
+    Realized masses depend on the depth, so a realized total is that depth's
+    own ``wolff_tree(tree.prefix(depth), ..., "realized")``.
     """
 
-    def __init__(self, tree, side, indices, mass_convention="ideal"):
+    def __init__(self, tree, side, indices):
         self.tree, self.side, self.indices = tree, side, indices
-        self.mass_convention = mass_convention
-        logs = self._log_terms(tree)  # checks the side, indices and convention
-        if mass_convention == "ideal":
-            past = np.flatnonzero(~(logs < LOG_TERM_MAX))
-            self._kept = int(past[0]) if past.size else tree.depth  # the depths read
-            self._terms = np.array([math.exp(v) for v in logs[:self._kept].tolist()])
-            self._terms.flags.writeable = False  # terms() hands out views
-            self._running = np.cumsum(self._terms)
-
-    def _log_terms(self, tree):
-        idx = self.indices
-        return idx.conjugate_minus_one * tree_log_ratios(tree, self.side, idx.alpha, idx.p,
-                                                         self.mass_convention)
-
-    def _realized_log_terms(self, depth):
-        """The log terms of ``tree.prefix(depth)`` under the realized convention
-        (None under the ideal one, whose terms are kept); refuses a depth outside
-        the tree, or one with a term past the doubles."""
-        if not 0 <= depth <= self.tree.depth:
-            raise ConstructionError(f"prefix depth {depth} outside 0..{self.tree.depth}")
-        logs = None
-        if self.mass_convention == "ideal":
-            refused = depth > self._kept
-        else:
-            logs = self._log_terms(self.tree.prefix(depth))
-            refused = not np.all(logs < LOG_TERM_MAX)
-        if refused:
-            wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
-                       self.indices.p, mass_convention=self.mass_convention)  # raises
-        return logs
+        logs = indices.conjugate_minus_one * tree_log_ratios(tree, side, indices.alpha,
+                                                             indices.p)  # checks the inputs
+        past = np.flatnonzero(~(logs < LOG_TERM_MAX))
+        self._kept = int(past[0]) if past.size else tree.depth  # the depths read
+        self._terms = np.array([math.exp(v) for v in logs[:self._kept].tolist()])
+        self._terms.flags.writeable = False  # terms() hands out views
+        self._running = np.cumsum(self._terms)
 
     def terms(self, depth) -> np.ndarray:
-        """The generation terms 1..depth of ``tree.prefix(depth)``."""
-        logs = self._realized_log_terms(depth)
-        if logs is None:
-            return self._terms[:depth]
-        return np.array([math.exp(v) for v in logs.tolist()])
+        """The generation terms 1..depth of ``tree.prefix(depth)``; refuses a
+        depth outside the tree, or one with a term past the doubles."""
+        if not 0 <= depth <= self.tree.depth:
+            raise ConstructionError(f"prefix depth {depth} outside 0..{self.tree.depth}")
+        if depth > self._kept:
+            wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
+                       self.indices.p)  # raises
+        return self._terms[:depth]
 
     def total(self, depth) -> float:
-        terms = self.terms(depth)
-        running = self._running[:depth] if self.mass_convention == "ideal" else np.cumsum(terms)
-        return float(running[-1]) if depth else 0.0
+        self.terms(depth)  # refuses where the terms do
+        return float(self._running[depth - 1]) if depth else 0.0
 
     def capacity(self, depth):
         """(sup, value) of ``wolff_capacity_lower(tree.prefix(depth), ...)``."""
-        indices = self.indices
-        if depth:
-            sup = self.total(depth)
-        else:
-            # uniform unit ball: area law below the radius, constant mass above
-            eta, homog = indices.conjugate_minus_one, indices.homogeneity
-            log_ball = -homog * math.log(self.tree.scale)  # the root's mass is 1
-            sup = math.exp(eta * log_ball) * (1.0 / ((2.0 - homog) * eta)
-                                              + 1.0 / (homog * eta))
-        # the realized total mass of the depth-D construction is exp(Lambda_D)
-        mass = 1.0 if self.mass_convention == "ideal" else math.exp(
-            float(self.tree.cum_log_keep[depth]))
-        return sup, _admissible_mass(mass, sup, indices,
+        sup = self.total(depth) if depth else _root_ball_sup(self.indices, self.tree.scale)
+        return sup, _admissible_mass(1.0, sup, self.indices,
                                      f"on the {self.side} side at depth {depth}")
 
 
@@ -254,34 +229,34 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     The mass scaling law W(c*mu) = c^(p'-1) W(mu) makes the measure with
     potential sup exactly 1 a rescale of mu, so this is the admissible-mass
     lower estimate in the wolff_sup convention.  On a CantorTree the sup over
-    paths is the exact tree sum (path independent) at the tree's depth, the
-    one-depth case of ``TreeWolffSeries`` (which serves every prefix of a
-    tree from one series); depth-0 trees fall back to the closed-form
-    single-ball term.  A finite tree's sup is finite, so its
-    value is too, also where the divergence diagnosis fires for the limit
-    (the fitted rate is then recorded); a value of 0 or inf is refused.
-    Every tree record carries log_ideal_total, log prod_{k <= N} M_k R_k^2:
-    the log of the ideal convention's generation-N total mass.  On a
-    measure the sup is the largest ``wolff_dyadic`` total over the query
-    points, all taken from one ``ball_mass_profile`` call.
+    paths is the exact tree sum (path independent) at the tree's depth,
+    ``wolff_tree(tree, ...).total`` under either mass convention, whose
+    divergence diagnosis (its fitted rate) the record carries; depth-0 trees
+    take the closed-form single-ball term.  The mass is
+    exp(``tree.log_total_mass``): 1 under the ideal convention.  A finite
+    tree's sup is finite, so its value is too, also where the divergence
+    diagnosis fires for the limit; a value of 0 or inf is refused.  Every
+    tree record carries log_ideal_total, log prod_{k <= N} M_k R_k^2: the
+    log of the ideal convention's generation-N total mass.  On a measure the
+    sup is the largest ``wolff_dyadic`` total over the query points, all
+    taken from one ``ball_mass_profile`` call.
     """
     if isinstance(obj, CantorTree):
         if side is None:
             raise ValueError("side required for tree estimates")
         depth = obj.depth
-        series = TreeWolffSeries(obj, side, indices, mass_convention)
-        sup, value = series.capacity(depth)
+        profile = wolff_tree(obj, side, indices.alpha, indices.p, mass_convention)
+        sup = profile.total if depth else _root_ball_sup(indices, obj.scale)
+        mass = math.exp(obj.log_total_mass(mass_convention))
         record = {"sup": sup,
                   "query_set": f"tree_paths:{side}:depth={depth}" if depth
                   else "root_ball_closed_form",
-                  "seed": seed, "mass": math.exp(obj.log_total_mass(mass_convention)),
-                  "mass_convention": mass_convention,
+                  "seed": seed, "mass": mass, "mass_convention": mass_convention,
                   "log_ideal_total": float(obj.log_node_counts[depth])
                   + obj.log_mass(depth, "ideal")}
-        divergent, rate = diagnose_divergence(range(1, depth + 1), series.terms(depth),
-                                              "generation")
-        if divergent:
-            record["divergence_rate"] = rate
+        if profile.divergent:
+            record["divergence_rate"] = profile.divergence_rate
+        value = _admissible_mass(mass, sup, indices, f"on the {side} side at depth {depth}")
         return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
 
     if not isinstance(obj, PlanarMeasure):
@@ -351,7 +326,7 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     rho = h / math.sqrt(math.pi)
     kernel = _CappedPower(alpha, 2.0 / alpha * rho ** (alpha - 2.0))
     # sum_j w_j min(|c - x_j|^(alpha-2), cap); an atom on c gives inf, capped
-    vals, bound = _kernel_sums(measure, cc, cc.shape[0], kernel)
+    vals, bound = _kernel_sums(measure, cc, kernel)
     cell_sum = float(np.sum(vals ** p_prime)) * h * h
 
     a = (2.0 - alpha) * p_prime  # > 2 whenever 0 < alpha*p < 2

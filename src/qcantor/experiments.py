@@ -152,9 +152,16 @@ def _verdict_vanishing_content(rows, thresholds):
     targets = [r["target_total"] for r in rows]
     ok_target = max(targets) <= thresholds["target_bound"] and \
         all(b >= a for a, b in zip(targets, targets[1:]))
-    return (f"monotone: shrunk sums {sums[0]:.4g} -> {sums[-1]:.4g}, "
-            f"target bounded by {max(targets):.6g}",
-            bool(ok_exact and ok_vanish and ok_target))
+    tail = f"shrunk sums {sums[0]:.4g} -> {sums[-1]:.4g}, target bounded by {max(targets):.6g}"
+    failed = [name for name, ok in (("closed form", ok_exact), ("vanishing", ok_vanish),
+                                    ("target bound", ok_target)) if not ok]
+    if not failed:
+        return f"monotone: {tail}", True
+    rise = next((k for k in range(1, len(sums)) if not sums[k] < sums[k - 1]), None)
+    if rise is not None:
+        tail += (f", first rising at depth {rows[rise]['depth']} "
+                 f"({sums[rise - 1]:.4g} -> {sums[rise]:.4g})")
+    return f"failed {', '.join(failed)}: {tail}", False
 
 
 def _verdict_doubly_exponential(rows, thresholds):
@@ -445,9 +452,13 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
 
     With the unit gauge the generation sum is (N+1)^(2K/(K+1)) exactly.  With
     eps(r) = 1/log(1/r) -> 0 and radii thinned so that
-    log s_N <= -(N+1)^SHRINK_EXPONENT, the sums tend to 0 monotonically;
-    thinning leaves the multipliers untouched, so the target-side (2/3, 3/2)
-    sum is unchanged and bounded by pi^2/6 - 1.
+    log s_N <= -(N+1)^SHRINK_EXPONENT, the sums tend to 0, monotonically
+    where the cap binds.  Where the harmonic source radii already lie below
+    the cap the thinning does nothing and a sum may rise: at the default
+    depths K = 3.25 passes, while from K = 3.5 on the shrunk sum rises from
+    depth 2 to depth 3 and the verdict fails, naming that depth.  Thinning
+    leaves the multipliers untouched, so the target-side (2/3, 3/2) sum is
+    unchanged and bounded by pi^2/6 - 1.
     """
     eps = lambda log_r: 1.0 / (-log_r)  # noqa: E731
     unit = lambda log_r: 1.0  # noqa: E731

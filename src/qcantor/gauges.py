@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import SOURCE, TARGET, ConfigError, _check_side
+from .cantor import SOURCE, TARGET, ConfigError, ConstructionError, _check_side
 from .measure import _kernel_sums
 
 #: largest sample_ball_pairs count: its pairs are built one at a time
@@ -134,10 +134,10 @@ def eps_mu_a(measure, x, t, a):
     anything else an array of the broadcast shape.  Every ball's value is
     the one a single-ball call gives, bit for bit.
 
-    Each ball is one row of ``measure._kernel_sums`` with ``_PsiKernel``.
-    Without blocks, or with an atom of zero weight, it sums psi_a over the
-    atoms of positive weight; one centre's distance row is computed once
-    and shared by its radii.  On a measure with blocks
+    Each ball is one row of ``measure._kernel_sums`` with ``_PsiKernel``:
+    one centre broadcasts against its radii like many.  Without blocks, or
+    with an atom of zero weight, it sums psi_a over the atoms of positive
+    weight.  On a measure with blocks
     (``CantorRealization.measure`` at more than one sample per leaf) a block
     is admissible for a ball whose centre lies outside it where the
     a-priori third-order remainder (``_PsiKernel``) is at most
@@ -155,13 +155,9 @@ def eps_mu_a(measure, x, t, a):
     if x.ndim == 0 or x.shape[-1] != 2:
         raise ValueError(f"centre x must have shape (2,) or (..., 2), got {x.shape}")
     shape = np.broadcast_shapes(x.shape[:-1], t_arr.shape)
-    if x.ndim == 1:
-        centres = x  # one centre: its row serves every radius
-        radii = t_arr.reshape(-1, 1)
-    else:
-        centres = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
-        radii = np.broadcast_to(t_arr, shape).reshape(-1, 1)
-    out, _ = _kernel_sums(measure, centres, radii.shape[0], _PsiKernel(a, radii))
+    centres = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
+    radii = np.broadcast_to(t_arr, shape).reshape(-1, 1)
+    out, _ = _kernel_sums(measure, centres, _PsiKernel(a, radii))
     out /= radii[:, 0]
     if not shape:
         return float(out[0])
@@ -189,12 +185,22 @@ class TreeSmoothedDensityGauge:
         self.side = self._density_side = side
         self.description = f"tree_eps_mu_a(a={a},side={side})"
 
-    def _eps(self):
-        return self.realization.eps_by_generation(self._density_side, self.a)
+    def _eps_power(self, g):
+        """eps^exponent of every generation-g node, by numpy's array power: the
+        one form that eps_node, h_node and h_values read.  A generation where
+        the power leaves the doubles is refused, naming the gauge."""
+        eps = self.realization.eps_by_generation(self._density_side, self.a)[g]
+        try:
+            with np.errstate(over="raise"):
+                return eps ** self.exponent
+        except FloatingPointError:
+            raise ConstructionError(
+                f"{self.description}: eps^{self.exponent:.6g} at generation {g} of the K = "
+                f"{self.tree.K} tree leaves double precision (largest eps {np.max(eps):.6g})"
+            ) from None
 
     def eps_node(self, path):
-        eps = self._eps()[len(path)][self.tree.node_index(path)]
-        return float(eps) ** self.exponent
+        return float(self._eps_power(len(path))[self.tree.node_index(path)])
 
     def h_node(self, path):
         t = math.exp(self.tree.log_radius(self.side, len(path)))
@@ -202,9 +208,8 @@ class TreeSmoothedDensityGauge:
 
     def h_values(self):
         """h over every node of the tree, one array per generation 0..depth."""
-        return [math.exp(self.tree.log_radius(self.side, g)) ** self.gamma
-                * eps ** self.exponent
-                for g, eps in enumerate(self._eps())]
+        return [math.exp(self.tree.log_radius(self.side, g)) ** self.gamma * self._eps_power(g)
+                for g in range(self.tree.depth + 1)]
 
     def far_field_bound(self):
         """Relative bound, either sign, on the h error of the batched eps.

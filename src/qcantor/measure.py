@@ -30,55 +30,48 @@ def _block_rows(row_elements) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, row_elements))
 
 
-def _distance_rows(pts, centres, rows, reduce, extra=0):
+def _distance_rows(pts, centres, reduce, extra=0):
     """reduce(d, lo, hi) of the distance rows lo..hi, one value per row.
 
-    Row i holds |c_i - y_j| over the atoms y_j of pts (n, 2): c_i is row i of
-    centres (rows, 2), or one centre (2,) whose row is computed once for all.
-    reduce may overwrite d.  The rows run on the calling thread in blocks of
-    BLOCK_ELEMENTS elements per scratch array, under one errstate: 0^-s and
-    powers past the doubles give inf silently.  A reduce that holds up to
-    extra more arrays of d's size at once gets blocks shrunk by
-    2 / (2 + extra), so that the call's arrays together fit the scratch of
-    two.  No value depends on the block size.
+    Row i holds |c_i - y_j| over the atoms y_j of pts (n, 2), c_i row i of
+    centres (m, 2); one centre is one row.  reduce may overwrite d.  The rows
+    run on the calling thread in blocks of BLOCK_ELEMENTS elements per
+    scratch array, under one errstate: 0^-s and powers past the doubles give
+    inf silently.  A reduce that holds up to extra more arrays of d's size
+    at once gets blocks shrunk by 2 / (2 + extra), so that the call's arrays
+    together fit the scratch of two.  No value depends on the block size.
     """
-    n = pts.shape[0]
+    n, rows = pts.shape[0], centres.shape[0]
     px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
-    centres = np.asarray(centres, dtype=float)
-    one = centres.ndim == 1
-    row = np.hypot(px - centres[0], py - centres[1]) if one else None
     out = np.empty(rows)
     step = _block_rows(n * (2 + extra) // 2)
     d = np.empty((min(step, rows), n))
-    dy = None if one else np.empty_like(d)
+    dy = np.empty_like(d)
     with np.errstate(divide="ignore", over="ignore"):
         for i in range(0, rows, step):
             k = min(step, rows - i)
-            if one:
-                d[:k] = row
-            else:
-                np.subtract(px, centres[i:i + k, 0:1], out=d[:k])
-                np.subtract(py, centres[i:i + k, 1:2], out=dy[:k])
-                np.hypot(d[:k], dy[:k], out=d[:k])
+            np.subtract(px, centres[i:i + k, 0:1], out=d[:k])
+            np.subtract(py, centres[i:i + k, 1:2], out=dy[:k])
+            np.hypot(d[:k], dy[:k], out=d[:k])
             out[i:i + k] = reduce(d[:k], i, i + k)
     return out
 
 
-def _kernel_sums(measure, centres, rows, kernel):
-    """Per row i, sum_j w_j k(|c_i - y_j|) over the atoms y_j of the measure,
-    and the largest remainder share taken (None on the atom route).
+def _kernel_sums(measure, centres, kernel):
+    """Per row c_i of centres (m, 2), sum_j w_j k(|c_i - y_j|) over the atoms
+    y_j of the measure, and the largest remainder share taken (None on the
+    atom route).
 
     The one route of the flat kernels (``eps_mu_a``, ``direct_capacity_lower``,
-    ``riesz_potential``).  centres is rows centres (rows, 2), or one centre
-    (2,) whose distance row serves every row.  On a measure with blocks and
-    no atom of zero weight the rows are ``_leaf_sums``; otherwise each row
-    sums over the atoms of positive weight, ``kernel.atoms(d, rows)`` turning
-    their distances d into kernel values in place (so a dead atom at c_i,
-    where k is inf, adds nothing).
+    ``riesz_potential``).  On a measure with blocks and no atom of zero
+    weight the rows are ``_leaf_sums``; otherwise each row sums over the
+    atoms of positive weight, ``kernel.atoms(d, rows)`` turning their
+    distances d into kernel values in place (so a dead atom at c_i, where k
+    is inf, adds nothing).
     """
     live = measure.weights > 0
     if measure.blocks is not None and live.all():
-        return _leaf_sums(measure, np.broadcast_to(centres, (rows, 2)), kernel)
+        return _leaf_sums(measure, centres, kernel)
     w = measure.weights[live]
 
     def atom_sums(d, lo, hi):
@@ -86,7 +79,7 @@ def _kernel_sums(measure, centres, rows, kernel):
         d *= w
         return np.sum(d, axis=1)
 
-    return _distance_rows(measure.points[live], centres, rows, atom_sums), None
+    return _distance_rows(measure.points[live], centres, atom_sums), None
 
 
 def _inside(pts, v, margin) -> np.ndarray:
@@ -139,10 +132,12 @@ def _hull_candidates(pts) -> np.ndarray:
 class LeafBlocks(NamedTuple):
     """A measure's atoms in consecutive groups of ``atoms`` (its leaves) of
     equal weight within each group: per group, the centroid (x, y), the
-    second moments (sxx, sxy, syy) of its atom positions about the centroid,
-    unweighted, and the largest atom distance from the centroid (to within
-    the rounding of a few additions per tree generation, far below
-    LEAF_MARGIN times the largest coordinate magnitude).
+    second moments (sxx, 2 sxy, syy) of its atom positions about the
+    centroid, unweighted, in the format of ``_quadrupole`` and of the tree
+    eps fill (``CantorRealization._blocks``), and the largest atom distance
+    from the centroid (to within the rounding of a few additions per tree
+    generation, far below LEAF_MARGIN times the largest coordinate
+    magnitude).
 
     ``coarser`` holds the blocks of the coarser tree generations, coarse to
     fine, each a LeafBlocks of the same atoms in larger consecutive groups
@@ -165,6 +160,23 @@ def _taylor(power):
     """(k)_3 / 6 = k (k + 1) (k + 2) / 6: the third-order remainder constant
     of a kernel of power k, |x|^-k or psi_a with k = 1 + a (``_leaf_sums``)."""
     return power * (power + 1.0) * (power + 2.0) / 6.0
+
+
+def _quadrupole(dx, dy, sxx, sxy2, syy):
+    """Q = d.S d = (dx sxy2) dy + dx^2 sxx + dy^2 syy along the unit
+    directions (dx, dy), for second moments S in the format (sxx, 2 sxy, syy)
+    of ``LeafBlocks.moments``, broadcast against the directions: the one
+    quadrupole form of the block expansions (``_block_sums`` and the tree
+    eps fill).  Overwrites dx and dy, and allocates only Q."""
+    quad = np.multiply(dx, sxy2)
+    quad *= dy
+    dx *= dx
+    dx *= sxx
+    quad += dx
+    dy *= dy
+    dy *= syy
+    quad += dy
+    return quad
 
 
 def _leaf_sums(measure, centres, kernel):
@@ -218,8 +230,7 @@ def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False
     atoms)."""
     blocks, block_w, w = level
     s, n_blocks = blocks.atoms, blocks.centroids.shape[0]
-    sxx, sxy, syy = (w * mom for mom in blocks.moments.T)
-    sxy *= 2.0
+    sxx, sxy2, syy = (w * mom for mom in blocks.moments.T)
     trace = sxx + syy
     rho = blocks.radii
     mx, my = blocks.centroids[:, 0], blocks.centroids[:, 1]
@@ -255,14 +266,7 @@ def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False
         with np.errstate(invalid="ignore"):  # u = 0 is a near pair, replaced later
             x /= u
             t /= u
-            quad = np.multiply(x, sxy)
-            quad *= t
-            x *= x
-            x *= sxx
-            quad += x
-            t *= t
-            t *= syy
-            quad += t
+            quad = _quadrupole(x, t, sxx, sxy2, syy)
             del t  # the kernel's scratch takes its place
             return kernel.expand(u, quad, trace, np.divide(1.0, u, out=x), block_w, todo[rows])
 
@@ -295,7 +299,7 @@ def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False
     # block_sums holds up to four more arrays of u's size: x, t and quad, then
     # x, quad and the kernel's two scratch arrays, or the near pairs' indices
     # and atom coordinates
-    out = _distance_rows(blocks.centroids, centres, todo.size, block_sums, extra=4)
+    out = _distance_rows(blocks.centroids, centres, block_sums, extra=4)
     vals[todo[served]] = out[served]
     shares[todo[served]] = share[served]
     return todo[~served]
@@ -495,12 +499,12 @@ class PlanarMeasure:
         blocks = self.blocks
         if blocks is None:
             pts = np.unique(pts[_hull_candidates(pts)], axis=0)
-            return float(np.max(_distance_rows(pts, pts, pts.shape[0], row_max)))
+            return float(np.max(_distance_rows(pts, pts, row_max)))
         mu, s = blocks.centroids, blocks.atoms
         reach = blocks.radii + LEAF_MARGIN * self._extent
-        lower = _distance_rows(mu, mu, mu.shape[0], lambda u, lo, hi: np.max(u - reach, axis=1))
+        lower = _distance_rows(mu, mu, lambda u, lo, hi: np.max(u - reach, axis=1))
         best = float(np.max(lower - reach))
-        upper = _distance_rows(mu, mu, mu.shape[0], lambda u, lo, hi: np.max(u + reach, axis=1))
+        upper = _distance_rows(mu, mu, lambda u, lo, hi: np.max(u + reach, axis=1))
         diam = 0.0
         for i in np.flatnonzero(upper + reach >= best):
             u = np.hypot(mu[i:, 0] - mu[i, 0], mu[i:, 1] - mu[i, 1])
@@ -509,7 +513,7 @@ class PlanarMeasure:
                 continue
             atoms = (kept[:, None] * s + np.arange(s)).ravel()
             diam = max(diam, float(np.max(_distance_rows(pts[atoms], pts[i * s:(i + 1) * s],
-                                                         s, row_max))))
+                                                         row_max))))
         return diam
 
     def support_center(self) -> np.ndarray:

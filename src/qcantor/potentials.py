@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import TARGET, ConfigError, _check_side
+from .cantor import TARGET, ConfigError, _check_side, check_mass_convention
 from .measure import _block_rows, _kernel_sums
 
 LN2 = math.log(2.0)
@@ -138,17 +138,12 @@ def diagnose_divergence(labels, contributions, kind):
 LOG_TERM_MAX = 709.0
 
 
-def check_mass_convention(convention):
-    if convention not in ("ideal", "realized"):
-        raise ValueError(f"unknown mass convention {convention!r}")
-
-
 def tree_log_ratios(tree, side, alpha, p, mass_convention="ideal"):
     """log(mass_n / r_n^(2-alpha*p)) of generations 1..tree.depth, read from the
     tree's cumulative arrays.
 
     The one owner of the tree Wolff log terms: generation n's log term is
-    (p'-1) times its log ratio, and ``wolff_tree`` and
+    (p'-1) times its log ratio, and ``wolff_tree`` and the ideal
     ``capacity.TreeWolffSeries`` both exponentiate them.  The ideal ratios of
     ``tree.prefix(depth)`` are the first depth of the tree's own; a realized
     ratio adds the tail keep Lambda_depth - Lambda_n, Lambda = ``cum_log_keep``,
@@ -192,10 +187,10 @@ def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
     masses and matches the realized atom cloud exactly.  Contributions run
     over generations 1..tree.depth; the root term is excluded.  The log
     terms are (p'-1) times ``tree_log_ratios``, the ones that
-    ``capacity.TreeWolffSeries`` reads for every depth of a sweep on its
-    deepest tree: an ideal series is the first depth terms of this one, and
-    a realized series forms each depth's own.  This function is the
-    per-depth reference for both, and raises the series' refusals.
+    ``capacity.TreeWolffSeries`` reads for every ideal depth of a sweep on
+    its deepest tree, the first depth terms of this one.  This function is
+    its per-depth reference, raises its refusals, and is the tree sup of
+    ``capacity.wolff_capacity_lower`` under either convention.
 
     Each term is exponentiated by math.exp (libm), and a log term at or past
     LOG_TERM_MAX = 709, where the term leaves the doubles, is refused with
@@ -284,18 +279,19 @@ def default_dyadic_range(tree, side):
 def riesz_potential(measure, x, alpha) -> float:
     """I_alpha(mu)(x) = sum w_i / |x - y_i|^(2 - alpha); inf on coincidence.
 
-    One row of ``measure._kernel_sums`` with the uncapped ``_CappedPower``:
-    on a measure with blocks and no atom of zero weight the sum runs over
-    block expansions (``measure._leaf_sums``), each block's share within
-    EXPANSION_BUDGET of its exact value, relative; otherwise over every atom
-    of positive weight, so an atom of zero weight at x adds nothing.
+    The one row x[None] of ``measure._kernel_sums`` with the uncapped
+    ``_CappedPower``: on a measure with blocks and no atom of zero weight the
+    sum runs over block expansions (``measure._leaf_sums``), each block's
+    share within EXPANSION_BUDGET of its exact value, relative; otherwise
+    over every atom of positive weight, so an atom of zero weight at x adds
+    nothing.
     """
     if not (0.0 < alpha < 2.0):
         raise IndexDomainError(f"need 0 < alpha < 2, got {alpha}")
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"point x must have shape (2,), got {x.shape}")
-    return float(_kernel_sums(measure, x, 1, _CappedPower(alpha, math.inf))[0][0])
+    return float(_kernel_sums(measure, x[None], _CappedPower(alpha, math.inf))[0][0])
 
 
 class _CappedPower:

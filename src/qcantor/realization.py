@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gauges import _PsiKernel, psi_a
-from .measure import LeafBlocks, PlanarMeasure, _taylor
+from .measure import LeafBlocks, PlanarMeasure, _quadrupole, _taylor
 from . import cantor
 
 #: largest block of kernel terms evaluated at once by eps_by_generation
@@ -353,9 +353,10 @@ class CantorRealization:
         """Each leaf's atoms summarized about their centroid, for the far
         field of flat-cloud kernels: the centroids lifted to the root frame
         (the frame of ``measure(side)``), the second moments about them in
-        absolute units, and the largest atom distance from them; ``coarser``
-        holds the same for the nodes of generations 0 .. depth - 1, whose
-        radii bound their atoms' distances from the centroid (``_blocks``).
+        absolute units, in ``_blocks``' format (sxx, 2 sxy, syy), and the
+        largest atom distance from them; ``coarser`` holds the same for the
+        nodes of generations 0 .. depth - 1, whose radii bound their atoms'
+        distances from the centroid (``_blocks``).
         Computed once per side from ``_blocks(side)``; the arrays are
         read-only and shared by every call."""
         cantor._check_side(side)
@@ -363,8 +364,7 @@ class CantorRealization:
             levels = []
             for g, (mu, mom, rad) in enumerate(self._blocks(side)):
                 r2 = self._radii[side][g] ** 2
-                level = LeafBlocks(self._lift(side, mu, 0, g).T,
-                                   mom.T * np.array([r2, 0.5 * r2, r2]), rad.copy(),
+                level = LeafBlocks(self._lift(side, mu, 0, g).T, mom.T * r2, rad.copy(),
                                    self.n_atoms // self.tree.node_counts[g])
                 for arr in level[:3]:
                     arr.setflags(write=False)
@@ -463,7 +463,7 @@ class CantorRealization:
                     # the unit direction, with scale r_level / |y - c|
                     dx /= u
                     dy /= u
-                    quad = dx * (y[2] * dx + y[3] * dy) + y[4] * dy * dy
+                    quad = _quadrupole(dx, dy, y[2], y[3], y[4])
                     psi = kernel.expand(u, quad, y[2] + y[4], q / u, weight)
                 out[n0:n0 + n_step] += psi.sum(axis=0)
         return out.T.ravel()

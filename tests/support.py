@@ -33,12 +33,13 @@ def without_blocks(measure):
 
 def leaf_blocks(measure, atoms):
     """LeafBlocks of a cloud whose leaves are its consecutive groups of
-    ``atoms`` atoms, by direct sums over each group's points."""
+    ``atoms`` atoms, by direct sums over each group's points, the moments in
+    LeafBlocks' format (sxx, 2 sxy, syy)."""
     pts = measure.points.reshape(-1, atoms, 2)
     centroids = pts.mean(axis=1)
     dx, dy = (pts - centroids[:, None]).transpose(2, 0, 1)
-    moments = np.stack([(dx * dx).sum(axis=1), (dx * dy).sum(axis=1), (dy * dy).sum(axis=1)],
-                       axis=1)
+    moments = np.stack([(dx * dx).sum(axis=1), 2.0 * (dx * dy).sum(axis=1),
+                        (dy * dy).sum(axis=1)], axis=1)
     return LeafBlocks(centroids, moments, np.hypot(dx, dy).max(axis=1), atoms)
 
 

@@ -13,6 +13,7 @@ from qcantor.cantor import (SOURCE, TARGET, ConfigError, ConstructionError,
                             doubly_exponential_schedule, harmonic_schedule,
                             pack_disks, schedules_from_config, sharpness_schedule,
                             shrunk_schedule)
+from qcantor.potentials import tree_log_ratios
 
 import support
 
@@ -116,6 +117,16 @@ def test_generation_mass_conservation():
     for n in range(6):
         gen_sum = tree.n_nodes(n) * math.exp(tree.log_mass(n))
         assert gen_sum == pytest.approx(total, rel=1e-12)
+
+
+def test_every_mass_reader_refuses_an_unknown_convention():
+    # one owner of the rule: the per-node and total masses and the Wolff log ratios
+    tree = build_tree(harmonic_schedule(2.0, 3), 3)
+    for read in (lambda: tree.log_mass(2, "bogus"), lambda: tree.log_total_mass("bogus"),
+                 lambda: tree_log_ratios(tree, SOURCE, 0.8, 5.0 / 3.0, "bogus")):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == "unknown mass convention 'bogus'"
 
 
 @settings(max_examples=40, deadline=None)

@@ -132,19 +132,23 @@ def test_tree_estimate_mass_scaling_invariance():
     assert a.value > 0 and b.value > 0
 
 
-@pytest.mark.parametrize("convention", ["ideal", "realized"])
 @pytest.mark.parametrize("side", [SOURCE, TARGET])
-def test_tree_series_prefixes_equal_each_prefix_own_series(side, convention):
+def test_tree_series_prefixes_equal_each_prefix_own_series(side):
     tree = build_tree(sharpness_schedule(2.0, 2.5, 12, branching=4), 12, seed=2)
     idx = distortion_indices(2.0)
-    series = TreeWolffSeries(tree, side, idx, convention)
+    series = TreeWolffSeries(tree, side, idx)
     for depth in (0, 1, 5, 11, 12):
         prefix = tree.prefix(depth)
-        own = wolff_tree(prefix, side, idx.alpha, idx.p, mass_convention=convention)
+        own = wolff_tree(prefix, side, idx.alpha, idx.p)
         assert series.total(depth) == own.total
         assert np.array_equal(series.terms(depth), own.contributions)
-        est = wolff_capacity_lower(prefix, idx, side=side, mass_convention=convention)
+        est = wolff_capacity_lower(prefix, idx, side=side)
         assert series.capacity(depth) == (est.normalization["sup"], est.value)
+        # a realized estimate reads its own prefix's realized series
+        realized = wolff_capacity_lower(prefix, idx, side=side, mass_convention="realized")
+        if depth:
+            assert realized.normalization["sup"] == wolff_tree(prefix, side, idx.alpha, idx.p,
+                                                               "realized").total
     for depth in (-1, 13):
         with pytest.raises(ConstructionError, match=f"prefix depth {depth} outside 0..12"):
             series.total(depth)
@@ -198,25 +202,27 @@ _SERIES_TREES = {"harmonic": lambda K, depth: harmonic_schedule(K, depth),
 @pytest.mark.parametrize("kind", sorted(_SERIES_TREES))
 @pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
 def test_realized_series_equal_each_prefix_to_depth_2000(K, kind):
+    # a realized estimate is its prefix's own realized series: the same sup, the
+    # value mass * sup^(-1/(p'-1)), and the same refusal where a term leaves the doubles
     tree = build_tree(_SERIES_TREES[kind](K, 2000), 2000)
     depths = [*range(1, 100, 6), *range(100, 2000, 97), 1999, 2000]  # capacities to ~90
     for side in (SOURCE, TARGET):
         for idx in (distortion_indices(K), CapacityIndices(2.0 / 3.0, 1.5)):
-            series = TreeWolffSeries(tree, side, idx, "realized")
             for depth in depths:
                 prefix = tree.prefix(depth)
                 own = _outcome(lambda: wolff_tree(prefix, side, idx.alpha, idx.p, "realized"))
-                if isinstance(own, tuple):  # refused: the same message from every read
-                    for read in (series.terms, series.total, series.capacity):
-                        assert _outcome(lambda: read(depth)) == own
-                    continue
-                assert np.array_equal(series.terms(depth), own.contributions)
-                assert series.total(depth) == own.total
                 est = _outcome(lambda: wolff_capacity_lower(prefix, idx, side=side,
                                                             mass_convention="realized"))
-                got = _outcome(lambda: series.capacity(depth))
-                assert got == (est if isinstance(est, tuple)
-                               else (est.normalization["sup"], est.value))
+                if isinstance(own, tuple):  # refused: the estimate names the same generation
+                    assert est == own
+                    continue
+                if isinstance(est, tuple):  # the capacity itself leaves the doubles
+                    assert f"leaves double precision (Wolff sup {own.total:.6g}, " in est[1]
+                    continue
+                mass = math.exp(prefix.log_total_mass("realized"))
+                assert est.normalization["sup"] == own.total
+                assert est.value == mass * own.total ** (-1.0 / idx.conjugate_minus_one)
+                assert est.normalization.get("divergence_rate") == own.divergence_rate
 
 
 @pytest.mark.parametrize("kind", sorted(_SERIES_TREES))
@@ -243,15 +249,17 @@ def test_realized_refusals_name_each_depth_own_generation():
     # realized log terms shrink with the depth, so each depth refuses at its own
     # generation, with the message of its prefix's own series
     tree = build_tree(harmonic_schedule(3.0, 8), 8)
-    series = TreeWolffSeries(tree, SOURCE, CapacityIndices(1.3, 1.01), "realized")
+    idx = CapacityIndices(1.3, 1.01)
     named = []
-    for depth in range(9):
-        own = _outcome(lambda: wolff_tree(tree.prefix(depth), SOURCE, 1.3, 1.01, "realized"))
+    for depth in range(1, 9):
+        prefix = tree.prefix(depth)
+        own = _outcome(lambda: wolff_tree(prefix, SOURCE, 1.3, 1.01, "realized"))
+        est = _outcome(lambda: wolff_capacity_lower(prefix, idx, side=SOURCE,
+                                                    mass_convention="realized"))
         if depth < 3:
-            assert series.total(depth) == own.total  # one or two terms: the same bits
+            assert est.normalization["sup"] == own.total
             continue
-        for read in (series.terms, series.total, series.capacity):
-            assert _outcome(lambda: read(depth)) == own
+        assert est == own
         named.append(int(own[1].split("at generation ")[1].split()[0]))
     assert named == [3, 4, 5, 6, 6, 7]
 
@@ -260,17 +268,15 @@ def test_realized_total_next_to_the_limit_is_read_not_refused():
     # scaled so the one realized depth-1 term is exp(708.5), just below LOG_TERM_MAX
     idx = CapacityIndices(2.0 / 3.0, 1.5)  # 2 - alpha*p = 1, p' - 1 = 2
     tree = build_tree(harmonic_schedule(2.0, 3), 3, scale=math.exp(-354.25 - math.log(2.0)))
-    series = TreeWolffSeries(tree, TARGET, idx, "realized")
     own = wolff_tree(tree.prefix(1), TARGET, idx.alpha, idx.p, "realized")
     assert own.log_terms == pytest.approx((708.5,), abs=1e-9)
-    assert series.total(1) == own.total
     est = wolff_capacity_lower(tree.prefix(1), idx, side=TARGET, mass_convention="realized")
-    assert series.capacity(1) == (est.normalization["sup"], est.value)
+    assert est.normalization["sup"] == own.total == math.exp(own.log_terms[0])
+    assert est.value > 0.0
 
 
-@pytest.mark.parametrize("convention", ["ideal", "realized"])
-def test_series_reads_call_wolff_tree_only_to_refuse(monkeypatch, convention):
-    # an ideal read also builds no prefix tree; a realized one reads its prefix's arrays
+def test_series_reads_call_wolff_tree_only_to_refuse(monkeypatch):
+    # a read also builds no prefix tree
     called, built = [], []
     prefix = CantorTree.prefix
 
@@ -286,20 +292,16 @@ def test_series_reads_call_wolff_tree_only_to_refuse(monkeypatch, convention):
     monkeypatch.setattr(capacity_mod, "wolff_tree", counting)
     tree = build_tree(harmonic_schedule(2.0, 300), 300)
     for side in (SOURCE, TARGET):
-        series = TreeWolffSeries(tree, side, distortion_indices(2.0), convention)
-        for depth in range(301):  # realized capacities past depth ~90 leave the doubles
-            series.terms(depth), series.total(depth), _outcome(lambda: series.capacity(depth))
-    assert called == []
-    assert (built == []) == (convention == "ideal")
+        series = TreeWolffSeries(tree, side, distortion_indices(2.0))
+        for depth in range(301):
+            series.terms(depth), series.total(depth), series.capacity(depth)
+    assert called == built == []
     # K = 3 at (1.3, 1.01): depths 3..8 refuse, each through its prefix's own series
     tree = build_tree(harmonic_schedule(3.0, 8), 8)
-    series = TreeWolffSeries(tree, SOURCE, CapacityIndices(1.3, 1.01), convention)
-    built.clear()
+    series = TreeWolffSeries(tree, SOURCE, CapacityIndices(1.3, 1.01))
     for depth in range(9):
         _outcome(lambda: series.total(depth))
-    assert called == [3, 4, 5, 6, 7, 8]
-    if convention == "ideal":
-        assert built == called
+    assert called == built == [3, 4, 5, 6, 7, 8]
 
 
 def test_depth_10000_estimate_forms_no_node_counts():
@@ -376,6 +378,19 @@ def test_depth_zero_tree_estimate_finite():
     tree = build_tree(harmonic_schedule(2.0, 4), 0)
     est = wolff_capacity_lower(tree, distortion_indices(2.0), side=SOURCE)
     assert est.value > 0 and math.isfinite(est.value)
+
+
+def test_depth_zero_root_ball_past_the_doubles_is_refused():
+    # at scale e^-400 the root term at (2/3, 3/2) is e^800: refused, not an OverflowError
+    tree = build_tree(harmonic_schedule(2.0, 4), 0, scale=math.exp(-400.0))
+    idx = CapacityIndices(2.0 / 3.0, 1.5)
+    want = (f"the Wolff capacity at alpha = 0.666667, p = 1.5 on the {TARGET} side at depth 0 "
+            "leaves double precision (Wolff sup inf, capacity 0)")
+    for read in (lambda: wolff_capacity_lower(tree, idx, side=TARGET),
+                 lambda: TreeWolffSeries(tree, TARGET, idx).capacity(0)):
+        with pytest.raises(IndexDomainError) as info:
+            read()
+        assert str(info.value) == want
 
 
 @pytest.mark.parametrize("schedules,depth,indices,side,why", [

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import warnings
 
 import pytest
 
@@ -748,4 +749,24 @@ def test_packing_refusal_names_the_level(tmp_path, capsys):
     assert main(["content", "--config", str(cfg), "--side", "source", "--out", str(out)]) == 2
     assert "error: level 2 (M = 40000): hex-lattice feasibility: only 36295 of 40000" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,K,generation", [
+    # eps reaches 3.3e195 at generation 2, and eps^(100/51) leaves the doubles
+    (["check-gauge", "--side", "source"], 50.0, 2),
+    # eps reaches 2.5e173 at generation 3, and eps^(60/31) leaves the doubles
+    (["content", "--side", "target", "--gauge", "distorted:a=0.1"], 30.0, 3)])
+def test_distorted_gauge_past_the_doubles_exits_2(tmp_path, capsys, args, K, generation):
+    levels = ([{"M": 40, "d": "example2"}, {"M": 1, "d": 1.5}] if K == 50.0
+              else [{"M": 4, "d": "harmonic"}] * 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": K, "depth": len(levels), "levels": levels}))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*args, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"at generation {generation} of the K = {K} tree leaves double precision" in err
+    assert err.startswith(f"error: distorted(a=0.1,K={K}): eps^")
     assert not out.exists()

@@ -103,6 +103,18 @@ def test_vanishing_content_exact_identity():
     assert all(b < a for a, b in zip(sums, sums[1:]))
 
 
+def test_thin_content_holds_where_the_cap_binds():
+    # at the default depths the cap binds up to K = 3.25; from K = 3.5 the harmonic
+    # source radii lie below it already and the shrunk sum rises from depth 2 to 3
+    assert ex.vanishing_content_experiment(3.25).passed
+    report = ex.vanishing_content_experiment(3.5)
+    assert not report.passed
+    sums = [r["shrunk_gauge_sum"] for r in report.rows[:2]]
+    assert sums[1] > sums[0]
+    assert report.verdict.startswith("failed vanishing: shrunk sums ")
+    assert report.verdict.endswith(f", first rising at depth 3 ({sums[0]:.4g} -> {sums[1]:.4g})")
+
+
 def test_vanishing_content_k1_sum_linear():
     report = ex.vanishing_content_experiment(1.0, range(2, 8))
     for row in report.rows:
@@ -268,7 +280,7 @@ def test_distortion_sweeps_name_a_k_too_large_for_the_doubles(run, K):
 class _PerPrefixSeries:
     """The per-prefix route: each depth's own wolff_tree and wolff_capacity_lower call."""
 
-    def __init__(self, tree, side, indices, mass_convention="ideal"):
+    def __init__(self, tree, side, indices):
         self.tree, self.side, self.indices = tree, side, indices
 
     def terms(self, depth):

@@ -551,7 +551,7 @@ def test_distorted_gauge_k1_reduces_to_smoothed():
 def test_distorted_gauge_is_the_smoothed_body_with_k_exponents():
     # one node-gauge body: the subclass supplies data only, plus the per-class
     # h_node entry that bench/tracer.py patches
-    body = ("_eps", "eps_node", "h_values", "far_field_bound")
+    body = ("_eps_power", "eps_node", "h_values", "far_field_bound")
     assert not set(body) & set(vars(DistortedTreeGauge))
     assert vars(DistortedTreeGauge)["h_node"] is vars(TreeSmoothedDensityGauge)["h_node"]
     tree = build_tree(harmonic_schedule(1.0, 3), 3, seed=3)
@@ -616,8 +616,7 @@ def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):
                   DistortedTreeGauge(real_k2_d3, 0.1)):
         h = gauge.h_values()
         for path in [(), (2,), (3, 1), (0, 3, 2)]:
-            assert gauge.h_node(path) == pytest.approx(
-                h[len(path)][tree.node_index(path)], rel=1e-15)
+            assert gauge.h_node(path) == h[len(path)][tree.node_index(path)]
 
 
 def test_far_field_bound_recorded_on_results(tree_k2_d3, real_k2_d3):
