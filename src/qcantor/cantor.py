@@ -39,6 +39,7 @@ _SMALL_TOL = 1e-12
 
 # realization guards
 MAX_REALIZED_ATOMS = 1 << 20
+MAX_EXPORT_NODES = 100_000
 _LOG_UNDERFLOW = -700.0
 
 
@@ -388,7 +389,7 @@ class CantorTree:
         seed = self.seed if seed is None else int(seed)
         return CantorRealization(self, seed, samples_per_leaf)
 
-    def to_json(self, max_nodes=100_000) -> str:
+    def to_json(self) -> str:
         """Export per-node logs: {"path", "s_log", "t_log", "mass_log"}.
 
         The text is json.dumps(doc, sort_keys=True, separators=(",", ":")) of
@@ -398,9 +399,9 @@ class CantorTree:
         joined from strings; the keys are written in sorted order.
         """
         total = sum(self.n_nodes(g) for g in range(self.depth + 1))
-        if total > max_nodes:
+        if total > MAX_EXPORT_NODES:
             raise ConfigError(f"depth {self.depth}: {total} nodes exceed the export cap "
-                              f"of {max_nodes}")
+                              f"of {MAX_EXPORT_NODES}")
         dumps = json.dumps
         records, paths = [], [""]
         for g in range(self.depth + 1):

@@ -1,11 +1,11 @@
 """Riesz capacity estimators and the distortion index algebra.
 
-Two normalization conventions coexist and are recorded on every estimate:
-"wolff_sup" estimates sup{mu(F) : W(x) <= 1} (mass after renormalizing the
-potential sup to 1), while "definition" estimates sup mu(F)^p over measures
-with ||I_alpha(mu)||_{p'} <= 1.  Cross-estimator comparisons take the p-th
-root of definitional values (``wolff_scale``) so conventions never mix
-silently.
+Every estimate records its normalization convention, which also says what
+kind of number it is; none is a certified bound.  "wolff_sup" values,
+sup{mu(F) : W(x) <= 1} after renormalizing the potential sup to 1, are
+comparable to the capacity up to constants of the indices; a "definition"
+value estimates sup mu(F)^p over ||I_alpha(mu)||_{p'} <= 1 by quadrature.
+``wolff_scale`` takes its p-th root, so conventions never mix silently.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ FARFIELD_FACTOR = 4.0
 #: largest quadrature grid side: cells^2 grid points are held at once
 MAX_CELLS = 2048
 
-LOWER_BOUND = "lower_bound"
 WOLFF_SUP = "wolff_sup"
 DEFINITION = "definition"
 
@@ -118,10 +117,9 @@ def distorted_index_map(alpha, p, K) -> DistortedIndices:
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """A capacity value with its direction, indices and normalization record."""
+    """A capacity value, with no side claimed, its indices and its record."""
 
     value: float
-    direction: str
     convention: str
     indices: CapacityIndices | None
     normalization: dict
@@ -130,8 +128,8 @@ class CapacityEstimate:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("capacity estimates are nonnegative")
-        if self.direction == LOWER_BOUND and not self.normalization:
-            raise ValueError("lower bounds must record their normalization")
+        if not self.normalization:
+            raise ValueError("capacity estimates must record their normalization")
 
     def wolff_scale(self) -> float:
         """Value in the wolff_sup convention (p-th root of definitional)."""
@@ -140,8 +138,7 @@ class CapacityEstimate:
         return self.value ** (1.0 / self.indices.p)
 
     def to_json_dict(self):
-        d = {"value": self.value, "direction": self.direction,
-             "convention": self.convention, "kind": self.kind,
+        d = {"value": self.value, "convention": self.convention, "kind": self.kind,
              "normalization": self.normalization}
         if self.indices is not None:
             d["alpha"] = self.indices.alpha
@@ -227,9 +224,9 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     """mass * S^(-1/(p'-1)) where S is the Wolff sup over the query set.
 
     The mass scaling law W(c*mu) = c^(p'-1) W(mu) makes the measure with
-    potential sup exactly 1 a rescale of mu, so this is the admissible-mass
-    lower estimate in the wolff_sup convention.  On a CantorTree the sup over
-    paths is the exact tree sum (path independent) at the tree's depth,
+    potential sup exactly 1 a rescale of mu, so this is the admissible mass
+    in the wolff_sup convention, comparable to the capacity.  On a CantorTree
+    the sup over paths is the exact tree sum (path independent) at its depth,
     ``wolff_tree(tree, ...).total`` under either mass convention, whose
     divergence diagnosis (its fitted rate) the record carries; depth-0 trees
     take the closed-form single-ball term.  The mass is
@@ -257,7 +254,7 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
         if profile.divergent:
             record["divergence_rate"] = profile.divergence_rate
         value = _admissible_mass(mass, sup, indices, f"on the {side} side at depth {depth}")
-        return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
+        return CapacityEstimate(value, WOLFF_SUP, indices, record)
 
     if not isinstance(obj, PlanarMeasure):
         raise TypeError("expected a CantorTree or PlanarMeasure")
@@ -272,7 +269,7 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
               "seed": seed, "mass": obj.total_mass, "k_range": [k_min, k_max]}
     value = _admissible_mass(obj.total_mass, sup, indices,
                              f"on the {obj.n_atoms}-atom measure {obj.label!r}")
-    return CapacityEstimate(value, LOWER_BOUND, WOLFF_SUP, indices, record)
+    return CapacityEstimate(value, WOLFF_SUP, indices, record)
 
 
 def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
@@ -282,7 +279,7 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     scaling is exact) plus a closed-form far-field tail using
     I_alpha(mu)(x) <= mass / (|x - c| - diam)^{2 - alpha} beyond
     FARFIELD_FACTOR * diam.  Cells near an atom use the equal-area disk
-    average of the kernel, so no infinities propagate.
+    average of the kernel; a cap, sum or value past the doubles is refused.
 
     Each cell is one row of ``measure._kernel_sums`` with ``_CappedPower``.
     Without blocks, or with an atom of zero weight, it sums the kernel over
@@ -309,7 +306,7 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     p_prime = indices.p_prime
     m = measure.total_mass
     if m == 0.0:
-        return CapacityEstimate(0.0, LOWER_BOUND, DEFINITION, indices,
+        return CapacityEstimate(0.0, DEFINITION, indices,
                                 {"lambda": 0.0, "cells": cells, "note": "zero measure"})
     diam = measure.diameter()
     if diam == 0.0:
@@ -324,29 +321,38 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
     inside = np.hypot(cc[:, 0] - center[0], cc[:, 1] - center[1]) <= r_far
     cc = cc[inside]
     rho = h / math.sqrt(math.pi)
-    kernel = _CappedPower(alpha, 2.0 / alpha * rho ** (alpha - 2.0))
-    # sum_j w_j min(|c - x_j|^(alpha-2), cap); an atom on c gives inf, capped
-    vals, bound = _kernel_sums(measure, cc, kernel)
-    cell_sum = float(np.sum(vals ** p_prime)) * h * h
-
     a = (2.0 - alpha) * p_prime  # > 2 whenever 0 < alpha*p < 2
     u = r_far - diam
-    tail = 2.0 * math.pi * m ** p_prime * (
-        u ** (2.0 - a) / (a - 2.0) + diam * u ** (1.0 - a) / (a - 1.0))
-    lam = (cell_sum + tail) ** (1.0 / p_prime)
-    value = (m / lam) ** p
+    cell_sum = tail = lam = value = math.inf  # past the doubles until computed
+    try:  # a Python float power past the range raises
+        kernel = _CappedPower(alpha, 2.0 / alpha * rho ** (alpha - 2.0))
+        # sum_j w_j min(|c - x_j|^(alpha-2), cap); an atom on c gives inf, capped
+        vals, bound = _kernel_sums(measure, cc, kernel)
+        with np.errstate(over="ignore"):
+            cell_sum = float(np.sum(vals ** p_prime)) * h * h
+        tail = 2.0 * math.pi * m ** p_prime * (
+            u ** (2.0 - a) / (a - 2.0) + diam * u ** (1.0 - a) / (a - 1.0))
+        lam = (cell_sum + tail) ** (1.0 / p_prime)
+        value = (m / lam) ** p
+    except OverflowError:
+        pass
+    if not all(0.0 < v < math.inf for v in (cell_sum, tail, lam, value)):
+        raise ConfigError(f"the quadrature at alpha = {alpha:.6g}, p = {p:.6g} on the measure "
+                          f"{measure.label!r} leaves double precision (cell radius {rho:.6g}, "
+                          f"cell sum {cell_sum:.6g}, tail {tail:.6g}, lambda {lam:.6g}, "
+                          f"capacity {value:.6g})")
     record = {"lambda": lam, "cells": cells, "farfield_factor": FARFIELD_FACTOR,
               "farfield_tail": tail, "diam": diam}
     if bound is not None:
         record["expansion_bound"] = bound
-    return CapacityEstimate(value, LOWER_BOUND, DEFINITION, indices, record)
+    return CapacityEstimate(value, DEFINITION, indices, record)
 
 
 def melnikov_gamma_lower(mass, sup_curvature, growth) -> CapacityEstimate:
-    """Analytic-capacity lower proxy: rescale a measure of the given total
-    mass until linear growth and pointwise curvature are both admissible,
-    then report the rescaled mass.  sup_curvature is the sup of the pointwise
-    curvature c^2_mu(x), for example CurvatureEstimate.sup_pointwise.
+    """Analytic-capacity proxy, no side claimed: rescale a measure of the
+    given total mass until linear growth and pointwise curvature are both
+    admissible, then report the rescaled mass.  sup_curvature is the sup of
+    the pointwise curvature c^2_mu(x), e.g. CurvatureEstimate.sup_pointwise.
 
     Growth scales linearly and curvature quadratically in the mass, so the
     admissible rescale is c = min(1/growth, sup_curvature^(-1/2)) and the
@@ -360,5 +366,4 @@ def melnikov_gamma_lower(mass, sup_curvature, growth) -> CapacityEstimate:
         raise ValueError("curvature sup must be nonnegative")
     c = 1.0 / growth if sup_curvature == 0.0 else min(1.0 / growth, sup_curvature ** -0.5)
     record = {"growth": growth, "sup_curvature": sup_curvature, "rescale": c}
-    return CapacityEstimate(c * mass, LOWER_BOUND, WOLFF_SUP,
-                            None, record, kind="analytic_capacity")
+    return CapacityEstimate(c * mass, WOLFF_SUP, None, record, kind="analytic_capacity")

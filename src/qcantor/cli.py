@@ -302,7 +302,7 @@ def build_parser():
     add_common(p, cloud=True)
     p.add_argument("--triples", type=int, default=200_000)
 
-    p = sub.add_parser("capacity", help="capacity lower estimate")
+    p = sub.add_parser("capacity", help="capacity estimate")
     add_common(p, cloud=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)

@@ -250,7 +250,7 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     """Source capacity at the distortion indices vs the analytic-capacity
     proxy of the rearranged side, normalized by ball diameters.
 
-    Per depth N: LHS = wolff lower estimate on the source tree at
+    Per depth N: LHS = Wolff estimate on the source tree at
     (2K/(2K+1), (2K+1)/(K+1)) over diam(B)^(2/(K+1)); RHS = Melnikov proxy
     (growth sup and pointwise-curvature proxy taken from ideal-convention
     tree data, the root mass 1) over diam of the image ball, 2 * scale;

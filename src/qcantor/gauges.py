@@ -49,10 +49,15 @@ def _psi(r, a, inplace=False):
         return np.divide(1.0, r, out=r)
 
 
-def psi_a(r, a):
-    """Radial kernel 1/(r^(1+a) + 1) of nonnegative radii, elementwise."""
+def check_kernel_a(a):
+    """Refuse a kernel parameter outside 0 < a < inf, nan included."""
     if not 0.0 < a < math.inf:
         raise ValueError(f"kernel parameter a must be positive and finite, got {a}")
+
+
+def psi_a(r, a):
+    """Radial kernel 1/(r^(1+a) + 1) of nonnegative radii, elementwise."""
+    check_kernel_a(a)
     return _psi(r, a)
 
 
@@ -148,6 +153,7 @@ def eps_mu_a(measure, x, t, a):
     the other leaves' atoms; every block's share is within EXPANSION_BUDGET
     of its exact value, relative.
     """
+    check_kernel_a(a)
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr > 0.0):
         raise ValueError("radius t must be positive")

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gauges import _PsiKernel, psi_a
+from .gauges import _PsiKernel, check_kernel_a, psi_a
 from .measure import LeafBlocks, PlanarMeasure, _quadrupole, _taylor
 from . import cantor
 
@@ -250,8 +250,7 @@ class CantorRealization:
         Computed once and cached per (side, a).
         """
         cantor._check_side(side)
-        if not 0.0 < a < math.inf:
-            raise ValueError(f"kernel parameter a must be positive and finite, got {a}")
+        check_kernel_a(a)
         key = (side, float(a))
         if key not in self._plans:
             self._plans[key] = tuple(self._plan(side, float(a)))

@@ -392,11 +392,13 @@ def test_tree_json_export_is_canonical_json_bytes(make):
     assert tree.to_json() == _reference_tree_json(tree)
 
 
-def test_tree_json_export_keeps_its_node_cap():
+def test_tree_json_export_keeps_its_node_cap(monkeypatch):
     tree = build_tree(harmonic_schedule(2.0, 5, branching=4), 5)
-    assert len(json.loads(tree.to_json(max_nodes=1365))["nodes"]) == 1365
+    monkeypatch.setattr(cantor, "MAX_EXPORT_NODES", 1365)
+    assert len(json.loads(tree.to_json())["nodes"]) == 1365
+    monkeypatch.setattr(cantor, "MAX_EXPORT_NODES", 1364)
     with pytest.raises(ConfigError, match="1365 nodes exceed the export cap of 1364"):
-        tree.to_json(max_nodes=1364)
+        tree.to_json()
 
 
 def test_schedule_config_roundtrip():

@@ -8,7 +8,7 @@ from qcantor import capacity as capacity_mod
 from qcantor import measure as measure_mod
 from qcantor.cantor import SOURCE, TARGET, CantorTree, ConfigError, ConstructionError, \
     build_tree, harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
-from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, LOWER_BOUND, MAX_CELLS, WOLFF_SUP,
+from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, MAX_CELLS, WOLFF_SUP,
                               CapacityEstimate, CapacityIndices, TreeWolffSeries,
                               direct_capacity_lower, distorted_index_map, distortion_indices,
                               melnikov_gamma_lower, wolff_capacity_lower)
@@ -349,7 +349,6 @@ def test_measure_estimate_mass_scaling_invariance():
 def test_tree_estimate_records_normalization():
     tree = build_tree(harmonic_schedule(2.0, 4), 4)
     est = wolff_capacity_lower(tree, distortion_indices(2.0), side=SOURCE)
-    assert est.direction == LOWER_BOUND
     assert est.convention == WOLFF_SUP
     assert est.normalization["sup"] > 0
     assert "tree_paths" in est.normalization["query_set"]
@@ -749,12 +748,13 @@ def test_tree_estimator_geometric_homogeneity_exact():
 
 def test_estimate_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        CapacityEstimate(-1.0, LOWER_BOUND, WOLFF_SUP, None, {"sup": 1.0})
-    with pytest.raises(ValueError, match="normalization"):
-        CapacityEstimate(1.0, LOWER_BOUND, WOLFF_SUP, None, {})
+        CapacityEstimate(-1.0, WOLFF_SUP, None, {"sup": 1.0})
+    for convention in (WOLFF_SUP, DEFINITION):
+        with pytest.raises(ValueError, match="normalization"):
+            CapacityEstimate(1.0, convention, None, {})
 
 
 def test_wolff_scale_conversion():
     idx = CapacityIndices(2.0 / 3.0, 1.5)
-    est = CapacityEstimate(8.0, LOWER_BOUND, DEFINITION, idx, {"lambda": 1.0})
+    est = CapacityEstimate(8.0, DEFINITION, idx, {"lambda": 1.0})
     assert est.wolff_scale() == pytest.approx(8.0 ** (1.0 / 1.5), rel=1e-12)

@@ -770,3 +770,56 @@ def test_distorted_gauge_past_the_doubles_exits_2(tmp_path, capsys, args, K, gen
     assert f"at generation {generation} of the K = {K} tree leaves double precision" in err
     assert err.startswith(f"error: distorted(a=0.1,K={K}): eps^")
     assert not out.exists()
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("depth,alpha,p,detail", [
+    # vals ** p' overflowed: exit 0 with "lambda": Infinity and "value": 0.0
+    (1, "0.05", "2", "(cell radius 4.2693e-104, cell sum inf, tail 5.11353e+184, lambda inf, "
+                     "capacity 0)"),
+    # the kernel cap rho^(alpha - 2) of a 2e-206 cell overflowed: a traceback
+    (2, "0.05", "2", "(cell radius 2.43939e-206, cell sum inf, tail inf, lambda inf, "
+                     "capacity inf)"),
+    (1, "0.5", "2", None)])
+def test_quadrature_past_the_doubles_exits_2(tmp_path, capsys, depth, alpha, p, detail):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 50, "depth": depth, "seed": 0,
+                               "levels": [{"M": 1, "d": "harmonic"}] * depth}))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["capacity", "--config", str(cfg), "--side", "source",
+                     "--samples-per-leaf", "4", "--estimator", "direct", "--alpha", alpha,
+                     "--p", p, "--out", str(out)])
+    if detail is None:  # a smaller exponent p' stays in range
+        assert code == 0 and _strict_json(out.read_text())["value"] > 0.0
+        return
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: the quadrature at alpha = {alpha}, p = {p} on the measure "
+        f"'cantor:source:depth{depth}:seed0' leaves double precision {detail}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["build"],
+    ["wolff", "--side", "source", "--alpha", "0.8", "--p", "1.5", "--format", "json"],
+    ["riesz", "--side", "target", "--alpha", "1.0", "--x", "2,0"],
+    ["curvature", "--side", "target", "--triples", "1000"],
+    ["capacity", "--side", "source", "--alpha", "0.8", "--p", "1.5"],
+    ["capacity", "--side", "target", "--estimator", "direct", "--alpha", "0.8", "--p", "1.5"],
+    ["content", "--side", "target", "--gauge", "distorted:a=0.1"],
+    ["check-gauge"]], ids=["build", "wolff", "riesz", "curvature", "capacity-wolff",
+                          "capacity-direct", "content", "check-gauge"])
+def test_artifacts_are_rfc8259_json(tmp_path, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 2, "depth": 2, "levels": [{"M": 4, "d": "harmonic"}] * 2}))
+    out = tmp_path / "out.json"
+    assert main([*args, "--config", str(cfg), "--out", str(out)]) == 0
+    assert isinstance(_strict_json(out.read_text()), dict)

@@ -97,6 +97,14 @@ def test_psi_rejects_bad_kernel_parameter(a):
         psi_a(np.array([0.5]), a)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_eps_rejects_bad_kernel_parameter(a):
+    # psi_a's rule: eps_mu_a once returned 0.3125, 0.5, nan and 0.125 here
+    mu = PlanarMeasure(np.array([[1.0, 0.0], [0.0, 3.0]]), np.array([0.25, 0.75]))
+    with pytest.raises(ValueError, match="positive and finite"):
+        eps_mu_a(mu, (0.0, 0.0), 1.0, a)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.05, 3.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_psi_radially_decreasing(a, r1, r2):
