@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorTree, ConfigError, ConstructionError, check_distortion
+from .cantor import CantorTree, ConfigError, check_distortion
 from .measure import PlanarMeasure, _kernel_sums
-from .potentials import (LOG_TERM_MAX, IndexDomainError, _CappedPower, _dyadic_terms,
-                         check_indices, conjugate_minus_one, tree_log_ratios, wolff_tree)
+from .potentials import (IndexDomainError, _CappedPower, _dyadic_terms, check_indices,
+                         conjugate_minus_one, wolff_tree)
 
 #: the quadrature grid spans FARFIELD_FACTOR support diameters around the
 #: support centre; beyond it a closed-form tail takes over
@@ -160,63 +160,21 @@ def _admissible_mass(mass, sup, indices, where) -> float:
     return value
 
 
-def _root_ball_sup(indices, scale) -> float:
-    """The Wolff sup of a depth-0 tree: its root, a uniform ball of mass 1 and
-    radius scale, by the area law below the radius and constant mass above;
-    inf past the doubles, which ``_admissible_mass`` refuses."""
-    eta, homog = indices.conjugate_minus_one, indices.homogeneity
-    log_ball = -homog * math.log(scale)  # the log of the root's mass over radius^homog
-    try:
-        return math.exp(eta * log_ball) * (1.0 / ((2.0 - homog) * eta) + 1.0 / (homog * eta))
-    except OverflowError:
-        return math.inf
-
-
-class TreeWolffSeries:
-    """The ideal tree Wolff series of every prefix of one tree, from its log
-    terms (``potentials.tree_log_ratios``).
-
-    ``tree.prefix(depth)`` slices the tree's cumulative arrays, so its ideal
-    log terms are the first depth of the tree's own: ``terms(depth)`` is a
-    view of one array and ``total(depth)`` (``PotentialProfile.total``, the
-    running sum) entry depth of its one ``np.cumsum``, the same bits as
-    ``wolff_tree(tree.prefix(depth), ...)``, also at the depths below a
-    refused generation.  Every depth from the first generation whose term
-    leaves the doubles on refuses where it is read, with the message of
-    ``wolff_tree(tree.prefix(depth), ...)``, which it calls only to refuse.
-    Realized masses depend on the depth, so a realized total is that depth's
-    own ``wolff_tree(tree.prefix(depth), ..., "realized")``.
-    """
-
-    def __init__(self, tree, side, indices):
-        self.tree, self.side, self.indices = tree, side, indices
-        logs = indices.conjugate_minus_one * tree_log_ratios(tree, side, indices.alpha,
-                                                             indices.p)  # checks the inputs
-        past = np.flatnonzero(~(logs < LOG_TERM_MAX))
-        self._kept = int(past[0]) if past.size else tree.depth  # the depths read
-        self._terms = np.array([math.exp(v) for v in logs[:self._kept].tolist()])
-        self._terms.flags.writeable = False  # terms() hands out views
-        self._running = np.cumsum(self._terms)
-
-    def terms(self, depth) -> np.ndarray:
-        """The generation terms 1..depth of ``tree.prefix(depth)``; refuses a
-        depth outside the tree, or one with a term past the doubles."""
-        if not 0 <= depth <= self.tree.depth:
-            raise ConstructionError(f"prefix depth {depth} outside 0..{self.tree.depth}")
-        if depth > self._kept:
-            wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
-                       self.indices.p)  # raises
-        return self._terms[:depth]
-
-    def total(self, depth) -> float:
-        self.terms(depth)  # refuses where the terms do
-        return float(self._running[depth - 1]) if depth else 0.0
-
-    def capacity(self, depth):
-        """(sup, value) of ``wolff_capacity_lower(tree.prefix(depth), ...)``."""
-        sup = self.total(depth) if depth else _root_ball_sup(self.indices, self.tree.scale)
-        return sup, _admissible_mass(1.0, sup, self.indices,
-                                     f"on the {self.side} side at depth {depth}")
+def tree_wolff_capacity(total, depth, side, indices, scale, mass=1.0):
+    """(sup, value) of the Wolff capacity of a tree of the given depth, the one
+    rule of every tree estimate and sweep row.  The sup is the tree sum total,
+    or at depth 0 the closed form of the root alone, a uniform ball of mass 1
+    and radius scale, by the area law below the radius and constant mass
+    above (inf past the doubles).  The value is mass * sup^(-1/(p'-1)),
+    refused, naming the side and the depth, unless a positive finite double."""
+    if not depth:
+        eta, homog = indices.conjugate_minus_one, indices.homogeneity
+        log_ball = -homog * math.log(scale)  # the log of the root's mass over radius^homog
+        try:
+            total = math.exp(eta * log_ball) * (1.0 / ((2.0 - homog) * eta) + 1.0 / (homog * eta))
+        except OverflowError:
+            total = math.inf
+    return total, _admissible_mass(mass, total, indices, f"on the {side} side at depth {depth}")
 
 
 def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", query_points=None,
@@ -228,14 +186,15 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     in the wolff_sup convention, comparable to the capacity.  On a CantorTree
     the sup over paths is the exact tree sum (path independent) at its depth,
     ``wolff_tree(tree, ...).total`` under either mass convention, whose
-    divergence diagnosis (its fitted rate) the record carries; depth-0 trees
-    take the closed-form single-ball term.  The mass is
-    exp(``tree.log_total_mass``): 1 under the ideal convention.  A finite
-    tree's sup is finite, so its value is too, also where the divergence
-    diagnosis fires for the limit; a value of 0 or inf is refused.  Every
-    tree record carries log_ideal_total, log prod_{k <= N} M_k R_k^2: the
-    log of the ideal convention's generation-N total mass.  On a measure the
-    sup is the largest ``wolff_dyadic`` total over the query points, all
+    divergence diagnosis (its fitted rate) the record carries, and
+    ``tree_wolff_capacity`` turns it into the value, as it does for every
+    verify sweep row; depth-0 trees take the closed-form single-ball term.
+    The mass is exp(``tree.log_total_mass``): 1 under the ideal convention.
+    A finite tree's sup is finite, so its value is too, also where the
+    divergence diagnosis fires for the limit; a value of 0 or inf is refused.
+    Every tree record carries log_ideal_total, log prod_{k <= N} M_k R_k^2:
+    the log of the ideal convention's generation-N total mass.  On a measure
+    the sup is the largest ``wolff_dyadic`` total over the query points, all
     taken from one ``ball_mass_profile`` call.
     """
     if isinstance(obj, CantorTree):
@@ -243,8 +202,8 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
             raise ValueError("side required for tree estimates")
         depth = obj.depth
         profile = wolff_tree(obj, side, indices.alpha, indices.p, mass_convention)
-        sup = profile.total if depth else _root_ball_sup(indices, obj.scale)
         mass = math.exp(obj.log_total_mass(mass_convention))
+        sup, value = tree_wolff_capacity(profile.total, depth, side, indices, obj.scale, mass)
         record = {"sup": sup,
                   "query_set": f"tree_paths:{side}:depth={depth}" if depth
                   else "root_ball_closed_form",
@@ -253,7 +212,6 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
                   + obj.log_mass(depth, "ideal")}
         if profile.divergent:
             record["divergence_rate"] = profile.divergence_rate
-        value = _admissible_mass(mass, sup, indices, f"on the {side} side at depth {depth}")
         return CapacityEstimate(value, WOLFF_SUP, indices, record)
 
     if not isinstance(obj, PlanarMeasure):
@@ -334,7 +292,7 @@ def direct_capacity_lower(measure, indices, cells=64) -> CapacityEstimate:
             u ** (2.0 - a) / (a - 2.0) + diam * u ** (1.0 - a) / (a - 1.0))
         lam = (cell_sum + tail) ** (1.0 / p_prime)
         value = (m / lam) ** p
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a power past the range, or lambda 0
         pass
     if not all(0.0 < v < math.inf for v in (cell_sum, tail, lam, value)):
         raise ConfigError(f"the quadrature at alpha = {alpha:.6g}, p = {p:.6g} on the measure "

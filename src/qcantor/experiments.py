@@ -9,6 +9,7 @@ the depth range.  Divergence is always reported with a fitted rate.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -21,12 +22,11 @@ import numpy as np
 from .cantor import SOURCE, TARGET, ConfigError, build_tree, check_distortion, \
     harmonic_schedule, shrunk_schedule, doubly_exponential_schedule, sharpness_exponent, \
     sharpness_schedule
-from .capacity import (CapacityIndices, IndexOverflowError, TreeWolffSeries,
-                       distorted_index_map, distortion_indices, melnikov_gamma_lower)
+from .capacity import (CapacityIndices, IndexOverflowError, distorted_index_map,
+                       distortion_indices, melnikov_gamma_lower, tree_wolff_capacity)
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, content_Mh_tree,
                      generation_cover_sum)
-from .potentials import LN2, IndexDomainError, line_fit
-from .potentials import wolff_tree  # noqa: F401 (a traced alias)
+from .potentials import LN2, IndexDomainError, line_fit, wolff_tree
 
 #: "spans less than one decade": min ratio >= RATIO_STABILITY * max ratio
 RATIO_STABILITY = 0.1
@@ -201,10 +201,11 @@ def _sweep(experiment, K, depths, seed, schedules, make_row, params, thresholds,
     Each schedule is a function of the depth and the branching; the driver builds
     one tree per schedule at the deepest depth and BRANCHING children per node.
     make_row(*trees) sees those deepest trees once, where it forms each Wolff
-    series it needs as one ``TreeWolffSeries``, and returns row; row d is
-    row(d), which reads the deepest trees at index d (a prefix's arrays are
-    their slices) and its Wolff sums as lookups in those series, so a sweep
-    builds no prefix tree and does O(1) work per row.  The report carries K,
+    series it needs by one ``wolff_tree`` call on its deepest tree
+    (``_wolff_sums``), and returns row; row d is row(d), which reads the
+    deepest trees at index d (a prefix's arrays are their slices) and its
+    Wolff sums at entry d of those series, so a sweep builds no prefix tree
+    and does O(1) work per row.  The report carries K,
     branching, seed and depths next to the experiment's own params.
     """
     depths = list(depths)
@@ -224,9 +225,24 @@ def _sweep(experiment, K, depths, seed, schedules, make_row, params, thresholds,
                                          "depths": depths, **params}, rows, thresholds)
 
 
-def _target_series(tree):
-    """The target-side Wolff series at the pinned indices (2/3, 3/2)."""
-    return TreeWolffSeries(tree, TARGET, TARGET_INDICES)
+def _wolff_sums(tree, side=TARGET, indices=TARGET_INDICES):
+    """The ideal Wolff sums of every prefix of tree, entry d that of
+    ``tree.prefix(d)`` (0.0 at depth 0), and the generation terms, as Python
+    floats, from one ``wolff_tree`` profile of the tree: a prefix's ideal log
+    terms are the first depth of the tree's own, so these are its bits.  The
+    profile refuses where any generation's term leaves the doubles."""
+    profile = wolff_tree(tree, side, indices.alpha, indices.p)
+    return [0.0] + profile.running_totals.tolist(), profile.contributions.tolist()
+
+
+@contextlib.contextmanager
+def _naming(flag):
+    """Re-raise an index refusal as a ConfigError that names the flag that chose
+    the indices (such as "thm2a: p = 2.0")."""
+    try:
+        yield
+    except IndexDomainError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 # -- distortion inequality experiments ---------------------------------------
@@ -264,7 +280,7 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     idx = distortion_indices(K)
 
     def make_row(deepest):
-        source, target = TreeWolffSeries(deepest, SOURCE, idx), _target_series(deepest)
+        source, target = _wolff_sums(deepest, SOURCE, idx)[0], _wolff_sums(deepest)[0]
         # the growth of depth N, the sup of the ideal target generation density over
         # generations 0..N, is entry N of one running max
         growth = list(itertools.accumulate(
@@ -273,9 +289,9 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
         diam_b = 2.0 * deepest.scale
 
         def row(depth):
-            sup, value = source.capacity(depth)
+            sup, value = tree_wolff_capacity(source[depth], depth, SOURCE, idx, deepest.scale)
             lhs = value / diam_b ** (2.0 / (K + 1.0))
-            curv_proxy = target.total(depth)
+            curv_proxy = target[depth]
             rhs = melnikov_gamma_lower(1.0, curv_proxy, growth[depth]).value / diam_b
             return {"depth": depth, "lhs": lhs, "rhs": rhs,
                     "ratio": lhs / rhs ** (2.0 * K / (K + 1.0)),
@@ -295,30 +311,32 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
 def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentReport:
     """Same pipeline with the Wolff estimator at (1/p, p) on the target side
     and the mapped indices (beta, q) on the source side."""
+    flag = f"thm2a: p = {p}"
     if not 1.0 < p < math.inf:  # before 1/p is formed
-        raise ConfigError(f"thm2a: p = {p}: need a finite p > 1")
+        raise ConfigError(f"{flag}: need a finite p > 1")
     try:  # the map names the indices; p chose them
         di = distorted_index_map(1.0 / p, p, K)
     except IndexOverflowError as exc:
-        raise ConfigError(f"thm2a: p = {p}: {exc}") from None
+        raise ConfigError(f"{flag}: {exc}") from None
     source_idx, target_idx = di.image, CapacityIndices(1.0 / p, p)
 
     def make_row(deepest):
-        source = TreeWolffSeries(deepest, SOURCE, source_idx)
-        target = TreeWolffSeries(deepest, TARGET, target_idx)
+        with _naming(flag):  # the series and the estimator name the indices; p chose them
+            source = _wolff_sums(deepest, SOURCE, source_idx)[0]
+            target = _wolff_sums(deepest, TARGET, target_idx)[0]
         diam_b = 2.0 * deepest.scale
 
         def row(depth):
-            try:  # the estimator names the indices; p chose them
-                source_sup, lhs_value = source.capacity(depth)
-                target_sup, rhs_value = target.capacity(depth)
-            except IndexDomainError as exc:
-                raise ConfigError(f"thm2a: p = {p}: {exc}") from None
+            with _naming(flag):
+                source_sup, lhs_value = tree_wolff_capacity(source[depth], depth, SOURCE,
+                                                            source_idx, deepest.scale)
+                target_sup, rhs_value = tree_wolff_capacity(target[depth], depth, TARGET,
+                                                            target_idx, deepest.scale)
             lhs = lhs_value / diam_b ** (2.0 / (K + 1.0))
             rhs = rhs_value / diam_b
             rhs_power = rhs ** (2.0 * K / (K + 1.0))
             if not lhs > 0.0 < rhs_power:
-                raise ConfigError(f"thm2a: p = {p}: at depth {depth} lhs {lhs:.6g} or "
+                raise ConfigError(f"{flag}: at depth {depth} lhs {lhs:.6g} or "
                                   f"rhs^(2K/(K+1)) underflows to 0 (rhs {rhs:.6g})")
             return {"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
                     "beta": di.beta, "q": di.q,
@@ -351,20 +369,23 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     src_idx = CapacityIndices(beta, q)
     # convergence exponent of the target terms (n+1)^(-s)
     s = (K + 1.0) / (K * q_conj_minus_1)
+    flag = f"sharpness: q = {q}"
 
     def make_row(deepest):
-        target = _target_series(deepest)
-        source = TreeWolffSeries(deepest, SOURCE, src_idx)
-        bounded = TreeWolffSeries(deepest, SOURCE, thm1_idx)
+        target, target_terms = _wolff_sums(deepest)
+        # the series and the estimator name the indices; q chose them and the schedule
+        with _naming(flag):
+            source = _wolff_sums(deepest, SOURCE, src_idx)[0]
+            bounded = _wolff_sums(deepest, SOURCE, thm1_idx)[0]
 
         def row(depth):
-            tgt_total = target.total(depth)
-            try:  # the estimator names the indices; q chose them and the schedule
-                source_sum, cap = source.capacity(depth)
-                _, bounded_cap = bounded.capacity(depth)
-            except IndexDomainError as exc:
-                raise ConfigError(f"sharpness: q = {q}: {exc}") from None
-            tail = float(target.terms(depth)[-1]) * (depth + 1) / (s - 1.0)  # integral bound
+            tgt_total = target[depth]
+            with _naming(flag):
+                source_sum, cap = tree_wolff_capacity(source[depth], depth, SOURCE, src_idx,
+                                                      deepest.scale)
+                _, bounded_cap = tree_wolff_capacity(bounded[depth], depth, SOURCE, thm1_idx,
+                                                     deepest.scale)
+            tail = target_terms[depth - 1] * (depth + 1) / (s - 1.0)  # integral bound
             return {"depth": depth, "source_sum": source_sum, "target_total": tgt_total,
                     "target_tail_fraction": tail / (tgt_total + tail),
                     "capacity": cap, "bounded_source_capacity": bounded_cap}
@@ -465,7 +486,7 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
     cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
 
     def make_row(deepest):
-        target = _target_series(deepest)
+        target = _wolff_sums(deepest)[0]
 
         def row(depth):
             return {"depth": depth,
@@ -473,7 +494,7 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
                     "closed_form": (depth + 1) ** (2.0 * K / (K + 1.0)),
                     "shrunk_gauge_sum": generation_cover_sum(deepest, eps, depth),
                     "source_log_radius": deepest.log_radius(SOURCE, depth),
-                    "target_total": target.total(depth)}
+                    "target_total": target[depth]}
         return row
 
     return _sweep("vanishing_content", K, depths, seed,
@@ -495,15 +516,15 @@ def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentR
     eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
 
     def make_row(deepest, harmonic_deepest):
-        target, harmonic_target = _target_series(deepest), _target_series(harmonic_deepest)
+        target, harmonic_target = _wolff_sums(deepest)[0], _wolff_sums(harmonic_deepest)[0]
 
         def row(depth):
             return {"depth": depth,
                     "source_log_radius": deepest.log_radius(SOURCE, depth),
                     "cap_log": -math.exp(depth),
                     "gauge_sum": generation_cover_sum(deepest, eps, depth),
-                    "target_total": target.total(depth),
-                    "harmonic_target_total": harmonic_target.total(depth)}
+                    "target_total": target[depth],
+                    "harmonic_target_total": harmonic_target[depth]}
         return row
 
     return _sweep("doubly_exponential", K, depths, seed,

@@ -113,15 +113,16 @@ def diagnose_divergence(labels, contributions, kind):
     n = len(contributions)
     if n < DIVERGENCE_RUN + 2:
         return False, None
-    running = np.cumsum(contributions)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(running > 0, contributions / running, 0.0)
-    window = contributions[-DIVERGENCE_RUN:]
     # genuine runaway growth keeps rising scale after scale; the band structure
     # of a Cantor measure (growth inside a generating/protecting plateau, dip
-    # across the gap) oscillates and must not be flagged
-    divergent = bool(np.all(frac[-DIVERGENCE_RUN:] >= DIVERGENCE_FRACTION)
-                     and np.all(np.diff(window) > 0))
+    # across the gap) oscillates and must not be flagged.  Most profiles fail
+    # that test, so the running fractions are formed only where it holds.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        divergent = bool(np.all(np.diff(contributions[-DIVERGENCE_RUN:]) > 0))
+        if divergent:
+            running = np.cumsum(contributions)
+            frac = np.where(running > 0, contributions / running, 0.0)
+            divergent = bool(np.all(frac[-DIVERGENCE_RUN:] >= DIVERGENCE_FRACTION))
     if not divergent and not np.any(np.isinf(contributions)):
         return False, None
     m = min(n, 2 * DIVERGENCE_RUN)
@@ -143,11 +144,10 @@ def tree_log_ratios(tree, side, alpha, p, mass_convention="ideal"):
     tree's cumulative arrays.
 
     The one owner of the tree Wolff log terms: generation n's log term is
-    (p'-1) times its log ratio, and ``wolff_tree`` and the ideal
-    ``capacity.TreeWolffSeries`` both exponentiate them.  The ideal ratios of
-    ``tree.prefix(depth)`` are the first depth of the tree's own; a realized
-    ratio adds the tail keep Lambda_depth - Lambda_n, Lambda = ``cum_log_keep``,
-    so it depends on the depth.
+    (p'-1) times its log ratio, and ``wolff_tree`` alone exponentiates them.
+    The ideal ratios of ``tree.prefix(depth)`` are the first depth of the
+    tree's own; a realized ratio adds the tail keep Lambda_depth - Lambda_n,
+    Lambda = ``cum_log_keep``, so it depends on the depth.
 
     The log-ratio is assembled per level as coefficients on sum(log R) and
     sum(log d), so when 2 - alpha*p rounds to exactly 1.0 (as at
@@ -186,10 +186,10 @@ def wolff_tree(tree, side, alpha, p, mass_convention="ideal"):
     4e-4/d_k^2 per level); "realized" uses the depth-truncated area-split
     masses and matches the realized atom cloud exactly.  Contributions run
     over generations 1..tree.depth; the root term is excluded.  The log
-    terms are (p'-1) times ``tree_log_ratios``, the ones that
-    ``capacity.TreeWolffSeries`` reads for every ideal depth of a sweep on
-    its deepest tree, the first depth terms of this one.  This function is
-    its per-depth reference, raises its refusals, and is the tree sup of
+    terms are (p'-1) times ``tree_log_ratios``.  An ideal prefix's terms are
+    the first depth of the tree's own, so each verify sweep reads every
+    depth from one profile of its deepest tree: running total d is the sum
+    of ``tree.prefix(d)``.  This is also the tree sup of
     ``capacity.wolff_capacity_lower`` under either convention.
 
     Each term is exponentiated by math.exp (libm), and a log term at or past

@@ -7,7 +7,8 @@ import numpy as np
 
 from qcantor import cantor
 from qcantor.measure import LeafBlocks, PlanarMeasure
-from qcantor.potentials import _inv_r2
+from qcantor.potentials import (DIVERGENCE_FRACTION, DIVERGENCE_RUN, _inv_r2, _scale_x,
+                                line_fit)
 
 
 def uniform_disk(n, seed=0):
@@ -193,3 +194,28 @@ def zeta_partial_sums(s, depth):
         hi, lo = total, math.fsum((hi, lo, term, -total))
         sums.append(hi)
     return sums
+
+
+def diagnose_divergence_running_first(labels, contributions, kind):
+    """``potentials.diagnose_divergence`` as it was before the rising test went
+    first: the running fractions are formed for every profile of at least
+    DIVERGENCE_RUN + 2 scales."""
+    n = len(contributions)
+    if n < DIVERGENCE_RUN + 2:
+        return False, None
+    running = np.cumsum(contributions)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(running > 0, contributions / running, 0.0)
+    window = contributions[-DIVERGENCE_RUN:]
+    divergent = bool(np.all(frac[-DIVERGENCE_RUN:] >= DIVERGENCE_FRACTION)
+                     and np.all(np.diff(window) > 0))
+    if not divergent and not np.any(np.isinf(contributions)):
+        return False, None
+    m = min(n, 2 * DIVERGENCE_RUN)
+    x = _scale_x(list(labels)[-m:], kind)
+    y = contributions[-m:]
+    pos = (y > 0) & np.isfinite(y)
+    if np.count_nonzero(pos) < 3:
+        return True, None
+    slope, _ = line_fit(x[pos], np.log(y[pos]))
+    return True, float(slope)

@@ -4,15 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcantor import capacity as capacity_mod
 from qcantor import measure as measure_mod
-from qcantor.cantor import SOURCE, TARGET, CantorTree, ConfigError, ConstructionError, \
+from qcantor.cantor import SOURCE, TARGET, ConfigError, ConstructionError, \
     build_tree, harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
 from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, MAX_CELLS, WOLFF_SUP,
-                              CapacityEstimate, CapacityIndices, TreeWolffSeries,
-                              direct_capacity_lower, distorted_index_map, distortion_indices,
-                              melnikov_gamma_lower, wolff_capacity_lower)
-from qcantor.experiments import (TARGET_INDICES, gauge_criterion_experiment,
+                              CapacityEstimate, CapacityIndices, direct_capacity_lower,
+                              distorted_index_map, distortion_indices, melnikov_gamma_lower,
+                              tree_wolff_capacity, wolff_capacity_lower)
+from qcantor.experiments import (TARGET_INDICES, _wolff_sums, gauge_criterion_experiment,
                                  verify_riesz_distortion)
 from qcantor.measure import EXPANSION_BUDGET, PlanarMeasure
 from qcantor.potentials import (IndexDomainError, default_dyadic_range, menger_curvature,
@@ -134,24 +133,24 @@ def test_tree_estimate_mass_scaling_invariance():
 
 @pytest.mark.parametrize("side", [SOURCE, TARGET])
 def test_tree_series_prefixes_equal_each_prefix_own_series(side):
+    # a sweep's sums and terms come from one profile of the deepest tree
     tree = build_tree(sharpness_schedule(2.0, 2.5, 12, branching=4), 12, seed=2)
     idx = distortion_indices(2.0)
-    series = TreeWolffSeries(tree, side, idx)
+    sums, terms = _wolff_sums(tree, side, idx)
+    assert all(type(v) is float for v in sums + terms)  # no numpy scalar reaches a row
     for depth in (0, 1, 5, 11, 12):
         prefix = tree.prefix(depth)
         own = wolff_tree(prefix, side, idx.alpha, idx.p)
-        assert series.total(depth) == own.total
-        assert np.array_equal(series.terms(depth), own.contributions)
+        assert sums[depth] == own.total
+        assert terms[:depth] == own.contributions.tolist()
         est = wolff_capacity_lower(prefix, idx, side=side)
-        assert series.capacity(depth) == (est.normalization["sup"], est.value)
+        assert tree_wolff_capacity(sums[depth], depth, side, idx, tree.scale) == (
+            est.normalization["sup"], est.value)
         # a realized estimate reads its own prefix's realized series
         realized = wolff_capacity_lower(prefix, idx, side=side, mass_convention="realized")
         if depth:
             assert realized.normalization["sup"] == wolff_tree(prefix, side, idx.alpha, idx.p,
                                                                "realized").total
-    for depth in (-1, 13):
-        with pytest.raises(ConstructionError, match=f"prefix depth {depth} outside 0..12"):
-            series.total(depth)
 
 
 @pytest.mark.parametrize("K", [1.5, 2.0, 3.0])
@@ -162,29 +161,26 @@ def test_harmonic_series_totals_are_zeta_partial_sums(K):
     tree = build_tree(harmonic_schedule(K, depth), depth)
     want = np.array(support.zeta_partial_sums(2.0, depth)[1:])
     for side, idx in ((TARGET, TARGET_INDICES), (SOURCE, distortion_indices(K))):
-        series = TreeWolffSeries(tree, side, idx)
-        got = np.array([series.total(d) for d in range(1, depth + 1)])
+        got = np.array(_wolff_sums(tree, side, idx)[0][1:])
         assert np.max(np.abs(got / want - 1.0)) <= 1e-13, side
 
 
 def test_tree_series_refuses_exactly_the_depths_past_the_doubles():
-    # the third source term at (1.3, 1.01) is exp(851): depths 1 and 2 keep their values
+    # the third source term at (1.3, 1.01) is exp(851): the series of the depth-1 and
+    # depth-2 prefixes keep their values, and every deeper one refuses with its message
     tree = build_tree(harmonic_schedule(3.0, 4), 4)
     idx = CapacityIndices(1.3, 1.01)
-    series = TreeWolffSeries(tree, SOURCE, idx)
     for depth in (1, 2):
         prefix = tree.prefix(depth)
-        assert series.total(depth) == wolff_tree(prefix, SOURCE, 1.3, 1.01).total
+        sums = _wolff_sums(prefix, SOURCE, idx)[0]
+        assert sums[depth] == wolff_tree(prefix, SOURCE, 1.3, 1.01).total
         est = wolff_capacity_lower(prefix, idx, side=SOURCE)
-        assert series.capacity(depth) == (est.normalization["sup"], est.value)
-    for depth in (3, 4, 3):
-        with pytest.raises(IndexDomainError) as own:
-            wolff_tree(tree.prefix(depth), SOURCE, 1.3, 1.01)
-        assert "generation 3 (log term 851" in str(own.value)
-        for read in (series.terms, series.total, series.capacity):
-            with pytest.raises(IndexDomainError) as refused:
-                read(depth)
-            assert str(refused.value) == str(own.value)
+        assert tree_wolff_capacity(sums[depth], depth, SOURCE, idx, tree.scale) == (
+            est.normalization["sup"], est.value)
+    for depth in (3, 4):
+        with pytest.raises(IndexDomainError) as refused:
+            _wolff_sums(tree.prefix(depth), SOURCE, idx)
+        assert "at generation 3 (log term 851" in str(refused.value)
 
 
 def _outcome(read):
@@ -228,21 +224,22 @@ def test_realized_series_equal_each_prefix_to_depth_2000(K, kind):
 @pytest.mark.parametrize("kind", sorted(_SERIES_TREES))
 def test_ideal_series_bit_for_bit_below_a_refused_generation(kind):
     # the source log term at (1.3, 1.01) passes 709 at generation 3, at (1.2, 1.05) at 9
+    # a sweep over the depths below it reads them all from its deepest prefix, bit for bit
     tree = build_tree(_SERIES_TREES[kind](3.0, 12), 12)
     for idx, refused in ((CapacityIndices(1.3, 1.01), 3), (CapacityIndices(1.2, 1.05), 9)):
-        series = TreeWolffSeries(tree, SOURCE, idx)
+        sums, terms = _wolff_sums(tree.prefix(refused - 1), SOURCE, idx)
         for depth in range(13):
             prefix = tree.prefix(depth)
             own = _outcome(lambda: wolff_tree(prefix, SOURCE, idx.alpha, idx.p))
             est = _outcome(lambda: wolff_capacity_lower(prefix, idx, side=SOURCE))
             if depth >= refused:
                 assert f"at generation {refused} " in own[1]
-                for read in (series.terms, series.total, series.capacity):
-                    assert _outcome(lambda: read(depth)) == own
+                assert est == own == _outcome(lambda: _wolff_sums(prefix, SOURCE, idx))
                 continue
-            assert series.total(depth) == own.total
-            assert np.array_equal(series.terms(depth), own.contributions)
-            assert series.capacity(depth) == (est.normalization["sup"], est.value)
+            assert sums[depth] == own.total
+            assert terms[:depth] == own.contributions.tolist()
+            assert tree_wolff_capacity(sums[depth], depth, SOURCE, idx, tree.scale) == (
+                est.normalization["sup"], est.value)
 
 
 def test_realized_refusals_name_each_depth_own_generation():
@@ -273,35 +270,6 @@ def test_realized_total_next_to_the_limit_is_read_not_refused():
     est = wolff_capacity_lower(tree.prefix(1), idx, side=TARGET, mass_convention="realized")
     assert est.normalization["sup"] == own.total == math.exp(own.log_terms[0])
     assert est.value > 0.0
-
-
-def test_series_reads_call_wolff_tree_only_to_refuse(monkeypatch):
-    # a read also builds no prefix tree
-    called, built = [], []
-    prefix = CantorTree.prefix
-
-    def building(tree, depth):
-        built.append(depth)
-        return prefix(tree, depth)
-
-    def counting(tree, *args, **kwargs):
-        called.append(tree.depth)
-        return wolff_tree(tree, *args, **kwargs)
-
-    monkeypatch.setattr(CantorTree, "prefix", building)
-    monkeypatch.setattr(capacity_mod, "wolff_tree", counting)
-    tree = build_tree(harmonic_schedule(2.0, 300), 300)
-    for side in (SOURCE, TARGET):
-        series = TreeWolffSeries(tree, side, distortion_indices(2.0))
-        for depth in range(301):
-            series.terms(depth), series.total(depth), series.capacity(depth)
-    assert called == built == []
-    # K = 3 at (1.3, 1.01): depths 3..8 refuse, each through its prefix's own series
-    tree = build_tree(harmonic_schedule(3.0, 8), 8)
-    series = TreeWolffSeries(tree, SOURCE, CapacityIndices(1.3, 1.01))
-    for depth in range(9):
-        _outcome(lambda: series.total(depth))
-    assert called == built == [3, 4, 5, 6, 7, 8]
 
 
 def test_depth_10000_estimate_forms_no_node_counts():
@@ -386,7 +354,7 @@ def test_depth_zero_root_ball_past_the_doubles_is_refused():
     want = (f"the Wolff capacity at alpha = 0.666667, p = 1.5 on the {TARGET} side at depth 0 "
             "leaves double precision (Wolff sup inf, capacity 0)")
     for read in (lambda: wolff_capacity_lower(tree, idx, side=TARGET),
-                 lambda: TreeWolffSeries(tree, TARGET, idx).capacity(0)):
+                 lambda: tree_wolff_capacity(0.0, 0, TARGET, idx, tree.scale)):
         with pytest.raises(IndexDomainError) as info:
             read()
         assert str(info.value) == want

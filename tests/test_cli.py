@@ -9,9 +9,10 @@ import warnings
 
 import pytest
 
-from qcantor import cli
+from qcantor import cli, potentials
 from qcantor.cantor import build_tree, schedules_from_config
 from qcantor.cli import main
+from qcantor.potentials import tree_log_ratios
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -481,6 +482,27 @@ def test_verify_thm2a_names_a_p_that_overflows_the_index_map(tmp_path, capsys):
     assert not (tmp_path / "thm2a.json").exists()
 
 
+@pytest.mark.parametrize("target,flag", [("thm2a", "p"), ("sharpness", "q")])
+def test_verify_names_the_flag_and_generation_of_a_profile_refusal(tmp_path, capsys,
+                                                                 monkeypatch, target, flag):
+    # the third source log ratio pushed past the doubles: building the deepest tree's
+    # profile refuses, naming the flag that chose the indices and the generation
+    def overflowing(tree, side, *args, **kwargs):
+        ratios = tree_log_ratios(tree, side, *args, **kwargs)
+        if side == "source":
+            ratios[2:] += 1e4
+        return ratios
+
+    monkeypatch.setattr(potentials, "tree_log_ratios", overflowing)
+    code = main(["verify", target, "--K", "3", f"--{flag}", "2.5", "--depths", "2,9",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: {flag} = 2.5: the source Wolff term at alpha = ")
+    assert "leaves double precision at generation 3 (log term " in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_sharpness_refuses_capacity_that_leaves_the_doubles(tmp_path, capsys):
     # q = 1000: the bounded source capacity's Wolff sup underflows to 0
     code = main(["verify", "sharpness", "--K", "2", "--q", "1000", "--out", str(tmp_path)])
@@ -779,6 +801,14 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+#: the clouds of the quadrature cases besides the K = 50 one-child clouds, which are
+#: named by their depth: (config, the flags besides --alpha and --p)
+_QUADRATURE_CLOUDS = {
+    "k1-m40": ({"K": 1.0, "depth": 2, "seed": 0, "levels": [{"M": 40, "d": 1.0}] * 2},
+               ["--samples-per-leaf", "1", "--cells", "16"]),
+}
+
+
 @pytest.mark.parametrize("depth,alpha,p,detail", [
     # vals ** p' overflowed: exit 0 with "lambda": Infinity and "value": 0.0
     (1, "0.05", "2", "(cell radius 4.2693e-104, cell sum inf, tail 5.11353e+184, lambda inf, "
@@ -786,24 +816,28 @@ def _strict_json(text):
     # the kernel cap rho^(alpha - 2) of a 2e-206 cell overflowed: a traceback
     (2, "0.05", "2", "(cell radius 2.43939e-206, cell sum inf, tail inf, lambda inf, "
                      "capacity inf)"),
-    (1, "0.5", "2", None)])
+    (1, "0.5", "2", None),
+    # vals ** p' at p' = 101 and the tail underflowed to lambda 0: a ZeroDivisionError
+    ("k1-m40", "1.9", "1.01", "(cell radius 0.0352373, cell sum 0, tail 0, lambda 0, "
+                              "capacity inf)")])
 def test_quadrature_past_the_doubles_exits_2(tmp_path, capsys, depth, alpha, p, detail):
+    doc, flags = _QUADRATURE_CLOUDS.get(depth) or (
+        {"K": 50, "depth": depth, "seed": 0, "levels": [{"M": 1, "d": "harmonic"}] * depth},
+        ["--samples-per-leaf", "4"])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"K": 50, "depth": depth, "seed": 0,
-                               "levels": [{"M": 1, "d": "harmonic"}] * depth}))
+    cfg.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["capacity", "--config", str(cfg), "--side", "source",
-                     "--samples-per-leaf", "4", "--estimator", "direct", "--alpha", alpha,
-                     "--p", p, "--out", str(out)])
+        code = main(["capacity", "--config", str(cfg), "--side", "source", *flags,
+                     "--estimator", "direct", "--alpha", alpha, "--p", p, "--out", str(out)])
     if detail is None:  # a smaller exponent p' stays in range
         assert code == 0 and _strict_json(out.read_text())["value"] > 0.0
         return
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: the quadrature at alpha = {alpha}, p = {p} on the measure "
-        f"'cantor:source:depth{depth}:seed0' leaves double precision {detail}\n")
+        f"'cantor:source:depth{doc['depth']}:seed0' leaves double precision {detail}\n")
     assert not out.exists()
 
 

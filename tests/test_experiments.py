@@ -263,8 +263,7 @@ def test_sharpness_names_q_when_a_source_term_leaves_the_doubles(monkeypatch):
         ratios = tree_log_ratios(tree, side, *args, **kwargs)
         return ratios + 1e4 if side == SOURCE else ratios  # every source term past the doubles
 
-    for module in (capacity, potentials):  # the series' log terms and wolff_tree's refusal
-        monkeypatch.setattr(module, "tree_log_ratios", overflowing)
+    monkeypatch.setattr(potentials, "tree_log_ratios", overflowing)  # wolff_tree's log terms
     with pytest.raises(ConfigError, match=r"^sharpness: q = 2\.5: the source Wolff term"):
         ex.sharpness_experiment(3.0, q=2.5, depths=[8, 9])
 
@@ -277,23 +276,35 @@ def test_distortion_sweeps_name_a_k_too_large_for_the_doubles(run, K):
         run(K)
 
 
-class _PerPrefixSeries:
-    """The per-prefix route: each depth's own wolff_tree and wolff_capacity_lower call."""
+class _Lookup:
+    """entries[i] is read(i), computed where it is read."""
 
-    def __init__(self, tree, side, indices):
-        self.tree, self.side, self.indices = tree, side, indices
+    def __init__(self, read):
+        self.read = read
 
-    def terms(self, depth):
-        return wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
-                          self.indices.p).contributions
+    def __getitem__(self, i):
+        return self.read(i)
 
-    def total(self, depth):
-        return wolff_tree(self.tree.prefix(depth), self.side, self.indices.alpha,
-                          self.indices.p).total
 
-    def capacity(self, depth):
-        est = capacity.wolff_capacity_lower(self.tree.prefix(depth), self.indices,
-                                            side=self.side)
+class _PerPrefixRoute:
+    """The per-prefix route, patched in for ``_wolff_sums`` and ``tree_wolff_capacity``:
+    each depth's own wolff_tree and wolff_capacity_lower call on ``tree.prefix(depth)``."""
+
+    def __init__(self):
+        self.trees = {}  # (side, indices) -> the deepest tree of its series
+
+    def sums(self, tree, side=TARGET, indices=ex.TARGET_INDICES):
+        self.trees[side, indices] = tree
+
+        def own(depth):
+            return wolff_tree(tree.prefix(depth), side, indices.alpha, indices.p)
+        # sums[d] is depth d's total, terms[d - 1] depth d's last term
+        return (_Lookup(lambda depth: own(depth).total),
+                _Lookup(lambda n: float(own(n + 1).contributions[-1])))
+
+    def capacity(self, total, depth, side, indices, scale):
+        est = capacity.wolff_capacity_lower(self.trees[side, indices].prefix(depth), indices,
+                                            side=side)
         return est.normalization["sup"], est.value
 
 
@@ -315,7 +326,9 @@ _WOLFF_SWEEPS = {
     ("sharpness-q2.5", 3.0, [8, 12, 9, 30])])
 def test_sweep_rows_equal_the_per_prefix_route(monkeypatch, sweep, K, depths):
     report = _WOLFF_SWEEPS[sweep](K, depths)
-    monkeypatch.setattr(ex, "TreeWolffSeries", _PerPrefixSeries)
+    route = _PerPrefixRoute()
+    monkeypatch.setattr(ex, "_wolff_sums", route.sums)
+    monkeypatch.setattr(ex, "tree_wolff_capacity", route.capacity)
     reference = _WOLFF_SWEEPS[sweep](K, depths)
     assert [r["depth"] for r in report.rows] == depths
     assert report.rows == reference.rows  # every column, ==
@@ -329,22 +342,23 @@ def test_sweep_rows_equal_the_per_prefix_route(monkeypatch, sweep, K, depths):
     (lambda: ex.verify_riesz_distortion(2.0), 2),
     (lambda: ex.vanishing_content_experiment(2.0), 1),
     (lambda: ex.content_distortion_experiment(2.0, depths=[2, 3]), 0)])
-def test_sweeps_make_one_tree_log_ratios_call_per_series(monkeypatch, run, calls):
-    # each series forms its log terms by one tree_log_ratios call, on the deepest
-    # tree; wolff_tree is called only to raise a refusal, and no default sweep refuses
-    seen = []
+def test_sweeps_make_one_wolff_tree_call_per_series(monkeypatch, run, calls):
+    # each series is one wolff_tree profile of the deepest tree, and no other route
+    # forms tree Wolff log terms
+    seen, logs = [], []
 
     def counting(tree, *args, **kwargs):
         seen.append(tree.depth)
+        return wolff_tree(tree, *args, **kwargs)
+
+    def counting_logs(tree, *args, **kwargs):
+        logs.append(tree.depth)
         return tree_log_ratios(tree, *args, **kwargs)
 
-    def refusing(*args, **kwargs):
-        raise AssertionError("wolff_tree called outside a refusal")
-
-    monkeypatch.setattr(capacity, "tree_log_ratios", counting)
-    monkeypatch.setattr(capacity, "wolff_tree", refusing)
+    monkeypatch.setattr(ex, "wolff_tree", counting)
+    monkeypatch.setattr(potentials, "tree_log_ratios", counting_logs)
     report = run()
-    assert seen == [max(report.params["depths"])] * calls
+    assert seen == logs == [max(report.params["depths"])] * calls
 
 
 @pytest.mark.parametrize("run,prefixes", [

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,43 @@ def test_guide_table_inversion_is_the_binary_search(case):
     assert np.array_equal(cdf, want)
     got = _invert_cdf(cdf, guide, u, np.empty(u.size, dtype=np.intp))
     assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+@st.composite
+def _profiles(draw):
+    """Nonnegative profile terms: a random head, then a tail that rises at every
+    scale by a random factor (so the finest terms may or may not carry a tenth of
+    the running total), with one term sometimes replaced by a zero, a tie, inf or
+    a huge value."""
+    head = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(1e-300, 1e-200)),
+                         max_size=30))
+    tail, value = [], draw(st.floats(1e-12, 1e3))
+    for factor in draw(st.lists(st.floats(1.0, 3.0, exclude_min=True), min_size=8,
+                                max_size=24)):
+        value *= factor
+        tail.append(value)
+    terms = head + tail
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(terms) - 1))
+        terms[at] = draw(st.sampled_from([0.0, math.inf, 1e308, terms[at - 1]]))
+    return np.array(terms, dtype=float), draw(st.sampled_from(["generation", "dyadic"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_profiles())
+def test_divergence_diagnosis_equals_the_running_fractions_first(case):
+    # the rising test goes first and the running fractions are formed only where it
+    # holds: the same verdicts and rates, bit for bit, with no new RuntimeWarning
+    terms, kind = case
+    labels = range(1, terms.size + 1) if kind == "generation" else range(terms.size, 0, -1)
+    with warnings.catch_warnings(record=True) as before:
+        warnings.simplefilter("always", RuntimeWarning)
+        want = support.diagnose_divergence_running_first(labels, terms, kind)
+    with warnings.catch_warnings(record=True) as after:
+        warnings.simplefilter("always", RuntimeWarning)
+        got = potentials.diagnose_divergence(labels, terms, kind)
+    assert got == want
+    assert len(after) <= len(before)
 
 
 @pytest.mark.parametrize("n", [1, 5, 64, 300])
