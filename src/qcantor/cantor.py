@@ -379,10 +379,6 @@ class CantorTree:
             idx = idx * self.branching(g) + j
         return idx
 
-    def paths_at(self, generation):
-        """All paths of a generation, in index order (an iterator)."""
-        return itertools.product(*(range(self.branching(g)) for g in range(1, generation + 1)))
-
     def realize(self, seed=None, samples_per_leaf=1):
         """Materialize centers and leaf atoms as a new CantorRealization."""
         from .realization import CantorRealization  # local import, avoids cycle
@@ -516,7 +512,11 @@ def _config_level(i, lv, K):
         d = _multiplier(i)
     elif isinstance(dspec, dict) and set(dspec) == {"sharpness_q"}:
         q = _as(float, dspec["sharpness_q"], f"level {i}: sharpness_q")
-        d = _multiplier(i, sharpness_exponent(K, q))
+        try:
+            e = sharpness_exponent(K, q)
+        except ConstructionError as exc:
+            raise ConfigError(f"level {i}: sharpness_q = {q}: {exc}") from None
+        d = _multiplier(i, e)
     else:
         raise ConfigError(f"level {i}: d must be a number, \"harmonic\"/\"example2\", "
                           f"or {{\"sharpness_q\": q}}, got {dspec!r}")

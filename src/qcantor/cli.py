@@ -164,7 +164,11 @@ def _cmd_riesz(args):
 
 def _cmd_curvature(args):
     tree, real = _realized(args, "triples")
-    est = menger_curvature(real.measure(args.side), triples=args.triples, seed=tree.seed)
+    try:
+        est = menger_curvature(real.measure(args.side), triples=args.triples, seed=tree.seed)
+    except ConfigError as exc:  # too few atoms: the depth and --samples-per-leaf set them
+        raise ConfigError(f"depth {tree.depth}, --samples-per-leaf {real.samples_per_leaf}: "
+                          f"{exc}") from None
     _emit(args, est.to_json_dict(), f"curvature: c2={est.value:.17g} "
           f"stderr={est.stderr:.3g} sup={est.sup_pointwise:.6g}")
     return 0
@@ -231,8 +235,8 @@ def _cmd_check_gauge(args):
     g2 = check_G2(eps, balls, swallow_radius=4.0)
     doc = {"G1": g1.to_json_dict(), "G2": g2.to_json_dict()}
     distorted = DistortedTreeGauge(real, args.a)
-    paths = [p for p in tree.paths_at(min(2, tree.depth))][:16]
-    doc["G2_distorted_chain"] = check_G2_tree_gauge(distorted, paths).to_json_dict()
+    doc["G2_distorted_chain"] = check_G2_tree_gauge(distorted, min(2, tree.depth),
+                                                    16).to_json_dict()
     chain = doc["G2_distorted_chain"]["C0_prime"]
     if not all(map(math.isfinite, (g1.c0, g2.c0_prime, chain))):
         raise ConfigError(f"--a {args.a}: the G1/G2 constants are not all finite (C0={g1.c0:.6g}, "
@@ -296,7 +300,8 @@ def build_parser():
     p = sub.add_parser("riesz", help="Riesz potential of a realization at a point")
     add_common(p, cloud=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--x", default="0,0", help="evaluation point 'x,y'")
+    p.add_argument("--x", default="0,0",
+                   help="evaluation point 'x,y'; a negative x needs the form --x=-1,0")
 
     p = sub.add_parser("curvature", help="Menger curvature of a realization")
     add_common(p, cloud=True)

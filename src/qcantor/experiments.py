@@ -364,11 +364,10 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     if q is None:
         q = (3.0 * K + 1.0) / (K + 1.0)
     sharpness_exponent(K, q)  # refuses a q outside the sharpness regime
-    q_conj_minus_1 = 1.0 / (q - 1.0)
     beta = 2.0 * K / ((K + 1.0) * q)
     src_idx = CapacityIndices(beta, q)
     # convergence exponent of the target terms (n+1)^(-s)
-    s = (K + 1.0) / (K * q_conj_minus_1)
+    s = (K + 1.0) / (K * src_idx.conjugate_minus_one)
     flag = f"sharpness: q = {q}"
 
     def make_row(deepest):
@@ -395,7 +394,7 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
                   make_row,
                   {"q": q, "beta": beta, "target_exponent": s},
                   {"slope_lo": 0.5, "slope_hi": 2.0, "r2_min": 0.99, "target_tail_max": 0.05,
-                   "capacity_exponent": 1.0 / q_conj_minus_1,
+                   "capacity_exponent": 1.0 / src_idx.conjugate_minus_one,
                    "capacity_exponent_tol": 0.10, "ratio_stability": RATIO_STABILITY},
                   minimum=2, why="the capacity decay is fitted against log(log N)")
 

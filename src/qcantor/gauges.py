@@ -193,8 +193,9 @@ class TreeSmoothedDensityGauge:
 
     def _eps_power(self, g):
         """eps^exponent of every generation-g node, by numpy's array power: the
-        one form that eps_node, h_node and h_values read.  A generation where
-        the power leaves the doubles is refused, naming the gauge."""
+        one form that h_node, h_values and check_G2_tree_gauge read.  A
+        generation where the power leaves the doubles is refused, naming the
+        gauge."""
         eps = self.realization.eps_by_generation(self._density_side, self.a)[g]
         try:
             with np.errstate(over="raise"):
@@ -205,12 +206,9 @@ class TreeSmoothedDensityGauge:
                 f"{self.tree.K} tree leaves double precision (largest eps {np.max(eps):.6g})"
             ) from None
 
-    def eps_node(self, path):
-        return float(self._eps_power(len(path))[self.tree.node_index(path)])
-
     def h_node(self, path):
         t = math.exp(self.tree.log_radius(self.side, len(path)))
-        return t ** self.gamma * self.eps_node(path)
+        return t ** self.gamma * float(self._eps_power(len(path))[self.tree.node_index(path)])
 
     def h_values(self):
         """h over every node of the tree, one array per generation 0..depth."""
@@ -350,27 +348,28 @@ def check_G2(eps, balls, swallow_radius) -> DoublingReport:
     return DoublingReport(None, worst, len(balls), truncation_k=k_used)
 
 
-def check_G2_tree_gauge(gauge, paths) -> DoublingReport:
-    """G2 proxy for node-keyed gauges along ancestor chains.
+def check_G2_tree_gauge(gauge, generation, count) -> DoublingReport:
+    """G2 proxy for node-keyed gauges along ancestor chains, over the first
+    count nodes of a generation.
 
     Tree balls admit no true dilations; the ancestor ball of radius ratio
     rho_g stands in for the dilate 2^k r with 2^k ~ rho_g, weighted
-    accordingly.  Only this chain is checkable for the distorted gauge.
+    accordingly.  Only this chain is checkable for the distorted gauge.  Each
+    generation's eps^exponent is read once (``_eps_power``), and a node's
+    generation-g ancestor is its index divided by the nodes per ancestor.
     """
     tree, side = gauge.tree, gauge.side
-    worst = 0.0
-    for path in paths:
-        d = len(path)
-        log_r = tree.log_radius(side, d)
-        base = gauge.eps_node(path)
-        if base <= 0.0:
-            continue
-        total = 0.0
-        for g in range(d, -1, -1):
-            ratio = math.exp(tree.log_radius(side, g) - log_r)  # ~ 2^k
-            total += gauge.eps_node(path[:g]) / ratio
-        worst = max(worst, total / base)
-    return DoublingReport(None, worst, len(paths),
+    counts = tree.node_counts
+    nodes = np.arange(min(count, counts[generation]))
+    log_r = tree.log_radius(side, generation)
+    base = gauge._eps_power(generation)[nodes]
+    total = base.copy()  # the node's own term, at ratio 1
+    for g in range(generation - 1, -1, -1):
+        ratio = math.exp(tree.log_radius(side, g) - log_r)  # ~ 2^k
+        total += gauge._eps_power(g)[nodes // (counts[generation] // counts[g])] / ratio
+    live = base > 0.0
+    worst = float(np.max(total[live] / base[live], initial=0.0))
+    return DoublingReport(None, worst, len(nodes),
                           notes="ancestor-chain proxy for tree-aligned balls")
 
 

@@ -18,7 +18,8 @@ HULL_MARGIN = 2.0 ** -40
 #: scratch elements per array of one blocked kernel call
 BLOCK_ELEMENTS = 1 << 18
 #: largest remainder bound, relative to the leaf's exact share, at which a
-#: leaf-expansion kernel takes a leaf's centroid expansion: one unit round-off
+#: leaf-expansion kernel takes a leaf's centroid expansion, and the relative
+#: error of the tree eps fill (``CantorRealization.eps_rings``): one unit round-off
 EXPANSION_BUDGET = 2.0 ** -53
 #: slack of the whole-leaf ball tests, in units of the largest coordinate
 #: magnitude (see PlanarMeasure.ball_mass_profile)

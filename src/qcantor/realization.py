@@ -47,14 +47,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .gauges import _PsiKernel, check_kernel_a, psi_a
-from .measure import LeafBlocks, PlanarMeasure, _quadrupole, _taylor
+from .measure import EXPANSION_BUDGET, LeafBlocks, PlanarMeasure, _quadrupole, _taylor
 from . import cantor
 
 #: largest block of kernel terms evaluated at once by eps_by_generation
 _CHUNK = 1 << 15
-#: relative error of eps that the batched evaluator may commit: one unit round-off
-_BUDGET = 2.0 ** -53
-#: the part of it kept back from the dropped rings for the expansion remainders
+#: the part of EXPANSION_BUDGET kept back from the dropped rings for the expansion remainders
 _REMAINDER = 2.0 ** -56
 
 
@@ -91,12 +89,16 @@ class CantorRealization:
                 f"{n_leaves * s} atoms ({n_leaves} leaves x {s} samples) exceed the "
                 f"realization cap of {cantor.MAX_REALIZED_ATOMS}")
         for side in cantor.SIDES:
-            if tree.log_radius(side, depth) < cantor._LOG_UNDERFLOW:
+            log_r = tree.log_radius(side, depth)
+            if log_r < cantor._LOG_UNDERFLOW:
                 raise cantor.ConstructionError(
-                    "leaf radii underflow double precision; this schedule is "
-                    "log-space only and cannot be realized")
-        if tree.log_mass(depth) < cantor._LOG_UNDERFLOW:
-            raise cantor.ConstructionError("leaf masses underflow double precision")
+                    f"{side} side, depth {depth}: leaf radii underflow double precision "
+                    f"(log radius {log_r:.6g}); this schedule is log-space only and cannot "
+                    "be realized")
+        log_m = tree.log_mass(depth)
+        if log_m < cantor._LOG_UNDERFLOW:
+            raise cantor.ConstructionError(f"depth {depth}: leaf masses underflow double "
+                                           f"precision (log mass {log_m:.6g})")
 
         self.tree = tree
         self.seed = int(seed)
@@ -106,7 +108,6 @@ class CantorRealization:
         self.n_atoms = n_leaves * s
 
         counts = tree.node_counts
-        self._leaf_stride = [n_leaves // c for c in counts]  # leaves per node
         self._radii = {side: [math.exp(tree.log_radius(side, g)) for g in range(depth + 1)]
                        for side in cantor.SIDES}
 
@@ -142,14 +143,6 @@ class CantorRealization:
         self.weights.setflags(write=False)
         self._eps_cache, self._plans, self._block_cache = {}, {}, {}
         self._leaf_block_cache = {}
-
-    # -- indexing ----------------------------------------------------------
-
-    def leaf_range(self, path):
-        """Half-open range of leaf indices below a node."""
-        idx = self.tree.node_index(path)
-        stride = self._leaf_stride[len(path)]
-        return idx * stride, (idx + 1) * stride
 
     # -- geometry ----------------------------------------------------------
 
@@ -197,10 +190,13 @@ class CantorRealization:
         """
         cantor._check_side(side)
         d, s, atoms = len(path), self.samples_per_leaf, self._atoms[side]
-        node, out = self.tree.node_index(path), np.empty(self.n_atoms)
+        node, counts = self.tree.node_index(path), self.tree.node_counts
+        out = np.empty(self.n_atoms)
         inner = None  # the leaves below the generation-(g + 1) ancestor
         for g in range(d, -1, -1):
-            lo, hi = self.leaf_range(path[:g])
+            stride = self.n_leaves // counts[g]  # leaves per generation-g node
+            lo = node // (counts[d] // counts[g]) * stride
+            hi = lo + stride
             # the node's center in the frame of its generation-g ancestor
             center = self._lift(side, np.zeros((2, 1)), g, d, (node, node + 1))
             for a, b in ((lo, inner[0]), (inner[1], hi)) if inner else ((lo, hi),):
@@ -284,10 +280,10 @@ class CantorRealization:
                                     + log_psi)
                 far[j] = share[j] * taylor, gap
             rings, tail = g, 0.0
-            while rings > 0 and tail + share[rings] <= _BUDGET - _REMAINDER:
+            while rings > 0 and tail + share[rings] <= EXPANSION_BUDGET - _REMAINDER:
                 tail += share[rings]
                 rings -= 1
-            budget = (_BUDGET - tail) / max(rings, 1)
+            budget = (EXPANSION_BUDGET - tail) / max(rings, 1)
             levels, remainders, evaluations = [], [], self.n_atoms
             for j in range(1, rings + 1):
                 k = g - j + 1
@@ -322,20 +318,16 @@ class CantorRealization:
             members, rad, mom = 1, 0.0, 0.0
             out = []
             for g in range(self.depth, -1, -1):
-                if g == self.depth and pos.shape[1] == 1:  # a leaf's one atom
-                    mu, rad = pos[:, 0], np.zeros(pos.shape[2])
-                    mom = np.zeros((3, pos.shape[2]))
-                else:
-                    pos = np.ascontiguousarray(pos)
-                    r_g = radii[g]
-                    mu = np.add.reduce(pos, axis=1) / pos.shape[1]
-                    dev = pos - mu[:, None]
-                    dev /= r_g
-                    sq = dev * dev
-                    rad = np.maximum.reduce(np.sqrt(sq[0] + sq[1]) * r_g + rad, axis=0)
-                    sums = np.add.reduce(sq, axis=1)
-                    mom = mom + members * np.stack([
-                        sums[0], 2.0 * np.add.reduce(dev[0] * dev[1], axis=0), sums[1]])
+                pos = np.ascontiguousarray(pos)
+                r_g = radii[g]
+                mu = np.add.reduce(pos, axis=1) / pos.shape[1]
+                dev = pos - mu[:, None]
+                dev /= r_g
+                sq = dev * dev
+                rad = np.maximum.reduce(np.sqrt(sq[0] + sq[1]) * r_g + rad, axis=0)
+                sums = np.add.reduce(sq, axis=1)
+                mom = mom + members * np.stack([
+                    sums[0], 2.0 * np.add.reduce(dev[0] * dev[1], axis=0), sums[1]])
                 out.append((mu, mom, rad))
                 if g:
                     m = tree.branching(g)

@@ -1,6 +1,8 @@
 """Fixtures and oracles that only the tests use: test clouds, a hand-set
-node gauge, absolute node centres, reference realization frames, the
-brute-force content, circumradii and dyadic growth and curvature surrogates."""
+node gauge, absolute node centres, node paths and leaf ranges, reference
+realization frames, the brute-force content, circumradii and dyadic growth
+and curvature surrogates."""
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +55,18 @@ def node_center(real, side, path):
     return c
 
 
+def paths_at(tree, generation):
+    """All paths of a generation, in index order (an iterator)."""
+    return itertools.product(*(range(tree.branching(g)) for g in range(1, generation + 1)))
+
+
+def leaf_range(tree, path):
+    """Half-open range of leaf indices below a node."""
+    stride = tree.n_leaves // tree.node_counts[len(path)]
+    idx = tree.node_index(path)
+    return idx * stride, (idx + 1) * stride
+
+
 def reference_frames(tree, seed, samples_per_leaf):
     """{side: [frame_0, ..., frame_depth]}: every atom relative to its
     generation-g ancestor, as (n_atoms, 2) rows, built generation by
@@ -100,7 +114,7 @@ class TableGauge:
 
     def h_values(self):
         """h over every node of the tree, one array per generation 0..depth."""
-        return [np.array([self.table[path] for path in self.tree.paths_at(g)], dtype=float)
+        return [np.array([self.table[path] for path in paths_at(self.tree, g)], dtype=float)
                 for g in range(self.tree.depth + 1)]
 
     def far_field_bound(self):
@@ -114,8 +128,8 @@ def content_by_enumeration(tree, table):
     Every subset of the n nodes is listed by doubling: the subsets holding
     node i are those without it, each extended by i's leaves and h value.
     """
-    nodes = [p for g in range(tree.depth + 1) for p in tree.paths_at(g)]
-    leaves = list(tree.paths_at(tree.depth))
+    nodes = [p for g in range(tree.depth + 1) for p in paths_at(tree, g)]
+    leaves = list(paths_at(tree, tree.depth))
     cover, cost = np.zeros(1, dtype=np.int64), np.zeros(1)
     for node in nodes:
         bits = sum(1 << j for j, leaf in enumerate(leaves) if leaf[:len(node)] == node)

@@ -204,7 +204,7 @@ def test_criterion_08_contents():
     for branching, depth in ((2, 2), (2, 3), (3, 2)):
         tree = build_tree(harmonic_schedule(2.0, depth, branching=branching), depth)
         real = tree.realize()
-        nodes = [p for g in range(depth + 1) for p in tree.paths_at(g)]
+        nodes = [p for g in range(depth + 1) for p in support.paths_at(tree, g)]
         for _ in range(7):
             table = {p: float(rng.integers(1, 1000)) for p in nodes}
             got = content_Mh_tree(support.TableGauge(tree, table)).value
@@ -216,7 +216,7 @@ def test_criterion_08_contents():
             assert fr.value == got
             assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
             for p in nodes:
-                lo, hi = real.leaf_range(p)
+                lo, hi = support.leaf_range(real.tree, p)
                 assert fr.leaf_weights[lo:hi].sum() <= table[p] * (1 + 1e-12)
             checked += 1
     assert checked >= 20

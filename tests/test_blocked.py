@@ -207,8 +207,8 @@ def _square_with_atom_on_cell_centre(cells):
 
 
 @pytest.mark.filterwarnings("error")
-def test_pool_workers_keep_their_errstate(monkeypatch):
-    # the calling thread's errstate: 0^-s and psi_a past the doubles stay silent
+def test_flat_kernels_keep_the_calling_threads_errstate(monkeypatch):
+    # 0^-s and psi_a past the doubles raise no floating-point warning
     _set_budget(monkeypatch, 5)  # one cell per block
     mu = _square_with_atom_on_cell_centre(16)
     est = direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=16)

@@ -270,7 +270,7 @@ def test_nesting_and_sibling_disjointness(real_k2_d3):
         for g in (1, 2):
             parent_r = math.exp(tree.log_radius(side, g - 1))
             child_protect = math.exp(tree.log_protect_radius(side, g))
-            for path in tree.paths_at(g - 1):
+            for path in support.paths_at(tree, g - 1):
                 offs = [support.node_center(real_k2_d3, side, path + (j,))
                         - support.node_center(real_k2_d3, side, path)
                         for j in range(tree.branching(g))]
@@ -368,7 +368,7 @@ def _reference_tree_json(tree):
     """The export as one json.dumps over node dicts, path by path."""
     nodes = [{"path": list(path), "s_log": tree.log_radius(SOURCE, g),
               "t_log": tree.log_radius(TARGET, g), "mass_log": tree.log_mass(g)}
-             for g in range(tree.depth + 1) for path in tree.paths_at(g)]
+             for g in range(tree.depth + 1) for path in support.paths_at(tree, g)]
     doc = {"K": tree.K, "depth": tree.depth, "seed": tree.seed, "scale": tree.scale,
            "nodes": nodes}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -77,6 +77,22 @@ def test_riesz_far_point(config_path, capsys):
     assert "riesz:" in out
 
 
+def test_riesz_takes_a_negative_x_after_an_equals_sign(config_path, tmp_path, capsys):
+    # argparse reads a separate -1,0 as an option, so that form is a usage error
+    out = tmp_path / "riesz.json"
+    code = main(["riesz", "--config", config_path, "--side", "target", "--alpha", "1.0",
+                 "--x=-1,0", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["x"] == [-1.0, 0.0]
+    out.unlink()
+    code = main(["riesz", "--config", config_path, "--side", "target", "--alpha", "1.0",
+                 "--x", "-1,0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "argument --x: expected one argument" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x", ["2", "nan,0", "0,inf", "1,2,3", "a,b"])
 def test_riesz_rejects_bad_point(config_path, capsys, x):
     code = main(["riesz", "--config", config_path, "--side", "target",

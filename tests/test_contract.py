@@ -4,10 +4,13 @@ Every case runs through ``cli.main`` in process, with RuntimeWarning made an
 error.  Exit 0 writes an artifact whose numbers are all finite (RFC 8259
 JSON, or a CSV of finite numbers); exit 1 is a verify verdict FAIL, with its
 report written; exit 2 prints a message and writes nothing; and no case ends
-in a traceback, which here is an exception out of ``main``.
+in a traceback, which here is an exception out of ``main``.  An exit-2
+message names what is at fault: a flag the case passed, a config key it set,
+a level, generation or depth, or a side.
 """
 import json
 import math
+import re
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings
@@ -128,10 +131,30 @@ def _run(argv, capsys):
     return code, out, err
 
 
-def _refused(code, err):
-    """Exit 2 with a message: the CLI's "error: ..." line, or argparse's usage error."""
+#: words that place a refusal in the tree or on a side
+_PLACES = ("level", "levels", "generation", "depth", "side", "source", "target")
+
+
+def _names(message, name):
+    """Whether message names a flag or key: as --name, as a word if it is longer
+    than one letter, and a one-letter name as "x =" or "x must"."""
+    word = re.escape(name.lstrip("-"))
+    bare = (rf"(?<![\w.-]){word}\s*(=|must\b)" if len(word) == 1
+            else rf"(?<![\w-]){word}(?![\w-])")
+    return re.search(rf"--{word}(?![\w-])|{bare}", message) is not None
+
+
+def _refused(code, err, argv, cfg=None):
+    """Exit 2 with the CLI's one-line "error: ..." message (every drawn flag is
+    well formed, so argparse refuses none), naming a flag of argv, a key cfg
+    sets, or a place (_PLACES)."""
     assert code == 2, code
     assert err.startswith("error: ") and len(err.strip()) > len("error:"), err
+    names = [arg.partition("=")[0] for arg in argv if arg.startswith("--")]
+    for level in cfg["levels"] if cfg else ():
+        names += [*level, *(level["d"] if isinstance(level["d"], dict) else ())]
+    names += [*(cfg or ()), *_PLACES]
+    assert any(_names(err, name) for name in names), (names, err)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -141,6 +164,14 @@ def _refused(code, err):
 @example(cfg={"K": 1.0, "depth": 2, "seed": 0, "levels": [{"M": 40, "d": 1.0}] * 2},
          command=["capacity", "--side", "source", "--estimator", "direct", "--alpha", "1.9",
                   "--p", "1.01", "--samples-per-leaf", "1", "--cells", "16"])
+# refusals that named no level, depth or flag: a sharpness_q level outside the regime,
+# and one atom for curvature
+@example(cfg={"K": 2, "depth": 2, "seed": 0,
+              "levels": [{"M": 4, "d": "harmonic"}, {"M": 4, "d": {"sharpness_q": 1.2}}]},
+         command=["build"])
+@example(cfg={"K": 2, "depth": 0, "seed": 0, "levels": []},
+         command=["curvature", "--side", "target", "--triples", "100",
+                  "--samples-per-leaf", "1"])
 def test_artifact_commands_keep_the_contract(tmp_path_factory, capsys, cfg, command):
     tmp = tmp_path_factory.mktemp("contract")
     config, out = tmp / "cfg.json", tmp / "out"
@@ -153,19 +184,21 @@ def test_artifact_commands_keep_the_contract(tmp_path_factory, capsys, cfg, comm
         else:
             assert isinstance(_strict_json(text), dict)
     else:
-        _refused(code, err)
+        _refused(code, err, command, cfg)
         assert not out.exists()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(K=_K, target=_TARGETS, seed=st.integers(0, 3))
+# leaf radii past the doubles were refused without a side or depth
+@example(K=400.0, target=["content-ratio", "--depths", "1,2"], seed=0)
 def test_verify_targets_keep_the_contract(tmp_path_factory, capsys, K, target, seed):
     out = tmp_path_factory.mktemp("verify")
-    code, stdout, err = _run(["verify", *target, "--K", repr(K), "--seed", str(seed),
-                              "--out", str(out)], capsys)
+    flags = [*target, "--K", repr(K), "--seed", str(seed)]
+    code, stdout, err = _run(["verify", *flags, "--out", str(out)], capsys)
     if code == 2:
-        _refused(code, err)
+        _refused(code, err, flags)
         assert not list(out.iterdir())
         return
     assert code in (0, 1), code

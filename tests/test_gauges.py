@@ -209,10 +209,19 @@ def test_inverse_radius_gauge_summable():
 
 def test_distorted_gauge_chain_summability(real_k2_d3):
     gauge = DistortedTreeGauge(real_k2_d3, a=0.1)
-    paths = list(real_k2_d3.tree.paths_at(3))[:8]
-    report = check_G2_tree_gauge(gauge, paths)
+    tree = real_k2_d3.tree
+    report = check_G2_tree_gauge(gauge, 3, 8)
     assert math.isfinite(report.c0_prime)
     assert "ancestor-chain" in report.notes
+    # the node-array chain against one walked path by path, in the same order
+    worst = 0.0
+    for path in list(support.paths_at(tree, 3))[:8]:
+        total = 0.0
+        for g in range(3, -1, -1):
+            ratio = math.exp(tree.log_radius(TARGET, g) - tree.log_radius(TARGET, 3))
+            total += float(gauge._eps_power(g)[tree.node_index(path[:g])]) / ratio
+        worst = max(worst, total / float(gauge._eps_power(3)[tree.node_index(path)]))
+    assert (report.c0_prime, report.pairs) == (worst, 8)
 
 
 def test_G2_evaluates_every_ball_in_one_call():
@@ -365,7 +374,7 @@ def test_kernel_sum_equal_exponents_rejected():
 def _random_integer_gauge(tree, rng):
     table = {}
     for g in range(tree.depth + 1):
-        for path in tree.paths_at(g):
+        for path in support.paths_at(tree, g):
             table[path] = float(rng.integers(1, 1000))
     return table
 
@@ -409,7 +418,7 @@ def test_content_dp_equals_cut_enumeration_wider(branching, depth):
 def test_content_mass_gauge_returns_total_mass():
     tree = build_tree(harmonic_schedule(2.0, 3), 3)
     table = {path: math.exp(tree.log_mass(g))
-             for g in range(4) for path in tree.paths_at(g)}
+             for g in range(4) for path in support.paths_at(tree, g)}
     got = content_Mh_tree(support.TableGauge(tree, table)).value
     assert got == pytest.approx(math.exp(tree.log_total_mass()), rel=1e-12)
 
@@ -418,7 +427,7 @@ def test_content_root_optimal_when_subadditive():
     tree = build_tree(harmonic_schedule(2.0, 2), 2)
     table = {(): 1.0}
     for g in (1, 2):
-        for path in tree.paths_at(g):
+        for path in support.paths_at(tree, g):
             table[path] = 2.0  # children always cost more
     res = content_Mh_tree(support.TableGauge(tree, table))
     assert res.value == 1.0
@@ -451,7 +460,7 @@ def test_cover_size_from_the_take_masks_equals_the_walked_cover(branchings):
     for trial in range(25):
         # small integers: many ties, and covers at every depth
         table = {path: float(rng.integers(1, 6 ** (tree.depth - len(path) + 1)))
-                 for g in range(tree.depth + 1) for path in tree.paths_at(g)}
+                 for g in range(tree.depth + 1) for path in support.paths_at(tree, g)}
         res = content_Mh_tree(support.TableGauge(tree, table))
         cost, cover = _cover_by_recursion(tree, table)
         assert res.value == cost
@@ -462,7 +471,7 @@ def test_cover_size_from_the_take_masks_equals_the_walked_cover(branchings):
 def test_root_only_cover_counts_one_ball():
     tree = _mixed_tree((3, 1, 2))
     table = {path: 1.0 if not path else 5.0
-             for g in range(tree.depth + 1) for path in tree.paths_at(g)}
+             for g in range(tree.depth + 1) for path in support.paths_at(tree, g)}
     res = content_Mh_tree(support.TableGauge(tree, table))
     assert res.cover_size == 1
     assert res.cover == ((),)
@@ -495,7 +504,7 @@ def test_cover_is_antichain_partition(tree_k2_d3, real_k2_d3):
         for b in cover:
             if a != b:
                 assert a != b[:len(a)]  # no ancestor pairs
-    leaves = list(tree_k2_d3.paths_at(3))
+    leaves = list(support.paths_at(tree_k2_d3, 3))
     assert all(any(leaf[:len(c)] == c for c in cover) for leaf in leaves)
 
 
@@ -514,7 +523,7 @@ def test_frostman_equals_content_on_random_gauges():
         assert fr.value == content_Mh_tree(support.TableGauge(tree, table)).value
         assert fr.leaf_weights.sum() == pytest.approx(fr.value, rel=1e-12)
         for path, h in table.items():
-            lo, hi = real.leaf_range(path)
+            lo, hi = support.leaf_range(real.tree, path)
             assert fr.leaf_weights[lo:hi].sum() <= h * (1 + 1e-12)
 
 
@@ -526,15 +535,15 @@ def test_frostman_feasibility():
     fr = frostman_tree(gauge)
     w = fr.leaf_weights
     for g in range(4):
-        for path in tree.paths_at(g):
-            lo, hi = real.leaf_range(path)
+        for path in support.paths_at(tree, g):
+            lo, hi = support.leaf_range(real.tree, path)
             assert np.sum(w[lo:hi]) <= gauge.h_node(path) * (1 + 1e-9)
 
 
 def test_frostman_mass_gauge_proportional():
     tree = build_tree(harmonic_schedule(2.0, 2), 2)
     table = {path: math.exp(tree.log_mass(g))
-             for g in range(3) for path in tree.paths_at(g)}
+             for g in range(3) for path in support.paths_at(tree, g)}
     fr = frostman_tree(support.TableGauge(tree, table))
     assert fr.value == pytest.approx(math.exp(tree.log_total_mass()), rel=1e-12)
     leaf_mass = math.exp(tree.log_mass(2))
@@ -552,14 +561,16 @@ def test_distorted_gauge_k1_reduces_to_smoothed():
     assert dist.gamma == pytest.approx(1.0)
     for path in [(), (0,), (0, 1)]:
         # K = 1: exponent collapses and source radii equal target radii
-        assert dist.eps_node(path) == pytest.approx(plain.eps_node(path), rel=1e-12)
+        node = tree.node_index(path)
+        assert dist._eps_power(len(path))[node] == pytest.approx(
+            plain._eps_power(len(path))[node], rel=1e-12)
         assert dist.h_node(path) == pytest.approx(plain.h_node(path), rel=1e-12)
 
 
 def test_distorted_gauge_is_the_smoothed_body_with_k_exponents():
     # one node-gauge body: the subclass supplies data only, plus the per-class
     # h_node entry that bench/tracer.py patches
-    body = ("_eps_power", "eps_node", "h_values", "far_field_bound")
+    body = ("_eps_power", "h_values", "far_field_bound")
     assert not set(body) & set(vars(DistortedTreeGauge))
     assert vars(DistortedTreeGauge)["h_node"] is vars(TreeSmoothedDensityGauge)["h_node"]
     tree = build_tree(harmonic_schedule(1.0, 3), 3, seed=3)
@@ -578,8 +589,8 @@ def test_distorted_gauge_root_ball_closed_form(real_k2_d3):
     K = real.tree.K
     dist = DistortedTreeGauge(real, a=0.3)
     eps0 = real.node_eps(SOURCE, (), 0.3)
-    assert dist.eps_node(()) == pytest.approx(eps0 ** (2 * K / (K + 1)), rel=1e-12)
-    assert dist.h_node(()) == pytest.approx(dist.eps_node(()), rel=1e-12)  # t = 1
+    assert dist._eps_power(0)[0] == pytest.approx(eps0 ** (2 * K / (K + 1)), rel=1e-12)
+    assert dist.h_node(()) == pytest.approx(dist._eps_power(0)[0], rel=1e-12)  # t = 1
 
 
 def test_main_lemma_ratio_stable_small_depths():
@@ -637,7 +648,7 @@ def test_far_field_bound_recorded_on_results(tree_k2_d3, real_k2_d3):
     distorted = DistortedTreeGauge(real_k2_d3, 0.1)
     res_t = content_Mh_tree(distorted)
     assert res_t.far_field_bound == pytest.approx(distorted.exponent * max(bounds), rel=1e-15)
-    table = {path: 1.0 for g in range(4) for path in tree_k2_d3.paths_at(g)}
+    table = {path: 1.0 for g in range(4) for path in support.paths_at(tree_k2_d3, g)}
     assert content_Mh_tree(support.TableGauge(tree_k2_d3, table)).far_field_bound == 0.0
 
 

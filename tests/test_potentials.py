@@ -64,7 +64,7 @@ def test_path_independence_on_realization(real_k2_d3):
     tree = real_k2_d3.tree
     prof = wolff_tree(tree, TARGET, 2.0 / 3.0, 1.5, mass_convention="realized")
     mu = real_k2_d3.measure(TARGET)
-    for path in list(tree.paths_at(3))[:5]:
+    for path in list(support.paths_at(tree, 3))[:5]:
         total = 0.0
         for n in range(1, 4):
             center = support.node_center(real_k2_d3, TARGET, path[:n])

@@ -30,7 +30,7 @@ def _mixed(seed, branchings=(3, 4, 2, 3, 4)):
 
 def _sampled_paths(tree, per_generation=40):
     for g in range(tree.depth + 1):
-        paths = list(tree.paths_at(g))
+        paths = list(support.paths_at(tree, g))
         yield from paths[::max(1, len(paths) // per_generation)]
 
 
@@ -86,7 +86,7 @@ def _dropped_shares(real, side):
         r = np.exp(tree.log_radius(side, g))
         terms = real.weights * psi_a(real.node_atom_distances(side, path) / r, A)
         # rings 0..kept are the atoms below the generation-(g - kept) ancestor
-        lo, hi = real.leaf_range(path[:g - kept])
+        lo, hi = support.leaf_range(real.tree, path[:g - kept])
         near = np.zeros(real.n_atoms, dtype=bool)
         near[lo * s:hi * s] = True
         share = terms[~near].sum() / terms.sum()
@@ -128,8 +128,8 @@ def _ring_errors(real, side, a=A):
         terms = psi_a(real.node_atom_distances(side, path) / r, a)  # equal weights
         i = tree.node_index(path)
         for j, (level, rem) in enumerate(zip(plans[g].levels, plans[g].remainders), start=1):
-            lo, hi = real.leaf_range(path[:g - j])
-            own_lo, own_hi = real.leaf_range(path[:g - j + 1])
+            lo, hi = support.leaf_range(real.tree, path[:g - j])
+            own_lo, own_hi = support.leaf_range(real.tree, path[:g - j + 1])
             exact = terms[lo * s:own_lo * s].sum() + terms[own_hi * s:hi * s].sum()
             yield level, g - j + 1, abs(rings[g][j][i] - exact) / terms.sum(), rem
 
@@ -149,7 +149,7 @@ def test_remainder_bounds_truncation_at_a_loose_budget(realized, monkeypatch):
     # a 2**-16 budget expands the target rings at their own generation, where
     # the truncation error stands far above rounding and tests the bound itself;
     # from a = 3 on this budget drops every ring, leaving nothing to expand
-    monkeypatch.setattr(realization, "_BUDGET", 2.0 ** -16)
+    monkeypatch.setattr(realization, "EXPANSION_BUDGET", 2.0 ** -16)
     monkeypatch.setattr(realization, "_REMAINDER", 2.0 ** -17)
     real = realized.tree.realize(seed=3, samples_per_leaf=realized.samples_per_leaf)
     for a in (A, 1.0):
