@@ -21,7 +21,7 @@ from .experiments import (ExperimentReport, content_distortion_experiment,
                           verify_riesz_distortion)
 from .gauges import (ContentResult, DistortedTreeGauge, DoublingReport, FrostmanResult,
                      TreeSmoothedDensityGauge, check_G1, check_G2,
-                     check_G2_tree_gauge, content_and_frostman, content_Mh_tree, eps_mu_a,
+                     check_G2_tree_gauge, content_Mh_tree, eps_mu_a,
                      frostman_tree, generation_cover_sum, psi_a, sample_ball_pairs)
 from .measure import PlanarMeasure
 from .potentials import (CurvatureEstimate, IndexDomainError, PotentialProfile,

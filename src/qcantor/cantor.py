@@ -492,12 +492,22 @@ class ConfigError(ValueError):
     """Invalid run configuration or input; the CLI exits 2 on it."""
 
 
+_INTEGERS = (int, np.integer)
+_NUMBERS = _INTEGERS + (float, np.floating)
+
+
 def _as(convert, value, where):
-    """convert(value) (float or int), or a ConfigError naming where the value sits."""
+    """convert(value) (float or int), or a ConfigError naming where the value
+    sits.  Only numbers are read: a boolean or a string is refused, and an
+    integer key refuses a value with a fractional part (4.0 reads as 4)."""
+    kind = "a number" if convert is float else "an integer"
+    if (isinstance(value, bool) or not isinstance(value, _NUMBERS)
+            or convert is int and not (isinstance(value, _INTEGERS)
+                                       or float(value).is_integer())):
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = "a number" if convert is float else "an integer"
+    except OverflowError:
         raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
 
 

@@ -10,6 +10,7 @@ value estimates sup mu(F)^p over ||I_alpha(mu)||_{p'} <= 1 by quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,12 +149,13 @@ class CapacityEstimate:
 
 
 def _admissible_mass(mass, sup, indices, where) -> float:
-    """mass * sup^(-1/(p'-1)), refused (naming where) unless a positive finite double."""
+    """mass * sup^(-1/(p'-1)), refused (naming where) unless it and the sup are
+    normal finite doubles: a subnormal carries fewer digits than it prints."""
     try:
         value = mass * sup ** (-1.0 / indices.conjugate_minus_one)
     except (ZeroDivisionError, OverflowError):  # 0.0 ** -x, or a power past the range
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not (sys.float_info.min <= value < math.inf and sup >= sys.float_info.min):
         raise IndexDomainError(f"the Wolff capacity at alpha = {indices.alpha:.6g}, p = "
                                f"{indices.p:.6g} {where} leaves "
                                f"double precision (Wolff sup {sup:.6g}, capacity {value:.6g})")
@@ -166,7 +168,8 @@ def tree_wolff_capacity(total, depth, side, indices, scale, mass=1.0):
     or at depth 0 the closed form of the root alone, a uniform ball of mass 1
     and radius scale, by the area law below the radius and constant mass
     above (inf past the doubles).  The value is mass * sup^(-1/(p'-1)),
-    refused, naming the side and the depth, unless a positive finite double."""
+    refused, naming the side and the depth, unless it and the sup are normal
+    finite doubles."""
     if not depth:
         eta, homog = indices.conjugate_minus_one, indices.homogeneity
         log_ball = -homog * math.log(scale)  # the log of the root's mass over radius^homog
@@ -191,7 +194,8 @@ def wolff_capacity_lower(obj, indices, *, side=None, mass_convention="ideal", qu
     verify sweep row; depth-0 trees take the closed-form single-ball term.
     The mass is exp(``tree.log_total_mass``): 1 under the ideal convention.
     A finite tree's sup is finite, so its value is too, also where the
-    divergence diagnosis fires for the limit; a value of 0 or inf is refused.
+    divergence diagnosis fires for the limit; a value of 0, inf or below the
+    normal doubles is refused.
     Every tree record carries log_ideal_total, log prod_{k <= N} M_k R_k^2:
     the log of the ideal convention's generation-N total mass.  On a measure
     the sup is the largest ``wolff_dyadic`` total over the query points, all

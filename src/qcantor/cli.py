@@ -19,7 +19,7 @@ from .cantor import (SOURCE, TARGET, ConfigError, ConstructionError, build_tree,
                      schedules_from_config)
 from .capacity import CapacityIndices, direct_capacity_lower, wolff_capacity_lower
 from .gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1, check_G2,
-                     check_G2_tree_gauge, content_and_frostman, eps_mu_a,
+                     check_G2_tree_gauge, content_Mh_tree, eps_mu_a,
                      sample_ball_pairs)
 from .potentials import IndexDomainError, menger_curvature, riesz_potential, wolff_tree
 
@@ -209,12 +209,13 @@ def _make_gauge(descriptor, real, side):
 def _cmd_content(args):
     _, real = _realized(args)
     gauge = _make_gauge(args.gauge, real, args.side)
-    content, frost = content_and_frostman(gauge)
-    # the gauge's relative error bound, shared by content and frostman
+    content = content_Mh_tree(gauge)
+    # on a tree the max flow equals the min cut, so the Frostman value is the
+    # content itself; both share the gauge's relative error bound
     _emit(args, {"content": content.value, "gauge": content.gauge,
-                 "cover_size": content.cover_size, "frostman": frost.value,
+                 "cover_size": content.cover_size, "frostman": content.value,
                  "far_field_bound": content.far_field_bound},
-          f"content: M^h={content.value:.17g} frostman={frost.value:.17g} "
+          f"content: M^h={content.value:.17g} frostman={content.value:.17g} "
           f"cover={content.cover_size} balls")
     return 0
 

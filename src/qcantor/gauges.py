@@ -23,7 +23,6 @@ value) exactly.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -380,66 +379,37 @@ def check_G2_tree_gauge(gauge, generation, count) -> DoublingReport:
 class ContentResult:
     """Tree-aligned h-content: exact optimum over antichain covers.
 
-    cover_size counts the balls of the optimal cover.  cover lists their
-    paths, depth-first with children in order; it is built from the DP's
-    take masks when it is first read.  far_field_bound bounds the relative
-    error of value, either sign, that the batched h values carry from their
-    dropped and expanded far rings (0 for exact gauges).
+    cover_size counts the balls of the optimal cover; the DP counts it in the
+    same pass as the value.  far_field_bound bounds the relative error of
+    value, either sign, that the batched h values carry from their dropped
+    and expanded far rings (0 for exact gauges).
     """
 
     value: float
     cover_size: int
     gauge: str
     far_field_bound: float = 0.0
-    _tree: object = field(default=None, repr=False, compare=False)
-    _take: tuple = field(default=(), repr=False, compare=False)
-
-    @functools.cached_property
-    def cover(self) -> tuple:
-        """Paths of the cover's nodes: a node is in it when its own ball is
-        taken and no ancestor's is."""
-        # an explicit stack, since a recursive closure is a reference cycle
-        # that keeps the DP arrays alive until a full gc
-        cover, stack = [], [(0, 0, ())] if self._take else []
-        while stack:
-            g, i, path = stack.pop()
-            if self._take[g][i]:
-                cover.append(path)
-                continue
-            m = self._tree.branching(g + 1)
-            stack.extend((g + 1, i * m + j, path + (j,)) for j in reversed(range(m)))
-        return tuple(cover)
 
 
 def _content_dp(tree, h):
     """Bottom-up min-cut DP over per-generation h arrays of the whole tree.
 
-    cost[g] = min(h[g], sum of the children's cost) per node, and take[g]
-    marks the nodes whose own ball is the cheaper choice.
+    cost[g] = min(h[g], sum of the children's cost) per node; a node's own
+    ball wins ties.  The optimal cover's size is counted in the same loop:
+    1 where a node's own ball is taken, else the sum over its children.
+    Returns (cost, the root's cover size).
     """
     depth = tree.depth
     cost = [None] * (depth + 1)
-    take = [None] * (depth + 1)
     cost[depth] = h[depth]
-    take[depth] = np.ones(len(h[depth]), dtype=bool)
+    size = np.ones(len(h[depth]), dtype=np.int64)
     for g in range(depth - 1, -1, -1):
-        child_sum = cost[g + 1].reshape(-1, tree.branching(g + 1)).sum(axis=1)
-        take[g] = h[g] <= child_sum
-        cost[g] = np.where(take[g], h[g], child_sum)
-    return cost, take
-
-
-def _cover_size(tree, take):
-    """The number of taken nodes below no taken ancestor, generation by
-    generation: a mask of the nodes not under a taken ancestor is repeated
-    down to the children of the nodes it keeps and not taken."""
-    free, size = np.ones(1, dtype=bool), 0
-    for g, taken in enumerate(take):
-        size += int(np.count_nonzero(free & taken))
-        free &= ~taken
-        if g == tree.depth or not free.any():
-            return size
-        free = free.repeat(tree.branching(g + 1))
+        m = tree.branching(g + 1)
+        child_sum = cost[g + 1].reshape(-1, m).sum(axis=1)
+        take = h[g] <= child_sum
+        cost[g] = np.where(take, h[g], child_sum)
+        size = np.where(take, 1, size.reshape(-1, m).sum(axis=1))
+    return cost, int(size[0])
 
 
 def content_Mh_tree(gauge) -> ContentResult:
@@ -448,17 +418,12 @@ def content_Mh_tree(gauge) -> ContentResult:
     cost(node) = min(h(node), sum over children of cost); an upper bound for
     the unrestricted content and exact among tree-aligned covers.  The gauge
     supplies everything: its tree, its h arrays (h_values), their far-field
-    bound and a description; which side's balls it measures is its own.  The
-    cover's size is counted from the DP's take masks; its paths are built
-    when ``ContentResult.cover`` is read.
+    bound and a description; which side's balls it measures is its own.
+    One h pass and one DP per call.
     """
-    return _content(gauge, *_content_dp(gauge.tree, gauge.h_values()))
-
-
-def _content(gauge, cost, take):
-    tree = gauge.tree
-    return ContentResult(float(cost[0][0]), _cover_size(tree, take), gauge.description,
-                         gauge.far_field_bound(), tree, tuple(take))
+    cost, cover_size = _content_dp(gauge.tree, gauge.h_values())
+    return ContentResult(float(cost[0][0]), cover_size, gauge.description,
+                         gauge.far_field_bound())
 
 
 @dataclass(frozen=True)
@@ -479,11 +444,8 @@ def frostman_tree(gauge) -> FrostmanResult:
     On a tree the max flow equals the min cut, i.e. the content DP value,
     so nu(F) matches M^h exactly within the tree-aligned class.
     """
-    return _frostman(gauge, _content_dp(gauge.tree, gauge.h_values())[0])
-
-
-def _frostman(gauge, flow):
     tree = gauge.tree
+    flow = _content_dp(tree, gauge.h_values())[0]
     alloc = np.array([flow[0][0]])
     for g in range(1, tree.depth + 1):
         m = tree.branching(g)
@@ -494,15 +456,7 @@ def _frostman(gauge, flow):
         alloc = (alloc[:, None] * share).ravel()
     # the flow value is the min cut, i.e. the DP value; the proportional leaf
     # split re-sums to it only up to rounding
-    value = float(flow[0][0])
-    return FrostmanResult(alloc, value, gauge.far_field_bound())
-
-
-def content_and_frostman(gauge):
-    """(``content_Mh_tree``, ``frostman_tree``) of one gauge, from one read of
-    its h values and one DP."""
-    cost, take = _content_dp(gauge.tree, gauge.h_values())
-    return _content(gauge, cost, take), _frostman(gauge, cost)
+    return FrostmanResult(alloc, float(flow[0][0]), gauge.far_field_bound())
 
 
 def generation_cover_sum(tree, eps_log, generation) -> float:

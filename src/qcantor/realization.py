@@ -146,17 +146,15 @@ class CantorRealization:
 
     # -- geometry ----------------------------------------------------------
 
-    def _lift(self, side, pos, f, g, nodes=None):
+    def _lift(self, side, pos, f, g):
         """Positions in generation-g frames (x, y rows) moved to the frames of
         their generation-f ancestors, f <= g, by adding the offsets of generations
-        g, g - 1, ..., f + 1 in that order.  The columns cover generation-g nodes
-        lo .. hi - 1 (nodes = (lo, hi), by default all) in order, equally many each."""
+        g, g - 1, ..., f + 1 in that order.  The columns cover every generation-g
+        node in order, equally many each."""
         counts = self.tree.node_counts
-        lo, hi = nodes or (0, counts[g])
         for h in range(g, f, -1):
-            per = counts[g] // counts[h]  # generation-g nodes per generation-h node
-            step = self._offsets[side][h][:, lo // per:(hi - 1) // per + 1]
-            pos = (pos.reshape(2, step.shape[1], -1) + step[:, :, None]).reshape(2, -1)
+            step = self._offsets[side][h]
+            pos = (pos.reshape(2, counts[h], -1) + step[:, :, None]).reshape(2, -1)
         return pos
 
     def _frames(self, side):
@@ -186,24 +184,25 @@ class CantorRealization:
 
         Atoms below the node use the node's own frame; the rest are grouped
         by the generation of the deepest common ancestor and measured in that
-        ancestor's frame, so no catastrophic cancellation occurs.
+        ancestor's frame (``_frames``), so no catastrophic cancellation
+        occurs.  The center moves up one ancestor's offset at a time.
         """
         cantor._check_side(side)
-        d, s, atoms = len(path), self.samples_per_leaf, self._atoms[side]
+        d, s, frames = len(path), self.samples_per_leaf, self._frames(side)
         node, counts = self.tree.node_index(path), self.tree.node_counts
         out = np.empty(self.n_atoms)
+        center = np.zeros((2, 1))  # the node's center in its generation-g ancestor's frame
         inner = None  # the leaves below the generation-(g + 1) ancestor
         for g in range(d, -1, -1):
+            anc = node // (counts[d] // counts[g])  # the generation-g ancestor
             stride = self.n_leaves // counts[g]  # leaves per generation-g node
-            lo = node // (counts[d] // counts[g]) * stride
-            hi = lo + stride
-            # the node's center in the frame of its generation-g ancestor
-            center = self._lift(side, np.zeros((2, 1)), g, d, (node, node + 1))
+            lo, hi = anc * stride, (anc + 1) * stride
             for a, b in ((lo, inner[0]), (inner[1], hi)) if inner else ((lo, hi),):
                 if a < b:
-                    ring = self._lift(side, atoms[:, a * s:b * s], g, self.depth, (a, b))
-                    out[a * s:b * s] = np.hypot(*(ring - center))
+                    out[a * s:b * s] = np.hypot(*(frames[g][:, a * s:b * s] - center))
             inner = lo, hi
+            if g:
+                center = center + self._offsets[side][g][:, anc:anc + 1]
         return out
 
     def node_eps(self, side, path, a) -> float:

@@ -442,10 +442,40 @@ def test_schedule_config_with_explicit_eps():
     ({"K": 10**400, "depth": 1, "levels": []}, "K must be a number"),
     ({"K": 2, "depth": 1, "levels": [{"M": 10**400, "d": "harmonic"}]},
      r"level 1: M\*R\^2 = exp\(.*\) exceeds 1"),
+    # numbers are not truncated, and booleans and strings are not numbers
+    ({"K": 2, "depth": 2.7, "levels": [{"M": 4, "d": "harmonic"}] * 3},
+     "^depth must be an integer, got 2.7$"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4.5, "d": "harmonic"}]},
+     "^level 1: M must be an integer, got 4.5$"),
+    ({"K": 2, "depth": 1, "seed": 1.9, "levels": [{"M": 4, "d": "harmonic"}]},
+     "^seed must be an integer, got 1.9$"),
+    ({"K": True, "depth": 1, "levels": [{"M": 4, "d": "harmonic"}]},
+     "^K must be a number, got True$"),
+    ({"K": "2", "depth": 1, "levels": [{"M": 4, "d": "harmonic"}]},
+     "^K must be a number, got '2'$"),
+    ({"K": 2, "depth": True, "levels": [{"M": 4, "d": "harmonic"}]},
+     "^depth must be an integer, got True$"),
+    ({"K": 2, "depth": 1, "seed": "0", "levels": [{"M": 4, "d": "harmonic"}]},
+     "^seed must be an integer, got '0'$"),
+    ({"K": 2, "depth": 1, "levels": [{"M": False, "d": "harmonic"}]},
+     "^level 1: M must be an integer, got False$"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": "harmonic", "eps": True}]},
+     "^level 1: eps must be a number, got True$"),
+    ({"K": 2, "depth": 1, "levels": [{"M": 4, "d": {"sharpness_q": "2.5"}}]},
+     "^level 1: sharpness_q must be a number, got '2.5'$"),
 ])
 def test_schedule_config_errors(cfg, msg):
     with pytest.raises(ConfigError, match=msg):
         schedules_from_config(cfg)
+
+
+def test_schedule_config_reads_integral_floats_as_integers():
+    levels = [{"M": 4, "d": "harmonic"}] * 2
+    want = schedules_from_config({"K": 2, "depth": 2, "seed": 3, "levels": levels})
+    got = schedules_from_config({"K": 2, "depth": 2.0, "seed": 3.0,
+                                 "levels": [{"M": 4.0, "d": "harmonic"}] * 2})
+    assert got == want
+    assert type(got[1]) is type(got[2]) is type(got[0][0].branching) is int
 
 
 @pytest.mark.parametrize("K", [-1.0, 0.5])

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcantor import measure as measure_mod
 from qcantor.cantor import SOURCE, TARGET, ConfigError, ConstructionError, \
-    build_tree, harmonic_schedule, sharpness_exponent, sharpness_schedule, shrunk_schedule
+    build_tree, harmonic_schedule, schedules_from_config, sharpness_exponent, \
+    sharpness_schedule, shrunk_schedule
 from qcantor.capacity import (DEFINITION, FARFIELD_FACTOR, MAX_CELLS, WOLFF_SUP,
                               CapacityEstimate, CapacityIndices, direct_capacity_lower,
                               distorted_index_map, distortion_indices, melnikov_gamma_lower,
@@ -365,7 +368,13 @@ def test_depth_zero_root_ball_past_the_doubles_is_refused():
     (harmonic_schedule(2.0, 2), 2, CapacityIndices(1e-5, 1e5), TARGET, "capacity 0"),
     # d_1 = 2^749 on the sharpness schedule at q = 1000: the sup underflows to 0
     (sharpness_schedule(2.0, 1000.0, 8), 8, distortion_indices(2.0), SOURCE, "Wolff sup 0"),
-], ids=["capacity-underflow", "sup-underflow"])
+    # K = 20, (0.1, 4) and (0.1, 9.5): subnormal capacities, written with 8 and 5
+    # digits that the doubles do not hold
+    (harmonic_schedule(20.0, 5), 5, CapacityIndices(0.1, 4.0), SOURCE,
+     r"capacity 2\.04767e-316\)"),
+    (harmonic_schedule(20.0, 8), 8, CapacityIndices(0.1, 9.5), SOURCE,
+     r"capacity 1\.27765e-320\)"),
+], ids=["capacity-underflow", "sup-underflow", "subnormal-capacity-d5", "subnormal-capacity-d8"])
 def test_tree_estimate_refuses_capacity_outside_the_doubles(schedules, depth, indices,
                                                             side, why):
     tree = build_tree(schedules, depth)
@@ -378,7 +387,9 @@ def test_tree_estimate_refuses_capacity_outside_the_doubles(schedules, depth, in
     (1e-160, CapacityIndices(0.5, 1.01), -4, "Wolff sup 0"),
     # p' - 1 = 1000: the unit atom at the query point overflows the terms
     (1.0, CapacityIndices(0.5, 1.001), -8, "Wolff sup inf"),
-], ids=["sup-underflow", "sup-overflow"])
+    # p' - 1 = 10: a subnormal sup, whose few digits gave a normal-looking capacity
+    (1e-33, CapacityIndices(0.5, 1.1), -4, r"Wolff sup 3\.40648e-313"),
+], ids=["sup-underflow", "sup-overflow", "sup-subnormal"])
 def test_cloud_estimate_refuses_capacity_outside_the_doubles(weight, indices, k_min, why):
     mu = PlanarMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.full(2, weight), label="pair")
     with pytest.raises(IndexDomainError, match=rf"alpha = 0.5, p = {indices.p:.6g} on the "
@@ -712,6 +723,68 @@ def test_tree_estimator_geometric_homogeneity_exact():
     for lam in (0.25, 0.5, 2.0):
         scaled = wolff_capacity_lower(tree.scaled(lam), idx, side=SOURCE).value
         assert scaled == pytest.approx(base * lam ** idx.homogeneity, rel=1e-12)
+
+
+_LAMBDA = st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+                    st.sampled_from([0.25, 0.5, 2.0]))
+
+
+@st.composite
+def _random_trees(draw):
+    """(schedules, depth) of a config with K in (1, 50], depth <= 6 and per level
+    M <= 40 and d a number or harmonic; None where the config is refused."""
+    depth = draw(st.integers(0, 6))
+    cfg = {"K": draw(st.floats(1.0 + 1e-4, 50.0)), "depth": depth,
+           "levels": [{"M": draw(st.integers(1, 40)),
+                       "d": draw(st.one_of(st.floats(1.0, 5.0), st.just("harmonic")))}
+                      for _ in range(depth)]}
+    try:
+        return schedules_from_config(cfg)[:2]
+    except ConfigError:
+        return None
+
+
+#: (alpha, p) with 0 < alpha*p < 2
+_INDICES = st.tuples(st.floats(1.001, 10.0), st.floats(0.005, 0.995)).map(
+    lambda pu: CapacityIndices(2.0 * pu[1] / pu[0], pu[0]))
+_TREE_CASE = dict(tree=_random_trees(), idx=_INDICES, side=st.sampled_from([SOURCE, TARGET]),
+                  convention=st.sampled_from(["ideal", "realized"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(lam=_LAMBDA, **_TREE_CASE)
+# a subnormal base capacity, 2.05e-316, carried too few digits for its normal scaled value
+@example(lam=1e6, tree=(harmonic_schedule(20.0, 5), 5), idx=CapacityIndices(0.1, 4.0),
+         side=SOURCE, convention="ideal")
+def test_random_tree_capacity_scales_by_lambda_to_the_homogeneity(lam, tree, idx, side,
+                                                                  convention):
+    if tree is None:
+        return
+    tree = build_tree(*tree)
+    base, scaled = (_outcome(lambda: wolff_capacity_lower(t, idx, side=side,
+                                                          mass_convention=convention))
+                    for t in (tree, tree.scaled(lam)))
+    if isinstance(base, tuple) or isinstance(scaled, tuple):  # refused: nothing to compare
+        return
+    want = base.value * lam ** idx.homogeneity
+    assert scaled.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)), **_TREE_CASE)
+def test_random_tree_formulas_do_not_depend_on_the_seed(seeds, tree, idx, side, convention):
+    if tree is None:
+        return
+    reads = []
+    for seed in seeds:
+        t = build_tree(*tree, seed=seed)
+        reads.append([
+            _outcome(lambda: wolff_tree(t, side, idx.alpha, idx.p, convention)),
+            _outcome(lambda: wolff_capacity_lower(t, idx, side=side,
+                                                  mass_convention=convention)),
+            [t.log_radius(side, g) for g in range(t.depth + 1)],
+            [t.log_mass(g, convention) for g in range(t.depth + 1)]])
+    assert repr(reads[0]) == repr(reads[1])
 
 
 def test_estimate_validation():

@@ -9,9 +9,10 @@ import warnings
 
 import pytest
 
-from qcantor import cli, potentials
+from qcantor import cli, gauges, potentials
 from qcantor.cantor import build_tree, schedules_from_config
 from qcantor.cli import main
+from qcantor.gauges import frostman_tree
 from qcantor.potentials import tree_log_ratios
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -229,6 +230,32 @@ def test_content_records_the_far_field_bound(config_path, tmp_path, side, gauge)
     want = cli._make_gauge(gauge, real, side).far_field_bound()
     assert doc["far_field_bound"] == want
     assert 0.0 < want <= 2.0 * 2.0 ** -53
+
+
+@pytest.mark.parametrize("side,gauge", [("source", "smoothed:a=0.1"),
+                                        ("target", "distorted:a=0.1")])
+def test_content_command_runs_one_content_dp(config_path, tmp_path, monkeypatch, side, gauge):
+    # max flow = min cut on a tree: the artifact's frostman is the one DP's value
+    calls, gauges_seen = [], []
+    dp, content_Mh_tree = gauges._content_dp, cli.content_Mh_tree
+
+    def counting(tree, h):
+        calls.append(tree)
+        return dp(tree, h)
+
+    def recording(g):
+        gauges_seen.append(g)
+        return content_Mh_tree(g)
+
+    monkeypatch.setattr(gauges, "_content_dp", counting)
+    monkeypatch.setattr(cli, "content_Mh_tree", recording)
+    out = str(tmp_path / "content.json")
+    assert main(["content", "--config", config_path, "--side", side, "--gauge", gauge,
+                 "--out", out]) == 0
+    assert len(calls) == 1
+    doc = json.loads(open(out).read())
+    (g,) = gauges_seen
+    assert doc["frostman"] == doc["content"] == frostman_tree(g).value
 
 
 def test_content_command_depth7_min_cut_equals_max_flow(tmp_path):

@@ -172,6 +172,19 @@ def _refused(code, err, argv, cfg=None):
 @example(cfg={"K": 2, "depth": 0, "seed": 0, "levels": []},
          command=["curvature", "--side", "target", "--triples", "100",
                   "--samples-per-leaf", "1"])
+# numbers that the parser truncated or read from booleans, with exit 0
+@example(cfg={"K": 2, "depth": 2.7, "seed": 0, "levels": [{"M": 4, "d": "harmonic"}] * 3},
+         command=["build"])
+@example(cfg={"K": 2, "depth": 1, "seed": 0, "levels": [{"M": 4.5, "d": "harmonic"}]},
+         command=["build"])
+@example(cfg={"K": 2, "depth": 1, "seed": 1.9, "levels": [{"M": 4, "d": "harmonic"}]},
+         command=["build"])
+@example(cfg={"K": True, "depth": 1, "seed": 0, "levels": [{"M": 4, "d": "harmonic"}]},
+         command=["build"])
+# a subnormal capacity, 2.05e-316, written as 2.0476725e-316 with exit 0
+@example(cfg={"K": 20, "depth": 5, "seed": 0, "levels": [{"M": 4, "d": "harmonic"}] * 5},
+         command=["capacity", "--estimator", "wolff", "--side", "source", "--alpha", "0.1",
+                  "--p", "4"])
 def test_artifact_commands_keep_the_contract(tmp_path_factory, capsys, cfg, command):
     tmp = tmp_path_factory.mktemp("contract")
     config, out = tmp / "cfg.json", tmp / "out"

@@ -431,7 +431,8 @@ def test_content_root_optimal_when_subadditive():
             table[path] = 2.0  # children always cost more
     res = content_Mh_tree(support.TableGauge(tree, table))
     assert res.value == 1.0
-    assert res.cover == ((),)
+    assert res.cover_size == 1
+    assert _cover_by_recursion(tree, table) == (1.0, [()])
 
 
 def _cover_by_recursion(tree, table, path=()):
@@ -464,8 +465,7 @@ def test_cover_size_from_the_take_masks_equals_the_walked_cover(branchings):
         res = content_Mh_tree(support.TableGauge(tree, table))
         cost, cover = _cover_by_recursion(tree, table)
         assert res.value == cost
-        assert res.cover == tuple(cover)  # depth-first, children in order
-        assert res.cover_size == len(res.cover)
+        assert res.cover_size == len(cover)
 
 
 def test_root_only_cover_counts_one_ball():
@@ -474,38 +474,23 @@ def test_root_only_cover_counts_one_ball():
              for g in range(tree.depth + 1) for path in support.paths_at(tree, g)}
     res = content_Mh_tree(support.TableGauge(tree, table))
     assert res.cover_size == 1
-    assert res.cover == ((),)
-
-
-def test_content_and_frostman_share_one_dp(real_k2_d3, monkeypatch):
-    calls = []
-    dp = gauges._content_dp
-
-    def counting(tree, h):
-        calls.append(tree)
-        return dp(tree, h)
-
-    monkeypatch.setattr(gauges, "_content_dp", counting)
-    for gauge in (TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE),
-                  DistortedTreeGauge(real_k2_d3, 0.1)):
-        before = len(calls)
-        content, frost = gauges.content_and_frostman(gauge)
-        assert len(calls) == before + 1
-        assert content == content_Mh_tree(gauge)
-        assert frost.value == frostman_tree(gauge).value == content.value
-        np.testing.assert_array_equal(frost.leaf_weights, frostman_tree(gauge).leaf_weights)
+    assert _cover_by_recursion(tree, table) == (1.0, [()])
 
 
 def test_cover_is_antichain_partition(tree_k2_d3, real_k2_d3):
     gauge = TreeSmoothedDensityGauge(real_k2_d3, 0.1, side=SOURCE)
-    res = content_Mh_tree(gauge)
-    cover = res.cover
+    table = {path: h for g, hs in enumerate(gauge.h_values())
+             for path, h in zip(support.paths_at(tree_k2_d3, g), hs)}
+    cost, cover = _cover_by_recursion(tree_k2_d3, table)
     for a in cover:
         for b in cover:
             if a != b:
                 assert a != b[:len(a)]  # no ancestor pairs
     leaves = list(support.paths_at(tree_k2_d3, 3))
     assert all(any(leaf[:len(c)] == c for c in cover) for leaf in leaves)
+    res = content_Mh_tree(gauge)
+    assert res.cover_size == len(cover)
+    assert res.value == pytest.approx(cost, rel=1e-12)
 
 
 # -- Frostman flow -------------------------------------------------------------
