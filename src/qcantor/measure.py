@@ -131,30 +131,19 @@ def _hull_candidates(pts) -> np.ndarray:
 
 
 class LeafBlocks(NamedTuple):
-    """A measure's atoms in consecutive groups of ``atoms`` (its leaves) of
-    equal weight within each group: per group, the centroid (x, y), the
-    second moments (sxx, 2 sxy, syy) of its atom positions about the
-    centroid, unweighted, in the format of ``_quadrupole`` and of the tree
-    eps fill (``CantorRealization._blocks``), and the largest atom distance
-    from the centroid (to within the rounding of a few additions per tree
-    generation, far below LEAF_MARGIN times the largest coordinate
-    magnitude).
-
-    ``coarser`` holds the blocks of the coarser tree generations, coarse to
-    fine, each a LeafBlocks of the same atoms in larger consecutive groups
-    (and no ``coarser`` of its own), whose radii may exceed the largest
-    atom distance: they bound it."""
+    """One tree generation's blocks: a measure's atoms in consecutive groups
+    of ``atoms`` of equal weight within each group, and per group the
+    centroid (x, y), the second moments (sxx, 2 sxy, syy) of its atom
+    positions about the centroid, unweighted, in the format of
+    ``_quadrupole`` and of the tree eps fill (``CantorRealization._blocks``),
+    and a bound on the largest atom distance from the centroid, at the leaves
+    that distance (to within the rounding of a few additions per tree
+    generation, far below LEAF_MARGIN times the largest coordinate magnitude)."""
 
     centroids: np.ndarray
     moments: np.ndarray
     radii: np.ndarray
     atoms: int
-    coarser: tuple = ()
-
-    @property
-    def levels(self) -> tuple:
-        """Every generation's blocks, coarse to fine: ``coarser``, then the leaves."""
-        return (*self.coarser, self)
 
 
 def _taylor(power):
@@ -202,7 +191,7 @@ def _leaf_sums(measure, centres, kernel):
     which ``kernel.expand(u, Q, tr, 1 / u, W, rows)`` forms over u (rows
     selects the kernel's per-row parameters).
 
-    Each row takes the coarsest generation of ``blocks.levels`` whose every
+    Each row takes the coarsest generation of ``measure.blocks`` whose every
     block is admissible for it, and is the sum of their expansions.  A row
     that no generation above the leaves serves is summed leaf by leaf: the
     admissible leaves by their expansions, the others as the atom route of
@@ -214,23 +203,24 @@ def _leaf_sums(measure, centres, kernel):
     rows = centres.shape[0]
     vals, shares = np.empty(rows), np.zeros(rows)
     todo = np.arange(rows)
-    *coarse, leaves = measure._levels
-    for level in coarse:
+    *coarse, leaves = measure.blocks
+    for blocks in coarse:
         if todo.size:
-            todo = _block_sums(measure, level, centres, todo, kernel, vals, shares)
+            todo = _block_sums(measure, blocks, centres, todo, kernel, vals, shares)
     if todo.size:
         _block_sums(measure, leaves, centres, todo, kernel, vals, shares, exact=True)
     return vals, float(shares.max(initial=0.0))
 
 
-def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False):
+def _block_sums(measure, blocks, centres, todo, kernel, vals, shares, exact=False):
     """``_leaf_sums`` of the rows todo over one generation's blocks: writes
     the values and shares of the rows it serves into vals and shares, and
     returns the others.  It serves the rows whose every block is admissible,
     and every row when exact (a block that is not admissible then gives its
     atoms)."""
-    blocks, block_w, w = level
     s, n_blocks = blocks.atoms, blocks.centroids.shape[0]
+    weights = measure.weights.reshape(n_blocks, s)
+    block_w, w = weights.sum(axis=1), weights[:, 0]
     sxx, sxy2, syy = (w * mom for mom in blocks.moments.T)
     trace = sxx + syy
     rho = blocks.radii
@@ -306,25 +296,48 @@ def _block_sums(measure, level, centres, todo, kernel, vals, shares, exact=False
     return todo[~served]
 
 
+def _check_level(g, level, w):
+    """Raise ValueError naming generation g of a measure's blocks unless level
+    is valid for the atoms of weights w (``PlanarMeasure``)."""
+    if not isinstance(level, LeafBlocks):
+        raise ValueError(f"blocks level {g} is not a LeafBlocks")
+    s, n_blocks = level.atoms, len(np.atleast_1d(level.centroids))
+    for name, cols in (("centroids", (2,)), ("moments", (3,)), ("radii", ())):
+        arr, shape = getattr(level, name), (n_blocks, *cols)
+        if np.shape(arr) != shape:
+            raise ValueError(f"blocks level {g}: {name} has shape {np.shape(arr)}, not {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"blocks level {g}: {name} must be finite")
+    if np.any(np.less(level.radii, 0.0)):
+        raise ValueError(f"blocks level {g}: radii must be nonnegative")
+    if n_blocks * s != w.shape[0]:
+        raise ValueError(f"blocks level {g}: {n_blocks} blocks x {s} atoms do not cover "
+                         f"the {w.shape[0]}-atom measure")
+    group = w.reshape(n_blocks, s)
+    if np.any(group != group[:, :1]):
+        raise ValueError(f"blocks level {g}: atoms of one block must carry equal weights")
+
+
 @dataclass(frozen=True)
 class PlanarMeasure:
     """Atoms ``points[i]`` with nonnegative weights ``weights[i]``.
 
-    ``blocks`` optionally groups the atoms into leaves (``LeafBlocks``), and
-    through ``blocks.coarser`` into the blocks of coarser tree generations,
-    as ``CantorRealization.measure`` does; the kernels that read it
+    ``blocks`` optionally groups the atoms into a tuple of ``LeafBlocks``, one
+    per tree generation from the root to the leaves, as
+    ``CantorRealization.measure`` does; the kernels that read it
     (``eps_mu_a``, ``direct_capacity_lower``, ``riesz_potential``) then take
     each query at the coarsest generation that serves it, and
-    ``ball_mass_profile`` and ``diameter`` work leaf by leaf.  Every
-    generation's blocks must cover the atoms, with equal weights within each
-    block; blocks of one atom per leaf are dropped, since each such leaf is
-    its atom.
+    ``ball_mass_profile`` and ``diameter`` work leaf by leaf, over
+    ``blocks[-1]``.  Every generation's blocks must cover the atoms, with
+    equal weights within each block, finite arrays of one row per block and
+    nonnegative radii; blocks of one atom per leaf are dropped, since each
+    such leaf is its atom.
     """
 
     points: np.ndarray
     weights: np.ndarray
     label: str = field(default="", compare=False)
-    blocks: LeafBlocks | None = field(default=None, compare=False)
+    blocks: tuple[LeafBlocks, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -343,31 +356,17 @@ class PlanarMeasure:
         object.__setattr__(self, "weights", w)
         blocks = self.blocks
         if blocks is not None:
-            for level in blocks.levels:
-                s, n_blocks = level.atoms, level.centroids.shape[0]
-                if n_blocks * s != pts.shape[0]:
-                    raise ValueError(f"{n_blocks} blocks x {s} atoms do not cover the "
-                                     f"{pts.shape[0]}-atom measure")
-                group = w.reshape(n_blocks, s)
-                if np.any(group != group[:, :1]):
-                    raise ValueError("atoms of one block must carry equal weights")
-            if blocks.atoms == 1:
+            if not blocks:
+                raise ValueError("blocks must hold at least one generation")
+            for g, level in enumerate(blocks):
+                _check_level(g, level, w)
+            if blocks[-1].atoms == 1:
                 object.__setattr__(self, "blocks", None)
-
-    @functools.cached_property
-    def _levels(self):
-        """Per generation of the blocks, coarse to fine: the blocks, each
-        block's weight and its atoms' common weight."""
-        out = []
-        for level in self.blocks.levels:
-            weights = self.weights.reshape(-1, level.atoms)
-            out.append((level, weights.sum(axis=1), weights[:, 0]))
-        return out
 
     @functools.cached_property
     def _extent(self) -> float:
         """The largest coordinate magnitude any leaf reaches, |centroid| + radius."""
-        blocks = self.blocks
+        blocks = self.blocks[-1]
         extent = np.abs(blocks.centroids).max(axis=1) + blocks.radii
         return float(extent.max(initial=0.0))
 
@@ -440,11 +439,11 @@ class PlanarMeasure:
         fixed order, its whole leaves and then its atoms."""
         k, n = centres.shape[0], self.n_atoms
         cx, cy = centres[:, 0:1], centres[:, 1:2]
-        blocks = self.blocks
-        if blocks is None:
+        if self.blocks is None:
             d = np.hypot(self.points[:, 0] - cx, self.points[:, 1] - cy)
             return (np.arange(k).repeat(n), np.searchsorted(steps, d.ravel(), side="left"),
                     np.tile(self.weights, k))
+        blocks = self.blocks[-1]
         mu, s = blocks.centroids, blocks.atoms
         u = np.hypot(mu[:, 0] - cx, mu[:, 1] - cy)
         scale = np.maximum(np.abs(centres).max(axis=1, keepdims=True), self._extent)
@@ -456,9 +455,10 @@ class PlanarMeasure:
         atoms = (leaf_s[:, None] * s + np.arange(s)).ravel()
         row_a = row_s.repeat(s)
         d = np.hypot(self.points[atoms, 0] - cx[row_a, 0], self.points[atoms, 1] - cy[row_a, 0])
+        leaf_w = self.weights.reshape(-1, s).sum(axis=1)[whole[1]]
         return (np.concatenate([whole[0], row_a]),
                 np.concatenate([inner[whole], np.searchsorted(steps, d, side="left")]),
-                np.concatenate([self._levels[-1][1][whole[1]], self.weights[atoms]]))
+                np.concatenate([leaf_w, self.weights[atoms]]))
 
     def diameter(self) -> float:
         """Exact support diameter: the largest ``hypot`` of coordinate
@@ -497,10 +497,10 @@ class PlanarMeasure:
         if pts.shape[0] < 2:
             return 0.0
         row_max = lambda d, lo, hi: np.max(d, axis=1)  # noqa: E731
-        blocks = self.blocks
-        if blocks is None:
+        if self.blocks is None:
             pts = np.unique(pts[_hull_candidates(pts)], axis=0)
             return float(np.max(_distance_rows(pts, pts, row_max)))
+        blocks = self.blocks[-1]
         mu, s = blocks.centroids, blocks.atoms
         reach = blocks.radii + LEAF_MARGIN * self._extent
         lower = _distance_rows(mu, mu, lambda u, lo, hi: np.max(u - reach, axis=1))

@@ -167,8 +167,8 @@ class CantorRealization:
     def measure(self, side) -> PlanarMeasure:
         """Flat atom cloud with absolute positions, formed on each call by
         lifting the leaf-frame atoms to the root frame.  At more than one
-        sample per leaf it carries ``leaf_blocks(side)``, every generation's
-        blocks, which the flat kernels that read blocks work over.
+        sample per leaf it carries ``leaf_blocks(side)``, the blocks of every
+        generation from the root to the leaves, which flat kernels work over.
 
         Safe for brute-force oracles while sibling separations stay above
         the double-precision floor (depth <= 4 under the smallness
@@ -339,14 +339,14 @@ class CantorRealization:
             self._block_cache[side] = tuple(reversed(out))
         return self._block_cache[side]
 
-    def leaf_blocks(self, side) -> LeafBlocks:
-        """Each leaf's atoms summarized about their centroid, for the far
-        field of flat-cloud kernels: the centroids lifted to the root frame
-        (the frame of ``measure(side)``), the second moments about them in
-        absolute units, in ``_blocks``' format (sxx, 2 sxy, syy), and the
-        largest atom distance from them; ``coarser`` holds the same for the
-        nodes of generations 0 .. depth - 1, whose radii bound their atoms'
-        distances from the centroid (``_blocks``).
+    def leaf_blocks(self, side) -> tuple[LeafBlocks, ...]:
+        """Each node's atoms summarized about their centroid, for the far
+        field of flat-cloud kernels: one LeafBlocks per generation 0 ..
+        depth, from the root to the leaves, of the centroids lifted to the
+        root frame (the frame of ``measure(side)``), the second moments about
+        them in absolute units, in ``_blocks``' format (sxx, 2 sxy, syy), and
+        the radii, at the leaves the largest atom distance from the centroid
+        and above them a bound on it (``_blocks``).
         Computed once per side from ``_blocks(side)``; the arrays are
         read-only and shared by every call."""
         cantor._check_side(side)
@@ -359,7 +359,7 @@ class CantorRealization:
                 for arr in level[:3]:
                     arr.setflags(write=False)
                 levels.append(level)
-            self._leaf_block_cache[side] = levels[-1]._replace(coarser=tuple(levels[:-1]))
+            self._leaf_block_cache[side] = tuple(levels)
         return self._leaf_block_cache[side]
 
     def eps_by_generation(self, side, a):
@@ -459,6 +459,5 @@ class CantorRealization:
         return out.T.ravel()
 
     def leaf_centers(self, side) -> np.ndarray:
-        """Absolute leaf centers (one per leaf, regardless of samples)."""
-        first = self._atoms[side][:, ::self.samples_per_leaf]
-        return (self._lift(side, first, 0, self.depth) - first).T
+        """Absolute leaf centers: each leaf frame's origin lifted to the root frame."""
+        return self._lift(side, np.zeros((2, self.n_leaves)), 0, self.depth).T

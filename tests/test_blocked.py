@@ -247,9 +247,10 @@ class _CountingKernel:
 def test_each_row_is_expanded_only_at_the_generation_that_serves_it(cloud, monkeypatch,
                                                                     budget):
     _set_budget(monkeypatch, budget)
-    rho = float(cloud.blocks.radii.max())
+    leaves = cloud.blocks[-1]
+    rho = float(leaves.radii.max())
     # far away (the root serves), a few leaf radii off a leaf, and on atoms (the leaves)
-    centres = np.vstack([[[3.0, 0.0], [0.0, -5.0]], cloud.blocks.centroids[::7] + 3.0 * rho,
+    centres = np.vstack([[[3.0, 0.0], [0.0, -5.0]], leaves.centroids[::7] + 3.0 * rho,
                          cloud.points[::37], [[0.5, 0.25], [-0.2, 0.1]]])
     kernel = _CountingKernel(_CappedPower(1.0, math.inf))
     vals, _ = measure_mod._leaf_sums(cloud, centres, kernel)
@@ -297,7 +298,7 @@ def test_zero_weight_atoms_take_the_atom_route(cloud, kernel):
     w = cloud.weights.copy()
     w[20:24] = 0.0  # leaf 5, which holds the atom riesz is taken at
     # coarser blocks would hold unequal weights: the leaves alone
-    blocked = PlanarMeasure(cloud.points, w, blocks=cloud.blocks._replace(coarser=()))
+    blocked = PlanarMeasure(cloud.points, w, blocks=cloud.blocks[-1:])
     got, want = FLAT_KERNELS[kernel](blocked), FLAT_KERNELS[kernel](PlanarMeasure(cloud.points, w))
     if kernel == "eps_mu_a":
         assert all(np.array_equal(g, v) for g, v in zip(got, want))

@@ -246,9 +246,9 @@ def test_realization_total_mass(tree_k2_d3):
 def test_single_sample_atoms_at_leaf_centers(real_k2_d3):
     mu = real_k2_d3.measure(TARGET)
     centers = real_k2_d3.leaf_centers(TARGET)
-    assert np.allclose(mu.points, centers)
+    assert np.array_equal(mu.points, centers)
     leaf_mass = math.exp(real_k2_d3.tree.log_mass(3))
-    assert np.allclose(mu.weights, leaf_mass)
+    np.testing.assert_allclose(mu.weights, leaf_mass, rtol=1e-12, atol=0.0)
 
 
 def test_generation_ball_mass_query():

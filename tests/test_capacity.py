@@ -606,9 +606,9 @@ def test_benchmark_cells_take_generation_two(monkeypatch, spl):
     served = {}
     block_sums = measure_mod._block_sums
 
-    def spy(measure, level, centres, todo, *args, **kwargs):
-        rest = block_sums(measure, level, centres, todo, *args, **kwargs)
-        served[level[0].atoms // spl] = todo.size - rest.size  # leaves per block
+    def spy(measure, blocks, centres, todo, *args, **kwargs):
+        rest = block_sums(measure, blocks, centres, todo, *args, **kwargs)
+        served[blocks.atoms // spl] = todo.size - rest.size  # leaves per block
         return rest
 
     monkeypatch.setattr(measure_mod, "_block_sums", spy)
@@ -632,7 +632,7 @@ def _corner_leaves_and_centre_leaf(cells):
 
 
 def _with_blocks(mu, atoms):
-    return PlanarMeasure(mu.points, mu.weights, blocks=support.leaf_blocks(mu, atoms))
+    return PlanarMeasure(mu.points, mu.weights, blocks=(support.leaf_blocks(mu, atoms),))
 
 
 @pytest.mark.parametrize("cells", [16, 64])
@@ -667,10 +667,10 @@ def test_leaf_expansion_error_within_recorded_bound(monkeypatch):
 def test_leaf_blocks_must_cover_the_measure():
     mu = support.uniform_disk(12, seed=2)
     with pytest.raises(ValueError, match="do not cover"):
-        PlanarMeasure(mu.points, mu.weights,
-                      blocks=support.leaf_blocks(PlanarMeasure(mu.points[:9], mu.weights[:9]), 3))
+        short = PlanarMeasure(mu.points[:9], mu.weights[:9])
+        PlanarMeasure(mu.points, mu.weights, blocks=(support.leaf_blocks(short, 3),))
     with pytest.raises(ValueError, match="equal weights"):
-        PlanarMeasure(mu.points, np.arange(1.0, 13.0), blocks=support.leaf_blocks(mu, 3))
+        PlanarMeasure(mu.points, np.arange(1.0, 13.0), blocks=(support.leaf_blocks(mu, 3),))
 
 
 # -- Melnikov gamma proxy -----------------------------------------------------

@@ -307,16 +307,16 @@ def test_ball_centred_inside_a_leaf_takes_its_atoms(monkeypatch):
     real = build_tree(harmonic_schedule(2.0, 1), 1, seed=0).realize(seed=0, samples_per_leaf=64)
     mu = real.measure(TARGET)
     leaf = PlanarMeasure(mu.points[:64], mu.weights[:64],
-                         blocks=measure_mod.LeafBlocks(*(b[:1] for b in mu.blocks[:3]), 64))
+                         blocks=(measure_mod.LeafBlocks(*(b[:1] for b in mu.blocks[-1][:3]), 64),))
     monkeypatch.setattr(measure_mod, "EXPANSION_BUDGET", math.inf)
-    rho = float(leaf.blocks.radii[0])
-    inside = np.vstack([leaf.points[:8], leaf.blocks.centroids])
+    rho = float(leaf.blocks[-1].radii[0])
+    inside = np.vstack([leaf.points[:8], leaf.blocks[-1].centroids])
     t = np.geomspace(0.01, 10.0, 7)[:, None] * rho
     flat = support.without_blocks(leaf)
     np.testing.assert_allclose(eps_mu_a(leaf, inside, t, 0.1), eps_mu_a(flat, inside, t, 0.1),
                                rtol=1e-12, atol=0.0)
     # just outside the leaf the loose budget expands, far from the atoms' sum
-    outside = leaf.blocks.centroids + [[1.5 * rho, 0.0]]
+    outside = leaf.blocks[-1].centroids + [[1.5 * rho, 0.0]]
     near = eps_mu_a(leaf, outside, 0.1 * rho, 0.1)
     assert abs(near / eps_mu_a(flat, outside, 0.1 * rho, 0.1) - 1.0) > 1e-6
 
@@ -326,10 +326,10 @@ def test_leaf_expansion_eps_error_within_its_share(monkeypatch, a):
     # depth 1: four wide leaves; balls a few leaf radii to a thousand away
     real = build_tree(harmonic_schedule(2.0, 1), 1, seed=0).realize(seed=0, samples_per_leaf=64)
     mu = real.measure(TARGET)
-    rho = float(mu.blocks.radii.max())
+    rho = float(mu.blocks[-1].radii.max())
     angle = np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
     offsets = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    centres = np.vstack([c + f * rho * offsets for c in mu.blocks.centroids
+    centres = np.vstack([c + f * rho * offsets for c in mu.blocks[-1].centroids
                          for f in (3.0, 30.0, 300.0, 1000.0)])
     centres = np.repeat(centres, 3, axis=0)
     radii = np.tile([rho, 10.0 * rho, 100.0 * rho], centres.shape[0] // 3)
@@ -532,7 +532,7 @@ def test_frostman_mass_gauge_proportional():
     fr = frostman_tree(support.TableGauge(tree, table))
     assert fr.value == pytest.approx(math.exp(tree.log_total_mass()), rel=1e-12)
     leaf_mass = math.exp(tree.log_mass(2))
-    assert np.allclose(fr.leaf_weights, leaf_mass, rtol=1e-12)
+    np.testing.assert_allclose(fr.leaf_weights, leaf_mass, rtol=1e-12, atol=0.0)
 
 
 # -- distorted gauge -----------------------------------------------------------

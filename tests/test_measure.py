@@ -101,9 +101,9 @@ def test_leaf_ball_mass_profile_counts_equal_flat(side, depth, spl):
     real = build_tree(harmonic_schedule(2.0, depth), depth, seed=depth).realize(
         seed=depth, samples_per_leaf=spl)
     mu = real.measure(side)
-    blocks = mu.blocks
+    blocks = mu.blocks[-1]
     # unit weights keep every partial sum exact, so the masses are the counts
-    ones = PlanarMeasure(mu.points, np.ones(mu.n_atoms), blocks=blocks)
+    ones = PlanarMeasure(mu.points, np.ones(mu.n_atoms), blocks=mu.blocks)
     flat_ones, flat = (PlanarMeasure(mu.points, w) for w in (ones.weights, mu.weights))
     rng = np.random.default_rng(depth)
     lo, hi = mu.points.min(axis=0), mu.points.max(axis=0)
@@ -129,8 +129,74 @@ def test_leaf_ball_mass_profile_counts_equal_flat(side, depth, spl):
 def test_leaf_blocks_of_one_atom_are_dropped():
     mu = support.uniform_disk(12, seed=2)
     for atoms, kept in ((1, None), (3, 3)):
-        blocks = PlanarMeasure(mu.points, mu.weights, blocks=support.leaf_blocks(mu, atoms)).blocks
-        assert (blocks and blocks.atoms) == kept
+        blocks = PlanarMeasure(mu.points, mu.weights,
+                               blocks=(support.leaf_blocks(mu, atoms),)).blocks
+        assert (blocks and blocks[-1].atoms) == kept
+
+
+def _harmonic_cloud():
+    """The depth-3 K = 2 harmonic target cloud, 16 atoms per leaf."""
+    return build_tree(harmonic_schedule(2.0, 3), 3, seed=1).realize(
+        seed=1, samples_per_leaf=16).measure(TARGET)
+
+
+def _edited(blocks, g, name, edit):
+    """blocks with edit applied to a copy of the named array of generation g."""
+    blocks = list(blocks)
+    blocks[g] = blocks[g]._replace(**{name: edit(getattr(blocks[g], name).copy())})
+    return tuple(blocks)
+
+
+def _leaves(mu, name, edit):
+    """mu's leaf blocks alone, with edit applied to a copy of the named array."""
+    return _edited(mu.blocks[-1:], 0, name, edit)
+
+
+def _set(index, value):
+    def edit(arr):
+        arr[index] = value
+        return arr
+    return edit
+
+
+def test_blocks_with_nan_radii_are_refused():
+    mu = _harmonic_cloud()
+    assert PlanarMeasure(mu.points, mu.weights, blocks=mu.blocks[-1:]).diameter() == \
+        support.without_blocks(mu).diameter()
+    with pytest.raises(ValueError, match="level 0: radii must be finite"):
+        PlanarMeasure(mu.points, mu.weights, blocks=_leaves(mu, "radii", _set(..., np.nan)))
+
+
+#: malformed blocks of the harmonic cloud, and the message that refuses them
+MALFORMED_BLOCKS = {
+    "nan-radii-at-level-2": (lambda mu: _edited(mu.blocks, 2, "radii", _set(..., np.nan)),
+                             "level 2: radii must be finite"),
+    "inf-centroid": (lambda mu: _leaves(mu, "centroids", _set((5, 1), np.inf)),
+                     "level 0: centroids must be finite"),
+    "nan-moment": (lambda mu: _leaves(mu, "moments", _set((5, 1), np.nan)),
+                   "level 0: moments must be finite"),
+    "negative-radius": (lambda mu: _leaves(mu, "radii", _set(3, -1e-3)),
+                        "level 0: radii must be nonnegative"),
+    "centroids-transposed": (lambda mu: _leaves(mu, "centroids", np.transpose),
+                             "level 0: centroids has shape"),
+    "moments-two-columns": (lambda mu: _leaves(mu, "moments", lambda a: a[:, :2]),
+                            "level 0: moments has shape"),
+    "radii-a-column": (lambda mu: _leaves(mu, "radii", lambda a: a[:, None]),
+                       "level 0: radii has shape"),
+    "radii-one-short": (lambda mu: _leaves(mu, "radii", lambda a: a[:-1]),
+                        "level 0: radii has shape"),
+    # a bare LeafBlocks is itself a tuple, of arrays
+    "bare-leaf-blocks": (lambda mu: mu.blocks[-1], "level 0 is not a LeafBlocks"),
+    "empty": (lambda mu: (), "at least one generation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_malformed_blocks_are_refused(case):
+    mu = _harmonic_cloud()
+    blocks, message = MALFORMED_BLOCKS[case]
+    with pytest.raises(ValueError, match=message):
+        PlanarMeasure(mu.points, mu.weights, blocks=blocks(mu))
 
 
 @pytest.mark.parametrize("depth,spl", [(1, 64), (3, 4), (3, 64)])
@@ -143,7 +209,7 @@ def test_batched_ball_mass_profile_rows_equal_single_calls(monkeypatch, side, de
     rng = np.random.default_rng(depth)
     lo, hi = mu.points.min(axis=0), mu.points.max(axis=0)
     centres = np.vstack([mu.points[rng.choice(mu.n_atoms, 5, replace=False)],
-                         mu.blocks.centroids[:3], rng.uniform(lo, hi, size=(3, 2))])
+                         mu.blocks[-1].centroids[:3], rng.uniform(lo, hi, size=(3, 2))])
     d = mu.distances(centres[0])
     radii = np.concatenate([d[rng.choice(mu.n_atoms, 8, replace=False)],
                             2.0 ** np.arange(-50.0, -2.0)])
@@ -162,7 +228,7 @@ def test_batched_ball_mass_profile_rows_equal_single_calls(monkeypatch, side, de
 
 
 def _blocked(mu, atoms):
-    return PlanarMeasure(mu.points, mu.weights, blocks=support.leaf_blocks(mu, atoms))
+    return PlanarMeasure(mu.points, mu.weights, blocks=(support.leaf_blocks(mu, atoms),))
 
 
 @pytest.mark.parametrize("depth,spl", [(1, 64), (2, 16), (3, 4), (3, 64), (3, 128)])

@@ -216,10 +216,11 @@ def test_blocked_riesz_equals_the_flat_atom_sum(K, depth):
         for side in (SOURCE, TARGET):
             mu = tree.realize(seed=depth, samples_per_leaf=spl).measure(side)
             flat = support.without_blocks(mu)
-            assert mu.blocks is not None and mu.blocks.coarser
-            rho = float(mu.blocks.radii.max())
-            points = [(2.0, 0.0), mu.support_center(), mu.blocks.centroids[1],
-                      mu.blocks.centroids[2] + [3.0 * rho, 0.0], mu.points[5] + [0.0, 1e3 * rho]]
+            assert mu.blocks is not None and len(mu.blocks) > 1
+            leaves = mu.blocks[-1]
+            rho = float(leaves.radii.max())
+            points = [(2.0, 0.0), mu.support_center(), leaves.centroids[1],
+                      leaves.centroids[2] + [3.0 * rho, 0.0], mu.points[5] + [0.0, 1e3 * rho]]
             for x in points:
                 for alpha in (0.5, 1.0, 1.5):
                     assert riesz_potential(mu, x, alpha) == pytest.approx(

@@ -193,25 +193,44 @@ def test_lifted_frames_equal_reference_bit_for_bit(K, spl):
             assert np.array_equal(real._lift(side, atoms, g, tree.depth).T, ref[g])
             assert np.array_equal(frames[g].T, ref[g])
         assert np.array_equal(real.measure(side).points, ref[0])
-        assert np.array_equal(real.leaf_centers(side), (ref[0] - ref[tree.depth])[::spl])
+        # each leaf's own origin lifted: the 1-sample reference atoms
+        assert np.array_equal(real.leaf_centers(side),
+                              support.reference_frames(tree, 3, 1)[side][0])
+
+
+def test_leaf_centers_are_the_single_sample_atoms():
+    tree = _mixed(seed=3)
+    single = tree.realize(seed=3)
+    real = tree.realize(seed=3, samples_per_leaf=4)
+    for side in SIDES:
+        assert np.array_equal(real.leaf_centers(side), single.measure(side).points)
 
 
 @pytest.mark.parametrize("spl", [1, 4, 64])
 def test_leaf_blocks_equal_grouped_atoms(spl):
-    # moments and radii against the leaf-frame atoms, centroids against the
-    # flat cloud (depth 3 keeps its sibling separations)
-    tree = _harmonic(3, seed=3)
-    real = tree.realize(seed=3, samples_per_leaf=spl)
-    reference = support.reference_frames(tree, 3, spl)
-    for side in SIDES:
-        blocks = real.leaf_blocks(side)
-        local = support.leaf_blocks(PlanarMeasure(reference[side][3], real.weights), spl)
-        flat = support.leaf_blocks(real.measure(side), spl)
-        assert blocks.atoms == spl
-        assert blocks.centroids.shape == (tree.n_leaves, 2)
-        np.testing.assert_allclose(blocks.moments, local.moments, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(blocks.radii, local.radii, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(blocks.centroids, flat.centroids, rtol=0.0, atol=1e-15)
+    # every generation's moments and radii against its reference frame's
+    # atoms, centroids against the flat cloud (depth 3 keeps its sibling
+    # separations)
+    for K in (1.5, 2.0, 10.0):
+        tree = build_tree(harmonic_schedule(K, 3), 3, seed=3)
+        real = tree.realize(seed=3, samples_per_leaf=spl)
+        reference = support.reference_frames(tree, 3, spl)
+        for side in SIDES:
+            levels = real.leaf_blocks(side)
+            assert len(levels) == tree.depth + 1
+            for g, blocks in enumerate(levels):
+                atoms = real.n_atoms // tree.node_counts[g]
+                local = support.leaf_blocks(PlanarMeasure(reference[side][g], real.weights),
+                                            atoms)
+                flat = support.leaf_blocks(real.measure(side), atoms)
+                assert blocks.atoms == atoms
+                assert blocks.centroids.shape == (tree.node_counts[g], 2)
+                np.testing.assert_allclose(blocks.moments, local.moments, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(blocks.centroids, flat.centroids, rtol=0.0,
+                                           atol=1e-15)
+                # a bound on the largest atom distance, up to rounding
+                assert np.all(blocks.radii >= local.radii * (1.0 - 1e-12))
+            np.testing.assert_allclose(levels[-1].radii, local.radii, rtol=1e-12, atol=0.0)
 
 
 def test_two_atom_tree_matches_oracle():
