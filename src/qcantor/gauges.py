@@ -33,6 +33,19 @@ from .measure import _kernel_sums
 
 #: largest sample_ball_pairs count: its pairs are built one at a time
 MAX_PAIRS = 1 << 16
+#: relative slack of the h brackets of content_Mh_tree, for rounding and pow
+_SLACK = 2.0 ** -40
+#: least lower end of an h bracket: far above the subnormals, where a relative
+#: slack no longer covers rounding
+_TINY = 2.0 ** -1000
+
+
+def _power(x, p):
+    """x ** p of floats x >= 0, inf where it leaves the doubles."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
 def _psi(r, a, inplace=False):
@@ -195,7 +208,7 @@ class TreeSmoothedDensityGauge:
         one form that h_node, h_values and check_G2_tree_gauge read.  A
         generation where the power leaves the doubles is refused, naming the
         gauge."""
-        eps = self.realization.eps_by_generation(self._density_side, self.a)[g]
+        eps = self.realization.eps_partial(self._density_side, self.a, g, math.inf)[0]
         try:
             with np.errstate(over="raise"):
                 return eps ** self.exponent
@@ -205,14 +218,51 @@ class TreeSmoothedDensityGauge:
                 f"{self.tree.K} tree leaves double precision (largest eps {np.max(eps):.6g})"
             ) from None
 
+    def _h(self, g):
+        """h of every generation-g node, t^gamma * eps^exponent."""
+        return math.exp(self.tree.log_radius(self.side, g)) ** self.gamma * self._eps_power(g)
+
     def h_node(self, path):
         t = math.exp(self.tree.log_radius(self.side, len(path)))
         return t ** self.gamma * float(self._eps_power(len(path))[self.tree.node_index(path)])
 
     def h_values(self):
         """h over every node of the tree, one array per generation 0..depth."""
-        return [math.exp(self.tree.log_radius(self.side, g)) ** self.gamma * self._eps_power(g)
-                for g in range(self.tree.depth + 1)]
+        return [self._h(g) for g in range(self.tree.depth + 1)]
+
+    def _h_bracket(self, g, rings):
+        """(lo, hi, done): bounds on h of every generation-g node from the first
+        rings rings of its eps (``eps_partial``), lo <= h <= hi node by node,
+        and whether they are every ring, where lo = hi = ``_h(g)``.
+
+        The partial sum P is a lower end of the full one S; the rings still to
+        come add at most rest = ``RingPlan.rest`` of the exact eps E, which is
+        within the plan's bound b of S, so S <= P / room, room = 1 - rest /
+        (1 - b).  Each end takes a relative slack of _SLACK for the rounding
+        of the ring sums and of pow.  A priori eps lies between mu / 2 and
+        mu / room_1, with mu the node's mass over its radius (ring 0's psi
+        lies in [1/2, 1] on the node's own ball).  A generation whose upper
+        ends might then leave the doubles, or whose lower ends might fall
+        near the subnormals (where a relative slack does not hold), is summed
+        over every ring instead, so that it is refused exactly as
+        ``_eps_power`` refuses it.
+        """
+        real, side, p = self.realization, self._density_side, self.exponent
+        eps, added = real.eps_partial(side, self.a, g, rings)
+        plan = real.eps_rings(side, self.a)[g]
+        room, room_1 = (1.0 - plan.rest(k) / (1.0 - plan.bound) for k in (added, 1))
+        if added <= len(plan.levels) and room_1 > 0.0:
+            grow = (1.0 + _SLACK) / room
+            t = math.exp(self.tree.log_radius(self.side, g)) ** self.gamma
+            mu = (float(real.weights[0]) * (real.n_atoms // self.tree.node_counts[g])
+                  / math.exp(self.tree.log_radius(side, g)))
+            # a factor 2 above the largest upper end keeps every product finite
+            if (2.0 * max(t, 1.0) * _power(mu / room_1 * grow, p) < math.inf
+                    and min(t, 1.0) * _power(mu / 2.0, p) > _TINY):
+                power = t * eps ** p
+                return power * (1.0 - _SLACK), power * (_power(grow, p) * (1.0 + _SLACK)), False
+        h = self._h(g)
+        return h, h, True
 
     def far_field_bound(self):
         """Relative bound, either sign, on the h error of the batched eps.
@@ -419,11 +469,71 @@ def content_Mh_tree(gauge) -> ContentResult:
     the unrestricted content and exact among tree-aligned covers.  The gauge
     supplies everything: its tree, its h arrays (h_values), their far-field
     bound and a description; which side's balls it measures is its own.
-    One h pass and one DP per call.
+    A node gauge's eps is summed only as far as the DP needs it
+    (``_cover_h``); every other gauge gives its h_values.  One DP per call.
     """
-    cost, cover_size = _content_dp(gauge.tree, gauge.h_values())
+    h = _cover_h(gauge) if isinstance(gauge, TreeSmoothedDensityGauge) else gauge.h_values()
+    cost, cover_size = _content_dp(gauge.tree, h)
     return ContentResult(float(cost[0][0]), cover_size, gauge.description,
                          gauge.far_field_bound())
+
+
+def _cover_h(gauge):
+    """Per generation, h arrays on which ``_content_dp`` returns the cost and
+    cover size of the full h_values(), bit for bit, with eps summed ring by
+    ring only as far as the DP's decisions and its cover need it.
+
+    Every generation starts from ring 0 (``_h_bracket``, in generation order,
+    so that a generation past the doubles is refused as h_values refuses it).
+    The DP is run on the lower ends and on the upper ends of the brackets;
+    float sums and min are monotone, so any h between the ends gives child
+    sums between theirs.  A live node, one below no sure take, takes its own
+    ball surely where hi <= its lower child sum and surely not where lo > its
+    upper one.  A generation holding an undecided live node gets its next
+    ring, until each such node's generation is summed over every ring (lo =
+    hi), which ends the loop.  Then the generations holding a sure take are
+    summed in full and the others keep their lower ends.  A sure decision
+    holds for every h between the ends and an undecided node has its exact
+    h, so, up the tree, every live node's cost and decision are those of the
+    DP on h_values(); the nodes below a sure take feed no live node's cost.
+    """
+    tree = gauge.tree
+    depth = tree.depth
+    m = [tree.branching(g + 1) for g in range(depth)]
+    rings = [1] * (depth + 1)
+    lo, hi, done = map(list, zip(*(gauge._h_bracket(g, 1) for g in range(depth + 1))))
+    while True:
+        # each node's child sum in the DP on the lower ends and on the upper ends
+        below_lo, below_hi = [None] * depth, [None] * depth
+        low, high = lo[depth], hi[depth]
+        for g in range(depth - 1, -1, -1):
+            below_lo[g] = low.reshape(-1, m[g]).sum(axis=1)
+            below_hi[g] = high.reshape(-1, m[g]).sum(axis=1)
+            low, high = np.minimum(lo[g], below_lo[g]), np.minimum(hi[g], below_hi[g])
+        # top-down over the cover-to-be, the nodes below no sure take
+        live, n_live, taken, refine = np.ones(1, dtype=bool), 1, [], []
+        for g in range(depth):
+            keep = hi[g] > below_lo[g]  # not sure to take its own ball
+            if not done[g] and (live & keep & (lo[g] <= below_hi[g])).any():
+                refine.append(g)
+            live &= keep
+            n_kept = np.count_nonzero(live)
+            if n_kept < n_live:
+                taken.append(g)
+            if not n_kept:
+                break
+            live, n_live = live.repeat(m[g]), n_kept * m[g]
+        else:  # every live leaf is in the cover
+            taken.append(depth)
+        if not refine:
+            break
+        for g in refine:
+            rings[g] += 1
+            lo[g], hi[g], done[g] = gauge._h_bracket(g, rings[g])
+    for g in taken:
+        if not done[g]:
+            lo[g] = gauge._h_bracket(g, math.inf)[0]
+    return lo
 
 
 @dataclass(frozen=True)

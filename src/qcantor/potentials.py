@@ -435,6 +435,10 @@ class CurvatureEstimate:
     values that would carry the same spread, and ``max_share`` is max v /
     sum v, the share of the estimate held by its largest triple; both are None
     when enumerated or when every sampled value is zero.
+    ``sup_effective_samples`` is the same count over the pair values of the
+    query that sets ``sup_pointwise`` (its m pairs), None when enumerated or
+    when every query's mean is zero: a sup set by a handful of heavy pairs
+    shows a small count.
     """
 
     value: float
@@ -444,12 +448,14 @@ class CurvatureEstimate:
     seed: int | None = None
     effective_samples: float | None = None
     max_share: float | None = None
+    sup_effective_samples: float | None = None
 
     def to_json_dict(self):
         return {"value": self.value, "stderr": self.stderr,
                 "sup_pointwise": self.sup_pointwise, "triples": self.triples,
                 "seed": self.seed, "effective_samples": self.effective_samples,
-                "max_share": self.max_share}
+                "max_share": self.max_share,
+                "sup_effective_samples": self.sup_effective_samples}
 
 
 _EXACT_CURVATURE_ATOMS = 85
@@ -505,7 +511,7 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
     degenerate draws (any repeated index) contribute zero, which keeps the
     estimator unbiased for the distinct-triple sum.  Also reports the largest
     pointwise c^2_mu(x) seen over a seeded subset of up to 16 positive-weight
-    atoms.
+    atoms, with the effective sample count of the query that sets it.
 
     The sampled path runs in scratch of one block at any triple count: the
     values are reduced in chunks of CHUNK as they are drawn
@@ -583,7 +589,7 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
         share = top / (rows * mean)
 
     queries = rng.choice(n, size=min(16, live), replace=False, p=prob)
-    sup = 0.0
+    sup, sup_effective = 0.0, None
     ahead = np.random.Generator(type(rng.bit_generator)())
     for qi in queries:
         # the k-half: this query's uniforms m..2m-1; ahead then carries the stream
@@ -596,9 +602,12 @@ def menger_curvature(measure, triples=200_000, seed=0) -> CurvatureEstimate:
             xk, yk = draw(far, k, 2 * k)
             _inv_r2(px[qi], py[qi], xj, yj, xk, yk, out, work(k))
 
-        sup = max(sup, total ** 2 * _stream_moments(m, pair_values, vals)[0])
+        pair_mean, pair_m2, _ = _stream_moments(m, pair_values, vals)
+        if total ** 2 * pair_mean > sup:
+            sup = total ** 2 * pair_mean
+            sup_effective = m / (1.0 + pair_m2 / m / pair_mean / pair_mean)
         rng, ahead = ahead, rng
-    return CurvatureEstimate(value, stderr, sup, rows, seed, effective, share)
+    return CurvatureEstimate(value, stderr, sup, rows, seed, effective, share, sup_effective)
 
 
 def standard_query_points(realization, side, seed=0):

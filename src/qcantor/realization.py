@@ -14,9 +14,10 @@ contiguous block.  Seen from a generation-g node, the atoms fall into
 *rings*: ring 0 is the node's own subtree, ring j >= 1 the atoms whose
 deepest common ancestor with the node sits at generation g - j.
 ``node_eps`` sums every ring per node (the frame-exact oracle);
-``eps_by_generation`` evaluates all nodes of a generation at once, ring by
-ring, under a plan fixed a priori from the tree's log radii and the
-realized block moments (``eps_rings``).  Sibling disks are separated by
+``eps_partial`` evaluates all nodes of a generation at once, ring by ring,
+under a plan fixed a priori from the tree's log radii and the realized block
+moments (``eps_rings``), and ``eps_by_generation`` is every generation
+summed over every ring.  Sibling disks are separated by
 their protecting radii, so ring j's share of eps falls by a factor of
 roughly 1e-4 to 1e-6 per level: the rings beyond L are dropped under an
 a-priori tail bound, and ring 0 is summed over its atoms exactly.  Each
@@ -30,13 +31,17 @@ A generation then costs N atoms for ring 0 plus O(nodes * M * L) block
 terms, instead of the O(M^L * N) of summing the kept rings atom by atom.
 
 A fill evaluates ring by ring, each ring in pieces of at most _CHUNK
-terms.  The eight fills of a gauge-content benchmark pass make 108 ring
-calls over 170,000 terms, about 10 ms on a 2-vCPU Xeon host: 47 block rings
-of under 1,000 terms cost about 70 us each, mostly numpy call overhead,
-and the large rings about 50 ns per block term and 40 ns per exact-atom
-term.  Evaluating several rings per kernel call was measured and did not
-pay: each ring still lifts, lays out and scales its own items and node
-centers, which costs about what the saved calls did.
+terms, and keeps each generation's running sum, so that a reader takes only
+the rings it needs: the content DP (``gauges._cover_h``) reads ring 0 of
+every generation and further rings only where its decisions or its cover
+need them.  The fills of the eight realizations in a gauge-content
+benchmark pass make 57 ring calls over 93,212 terms (108 over 170,000 when
+every generation is summed in full), about 3.5 ms on a 2-vCPU Xeon host: 21
+block rings of under 1,000 terms cost about 50 us each, mostly numpy call
+overhead, and the large rings about 27 ns per term.  Evaluating several
+rings per kernel call was measured and did not pay: each ring still lifts,
+lays out and scales its own items and node centers, which costs about what
+the saved calls did.
 """
 from __future__ import annotations
 
@@ -60,8 +65,9 @@ class RingPlan(NamedTuple):
     """How eps_by_generation evaluates one generation's rings 1..L.
 
     levels[j - 1] is the generation whose blocks stand for ring j (depth + 1
-    for its exact atoms); remainders[j - 1] bounds that ring's expansion
-    error and tail the dropped rings' share, both relative to eps.
+    for its exact atoms); shares[j - 1] bounds that ring's share of eps a
+    priori (B_j of ``eps_rings``), remainders[j - 1] its expansion error and
+    tail the dropped rings' share, all relative to eps.
     evaluations counts the generation's kernel terms: its N atoms for ring 0,
     plus for every node the blocks or atoms of each kept ring.
     """
@@ -70,11 +76,35 @@ class RingPlan(NamedTuple):
     remainders: tuple
     tail: float
     evaluations: int
+    shares: tuple
 
     @property
     def bound(self):
         """Relative error bound of the generation's eps, either sign."""
         return self.tail + sum(self.remainders)
+
+    def rest(self, added):
+        """A-priori bound, relative to eps, on what the kept rings after the
+        first ``added`` (ring 0 first, added >= 1) add to the sum: their
+        shares plus their remainders."""
+        return sum(self.shares[added - 1:]) + sum(self.remainders[added - 1:])
+
+
+class _RingFill:
+    """One generation's eps under its plan, summed ring by ring in plan order.
+
+    total is the running sum 0 + ring 0 + ring 1 + ... of the rings added so
+    far, center the nodes' centers in the frame of the last ring's ancestor,
+    and eps = total * weight / r, read-only.  Once all size rings are in,
+    eps is the generation's full fill.
+    """
+
+    __slots__ = ("size", "added", "center", "total", "eps")
+
+    def __init__(self, nodes, size):
+        self.size, self.added = size, 0
+        self.center = np.zeros((2, nodes))
+        self.total, self.eps = 0, None
 
 
 class CantorRealization:
@@ -142,7 +172,7 @@ class CantorRealization:
         self.weights = np.full(self.n_atoms, leaf_mass / s)
         self.weights.setflags(write=False)
         self._eps_cache, self._plans, self._block_cache = {}, {}, {}
-        self._leaf_block_cache = {}
+        self._leaf_block_cache, self._fills, self._frame_cache = {}, {}, {}
 
     # -- geometry ----------------------------------------------------------
 
@@ -158,11 +188,14 @@ class CantorRealization:
         return pos
 
     def _frames(self, side):
-        """Every atom in its generation-g frame, g = 0 .. depth, each lifted once."""
-        frames = [self._atoms[side]]
-        for g in range(self.depth - 1, -1, -1):
-            frames.append(self._lift(side, frames[-1], g, g + 1))
-        return frames[::-1]
+        """Every atom in its generation-g frame, g = 0 .. depth, each lifted
+        once.  Cached per side; the arrays are shared by every caller."""
+        if side not in self._frame_cache:
+            frames = [self._atoms[side]]
+            for g in range(self.depth - 1, -1, -1):
+                frames.append(self._lift(side, frames[-1], g, g + 1))
+            self._frame_cache[side] = frames[::-1]
+        return self._frame_cache[side]
 
     def measure(self, side) -> PlanarMeasure:
         """Flat atom cloud with absolute positions, formed on each call by
@@ -224,7 +257,8 @@ class CantorRealization:
 
             B_j = 2 (M_k - 1) (n_g / n_k) psi_a(u),   u = gap / r_g,
 
-        with n_g / n_k = m_k / m_g the mass ratio of the equal split.  L is
+        with n_g / n_k = m_k / m_g the mass ratio of the equal split, recorded
+        per kept ring as ``RingPlan.shares``.  L is
         the smallest ring count with tail = sum_{j > L} B_j <= 2**-53 - 2**-56,
         so that at least 2**-56 of the 2**-53 budget is left for the rings
         kept.
@@ -298,7 +332,8 @@ class CantorRealization:
                 remainders.append(rem)
                 members = counts[level] if level <= depth else self.n_atoms
                 evaluations += counts[g] * (tree.branching(k) - 1) * members // counts[k]
-            yield RingPlan(tuple(levels), tuple(remainders), tail, evaluations)
+            yield RingPlan(tuple(levels), tuple(remainders), tail, evaluations,
+                           tuple(share[1:rings + 1]))
 
     def _blocks(self, side):
         """Per generation: each node's atom centroid relative to its center
@@ -318,15 +353,20 @@ class CantorRealization:
             out = []
             for g in range(self.depth, -1, -1):
                 pos = np.ascontiguousarray(pos)
-                r_g = radii[g]
-                mu = np.add.reduce(pos, axis=1) / pos.shape[1]
-                dev = pos - mu[:, None]
-                dev /= r_g
-                sq = dev * dev
-                rad = np.maximum.reduce(np.sqrt(sq[0] + sq[1]) * r_g + rad, axis=0)
-                sums = np.add.reduce(sq, axis=1)
-                mom = mom + members * np.stack([
-                    sums[0], 2.0 * np.add.reduce(dev[0] * dev[1], axis=0), sums[1]])
+                if g == self.depth and self.samples_per_leaf == 1:
+                    # one atom per leaf: its own centroid, with no spread about it
+                    mu = pos[:, 0].copy()
+                    mom, rad = np.zeros((3, self.n_leaves)), np.zeros(self.n_leaves)
+                else:
+                    r_g = radii[g]
+                    mu = np.add.reduce(pos, axis=1) / pos.shape[1]
+                    dev = pos - mu[:, None]
+                    dev /= r_g
+                    sq = dev * dev
+                    rad = np.maximum.reduce(np.sqrt(sq[0] + sq[1]) * r_g + rad, axis=0)
+                    sums = np.add.reduce(sq, axis=1)
+                    mom = mom + members * np.stack([
+                        sums[0], 2.0 * np.add.reduce(dev[0] * dev[1], axis=0), sums[1]])
                 out.append((mu, mom, rad))
                 if g:
                     m = tree.branching(g)
@@ -371,31 +411,52 @@ class CantorRealization:
         exact atoms, or over its blocks' monopoles plus quadrupoles about their
         centroids (``_PsiKernel.expand``).  Farther rings are dropped.  The
         result is within the plan's bound (tail plus remainders, at most
-        2**-53) of the exact eps, on either side.  Cached per (side, a).
+        2**-53) of the exact eps, on either side.  Every generation is the
+        fully refined ``eps_partial``; the tuple is cached per (side, a).
         """
         key = (side, float(a))
         if key not in self._eps_cache:
-            plans = self.eps_rings(side, a)
-            frames, radii = self._frames(side), self._radii[side]
-            weight = float(self.weights[0])  # atoms carry equal weights
-            eps = []
-            for g, plan in enumerate(plans):
-                values = sum(self._ring_sums(side, g, a, plan.levels, frames)) * weight / radii[g]
-                values.setflags(write=False)
-                eps.append(values)
-            self._eps_cache[key] = tuple(eps)
+            self._eps_cache[key] = tuple(self.eps_partial(side, a, g, math.inf)[0]
+                                         for g in range(self.depth + 1))
         return self._eps_cache[key]
 
-    def _ring_sums(self, side, g, a, levels, frames):
-        """Per ring j = 0 .. len(levels), its psi sum at every generation-g node;
-        ring j >= 1 is evaluated at generation levels[j - 1] (depth + 1: atoms).
-        frames[f] holds every atom in its generation-f frame (``_frames``)."""
-        r = self._radii[side][g]
-        center = np.zeros((2, self.tree.node_counts[g]))  # in the gen-f frame
-        yield self._ring_psi_sums(side, g, g, center, r, a, self.depth + 1, frames[g])
-        for f, level in zip(range(g - 1, -1, -1), levels):
-            center = self._lift(side, center, f, f + 1)
-            yield self._ring_psi_sums(side, f, g, center, r, a, level, frames[f])
+    def eps_partial(self, side, a, g, rings):
+        """(eps, n): every generation-g node's eps summed over the first n of
+        its plan's rings, ring 0 first, n = min(rings, 1 + len(plan.levels)).
+
+        The generation's running sum is kept per (side, a) and only extended:
+        each ring is evaluated once, whichever caller asks first, and once n
+        reaches every ring the array is ``eps_by_generation``'s entry bit for
+        bit.  Each ring's sum is nonnegative, so eps only grows with n; a
+        kept ring j not yet added adds at most its share B_j plus its
+        remainder of eps (``RingPlan.rest``).
+        """
+        key = (side, float(a))
+        if key not in self._fills:
+            self._fills[key] = [_RingFill(self.tree.node_counts[h], 1 + len(plan.levels))
+                                for h, plan in enumerate(self.eps_rings(side, a))]
+        fill = self._fills[key][g]
+        while fill.added < min(rings, fill.size):
+            self._add_ring(side, a, g, fill)
+        return fill.eps, fill.added
+
+    def _add_ring(self, side, a, g, fill):
+        """Evaluate generation g's next ring (fill.added), add it to the fill's
+        running sum and return its psi sums at every node; ring j >= 1 is
+        evaluated at generation levels[j - 1] of the plan (depth + 1: atoms)."""
+        j, frames, r = fill.added, self._frames(side), self._radii[side][g]
+        if j:
+            f = g - j
+            fill.center = self._lift(side, fill.center, f, f + 1)
+            level = self.eps_rings(side, a)[g].levels[j - 1]
+        else:
+            f, level = g, self.depth + 1
+        ring = self._ring_psi_sums(side, f, g, fill.center, r, a, level, frames[f])
+        fill.total = fill.total + ring
+        fill.added += 1
+        fill.eps = fill.total * float(self.weights[0]) / r  # atoms carry equal weights
+        fill.eps.setflags(write=False)
+        return ring
 
     def _ring_psi_sums(self, side, f, g, center, r, a, level, atoms):
         """Sum of psi_a(|y - c| / r) over one ring, for every generation-g node.

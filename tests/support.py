@@ -1,11 +1,12 @@
-"""Fixtures and oracles that only the tests use: test clouds, a hand-set
-node gauge, absolute node centres, node paths and leaf ranges, reference
-realization frames, the brute-force content, circumradii and dyadic growth
-and curvature surrogates."""
+"""Fixtures and oracles that only the tests use: test clouds, drawn trees, a
+hand-set node gauge, absolute node centres, node paths and leaf ranges, reference
+realization frames, the brute-force content, the reference content DP,
+circumradii and dyadic growth and curvature surrogates."""
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qcantor import cantor
 from qcantor.measure import LeafBlocks, PlanarMeasure
@@ -27,6 +28,37 @@ def uniform_segment(n):
     t = (np.arange(n) + 0.5) / n
     pts = np.stack([t, np.zeros(n)], axis=1)
     return PlanarMeasure(pts, np.full(n, 1.0) / n, label=f"uniform_segment(n={n})")
+
+
+#: the most atoms a drawn tree realizes, so that each example stays fast
+MAX_DRAWN_ATOMS = 2048
+
+
+@st.composite
+def drawn_trees(draw, max_depth=6):
+    """(config, samples per leaf): a schedule config of depth at most
+    max_depth, K up to 50, M in 1..40 per level (interior M = 1 levels
+    included) while the atoms stay within MAX_DRAWN_ATOMS, and d harmonic or
+    a number; 1, 2 or 4 samples per leaf."""
+    depth, leaves, levels = draw(st.integers(0, max_depth)), 1, []
+    for _ in range(depth):
+        m = draw(st.one_of(st.just(1), st.integers(1, min(40, MAX_DRAWN_ATOMS // leaves))))
+        leaves *= m
+        levels.append({"M": m, "d": draw(st.one_of(st.just("harmonic"), st.floats(1.0, 3.0)))})
+    spl = draw(st.sampled_from([s for s in (1, 2, 4) if leaves * s <= MAX_DRAWN_ATOMS]))
+    K = draw(st.one_of(st.sampled_from([1.0, 1.1, 1.5, 2.0, 3.0, 50.0]), st.floats(1.0, 50.0)))
+    return {"K": K, "depth": depth, "seed": draw(st.integers(0, 3)), "levels": levels}, spl
+
+
+def realize_or_none(cfg, samples_per_leaf):
+    """The config's realization, or None where it is refused (a level that
+    does not pack, radii or masses past the doubles)."""
+    try:
+        schedules, depth, seed = cantor.schedules_from_config(cfg)
+        tree = cantor.build_tree(schedules, depth, seed=seed)
+        return tree.realize(seed=seed, samples_per_leaf=samples_per_leaf)
+    except cantor.ConstructionError:
+        return None
 
 
 def without_blocks(measure):
@@ -136,6 +168,22 @@ def content_by_enumeration(tree, table):
         cover = np.concatenate([cover, cover | bits])
         cost = np.concatenate([cost, cost + table[node]])
     return float(cost[cover == (1 << len(leaves)) - 1].min())
+
+
+def content_reference(gauge):
+    """(value, cover size) of the tree content over the gauge's full
+    h_values(): the bottom-up min-cut, cost = min(h, sum of the children's
+    cost) with a node's own ball winning ties, and the cover's size counted
+    alongside, in the same numpy operations as the content DP."""
+    tree, h = gauge.tree, gauge.h_values()
+    cost, size = h[-1], np.ones(len(h[-1]), dtype=np.int64)
+    for g in range(tree.depth - 1, -1, -1):
+        m = tree.branching(g + 1)
+        child = cost.reshape(-1, m).sum(axis=1)
+        take = h[g] <= child
+        cost = np.where(take, h[g], child)
+        size = np.where(take, 1, size.reshape(-1, m).sum(axis=1))
+    return float(cost[0]), int(size[0])
 
 
 def inv_circumradius_sq(x, y, z):

@@ -162,9 +162,10 @@ def test_curvature_command(config_path, tmp_path):
     assert code == 0
     doc = json.loads(open(out).read())
     assert set(doc) == {"value", "stderr", "sup_pointwise", "triples", "seed",
-                        "effective_samples", "max_share"}
+                        "effective_samples", "max_share", "sup_effective_samples"}
     # 64 atoms: enumerated, so no sampling diagnostics
     assert doc["effective_samples"] is None and doc["max_share"] is None
+    assert doc["sup_effective_samples"] is None
 
 
 def test_curvature_command_writes_its_sampling_diagnostics(config_path, tmp_path):
@@ -175,6 +176,7 @@ def test_curvature_command_writes_its_sampling_diagnostics(config_path, tmp_path
     doc = json.loads(open(out).read())
     assert 1.0 <= doc["effective_samples"] <= 20000
     assert 1.0 / 20000 <= doc["max_share"] <= 1.0
+    assert 1.0 <= doc["sup_effective_samples"] <= 2000  # one query's m = 2000 pairs
 
 
 @pytest.mark.parametrize("triples", ["0", "-5"])
@@ -820,7 +822,8 @@ def test_packing_refusal_names_the_level(tmp_path, capsys):
 @pytest.mark.parametrize("args,K,generation", [
     # eps reaches 3.3e195 at generation 2, and eps^(100/51) leaves the doubles
     (["check-gauge", "--side", "source"], 50.0, 2),
-    # eps reaches 2.5e173 at generation 3, and eps^(60/31) leaves the doubles
+    # eps reaches 2.5e173 at generation 3, and eps^(60/31) leaves the doubles;
+    # content's ring-0 bounds cannot clear generation 3, so it is summed in full
     (["content", "--side", "target", "--gauge", "distorted:a=0.1"], 30.0, 3)])
 def test_distorted_gauge_past_the_doubles_exits_2(tmp_path, capsys, args, K, generation):
     levels = ([{"M": 40, "d": "example2"}, {"M": 1, "d": 1.5}] if K == 50.0
@@ -831,9 +834,10 @@ def test_distorted_gauge_past_the_doubles_exits_2(tmp_path, capsys, args, K, gen
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([*args, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"at generation {generation} of the K = {K} tree leaves double precision" in err
-    assert err.startswith(f"error: distorted(a=0.1,K={K}): eps^")
+    power, largest = {50.0: ("1.96078", "3.33333e+195"), 30.0: ("1.93548", "2.5e+173")}[K]
+    assert capsys.readouterr().err == (
+        f"error: distorted(a=0.1,K={K}): eps^{power} at generation {generation} of the K = {K} "
+        f"tree leaves double precision (largest eps {largest})\n")
     assert not out.exists()
 
 

@@ -5,12 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcantor import gauges
 from qcantor import measure as measure_mod
-from qcantor.cantor import (SOURCE, TARGET, ConfigError, build_tree,
+from qcantor.cantor import (SOURCE, TARGET, ConfigError, ConstructionError, build_tree,
                             doubly_exponential_schedule, harmonic_schedule,
                             schedules_from_config)
 from qcantor.gauges import (MAX_PAIRS, DistortedTreeGauge, TreeSmoothedDensityGauge, check_G1,
@@ -493,6 +493,117 @@ def test_cover_is_antichain_partition(tree_k2_d3, real_k2_d3):
     assert res.value == pytest.approx(cost, rel=1e-12)
 
 
+def _node_gauge(real, kind, a):
+    if kind == "distorted":
+        return DistortedTreeGauge(real, a)
+    return TreeSmoothedDensityGauge(real, a, side=kind)
+
+
+def _content_against_the_reference(cfg, spl, kind, a):
+    """content_Mh_tree on one realization against the reference DP over the
+    full h_values() of a second, fresh one: value (as hex), cover size and
+    far-field bound, or the same refusal.  Returns the first realization,
+    None where the config is refused before any gauge is read."""
+    real, fresh = (support.realize_or_none(cfg, spl) for _ in range(2))
+    if real is None:
+        return None
+    gauge, ref = _node_gauge(real, kind, a), _node_gauge(fresh, kind, a)
+    try:
+        value, cover_size = support.content_reference(ref)
+    except ConstructionError as exc:
+        with pytest.raises(ConstructionError) as refused:
+            content_Mh_tree(gauge)
+        assert str(refused.value) == str(exc)
+        return real
+    res = content_Mh_tree(gauge)
+    assert (res.value.hex(), res.cover_size) == (value.hex(), cover_size)
+    assert res.far_field_bound == ref.far_field_bound()
+    return real
+
+
+def _harmonic_config(K, depth, branchings=None):
+    levels = [{"M": m, "d": "harmonic"} for m in branchings or [4] * depth]
+    return {"K": K, "depth": depth, "seed": 0, "levels": levels}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(drawn=support.drawn_trees(), kind=st.sampled_from([SOURCE, TARGET, "distorted"]),
+       a=st.sampled_from([0.1, 1.0, 3.0]))
+@example(drawn=(_harmonic_config(2.0, 0), 1), kind=SOURCE, a=0.1)
+@example(drawn=(_harmonic_config(2.0, 0), 1), kind="distorted", a=1.0)
+@example(drawn=(_harmonic_config(2.0, 5, (3, 1, 2, 4, 3)), 4), kind=TARGET, a=0.1)
+@example(drawn=(_harmonic_config(1.5, 4, (1, 4, 1, 4)), 1), kind="distorted", a=0.1)
+@example(drawn=(_harmonic_config(30.0, 3), 1), kind="distorted", a=0.1)  # refused
+def test_content_equals_the_reference_dp_over_full_h(drawn, kind, a):
+    # the DP sums eps only as far as its decisions and its cover need, and
+    # gives the bits of the DP over every generation in full
+    _content_against_the_reference(*drawn, kind, a)
+
+
+class _BracketGauge:
+    """Hand-set h per generation, bracketed ring by ring: below its last ring,
+    ring n of generation g gives h (1 - w) and h (1 + w), w = widths[g][n - 1],
+    and its last ring gives h itself."""
+
+    def __init__(self, tree, h, widths):
+        self.tree, self.h, self.widths = tree, h, widths
+
+    def _h_bracket(self, g, rings):
+        if rings > len(self.widths[g]):
+            return self.h[g], self.h[g], True
+        w = self.widths[g][rings - 1]
+        return self.h[g] * (1.0 - w), self.h[g] * (1.0 + w), False
+
+
+@pytest.mark.parametrize("branchings", [(2, 2, 2, 2), (3, 1, 2, 3), (1, 4, 1, 2), (4, 4, 4)])
+def test_bracketed_cover_takes_the_full_dp_decisions(branchings):
+    # h near the children's cost sums, so that many comparisons are close, and
+    # brackets of every width: the DP on the pass's arrays gives the bits of
+    # the DP on h itself
+    tree = _mixed_tree(branchings)
+    rng = np.random.default_rng(len(branchings) + sum(branchings))
+    for trial in range(200):
+        h = [None] * (tree.depth + 1)
+        h[-1] = rng.uniform(1.0, 2.0, tree.node_counts[-1])
+        cost = h[-1]
+        for g in range(tree.depth - 1, -1, -1):
+            child = cost.reshape(-1, tree.branching(g + 1)).sum(axis=1)
+            h[g] = child * np.exp(rng.normal(0.0, rng.choice([1e-1, 1e-3, 1e-6]), len(child)))
+            cost = np.minimum(h[g], child)
+        widths = [sorted(rng.choice([0.5, 1e-2, 1e-4, 1e-7, 0.0], rng.integers(0, 4)))[::-1]
+                  for _ in range(tree.depth + 1)]
+        got = gauges._content_dp(tree, gauges._cover_h(_BracketGauge(tree, h, widths)))
+        want = gauges._content_dp(tree, h)
+        assert (got[0][0][0].hex(), got[1]) == (want[0][0][0].hex(), want[1])
+
+
+@pytest.mark.parametrize("K,a,kind,depth", [(1.1, 0.1, SOURCE, 7), (1.5, 0.1, SOURCE, 7),
+                                            (1.5, 0.1, SOURCE, 8), (1.1, 1.0, TARGET, 7)])
+def test_content_adds_rings_where_ring_0_does_not_decide(K, a, kind, depth):
+    # near-conformal trees, where the smoothed DP's margins are about 1 + 1e-4:
+    # a generation above the cover takes rings past ring 0 before every
+    # comparison is settled, and the content keeps the reference bits
+    real = _content_against_the_reference(_harmonic_config(K, depth), 1, kind, a)
+    fills = real._fills[(kind, a)]
+    assert any(fill.added > 1 for fill in fills[:depth - 1])
+    assert any(fill.added < fill.size for fill in fills)
+
+
+def test_content_fills_ring_0_and_the_cover_generation():
+    # the depth-6 source content of the benchmark: every comparison is
+    # settled by ring 0, and only the cover's generation 5 takes its rings,
+    # 34,816 of the fill's 61,420 kernel evaluations
+    tree = build_tree(harmonic_schedule(2.0, 6), 6, seed=0)
+    real = tree.realize(seed=0)
+    res = content_Mh_tree(TreeSmoothedDensityGauge(real, 0.1, side=SOURCE))
+    assert res.cover_size == tree.node_counts[5]
+    added = [fill.added for fill in real._fills[(SOURCE, 0.1)]]
+    plans = real.eps_rings(SOURCE, 0.1)
+    assert added == [1, 1, 1, 1, 1, 1 + len(plans[5].levels), 1]
+    assert sum(plan.evaluations for plan in plans) == 61_420
+    assert 7 * real.n_atoms + plans[5].evaluations - real.n_atoms == 34_816
+
+
 # -- Frostman flow -------------------------------------------------------------
 
 
@@ -593,25 +704,26 @@ def test_main_lemma_ratio_stable_small_depths():
 
 
 def test_source_eps_filled_once_across_gauges():
+    # every ring of the source fill is evaluated once, whichever gauge asks first
     tree = build_tree(harmonic_schedule(2.0, 3), 3, seed=6)
     real = tree.realize(seed=6)
-    fills = []
-    batched = real.eps_by_generation
+    rings = []
+    add_ring = real._add_ring
 
-    def counting(side, a):
-        fills.append((side, a, (side, float(a)) in real._eps_cache))
-        return batched(side, a)
+    def counting(side, a, g, fill):
+        rings.append((side, float(a), g, fill.added))
+        return add_ring(side, a, g, fill)
 
-    real.eps_by_generation = counting
+    real._add_ring = counting
     smoothed = TreeSmoothedDensityGauge(real, 0.1, side=SOURCE)
     distorted = DistortedTreeGauge(real, 0.1)
     content_Mh_tree(smoothed)
-    frostman_tree(smoothed)
+    frostman_tree(smoothed)  # reads every generation in full
     content_Mh_tree(distorted)
     distorted.h_node((1, 2))
-    assert len(fills) >= 4
-    assert [cached for *_, cached in fills].count(False) == 1
-    assert list(real._eps_cache) == list(real._plans) == [(SOURCE, 0.1)]
+    assert len(rings) == len(set(rings))
+    assert len(rings) == sum(1 + len(plan.levels) for plan in real.eps_rings(SOURCE, 0.1))
+    assert list(real._fills) == list(real._plans) == [(SOURCE, 0.1)]
 
 
 def test_tree_gauges_h_node_indexes_h_values(real_k2_d3):

@@ -306,12 +306,13 @@ def _one_draw_curvature(measure, triples, seed):
     vals = support.inv_circumradius_sq(pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]])
     queries = rng.choice(n, size=min(16, int(np.count_nonzero(w))), replace=False, p=prob)
     m = max(2000, triples // 64)
-    sup = 0.0
+    sup, sup_effective = 0.0, None
     for qi in queries:
         jk = rng.choice(n, size=2 * m, p=prob)
         v = support.inv_circumradius_sq(pts[qi][None, :], pts[jk[:m]], pts[jk[m:]])
-        sup = max(sup, total ** 2 * float(np.mean(v)))
-    return vals, total ** 3, sup
+        if total ** 2 * float(np.mean(v)) > sup:
+            sup, sup_effective = total ** 2 * float(np.mean(v)), np.sum(v) ** 2 / np.sum(v * v)
+    return vals, total ** 3, sup, sup_effective
 
 
 @pytest.mark.parametrize("triples", [4097, 20_000, 300_000])  # 2, 5 and 74 chunks
@@ -319,20 +320,23 @@ def test_sampled_curvature_merges_its_chunks_to_the_one_draw_statistics(triples)
     # from 64 * 4097 triples on, each query's m pairs span two chunks as well
     mu = support.uniform_disk(200, seed=2)
     est = menger_curvature(mu, triples=triples, seed=3)
-    vals, scale, sup = _one_draw_curvature(mu, triples, 3)
+    vals, scale, sup, sup_effective = _one_draw_curvature(mu, triples, 3)
     assert est.value == pytest.approx(scale * np.mean(vals), rel=1e-14)
     assert est.stderr == pytest.approx(scale * np.std(vals) / math.sqrt(triples), rel=1e-12)
     assert est.sup_pointwise == pytest.approx(sup, rel=1e-14)
     assert est.effective_samples == pytest.approx(np.sum(vals) ** 2 / np.sum(vals * vals),
                                                   rel=1e-12)
     assert est.max_share == pytest.approx(np.max(vals) / np.sum(vals), rel=1e-12)
+    # the count of the query that sets the sup, over its m pair values
+    assert est.sup_effective_samples == pytest.approx(sup_effective, rel=1e-12)
+    assert 1.0 <= est.sup_effective_samples <= max(2000, triples // 64)
 
 
 def test_curvature_diagnostics_are_null_where_nothing_is_sampled():
     enumerated = menger_curvature(support.uniform_disk(20, seed=1))
     collinear = menger_curvature(support.uniform_segment(200), triples=5000)
     for est in (enumerated, collinear):
-        assert (est.effective_samples, est.max_share) == (None, None)
+        assert (est.effective_samples, est.max_share, est.sup_effective_samples) == (None,) * 3
     assert collinear.value == 0.0 and collinear.to_json_dict()["max_share"] is None
 
 

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qcantor import realization
 from qcantor.cantor import (SOURCE, SIDES, TARGET, build_tree, harmonic_schedule,
@@ -113,15 +115,22 @@ def test_some_sampled_ring_is_dropped_on_the_depth5_harmonic_tree(side, spl):
     assert max(_dropped_shares(real, side)) > 0.0
 
 
+def _ring_sums(real, side, a, g):
+    """Generation g's ring psi sums at every node, ring 0 first, each as
+    ``_add_ring`` evaluates it on a fresh fill."""
+    plan = real.eps_rings(side, a)[g]
+    fill = realization._RingFill(real.tree.node_counts[g], 1 + len(plan.levels))
+    return [real._add_ring(side, a, g, fill) for _ in range(fill.size)]
+
+
 def _ring_errors(real, side, a=A):
     """Per planned ring of each sampled node: (level, k, |batched - exact| / eps,
     planned remainder), with ring j of a generation-g node facing the siblings
     of its generation-k ancestor, k = g - j + 1, and the exact ring sum taken
     from the per-node oracle's distances."""
     tree, s = real.tree, real.samples_per_leaf
-    plans, frames = real.eps_rings(side, a), real._frames(side)
-    rings = [list(real._ring_sums(side, g, a, plan.levels, frames))
-             for g, plan in enumerate(plans)]
+    plans = real.eps_rings(side, a)
+    rings = [_ring_sums(real, side, a, g) for g in range(tree.depth + 1)]
     for path in _sampled_paths(tree):
         g = len(path)
         r = np.exp(tree.log_radius(side, g))
@@ -276,3 +285,24 @@ def test_realization_cache_does_not_keep_realizations_alive():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=support.drawn_trees(), a=st.sampled_from([0.1, 1.0, 3.0]))
+@example(drawn=({"K": 2.0, "depth": 5, "seed": 3,
+                 "levels": [{"M": m, "d": "harmonic"} for m in (3, 1, 2, 4, 3)]}, 4), a=0.1)
+def test_each_kept_ring_sum_is_within_its_a_priori_share(drawn, a):
+    # the bound the content DP's upper ends rest on: ring j's psi sum at every
+    # node is nonnegative and at most B_j of the generation's whole sum
+    real = support.realize_or_none(*drawn)
+    assume(real is not None)
+    for side in SIDES:
+        for g, plan in enumerate(real.eps_rings(side, a)):
+            rings = _ring_sums(real, side, a, g)
+            total = sum(rings)
+            assert len(plan.shares) == len(plan.levels) == len(rings) - 1
+            for ring, share in zip(rings[1:], plan.shares):
+                assert np.all(ring >= 0.0)
+                assert np.all(ring <= share * total)
+            for k in range(1, len(rings) + 1):
+                assert plan.rest(k) == sum(plan.shares[k - 1:]) + sum(plan.remainders[k - 1:])
