@@ -422,12 +422,13 @@ class CantorRealization:
 
     def eps_partial(self, side, a, g, rings):
         """(eps, n): every generation-g node's eps summed over the first n of
-        its plan's rings, ring 0 first, n = min(rings, 1 + len(plan.levels)).
+        its plan's rings, ring 0 first, n = min(rings, 1 + len(plan.levels))
+        for rings >= 1 (math.inf for every ring).
 
-        The generation's running sum is kept per (side, a) and only extended:
-        each ring is evaluated once, whichever caller asks first, and once n
-        reaches every ring the array is ``eps_by_generation``'s entry bit for
-        bit.  Each ring's sum is nonnegative, so eps only grows with n; a
+        The generation's running sum is kept per (side, a) and only extended,
+        in plan order: each ring is evaluated once, whichever caller asks
+        first, and the full sum has the same bits whatever the order of the
+        calls.  Each ring's sum is nonnegative, so eps only grows with n; a
         kept ring j not yet added adds at most its share B_j plus its
         remainder of eps (``RingPlan.rest``).
         """
