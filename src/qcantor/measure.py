@@ -200,24 +200,21 @@ def _leaf_sums(measure, centres, kernel):
     them.  A row's value so depends on that row alone.  A share that is not
     finite is never taken.
     """
-    rows = centres.shape[0]
-    vals, shares = np.empty(rows), np.zeros(rows)
-    todo = np.arange(rows)
-    *coarse, leaves = measure.blocks
-    for blocks in coarse:
+    rows, leaves = centres.shape[0], len(measure.blocks) - 1
+    vals, bound, todo = np.empty(rows), 0.0, np.arange(rows)
+    for g, blocks in enumerate(measure.blocks):
         if todo.size:
-            todo = _block_sums(measure, blocks, centres, todo, kernel, vals, shares)
-    if todo.size:
-        _block_sums(measure, leaves, centres, todo, kernel, vals, shares, exact=True)
-    return vals, float(shares.max(initial=0.0))
+            todo, share = _block_sums(measure, blocks, centres, todo, kernel, vals, g == leaves)
+            bound = max(bound, share)
+    return vals, bound
 
 
-def _block_sums(measure, blocks, centres, todo, kernel, vals, shares, exact=False):
+def _block_sums(measure, blocks, centres, todo, kernel, vals, exact=False):
     """``_leaf_sums`` of the rows todo over one generation's blocks: writes
-    the values and shares of the rows it serves into vals and shares, and
-    returns the others.  It serves the rows whose every block is admissible,
-    and every row when exact (a block that is not admissible then gives its
-    atoms)."""
+    the values of the rows it serves into vals, and returns the others and
+    the largest remainder share taken for the served rows.  It serves the
+    rows whose every block is admissible, and every row when exact (a block
+    that is not admissible then gives its atoms)."""
     s, n_blocks = blocks.atoms, blocks.centroids.shape[0]
     weights = measure.weights.reshape(n_blocks, s)
     block_w, w = weights.sum(axis=1), weights[:, 0]
@@ -292,8 +289,7 @@ def _block_sums(measure, blocks, centres, todo, kernel, vals, shares, exact=Fals
     # and atom coordinates
     out = _distance_rows(blocks.centroids, centres, block_sums, extra=4)
     vals[todo[served]] = out[served]
-    shares[todo[served]] = share[served]
-    return todo[~served]
+    return todo[~served], float(share.max(where=served, initial=0.0))
 
 
 def _check_level(g, level, w):

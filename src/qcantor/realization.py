@@ -16,32 +16,32 @@ deepest common ancestor with the node sits at generation g - j.
 ``node_eps`` sums every ring per node (the frame-exact oracle);
 ``eps_partial`` evaluates all nodes of a generation at once, ring by ring,
 under a plan fixed a priori from the tree's log radii and the realized block
-moments (``eps_rings``), and ``eps_by_generation`` is every generation
-summed over every ring.  Sibling disks are separated by
-their protecting radii, so ring j's share of eps falls by a factor of
-roughly 1e-4 to 1e-6 per level: the rings beyond L are dropped under an
-a-priori tail bound, and ring 0 is summed over its atoms exactly.  Each
-kept ring is summed over blocks, the subtrees of the siblings or of their
-descendants, each replaced by its expansion about its centroid (the
-monopole and the quadrupole; the dipole vanishes there, in the manner of
-Barnes-Hut and Greengard-Rokhlin), at the first generation whose
-third-order remainder bound fits the budget, or over its exact atoms past
-the leaves.  Tail plus remainders stay at most 2**-53 of eps, either sign.
-A generation then costs N atoms for ring 0 plus O(nodes * M * L) block
-terms, instead of the O(M^L * N) of summing the kept rings atom by atom.
+moments (``eps_rings``); with math.inf rings it is the generation summed
+over every ring.  Sibling disks are separated by their protecting radii, so
+ring j's share of eps falls by a factor of roughly 1e-4 to 1e-6 per level:
+the rings beyond L are dropped under an a-priori tail bound, and ring 0 is
+summed over its atoms exactly.  Each kept ring is summed over blocks, the
+subtrees of the siblings or of their descendants, each replaced by its
+expansion about its centroid (the monopole and the quadrupole; the dipole
+vanishes there, in the manner of Barnes-Hut and Greengard-Rokhlin), at the
+first generation whose third-order remainder bound fits the budget, or over
+its exact atoms past the leaves.  Tail plus remainders stay at most 2**-53
+of eps, either sign.  A generation then costs N atoms for ring 0 plus
+O(nodes * M * L) block terms, instead of the O(M^L * N) of summing the kept
+rings atom by atom.
 
 A fill evaluates ring by ring, each ring in pieces of at most _CHUNK
-terms, and keeps each generation's running sum, so that a reader takes only
-the rings it needs: the content DP (``gauges._cover_h``) reads ring 0 of
-every generation and further rings only where its decisions or its cover
-need them.  The fills of the eight realizations in a gauge-content
-benchmark pass make 57 ring calls over 93,212 terms (108 over 170,000 when
-every generation is summed in full), about 3.5 ms on a 2-vCPU Xeon host: 21
-block rings of under 1,000 terms cost about 50 us each, mostly numpy call
-overhead, and the large rings about 27 ns per term.  Evaluating several
-rings per kernel call was measured and did not pay: each ring still lifts,
-lays out and scales its own items and node centers, which costs about what
-the saved calls did.
+terms, and keeps each generation's running sum, one read-only array that
+every reader shares, so that a reader takes only the rings it needs: the
+content DP (``gauges._cover_h``) reads ring 0 of every generation and
+further rings only where its decisions or its cover need them.  The fills
+of the eight realizations in a gauge-content benchmark pass make 57 ring
+calls over 93,212 terms (108 over 170,000 when every generation is summed in
+full), about 3.5 ms on a 2-vCPU Xeon host: 21 block rings of under 1,000
+terms cost about 50 us each, mostly numpy call overhead, and the large rings
+about 27 ns per term.  Evaluating several rings per kernel call was measured
+and did not pay: each ring still lifts, lays out and scales its own items
+and node centers, which costs about what the saved calls did.
 """
 from __future__ import annotations
 
@@ -55,14 +55,14 @@ from .gauges import _PsiKernel, check_kernel_a, psi_a
 from .measure import EXPANSION_BUDGET, LeafBlocks, PlanarMeasure, _quadrupole, _taylor
 from . import cantor
 
-#: largest block of kernel terms evaluated at once by eps_by_generation
+#: largest block of kernel terms evaluated at once by a ring of the eps fill
 _CHUNK = 1 << 15
 #: the part of EXPANSION_BUDGET kept back from the dropped rings for the expansion remainders
 _REMAINDER = 2.0 ** -56
 
 
 class RingPlan(NamedTuple):
-    """How eps_by_generation evaluates one generation's rings 1..L.
+    """How eps_partial evaluates one generation's rings 1..L.
 
     levels[j - 1] is the generation whose blocks stand for ring j (depth + 1
     for its exact atoms); shares[j - 1] bounds that ring's share of eps a
@@ -171,8 +171,8 @@ class CantorRealization:
         leaf_mass = math.exp(tree.log_mass(depth))
         self.weights = np.full(self.n_atoms, leaf_mass / s)
         self.weights.setflags(write=False)
-        self._eps_cache, self._plans, self._block_cache = {}, {}, {}
-        self._leaf_block_cache, self._fills, self._frame_cache = {}, {}, {}
+        self._plans, self._block_cache, self._leaf_block_cache = {}, {}, {}
+        self._fills, self._frame_cache = {}, {}
 
     # -- geometry ----------------------------------------------------------
 
@@ -401,24 +401,6 @@ class CantorRealization:
                 levels.append(level)
             self._leaf_block_cache[side] = tuple(levels)
         return self._leaf_block_cache[side]
-
-    def eps_by_generation(self, side, a):
-        """eps_mu_a of every node ball, one read-only array per generation.
-
-        Ring 0 is summed over its atoms exactly.  Each kept ring j >= 1 of the
-        plan (``eps_rings``) is summed in the frame of the generation-(g - j)
-        ancestor, the frame arithmetic of ``node_atom_distances``: over its
-        exact atoms, or over its blocks' monopoles plus quadrupoles about their
-        centroids (``_PsiKernel.expand``).  Farther rings are dropped.  The
-        result is within the plan's bound (tail plus remainders, at most
-        2**-53) of the exact eps, on either side.  Every generation is the
-        fully refined ``eps_partial``; the tuple is cached per (side, a).
-        """
-        key = (side, float(a))
-        if key not in self._eps_cache:
-            self._eps_cache[key] = tuple(self.eps_partial(side, a, g, math.inf)[0]
-                                         for g in range(self.depth + 1))
-        return self._eps_cache[key]
 
     def eps_partial(self, side, a, g, rings):
         """(eps, n): every generation-g node's eps summed over the first n of

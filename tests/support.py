@@ -1,7 +1,8 @@
 """Fixtures and oracles that only the tests use: test clouds, drawn trees, a
 hand-set node gauge, absolute node centres, node paths and leaf ranges, reference
-realization frames, the brute-force content, the reference content DP,
-circumradii and dyadic growth and curvature surrogates."""
+realization frames, every generation's eps, the reference leaf-sum bound, the
+brute-force content, the reference content DP, circumradii and dyadic growth and
+curvature surrogates."""
 import itertools
 import math
 
@@ -9,7 +10,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qcantor import cantor
-from qcantor.measure import LeafBlocks, PlanarMeasure
+from qcantor import measure as measure_mod
+from qcantor.measure import LeafBlocks, PlanarMeasure, _taylor
 from qcantor.potentials import (DIVERGENCE_FRACTION, DIVERGENCE_RUN, _inv_r2, _scale_x,
                                 line_fit)
 
@@ -133,6 +135,36 @@ def reference_frames(tree, seed, samples_per_leaf):
             rel[g] = rel[g + 1] + np.repeat(offsets[side][g + 1], n_atoms // counts[g + 1], axis=0)
         frames[side] = rel
     return frames
+
+
+def eps_generations(real, side, a):
+    """eps_mu_a of every node ball, one array per generation: each generation
+    summed over every ring of its plan, the read-only array its fill holds."""
+    return [real.eps_partial(side, a, g, math.inf)[0] for g in range(real.depth + 1)]
+
+
+def leaf_sums_bound(measure, centres, kernel):
+    """The largest remainder share ``measure._leaf_sums`` takes over the rows
+    centres (rows, 2), from a per-row array of shares: generation by
+    generation of ``measure.blocks``, each row not yet served is served where
+    every block is admissible for it (at the leaves, always), and records the
+    largest share among its admissible blocks there.  Distances, shares and
+    admissibility are formed as ``measure._block_sums`` forms them."""
+    power, radius = kernel.power, kernel.radius
+    taylor, leaves = _taylor(power), len(measure.blocks) - 1
+    shares, todo = np.zeros(len(centres)), np.ones(len(centres), dtype=bool)
+    for g, blocks in enumerate(measure.blocks):
+        rho = blocks.radii
+        u = np.hypot(blocks.centroids[:, 0] - centres[:, 0:1],
+                     blocks.centroids[:, 1] - centres[:, 1:2])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = rho / np.maximum(u - rho, radius)
+            t = (2.0 * x + 1.0) ** power * x * x * x * taylor
+        far = (u - rho > radius) & (t <= measure_mod.EXPANSION_BUDGET)
+        serve = todo & (far.all(axis=1) | (g == leaves))
+        shares[serve] = np.max(t, axis=1, where=far, initial=0.0)[serve]
+        todo &= ~serve
+    return float(shares.max(initial=0.0))
 
 
 class TableGauge:

@@ -11,14 +11,18 @@ weight otherwise.
 import json
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcantor import capacity as capacity_mod
 from qcantor import gauges
 from qcantor import measure as measure_mod
 from qcantor.capacity import FARFIELD_FACTOR, CapacityIndices, direct_capacity_lower
-from qcantor.cantor import SOURCE, build_tree, harmonic_schedule
+from qcantor.cantor import SIDES, SOURCE, build_tree, harmonic_schedule
 from qcantor.cli import main
 from qcantor.gauges import eps_mu_a
 from qcantor.measure import PlanarMeasure
@@ -258,6 +262,41 @@ def test_each_row_is_expanded_only_at_the_generation_that_serves_it(cloud, monke
     assert len({blocks for _, blocks in kernel.expanded}) >= 3  # served at three generations
     single = [measure_mod._leaf_sums(cloud, c[None], kernel)[0][0] for c in centres]
     assert np.array_equal(vals, single)  # a row's value is its own, bit for bit
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(K=st.sampled_from([1.5, 2.0, 3.0]), depth=st.integers(1, 3),
+       spl=st.sampled_from([2, 4, 16, 64]), side=st.sampled_from(SIDES), seed=st.integers(0, 3),
+       budget=st.sampled_from([measure_mod.EXPANSION_BUDGET, 2.0 ** -30, 2.0 ** -16]),
+       a=st.sampled_from([0.1, 1.0, 3.0]))
+def test_leaf_sums_bound_is_the_largest_share_of_the_generations_that_serve(
+        K, depth, spl, side, seed, budget, a):
+    # the bound against a per-row array of shares, each row's taken at the
+    # generation that serves it: the quadrature's cells, eps_mu_a balls and
+    # Riesz points on atoms, a few block radii off each generation's blocks
+    # and far off
+    tree = build_tree(harmonic_schedule(K, depth), depth, seed=seed)
+    mu = tree.realize(seed=seed, samples_per_leaf=spl).measure(side)
+    off = [b.centroids + f * b.radii[:, None] for b in mu.blocks for f in (3.0, 30.0)]
+    points = np.vstack([mu.points[::7], *off, [[3.0, 0.0], [0.0, -1e7]]])
+    radii = np.geomspace(mu.blocks[-1].radii.min(), 10.0, len(points))[:, None]
+    calls, kernel_sums = [], capacity_mod._kernel_sums
+
+    def spy(measure, centres, kernel):
+        calls.append((centres, kernel))
+        return kernel_sums(measure, centres, kernel)
+
+    with mock.patch.object(measure_mod, "EXPANSION_BUDGET", budget), \
+            mock.patch.object(capacity_mod, "_kernel_sums", spy):
+        est = direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=32)
+        (cells, kernel), = calls
+        assert est.normalization["expansion_bound"] == support.leaf_sums_bound(mu, cells, kernel)
+        bounds = []
+        for kernel in (gauges._PsiKernel(a, radii), _CappedPower(1.0, math.inf)):
+            bounds.append(measure_mod._leaf_sums(mu, points, kernel)[1])
+            assert bounds[-1] == support.leaf_sums_bound(mu, points, kernel)
+    if budget == 2.0 ** -16:
+        assert min(bounds) > 0.0  # shares far above rounding are taken
 
 
 #: each flat kernel at a few queries: eps_mu_a at many balls and at one centre's

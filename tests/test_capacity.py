@@ -607,9 +607,9 @@ def test_benchmark_cells_take_generation_two(monkeypatch, spl):
     block_sums = measure_mod._block_sums
 
     def spy(measure, blocks, centres, todo, *args, **kwargs):
-        rest = block_sums(measure, blocks, centres, todo, *args, **kwargs)
+        rest, share = block_sums(measure, blocks, centres, todo, *args, **kwargs)
         served[blocks.atoms // spl] = todo.size - rest.size  # leaves per block
-        return rest
+        return rest, share
 
     monkeypatch.setattr(measure_mod, "_block_sums", spy)
     direct_capacity_lower(mu, CapacityIndices(2.0 / 3.0, 1.5), cells=64)

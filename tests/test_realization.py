@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qcantor import realization
 from qcantor.cantor import (SOURCE, SIDES, TARGET, build_tree, harmonic_schedule,
                             schedules_from_config)
-from qcantor.gauges import psi_a
+from qcantor.gauges import (DistortedTreeGauge, TreeSmoothedDensityGauge, check_G2_tree_gauge,
+                            content_Mh_tree, psi_a)
 from qcantor.measure import PlanarMeasure
 
 import support
@@ -52,7 +53,7 @@ def realized(request):
 @pytest.mark.parametrize("side", SIDES)
 def test_batched_eps_matches_node_oracle(realized, side):
     tree = realized.tree
-    eps = realized.eps_by_generation(side, A)
+    eps = support.eps_generations(realized, side, A)
     assert [len(e) for e in eps] == [tree.n_nodes(g) for g in range(tree.depth + 1)]
     for path in _sampled_paths(tree):
         exact = realized.node_eps(side, path, A)
@@ -68,7 +69,7 @@ def test_batched_eps_in_tiny_chunks_matches_node_oracle(realized, chunk, monkeyp
     real = realized.tree.realize(seed=3, samples_per_leaf=realized.samples_per_leaf)
     tree = real.tree
     for side in SIDES:
-        eps = real.eps_by_generation(side, A)
+        eps = support.eps_generations(real, side, A)
         for path in _sampled_paths(tree, per_generation=12):
             exact = realized.node_eps(side, path, A)
             got = eps[len(path)][tree.node_index(path)]
@@ -247,7 +248,7 @@ def test_two_atom_tree_matches_oracle():
     real = tree.realize(seed=0)
     assert real.n_atoms == 2
     for side in SIDES:
-        eps = real.eps_by_generation(side, A)
+        eps = support.eps_generations(real, side, A)
         for path in [(), (0,), (1,)]:
             exact = real.node_eps(side, path, A)
             assert eps[len(path)][tree.node_index(path)] == pytest.approx(exact, rel=1e-13)
@@ -255,7 +256,7 @@ def test_two_atom_tree_matches_oracle():
 
 def test_nonpositive_kernel_parameter_rejected(real_k2_d3):
     with pytest.raises(ValueError, match="positive"):
-        real_k2_d3.eps_by_generation(SOURCE, 0.0)
+        support.eps_generations(real_k2_d3, SOURCE, 0.0)
 
 
 @pytest.mark.parametrize("a", [float("nan"), float("inf")])
@@ -264,12 +265,44 @@ def test_non_finite_kernel_parameter_rejected_by_ring_bounds(real_k2_d3, a):
         real_k2_d3.eps_rings(SOURCE, a)
 
 
-def test_eps_cache_is_read_only_and_shared(real_k2_d3):
-    eps = real_k2_d3.eps_by_generation(SOURCE, A)
-    assert real_k2_d3.eps_by_generation(SOURCE, A) is eps
-    assert real_k2_d3.eps_rings(SOURCE, A) is real_k2_d3.eps_rings(SOURCE, A)
-    with pytest.raises(ValueError):
-        eps[1][0] = 0.0
+def test_every_reader_shares_one_read_only_eps_per_generation():
+    # one fill per (side, a): the content DP's cover generation, _eps_power,
+    # check_G2_tree_gauge and h_node each read the array that fill holds
+    real = _harmonic(4, seed=6).realize(seed=6)
+    smoothed = TreeSmoothedDensityGauge(real, A, side=SOURCE)
+    distorted = DistortedTreeGauge(real, A)  # the source eps, read on target balls
+    readers = {"cover": lambda: content_Mh_tree(smoothed),
+               "_eps_power": lambda: smoothed._eps_power(2),
+               "check_G2_tree_gauge": lambda: check_G2_tree_gauge(distorted, 4, 20),
+               "h_node": lambda: distorted.h_node((1, 2))}
+    eps_partial, reads = real.eps_partial, []
+
+    def spy(side, a, g, rings):
+        eps, added = eps_partial(side, a, g, rings)
+        if added == real._fills[(side, a)][g].size:  # the generation in full
+            reads.append((side, a, g, eps))
+        return eps, added
+
+    real.eps_partial = spy
+    read = {}
+    for name, call in readers.items():
+        reads.clear()
+        call()
+        read[name] = list(reads)
+        assert read[name], name
+    # the root's one ring is ring 0, and generation 3 holds the cover
+    assert {g for *_, g, _ in read["cover"]} == {0, 3}
+    assert {g for *_, g, _ in read["check_G2_tree_gauge"]} == set(range(5))
+    assert list(real._fills) == list(real._plans) == [(SOURCE, A)]
+    fills, full = real._fills[(SOURCE, A)], support.eps_generations(real, SOURCE, A)
+    for got in read.values():
+        for side, a, g, eps in got:
+            assert (side, a) == (SOURCE, A)
+            assert eps is fills[g].eps is full[g]
+            assert len(eps) == real.tree.node_counts[g]
+            with pytest.raises(ValueError):
+                eps[0] = 0.0
+    assert real.eps_rings(SOURCE, A) is real.eps_rings(SOURCE, A)
 
 
 def test_realization_cache_does_not_keep_realizations_alive():
@@ -278,7 +311,7 @@ def test_realization_cache_does_not_keep_realizations_alive():
     gc.disable()
     try:
         real = tree.realize(seed=4)
-        real.eps_by_generation(SOURCE, A)
+        support.eps_generations(real, SOURCE, A)
         ref = weakref.ref(real)
         del real
         assert ref() is None  # freed by refcount alone: no tree <-> realization cycle
