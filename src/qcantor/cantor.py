@@ -237,7 +237,11 @@ def shrunk_schedule(K, depth, source_log_cap, branching=4):
 
 
 def doubly_exponential_schedule(K, depth, branching=4):
-    """Radii capped so log s_max(N) <= -e**N; log-space only beyond depth 4."""
+    """Radii capped so log s_max(N) <= -e**N; log-space only beyond depth 4.
+    Past N = 709 the cap -e**N leaves double precision, so such a depth is refused."""
+    if depth > 709:
+        raise ConstructionError(f"doubly-exponential schedule: depth {depth}: past N = 709, "
+                                "log s_N <= -e^N leaves double precision")
     return shrunk_schedule(K, depth, lambda n: -math.exp(n), branching=branching)
 
 

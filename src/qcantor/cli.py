@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -246,27 +247,16 @@ def _cmd_check_gauge(args):
     return 0
 
 
-#: target -> (experiment, the flags it reads besides --K, --seed, --out); it owns their defaults
-_VERIFY = {
-    "thm1": (exp.verify_gamma_distortion, ("depths",)),
-    "thm2a": (exp.verify_riesz_distortion, ("p", "depths")),
-    "sharpness": (exp.sharpness_experiment, ("q", "depths")),
-    "gauge-criterion": (exp.gauge_criterion_experiment, ()),
-    "thin-content": (exp.vanishing_content_experiment, ("depths",)),
-    "doubly-exp": (exp.doubly_exponential_experiment, ("depths",)),
-    "content-ratio": (exp.content_distortion_experiment, ("a", "depths")),
-}
-
-
 def _cmd_verify(args):
-    experiment, reads = _VERIFY[args.target]
-    flags = _given(args, ("depths", "p", "q", "a"), f"verify {args.target}", reads)
+    run = exp.TARGETS[args.target].run  # the target reads the flags its runner takes
+    flags = _given(args, ("depths", "p", "q", "a"), f"verify {args.target}",
+                   inspect.signature(run).parameters)
     if "depths" in flags:
         flags["depths"] = _parse_depths(flags["depths"])
     _check_seed(args.seed)
     if "a" in flags:
         _check_kernel_a(flags["a"])
-    report = experiment(args.K, seed=args.seed, **flags)
+    report = run(args.K, seed=args.seed, **flags)
     _, json_path = report.write(_out_dir(args))
     status = "PASS" if report.passed else "FAIL"
     print(f"verify {args.target}: {status} — {report.verdict} -> {json_path}")
@@ -326,7 +316,7 @@ def build_parser():
     p.add_argument("--pairs", type=int, default=200)
 
     p = sub.add_parser("verify", help="run a verification experiment")
-    p.add_argument("target", choices=tuple(_VERIFY))
+    p.add_argument("target", choices=tuple(exp.TARGETS))
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--depths", help="e.g. 2..6 or 2,4,6")
     p.add_argument("--p", type=float, help="thm2a only")

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,13 +81,11 @@ class ExperimentReport:
     def write(self, out_dir):
         import os
         os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, f"{self.experiment}.csv")
-        json_path = os.path.join(out_dir, f"{self.experiment}.json")
-        with open(csv_path, "w", newline="") as f:
-            f.write(self.to_csv())
-        with open(json_path, "w", newline="") as f:
-            f.write(self.to_json())
-        return csv_path, json_path
+        paths = tuple(os.path.join(out_dir, f"{self.experiment}.{ext}") for ext in ("csv", "json"))
+        for path, text in zip(paths, (self.to_csv(), self.to_json())):
+            with open(path, "w", newline="") as f:
+                f.write(text)
+        return paths
 
 
 # -- verdict functions (pure in the rows) ------------------------------------
@@ -177,52 +176,55 @@ def _verdict_doubly_exponential(rows, thresholds):
             bool(ok_cap and ok_vanish and ok_eq))
 
 
-_VERDICTS = {
-    "thm1": _verdict_ratio_stable,
-    "thm2a": _verdict_ratio_stable,
-    "content_ratio": _verdict_ratio_stable,
-    "sharpness": _verdict_sharpness,
-    "gauge_criterion": _verdict_gauge_criterion,
-    "vanishing_content": _verdict_vanishing_content,
-    "doubly_exponential": _verdict_doubly_exponential,
-}
+class Target(NamedTuple):
+    """One verify target: the runner, its report stem and verdict, and the least depth
+    its sweep accepts, with the reason.  The CLI reads the runner's keywords as flags."""
+
+    run: Callable
+    stem: str
+    verdict: Callable
+    minimum: int = 0
+    why: str = "a tree has no negative depth"
 
 
 def recompute_verdict(experiment, rows, thresholds):
-    return _VERDICTS[experiment](rows, thresholds)
+    return {t.stem: t.verdict for t in TARGETS.values()}[experiment](rows, thresholds)
 
 
-def _sweep(experiment, K, depths, seed, schedules, make_row, params, thresholds, minimum=0,
-           why="a tree has no negative depth"):
-    """The one depth-sweep driver.
+def _target(run):
+    """The TARGETS entry of the runner run."""
+    return next(t for t in TARGETS.values() if t.run is run)
 
-    It owns the depth rule: depths as a list, none below the minimum, at least two
-    and none repeated (one depth compares nothing; the sharpness fits are singular).
-    Each schedule is a function of the depth and the branching; the driver builds
+
+def _sweep(run, K, depths, seed, rows, params, thresholds, schedules=(harmonic_schedule,)):
+    """The one depth-sweep driver, for the runner run under its TARGETS entry.
+
+    It owns the depth rule: depths as a list, none below the entry's minimum, at least
+    two and none repeated (one depth compares nothing; the sharpness fits are singular).
+    Each schedule is called as schedule(K, depth=, branching=); the driver builds
     one tree per schedule at the deepest depth and BRANCHING children per node.
-    make_row(*trees) sees those deepest trees once, where it forms each Wolff
+    rows(depths, *trees) sees those deepest trees once, where it forms each Wolff
     series it needs by one ``wolff_tree`` call on its deepest tree
-    (``_wolff_sums``), and returns row; row d is row(d), which reads the
+    (``_wolff_sums``), and yields row d for each depth d in turn, reading the
     deepest trees at index d (a prefix's arrays are their slices) and its
     Wolff sums at entry d of those series, so a sweep builds no prefix tree
-    and does O(1) work per row.  The report carries K,
+    and does O(1) work per row.  The report, under the entry's stem, carries K,
     branching, seed and depths next to the experiment's own params.
     """
-    depths = list(depths)
+    depths, target = list(depths), _target(run)
     for depth in depths:
-        if depth < minimum:
-            raise ConfigError(f"{experiment}: depth {depth} is below the minimum "
-                              f"{minimum} ({why})")
+        if depth < target.minimum:
+            raise ConfigError(f"{target.stem}: depth {depth} is below the minimum "
+                              f"{target.minimum} ({target.why})")
     if len(depths) < 2 or len(set(depths)) < len(depths):
-        raise ConfigError(f"{experiment}: depths {depths}: a sweep needs at least two "
+        raise ConfigError(f"{target.stem}: depths {depths}: a sweep needs at least two "
                           "depths, none repeated")
     deepest = max(depths)
-    trees = [build_tree(schedule(deepest, branching=BRANCHING), deepest, seed=seed)
+    trees = [build_tree(schedule(K, depth=deepest, branching=BRANCHING), deepest, seed=seed)
              for schedule in schedules]
-    row = make_row(*trees)
-    rows = [row(depth) for depth in depths]
-    return ExperimentReport(experiment, {"K": K, "branching": BRANCHING, "seed": seed,
-                                         "depths": depths, **params}, rows, thresholds)
+    return ExperimentReport(target.stem, {"K": K, "branching": BRANCHING, "seed": seed,
+                                          "depths": depths, **params},
+                            list(rows(depths, *trees)), thresholds)
 
 
 def _wolff_sums(tree, side=TARGET, indices=TARGET_INDICES):
@@ -236,12 +238,12 @@ def _wolff_sums(tree, side=TARGET, indices=TARGET_INDICES):
 
 
 @contextlib.contextmanager
-def _naming(flag):
+def _naming(flag, refusal=IndexDomainError):
     """Re-raise an index refusal as a ConfigError that names the flag that chose
     the indices (such as "thm2a: p = 2.0")."""
     try:
         yield
-    except IndexDomainError as exc:
+    except refusal as exc:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
@@ -279,7 +281,7 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
     _check_leaf_counts(depths)
     idx = distortion_indices(K)
 
-    def make_row(deepest):
+    def rows(depths, deepest):
         source, target = _wolff_sums(deepest, SOURCE, idx)[0], _wolff_sums(deepest)[0]
         # the growth of depth N, the sup of the ideal target generation density over
         # generations 0..N, is entry N of one running max
@@ -287,22 +289,20 @@ def verify_gamma_distortion(K, depths=range(2, 7), seed=0) -> ExperimentReport:
             (math.exp(deepest.log_mass(n, "ideal") - deepest.log_radius(TARGET, n))
              for n in range(deepest.depth + 1)), max))
         diam_b = 2.0 * deepest.scale
-
-        def row(depth):
+        for depth in depths:
             sup, value = tree_wolff_capacity(source[depth], depth, SOURCE, idx, deepest.scale)
             lhs = value / diam_b ** (2.0 / (K + 1.0))
             curv_proxy = target[depth]
             rhs = melnikov_gamma_lower(1.0, curv_proxy, growth[depth]).value / diam_b
-            return {"depth": depth, "lhs": lhs, "rhs": rhs,
-                    "ratio": lhs / rhs ** (2.0 * K / (K + 1.0)),
-                    "wolff_sup": sup,
-                    "growth": growth[depth], "curvature_proxy": curv_proxy,
-                    # the realized total mass of the depth-N construction
-                    "realized_mass": math.exp(float(deepest.cum_log_keep[depth])),
-                    "n_leaves": deepest.n_nodes(depth)}
-        return row
+            yield {"depth": depth, "lhs": lhs, "rhs": rhs,
+                   "ratio": lhs / rhs ** (2.0 * K / (K + 1.0)),
+                   "wolff_sup": sup,
+                   "growth": growth[depth], "curvature_proxy": curv_proxy,
+                   # the realized total mass of the depth-N construction
+                   "realized_mass": math.exp(float(deepest.cum_log_keep[depth])),
+                   "n_leaves": deepest.n_nodes(depth)}
 
-    return _sweep("thm1", K, depths, seed, [functools.partial(harmonic_schedule, K)], make_row,
+    return _sweep(verify_gamma_distortion, K, depths, seed, rows,
                   {"alpha": idx.alpha, "p": idx.p,
                    "rhs_inputs": "growth and curvature proxy from ideal tree data"},
                   {"ratio_stability": RATIO_STABILITY})
@@ -314,19 +314,16 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
     flag = f"thm2a: p = {p}"
     if not 1.0 < p < math.inf:  # before 1/p is formed
         raise ConfigError(f"{flag}: need a finite p > 1")
-    try:  # the map names the indices; p chose them
+    with _naming(flag, IndexOverflowError):  # the map names the indices; p chose them
         di = distorted_index_map(1.0 / p, p, K)
-    except IndexOverflowError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
     source_idx, target_idx = di.image, CapacityIndices(1.0 / p, p)
 
-    def make_row(deepest):
+    def rows(depths, deepest):
         with _naming(flag):  # the series and the estimator name the indices; p chose them
             source = _wolff_sums(deepest, SOURCE, source_idx)[0]
             target = _wolff_sums(deepest, TARGET, target_idx)[0]
         diam_b = 2.0 * deepest.scale
-
-        def row(depth):
+        for depth in depths:
             with _naming(flag):
                 source_sup, lhs_value = tree_wolff_capacity(source[depth], depth, SOURCE,
                                                             source_idx, deepest.scale)
@@ -338,12 +335,11 @@ def verify_riesz_distortion(K, p=2.0, depths=range(2, 6), seed=0) -> ExperimentR
             if not lhs > 0.0 < rhs_power:
                 raise ConfigError(f"{flag}: at depth {depth} lhs {lhs:.6g} or "
                                   f"rhs^(2K/(K+1)) underflows to 0 (rhs {rhs:.6g})")
-            return {"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
-                    "beta": di.beta, "q": di.q,
-                    "source_sup": source_sup, "target_sup": target_sup}
-        return row
+            yield {"depth": depth, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs_power,
+                   "beta": di.beta, "q": di.q,
+                   "source_sup": source_sup, "target_sup": target_sup}
 
-    return _sweep("thm2a", K, depths, seed, [functools.partial(harmonic_schedule, K)], make_row,
+    return _sweep(verify_riesz_distortion, K, depths, seed, rows,
                   {"p": p, "beta": di.beta, "q": di.q, "t": di.t, "t_prime": di.t_prime},
                   {"ratio_stability": RATIO_STABILITY})
 
@@ -370,14 +366,13 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
     s = (K + 1.0) / (K * src_idx.conjugate_minus_one)
     flag = f"sharpness: q = {q}"
 
-    def make_row(deepest):
+    def rows(depths, deepest):
         target, target_terms = _wolff_sums(deepest)
         # the series and the estimator name the indices; q chose them and the schedule
         with _naming(flag):
             source = _wolff_sums(deepest, SOURCE, src_idx)[0]
             bounded = _wolff_sums(deepest, SOURCE, thm1_idx)[0]
-
-        def row(depth):
+        for depth in depths:
             tgt_total = target[depth]
             with _naming(flag):
                 source_sum, cap = tree_wolff_capacity(source[depth], depth, SOURCE, src_idx,
@@ -385,18 +380,16 @@ def sharpness_experiment(K, q=None, depths=range(8, 65), seed=0) -> ExperimentRe
                 _, bounded_cap = tree_wolff_capacity(bounded[depth], depth, SOURCE, thm1_idx,
                                                      deepest.scale)
             tail = target_terms[depth - 1] * (depth + 1) / (s - 1.0)  # integral bound
-            return {"depth": depth, "source_sum": source_sum, "target_total": tgt_total,
-                    "target_tail_fraction": tail / (tgt_total + tail),
-                    "capacity": cap, "bounded_source_capacity": bounded_cap}
-        return row
+            yield {"depth": depth, "source_sum": source_sum, "target_total": tgt_total,
+                   "target_tail_fraction": tail / (tgt_total + tail),
+                   "capacity": cap, "bounded_source_capacity": bounded_cap}
 
-    return _sweep("sharpness", K, depths, seed, [functools.partial(sharpness_schedule, K, q)],
-                  make_row,
+    return _sweep(sharpness_experiment, K, depths, seed, rows,
                   {"q": q, "beta": beta, "target_exponent": s},
                   {"slope_lo": 0.5, "slope_hi": 2.0, "r2_min": 0.99, "target_tail_max": 0.05,
                    "capacity_exponent": 1.0 / src_idx.conjugate_minus_one,
                    "capacity_exponent_tol": 0.10, "ratio_stability": RATIO_STABILITY},
-                  minimum=2, why="the capacity decay is fitted against log(log N)")
+                  [functools.partial(sharpness_schedule, q=q)])
 
 
 def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> ExperimentReport:
@@ -408,16 +401,16 @@ def content_distortion_experiment(K, depths=range(2, 7), a=0.1, seed=0) -> Exper
     within one decade across the depth range.  The ratio is invariant under
     global mass scaling, so the truncation renormalization cancels.
     """
-    def row(tree):
-        real = tree.realize()
-        m_src = content_Mh_tree(TreeSmoothedDensityGauge(real, a, side=SOURCE)).value
-        m_tgt = content_Mh_tree(DistortedTreeGauge(real, a)).value
-        return {"depth": tree.depth, "source_content": m_src, "target_content": m_tgt,
-                "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))}
+    def rows(depths, deepest):
+        # the one sweep that realizes, so the one whose rows build their prefix trees
+        for tree in map(deepest.prefix, depths):
+            real = tree.realize()
+            m_src = content_Mh_tree(TreeSmoothedDensityGauge(real, a, side=SOURCE)).value
+            m_tgt = content_Mh_tree(DistortedTreeGauge(real, a)).value
+            yield {"depth": tree.depth, "source_content": m_src, "target_content": m_tgt,
+                   "ratio": m_src / m_tgt ** ((K + 1.0) / (2.0 * K))}
 
-    # the one sweep that realizes, so the one whose rows build their prefix trees
-    return _sweep("content_ratio", K, depths, seed, [functools.partial(harmonic_schedule, K)],
-                  lambda deepest: lambda depth: row(deepest.prefix(depth)), {"a": a},
+    return _sweep(content_distortion_experiment, K, depths, seed, rows, {"a": a},
                   {"ratio_stability": RATIO_STABILITY})
 
 
@@ -461,7 +454,7 @@ def gauge_criterion_experiment(K, betas=None, seed=0) -> ExperimentReport:
                      "classified": classified, "rate": rate,
                      "partial_sum": partial, "tail_fraction_1000": tail_1000})
     return ExperimentReport(
-        "gauge_criterion",
+        _target(gauge_criterion_experiment).stem,
         {"K": K, "n_scales": N_SCALES, "seed": seed, "betas": [float(b) for b in betas]},
         rows, {"boundary": 1.0})
 
@@ -484,24 +477,21 @@ def vanishing_content_experiment(K, depths=range(2, 17), seed=0) -> ExperimentRe
     unit = lambda log_r: 1.0  # noqa: E731
     cap = lambda n: -float((n + 1) ** SHRINK_EXPONENT)  # noqa: E731
 
-    def make_row(deepest):
+    def rows(depths, deepest):
         target = _wolff_sums(deepest)[0]
+        for depth in depths:
+            yield {"depth": depth,
+                   "unit_gauge_sum": generation_cover_sum(deepest, unit, depth),
+                   "closed_form": (depth + 1) ** (2.0 * K / (K + 1.0)),
+                   "shrunk_gauge_sum": generation_cover_sum(deepest, eps, depth),
+                   "source_log_radius": deepest.log_radius(SOURCE, depth),
+                   "target_total": target[depth]}
 
-        def row(depth):
-            return {"depth": depth,
-                    "unit_gauge_sum": generation_cover_sum(deepest, unit, depth),
-                    "closed_form": (depth + 1) ** (2.0 * K / (K + 1.0)),
-                    "shrunk_gauge_sum": generation_cover_sum(deepest, eps, depth),
-                    "source_log_radius": deepest.log_radius(SOURCE, depth),
-                    "target_total": target[depth]}
-        return row
-
-    return _sweep("vanishing_content", K, depths, seed,
-                  [functools.partial(shrunk_schedule, K, source_log_cap=cap)], make_row,
+    return _sweep(vanishing_content_experiment, K, depths, seed, rows,
                   {"shrink_exponent": SHRINK_EXPONENT, "gauge": "eps=1/log(1/r)"},
                   {"closed_form_rtol": 1e-12, "vanish_factor": 1.0,
                    "target_bound": math.pi ** 2 / 6.0 - 1.0 + 1e-12},
-                  minimum=1, why="eps = 1/log(1/r) is undefined at the unit root radius")
+                  [functools.partial(shrunk_schedule, source_log_cap=cap)])
 
 
 def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentReport:
@@ -514,21 +504,36 @@ def doubly_exponential_experiment(K, depths=range(1, 33), seed=0) -> ExperimentR
     """
     eps = lambda log_r: (-log_r) ** (-2.0 / CRITERION_A)  # noqa: E731
 
-    def make_row(deepest, harmonic_deepest):
+    def rows(depths, deepest, harmonic_deepest):
         target, harmonic_target = _wolff_sums(deepest)[0], _wolff_sums(harmonic_deepest)[0]
+        for depth in depths:
+            yield {"depth": depth,
+                   "source_log_radius": deepest.log_radius(SOURCE, depth),
+                   "cap_log": -math.exp(depth),
+                   "gauge_sum": generation_cover_sum(deepest, eps, depth),
+                   "target_total": target[depth],
+                   "harmonic_target_total": harmonic_target[depth]}
 
-        def row(depth):
-            return {"depth": depth,
-                    "source_log_radius": deepest.log_radius(SOURCE, depth),
-                    "cap_log": -math.exp(depth),
-                    "gauge_sum": generation_cover_sum(deepest, eps, depth),
-                    "target_total": target[depth],
-                    "harmonic_target_total": harmonic_target[depth]}
-        return row
-
-    return _sweep("doubly_exponential", K, depths, seed,
-                  [functools.partial(doubly_exponential_schedule, K),
-                   functools.partial(harmonic_schedule, K)], make_row,
+    return _sweep(doubly_exponential_experiment, K, depths, seed, rows,
                   {"criterion_a": CRITERION_A, "gauge": f"eps=log(1/s)^(-2/{CRITERION_A})"},
                   {"schedule_equality_rtol": 1e-12},
-                  minimum=1, why="eps = log(1/s)^(-2/a) is undefined at the unit root radius")
+                  [doubly_exponential_schedule, harmonic_schedule])
+
+
+#: the verify targets by CLI name, in the CLI's order
+TARGETS = {
+    "thm1": Target(verify_gamma_distortion, "thm1", _verdict_ratio_stable),
+    "thm2a": Target(verify_riesz_distortion, "thm2a", _verdict_ratio_stable),
+    "sharpness": Target(sharpness_experiment, "sharpness", _verdict_sharpness, 2,
+                        "the capacity decay is fitted against log(log N)"),
+    "gauge-criterion": Target(gauge_criterion_experiment, "gauge_criterion",
+                              _verdict_gauge_criterion),
+    "thin-content": Target(vanishing_content_experiment, "vanishing_content",
+                           _verdict_vanishing_content, 1,
+                           "eps = 1/log(1/r) is undefined at the unit root radius"),
+    "doubly-exp": Target(doubly_exponential_experiment, "doubly_exponential",
+                         _verdict_doubly_exponential, 1,
+                         "eps = log(1/s)^(-2/a) is undefined at the unit root radius"),
+    "content-ratio": Target(content_distortion_experiment, "content_ratio",
+                            _verdict_ratio_stable),
+}

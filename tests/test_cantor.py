@@ -193,6 +193,16 @@ def test_doubly_exponential_caps():
     assert -math.exp(3) == pytest.approx(-20.085536923187668, rel=1e-12)
 
 
+def test_doubly_exponential_cap_stays_in_the_doubles_to_depth_709():
+    # -e^709 is the last cap a double holds; e^710 overflows
+    tree = build_tree(doubly_exponential_schedule(2.0, 709), 709)
+    assert tree.log_radius(SOURCE, 709) == pytest.approx(-math.exp(709), rel=1e-12)
+    for depth in (710, 5000):
+        with pytest.raises(ConstructionError, match=rf"^doubly-exponential schedule: depth "
+                           rf"{depth}: past N = 709, log s_N <= -e\^N leaves double precision$"):
+            doubly_exponential_schedule(2.0, depth)
+
+
 def test_pack_single_disk_at_origin():
     assert np.allclose(pack_disks(1, 0.3), [[0.0, 0.0]])
 

@@ -1,5 +1,6 @@
 import csv
 import gc
+import inspect
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import warnings
 import pytest
 
 from qcantor import cli, gauges, potentials
+from qcantor import experiments as exp
 from qcantor.cantor import build_tree, schedules_from_config
 from qcantor.cli import main
 from qcantor.gauges import frostman_tree
@@ -441,13 +443,30 @@ def test_verify_rejects_sweeps_without_two_distinct_depths(tmp_path, capsys, tar
 
 
 _VERIFY_FLAGS = {"depths": "2..3", "p": "2", "q": "2.5", "a": "0.1"}
-_UNREAD = [(target, flag) for target, reads in (
-    ("thm1", "depths"), ("thm2a", "p depths"), ("sharpness", "q depths"),
-    ("gauge-criterion", ""), ("thin-content", "depths"), ("doubly-exp", "depths"),
-    ("content-ratio", "a depths")) for flag in _VERIFY_FLAGS if flag not in reads.split()]
 
 
-@pytest.mark.parametrize("target,flag", _UNREAD)
+def _reads(target):
+    """The flags among _VERIFY_FLAGS that target's runner takes as keywords."""
+    return [f for f in _VERIFY_FLAGS if f in inspect.signature(exp.TARGETS[target].run).parameters]
+
+
+def test_verify_targets_read_the_flags_of_their_runners():
+    assert {target: _reads(target) for target in exp.TARGETS} == {
+        "thm1": ["depths"], "thm2a": ["depths", "p"], "sharpness": ["depths", "q"],
+        "gauge-criterion": [], "thin-content": ["depths"], "doubly-exp": ["depths"],
+        "content-ratio": ["depths", "a"]}
+
+
+def test_verify_targets_keep_their_names_stems_and_order():
+    # the order is the parser's choices, which its usage errors list
+    assert [(name, entry.stem) for name, entry in exp.TARGETS.items()] == [
+        ("thm1", "thm1"), ("thm2a", "thm2a"), ("sharpness", "sharpness"),
+        ("gauge-criterion", "gauge_criterion"), ("thin-content", "vanishing_content"),
+        ("doubly-exp", "doubly_exponential"), ("content-ratio", "content_ratio")]
+
+
+@pytest.mark.parametrize("target,flag", [(target, flag) for target in exp.TARGETS
+                                         for flag in _VERIFY_FLAGS if flag not in _reads(target)])
 def test_verify_refuses_flags_its_target_does_not_read(tmp_path, capsys, target, flag):
     out = tmp_path / "v"
     code = main(["verify", target, "--K", "2", f"--{flag}", _VERIFY_FLAGS[flag],
@@ -455,6 +474,30 @@ def test_verify_refuses_flags_its_target_does_not_read(tmp_path, capsys, target,
     assert code == 2
     assert f"verify {target} does not read --{flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", exp.TARGETS)
+def test_verify_targets_take_every_flag_they_read(tmp_path, target):
+    flags = [arg for flag in _reads(target) for arg in (f"--{flag}", _VERIFY_FLAGS[flag])]
+    # a verdict, pass or fail: sharpness fails its fits at depths 2..3
+    assert main(["verify", target, "--K", "2", *flags, "--out", str(tmp_path)]) in (0, 1)
+    doc = json.loads((tmp_path / f"{exp.TARGETS[target].stem}.json").read_text())
+    want = {flag: [2, 3] if flag == "depths" else float(_VERIFY_FLAGS[flag])
+            for flag in _reads(target)}
+    assert {flag: doc["params"][flag] for flag in want} == want
+
+
+@pytest.mark.parametrize("depths,code", [("1,709", 0), ("1,710", 2), ("709,5000", 2)])
+def test_verify_doubly_exp_refuses_a_depth_past_709(tmp_path, capsys, depths, code):
+    out = tmp_path / "v"
+    assert main(["verify", "doubly-exp", "--K", "2", "--depths", depths,
+                 "--out", str(out)]) == code
+    if code == 2:
+        deepest = max(map(int, depths.split(",")))
+        assert capsys.readouterr().err == (
+            f"error: doubly-exponential schedule: depth {deepest}: past N = 709, "
+            "log s_N <= -e^N leaves double precision\n")
+        assert not out.exists()
 
 
 def test_gauge_criterion_records_seed(tmp_path):
@@ -470,7 +513,7 @@ def _readme_verify_lines():
 
 
 def test_readme_lists_every_verify_target():
-    assert {shlex.split(line)[2] for line in _readme_verify_lines()} == set(cli._VERIFY)
+    assert {shlex.split(line)[2] for line in _readme_verify_lines()} == set(exp.TARGETS)
 
 
 @pytest.mark.parametrize("line", _readme_verify_lines())

@@ -86,7 +86,8 @@ def _depths(lo, hi):
 
 
 #: the verify targets with their flags; content-ratio realizes every depth, so its
-#: depths stay shallow
+#: depths stay shallow, and doubly-exp's reach past 709, where its cap -e^N leaves
+#: the doubles
 _TARGETS = st.one_of(
     st.tuples(st.just("thm1"), st.just("--depths"), _depths(0, 40)),
     st.tuples(st.just("thm2a"), st.just("--p"),
@@ -97,7 +98,8 @@ _TARGETS = st.one_of(
               st.just("--depths"), _depths(2, 40)),
     st.tuples(st.just("gauge-criterion")),
     st.tuples(st.just("thin-content"), st.just("--depths"), _depths(1, 24)),
-    st.tuples(st.just("doubly-exp"), st.just("--depths"), _depths(1, 24)),
+    st.tuples(st.just("doubly-exp"), st.just("--depths"),
+              st.one_of(_depths(1, 24), _depths(1, 1000))),
     st.tuples(st.just("content-ratio"), st.just("--a"), _num(st.floats(0.01, 10.0)),
               st.just("--depths"), _depths(1, 3)),
 ).map(list)
@@ -206,6 +208,8 @@ def test_artifact_commands_keep_the_contract(tmp_path_factory, capsys, cfg, comm
 @given(K=_K, target=_TARGETS, seed=st.integers(0, 3))
 # leaf radii past the doubles were refused without a side or depth
 @example(K=400.0, target=["content-ratio", "--depths", "1,2"], seed=0)
+# a doubly-exp cap past the doubles raised OverflowError
+@example(K=2.0, target=["doubly-exp", "--depths", "1,710"], seed=0)
 def test_verify_targets_keep_the_contract(tmp_path_factory, capsys, K, target, seed):
     out = tmp_path_factory.mktemp("verify")
     flags = [*target, "--K", repr(K), "--seed", str(seed)]

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -7,8 +8,8 @@ import pytest
 
 from qcantor import capacity, potentials
 from qcantor import experiments as ex
-from qcantor.cantor import (SOURCE, TARGET, CantorTree, ConfigError, build_tree,
-                            harmonic_schedule, sharpness_schedule)
+from qcantor.cantor import (SOURCE, TARGET, CantorTree, ConfigError, ConstructionError,
+                            build_tree, harmonic_schedule, sharpness_schedule)
 from qcantor.potentials import IndexDomainError, line_fit, tree_log_ratios, wolff_tree
 
 import support
@@ -158,6 +159,37 @@ def test_verdict_recomputable_from_rows():
                                                doc["thresholds"])
         assert verdict == report.verdict
         assert passed == report.passed
+
+
+@pytest.mark.parametrize("name", ex.TARGETS)
+def test_each_target_reports_under_its_stem_and_rejudges_equal(name):
+    target = ex.TARGETS[name]
+    report = target.run(2.0)
+    assert report.experiment == target.stem
+    doc = json.loads(report.to_json())
+    assert doc["experiment"] == target.stem
+    assert ex.recompute_verdict(doc["experiment"], doc["rows"], doc["thresholds"]) == \
+        target.verdict(doc["rows"], doc["thresholds"]) == (report.verdict, report.passed)
+
+
+@pytest.mark.parametrize("name", [name for name, target in ex.TARGETS.items()
+                                  if "depths" in inspect.signature(target.run).parameters])
+def test_each_sweep_refuses_a_depth_below_its_entry_minimum(monkeypatch, name):
+    target, built = ex.TARGETS[name], []
+    monkeypatch.setattr(ex, "build_tree", lambda *args, **kwargs: built.append(args))
+    low = target.minimum - 1
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{target.stem}: depth {low} is below the minimum {target.minimum} ({target.why})")):
+        target.run(2.0, depths=[low, target.minimum + 2])
+    assert not built
+
+
+def test_doubly_exponential_refuses_a_depth_past_709_before_any_tree(monkeypatch):
+    built = []
+    monkeypatch.setattr(ex, "build_tree", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ConstructionError, match="depth 710: past N = 709"):
+        ex.doubly_exponential_experiment(2.0, depths=[1, 710])
+    assert not built
 
 
 def test_reports_byte_identical_across_runs():
